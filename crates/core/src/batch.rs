@@ -28,10 +28,10 @@ impl TupleBatch {
         Self::default()
     }
 
-    /// An empty batch with room for `tuples` records of ~`bytes_per` bytes.
-    pub fn with_capacity(tuples: usize, bytes_per: usize) -> Self {
+    /// An empty batch with room for `tuples` records totalling `bytes`.
+    pub fn with_capacity(tuples: usize, bytes: usize) -> Self {
         TupleBatch {
-            data: Vec::with_capacity(tuples * bytes_per),
+            data: Vec::with_capacity(bytes),
             ranges: Vec::with_capacity(tuples),
         }
     }
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity() {
-        let mut b = TupleBatch::with_capacity(4, 8);
+        let mut b = TupleBatch::with_capacity(4, 32);
         b.push(&[7; 8]);
         let cap = b.data.capacity();
         b.clear();

@@ -418,8 +418,9 @@ where
     results
 }
 
-/// Scan a heap file into one contiguous [`TupleBatch`], charging page
-/// reads (shared by [`StepCtx::read_batch`] and the free helper below).
+/// Scan a heap file into one contiguous [`TupleBatch`] sized exactly from
+/// the stored file, charging page reads (shared by the `Scan` stage,
+/// [`StepCtx::read_batch`] and the free helper below).
 fn read_file_batch(
     vol: &gamma_wiss::Volume,
     pool: &mut gamma_wiss::BufferPool,
@@ -427,7 +428,7 @@ fn read_file_batch(
     file: FileId,
 ) -> TupleBatch {
     let mut scan = HeapScan::open(vol, file);
-    let mut batch = TupleBatch::with_capacity(vol.file_records(file), 64);
+    let mut batch = TupleBatch::with_capacity(vol.file_records(file), vol.file_bytes(file));
     while let Some(rec) = scan.next_ref(pool, usage) {
         batch.push(rec);
     }

@@ -13,12 +13,12 @@
 //! bytes never depend on the pool size.
 
 use gamma_des::Usage;
-use gamma_wiss::{FileId, HeapScan};
+use gamma_wiss::FileId;
 
 use crate::algorithms::common::RangePred;
 use crate::batch::TupleBatch;
 use crate::cost::CostModel;
-use crate::exec::{pool, StepCtx};
+use crate::exec::{pool, read_file_batch, StepCtx};
 use crate::machine::{Ledgers, Machine, NodeId, NodeState};
 
 /// Scan one stored fragment from a step worker: charges page reads and
@@ -46,15 +46,8 @@ fn scan_fragment_inner(
     );
     #[cfg(all(not(feature = "trace"), not(feature = "metrics")))]
     let _ = node;
-    let mut batch = {
-        let (vol, bp) = state.vp();
-        let mut scan = HeapScan::open(vol, file);
-        let mut batch = TupleBatch::with_capacity(vol.file_records(file), 64);
-        while let Some(rec) = scan.next_ref(bp, usage) {
-            batch.push(rec);
-        }
-        batch
-    };
+    let (vol, bp) = state.vp();
+    let mut batch = read_file_batch(vol, bp, usage, file);
     // Pure per-record work, chunked; effects replayed in record order below.
     let keep: Option<Vec<bool>> =
         pred.map(|p| pool::map_chunks(pool, batch.ranges(), |&r| p.eval(batch.slice(r))));

@@ -14,6 +14,8 @@
 //! * [`hash`] — the seeded randomizing hash function used for declustering,
 //!   split-table routing, overflow resolution and bit filters,
 //! * [`cost`] — the calibrated VAX-11/750-era cost model,
+//! * [`checksum`] — the order-independent result-multiset checksum every
+//!   engine run is validated through,
 //! * [`machine`] — machine configuration (disk/diskless nodes), volumes,
 //!   buffer pools, fabric and the relation catalog,
 //! * [`split`] — partitioning/joining split tables built per Appendix A and
@@ -45,6 +47,7 @@
 pub mod algorithms;
 pub mod batch;
 pub mod bitfilter;
+pub mod checksum;
 pub mod cost;
 pub mod exec;
 pub mod hash;

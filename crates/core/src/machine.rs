@@ -16,6 +16,7 @@ use gamma_des::Usage;
 use gamma_net::{Exchange, Fabric};
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
+pub use crate::checksum::multiset_checksum;
 use crate::cost::CostModel;
 use crate::exec::ExecConfig;
 use crate::hash::{hash_u32, JOIN_SEED};
@@ -360,20 +361,6 @@ impl Machine {
             pool.evict_file(*f);
         }
     }
-}
-
-/// Order-independent checksum of a result multiset — engine results are
-/// compared against the oracle join through this.
-#[inline]
-pub fn multiset_checksum(acc: u64, rec: &[u8]) -> u64 {
-    // FNV-1a per record, summed (wrapping) across records so order and
-    // distribution across nodes do not matter.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in rec {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    acc.wrapping_add(h)
 }
 
 /// Exchange stream tag carried by every result tuple headed for a store

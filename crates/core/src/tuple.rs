@@ -178,16 +178,9 @@ pub fn project_ranges_into(ranges: &[(usize, usize)], tuple: &[u8], out: &mut Ve
 }
 
 /// Compose a result tuple by concatenating an outer and inner tuple —
-/// Gamma's join operators emitted the concatenation of the matching pair.
-#[inline]
-pub fn compose(left: &[u8], right: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    compose_into(left, right, &mut out);
-    out
-}
-
-/// [`compose`] into a caller-owned buffer (cleared and refilled) — reuse it
-/// across a batch so composition never allocates per result tuple.
+/// Gamma's join operators emitted the concatenation of the matching pair —
+/// into a caller-owned buffer (cleared and refilled): reuse it across a
+/// batch so composition never allocates per result tuple.
 #[inline]
 pub fn compose_into(left: &[u8], right: &[u8], out: &mut Vec<u8>) {
     out.clear();
@@ -247,12 +240,6 @@ mod tests {
         assert_eq!(j.tuple_bytes(), 2 * s.tuple_bytes());
         assert_eq!(j.int_attr("l.unique1").offset, 0);
         assert_eq!(j.int_attr("r.unique1").offset, s.tuple_bytes());
-    }
-
-    #[test]
-    fn compose_concatenates_bytes() {
-        let out = compose(&[1, 2, 3], &[4, 5]);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

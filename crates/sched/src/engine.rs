@@ -137,11 +137,11 @@ fn run_phase(sim: &mut Sim<EngineState>, q: usize, p: usize) {
         complete(sim, q);
         return;
     }
-    // Clone the phase plan so its request logs can be walked while the
-    // shared servers (also in state) are mutated.
-    let ph = sim.state.plans[q].phases[p].clone();
     let last = p + 1 == sim.state.plans[q].phases.len();
     let st = &mut sim.state;
+    // The phase plan's request logs are walked while the shared servers
+    // are mutated: disjoint fields of the state, borrowed side by side.
+    let ph = &st.plans[q].phases[p];
 
     let dspan = st.dispatch.submit_span(now, ph.sched_overhead);
     let start = dspan.completion;

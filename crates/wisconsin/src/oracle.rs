@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 
-use gamma_core::machine::multiset_checksum;
-use gamma_core::tuple::compose;
+use gamma_core::checksum::checksum_concat;
 
 use crate::gen::{WisconsinGen, WisconsinRow};
 
@@ -58,7 +57,7 @@ pub fn oracle_join(
             let s_bytes = s.to_bytes(&schema);
             for m in matches {
                 tuples += 1;
-                checksum = multiset_checksum(checksum, &compose(m, &s_bytes));
+                checksum = checksum_concat(checksum, m, &s_bytes);
             }
         }
     }

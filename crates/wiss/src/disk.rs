@@ -126,6 +126,17 @@ impl Volume {
             .sum()
     }
 
+    /// Total record bytes across all pages of a file — what a scan of the
+    /// whole file stages.
+    pub fn file_bytes(&self, file: FileId) -> usize {
+        self.files
+            .get(&file)
+            .unwrap_or_else(|| panic!("unknown file {file}"))
+            .iter()
+            .map(|p| p.record_bytes())
+            .sum()
+    }
+
     /// Borrow a page.
     pub fn page(&self, file: FileId, idx: usize) -> &Page {
         &self
@@ -153,6 +164,31 @@ impl Volume {
         pages.len() - 1
     }
 
+    /// Take every page out of a file, leaving it in place and empty: the
+    /// caller can then read records from the pages while it writes other
+    /// files of this volume. Give the pages back with
+    /// [`Volume::attach_pages`] unless the file is about to be deleted.
+    pub fn detach_pages(&mut self, file: FileId) -> Vec<Page> {
+        std::mem::take(
+            self.files
+                .get_mut(&file)
+                .unwrap_or_else(|| panic!("unknown file {file}")),
+        )
+    }
+
+    /// Give back the pages taken by [`Volume::detach_pages`].
+    ///
+    /// # Panics
+    /// Panics if the file was deleted or written to in the meantime.
+    pub fn attach_pages(&mut self, file: FileId, pages: Vec<Page>) {
+        let slot = self
+            .files
+            .get_mut(&file)
+            .unwrap_or_else(|| panic!("unknown file {file}"));
+        assert!(slot.is_empty(), "file {file} was written while detached");
+        *slot = pages;
+    }
+
     /// Ids of all live files (ascending).
     pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
         self.files.keys().copied()
@@ -178,6 +214,7 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(v.file_pages(f), 1);
         assert_eq!(v.file_records(f), 1);
+        assert_eq!(v.file_bytes(f), 3);
         assert_eq!(v.page(f, 0).get(0), Some(&b"rec"[..]));
     }
 
@@ -222,6 +259,23 @@ mod tests {
         assert!(!h.access(1, 5), "skip is random");
         assert!(!h.access(2, 6), "different file is random");
         assert!(h.access(2, 7));
+    }
+
+    #[test]
+    fn detach_and_attach_roundtrip() {
+        let mut v = Volume::new();
+        let f = v.create_file();
+        let mut p = Page::new(256);
+        p.insert(b"rec").unwrap();
+        v.append_page(f, p);
+        let pages = v.detach_pages(f);
+        assert_eq!(pages.len(), 1);
+        assert!(v.exists(f), "the file stays");
+        assert_eq!(v.file_pages(f), 0);
+        let g = v.create_file();
+        v.append_page(g, Page::new(256));
+        v.attach_pages(f, pages);
+        assert_eq!(v.page(f, 0).get(0), Some(&b"rec"[..]));
     }
 
     #[test]

@@ -82,8 +82,7 @@ impl HeapWriter {
 /// [`HeapScan::next_ref`] yields records as slices borrowed from the
 /// volume — the engine copies each record at most once, into whatever
 /// staging buffer (tuple batch, packet frame, hash-table arena) receives
-/// it. [`HeapScan::next`] wraps that in an owned copy for callers that
-/// need one.
+/// it.
 pub struct HeapScan<'a> {
     vol: &'a Volume,
     file: FileId,
@@ -129,16 +128,11 @@ impl<'a> HeapScan<'a> {
         }
     }
 
-    /// Fetch the next record as an owned copy.
-    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<Vec<u8>> {
-        self.next_ref(pool, usage).map(<[u8]>::to_vec)
-    }
-
     /// Drain the scan into a vector (test/convenience helper).
     pub fn collect_all(mut self, pool: &mut BufferPool, usage: &mut Usage) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
-        while let Some(r) = self.next(pool, usage) {
-            out.push(r);
+        while let Some(r) = self.next_ref(pool, usage) {
+            out.push(r.to_vec());
         }
         out
     }

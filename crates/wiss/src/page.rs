@@ -74,6 +74,11 @@ impl Page {
         self.nslots()
     }
 
+    /// Total bytes of the records stored (slot directory not counted).
+    pub fn record_bytes(&self) -> usize {
+        self.size() - self.free_end()
+    }
+
     /// True when the page holds no records.
     pub fn is_empty(&self) -> bool {
         self.nslots() == 0
@@ -177,6 +182,7 @@ mod tests {
         assert_eq!(p.get(a), Some(&b"hello"[..]));
         assert_eq!(p.get(b), Some(&b"world!"[..]));
         assert_eq!(p.len(), 2);
+        assert_eq!(p.record_bytes(), 11);
         assert_eq!(p.get(2), None);
     }
 

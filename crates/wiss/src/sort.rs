@@ -1,12 +1,9 @@
 //! External merge sort — the WiSS sort utility.
 //!
-//! Two entry points:
-//!
-//! * [`external_sort`] fully materialises a sorted file (general substrate
-//!   service),
-//! * [`sort_into_runs`] stops merging once the remaining runs fit one final
-//!   merge fan-in, so a consumer (the parallel sort-merge join) can perform
-//!   the last merge on the fly through a [`RunMerger`].
+//! [`external_sort`] fully materialises a sorted file; the parallel
+//! sort-merge join sorts each node's two temporary files with it and then
+//! streams the merge join over the sorted files through single-run
+//! [`RunMerger`]s.
 //!
 //! Run formation reads the input sequentially, fills the sort workspace
 //! (`mem_bytes`), quicksorts it and writes a run. Merging proceeds in passes
@@ -15,6 +12,14 @@
 //! is charged to the ledger — the paper's "upward steps" in the sort-merge
 //! curves are precisely these extra merge passes appearing as memory
 //! shrinks.
+//!
+//! On the host, records are copied once per pass, page to page: run
+//! formation sorts an index of `(key, page, slot)` over the input's pages
+//! and a merge records only the order in which it consumed its runs, and
+//! both then write the output straight from the source pages, which are
+//! detached from the volume for the duration (the writer needs the volume
+//! mutably). The ledger sees the same charges in the same order either
+//! way: all input page reads, the comparisons, the run writes, the moves.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,6 +28,7 @@ use gamma_des::{SimTime, Usage};
 
 use crate::disk::{FileId, Volume};
 use crate::heap::{HeapScan, HeapWriter};
+use crate::page::Page;
 use crate::pool::BufferPool;
 
 /// Sort workspace shape.
@@ -85,6 +91,41 @@ fn charge_moves(usage: &mut Usage, cost: &SortCost, n: u64) {
     usage.cpu(SimTime::from_us(cost.move_us * n));
 }
 
+/// Sort workspace entry: a record's key and its `(page, slot)` in the
+/// detached input.
+type Indexed<K> = (K, (u32, u32));
+
+/// Sort the workspace, write it out as one run and empty it.
+#[allow(clippy::too_many_arguments)]
+fn write_run<K: Ord>(
+    vol: &mut Volume,
+    pool: &mut BufferPool,
+    input: &[Page],
+    workspace: &mut Vec<Indexed<K>>,
+    cfg: SortConfig,
+    cost: &SortCost,
+    usage: &mut Usage,
+    stats: &mut SortStats,
+) -> FileId {
+    let mut compares = 0u64;
+    workspace.sort_by(|a, b| {
+        compares += 1;
+        a.0.cmp(&b.0)
+    });
+    charge_compares(usage, cost, compares, stats);
+    let mut w = HeapWriter::create(vol, cfg.page_bytes);
+    for &(_, (page, slot)) in workspace.iter() {
+        let rec = input[page as usize]
+            .get(slot as usize)
+            .expect("indexed slot");
+        w.push(vol, pool, usage, rec);
+    }
+    charge_moves(usage, cost, workspace.len() as u64);
+    stats.initial_runs += 1;
+    workspace.clear();
+    w.finish(vol, pool, usage)
+}
+
 /// Form sorted runs from `input`.
 #[allow(clippy::too_many_arguments)]
 fn form_runs<K: Ord>(
@@ -97,85 +138,50 @@ fn form_runs<K: Ord>(
     usage: &mut Usage,
     stats: &mut SortStats,
 ) -> Vec<FileId> {
+    // The sequential read of the whole input comes first on the ledger; on
+    // the real system the records were then copied into the sort workspace,
+    // which `move_us` charges per record below.
+    for page in 0..vol.file_pages(input) {
+        pool.charge_read(input, page, usage);
+    }
+    let pages = vol.detach_pages(input);
     let mut runs = Vec::new();
-    // Workspace entries reference ranges of one contiguous record buffer
-    // (two allocations total, not one per record).
-    let mut workspace: Vec<(K, (u32, u32))> = Vec::new();
+    let mut workspace: Vec<Indexed<K>> = Vec::new();
     let mut ws_bytes = 0u64;
-
-    // Collect the input records page by page. We copy them out first (the
-    // scan immutably borrows the volume) — on the real system the records
-    // were copied into the sort workspace anyway, which `move_us` charges.
-    let mut data: Vec<u8> = Vec::new();
-    let mut ranges: Vec<(u32, u32)> = Vec::new();
-    {
-        let mut scan = HeapScan::open(vol, input);
-        while let Some(rec) = scan.next_ref(pool, usage) {
-            ranges.push((data.len() as u32, rec.len() as u32));
-            data.extend_from_slice(rec);
+    for (p, page) in pages.iter().enumerate() {
+        for (slot, rec) in page.records().enumerate() {
+            stats.records += 1;
+            ws_bytes += rec.len() as u64;
+            charge_moves(usage, cost, 1);
+            workspace.push((key(rec), (p as u32, slot as u32)));
+            if ws_bytes >= cfg.mem_bytes {
+                runs.push(write_run(
+                    vol,
+                    pool,
+                    &pages,
+                    &mut workspace,
+                    cfg,
+                    cost,
+                    usage,
+                    stats,
+                ));
+                ws_bytes = 0;
+            }
         }
     }
-    let data = data;
-
-    let flush = |workspace: &mut Vec<(K, (u32, u32))>,
-                 ws_bytes: &mut u64,
-                 vol: &mut Volume,
-                 pool: &mut BufferPool,
-                 usage: &mut Usage,
-                 stats: &mut SortStats,
-                 runs: &mut Vec<FileId>| {
-        if workspace.is_empty() {
-            return;
-        }
-        let mut compares = 0u64;
-        workspace.sort_by(|a, b| {
-            compares += 1;
-            a.0.cmp(&b.0)
-        });
-        charge_compares(usage, cost, compares, stats);
-        let mut w = HeapWriter::create(vol, cfg.page_bytes);
-        for &(_, (start, len)) in workspace.iter() {
-            w.push(
-                vol,
-                pool,
-                usage,
-                &data[start as usize..(start + len) as usize],
-            );
-        }
-        charge_moves(usage, cost, workspace.len() as u64);
-        runs.push(w.finish(vol, pool, usage));
-        stats.initial_runs += 1;
-        workspace.clear();
-        *ws_bytes = 0;
-    };
-
-    for (start, len) in ranges {
-        stats.records += 1;
-        ws_bytes += len as u64;
-        charge_moves(usage, cost, 1);
-        let rec = &data[start as usize..(start + len) as usize];
-        workspace.push((key(rec), (start, len)));
-        if ws_bytes >= cfg.mem_bytes {
-            flush(
-                &mut workspace,
-                &mut ws_bytes,
-                vol,
-                pool,
-                usage,
-                stats,
-                &mut runs,
-            );
-        }
+    if !workspace.is_empty() {
+        runs.push(write_run(
+            vol,
+            pool,
+            &pages,
+            &mut workspace,
+            cfg,
+            cost,
+            usage,
+            stats,
+        ));
     }
-    flush(
-        &mut workspace,
-        &mut ws_bytes,
-        vol,
-        pool,
-        usage,
-        stats,
-        &mut runs,
-    );
+    vol.attach_pages(input, pages);
     runs
 }
 
@@ -191,29 +197,34 @@ fn merge_group<K: Ord + Clone>(
     usage: &mut Usage,
     stats: &mut SortStats,
 ) -> FileId {
-    // Gather records in merged order via an actual k-way heap merge, into
-    // one contiguous buffer (the merger borrows the volume, so the writer
-    // below cannot run concurrently with it).
-    let mut data: Vec<u8> = Vec::new();
-    let mut ranges: Vec<(u32, u32)> = Vec::new();
+    // An actual k-way heap merge decides the order; only which run each
+    // output record came from is kept (the merger borrows the volume, so
+    // the writer below cannot run concurrently with it).
+    let mut order: Vec<u16> = Vec::new();
     {
         let mut merger = RunMerger::open(vol, group.to_vec(), key);
-        while let Some(rec) = merger.next_ref(pool, usage) {
-            ranges.push((data.len() as u32, rec.len() as u32));
-            data.extend_from_slice(rec);
+        while let Some((run, _)) = merger.next_entry(pool, usage) {
+            order.push(u16::try_from(run).expect("merge fan-in fits u16"));
         }
         charge_compares(usage, cost, merger.comparisons(), stats);
     }
+    // Replay that order page to page from the runs, which are deleted
+    // below and so can give up their pages now.
+    let runs: Vec<Vec<Page>> = group.iter().map(|&r| vol.detach_pages(r)).collect();
+    let mut cursors = vec![(0usize, 0usize); runs.len()];
     let mut w = HeapWriter::create(vol, cfg.page_bytes);
-    for &(start, len) in &ranges {
-        w.push(
-            vol,
-            pool,
-            usage,
-            &data[start as usize..(start + len) as usize],
-        );
+    for &run in &order {
+        let (page, slot) = &mut cursors[run as usize];
+        let rec = loop {
+            match runs[run as usize][*page].get(*slot) {
+                Some(rec) => break rec,
+                None => (*page, *slot) = (*page + 1, 0),
+            }
+        };
+        *slot += 1;
+        w.push(vol, pool, usage, rec);
     }
-    charge_moves(usage, cost, ranges.len() as u64);
+    charge_moves(usage, cost, order.len() as u64);
     let out = w.finish(vol, pool, usage);
     for &r in group {
         pool.evict_file(r);
@@ -222,9 +233,9 @@ fn merge_group<K: Ord + Clone>(
     out
 }
 
-/// Merge `runs` down until at most `target` remain.
+/// Merge `runs` down to one, in passes of the configured fan-in.
 #[allow(clippy::too_many_arguments)]
-fn merge_until<K: Ord + Clone>(
+fn merge_to_one<K: Ord + Clone>(
     vol: &mut Volume,
     pool: &mut BufferPool,
     mut runs: Vec<FileId>,
@@ -233,10 +244,9 @@ fn merge_until<K: Ord + Clone>(
     cost: &SortCost,
     usage: &mut Usage,
     stats: &mut SortStats,
-    target: usize,
 ) -> Vec<FileId> {
     let fan_in = cfg.fan_in();
-    while runs.len() > target {
+    while runs.len() > 1 {
         let mut next: Vec<FileId> = Vec::new();
         for group in runs.chunks(fan_in) {
             if group.len() == 1 {
@@ -288,32 +298,13 @@ pub fn external_sort<K: Ord + Clone>(
 ) -> (FileId, SortStats) {
     let mut stats = SortStats::default();
     let runs = form_runs(vol, pool, input, key, cfg, cost, usage, &mut stats);
-    let runs = merge_until(vol, pool, runs, key, cfg, cost, usage, &mut stats, 1);
+    let runs = merge_to_one(vol, pool, runs, key, cfg, cost, usage, &mut stats);
     let out = match runs.len() {
         0 => vol.create_file(),
         1 => runs[0],
-        _ => unreachable!("merge_until(1) left multiple runs"),
+        _ => unreachable!("merge_to_one left multiple runs"),
     };
     (out, stats)
-}
-
-/// Sort `input` into at most `fan_in` runs, leaving the final merge to the
-/// consumer (via [`RunMerger`]). This is how the parallel sort-merge join
-/// uses the utility: the last merge happens on the fly while joining.
-pub fn sort_into_runs<K: Ord + Clone>(
-    vol: &mut Volume,
-    pool: &mut BufferPool,
-    input: FileId,
-    key: &dyn Fn(&[u8]) -> K,
-    cfg: SortConfig,
-    cost: &SortCost,
-    usage: &mut Usage,
-) -> (Vec<FileId>, SortStats) {
-    let mut stats = SortStats::default();
-    let runs = form_runs(vol, pool, input, key, cfg, cost, usage, &mut stats);
-    let fan_in = cfg.fan_in();
-    let runs = merge_until(vol, pool, runs, key, cfg, cost, usage, &mut stats, fan_in);
-    (runs, stats)
 }
 
 /// Entry in the merge heap (min-heap by key, then run index for
@@ -386,6 +377,16 @@ impl<'a, K: Ord + Clone> RunMerger<'a, K> {
 
     /// Next record in globally sorted order, borrowed from the volume.
     pub fn next_ref(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<&'a [u8]> {
+        self.next_entry(pool, usage).map(|(_, rec)| rec)
+    }
+
+    /// [`RunMerger::next_ref`] together with the index (into the `runs`
+    /// given to [`RunMerger::open`]) of the run the record came from.
+    pub fn next_entry(
+        &mut self,
+        pool: &mut BufferPool,
+        usage: &mut Usage,
+    ) -> Option<(usize, &'a [u8])> {
         if !self.primed {
             self.prime(pool, usage);
         }
@@ -399,12 +400,7 @@ impl<'a, K: Ord + Clone> RunMerger<'a, K> {
                 rec,
             });
         }
-        Some(top.rec)
-    }
-
-    /// Next record in globally sorted order, as an owned copy.
-    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<Vec<u8>> {
-        self.next_ref(pool, usage).map(<[u8]>::to_vec)
+        Some((top.run, top.rec))
     }
 
     /// Comparisons attributed to the merge so far.
@@ -464,8 +460,8 @@ mod tests {
         assert!(stats.initial_runs > 1);
         let mut got = Vec::new();
         let mut scan = HeapScan::open(&vol, out);
-        while let Some(r) = scan.next(&mut pool, &mut u) {
-            got.push(key_u32(&r));
+        while let Some(r) = scan.next_ref(&mut pool, &mut u) {
+            got.push(key_u32(r));
         }
         let mut want = vals.clone();
         want.sort_unstable();
@@ -543,37 +539,6 @@ mod tests {
             small > big,
             "less memory must mean more passes ({small} vs {big})"
         );
-    }
-
-    #[test]
-    fn sort_into_runs_leaves_final_merge() {
-        let (mut vol, mut pool, mut u) = setup();
-        let vals: Vec<u32> = (0..4000).rev().collect();
-        let input = write_input(&mut vol, &mut pool, &mut u, &vals);
-        let cfg = SortConfig {
-            mem_bytes: 24 * 1024,
-            page_bytes: 8192,
-        };
-        let (runs, stats) = sort_into_runs(
-            &mut vol,
-            &mut pool,
-            input,
-            &key_u32,
-            cfg,
-            &SortCost::default(),
-            &mut u,
-        );
-        assert!(runs.len() > 1, "should leave several runs");
-        assert!(runs.len() <= cfg.fan_in());
-        assert!(stats.initial_runs >= runs.len() as u64);
-        // Merging them on the fly yields sorted order.
-        let mut merger = RunMerger::open(&vol, runs, &key_u32);
-        let mut got = Vec::new();
-        while let Some(r) = merger.next(&mut pool, &mut u) {
-            got.push(key_u32(&r));
-        }
-        assert_eq!(got, (0..4000).collect::<Vec<_>>());
-        assert!(merger.comparisons() > 0);
     }
 
     #[test]

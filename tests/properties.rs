@@ -8,10 +8,11 @@
 
 use rand::prelude::*;
 
+use gamma_core::checksum::{checksum_concat, multiset_checksum};
 use gamma_core::hash::{hash_u32, JOIN_SEED};
-use gamma_core::machine::{multiset_checksum, Declustering, MachineConfig};
+use gamma_core::machine::{Declustering, MachineConfig};
 use gamma_core::query::{Algorithm, JoinSpec, OverflowPolicy};
-use gamma_core::tuple::{compose, Field};
+use gamma_core::tuple::Field;
 use gamma_core::{run_join, Machine, Schema};
 use gamma_des::{fifo_drain, Request, SharedServer, SimTime, Usage};
 use gamma_wiss::btree::BPlusTree;
@@ -55,7 +56,7 @@ fn model_join(inner: &[u32], outer: &[u32]) -> (u64, u64) {
         for &r in inner {
             if r == s {
                 tuples += 1;
-                checksum = multiset_checksum(checksum, &compose(&mk_tuple(r), &mk_tuple(s)));
+                checksum = checksum_concat(checksum, &mk_tuple(r), &mk_tuple(s));
             }
         }
     }
@@ -112,6 +113,64 @@ fn parallel_joins_equal_model_join() {
         assert_eq!(report.result_tuples, tuples, "case {case}: cardinality");
         assert_eq!(report.result_checksum, checksum, "case {case}: contents");
     }
+}
+
+/// The result checksum, on random records of every length: the same
+/// wherever a record is split in two (the oracle and [`model_join`] hash
+/// `r ‖ s` as two slices, the engine's store path as one), changed by any
+/// changed, moved, added or removed byte, and independent of record order.
+#[test]
+fn checksum_is_split_invariant_content_sensitive_and_order_free() {
+    let hash = |rec: &[u8]| multiset_checksum(0, rec);
+    let mut seen = std::collections::HashSet::new();
+    for case in 0..200u64 {
+        let mut rng = case_rng("checksum_properties", case);
+        let len = rng.gen_range(0usize..600);
+        let rec: Vec<u8> = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
+        let whole = hash(&rec);
+        assert!(
+            seen.insert(whole),
+            "case {case}: collides with an earlier record"
+        );
+        let split = rng.gen_range(0..len + 1);
+        assert_eq!(
+            checksum_concat(0, &rec[..split], &rec[split..]),
+            whole,
+            "case {case}: split at {split} of {len}"
+        );
+        let mut longer = rec.clone();
+        longer.push(0);
+        assert_ne!(hash(&longer), whole, "case {case}: appended zero");
+        if len == 0 {
+            continue;
+        }
+        assert_ne!(hash(&rec[1..]), whole, "case {case}: dropped first byte");
+        let i = rng.gen_range(0..len);
+        let mut changed = rec.clone();
+        changed[i] ^= 1 << rng.gen_range(0u32..8);
+        assert_ne!(hash(&changed), whole, "case {case}: bit flip in byte {i}");
+        let j = rng.gen_range(0..len);
+        if rec[i] != rec[j] {
+            let mut moved = rec.clone();
+            moved.swap(i, j);
+            assert_ne!(
+                hash(&moved),
+                whole,
+                "case {case}: bytes {i} and {j} swapped"
+            );
+        }
+    }
+    let tuples: Vec<Vec<u8>> = (0..300).map(mk_tuple).collect();
+    let forward = tuples.iter().fold(0, |acc, t| multiset_checksum(acc, t));
+    let backward = tuples
+        .iter()
+        .rev()
+        .fold(0, |acc, t| multiset_checksum(acc, t));
+    assert_eq!(forward, backward);
+    let one_missing = tuples[1..]
+        .iter()
+        .fold(0, |acc, t| multiset_checksum(acc, t));
+    assert_ne!(one_missing, forward);
 }
 
 /// External sort returns a sorted permutation of its input for any
