@@ -1,6 +1,6 @@
 //! Deterministic allocation counting for the bench binaries.
 //!
-//! The simulator is single-process and (in a serial build) single-threaded,
+//! The simulator is single-process and (on the serial executor) single-threaded,
 //! so the number of heap allocations a benchmark point performs is exactly
 //! reproducible — unlike wall-clock time, which measures the host. The
 //! bench binaries install [`CountingAlloc`] as their global allocator and
@@ -14,7 +14,8 @@
 //! relaxed atomic: total counts are scheduling-independent because the
 //! *set* of allocations a deterministic program performs does not depend
 //! on which thread performs them — but worker pools allocate bookkeeping
-//! of their own, so ceilings are only recorded and gated on serial builds.
+//! of their own, so ceilings are only recorded and gated on the serial
+//! executor (`GAMMA_POOL` unset).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,7 @@
 //! The `joinABprime` benchmark: every algorithm at three memory ratios,
 //! reporting both the simulated response time (virtual microseconds) and
-//! the harness wall-clock. When a worker pool is active (built with
-//! `--features parallel`, or forced with `--pool N`) it runs each point
+//! the harness wall-clock. When a worker pool is active (`GAMMA_POOL=N`
+//! in the environment, or forced with `--pool N`) it runs each point
 //! twice — serial executor, then pooled — asserts the virtual-time
 //! results and metrics snapshots are identical, and reports the
 //! wall-clock speedup. Independent points are dispatched on the same
@@ -10,26 +10,26 @@
 //!
 //! ```text
 //! cargo run --release -p gamma-bench --bin joinabprime
-//! cargo run --release -p gamma-bench --features parallel --bin joinabprime
+//! GAMMA_POOL=2 cargo run --release -p gamma-bench --bin joinabprime
 //! cargo run --release -p gamma-bench --bin joinabprime -- --pool 4 --scale 0.2
 //! cargo run --release -p gamma-bench --bin joinabprime -- --no-wall --out BENCH.json
 //! ```
 //!
 //! `--no-wall` nulls every wall-clock field and drops the executor
 //! envelope so the JSON is byte-identical across hosts and pool sizes —
-//! that is what CI byte-diffs. With the (default) `metrics` feature each
-//! point also records its peak buffer-pool residency, total ring
-//! packets, and short-circuit ratio — deterministic counters the
-//! `regress` binary gates exactly. The JSON schema is documented in
-//! `EXPERIMENTS.md`.
+//! that is what CI byte-diffs. Each point also records its peak
+//! buffer-pool residency, total ring packets, and short-circuit ratio —
+//! deterministic counters the `regress` binary gates exactly. The JSON
+//! schema is documented in `EXPERIMENTS.md`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use gamma_bench::alloc::{count_allocs, CountingAlloc};
+use gamma_bench::metrics::{metrics_join_with, MetricsRun};
 use gamma_bench::{pooled_map_on, Workload};
 use gamma_core::query::Algorithm;
-use gamma_core::{ExecConfig, JoinReport, WorkerPool};
+use gamma_core::{ExecConfig, WorkerPool};
 
 /// Counting allocator so each point can report a deterministic `allocs`
 /// column (serial runs only — pool bookkeeping would pollute the delta).
@@ -52,64 +52,23 @@ struct Row {
     wall_ms: f64,
     serial_wall_ms: Option<f64>,
     speedup: Option<f64>,
-    peak_pool_pages: Option<u64>,
+    peak_pool_pages: u64,
     packets: u64,
     short_circuit_ratio: f64,
     /// Heap allocations during the serial run; `None` when a pool is
     /// active (concurrent points would pollute the global counter).
     allocs: Option<u64>,
-    /// Pool chunk jobs retired while this point ran (`hostprof` feature;
-    /// `None` otherwise). Concurrently dispatched points overlap in the
-    /// process-wide counters, so this is observability, not a gate —
-    /// like wall-clock, it is nulled under `--no-wall`.
-    pool_jobs: Option<u64>,
-    /// Wall-clock milliseconds pool workers spent inside this point's
-    /// chunk closures (same caveats as `pool_jobs`).
-    pool_busy_ms: Option<f64>,
 }
 
-/// Snapshot of the process-wide pool counters: `(jobs, busy_ns)`.
-fn pool_totals() -> (u64, u64) {
-    #[cfg(feature = "hostprof")]
-    {
-        gamma_core::exec::pool::hostprof::totals()
-    }
-    #[cfg(not(feature = "hostprof"))]
-    {
-        (0, 0)
-    }
-}
-
-struct RunOut {
-    report: JoinReport,
-    #[cfg(feature = "metrics")]
-    registry: gamma_metrics::Registry,
-}
-
-fn measure(w: &Workload, alg: Algorithm, ratio: f64, exec: ExecConfig) -> (RunOut, f64) {
+fn measure(w: &Workload, alg: Algorithm, ratio: f64, exec: ExecConfig) -> (MetricsRun, f64) {
     let t = Instant::now();
-    #[cfg(feature = "metrics")]
-    let out = {
-        let run = gamma_bench::metrics::metrics_join_with(w, alg, ratio, false, false, exec);
-        RunOut {
-            report: run.report,
-            registry: run.registry,
-        }
-    };
-    #[cfg(not(feature = "metrics"))]
-    let out = RunOut {
-        report: gamma_bench::SweepBuilder::new(w)
-            .exec(exec)
-            .run_one(alg, ratio)
-            .report,
-    };
-    (out, t.elapsed().as_secs_f64() * 1e3)
+    let run = metrics_join_with(w, alg, ratio, false, false, exec);
+    (run, t.elapsed().as_secs_f64() * 1e3)
 }
 
 /// One benchmark point: serial reference, then — when a pool is active —
 /// the pooled run plus the byte-identity asserts.
 fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio: f64) -> Row {
-    let pool_before = pool_totals();
     let ((sp, serial_ms), serial_allocs) =
         count_allocs(|| measure(w, alg, ratio, ExecConfig::serial()));
     let allocs = pool.is_none().then_some(serial_allocs);
@@ -129,10 +88,9 @@ fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio
                 "{} at {ratio}: pooled executor changed the result",
                 alg.name()
             );
-            #[cfg(feature = "metrics")]
             assert_eq!(
-                gamma_metrics::json::render(&sp.registry),
-                gamma_metrics::json::render(&pp.registry),
+                sp.json(),
+                pp.json(),
                 "{} at {ratio}: pooled executor changed the metrics snapshot",
                 alg.name()
             );
@@ -148,19 +106,7 @@ fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio
     } else {
         0.0
     };
-    #[cfg(feature = "metrics")]
-    let peak_pool_pages = Some(p.registry.gauge_peak("pool_peak_pages").unwrap_or(0));
-    #[cfg(not(feature = "metrics"))]
-    let peak_pool_pages = None;
-    let (pool_jobs, pool_busy_ms) = if cfg!(feature = "hostprof") {
-        let after = pool_totals();
-        (
-            Some(after.0 - pool_before.0),
-            Some((after.1 - pool_before.1) as f64 / 1e6),
-        )
-    } else {
-        (None, None)
-    };
+    let peak_pool_pages = p.registry.gauge_peak("pool_peak_pages").unwrap_or(0);
     Row {
         algorithm: p.report.algorithm.clone(),
         ratio,
@@ -172,8 +118,6 @@ fn run_point(w: &Workload, pool: Option<&Arc<WorkerPool>>, alg: Algorithm, ratio
         packets,
         short_circuit_ratio,
         allocs,
-        pool_jobs,
-        pool_busy_ms,
     }
 }
 
@@ -188,17 +132,14 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--out") {
         out_path = args[i + 1].clone();
     }
-    // `--pool N` builds an explicit pool of that size; otherwise the
-    // `parallel` feature opts into the shared process-wide pool.
+    // `--pool N` builds an explicit pool of that size; otherwise
+    // `GAMMA_POOL` opts into the shared process-wide pool.
     let pool: Option<Arc<WorkerPool>> = match args.iter().position(|a| a == "--pool") {
         Some(i) => {
             let n: usize = args[i + 1].parse().expect("pool size must be an integer");
             Some(Arc::new(WorkerPool::new(n)))
         }
-        None if cfg!(feature = "parallel") => {
-            Some(Arc::clone(gamma_core::exec::pool::default_pool()))
-        }
-        None => None,
+        None => gamma_core::exec::pool::default_pool().cloned(),
     };
 
     let w = Workload::scaled(
@@ -221,7 +162,7 @@ fn main() {
 
     for r in &rows {
         println!(
-            "{:<10} ratio {:>4}: {:>12} virtual-us   {:>8.1} ms wall{}{}{}",
+            "{:<10} ratio {:>4}: {:>12} virtual-us   {:>8.1} ms wall{}{}",
             r.algorithm,
             r.ratio,
             r.virtual_us,
@@ -229,10 +170,6 @@ fn main() {
             match r.allocs {
                 Some(a) => format!("   {a:>10} allocs"),
                 None => String::new(),
-            },
-            match (r.pool_jobs, r.pool_busy_ms) {
-                (Some(j), Some(b)) => format!("   {j:>6} pool jobs ({b:.1} ms busy)"),
-                _ => String::new(),
             },
             match r.speedup {
                 Some(s) => format!("   ({s:.2}x vs serial)"),
@@ -247,7 +184,7 @@ fn main() {
         "  \"benchmark\": \"joinABprime\",\n  \"scale\": {scale},\n"
     ));
     if !no_wall {
-        // The executor envelope is host- and build-dependent; `--no-wall`
+        // The executor envelope is host- and pool-dependent; `--no-wall`
         // drops it so CI can byte-diff pooled output against serial.
         let threads = pool.as_ref().map_or(1, |p| p.size());
         json.push_str(&format!(
@@ -285,28 +222,18 @@ fn main() {
         } else {
             opt_u(r.allocs)
         };
-        // Host-side pool profile columns are wall-clock observability
-        // (`hostprof` feature); `--no-wall` nulls them so serial-vs-pooled
-        // byte-diffs keep holding.
-        let (pool_jobs, pool_busy_ms) = if no_wall {
-            ("null".to_string(), "null".to_string())
-        } else {
-            (opt_u(r.pool_jobs), opt(r.pool_busy_ms))
-        };
         json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"wall_ms\": {}, \"serial_wall_ms\": {}, \"speedup\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}, \"allocs\": {}, \"pool_jobs\": {}, \"pool_busy_ms\": {}}}{}\n",
+            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"wall_ms\": {}, \"serial_wall_ms\": {}, \"speedup\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}, \"allocs\": {}}}{}\n",
             r.algorithm,
             r.ratio,
             r.virtual_us,
             wall.0,
             wall.1,
             wall.2,
-            opt_u(r.peak_pool_pages),
+            r.peak_pool_pages,
             r.packets,
             r.short_circuit_ratio,
             allocs,
-            pool_jobs,
-            pool_busy_ms,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -321,7 +248,4 @@ fn main() {
             p.size()
         );
     }
-
-    #[cfg(feature = "hostprof")]
-    print!("{}", gamma_core::exec::pool::hostprof::report());
 }

@@ -20,9 +20,9 @@
 //!   spill/restore pages, buckets, result cardinality) change at all;
 //! * a serial replay of any `ALLOC_CEILINGS.json` point performs more heap
 //!   allocations than its committed ceiling (Gate 5 — the data-plane
-//!   allocation-regression gate). This gate only runs on serial builds:
-//!   worker pools allocate their own bookkeeping concurrently, so pooled
-//!   counts are not deterministic;
+//!   allocation-regression gate). This gate only runs on the serial
+//!   executor (`GAMMA_POOL` unset): worker pools allocate their own
+//!   bookkeeping concurrently, so pooled counts are not deterministic;
 //! * a committed flight-recorder profile under `results/prof-*.json` is no
 //!   longer byte-identical to a fresh replay of the same point (Gate 6 —
 //!   any drift in the sampled utilisation/queue/occupancy series fails).
@@ -40,9 +40,9 @@
 //! ```
 //!
 //! `--write` regenerates the snapshot baselines (for intentional model
-//! changes), the flight-recorder profiles and, on serial builds, the
-//! allocation ceilings; the response-time baseline itself is refreshed by
-//! rerunning the `joinabprime` binary.
+//! changes), the flight-recorder profiles and, on the serial executor,
+//! the allocation ceilings; the response-time baseline itself is
+//! refreshed by rerunning the `joinabprime` binary.
 
 use gamma_bench::alloc::{count_allocs, CountingAlloc};
 use gamma_bench::metrics::{metrics_join, metrics_join_with, reconcile};
@@ -125,7 +125,7 @@ fn main() {
         let mut errors: Vec<String> = Vec::new();
         let doc = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-        let baseline = parse_bench_points(&doc);
+        let baseline = parse_bench_points(&doc).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
         assert!(!baseline.is_empty(), "{baseline_path} has no points");
         let scale = parse_scale(&doc);
         let w = Workload::scaled(
@@ -157,12 +157,12 @@ fn main() {
                 algorithm: b.algorithm.clone(),
                 memory_ratio: b.memory_ratio,
                 response_virtual_us: run.report.response.as_us(),
-                peak_pool_pages: Some(run.registry.gauge_peak("pool_peak_pages").unwrap_or(0)),
-                packets: Some(packets),
+                peak_pool_pages: run.registry.gauge_peak("pool_peak_pages").unwrap_or(0),
+                packets,
                 short_circuit_ratio: if sc + packets > 0 {
-                    Some(sc as f64 / (sc + packets) as f64)
+                    sc as f64 / (sc + packets) as f64
                 } else {
-                    Some(0.0)
+                    0.0
                 },
             };
             (point, recon)
@@ -171,10 +171,7 @@ fn main() {
         for (point, recon) in replayed {
             println!(
                 "  {:<10} ratio {:>4}: {:>12} virtual-us  {:>8} packets",
-                point.algorithm,
-                point.memory_ratio,
-                point.response_virtual_us,
-                point.packets.unwrap_or(0)
+                point.algorithm, point.memory_ratio, point.response_virtual_us, point.packets
             );
             errors.extend(recon);
             fresh.push(point);
@@ -259,7 +256,8 @@ fn main() {
     match std::fs::read_to_string(&serve_baseline_path) {
         Ok(doc) => {
             let mut errors: Vec<String> = Vec::new();
-            let baseline = parse_serve_points(&doc);
+            let baseline =
+                parse_serve_points(&doc).unwrap_or_else(|e| panic!("{serve_baseline_path}: {e}"));
             let Some((a_rows, queries, budget_multiplier)) = parse_serve_envelope(&doc) else {
                 panic!("{serve_baseline_path} has no envelope (a_rows/queries/budget_multiplier)");
             };
@@ -317,7 +315,8 @@ fn main() {
     match std::fs::read_to_string(&skew_baseline_path) {
         Ok(doc) => {
             let mut errors: Vec<String> = Vec::new();
-            let baseline = parse_skew_points(&doc);
+            let baseline =
+                parse_skew_points(&doc).unwrap_or_else(|e| panic!("{skew_baseline_path}: {e}"));
             let Some((a_rows, bprime_rows)) = parse_skew_envelope(&doc) else {
                 panic!("{skew_baseline_path} has no envelope (a_rows/bprime_rows)");
             };
@@ -377,14 +376,14 @@ fn main() {
     }
 
     // --- Gate 5: serial allocation ceilings ----------------------------
-    if cfg!(feature = "parallel") {
+    if ExecConfig::auto().pool.is_some() {
         println!(
             "regress: skipping alloc gate — worker pool active; allocation \
-             counts are only deterministic on a serial build"
+             counts are only deterministic on the serial executor"
         );
         gates.push(GateSummary::skip(
             "5: alloc ceilings",
-            "worker pool active (serial builds only)",
+            "worker pool active (serial executor only)",
         ));
     } else if write {
         let (scale, grid) = (
@@ -435,7 +434,8 @@ fn main() {
         match std::fs::read_to_string(&alloc_baseline_path) {
             Ok(doc) => {
                 let mut errors: Vec<String> = Vec::new();
-                let ceilings = parse_alloc_ceilings(&doc);
+                let ceilings = parse_alloc_ceilings(&doc)
+                    .unwrap_or_else(|e| panic!("{alloc_baseline_path}: {e}"));
                 assert!(!ceilings.is_empty(), "{alloc_baseline_path} has no points");
                 let scale = parse_scale(&doc);
                 let w = Workload::scaled(
@@ -465,7 +465,7 @@ fn main() {
                 "5: alloc ceilings",
                 0,
                 vec![format!(
-                    "{alloc_baseline_path}: unreadable ({e}); run `regress -- --write` on a serial build to create it"
+                    "{alloc_baseline_path}: unreadable ({e}); run `regress -- --write` on the serial executor to create it"
                 )],
             )),
         }

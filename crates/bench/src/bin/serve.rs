@@ -11,8 +11,8 @@
 //! so two runs of the same configuration are byte-identical — CI compares
 //! them with `cmp`, and the `regress` binary replays the committed
 //! `BENCH_serve.json` under drift/counter gates. Each rate point also
-//! passes the concurrent ledger↔metrics reconciliation (with the default
-//! `metrics` feature) before its numbers are reported.
+//! passes the concurrent ledger↔metrics reconciliation before its
+//! numbers are reported.
 //!
 //! `--explain [--load-fraction F] [--out PATH]` serves a single rate
 //! point (default: the analytical knee, 1.0×) and prints the per-query
@@ -28,14 +28,6 @@ use gamma_bench::serve::{
 use gamma_bench::Workload;
 use gamma_des::SimTime;
 use gamma_sched::{explain, ServeConfig};
-
-/// Print the host-side pool profile when built with `--features
-/// hostprof` — wall-clock observability only, never part of the gated
-/// artifacts.
-fn report_hostprof() {
-    #[cfg(feature = "hostprof")]
-    print!("{}", gamma_core::exec::pool::hostprof::report());
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,7 +80,6 @@ fn main() {
             std::fs::write(path, &text).expect("write explain report");
             println!("wrote {path}");
         }
-        report_hostprof();
         return;
     }
 
@@ -143,5 +134,4 @@ fn main() {
 
     std::fs::write(&out_path, render_json(&cfg, &sweep)).expect("write serve json");
     println!("wrote {out_path}");
-    report_hostprof();
 }

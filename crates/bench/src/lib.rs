@@ -12,16 +12,13 @@
 
 pub mod alloc;
 pub mod experiments;
-#[cfg(feature = "metrics")]
 pub mod metrics;
-pub mod microbench;
 pub mod plot;
 pub mod prof;
 pub mod regress;
 pub mod serve;
 pub mod skew;
 pub mod sweep;
-#[cfg(feature = "trace")]
 pub mod tracing;
 
 pub use sweep::{bench_pool, pooled_map, pooled_map_on, ExperimentPoint, SweepBuilder, Workload};

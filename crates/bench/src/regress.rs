@@ -24,13 +24,12 @@ pub struct BenchPoint {
     pub memory_ratio: f64,
     /// Simulated end-to-end response time.
     pub response_virtual_us: u64,
-    /// Peak buffer-pool residency over all nodes (absent in baselines
-    /// recorded before the metrics registry existed, or without it built).
-    pub peak_pool_pages: Option<u64>,
+    /// Peak buffer-pool residency over all nodes.
+    pub peak_pool_pages: u64,
     /// Total packets placed on the ring.
-    pub packets: Option<u64>,
+    pub packets: u64,
     /// Short-circuited messages / (short-circuited + ring packets).
-    pub short_circuit_ratio: Option<f64>,
+    pub short_circuit_ratio: f64,
 }
 
 /// Extract the raw value token for `key` from one JSON object line written
@@ -56,22 +55,44 @@ fn str_field(line: &str, key: &str) -> Option<String> {
     Some(v.trim_matches('"').to_string())
 }
 
-/// Parse every point object out of a `BENCH_joinabprime.json` document.
-/// Lines that don't contain an `algorithm` key (the envelope) are skipped.
-pub fn parse_bench_points(json: &str) -> Vec<BenchPoint> {
+/// Parse the point objects of a baseline document: every line carrying
+/// `key` must be one whole `{...}` object from which `point` reads all of
+/// its fields. A keyed line that does not yield a complete point —
+/// truncated, a field missing, `null` or unparsable — is an error naming
+/// the line, so a damaged baseline can never gate fewer points than it
+/// lists. Lines without `key` (the envelope) are skipped.
+fn parse_points<T>(
+    json: &str,
+    key: &str,
+    point: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    let pat = format!("\"{key}\":");
     json.lines()
-        .filter(|l| l.trim_start().starts_with('{') && l.contains("\"algorithm\""))
-        .filter_map(|l| {
-            Some(BenchPoint {
-                algorithm: str_field(l, "algorithm")?,
-                memory_ratio: num_field(l, "memory_ratio")?,
-                response_virtual_us: num_field(l, "response_virtual_us")? as u64,
-                peak_pool_pages: num_field(l, "peak_pool_pages").map(|v| v as u64),
-                packets: num_field(l, "packets").map(|v| v as u64),
-                short_circuit_ratio: num_field(l, "short_circuit_ratio"),
-            })
+        .enumerate()
+        .filter(|(_, l)| l.contains(&pat))
+        .map(|(i, l)| {
+            let obj = l.trim().trim_end_matches(',');
+            Some(obj)
+                .filter(|o| o.starts_with('{') && o.ends_with('}'))
+                .and_then(&point)
+                .ok_or_else(|| format!("line {}: not a complete `{key}` point: {obj}", i + 1))
         })
         .collect()
+}
+
+/// Parse every point object out of a `BENCH_joinabprime.json` document
+/// (keyed on `algorithm`; see [`parse_points`] for the error rule).
+pub fn parse_bench_points(json: &str) -> Result<Vec<BenchPoint>, String> {
+    parse_points(json, "algorithm", |l| {
+        Some(BenchPoint {
+            algorithm: str_field(l, "algorithm")?,
+            memory_ratio: num_field(l, "memory_ratio")?,
+            response_virtual_us: num_field(l, "response_virtual_us")? as u64,
+            peak_pool_pages: num_field(l, "peak_pool_pages")? as u64,
+            packets: num_field(l, "packets")? as u64,
+            short_circuit_ratio: num_field(l, "short_circuit_ratio")?,
+        })
+    })
 }
 
 /// Parse the envelope's `scale` field (defaults to 1.0 when absent).
@@ -84,9 +105,9 @@ pub fn parse_scale(json: &str) -> f64 {
 /// Compare a fresh point set against the baseline. Virtual response times
 /// may drift up to `tol_pct` percent (to leave room for deliberate cost
 /// recalibrations guarded by their own tests); the deterministic event
-/// counters (`packets`, `peak_pool_pages`) must match exactly when both
-/// sides recorded them. Missing or extra points are failures. Returns every
-/// violation found (empty ⇒ the gate passes).
+/// counters (`packets`, `peak_pool_pages`, and `short_circuit_ratio` at
+/// its recorded six decimals) must match exactly. Missing or extra points
+/// are failures. Returns every violation found (empty ⇒ the gate passes).
 pub fn compare_points(baseline: &[BenchPoint], fresh: &[BenchPoint], tol_pct: f64) -> Vec<String> {
     let mut errs = Vec::new();
     for b in baseline {
@@ -107,15 +128,22 @@ pub fn compare_points(baseline: &[BenchPoint], fresh: &[BenchPoint], tol_pct: f6
                 ));
             }
         }
-        if let (Some(old), Some(new)) = (b.packets, f.packets) {
+        for (what, old, new) in [
+            ("packets", b.packets, f.packets),
+            ("peak_pool_pages", b.peak_pool_pages, f.peak_pool_pages),
+        ] {
             if old != new {
-                errs.push(format!("{id}: packets changed ({old} -> {new})"));
+                errs.push(format!("{id}: {what} changed ({old} -> {new})"));
             }
         }
-        if let (Some(old), Some(new)) = (b.peak_pool_pages, f.peak_pool_pages) {
-            if old != new {
-                errs.push(format!("{id}: peak_pool_pages changed ({old} -> {new})"));
-            }
+        let (old, new) = (
+            format!("{:.6}", b.short_circuit_ratio),
+            format!("{:.6}", f.short_circuit_ratio),
+        );
+        if old != new {
+            errs.push(format!(
+                "{id}: short_circuit_ratio changed ({old} -> {new})"
+            ));
         }
     }
     for f in fresh {
@@ -155,24 +183,22 @@ pub struct ServeBenchPoint {
     pub admission_wait_total_us: u64,
 }
 
-/// Parse every rate-point object out of a `BENCH_serve.json` document.
-pub fn parse_serve_points(json: &str) -> Vec<ServeBenchPoint> {
-    json.lines()
-        .filter(|l| l.trim_start().starts_with('{') && l.contains("\"rate_index\""))
-        .filter_map(|l| {
-            Some(ServeBenchPoint {
-                rate_index: num_field(l, "rate_index")? as u64,
-                load_fraction: num_field(l, "load_fraction")?,
-                mean_interarrival_us: num_field(l, "mean_interarrival_us")? as u64,
-                completed: num_field(l, "completed")? as u64,
-                makespan_us: num_field(l, "makespan_us")? as u64,
-                response_p50_us: num_field(l, "response_p50_us")? as u64,
-                response_p99_us: num_field(l, "response_p99_us")? as u64,
-                response_p999_us: num_field(l, "response_p999_us")? as u64,
-                admission_wait_total_us: num_field(l, "admission_wait_total_us")? as u64,
-            })
+/// Parse every rate-point object out of a `BENCH_serve.json` document
+/// (keyed on `rate_index`; see [`parse_points`] for the error rule).
+pub fn parse_serve_points(json: &str) -> Result<Vec<ServeBenchPoint>, String> {
+    parse_points(json, "rate_index", |l| {
+        Some(ServeBenchPoint {
+            rate_index: num_field(l, "rate_index")? as u64,
+            load_fraction: num_field(l, "load_fraction")?,
+            mean_interarrival_us: num_field(l, "mean_interarrival_us")? as u64,
+            completed: num_field(l, "completed")? as u64,
+            makespan_us: num_field(l, "makespan_us")? as u64,
+            response_p50_us: num_field(l, "response_p50_us")? as u64,
+            response_p99_us: num_field(l, "response_p99_us")? as u64,
+            response_p999_us: num_field(l, "response_p999_us")? as u64,
+            admission_wait_total_us: num_field(l, "admission_wait_total_us")? as u64,
         })
-        .collect()
+    })
 }
 
 /// Parse the serve envelope: `(a_rows, queries, budget_multiplier)`.
@@ -278,24 +304,22 @@ pub struct SkewBenchPoint {
 
 /// Parse every grid point out of a `BENCH_skew.json` document. Keyed on
 /// the `skew` field, which neither the joinabprime nor the serve documents
-/// carry — the three parsers ignore each other's points.
-pub fn parse_skew_points(json: &str) -> Vec<SkewBenchPoint> {
-    json.lines()
-        .filter(|l| l.trim_start().starts_with('{') && l.contains("\"skew\""))
-        .filter_map(|l| {
-            Some(SkewBenchPoint {
-                skew: str_field(l, "skew")?,
-                mode: str_field(l, "mode")?,
-                memory_ratio: num_field(l, "memory_ratio")?,
-                response_virtual_us: num_field(l, "response_virtual_us")? as u64,
-                overflow_passes: num_field(l, "overflow_passes")? as u64,
-                pages_spilled: num_field(l, "pages_spilled")? as u64,
-                pages_restored: num_field(l, "pages_restored")? as u64,
-                buckets: num_field(l, "buckets")? as u64,
-                result_tuples: num_field(l, "result_tuples")? as u64,
-            })
+/// carry — the three parsers ignore each other's points (see
+/// [`parse_points`] for the error rule).
+pub fn parse_skew_points(json: &str) -> Result<Vec<SkewBenchPoint>, String> {
+    parse_points(json, "skew", |l| {
+        Some(SkewBenchPoint {
+            skew: str_field(l, "skew")?,
+            mode: str_field(l, "mode")?,
+            memory_ratio: num_field(l, "memory_ratio")?,
+            response_virtual_us: num_field(l, "response_virtual_us")? as u64,
+            overflow_passes: num_field(l, "overflow_passes")? as u64,
+            pages_spilled: num_field(l, "pages_spilled")? as u64,
+            pages_restored: num_field(l, "pages_restored")? as u64,
+            buckets: num_field(l, "buckets")? as u64,
+            result_tuples: num_field(l, "result_tuples")? as u64,
         })
-        .collect()
+    })
 }
 
 /// Parse the skew envelope: `(a_rows, bprime_rows)`.
@@ -367,18 +391,17 @@ pub struct AllocCeiling {
 }
 
 /// Parse every ceiling object out of an `ALLOC_CEILINGS.json` document.
-/// Keyed on the `ceiling_allocs` field, which no other baseline carries.
-pub fn parse_alloc_ceilings(json: &str) -> Vec<AllocCeiling> {
-    json.lines()
-        .filter(|l| l.trim_start().starts_with('{') && l.contains("\"ceiling_allocs\""))
-        .filter_map(|l| {
-            Some(AllocCeiling {
-                algorithm: str_field(l, "algorithm")?,
-                memory_ratio: num_field(l, "memory_ratio")?,
-                ceiling_allocs: num_field(l, "ceiling_allocs")? as u64,
-            })
+/// Keyed on the `algorithm` field like the joinabprime points (see
+/// [`parse_points`] for the error rule), so feeding either document to
+/// the other's parser is an error rather than an empty gate.
+pub fn parse_alloc_ceilings(json: &str) -> Result<Vec<AllocCeiling>, String> {
+    parse_points(json, "algorithm", |l| {
+        Some(AllocCeiling {
+            algorithm: str_field(l, "algorithm")?,
+            memory_ratio: num_field(l, "memory_ratio")?,
+            ceiling_allocs: num_field(l, "ceiling_allocs")? as u64,
         })
-        .collect()
+    })
 }
 
 /// Serialize ceilings in the same hand-rolled one-object-per-line shape the
@@ -488,7 +511,7 @@ impl GateSummary {
         }
     }
 
-    /// A gate that did not run (e.g. alloc counting on a pooled build).
+    /// A gate that did not run (e.g. alloc counting on a pooled executor).
     pub fn skip(name: &'static str, why: impl Into<String>) -> Self {
         GateSummary {
             name,
@@ -554,33 +577,61 @@ mod tests {
             algorithm: alg.into(),
             memory_ratio: ratio,
             response_virtual_us: us,
-            peak_pool_pages: None,
-            packets: None,
-            short_circuit_ratio: None,
+            peak_pool_pages: 420,
+            packets: 9_000,
+            short_circuit_ratio: 0.75,
         }
     }
 
     #[test]
     fn parses_points_and_scale() {
-        let pts = parse_bench_points(DOC);
-        assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0].algorithm, "hybrid");
-        assert_eq!(pts[0].memory_ratio, 0.5);
-        assert_eq!(pts[0].response_virtual_us, 1_000_000);
-        assert_eq!(pts[0].peak_pool_pages, Some(420));
-        assert_eq!(pts[0].packets, Some(9_000));
-        assert_eq!(pts[0].short_circuit_ratio, Some(0.75));
+        let pts = parse_bench_points(DOC).unwrap();
+        assert_eq!(pts, [pt("hybrid", 0.5, 1_000_000)]);
         assert_eq!(parse_scale(DOC), 0.25);
     }
 
     #[test]
-    fn parses_pre_metrics_baseline() {
-        let legacy = r#"    {"algorithm": "grace", "memory_ratio": 0.2, "response_virtual_us": 75003260, "wall_ms": 252.736, "serial_wall_ms": 218.438, "speedup": 0.864}"#;
-        let pts = parse_bench_points(legacy);
-        assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0].response_virtual_us, 75_003_260);
-        assert_eq!(pts[0].peak_pool_pages, None);
-        assert_eq!(pts[0].packets, None);
+    fn damaged_point_lines_are_errors_naming_the_line() {
+        let good = r#"    {"algorithm": "grace", "memory_ratio": 0.2, "response_virtual_us": 75003260, "peak_pool_pages": 7, "packets": 12, "short_circuit_ratio": 0.125000},"#;
+        assert_eq!(parse_bench_points(good).unwrap().len(), 1);
+        for damaged in [
+            // truncated mid-line
+            good[..good.len() - 20].to_string(),
+            // missing counter
+            good.replace(r#" "packets": 12,"#, ""),
+            // null counter
+            good.replace(r#""peak_pool_pages": 7"#, r#""peak_pool_pages": null"#),
+            // unparsable gated value
+            good.replace("75003260", "7500x260"),
+        ] {
+            let doc = format!("{{\n  \"points\": [\n{good}\n{damaged}\n  ]\n}}\n");
+            let err = parse_bench_points(&doc).expect_err(&damaged);
+            assert!(err.starts_with("line 4:"), "{err}");
+            assert!(err.contains(damaged.trim().trim_end_matches(',')), "{err}");
+        }
+        // The same rule guards the other three baselines.
+        let cut = |doc: &str, field: &str| doc.replace(field, "");
+        assert!(parse_serve_points(&cut(SERVE_DOC, r#" "completed": 24,"#)).is_err());
+        assert!(parse_skew_points(&cut(SKEW_DOC, r#" "buckets": 1,"#)).is_err());
+        let ceilings =
+            r#"    {"algorithm": "hybrid", "memory_ratio": 0.5, "ceiling_allocs": null}"#;
+        assert!(parse_alloc_ceilings(ceilings).is_err());
+    }
+
+    #[test]
+    fn committed_baselines_parse_completely() {
+        let read = |name: &str| {
+            std::fs::read_to_string(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR")))
+                .unwrap_or_else(|e| panic!("read {name}: {e}"))
+        };
+        let bench = parse_bench_points(&read("BENCH_joinabprime.json"));
+        assert_eq!(bench.unwrap().len(), 12);
+        let serve = parse_serve_points(&read("BENCH_serve.json"));
+        assert_eq!(serve.unwrap().len(), 6);
+        let skew = parse_skew_points(&read("BENCH_skew.json"));
+        assert_eq!(skew.unwrap().len(), 36);
+        let ceilings = parse_alloc_ceilings(&read("ALLOC_CEILINGS.json"));
+        assert_eq!(ceilings.unwrap().len(), 12);
     }
 
     #[test]
@@ -604,14 +655,34 @@ mod tests {
 
     #[test]
     fn gate_fails_on_exact_counter_mismatch() {
-        let mut b = pt("hybrid", 0.5, 1_000_000);
-        b.packets = Some(9_000);
-        b.peak_pool_pages = Some(420);
-        let mut f = b.clone();
-        f.packets = Some(9_001);
-        let errs = compare_points(&[b], &[f], 1.0);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("packets"), "{errs:?}");
+        let b = pt("hybrid", 0.5, 1_000_000);
+        for (what, f) in [
+            (
+                "packets",
+                BenchPoint {
+                    packets: 9_001,
+                    ..b.clone()
+                },
+            ),
+            (
+                "peak_pool_pages",
+                BenchPoint {
+                    peak_pool_pages: 421,
+                    ..b.clone()
+                },
+            ),
+            (
+                "short_circuit_ratio",
+                BenchPoint {
+                    short_circuit_ratio: 0.750001,
+                    ..b.clone()
+                },
+            ),
+        ] {
+            let errs = compare_points(std::slice::from_ref(&b), &[f], 1.0);
+            assert_eq!(errs.len(), 1, "{errs:?}");
+            assert!(errs[0].contains(what), "{errs:?}");
+        }
     }
 
     #[test]
@@ -654,7 +725,7 @@ mod tests {
 
     #[test]
     fn parses_serve_points_and_envelope() {
-        let pts = parse_serve_points(SERVE_DOC);
+        let pts = parse_serve_points(SERVE_DOC).unwrap();
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].rate_index, 0);
         assert_eq!(pts[0].mean_interarrival_us, 2_000_000);
@@ -664,7 +735,7 @@ mod tests {
         assert_eq!(parse_serve_envelope(SERVE_DOC), Some((4_000, 24, 3)));
         // The joinabprime parser must not pick serve points up (no
         // algorithm key) and vice versa.
-        assert!(parse_bench_points(SERVE_DOC).is_empty());
+        assert!(parse_bench_points(SERVE_DOC).unwrap().is_empty());
     }
 
     #[test]
@@ -736,7 +807,7 @@ mod tests {
 
     #[test]
     fn parses_skew_points_and_envelope() {
-        let pts = parse_skew_points(SKEW_DOC);
+        let pts = parse_skew_points(SKEW_DOC).unwrap();
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].skew, "nu");
         assert_eq!(pts[0].mode, "legacy");
@@ -749,10 +820,10 @@ mod tests {
     fn skew_points_are_invisible_to_the_other_parsers_and_vice_versa() {
         // Cross-parser isolation: each baseline document must only feed its
         // own gate, or a gate would fail on fields that are not there.
-        assert!(parse_bench_points(SKEW_DOC).is_empty());
-        assert!(parse_serve_points(SKEW_DOC).is_empty());
-        assert!(parse_skew_points(DOC).is_empty());
-        assert!(parse_skew_points(SERVE_DOC).is_empty());
+        assert!(parse_bench_points(SKEW_DOC).unwrap().is_empty());
+        assert!(parse_serve_points(SKEW_DOC).unwrap().is_empty());
+        assert!(parse_skew_points(DOC).unwrap().is_empty());
+        assert!(parse_skew_points(SERVE_DOC).unwrap().is_empty());
     }
 
     #[test]
@@ -796,12 +867,14 @@ mod tests {
             },
         ];
         let doc = render_alloc_ceilings(0.2, &ceilings);
-        assert_eq!(parse_alloc_ceilings(&doc), ceilings);
+        assert_eq!(parse_alloc_ceilings(&doc).unwrap(), ceilings);
         assert_eq!(parse_scale(&doc), 0.2);
-        // The other parsers must not pick ceiling points up.
-        assert!(parse_bench_points(&doc).is_empty());
-        assert!(parse_serve_points(&doc).is_empty());
-        assert!(parse_skew_points(&doc).is_empty());
+        // The other parsers must not pick ceiling points up: the
+        // joinabprime one shares the `algorithm` key and rejects them.
+        assert!(parse_bench_points(&doc).is_err());
+        assert!(parse_alloc_ceilings(DOC).is_err());
+        assert!(parse_serve_points(&doc).unwrap().is_empty());
+        assert!(parse_skew_points(&doc).unwrap().is_empty());
 
         // At or under the ceiling passes; over fails; missing fails.
         let ok = vec![

@@ -138,16 +138,9 @@ pub struct ExperimentPoint {
 }
 
 /// The process-wide bench dispatch pool: the engine's shared default pool
-/// with the `parallel` feature, `None` (serial dispatch) otherwise.
+/// when `GAMMA_POOL` is set, `None` (serial dispatch) otherwise.
 pub fn bench_pool() -> Option<&'static WorkerPool> {
-    #[cfg(feature = "parallel")]
-    {
-        Some(gamma_core::exec::pool::default_pool().as_ref())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        None
-    }
+    gamma_core::exec::pool::default_pool().map(|p| p.as_ref())
 }
 
 /// Fan independent bench tasks out on `pool`, gathering results in
@@ -235,7 +228,7 @@ impl<'a> SweepBuilder<'a> {
     }
 
     /// Pin the executor every measured machine runs on (default:
-    /// [`ExecConfig::auto`] — the shared pool with the `parallel` feature,
+    /// [`ExecConfig::auto`] — the shared pool when `GAMMA_POOL` is set,
     /// serial otherwise). The same configuration's pool also dispatches
     /// the sweep's independent points.
     pub fn exec(mut self, exec: ExecConfig) -> Self {

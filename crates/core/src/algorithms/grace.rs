@@ -161,7 +161,6 @@ fn bucket_form(
                                     ctx.charge(ctx.cost.filter_test_us);
                                     if !filters[bucket - 1].test(*val) {
                                         ctx.ledger.counts.filter_drops += 1;
-                                        #[cfg(feature = "metrics")]
                                         gamma_metrics::counter_add(
                                             "filter_drops",
                                             ctx.node as u16,
@@ -220,7 +219,6 @@ fn bucket_form(
                                     ctx.charge(ctx.cost.filter_test_us);
                                     if !filters[bucket - 1].test(val) {
                                         ctx.ledger.counts.filter_drops += 1;
-                                        #[cfg(feature = "metrics")]
                                         gamma_metrics::counter_add(
                                             "filter_drops",
                                             ctx.node as u16,
@@ -316,7 +314,6 @@ pub(super) fn join_bucket_group(
 
     // A group label is "3" or "1..4"; the leading bucket number stands for
     // the group in trace events.
-    #[cfg(feature = "trace")]
     let bucket_no: u16 = label
         .split("..")
         .next()
@@ -325,7 +322,6 @@ pub(super) fn join_bucket_group(
 
     // ---- build ----
     let mut ledgers = machine.ledgers();
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         rz.join_nodes[0] as u16,
         0,
@@ -414,7 +410,6 @@ pub(super) fn join_bucket_group(
     consumers.settle(machine, &mut ledgers, sink);
     let pairs = take_overflows(machine, &mut ledgers, &mut consumers, &sites);
     let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, table_bytes);
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         rz.join_nodes[0] as u16,
         ledgers[rz.join_nodes[0]].total_demand().as_us(),

@@ -38,222 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Host-side pool profiling, compiled in under the `hostprof` feature.
-///
-/// Process-global wall-clock counters over every [`WorkerPool`] in the
-/// process: per-worker busy/idle time, per-stage job-latency histograms,
-/// and ticket-queue contention counters. These are *host* measurements —
-/// they never touch the simulated timeline, and the default build carries
-/// zero instrumentation (every hook site is `#[cfg]`-gated out). Because
-/// counters are process-global wall time, concurrent batches attribute
-/// their overlap to whichever stage is being observed; treat per-stage
-/// numbers as inclusive when batches nest (`map_chunks` inside a sweep
-/// point).
-#[cfg(feature = "hostprof")]
-pub mod hostprof {
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// Power-of-two latency buckets: bucket `b` counts jobs whose wall
-    /// latency in nanoseconds was in `[2^b, 2^(b+1))` (bucket 0 also
-    /// holds zero).
-    pub const HIST_BUCKETS: usize = 32;
-
-    /// Per-stage job-latency histogram (log₂ nanosecond buckets).
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct StageHist {
-        pub buckets: [u64; HIST_BUCKETS],
-        pub count: u64,
-        pub sum_ns: u64,
-    }
-
-    impl StageHist {
-        /// Mean job latency in microseconds (0 when empty).
-        pub fn mean_us(&self) -> f64 {
-            if self.count == 0 {
-                return 0.0;
-            }
-            self.sum_ns as f64 / self.count as f64 / 1_000.0
-        }
-
-        /// Upper bound (ns) of the highest non-empty bucket.
-        pub fn max_bucket_ns(&self) -> u64 {
-            match self.buckets.iter().rposition(|&c| c > 0) {
-                Some(b) => 1u64 << (b as u32 + 1),
-                None => 0,
-            }
-        }
-    }
-
-    /// One worker thread's lifetime clocks.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct WorkerSample {
-        /// Wall time spent serving tickets (running jobs).
-        pub busy_ns: u64,
-        /// Wall time spent waiting for tickets.
-        pub idle_ns: u64,
-        /// Tickets this worker popped.
-        pub tickets: u64,
-    }
-
-    /// A point-in-time copy of every hostprof counter.
-    #[derive(Clone, Debug, Default)]
-    pub struct HostProfile {
-        /// Jobs executed (on workers and helping owners alike).
-        pub jobs: u64,
-        /// Σ wall latency of all jobs, ns.
-        pub job_ns: u64,
-        /// Wall time submitting threads spent helping run their batches.
-        pub owner_busy_ns: u64,
-        /// Tickets pushed to the pool queue.
-        pub tickets_enqueued: u64,
-        /// Tickets popped whose scope had no unclaimed job left.
-        pub stale_tickets: u64,
-        /// Times a worker went to sleep on the work condvar.
-        pub cv_sleeps: u64,
-        /// Per-worker clocks, in spawn order (process-wide).
-        pub workers: Vec<WorkerSample>,
-        /// Per-stage latency histograms, sorted by stage label.
-        pub stages: Vec<(String, StageHist)>,
-    }
-
-    static JOBS: AtomicU64 = AtomicU64::new(0);
-    static JOB_NS: AtomicU64 = AtomicU64::new(0);
-    static OWNER_BUSY_NS: AtomicU64 = AtomicU64::new(0);
-    static TICKETS_ENQUEUED: AtomicU64 = AtomicU64::new(0);
-    static STALE_TICKETS: AtomicU64 = AtomicU64::new(0);
-    static CV_SLEEPS: AtomicU64 = AtomicU64::new(0);
-    static WORKERS: Mutex<Vec<WorkerSample>> = Mutex::new(Vec::new());
-    static STAGES: Mutex<BTreeMap<String, StageHist>> = Mutex::new(BTreeMap::new());
-
-    fn saturating_ns(d: Duration) -> u64 {
-        u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    pub(super) fn register_worker() -> usize {
-        let mut w = WORKERS.lock().unwrap();
-        w.push(WorkerSample::default());
-        w.len() - 1
-    }
-
-    pub(super) fn on_worker_idle(wid: usize, idle: Duration) {
-        WORKERS.lock().unwrap()[wid].idle_ns += saturating_ns(idle);
-    }
-
-    pub(super) fn on_worker_ticket(wid: usize, busy: Duration, ran_any: bool) {
-        let mut w = WORKERS.lock().unwrap();
-        w[wid].busy_ns += saturating_ns(busy);
-        w[wid].tickets += 1;
-        drop(w);
-        if !ran_any {
-            STALE_TICKETS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(super) fn on_cv_sleep() {
-        CV_SLEEPS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn on_tickets_enqueued(n: u64) {
-        TICKETS_ENQUEUED.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(super) fn on_owner_busy(busy: Duration) {
-        OWNER_BUSY_NS.fetch_add(saturating_ns(busy), Ordering::Relaxed);
-    }
-
-    pub(super) fn observe_job(stage: &str, latency: Duration) {
-        let ns = saturating_ns(latency);
-        JOBS.fetch_add(1, Ordering::Relaxed);
-        JOB_NS.fetch_add(ns, Ordering::Relaxed);
-        let bucket = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-        };
-        let mut stages = STAGES.lock().unwrap();
-        let hist = match stages.get_mut(stage) {
-            Some(h) => h,
-            None => stages.entry(stage.to_string()).or_default(),
-        };
-        hist.buckets[bucket] += 1;
-        hist.count += 1;
-        hist.sum_ns += ns;
-    }
-
-    /// Cheap totals for per-measurement deltas: `(jobs, Σ job ns)`.
-    pub fn totals() -> (u64, u64) {
-        (JOBS.load(Ordering::Relaxed), JOB_NS.load(Ordering::Relaxed))
-    }
-
-    /// Copy every counter.
-    pub fn snapshot() -> HostProfile {
-        HostProfile {
-            jobs: JOBS.load(Ordering::Relaxed),
-            job_ns: JOB_NS.load(Ordering::Relaxed),
-            owner_busy_ns: OWNER_BUSY_NS.load(Ordering::Relaxed),
-            tickets_enqueued: TICKETS_ENQUEUED.load(Ordering::Relaxed),
-            stale_tickets: STALE_TICKETS.load(Ordering::Relaxed),
-            cv_sleeps: CV_SLEEPS.load(Ordering::Relaxed),
-            workers: WORKERS.lock().unwrap().clone(),
-            stages: STAGES
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// Zero every counter (worker slots are kept, their clocks cleared).
-    pub fn reset() {
-        JOBS.store(0, Ordering::Relaxed);
-        JOB_NS.store(0, Ordering::Relaxed);
-        OWNER_BUSY_NS.store(0, Ordering::Relaxed);
-        TICKETS_ENQUEUED.store(0, Ordering::Relaxed);
-        STALE_TICKETS.store(0, Ordering::Relaxed);
-        CV_SLEEPS.store(0, Ordering::Relaxed);
-        for w in WORKERS.lock().unwrap().iter_mut() {
-            *w = WorkerSample::default();
-        }
-        STAGES.lock().unwrap().clear();
-    }
-
-    /// Human-readable report of the current counters.
-    pub fn report() -> String {
-        let p = snapshot();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "hostprof: {} jobs ({:.3} ms total), owner busy {:.3} ms, tickets {} (stale {}), cv sleeps {}\n",
-            p.jobs,
-            p.job_ns as f64 / 1e6,
-            p.owner_busy_ns as f64 / 1e6,
-            p.tickets_enqueued,
-            p.stale_tickets,
-            p.cv_sleeps,
-        ));
-        for (i, w) in p.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "  worker {i}: busy {:.3} ms, idle {:.3} ms, {} tickets\n",
-                w.busy_ns as f64 / 1e6,
-                w.idle_ns as f64 / 1e6,
-                w.tickets
-            ));
-        }
-        for (stage, h) in &p.stages {
-            out.push_str(&format!(
-                "  stage {stage:?}: {} jobs, mean {:.1} us, max bucket < {} ns\n",
-                h.count,
-                h.mean_us(),
-                h.max_bucket_ns()
-            ));
-        }
-        out
-    }
-}
-
 /// Lifetime-erased job runner: invoked with the index of the job to run.
 /// See the `SAFETY` discussion in [`WorkerPool::try_run_ordered`].
 type Runner = Box<dyn Fn(usize) + Send + Sync + 'static>;
@@ -397,24 +181,6 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        self.try_run_labeled("batch", items, f)
-    }
-
-    /// [`try_run_ordered`](Self::try_run_ordered) with a stage label for
-    /// the `hostprof` per-stage latency histograms (ignored otherwise).
-    fn try_run_labeled<T, R, F>(
-        &self,
-        label: &str,
-        items: Vec<T>,
-        f: F,
-    ) -> Result<Vec<R>, Vec<JobPanic>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        #[cfg(not(feature = "hostprof"))]
-        let _ = label;
         let n = items.len();
         if n == 0 {
             return Ok(Vec::new());
@@ -425,11 +191,7 @@ impl WorkerPool {
         {
             let run = |i: usize| {
                 let item = cells[i].lock().unwrap().take().expect("job claimed once");
-                #[cfg(feature = "hostprof")]
-                let job_start = std::time::Instant::now();
                 let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)));
-                #[cfg(feature = "hostprof")]
-                hostprof::observe_job(label, job_start.elapsed());
                 *slots[i].lock().unwrap() = Some(out);
             };
             let boxed: Box<dyn Fn(usize) + Send + Sync + '_> = Box::new(run);
@@ -462,14 +224,8 @@ impl WorkerPool {
                 }
                 drop(q);
                 self.shared.work_cv.notify_all();
-                #[cfg(feature = "hostprof")]
-                hostprof::on_tickets_enqueued(tickets as u64);
             }
-            #[cfg(feature = "hostprof")]
-            let owner_start = std::time::Instant::now();
             while core.run_one() {}
-            #[cfg(feature = "hostprof")]
-            hostprof::on_owner_busy(owner_start.elapsed());
             core.wait_done();
         }
         let mut oks = Vec::with_capacity(n);
@@ -495,7 +251,7 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        match self.try_run_labeled(what, items, f) {
+        match self.try_run_ordered(items, f) {
             Ok(out) => out,
             Err(panics) => {
                 let first = &panics[0];
@@ -523,11 +279,7 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
-    #[cfg(feature = "hostprof")]
-    let wid = hostprof::register_worker();
     loop {
-        #[cfg(feature = "hostprof")]
-        let idle_start = std::time::Instant::now();
         let ticket = {
             let mut q = shared.queue.lock().unwrap();
             loop {
@@ -537,30 +289,13 @@ fn worker_loop(shared: &PoolShared) {
                 if q.shutdown {
                     break None;
                 }
-                #[cfg(feature = "hostprof")]
-                hostprof::on_cv_sleep();
                 q = shared.work_cv.wait(q).unwrap();
             }
         };
-        #[cfg(feature = "hostprof")]
-        hostprof::on_worker_idle(wid, idle_start.elapsed());
         match ticket {
             // Serve the claimed scope until it has no unclaimed jobs left,
             // then go back to the queue.
-            Some(t) => {
-                #[cfg(feature = "hostprof")]
-                let busy_start = std::time::Instant::now();
-                #[cfg(feature = "hostprof")]
-                let mut ran_any = false;
-                while t.run_one() {
-                    #[cfg(feature = "hostprof")]
-                    {
-                        ran_any = true;
-                    }
-                }
-                #[cfg(feature = "hostprof")]
-                hostprof::on_worker_ticket(wid, busy_start.elapsed(), ran_any);
-            }
+            Some(t) => while t.run_one() {},
             None => return,
         }
     }
@@ -604,25 +339,36 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Pool size from the environment: `GAMMA_POOL` when set to a positive
-/// integer, otherwise this host's `available_parallelism`.
-pub fn configured_size() -> usize {
-    match std::env::var("GAMMA_POOL") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("GAMMA_POOL must be a positive integer, got {v:?}"),
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+/// The executor switch as a pure function of the `GAMMA_POOL` value:
+/// unset selects the serial executor (`None`), a positive integer that
+/// many pool lanes; anything else is an error.
+pub fn size_from_env(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(v) = value else {
+        return Ok(None);
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("GAMMA_POOL must be a positive integer, got {v:?}")),
     }
 }
 
-/// The process-wide shared pool, built on first use at
-/// [`configured_size`]. Every machine, sweep and bench binary shares it,
-/// so its workers are spawned once per process and reused across waves,
-/// phases, queries and sweep points.
-pub fn default_pool() -> &'static Arc<WorkerPool> {
-    static DEFAULT: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-    DEFAULT.get_or_init(|| Arc::new(WorkerPool::new(configured_size())))
+/// The process-wide shared pool `GAMMA_POOL` selects ([`size_from_env`]),
+/// `None` when the variable is unset. Resolved and built on first use;
+/// every machine, sweep and bench binary shares it, so its workers are
+/// spawned once per process and reused across waves, phases, queries and
+/// sweep points.
+///
+/// # Panics
+/// When `GAMMA_POOL` is set to anything but a positive integer.
+pub fn default_pool() -> Option<&'static Arc<WorkerPool>> {
+    static DEFAULT: OnceLock<Option<Arc<WorkerPool>>> = OnceLock::new();
+    DEFAULT
+        .get_or_init(|| {
+            let var = std::env::var_os("GAMMA_POOL").map(|v| v.to_string_lossy().into_owned());
+            let size = size_from_env(var.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+            size.map(|n| Arc::new(WorkerPool::new(n)))
+        })
+        .as_ref()
 }
 
 #[cfg(test)]
@@ -680,27 +426,18 @@ mod tests {
         assert_eq!(threads_spawned(), before);
     }
 
-    #[cfg(feature = "hostprof")]
     #[test]
-    fn hostprof_counts_jobs_and_stages() {
-        let before = hostprof::totals();
-        let pool = WorkerPool::new(2);
-        let out = pool.run_ordered("hostprof-test-stage", (0..40u64).collect(), |_, x| x + 1);
-        assert_eq!(out.len(), 40);
-        let after = hostprof::totals();
-        assert!(
-            after.0 >= before.0 + 40,
-            "40 jobs must be counted: {before:?} -> {after:?}"
-        );
-        let snap = hostprof::snapshot();
-        let stage = snap
-            .stages
-            .iter()
-            .find(|(s, _)| s == "hostprof-test-stage")
-            .expect("stage histogram recorded");
-        assert!(stage.1.count >= 40);
-        assert_eq!(stage.1.buckets.iter().sum::<u64>(), stage.1.count);
-        assert!(!hostprof::report().is_empty());
+    fn gamma_pool_value_selects_the_executor() {
+        assert_eq!(size_from_env(None), Ok(None));
+        assert_eq!(size_from_env(Some("2")), Ok(Some(2)));
+        assert_eq!(size_from_env(Some(" 8 ")), Ok(Some(8)));
+        for bad in ["0", "x", "", "-1", "2.5"] {
+            let err = size_from_env(Some(bad)).expect_err(bad);
+            assert_eq!(
+                err,
+                format!("GAMMA_POOL must be a positive integer, got {bad:?}")
+            );
+        }
     }
 
     #[test]

@@ -38,20 +38,16 @@ fn scan_fragment_inner(
     pred: Option<RangePred>,
 ) -> TupleBatch {
     let node = state.id;
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         node as u16,
         usage.total_demand().as_us(),
         gamma_trace::EventKind::SpanBegin { name: "scan" },
     );
-    #[cfg(all(not(feature = "trace"), not(feature = "metrics")))]
-    let _ = node;
     let (vol, bp) = state.vp();
     let mut batch = read_file_batch(vol, bp, usage, file);
     // Pure per-record work, chunked; effects replayed in record order below.
     let keep: Option<Vec<bool>> =
         pred.map(|p| pool::map_chunks(pool, batch.ranges(), |&r| p.eval(batch.slice(r))));
-    #[cfg(feature = "metrics")]
     let scanned = batch.len() as u64;
     for _ in 0..batch.len() {
         cost.charge(usage, cost.scan_tuple_us);
@@ -60,11 +56,9 @@ fn scan_fragment_inner(
     if let Some(mask) = keep {
         batch.retain_indices(|k| mask[k]);
     }
-    #[cfg(feature = "metrics")]
     if scanned > 0 {
         gamma_metrics::counter_add("op_tuples_in", node as u16, "scan", scanned);
     }
-    #[cfg(feature = "trace")]
     gamma_trace::emit(
         node as u16,
         usage.total_demand().as_us(),

@@ -23,8 +23,8 @@
 //! * [`bitfilter`] — packet-sized bit-vector filters \[BABB79, VALD84\],
 //! * [`hash_table`] — the memory-capped join hash table with the
 //!   histogram-guided 10 % clearing heuristic of Section 4.1,
-//! * [`exec`] — the per-node executor (serial or thread-parallel behind
-//!   the `parallel` feature) and the shared stage library: `Scan`,
+//! * [`exec`] — the per-node executor (serial, or thread-parallel on a
+//!   worker pool) and the shared stage library: `Scan`,
 //!   split/build/probe consumers, overflow spooling and resolution,
 //!   bucket forming, scheduler dispatch and filter broadcast,
 //! * [`algorithms`] — the four join drivers, each a short composition of

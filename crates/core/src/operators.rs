@@ -414,9 +414,7 @@ pub fn build_index(machine: &mut Machine, rel: RelationId, attr: Attr) -> (BTree
         for _ in 0..leaves {
             ledgers[node].disk(SimTime::from_us(cost.disk.seq_write_us));
             ledgers[node].counts.pages_written += 1;
-            #[cfg(feature = "metrics")]
             gamma_metrics::counter_add("pages_written", node as u16, "index", 1);
-            #[cfg(feature = "trace")]
             gamma_trace::emit(
                 node as u16,
                 ledgers[node].total_demand().as_us(),
@@ -469,9 +467,7 @@ pub fn select_indexed(
         for _ in 0..tree.depth() {
             ledgers[node].disk(SimTime::from_us(cost.disk.rand_read_us));
             ledgers[node].counts.pages_read += 1;
-            #[cfg(feature = "metrics")]
             gamma_metrics::counter_add("pages_read", node as u16, "index", 1);
-            #[cfg(feature = "trace")]
             gamma_trace::emit(
                 node as u16,
                 ledgers[node].total_demand().as_us(),

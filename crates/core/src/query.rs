@@ -233,7 +233,6 @@ pub fn replay_phases(
     for (i, ph) in phases.iter().enumerate() {
         t += ph.sched_overhead;
         let timing = ph.timing(bw, model);
-        #[cfg(feature = "trace")]
         gamma_trace::with(|s| s.phase_replayed_next(t.as_us(), timing.duration.as_us()));
         // Mirror each node's now-final ledger into the registry as
         // per-phase `ledger_*` counters and device-request histograms
@@ -245,7 +244,6 @@ pub fn replay_phases(
         // (Σ wait / duration). Replay is the earliest point where ledgers
         // are final: some drivers charge the result store's last page
         // flush to an already-sealed phase.
-        #[cfg(feature = "metrics")]
         gamma_metrics::with(|reg| {
             let dur = timing.duration.as_us();
             let phase = i as u32;

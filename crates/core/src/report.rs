@@ -38,9 +38,6 @@ impl PhaseRecord {
             .iter_mut()
             .map(|u| u.annotate_queue_waits())
             .collect();
-        #[cfg(not(feature = "trace"))]
-        drop(timings);
-        #[cfg(feature = "trace")]
         gamma_trace::with(|sink| {
             let query_id = sink.current_query();
             let per_node = ledgers
@@ -64,7 +61,6 @@ impl PhaseRecord {
         // some drivers charge the result store's final page flush to the
         // last phase's ledgers after sealing it, so ledgers are only
         // mirrored once they are final — at replay (see `query`).
-        #[cfg(feature = "metrics")]
         gamma_metrics::seal_phase(&name);
         PhaseRecord {
             name,

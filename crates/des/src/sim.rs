@@ -63,7 +63,6 @@ pub struct Sim<S> {
     queue: BinaryHeap<Scheduled<S>>,
     cancelled: Vec<u64>,
     events_fired: u64,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     trace_steps: bool,
     /// The simulation's shared state (the "world": machine, files, stats…).
     pub state: S,
@@ -185,7 +184,6 @@ impl<S> Sim<S> {
             debug_assert!(ev.at >= self.clock, "event queue went backwards");
             self.clock = ev.at;
             self.events_fired += 1;
-            #[cfg(feature = "trace")]
             if self.trace_steps {
                 gamma_trace::with(|s| s.emit_sim_step(self.clock.as_us()));
             }

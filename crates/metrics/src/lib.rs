@@ -1,8 +1,7 @@
 //! # gamma-metrics — deterministic metrics registry
 //!
-//! A zero-cost-when-disabled registry of counters, gauges and fixed-bucket
-//! histograms for the Gamma simulator, keyed by `(metric, node, phase,
-//! operator)` labels. Instrumentation hooks across `gamma-des`,
+//! A registry of counters, gauges and fixed-bucket histograms for the
+//! Gamma simulator, keyed by `(metric, node, phase, operator)` labels. Instrumentation hooks across `gamma-des`,
 //! `gamma-wiss`, `gamma-net` and `gamma-core` record into a thread-local
 //! [`Registry`] exactly like `gamma-trace` records events into its sink;
 //! with no registry installed every hook is one thread-local load and a

@@ -241,12 +241,8 @@ impl Outbox {
         if src == dst {
             usage.cpu(cfg.shortcircuit_cpu_per_msg);
             usage.counts.msgs_shortcircuit += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "exchange", 1);
-                gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "exchange", bytes);
-            }
-            #[cfg(feature = "trace")]
+            gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "exchange", 1);
+            gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "exchange", bytes);
             gamma_trace::emit(
                 src as u16,
                 usage.total_demand().as_us(),
@@ -258,13 +254,9 @@ impl Outbox {
             usage.cpu(cfg.send_cpu_per_packet);
             usage.net(cfg.wire_time(bytes), bytes);
             usage.counts.packets_sent += 1;
-            #[cfg(feature = "metrics")]
-            {
-                gamma_metrics::counter_add("packets_sent", src as u16, "exchange", 1);
-                gamma_metrics::counter_add("wire_bytes", src as u16, "exchange", bytes);
-                gamma_metrics::observe("packet_bytes", src as u16, "exchange", bytes);
-            }
-            #[cfg(feature = "trace")]
+            gamma_metrics::counter_add("packets_sent", src as u16, "exchange", 1);
+            gamma_metrics::counter_add("wire_bytes", src as u16, "exchange", bytes);
+            gamma_metrics::observe("packet_bytes", src as u16, "exchange", bytes);
             gamma_trace::emit(
                 src as u16,
                 usage.total_demand().as_us(),
@@ -274,10 +266,6 @@ impl Outbox {
                 },
             );
         }
-        #[cfg(all(not(feature = "trace"), not(feature = "metrics")))]
-        let _ = (src, dst, bytes);
-        #[cfg(all(not(feature = "trace"), feature = "metrics"))]
-        let _ = dst;
     }
 
     /// Seal every partially filled packet (end of the producer's output
@@ -334,7 +322,6 @@ impl Inbox {
     /// [`Msg`] views.
     pub fn drain(&mut self, usage: &mut Usage, cfg: &RingConfig) -> Drained {
         let packets = std::mem::take(&mut self.packets);
-        #[allow(unused_variables)]
         for (src, p) in &packets {
             if !p.local {
                 usage.cpu(cfg.recv_cpu_per_packet);
@@ -342,9 +329,7 @@ impl Inbox {
                     cfg.unmarshal_cpu_per_tuple.as_us() * p.count as u64,
                 ));
                 usage.counts.packets_recv += 1;
-                #[cfg(feature = "metrics")]
                 gamma_metrics::counter_add("packets_recv", self.node as u16, "exchange", 1);
-                #[cfg(feature = "trace")]
                 gamma_trace::emit(
                     self.node as u16,
                     usage.total_demand().as_us(),

@@ -1,8 +1,9 @@
 //! # gamma-trace — deterministic structured event tracing
 //!
-//! A zero-cost-when-disabled event recorder for the Gamma simulator.
-//! Operators, the interconnect fabric, the buffer pool, and the DES
-//! kernel emit typed [`EventKind`]s into a thread-local [`TraceSink`].
+//! An event recorder for the Gamma simulator. Operators, the
+//! interconnect fabric, the buffer pool, and the DES kernel emit typed
+//! [`EventKind`]s into a thread-local [`TraceSink`]; with no sink
+//! installed every hook is one thread-local load and a branch.
 //! Because the simulator itself is single-threaded and deterministic,
 //! the recorded stream — and every exported artifact — is byte-identical
 //! across runs, making traces usable as golden regression files.

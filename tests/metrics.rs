@@ -99,21 +99,38 @@ fn metering_never_changes_the_simulation() {
     }
 }
 
-/// With no registry installed the emission hooks are inert: nothing is
-/// recorded anywhere, and a registry installed *after* a run stays empty.
+/// With no registry or trace sink installed the emission hooks are inert:
+/// nothing is recorded anywhere, a registry installed *after* a run stays
+/// empty, and the report is the one an observed run produces.
 #[test]
 fn emissions_are_inert_without_installed_registry() {
     let w = Workload::scaled(1_000, 100);
     assert!(gamma_metrics::take().is_none(), "no leftover registry");
+    assert!(gamma_trace::take().is_none(), "no leftover sink");
     let p = gamma_bench::SweepBuilder::new(&w).run_one(Algorithm::HybridHash, 0.5);
     assert!(p.report.result_tuples > 0);
     assert!(
         gamma_metrics::take().is_none(),
         "un-metered run must not install a registry"
     );
+    assert!(
+        gamma_trace::take().is_none(),
+        "un-traced run must not install a sink"
+    );
     gamma_metrics::install(gamma_metrics::Registry::new());
     let reg = gamma_metrics::take().expect("installed above");
     assert!(reg.is_empty(), "fresh registry polluted by previous run");
+
+    let traced = gamma_bench::tracing::trace_join(&w, Algorithm::HybridHash, 0.5, false);
+    assert!(
+        traced.sink.events().count() > 0,
+        "traced run recorded nothing"
+    );
+    assert_eq!(
+        format!("{:?}", p.report),
+        format!("{:?}", traced.report),
+        "an installed sink changed the report"
+    );
 }
 
 /// The serial and pooled executors must produce byte-identical snapshots:

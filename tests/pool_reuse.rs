@@ -12,6 +12,9 @@ use gamma_core::{ExecConfig, WorkerPool};
 
 #[test]
 fn no_thread_is_spawned_after_the_run_starts() {
+    // `SweepBuilder::new` consults the process default; under `GAMMA_POOL`
+    // that builds the shared pool once, so settle it before counting.
+    let _ = ExecConfig::auto();
     let before = threads_spawned();
     let pool = Arc::new(WorkerPool::new(4));
     let after_build = threads_spawned();
