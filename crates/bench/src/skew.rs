@@ -127,7 +127,7 @@ pub fn skew_sweep(cfg: &SkewSweepConfig) -> SkewSweep {
             .on(attr, attr)
             .policy(OverflowPolicy::Optimistic);
         if mode == "robust" {
-            builder = builder.refined().dynamic_spill();
+            builder = builder.robust();
         }
         let p = builder.run_one(Algorithm::HybridHash, ratio);
         SkewPoint {

@@ -188,8 +188,7 @@ pub struct SweepBuilder<'a> {
     timing: TimingModel,
     slow_disk: u64,
     exec: ExecConfig,
-    refinement: bool,
-    dynamic_spill: bool,
+    robust: bool,
 }
 
 impl<'a> SweepBuilder<'a> {
@@ -210,20 +209,15 @@ impl<'a> SweepBuilder<'a> {
             timing: TimingModel::default(),
             slow_disk: 1,
             exec: ExecConfig::auto(),
-            refinement: false,
-            dynamic_spill: false,
+            robust: false,
         }
     }
 
-    /// Enable skew-aware split-table refinement.
-    pub fn refined(mut self) -> Self {
-        self.refinement = true;
-        self
-    }
-
-    /// Enable robust dynamic spill/restore overflow handling.
-    pub fn dynamic_spill(mut self) -> Self {
-        self.dynamic_spill = true;
+    /// Run the robust overflow policy: skew-aware split-table refinement
+    /// plus dynamic spill/restore with localized overflow joins (the two
+    /// `JoinSpec` knobs are only ever set together).
+    pub fn robust(mut self) -> Self {
+        self.robust = true;
         self
     }
 
@@ -359,8 +353,8 @@ impl<'a> SweepBuilder<'a> {
         spec.bucket_tuning = self.bucket_tuning;
         spec.overflow_policy = self.policy;
         spec.extra_buckets = self.extra_buckets;
-        spec.skew_refinement = self.refinement;
-        spec.dynamic_spill = self.dynamic_spill;
+        spec.skew_refinement = self.robust;
+        spec.dynamic_spill = self.robust;
         (machine, spec)
     }
 

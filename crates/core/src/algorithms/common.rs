@@ -47,8 +47,6 @@ pub struct Resolved {
     pub s_attr: Attr,
     /// Inner tuple width in bytes.
     pub r_tuple_bytes: u64,
-    /// Outer tuple width in bytes.
-    pub s_tuple_bytes: u64,
     /// Bits per site when bit filtering is on.
     pub filter_bits: Option<u64>,
     /// Extend filtering to the Grace/Hybrid bucket-forming phases — the
@@ -71,6 +69,37 @@ pub struct Resolved {
     /// table slack after the build settles, and join residual spill pairs
     /// locally instead of re-spraying the whole overflow globally.
     pub dynamic_spill: bool,
+}
+
+#[cfg(test)]
+impl Resolved {
+    /// A one-bucket plan joining on `attr` at `join_nodes` with every
+    /// option off and no input fragments — unit tests fill in what they
+    /// exercise.
+    pub(crate) fn for_test(
+        join_nodes: Vec<NodeId>,
+        capacity_per_site: u64,
+        attr: Attr,
+        tuple_bytes: u64,
+    ) -> Self {
+        Resolved {
+            join_nodes,
+            buckets: 1,
+            capacity_per_site,
+            r_fragments: Vec::new(),
+            s_fragments: Vec::new(),
+            r_attr: attr,
+            s_attr: attr,
+            r_tuple_bytes: tuple_bytes,
+            filter_bits: None,
+            filter_bucket_forming: false,
+            bucket_tuning: false,
+            r_pred: None,
+            s_pred: None,
+            skew_refinement: false,
+            dynamic_spill: false,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,156 +5,36 @@
 //! histogram clearing heuristic, with overflow partitions joined by
 //! recursive passes under fresh hash functions. Until recently this was
 //! the only join algorithm Gamma employed.
+//!
+//! In the family ([`super::family`]) this is the bare pass — Hybrid at one
+//! bucket — followed by resolve; the first pass uses the load-time hash
+//! function, so HPJA tuples short-circuit.
 
-use crate::exec::control::{broadcast_filters, dispatch_overhead};
-use crate::exec::hash::{
-    resolve_overflows, resolve_overflows_robust, restore_spills, tag, take_overflows, Consumers,
-    OverflowEnv, TAG_BUILD, TAG_PROBE, TAG_SPOOL_S,
-};
-use crate::exec::{run_step, scan};
-use crate::hash::{hash_u32, JOIN_SEED};
-use crate::machine::{Machine, ResultSink};
-use crate::report::{DriverOutput, PhaseRecord};
-use crate::split::JoiningSplitTable;
+use crate::hash::JOIN_SEED;
+use crate::machine::Machine;
+use crate::report::DriverOutput;
 
 use super::common::Resolved;
+use super::family::{joining, HashJoin, Input, Pass};
 
 /// Filter-salt namespace for Simple hash-join.
 const SIMPLE_SALT: u64 = 0x51;
 
 /// Execute a Simple hash-join.
 pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
-    let jt = JoiningSplitTable::new(rz.join_nodes.clone());
-    let table_bytes = machine.cfg.cost.split_table_bytes(jt.entries());
-    let mut phases = Vec::new();
-    let mut sink = ResultSink::new(machine);
     let disk_nodes = machine.disk_nodes();
-
-    let mut consumers = Consumers::new(machine);
-    let sites = consumers.install_sites(
-        machine,
-        &rz.join_nodes,
-        rz.capacity_per_site,
-        rz.r_tuple_bytes,
-        0,
-        rz.filter_bits,
-        SIMPLE_SALT,
-        rz.r_attr,
-        rz.s_attr,
-    );
-
-    // ---- Phase 1: route R into the hash tables (first pass uses the
-    // load-time hash function, so HPJA tuples short-circuit). ----
-    let mut ledgers = machine.ledgers();
-    let mut r_frags = rz.r_fragments.clone();
-    {
-        let jt = &jt;
-        run_step(
-            machine,
-            &mut ledgers,
-            "build R",
-            &disk_nodes,
-            &mut r_frags,
-            |ctx, f| {
-                let recs = scan::scan_fragment(ctx, *f, rz.r_pred);
-                // Pure per-tuple routing, chunked on the pool; charges and
-                // sends replay in record order below.
-                let routed = ctx.par_map_batch(&recs, |rec| {
-                    jt.site_index(hash_u32(JOIN_SEED, rz.r_attr.get(rec)))
-                });
-                for (rec, i) in recs.iter().zip(routed) {
-                    ctx.charge(ctx.cost.hash_us + ctx.cost.route_us);
-                    ctx.send(rz.join_nodes[i], tag(TAG_BUILD, i), rec);
-                }
-            },
-        );
-    }
-    consumers.settle(machine, &mut ledgers, &mut sink);
-    if rz.dynamic_spill {
-        // The build side has settled: read each overflowed site's R' spool
-        // back, raise its table cutoff as far as the freed slack allows,
-        // and re-admit the restorable band. Only the residue stays spilled.
-        restore_spills(machine, &mut ledgers, &mut consumers, &sites, &mut sink);
-    }
-    let mut sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, table_bytes);
-    sched += dispatch_overhead(machine, &mut ledgers, &rz.join_nodes, table_bytes);
-    phases.push(PhaseRecord::new("build R", ledgers, sched));
-
-    // ---- Phase 2: route S; probe or spool to the overflow files via the
-    // h'-augmented split table. ----
-    let mut ledgers = machine.ledgers();
-    broadcast_filters(machine, &mut ledgers, &sites);
-    let snap = consumers.probe_snapshot(&sites);
-    let mut s_frags = rz.s_fragments.clone();
-    {
-        let jt = &jt;
-        let sites = &sites;
-        let snap = &snap;
-        run_step(
-            machine,
-            &mut ledgers,
-            "probe S",
-            &disk_nodes,
-            &mut s_frags,
-            |ctx, f| {
-                let recs = scan::scan_fragment(ctx, *f, rz.s_pred);
-                let routed = ctx.par_map_batch(&recs, |rec| {
-                    let val = rz.s_attr.get(rec);
-                    (val, jt.site_index(hash_u32(JOIN_SEED, val)))
-                });
-                for (rec, (val, i)) in recs.iter().zip(routed) {
-                    ctx.charge(ctx.cost.hash_us + ctx.cost.route_us);
-                    // Filter before the overflow check: the site's filter
-                    // covers every inner tuple that arrived there (bits are
-                    // set on arrival, before residency is decided), so
-                    // eliminating an overflow-bound outer tuple here is safe
-                    // and saves its spool I/O and every later re-read (§4.2).
-                    if snap.filter_drops(ctx, i, val) {
-                        // dropped at the source
-                    } else if snap.outer_diverts(i, val) {
-                        ctx.send(sites.home(i), tag(TAG_SPOOL_S, i), rec);
-                    } else {
-                        ctx.send(rz.join_nodes[i], tag(TAG_PROBE, i), rec);
-                    }
-                }
-            },
-        );
-    }
-    consumers.settle(machine, &mut ledgers, &mut sink);
-    let pairs = take_overflows(machine, &mut ledgers, &mut consumers, &sites);
-    let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, table_bytes);
-    phases.push(PhaseRecord::new("probe S", ledgers, sched));
-
-    // ---- Recursive overflow passes with fresh hash functions. ----
-    let env = OverflowEnv {
-        join_nodes: &rz.join_nodes,
-        capacity_per_site: rz.capacity_per_site,
-        tuple_bytes: rz.r_tuple_bytes,
-        r_attr: rz.r_attr,
-        s_attr: rz.s_attr,
-        filter_bits: rz.filter_bits,
+    let table = joining(&rz.join_nodes);
+    let mut join = HashJoin::new(machine, rz);
+    let (pairs, _) = join.pass(Pass {
+        route: Some((&table, JOIN_SEED)),
+        sites: &rz.join_nodes,
         filter_salt: SIMPLE_SALT,
-    };
-    let stats = if rz.dynamic_spill {
-        resolve_overflows_robust(machine, &env, pairs, &mut sink, &mut phases, "simple ")
-    } else {
-        resolve_overflows(machine, &env, pairs, 1, &mut sink, &mut phases, "simple ")
-    };
-
-    let last = phases.last_mut().expect("at least two phases");
-    let result = sink.finish(machine, &mut last.ledgers);
-    // The store's final page flushes landed after the phase sealed;
-    // refresh the queue-wait annotation so the recorded waits cover the
-    // final request log (replay drains the same log when timing the phase).
-    for u in last.ledgers.iter_mut() {
-        u.annotate_queue_waits();
-    }
-
-    DriverOutput {
-        phases,
-        result,
-        buckets: 1,
-        overflow_passes: stats.passes,
-        bnl_fallback: stats.bnl_fallback,
-    }
+        inner: Input::fragments(&disk_nodes, &rz.r_fragments, rz.r_pred),
+        outer: Input::fragments(&disk_nodes, &rz.s_fragments, rz.s_pred),
+        build_phase: Some("build R".into()),
+        probe_phase: "probe S".into(),
+        ..Pass::default()
+    });
+    join.resolve(pairs, SIMPLE_SALT, "simple ");
+    join.finish(1)
 }

@@ -35,7 +35,8 @@ pub fn dispatch_overhead(
 
 /// Broadcast the sites' bit filters to every disk (scanning) node: Gamma
 /// shipped the aggregate packet-sized filter back to the producers so
-/// non-joining outer tuples die at the source. No-op when filtering is off.
+/// non-joining outer tuples die at the source. No-op when filtering is off
+/// or there are no sites (Grace's bucket-forming pass).
 pub fn broadcast_filters(machine: &mut Machine, ledgers: &mut Ledgers, sites: &JoinSites) {
     if !sites.filters_on() {
         return;

@@ -34,7 +34,8 @@
 //! one process cannot cross-talk.
 //!
 //! The stage library lives in the submodules: [`scan`] (fragment scans),
-//! [`hash`] (split/build/probe/spill consumers and overflow resolution),
+//! [`hash`] (the build/probe/spool consumer state of the hash joins; the
+//! producers that feed it are [`crate::algorithms::family`]),
 //! [`control`] (scheduler dispatch and filter broadcast accounting).
 
 pub mod control;

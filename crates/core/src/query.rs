@@ -179,18 +179,6 @@ impl JoinSpec {
         self.overflow_policy = p;
         self
     }
-
-    /// Builder: toggle skew-aware split-table refinement.
-    pub fn with_refinement(mut self, on: bool) -> Self {
-        self.skew_refinement = on;
-        self
-    }
-
-    /// Builder: toggle robust dynamic spill/restore overflow handling.
-    pub fn with_dynamic_spill(mut self, on: bool) -> Self {
-        self.dynamic_spill = on;
-        self
-    }
 }
 
 /// Compute the Grace/Hybrid bucket count for a memory budget.
@@ -390,7 +378,6 @@ fn run_join_inner(
     let outer = machine.relation(spec.outer);
     let inner_bytes = inner.data_bytes;
     let r_tuple_bytes = inner.schema.tuple_bytes() as u64;
-    let s_tuple_bytes = outer.schema.tuple_bytes() as u64;
     let r_fragments = inner.fragments.clone();
     let s_fragments = outer.fragments.clone();
 
@@ -432,7 +419,6 @@ fn run_join_inner(
         r_attr: spec.inner_attr,
         s_attr: spec.outer_attr,
         r_tuple_bytes,
-        s_tuple_bytes,
         filter_bits,
         filter_bucket_forming: spec.bit_filter && spec.filter_bucket_forming,
         bucket_tuning: tuning,

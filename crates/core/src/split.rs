@@ -35,9 +35,9 @@ pub struct SplitEntry {
 /// Where a routed tuple should go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Deliver to join process at `node` (bucket 1 of Hybrid, or any
-    /// joining split table hit).
-    Join { node: NodeId },
+    /// Deliver to join process `site` (its index in the join-site list),
+    /// which runs at `node` — bucket 1 of Hybrid.
+    Join { node: NodeId, site: usize },
     /// Append to the fragment of `bucket` stored at disk node `node`.
     Spool { node: NodeId, bucket: usize },
 }
@@ -129,9 +129,13 @@ impl PartitioningSplitTable {
 
     /// Hybrid layout: `join_nodes` entries for bucket 1 (destined for the
     /// join processes) followed by `disk_nodes × (buckets − 1)` bucket-major
-    /// spool entries.
+    /// spool entries. At one bucket nothing spools and the table *is* the
+    /// joining split table, `h mod J` — the form Simple hash, every
+    /// Grace/Hybrid bucket join and every overflow respray route through
+    /// (`disk_nodes` may then be empty).
     pub fn hybrid(join_nodes: &[NodeId], disk_nodes: &[NodeId], buckets: usize) -> Self {
-        assert!(buckets >= 1 && !join_nodes.is_empty() && !disk_nodes.is_empty());
+        assert!(buckets >= 1 && !join_nodes.is_empty());
+        assert!(buckets == 1 || !disk_nodes.is_empty());
         let mut entries = Vec::with_capacity(join_nodes.len() + disk_nodes.len() * (buckets - 1));
         let mut join_sites = Vec::with_capacity(entries.capacity());
         for (i, &node) in join_nodes.iter().enumerate() {
@@ -166,22 +170,16 @@ impl PartitioningSplitTable {
     pub fn route(&self, h: u64) -> Route {
         let idx = (h % self.entries.len() as u64) as usize;
         let e = self.entries[idx];
-        if self.join_sites[idx].is_some() {
-            Route::Join { node: e.node }
-        } else {
-            Route::Spool {
+        match self.join_sites[idx] {
+            Some(site) => Route::Join {
+                node: e.node,
+                site: site as usize,
+            },
+            None => Route::Spool {
                 node: e.node,
                 bucket: e.bucket,
-            }
+            },
         }
-    }
-
-    /// The join-site index (within bucket 1's join process list) for an
-    /// `h` that routed to [`Route::Join`].
-    #[inline]
-    pub fn join_site_index(&self, h: u64) -> usize {
-        let idx = (h % self.entries.len() as u64) as usize;
-        self.join_sites[idx].expect("join_site_index on a spool entry") as usize
     }
 
     /// Raw entries (tests, display).
@@ -370,10 +368,10 @@ mod tests {
     fn hybrid_bucket1_routes_to_join() {
         let t = PartitioningSplitTable::hybrid(&[3, 4], &[1, 2], 3);
         match t.route(0) {
-            Route::Join { node } => assert_eq!(node, 3),
+            Route::Join { node, site } => assert_eq!((node, site), (3, 0)),
             _ => panic!("entry 0 is bucket 1"),
         }
-        assert_eq!(t.join_site_index(1), 1);
+        assert_eq!(t.route(1), Route::Join { node: 4, site: 1 });
         match t.route(2) {
             Route::Spool { node, bucket } => {
                 assert_eq!((node, bucket), (1, 2));
@@ -412,6 +410,22 @@ mod tests {
             if let Route::Spool { node, .. } = part.route(h) {
                 assert_eq!(join.route(h), node);
             }
+        }
+    }
+
+    #[test]
+    fn hybrid_at_one_bucket_is_the_joining_split_table() {
+        // The family's bare pass routes through Hybrid's table at N = 1:
+        // J join entries, nothing spooled, `h mod J` — with or without a
+        // disk-node list, which a table that spools nothing never reads.
+        let joins: Vec<NodeId> = vec![5, 6, 7];
+        let t = PartitioningSplitTable::hybrid(&joins, &[], 1);
+        assert_eq!(t, PartitioningSplitTable::hybrid(&joins, &[0, 1], 1));
+        assert_eq!((t.entries(), t.buckets()), (3, 1));
+        let j = JoiningSplitTable::new(joins);
+        for h in 0..1_000u64 {
+            let (node, site) = (j.route(h), j.site_index(h));
+            assert_eq!(t.route(h), Route::Join { node, site });
         }
     }
 
@@ -521,9 +535,9 @@ mod tests {
             // Every sub-slot of the hot class must stay a join entry…
             let h = j as u64;
             match r.route(h) {
-                Route::Join { node } => {
+                Route::Join { node, site } => {
                     assert!(joins.contains(&node));
-                    assert_eq!(node, joins[r.join_site_index(h)]);
+                    assert_eq!(node, joins[site]);
                     reached.insert(node);
                 }
                 _ => panic!("hot join class must stay in bucket 1"),

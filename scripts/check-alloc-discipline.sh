@@ -2,8 +2,10 @@
 # Data-plane allocation discipline (DESIGN.md §15).
 #
 # The batched tuple data plane keeps per-tuple heap traffic out of the
-# exec::{scan,hash} hot paths: records live in TupleBatch arenas and move
-# as borrowed `&[u8]` slices. This guard fails if someone re-introduces a
+# hot paths — the `exec::scan` stage, the `exec::hash` consumers, and the
+# hash-join family's producers and overflow resolve
+# (`algorithms::family`): records live in TupleBatch arenas and move as
+# borrowed `&[u8]` slices. This guard fails if someone re-introduces a
 # per-tuple owned copy — `.to_vec()` on a record slice, a `Vec<Vec<u8>>`
 # staging vector, or an owned `Vec<u8>` tuple type — in the non-test body
 # of those files. Gate 5 (`regress` + ALLOC_CEILINGS.json) catches the
@@ -30,7 +32,7 @@ cd "$(dirname "$0")/.."
 
 fail=0
 for f in crates/core/src/exec/scan.rs crates/core/src/exec/hash.rs \
-         crates/core/src/hash_table.rs; do
+         crates/core/src/algorithms/family.rs crates/core/src/hash_table.rs; do
     # Non-test body: everything above the trailing #[cfg(test)] module.
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
         grep -nE '\.to_vec\(\)|Vec<Vec<u8>>|[^&]Vec<u8>' |
@@ -60,4 +62,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{scan,hash}/hash_table, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{scan,hash}/algorithms::family/hash_table, no allocs in prof sampling"

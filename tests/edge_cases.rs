@@ -243,3 +243,40 @@ fn filters_on_edge_shapes() {
         assert_eq!(report.result_tuples, 30 * 20, "{}", alg.name());
     }
 }
+
+/// A Simple hash-join starved far below its inner relation needs more
+/// respray passes than the resolve loop will run (each pass admits only a
+/// few tuples per site). That is a legal input, not a runaway: reaching the
+/// pass cap joins what is left by block-nested-loops, under either overflow
+/// policy, and the result is exact. (These four inputs used to panic with
+/// "overflow recursion ran away".)
+#[test]
+fn starved_simple_hash_hits_the_pass_cap_and_stays_exact() {
+    let schema = small_schema();
+    let attr = schema.int_attr("k");
+    for (n, memories) in [(2_000u32, [512u64, 1_024]), (10_000, [2_048, 4_096])] {
+        let keys: Vec<u32> = (0..n).collect();
+        let mut m = Machine::new(MachineConfig::local_8());
+        let r = load(&mut m, "r", &keys);
+        let s = load(&mut m, "s", &keys);
+        let in_memory = run_join(
+            &mut m,
+            &JoinSpec::new(Algorithm::SimpleHash, r, s, attr, attr, 1 << 24),
+        );
+        assert_eq!(in_memory.result_tuples, n as u64);
+        assert_eq!(in_memory.overflow_passes, 0);
+        for memory in memories {
+            for robust in [false, true] {
+                let mut spec = JoinSpec::new(Algorithm::SimpleHash, r, s, attr, attr, memory);
+                spec.skew_refinement = robust;
+                spec.dynamic_spill = robust;
+                let report = run_join(&mut m, &spec);
+                let what = format!("{n} x {n} at {memory} B, robust {robust}");
+                assert_eq!(report.result_tuples, n as u64, "{what}");
+                assert_eq!(report.result_checksum, in_memory.result_checksum, "{what}");
+                assert!(report.bnl_fallback, "{what}: the cap exit is the BNL exit");
+                assert_eq!(report.overflow_passes, 63, "{what}");
+            }
+        }
+    }
+}

@@ -29,6 +29,39 @@ fn hybrid_equals_simple_at_full_memory() {
     assert!(diff < 0.01, "hybrid {} vs simple {}", h.seconds, s.seconds);
 }
 
+/// §3.2–3.4 describe the hash joins as one family: Simple hash is Hybrid
+/// at one bucket. With bit filters off (the two drivers salt their filters
+/// differently) a one-bucket Hybrid and Simple must agree exactly — same
+/// response to the microsecond, same ring packets and page I/Os, same
+/// overflow passes, same result — with and without an overflow pass, local
+/// and remote, HPJA and non-HPJA.
+#[test]
+fn one_bucket_hybrid_is_simple_hash() {
+    use gamma_core::query::OverflowPolicy;
+    for remote in [false, true] {
+        for attr in ["unique1", "unique2"] {
+            for ratio in [1.0, 0.7] {
+                let mut b = SweepBuilder::new(workload())
+                    .on(attr, attr)
+                    .policy(OverflowPolicy::Optimistic);
+                if remote {
+                    b = b.remote();
+                }
+                let h = b.run_one(Algorithm::HybridHash, ratio).report;
+                let s = b.run_one(Algorithm::SimpleHash, ratio).report;
+                let what = format!("{attr} ratio {ratio} remote {remote}");
+                assert_eq!(h.buckets, 1, "{what}");
+                assert_eq!(h.response, s.response, "{what}");
+                assert_eq!(h.packets(), s.packets(), "{what}");
+                assert_eq!(h.page_ios(), s.page_ios(), "{what}");
+                assert_eq!(h.overflow_passes, s.overflow_passes, "{what}");
+                assert_eq!(h.overflow_passes > 0, ratio < 1.0, "{what}");
+                assert_eq!(h.result_checksum, s.result_checksum, "{what}");
+            }
+        }
+    }
+}
+
 /// Figure 5/6: "the Hybrid algorithm dominates over the entire available
 /// memory range."
 #[test]

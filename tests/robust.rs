@@ -145,8 +145,7 @@ fn robust_knobs_are_executor_invariant() {
                 SweepBuilder::new(&w)
                     .on("normal", "normal")
                     .policy(OverflowPolicy::Optimistic)
-                    .refined()
-                    .dynamic_spill()
+                    .robust()
                     .exec(exec)
                     .run_one(alg, ratio)
             };
@@ -178,8 +177,7 @@ fn grace_and_simple_join_correctly_with_robust_knobs() {
         let robust = SweepBuilder::new(&w)
             .on("normal", "normal")
             .policy(OverflowPolicy::Optimistic)
-            .refined()
-            .dynamic_spill()
+            .robust()
             .run_one(alg, 0.6);
         assert_eq!(
             legacy.report.result_tuples,
