@@ -1,24 +1,43 @@
-//! Arena-backed tuple batches — the zero-copy data plane's staging type.
+//! Tuple batches — the data plane's unit between a scan and its consumers.
 //!
-//! The simulator's per-tuple unit of work used to be an owned `Vec<u8>`,
-//! which put one heap allocation (and one free) on the hot path of every
-//! scanned, routed, spooled, and restored tuple. A [`TupleBatch`] stages a
-//! whole fragment in two allocations: one contiguous byte buffer holding
-//! every record back to back, plus a `(start, len)` range table. Records
-//! are viewed as borrowed slices (`&[u8]` — the natural `TupleRef`), so
-//! downstream consumers (split routing, `Outbox::send`, hash-table
-//! insertion, spool writers) copy each tuple at most once, into their own
-//! arena or frame buffer.
+//! A [`TupleBatch`] is an ordered list of records viewed as borrowed
+//! slices (`&[u8]`). A record's bytes live in one of two places:
+//!
+//! * **on the page it was scanned from.** A scan pushes a handle to each
+//!   WiSS page ([`TupleBatch::push_page`]; cloning a [`Page`] shares its
+//!   byte image) plus that page's slot ranges, and copies no record. The
+//!   handles keep the bytes alive and unchanged while the file they came
+//!   from is appended to, updated or deleted;
+//! * **in the batch's own arena**, for records that are composed
+//!   ([`TupleBatch::push_concat`]) or must outlive whatever buffer they
+//!   were read from ([`TupleBatch::push`]).
+//!
+//! Either way a routed tuple's first copy is the one into its packet frame
+//! (`StepCtx::send`), and split routing, bit filters and hashing read it
+//! where it lies. Selections ([`TupleBatch::retain_indices`]) drop range
+//! table entries and move no bytes.
 //!
 //! None of this is visible to the virtual-cost model: ledgers charge per
-//! logical tuple and per payload byte, and both are unchanged by how the
-//! host stores the bytes in between.
+//! logical tuple, per page read and per payload byte, and all three are
+//! unchanged by where the host keeps the bytes in between.
 
-/// A batch of variable-length records in one contiguous buffer.
+use gamma_wiss::Page;
+
+/// Set in a range's `start` when the record lies on a page: the remaining
+/// bits are `page index << PAGE_SHIFT | offset within the page`.
+const ON_PAGE: u32 = 1 << 31;
+/// A WiSS page is at most 64 KB, so an in-page offset fits 16 bits.
+const PAGE_SHIFT: u32 = 16;
+
+/// An ordered batch of variable-length records, page-backed or owned.
 #[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
+    /// The owned arena: pushed records back to back.
     data: Vec<u8>,
-    /// `(start, len)` of each record within `data`.
+    /// Handles of the scanned pages the page-backed records lie on.
+    pages: Vec<Page>,
+    /// `(start, len)` of each record; `start` is an arena offset, or an
+    /// [`ON_PAGE`] address.
     ranges: Vec<(u32, u32)>,
 }
 
@@ -28,18 +47,48 @@ impl TupleBatch {
         Self::default()
     }
 
-    /// An empty batch with room for `tuples` records totalling `bytes`.
+    /// An empty batch with room for `tuples` records, `bytes` of them
+    /// (in total) pushed into the arena.
     pub fn with_capacity(tuples: usize, bytes: usize) -> Self {
         TupleBatch {
             data: Vec::with_capacity(bytes),
+            pages: Vec::new(),
             ranges: Vec::with_capacity(tuples),
         }
     }
 
     /// Append one record (copies its bytes into the arena).
     pub fn push(&mut self, rec: &[u8]) {
-        self.ranges.push((self.data.len() as u32, rec.len() as u32));
-        self.data.extend_from_slice(rec);
+        self.push_concat(rec, &[]);
+    }
+
+    /// Append one record formed by concatenating `a ++ b` (a composed join
+    /// output) without materializing the concatenation first.
+    pub fn push_concat(&mut self, a: &[u8], b: &[u8]) {
+        let start = self.data.len();
+        assert!(start < ON_PAGE as usize, "tuple batch arena exceeds 2 GiB");
+        self.ranges.push((start as u32, (a.len() + b.len()) as u32));
+        self.data.extend_from_slice(a);
+        self.data.extend_from_slice(b);
+    }
+
+    /// Append every record of `page`, in slot order, by reference: the
+    /// batch keeps a handle to the page's byte image and copies nothing.
+    ///
+    /// # Panics
+    /// Panics past 32 768 pages in one batch.
+    pub fn push_page(&mut self, page: &Page) {
+        let index = self.pages.len() as u32;
+        assert!(
+            index < ON_PAGE >> PAGE_SHIFT,
+            "tuple batch holds too many pages"
+        );
+        let base = ON_PAGE | index << PAGE_SHIFT;
+        self.ranges.extend(
+            page.slots()
+                .map(|(off, len)| (base | off as u32, len as u32)),
+        );
+        self.pages.push(page.clone());
     }
 
     /// Number of records in the batch.
@@ -52,91 +101,62 @@ impl TupleBatch {
         self.ranges.is_empty()
     }
 
-    /// Total payload bytes staged.
-    pub fn bytes(&self) -> usize {
-        self.data.len()
-    }
-
     /// Borrow record `i`.
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn get(&self, i: usize) -> &[u8] {
-        let (start, len) = self.ranges[i];
-        &self.data[start as usize..(start + len) as usize]
+        self.slice(self.ranges[i])
     }
 
-    /// The `(start, len)` range table — one entry per record. Handy for
-    /// chunked fan-out (`par_map` over ranges, resolve via [`Self::slice`]).
+    /// The range table — one opaque entry per record. Handy for chunked
+    /// fan-out (`par_map` over ranges, resolve via [`Self::slice`]).
     pub fn ranges(&self) -> &[(u32, u32)] {
         &self.ranges
     }
 
     /// Resolve a range from [`Self::ranges`] back to its record bytes.
+    #[inline]
     pub fn slice(&self, (start, len): (u32, u32)) -> &[u8] {
-        &self.data[start as usize..(start + len) as usize]
+        let len = len as usize;
+        if start & ON_PAGE == 0 {
+            &self.data[start as usize..start as usize + len]
+        } else {
+            let page = &self.pages[((start & !ON_PAGE) >> PAGE_SHIFT) as usize];
+            let off = (start & ((1 << PAGE_SHIFT) - 1)) as usize;
+            &page.as_bytes()[off..off + len]
+        }
     }
 
     /// Iterate the records in insertion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + Clone {
-        self.ranges
-            .iter()
-            .map(|&(start, len)| &self.data[start as usize..(start + len) as usize])
+        self.ranges.iter().map(|&r| self.slice(r))
     }
 
-    /// Append one record formed by concatenating `a ++ b` (a composed join
-    /// output) without materializing the concatenation first.
-    pub fn push_concat(&mut self, a: &[u8], b: &[u8]) {
-        self.ranges
-            .push((self.data.len() as u32, (a.len() + b.len()) as u32));
-        self.data.extend_from_slice(a);
-        self.data.extend_from_slice(b);
-    }
-
-    /// Drop every record but keep the allocations for reuse.
+    /// Drop every record and page handle but keep the allocations for
+    /// reuse.
     pub fn clear(&mut self) {
         self.data.clear();
+        self.pages.clear();
         self.ranges.clear();
     }
 
-    /// Keep only the records whose index satisfies `keep`, compacting the
-    /// arena in place (stable order, no new allocation).
+    /// Keep only the records whose index satisfies `keep` (stable order).
+    /// Only the range table shrinks; dropped records' bytes stay where
+    /// they are until the batch is cleared or dropped.
     pub fn retain_indices(&mut self, keep: impl Fn(usize) -> bool) {
-        let mut write = 0usize;
-        let mut out = 0usize;
-        for i in 0..self.ranges.len() {
-            if !keep(i) {
-                continue;
-            }
-            let (start, len) = self.ranges[i];
-            let (start, len) = (start as usize, len as usize);
-            if start != write {
-                self.data.copy_within(start..start + len, write);
-            }
-            self.ranges[out] = (write as u32, len as u32);
-            write += len;
-            out += 1;
-        }
-        self.ranges.truncate(out);
-        self.data.truncate(write);
-    }
-}
-
-impl<'a> IntoIterator for &'a TupleBatch {
-    type Item = &'a [u8];
-    type IntoIter = Box<dyn Iterator<Item = &'a [u8]> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(
-            self.ranges
-                .iter()
-                .map(|&(start, len)| &self.data[start as usize..(start + len) as usize]),
-        )
+        let mut i = 0;
+        self.ranges.retain(|_| {
+            i += 1;
+            keep(i - 1)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn push_get_iter_roundtrip() {
@@ -146,7 +166,6 @@ mod tests {
         b.push(&[]);
         b.push(&[4]);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.bytes(), 4);
         assert_eq!(b.get(0), &[1, 2, 3]);
         assert_eq!(b.get(1), &[] as &[u8]);
         assert_eq!(b.get(2), &[4]);
@@ -165,16 +184,70 @@ mod tests {
     }
 
     #[test]
-    fn retain_compacts_in_place() {
+    fn largest_page_resolves_at_its_last_byte() {
+        let mut p = Page::new(65536);
+        p.insert(&[9]).unwrap();
         let mut b = TupleBatch::new();
-        for i in 0..5u8 {
-            b.push(&[i, i, i]);
+        b.push(&[1]);
+        b.push_page(&Page::new(64));
+        b.push_page(&p);
+        assert_eq!(b.len(), 2, "an empty page adds no record");
+        assert_eq!(b.get(1), &[9], "offset 65535 of page 1");
+    }
+
+    /// Any interleaving of page pushes, `push`, `push_concat` and
+    /// `retain_indices` reads back exactly the records of an owned model,
+    /// through every accessor.
+    #[test]
+    fn interleaved_batches_match_an_owned_model() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut batch = TupleBatch::new();
+            let mut model: Vec<Vec<u8>> = Vec::new();
+            let rec = |rng: &mut StdRng, max: usize| -> Vec<u8> {
+                let n = rng.gen_range(1..=max);
+                (0..n).map(|_| rng.gen_range(0..=255u16) as u8).collect()
+            };
+            for _ in 0..rng.gen_range(1..40usize) {
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        let mut page = Page::new(rng.gen_range(64..2048usize));
+                        for _ in 0..rng.gen_range(0..12usize) {
+                            let r = rec(&mut rng, 40);
+                            if page.insert(&r).is_some() {
+                                model.push(r);
+                            }
+                        }
+                        batch.push_page(&page);
+                    }
+                    1 => {
+                        let r = rec(&mut rng, 300);
+                        batch.push(&r);
+                        model.push(r);
+                    }
+                    2 => {
+                        let (a, b) = (rec(&mut rng, 200), rec(&mut rng, 200));
+                        batch.push_concat(&a, &b);
+                        model.push([a, b].concat());
+                    }
+                    _ => {
+                        let keep: Vec<bool> = model.iter().map(|_| rng.gen_bool(0.7)).collect();
+                        batch.retain_indices(|i| keep[i]);
+                        let mut k = keep.iter();
+                        model.retain(|_| *k.next().unwrap());
+                    }
+                }
+            }
+            assert_eq!(batch.len(), model.len(), "seed {seed}");
+            assert_eq!(batch.is_empty(), model.is_empty(), "seed {seed}");
+            assert!(
+                batch.iter().eq(model.iter().map(Vec::as_slice)),
+                "seed {seed}"
+            );
+            for (i, want) in model.iter().enumerate() {
+                assert_eq!(batch.get(i), want.as_slice(), "seed {seed} get({i})");
+                assert_eq!(batch.slice(batch.ranges()[i]), want.as_slice());
+            }
         }
-        b.retain_indices(|i| i % 2 == 0);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.get(0), &[0, 0, 0]);
-        assert_eq!(b.get(1), &[2, 2, 2]);
-        assert_eq!(b.get(2), &[4, 4, 4]);
-        assert_eq!(b.bytes(), 9);
     }
 }

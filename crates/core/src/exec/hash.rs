@@ -30,12 +30,12 @@
 
 use std::collections::BTreeMap;
 
-use gamma_net::Msg;
+use gamma_net::{Drained, Msg};
 use gamma_wiss::{FileId, HeapWriter};
 
 use crate::algorithms::common::Resolved;
 use crate::bitfilter::BitFilter;
-use crate::exec::{self, run_step, StepCtx};
+use crate::exec::{self, pool, run_step, StepCtx};
 use crate::hash::{hash_u32, overflow_seed};
 use crate::hash_table::{JoinHashTable, MatchSet, Offer};
 use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
@@ -152,40 +152,61 @@ impl JoinNode {
     /// outgoing packet frame).
     fn absorb_step(&mut self, ctx: &mut StepCtx<'_>) {
         let drained = ctx.drain();
-        let msgs = drained.msgs();
-        let mut probes = self.precomputed_probes(ctx, &msgs).into_iter();
-        for m in msgs.iter() {
-            let pre = probes.next().flatten();
-            match m.tag & TAG_KIND {
-                TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.payload),
-                TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.payload, pre),
-                TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
-                TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
-                TAG_PART => self.on_part(ctx, m.payload),
-                RESULT_TAG => self.on_result(ctx, m.payload),
-                other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
+        match self.precomputed_probes(ctx, &drained) {
+            Some((msgs, probes)) => {
+                for (m, pre) in msgs.into_iter().zip(probes) {
+                    self.apply(ctx, m, pre);
+                }
             }
+            None => {
+                for m in drained.iter() {
+                    self.apply(ctx, m, None);
+                }
+            }
+        }
+    }
+
+    fn apply(&mut self, ctx: &mut StepCtx<'_>, m: Msg<'_>, pre: Option<ProbeOut>) {
+        match m.tag & TAG_KIND {
+            TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.payload),
+            TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.payload, pre),
+            TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
+            TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
+            TAG_PART => self.on_part(ctx, m.payload),
+            RESULT_TAG => self.on_result(ctx, m.payload),
+            other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
         }
     }
 
     /// Chunk this batch's probe work across the pool: when the batch holds
     /// no build traffic the site's table is frozen for the whole drain, so
-    /// each probe's chain walk and match composition are pure functions of
-    /// the payload and can be precomputed in tuple-range chunks
-    /// ([`StepCtx::par_map`]). The replay in [`Self::absorb_step`] then
-    /// applies charges, counts, trace events and result sends in arrival
-    /// order — byte-identical to probing inline. Batches that interleave
-    /// builds (which mutate the table), and nodes without a site,
-    /// precompute nothing and get an empty vector back.
-    fn precomputed_probes(&self, ctx: &StepCtx<'_>, msgs: &[Msg<'_>]) -> Vec<Option<ProbeOut>> {
-        let mutates = msgs.iter().any(|m| m.tag & TAG_KIND == TAG_BUILD);
-        let site = match &self.site {
-            Some(site) if !mutates => site,
-            _ => return Vec::new(),
-        };
-        ctx.par_map(msgs, |m| {
+    /// each probe's chain walk is a pure function of the payload and can be
+    /// precomputed in tuple-range chunks ([`StepCtx::par_map`]). The replay
+    /// in [`Self::absorb_step`] then applies charges, counts, trace events
+    /// and result sends in arrival order — byte-identical to probing
+    /// inline. `None` — nothing is collected, the caller probes inline as
+    /// it decodes — when the step has no pool workers, the drain is too
+    /// small to split or holds no probe, the node runs no site, or the
+    /// batch interleaves builds (which mutate the table).
+    fn precomputed_probes<'d>(
+        &self,
+        ctx: &StepCtx<'_>,
+        drained: &'d Drained,
+    ) -> Option<(Vec<Msg<'d>>, Vec<Option<ProbeOut>>)> {
+        let site = self.site.as_ref()?;
+        let holds = |kind: u32| drained.iter().any(|m| m.tag & TAG_KIND == kind);
+        if ctx.pool.is_none()
+            || drained.len() <= pool::CHUNK_TUPLES
+            || !holds(TAG_PROBE)
+            || holds(TAG_BUILD)
+        {
+            return None;
+        }
+        let msgs = drained.msgs();
+        let probes = ctx.par_map(&msgs, |m| {
             (m.tag & TAG_KIND == TAG_PROBE).then(|| site.probe_pure(m.payload))
-        })
+        });
+        Some((msgs, probes))
     }
 
     /// Build stage: insert one inner tuple, handling hash-table overflow —

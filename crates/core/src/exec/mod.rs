@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use gamma_des::Usage;
 use gamma_net::{Drained, Inbox, Outbox};
-use gamma_wiss::{FileId, HeapScan, HeapWriter};
+use gamma_wiss::{FileId, HeapWriter};
 
 use crate::batch::TupleBatch;
 use crate::cost::CostModel;
@@ -136,7 +136,7 @@ impl StepCtx<'_> {
         }
     }
 
-    /// Read every record of a local heap file into one contiguous
+    /// Read every record of a local heap file as one page-backed
     /// [`TupleBatch`] through this node's buffer pool, charging page reads.
     pub fn read_batch(&mut self, file: FileId) -> TupleBatch {
         let (vol, pool) = self.state.vp();
@@ -398,8 +398,9 @@ where
     results
 }
 
-/// Scan a heap file into one contiguous [`TupleBatch`] sized exactly from
-/// the stored file, charging page reads (shared by the `Scan` stage,
+/// Scan a heap file into a page-backed [`TupleBatch`] — one handle per
+/// page and that page's slot ranges, no record copied — charging each
+/// page read as the scan enters the page (shared by the `Scan` stage,
 /// [`StepCtx::read_batch`] and the free helper below).
 fn read_file_batch(
     vol: &gamma_wiss::Volume,
@@ -407,10 +408,10 @@ fn read_file_batch(
     usage: &mut Usage,
     file: FileId,
 ) -> TupleBatch {
-    let mut scan = HeapScan::open(vol, file);
-    let mut batch = TupleBatch::with_capacity(vol.file_records(file), vol.file_bytes(file));
-    while let Some(rec) = scan.next_ref(pool, usage) {
-        batch.push(rec);
+    let mut batch = TupleBatch::with_capacity(vol.file_records(file), 0);
+    for idx in 0..vol.file_pages(file) {
+        pool.charge_read(file, idx, usage);
+        batch.push_page(vol.page(file, idx));
     }
     batch
 }

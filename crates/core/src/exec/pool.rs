@@ -301,6 +301,10 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
+/// Tuples per [`map_chunks`] chunk, and the most a batch may hold and still
+/// run inline. Fixed granularity: affects scheduling only, never results.
+pub(crate) const CHUNK_TUPLES: usize = 512;
+
 /// Chunked **pure** map over a slice, in input order: inline when `pool`
 /// is absent, degenerate, or the batch is too small to split; otherwise
 /// fixed tuple-range chunks dispatched as one ordered batch. Because `f`
@@ -316,8 +320,6 @@ where
     T: Sync,
     R: Send,
 {
-    // Fixed granularity: affects scheduling only, never results.
-    const CHUNK_TUPLES: usize = 512;
     match pool {
         Some(pool) if pool.workers() > 0 && items.len() > CHUNK_TUPLES => {
             let chunks: Vec<&[T]> = items.chunks(CHUNK_TUPLES).collect();

@@ -23,8 +23,8 @@ use crate::machine::{Ledgers, Machine, NodeId, NodeState};
 
 /// Scan one stored fragment from a step worker: charges page reads and
 /// per-tuple scan CPU, applies the optional selection, and returns the
-/// surviving records as one arena-backed [`TupleBatch`] (two allocations
-/// per fragment, not one per tuple).
+/// surviving records as one page-backed [`TupleBatch`] (no record is
+/// copied; a dropped record leaves the range table and nothing else).
 pub fn scan_fragment(ctx: &mut StepCtx<'_>, file: FileId, pred: Option<RangePred>) -> TupleBatch {
     scan_fragment_inner(ctx.cost, ctx.state, ctx.ledger, ctx.pool, file, pred)
 }

@@ -181,10 +181,15 @@ impl JoinSpec {
     }
 }
 
-/// Compute the Grace/Hybrid bucket count for a memory budget.
+/// Compute the Grace/Hybrid bucket count for a memory budget: the memory
+/// ratio, capped at one bucket per `page_bytes` page of the inner relation.
+/// A bucket that cannot fill one page of R buys nothing, and every bucket
+/// costs an open page at each writer — uncapped, a starved budget asks for
+/// one bucket per few bytes and the writers' pages exhaust the host.
 pub fn bucket_count(
     spec: &JoinSpec,
     inner_bytes: u64,
+    page_bytes: usize,
     disk_nodes: usize,
     join_nodes: usize,
 ) -> usize {
@@ -192,10 +197,12 @@ pub fn bucket_count(
         return n.max(1);
     }
     let m = spec.memory_bytes.max(1);
-    let base = match spec.overflow_policy {
-        OverflowPolicy::Pessimistic => inner_bytes.div_ceil(m).max(1) as usize,
-        OverflowPolicy::Optimistic => (inner_bytes / m).max(1) as usize,
-    } + spec.extra_buckets;
+    let by_ratio = match spec.overflow_policy {
+        OverflowPolicy::Pessimistic => inner_bytes.div_ceil(m),
+        OverflowPolicy::Optimistic => inner_bytes / m,
+    };
+    let inner_pages = inner_bytes.div_ceil(page_bytes as u64);
+    let base = by_ratio.min(inner_pages).max(1) as usize + spec.extra_buckets;
     bucket_analyzer(
         spec.algorithm == Algorithm::GraceHash,
         disk_nodes,
@@ -383,7 +390,9 @@ fn run_join_inner(
 
     let mut buckets = match spec.algorithm {
         Algorithm::GraceHash | Algorithm::HybridHash => {
-            bucket_count(spec, inner_bytes, machine.cfg.disk_nodes, join_nodes.len())
+            let page_bytes = machine.cfg.cost.disk.page_bytes;
+            let disk_nodes = machine.cfg.disk_nodes;
+            bucket_count(spec, inner_bytes, page_bytes, disk_nodes, join_nodes.len())
         }
         _ => 1,
     };
@@ -527,11 +536,55 @@ mod tests {
                 mem,
             )
         };
-        let r = 2_080_000u64; // 10K tuples * 208B
-        assert_eq!(bucket_count(&spec(r), r, 8, 8), 1);
-        assert_eq!(bucket_count(&spec(r / 2), r, 8, 8), 2);
-        assert_eq!(bucket_count(&spec(r / 5), r, 8, 8), 5);
-        assert_eq!(bucket_count(&spec(r / 10), r, 8, 8), 10);
+        // The BENCH_joinabprime.json grid (10K tuples * 208B, 8 KB pages,
+        // ratios 1.0 / 0.5 / 0.2): the page cap is 254 buckets away.
+        let r = 2_080_000u64;
+        assert_eq!(bucket_count(&spec(r), r, 8192, 8, 8), 1);
+        assert_eq!(bucket_count(&spec(r / 2), r, 8192, 8, 8), 2);
+        assert_eq!(bucket_count(&spec(r / 5), r, 8192, 8, 8), 5);
+        assert_eq!(bucket_count(&spec(r / 10), r, 8192, 8, 8), 10);
+    }
+
+    #[test]
+    fn bucket_count_is_capped_at_one_bucket_per_inner_page() {
+        let hybrid = |mem: u64| {
+            JoinSpec::new(
+                Algorithm::HybridHash,
+                0,
+                1,
+                Attr { offset: 0 },
+                Attr { offset: 0 },
+                mem,
+            )
+        };
+        // ROADMAP item 4's crash: 10 000 x 32 B at one byte of memory asked
+        // for 320 000 buckets, each an open 8 KB page at each of 8 writers.
+        let (r, page) = (320_000u64, 8192usize);
+        let pages = r.div_ceil(page as u64) as usize;
+        assert_eq!(pages, 40);
+        for algorithm in [Algorithm::HybridHash, Algorithm::GraceHash] {
+            for policy in [OverflowPolicy::Pessimistic, OverflowPolicy::Optimistic] {
+                let count = |mem: u64| {
+                    let mut s = hybrid(mem);
+                    s.algorithm = algorithm;
+                    s.overflow_policy = policy;
+                    bucket_count(&s, r, page, 8, 8)
+                };
+                assert_eq!(count(1), pages, "one byte: capped");
+                let floor = (policy == OverflowPolicy::Optimistic) as usize;
+                assert_eq!(count(page as u64), pages - floor, "one page: the ratio");
+                assert_eq!(count(r / 10), 10, "inner/10: the memory ratio");
+                assert_eq!(count(r), 1, "inner: one bucket");
+            }
+        }
+        // The analyzer still adjusts on top of the capped request, and the
+        // explicit knobs are not capped.
+        assert!(bucket_count(&hybrid(1), r, page, 8, 16) >= pages);
+        let mut s = hybrid(1);
+        s.extra_buckets = 2;
+        assert_eq!(bucket_count(&s, r, page, 8, 8), pages + 2);
+        s.buckets_override = Some(100);
+        assert_eq!(bucket_count(&s, r, page, 8, 8), 100);
     }
 
     #[test]
@@ -547,13 +600,13 @@ mod tests {
         );
         s.overflow_policy = OverflowPolicy::Optimistic;
         assert_eq!(
-            bucket_count(&s, r, 8, 8),
+            bucket_count(&s, r, 100, 8, 8),
             1,
             "0.7 ratio optimistic -> 1 bucket"
         );
         s.overflow_policy = OverflowPolicy::Pessimistic;
         assert_eq!(
-            bucket_count(&s, r, 8, 8),
+            bucket_count(&s, r, 100, 8, 8),
             2,
             "0.7 ratio pessimistic -> 2 buckets"
         );
@@ -570,11 +623,11 @@ mod tests {
             Attr { offset: 0 },
             250,
         );
-        assert_eq!(bucket_count(&s, r, 8, 8), 4);
+        assert_eq!(bucket_count(&s, r, 100, 8, 8), 4);
         s.extra_buckets = 1;
-        assert_eq!(bucket_count(&s, r, 8, 8), 5);
+        assert_eq!(bucket_count(&s, r, 100, 8, 8), 5);
         s.buckets_override = Some(2);
-        assert_eq!(bucket_count(&s, r, 8, 8), 2);
+        assert_eq!(bucket_count(&s, r, 100, 8, 8), 2);
     }
 
     #[test]

@@ -118,17 +118,20 @@ struct Stream {
 
 impl Stream {
     fn push_frame(&mut self, packet_bytes: u64, tag: u32, a: &[u8], b: &[u8]) {
-        let len = (a.len() + b.len()) as u32;
+        let len = a.len() + b.len();
         if self.pending.capacity() == 0 {
-            // One right-sized allocation per fresh buffer instead of
-            // doubling up from empty (~4 reallocations per 2 KB packet).
-            // Sized for a full packet plus one overhanging tuple's frame.
+            // One allocation per fresh buffer, sized for what the packet
+            // this tuple starts can hold once sealed: at most
+            // `packet_bytes` of payload — or this one tuple, if it alone
+            // is larger — plus a frame header per tuple, counted as if
+            // the rest are this tuple's size (a stream's tuples are).
+            let packet = packet_bytes as usize;
+            let frames = (packet / len.max(1)).max(1);
             self.pending
-                .reserve(2 * (packet_bytes as usize + FRAME_HEADER));
+                .reserve_exact(packet.max(len) + frames * FRAME_HEADER);
         }
-        self.pending.reserve(FRAME_HEADER + len as usize);
         self.pending.extend_from_slice(&tag.to_le_bytes());
-        self.pending.extend_from_slice(&len.to_le_bytes());
+        self.pending.extend_from_slice(&(len as u32).to_le_bytes());
         self.pending.extend_from_slice(a);
         self.pending.extend_from_slice(b);
         self.pending_count += 1;
@@ -395,10 +398,12 @@ impl Drained {
         })
     }
 
-    /// Collect borrowed message views (one small Vec per drain, not one
-    /// allocation per tuple).
+    /// Collect borrowed message views (one Vec per drain, sized up front,
+    /// not one allocation per tuple).
     pub fn msgs(&self) -> Vec<Msg<'_>> {
-        self.iter().collect()
+        let mut msgs = Vec::with_capacity(self.len());
+        msgs.extend(self.iter());
+        msgs
     }
 }
 
@@ -575,6 +580,49 @@ mod tests {
                 u[n].counts.msgs_shortcircuit, fu[n].counts.msgs_shortcircuit,
                 "node {n} short circuits"
             );
+        }
+    }
+
+    #[test]
+    fn right_sized_frames_roundtrip_small_and_oversize_tuples() {
+        // The two ends of the frame sizing: a packet of 16-byte tuples is a
+        // third frame headers (128 of them), and one tuple larger than a
+        // packet travels alone. Both come back byte for byte, with exactly
+        // the charges Fabric makes for the same stream.
+        let cfg = RingConfig::gamma_1989();
+        let packet = cfg.packet_bytes as usize;
+        let mut sent: Vec<Vec<u8>> = (0..2 * packet / 16)
+            .map(|i| (0..16).map(|b| (i * 16 + b) as u8).collect())
+            .collect();
+        sent.push((0..packet + 952).map(|i| i as u8).collect());
+        sent.push(vec![7u8; 16]);
+
+        let mut fab = crate::Fabric::new(cfg.clone(), 2);
+        let mut fu = vec![Usage::ZERO; 2];
+        let (mut ex, mut u) = exchange(2);
+        for (i, t) in sent.iter().enumerate() {
+            fab.send_tuple(&mut fu, 0, 1, t.len() as u64);
+            ex.outboxes_mut()[0].send(&mut u[0], 1, i as u32, t);
+        }
+        fab.flush(&mut fu);
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        assert_eq!(
+            u[0].counts.packets_sent, 4,
+            "two full, the oversize, the tail"
+        );
+        ex.route();
+        let mut inbox = ex.take_inbox(1);
+        let drained = inbox.drain(&mut u[1], &cfg);
+        ex.return_inbox(inbox);
+        assert_eq!(drained.len(), sent.len());
+        for (i, (m, want)) in drained.iter().zip(&sent).enumerate() {
+            assert_eq!((m.tag, m.payload), (i as u32, want.as_slice()));
+        }
+        for n in 0..2 {
+            assert_eq!(u[n].cpu, fu[n].cpu, "node {n} cpu");
+            assert_eq!(u[n].net, fu[n].net, "node {n} net");
+            assert_eq!(u[n].ring_bytes, fu[n].ring_bytes, "node {n} ring bytes");
+            assert_eq!(u[n].counts, fu[n].counts, "node {n} counts");
         }
     }
 

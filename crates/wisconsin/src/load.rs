@@ -18,7 +18,7 @@ pub fn load_hashed(
         name,
         schema,
         Declustering::Hashed { attr },
-        &to_tuple_batch(rows),
+        to_tuple_batch(rows).iter(),
     )
 }
 
@@ -29,7 +29,7 @@ pub fn load_round_robin(machine: &mut Machine, name: &str, rows: &[WisconsinRow]
         name,
         schema,
         Declustering::RoundRobin,
-        &to_tuple_batch(rows),
+        to_tuple_batch(rows).iter(),
     )
 }
 
@@ -59,7 +59,7 @@ pub fn load_range(
         name,
         schema,
         Declustering::Range { attr, cuts },
-        &to_tuple_batch(rows),
+        to_tuple_batch(rows).iter(),
     )
 }
 

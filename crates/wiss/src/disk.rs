@@ -126,17 +126,6 @@ impl Volume {
             .sum()
     }
 
-    /// Total record bytes across all pages of a file — what a scan of the
-    /// whole file stages.
-    pub fn file_bytes(&self, file: FileId) -> usize {
-        self.files
-            .get(&file)
-            .unwrap_or_else(|| panic!("unknown file {file}"))
-            .iter()
-            .map(|p| p.record_bytes())
-            .sum()
-    }
-
     /// Borrow a page.
     pub fn page(&self, file: FileId, idx: usize) -> &Page {
         &self
@@ -214,7 +203,6 @@ mod tests {
         assert_eq!(idx, 0);
         assert_eq!(v.file_pages(f), 1);
         assert_eq!(v.file_records(f), 1);
-        assert_eq!(v.file_bytes(f), 3);
         assert_eq!(v.page(f, 0).get(0), Some(&b"rec"[..]));
     }
 

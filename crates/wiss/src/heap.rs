@@ -9,15 +9,14 @@
 use gamma_des::Usage;
 
 use crate::disk::{FileId, Volume};
-use crate::page::Page;
+use crate::page::PageBuilder;
 use crate::pool::BufferPool;
 
 /// Buffered appender for one heap file.
 #[derive(Debug)]
 pub struct HeapWriter {
     file: FileId,
-    page_bytes: usize,
-    cur: Page,
+    cur: PageBuilder,
     records: u64,
 }
 
@@ -27,8 +26,7 @@ impl HeapWriter {
         let file = vol.create_file();
         HeapWriter {
             file,
-            page_bytes,
-            cur: Page::new(page_bytes),
+            cur: PageBuilder::new(page_bytes),
             records: 0,
         }
     }
@@ -63,8 +61,7 @@ impl HeapWriter {
     }
 
     fn spill(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
-        let full = std::mem::replace(&mut self.cur, Page::new(self.page_bytes));
-        let idx = vol.append_page(self.file, full);
+        let idx = vol.append_page(self.file, self.cur.seal());
         pool.charge_write(self.file, idx, usage);
     }
 
@@ -80,9 +77,12 @@ impl HeapWriter {
 /// Sequential scan over a heap file, charging reads as pages are entered.
 ///
 /// [`HeapScan::next_ref`] yields records as slices borrowed from the
-/// volume — the engine copies each record at most once, into whatever
-/// staging buffer (tuple batch, packet frame, hash-table arena) receives
-/// it.
+/// volume, so the volume stays borrowed for as long as a record is in
+/// use: it serves readers that consume each record at once (the sort's
+/// run merger, tests). The engine's fragment scans instead clone the
+/// file's [`Page`](crate::Page) handles into a tuple batch (`gamma_core::exec`),
+/// charging the same read per page in the same order, and keep reading
+/// the records while they write to the volume.
 pub struct HeapScan<'a> {
     vol: &'a Volume,
     file: FileId,
@@ -195,6 +195,38 @@ mod tests {
         let mut ru = Usage::ZERO;
         let _ = HeapScan::open(&vol, f).collect_all(&mut pool, &mut ru);
         assert_eq!(ru.counts.pages_read, 2);
+    }
+
+    #[test]
+    fn cloned_pages_keep_the_bytes_they_were_taken_from() {
+        let (mut vol, mut pool, mut u) = setup();
+        let mut w = HeapWriter::create(&mut vol, 8192);
+        for i in 0..40u8 {
+            w.push(&mut vol, &mut pool, &mut u, &[i; 208]);
+        }
+        let f = w.file();
+        assert_eq!(vol.file_pages(f), 1, "38 records spilled, 2 buffered");
+        let held = vol.page(f, 0).clone();
+        let before: Vec<Vec<u8>> = held.records().map(<[u8]>::to_vec).collect();
+
+        // More appends to the same file add pages; the held one is as it was.
+        for i in 40..80u8 {
+            w.push(&mut vol, &mut pool, &mut u, &[i; 208]);
+        }
+        w.finish(&mut vol, &mut pool, &mut u);
+        assert_eq!(vol.file_pages(f), 3);
+        assert_eq!(vol.page(f, 0), &held);
+
+        // An in-place update writes a private copy: the volume reads the
+        // new record, the held handle the old one.
+        vol.page_mut(f, 0).update(5, &[0xEE; 208]);
+        assert_eq!(vol.page(f, 0).get(5), Some(&[0xEE; 208][..]));
+        assert_eq!(held.get(5), Some(&[5u8; 208][..]));
+
+        // Deleting the file does not take the bytes from under the handle.
+        vol.delete_file(f);
+        assert!(!vol.exists(f));
+        assert!(held.records().eq(before.iter().map(Vec::as_slice)));
     }
 
     #[test]

@@ -13,18 +13,83 @@
 //! place; temp files are written once and scanned). Variable-length records
 //! are supported because the composed join output tuples are wider than the
 //! source tuples.
+//!
+//! A stored page's byte image is reference-counted: cloning a [`Page`]
+//! shares it, so a scan hands out page handles instead of copying records,
+//! and a handle keeps reading the bytes it was taken from whatever later
+//! happens to the file. Writing through a shared handle copies the image
+//! first (only [`Page::update`] on a stored page ever does). A writer
+//! fills a `PageBuilder` — plain owned bytes, no sharing to check on
+//! every insert — and seals each full page into a `Page` with the one
+//! allocation and the one pass over its bytes that zero-filling a fresh
+//! page used to cost.
 
-use bytes::{Buf, BufMut, BytesMut};
+use std::sync::Arc;
+
+use bytes::Buf;
 
 /// Size of the per-page header in bytes.
 const HEADER: usize = 4;
 /// Size of one slot-directory entry (offset u16 + length u16).
 const SLOT: usize = 4;
 
+fn nslots(buf: &[u8]) -> usize {
+    u16::from_le_bytes([buf[0], buf[1]]) as usize
+}
+
+// The header stores `free_end - 1` so an 8192..=65536-byte page's boundary
+// fits a u16.
+fn free_end(buf: &[u8]) -> usize {
+    u16::from_le_bytes([buf[2], buf[3]]) as usize + 1
+}
+
+fn free_space(buf: &[u8]) -> usize {
+    let dir_end = HEADER + nslots(buf) * SLOT;
+    let free = free_end(buf).saturating_sub(dir_end);
+    free.saturating_sub(SLOT)
+}
+
+/// Make the zeroed image `buf` an empty page: no slots (the zeros say so),
+/// records grow downward from the end.
+///
+/// # Panics
+/// Panics if the page is too small to hold the header plus one slot.
+fn format(buf: &mut [u8]) {
+    let page_bytes = buf.len();
+    assert!(
+        page_bytes > HEADER + SLOT && page_bytes <= u16::MAX as usize + 1,
+        "page size {page_bytes} out of range"
+    );
+    buf[2..4].copy_from_slice(&((page_bytes - 1) as u16).to_le_bytes());
+}
+
+/// Insert a record, returning its slot number, or `None` if it does not
+/// fit.
+///
+/// # Panics
+/// Panics on zero-length records (they would be indistinguishable from
+/// missing slots and never occur in the engine).
+fn insert(buf: &mut [u8], rec: &[u8]) -> Option<usize> {
+    assert!(!rec.is_empty(), "zero-length records are not supported");
+    if rec.len() > free_space(buf) {
+        return None;
+    }
+    let slot = nslots(buf);
+    let end = free_end(buf);
+    let start = end - rec.len();
+    let dir = HEADER + slot * SLOT;
+    buf[start..end].copy_from_slice(rec);
+    buf[dir..dir + 2].copy_from_slice(&(start as u16).to_le_bytes());
+    buf[dir + 2..dir + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
+    buf[0..2].copy_from_slice(&((slot + 1) as u16).to_le_bytes());
+    buf[2..4].copy_from_slice(&((start - 1) as u16).to_le_bytes());
+    Some(slot)
+}
+
 /// A slotted page of records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Page {
-    buf: BytesMut,
+    buf: Arc<[u8]>,
 }
 
 impl Page {
@@ -33,16 +98,22 @@ impl Page {
     /// # Panics
     /// Panics if the page is too small to hold the header plus one slot.
     pub fn new(page_bytes: usize) -> Self {
-        assert!(
-            page_bytes > HEADER + SLOT && page_bytes <= u16::MAX as usize + 1,
-            "page size {page_bytes} out of range"
-        );
-        let mut buf = BytesMut::zeroed(page_bytes);
-        // nslots = 0
-        buf[0..2].copy_from_slice(&0u16.to_le_bytes());
-        // free_end = page_bytes (records grow downward from the end)
-        buf[2..4].copy_from_slice(&((page_bytes - 1) as u16).to_le_bytes());
-        Page { buf }
+        // One allocation: the exact-size iterator is written straight into
+        // the shared image.
+        let mut page = Page {
+            buf: std::iter::repeat_n(0u8, page_bytes).collect(),
+        };
+        format(page.image_mut());
+        page
+    }
+
+    /// The image for writing: in place while this is its only handle,
+    /// otherwise a private copy first.
+    fn image_mut(&mut self) -> &mut [u8] {
+        if Arc::get_mut(&mut self.buf).is_none() {
+            self.buf = Arc::from(&self.buf[..]);
+        }
+        Arc::get_mut(&mut self.buf).expect("page image uniquely owned")
     }
 
     /// Total size of the page in bytes.
@@ -50,45 +121,19 @@ impl Page {
         self.buf.len()
     }
 
-    fn nslots(&self) -> usize {
-        u16::from_le_bytes([self.buf[0], self.buf[1]]) as usize
-    }
-
-    // free_end stores `page_bytes - 1` at creation so 8192-byte pages fit in
-    // a u16; the real free boundary is free_end_raw + 1 when fresh. We track
-    // the exact boundary instead via the stored value + 1.
-    fn free_end(&self) -> usize {
-        u16::from_le_bytes([self.buf[2], self.buf[3]]) as usize + 1
-    }
-
-    fn set_nslots(&mut self, n: usize) {
-        self.buf[0..2].copy_from_slice(&(n as u16).to_le_bytes());
-    }
-
-    fn set_free_end(&mut self, e: usize) {
-        self.buf[2..4].copy_from_slice(&((e - 1) as u16).to_le_bytes());
-    }
-
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        self.nslots()
-    }
-
-    /// Total bytes of the records stored (slot directory not counted).
-    pub fn record_bytes(&self) -> usize {
-        self.size() - self.free_end()
+        nslots(&self.buf)
     }
 
     /// True when the page holds no records.
     pub fn is_empty(&self) -> bool {
-        self.nslots() == 0
+        self.len() == 0
     }
 
     /// Free bytes remaining for one more record (accounting for its slot).
     pub fn free_space(&self) -> usize {
-        let dir_end = HEADER + self.nslots() * SLOT;
-        let free = self.free_end().saturating_sub(dir_end);
-        free.saturating_sub(SLOT)
+        free_space(&self.buf)
     }
 
     /// True if a record of `len` bytes fits.
@@ -106,23 +151,9 @@ impl Page {
     /// fit.
     ///
     /// # Panics
-    /// Panics on zero-length records (they would be indistinguishable from
-    /// missing slots and never occur in the engine).
+    /// Panics on zero-length records.
     pub fn insert(&mut self, rec: &[u8]) -> Option<usize> {
-        assert!(!rec.is_empty(), "zero-length records are not supported");
-        if !self.fits(rec.len()) {
-            return None;
-        }
-        let slot = self.nslots();
-        let end = self.free_end();
-        let start = end - rec.len();
-        self.buf[start..end].copy_from_slice(rec);
-        let dir = HEADER + slot * SLOT;
-        self.buf[dir..dir + 2].copy_from_slice(&(start as u16).to_le_bytes());
-        self.buf[dir + 2..dir + 4].copy_from_slice(&(rec.len() as u16).to_le_bytes());
-        self.set_nslots(slot + 1);
-        self.set_free_end(start);
-        Some(slot)
+        insert(self.image_mut(), rec)
     }
 
     /// Overwrite the record in `slot` in place. The replacement must have
@@ -132,29 +163,38 @@ impl Page {
     /// # Panics
     /// Panics if the slot is out of range or the lengths differ.
     pub fn update(&mut self, slot: usize, rec: &[u8]) {
-        assert!(slot < self.nslots(), "slot {slot} out of range");
-        let dir = HEADER + slot * SLOT;
-        let off = u16::from_le_bytes([self.buf[dir], self.buf[dir + 1]]) as usize;
-        let len = u16::from_le_bytes([self.buf[dir + 2], self.buf[dir + 3]]) as usize;
+        assert!(slot < self.len(), "slot {slot} out of range");
+        let (off, len) = self.slot(slot);
         assert_eq!(len, rec.len(), "in-place update must preserve length");
-        self.buf[off..off + len].copy_from_slice(rec);
+        self.image_mut()[off..off + len].copy_from_slice(rec);
     }
 
     /// Record stored in `slot`, or `None` if the slot is out of range.
     pub fn get(&self, slot: usize) -> Option<&[u8]> {
-        if slot >= self.nslots() {
+        if slot >= self.len() {
             return None;
         }
+        let (off, len) = self.slot(slot);
+        Some(&self.buf[off..off + len])
+    }
+
+    /// `(offset, length)` of the record in `slot` within [`Self::as_bytes`].
+    fn slot(&self, slot: usize) -> (usize, usize) {
         let dir = HEADER + slot * SLOT;
         let mut d = &self.buf[dir..dir + 4];
-        let off = d.get_u16_le() as usize;
-        let len = d.get_u16_le() as usize;
-        Some(&self.buf[off..off + len])
+        (d.get_u16_le() as usize, d.get_u16_le() as usize)
+    }
+
+    /// `(offset, length)` of every record within [`Self::as_bytes`], in
+    /// slot order — what a reader holding a clone of this page needs to
+    /// find the records without copying them.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        (0..self.len()).map(move |s| self.slot(s))
     }
 
     /// Iterate over the records in slot order.
     pub fn records(&self) -> impl Iterator<Item = &[u8]> {
-        (0..self.nslots()).map(move |s| self.get(s).expect("slot in range"))
+        (0..self.len()).map(move |s| self.get(s).expect("slot in range"))
     }
 
     /// Serialize the page (it already is its on-disk image).
@@ -164,9 +204,54 @@ impl Page {
 
     /// Rebuild a page from its on-disk image.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut buf = BytesMut::with_capacity(bytes.len());
-        buf.put_slice(bytes);
-        Page { buf }
+        Page {
+            buf: Arc::from(bytes),
+        }
+    }
+}
+
+/// A page under construction, owned by one writer and reused from page
+/// to page: [`PageBuilder::seal`] copies what was inserted into a fresh
+/// shareable [`Page`] and starts over empty.
+#[derive(Debug)]
+pub(crate) struct PageBuilder {
+    buf: Vec<u8>,
+}
+
+impl PageBuilder {
+    /// An empty page of `page_bytes` total size.
+    ///
+    /// # Panics
+    /// Panics if the page is too small to hold the header plus one slot.
+    pub fn new(page_bytes: usize) -> Self {
+        let mut buf = vec![0u8; page_bytes];
+        format(&mut buf);
+        PageBuilder { buf }
+    }
+
+    /// True when no record was inserted since the last seal.
+    pub fn is_empty(&self) -> bool {
+        nslots(&self.buf) == 0
+    }
+
+    /// Insert a record as [`Page::insert`] does.
+    pub fn insert(&mut self, rec: &[u8]) -> Option<usize> {
+        insert(&mut self.buf, rec)
+    }
+
+    /// The page built so far — byte for byte what the same inserts into a
+    /// [`Page::new`] give — leaving the builder empty.
+    pub fn seal(&mut self) -> Page {
+        let page = Page {
+            buf: Arc::from(&self.buf[..]),
+        };
+        // Zero what the records and their slots dirtied, nothing more.
+        let dir_end = HEADER + nslots(&self.buf) * SLOT;
+        let records = free_end(&self.buf);
+        self.buf[..dir_end].fill(0);
+        self.buf[records..].fill(0);
+        format(&mut self.buf);
+        page
     }
 }
 
@@ -182,7 +267,6 @@ mod tests {
         assert_eq!(p.get(a), Some(&b"hello"[..]));
         assert_eq!(p.get(b), Some(&b"world!"[..]));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.record_bytes(), 11);
         assert_eq!(p.get(2), None);
     }
 
@@ -233,6 +317,28 @@ mod tests {
         let q = Page::from_bytes(p.as_bytes());
         assert_eq!(p, q);
         assert_eq!(q.get(1), Some(&b"defgh"[..]));
+    }
+
+    #[test]
+    fn sealed_builder_pages_equal_pages_built_in_place() {
+        let mut b = PageBuilder::new(512);
+        for round in 0..3u8 {
+            let mut p = Page::new(512);
+            assert!(b.is_empty());
+            let mut n = 0u8;
+            loop {
+                let rec = vec![round ^ n; 1 + (n as usize * 7) % 60];
+                let slot = p.insert(&rec);
+                assert_eq!(b.insert(&rec), slot);
+                if slot.is_none() {
+                    break;
+                }
+                n += 1;
+            }
+            assert!(n > 5);
+            assert_eq!(b.seal(), p, "round {round}: same image, stale bytes zeroed");
+        }
+        assert_eq!(b.seal(), Page::new(512), "an empty builder seals empty");
     }
 
     #[test]

@@ -2,15 +2,17 @@
 # Data-plane allocation discipline (DESIGN.md §15).
 #
 # The batched tuple data plane keeps per-tuple heap traffic out of the
-# hot paths — the `exec::scan` stage, the `exec::hash` consumers, and the
-# hash-join family's producers and overflow resolve
-# (`algorithms::family`): records live in TupleBatch arenas and move as
-# borrowed `&[u8]` slices. This guard fails if someone re-introduces a
+# hot paths — the scan loop and step plumbing (`exec`), the `exec::scan`
+# stage, the `exec::hash` consumers, and both producer loops
+# (`algorithms::family`, `algorithms::sort_merge`): scanned records stay
+# on their pages, composed ones live in TupleBatch arenas, and both move
+# as borrowed `&[u8]` slices. This guard fails if someone re-introduces a
 # per-tuple owned copy — `.to_vec()` on a record slice, a `Vec<Vec<u8>>`
 # staging vector, or an owned `Vec<u8>` tuple type — in the non-test body
-# of those files. Gate 5 (`regress` + ALLOC_CEILINGS.json) catches the
-# same erosion quantitatively; this catches it at review time with a
-# file:line to point at.
+# of those files, or a per-record arena copy in the scan loop. Gate 5
+# (`regress` + ALLOC_CEILINGS.json) catches the same erosion
+# quantitatively; this catches it at review time with a file:line to
+# point at.
 #
 # Allowed and therefore exempt:
 #   * everything under the trailing `#[cfg(test)]` module (tests stage
@@ -31,8 +33,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
-for f in crates/core/src/exec/scan.rs crates/core/src/exec/hash.rs \
-         crates/core/src/algorithms/family.rs crates/core/src/hash_table.rs; do
+for f in crates/core/src/exec/mod.rs crates/core/src/exec/scan.rs \
+         crates/core/src/exec/hash.rs crates/core/src/algorithms/family.rs \
+         crates/core/src/algorithms/sort_merge.rs crates/core/src/hash_table.rs; do
     # Non-test body: everything above the trailing #[cfg(test)] module.
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
         grep -nE '\.to_vec\(\)|Vec<Vec<u8>>|[^&]Vec<u8>' |
@@ -43,6 +46,17 @@ for f in crates/core/src/exec/scan.rs crates/core/src/exec/hash.rs \
         fail=1
     fi
 done
+
+# The one scan loop hands out page handles (`TupleBatch::push_page`); a
+# `push` per record there is the scan-staging memcpy back again.
+f=crates/core/src/exec/mod.rs
+body=$(awk '/^fn read_file_batch\(/{on=1} on{print} on&&/^}/{exit}' "$f")
+if ! grep -q 'push_page(' <<<"$body" ||
+    grep -qE '\.push\(|push_concat\(|next_ref\(' <<<"$body"; then
+    echo "error: $f: read_file_batch must push page handles, not copy records:" >&2
+    grep -nE '\.push\(|push_concat\(|next_ref\(' <<<"$body" | sed "s|^|  |" >&2 || true
+    fail=1
+fi
 
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
@@ -57,9 +71,9 @@ fi
 
 if [ "$fail" -ne 0 ]; then
     echo >&2
-    echo "Route records through TupleBatch arenas / borrowed slices instead" >&2
+    echo "Route records through page-backed TupleBatches / borrowed slices instead" >&2
     echo "(see DESIGN.md §15); if a copy is genuinely per-join and O(nodes)," >&2
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{scan,hash}/algorithms::family/hash_table, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, page-backed scan loop, no allocs in prof sampling"

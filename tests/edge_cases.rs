@@ -187,14 +187,19 @@ fn alternate_page_sizes() {
     }
 }
 
-/// Memory of a single byte: the most extreme pressure representable.
+/// Memory of a single byte: the most extreme pressure representable. The
+/// bucket count stays bounded by the inner relation's pages (here one),
+/// not its 1 280 bytes — each bucket is an open page at every writer.
 #[test]
 fn one_byte_of_join_memory() {
     for alg in Algorithm::ALL {
         let mut m = Machine::new(MachineConfig::local_8());
         let r = load(&mut m, "r", &(0..40).collect::<Vec<_>>());
         let s = load(&mut m, "s", &(0..80).map(|k| k % 40).collect::<Vec<_>>());
-        assert_eq!(join(&mut m, alg, r, s, 1), 80, "{}", alg.name());
+        let attr = small_schema().int_attr("k");
+        let report = run_join(&mut m, &JoinSpec::new(alg, r, s, attr, attr, 1));
+        assert_eq!(report.result_tuples, 80, "{}", alg.name());
+        assert_eq!(report.buckets, 1, "{}", alg.name());
     }
 }
 

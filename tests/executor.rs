@@ -26,20 +26,21 @@ const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::HybridHash,
 ];
 
-/// Run one join point on a fresh machine pinned to `exec`. Ratio 0.5
-/// forces multi-bucket plans for Grace/Hybrid and real overflow handling
-/// for Simple.
+/// Run one join point on a fresh machine pinned to `exec`, with 1/`div`
+/// of the inner relation as memory. Ratio 0.5 forces multi-bucket plans
+/// for Grace/Hybrid and real overflow handling for Simple.
 fn run_cell(
     w: &Workload,
     alg: Algorithm,
     remote: bool,
     filtered: bool,
+    div: u64,
     exec: ExecConfig,
 ) -> JoinReport {
     let (mut machine, a, bprime) =
         w.machine(remote, LoadStyle::HashedUnique1, "unique1", "unique1");
     machine.exec = exec;
-    let memory = machine.relation(bprime).data_bytes / 2;
+    let memory = machine.relation(bprime).data_bytes / div;
     let mut spec = join_abprime(alg, bprime, a, "unique1", "unique1", memory);
     // Sort-merge cannot use diskless nodes (§3.1).
     if remote && alg != Algorithm::SortMerge {
@@ -84,16 +85,49 @@ fn pooled_matches_serial_everywhere() {
                     alg.name(),
                     if remote { "remote" } else { "local" },
                 );
-                let serial = run_cell(&w, alg, remote, filtered, ExecConfig::serial());
+                let serial = run_cell(&w, alg, remote, filtered, 2, ExecConfig::serial());
                 let pooled = run_cell(
                     &w,
                     alg,
                     remote,
                     filtered,
+                    2,
                     ExecConfig::pooled(Arc::clone(&pool)),
                 );
                 assert_reports_match(&serial, &pooled, &what);
             }
+        }
+    }
+}
+
+/// The two executors absorb differently: the serial one probes each
+/// message as it decodes it, the pooled one collects a drain and
+/// precomputes its probes on the workers — but only a drain of more than
+/// 512 messages fans out, and the grid above never delivers one (at most
+/// 375 outer tuples reach a site). Here every site's probe wave does.
+#[test]
+fn pooled_matches_serial_when_probe_waves_fan_out() {
+    let w = Workload::scaled(10_000, 1_000);
+    let pool = Arc::new(WorkerPool::new(3));
+    for alg in [Algorithm::SimpleHash, Algorithm::HybridHash] {
+        for remote in [false, true] {
+            let what = format!("{} remote={remote} wide probe wave", alg.name());
+            let serial = run_cell(&w, alg, remote, false, 1, ExecConfig::serial());
+            let pooled = run_cell(
+                &w,
+                alg,
+                remote,
+                false,
+                1,
+                ExecConfig::pooled(Arc::clone(&pool)),
+            );
+            assert_eq!(serial.overflow_passes, 0, "{what}: one probe wave");
+            assert!(
+                serial.total.counts.hash_probes / 8 > 2 * 512,
+                "{what}: {} probes do not fan out at every site",
+                serial.total.counts.hash_probes
+            );
+            assert_reports_match(&serial, &pooled, &what);
         }
     }
 }

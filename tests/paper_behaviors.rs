@@ -416,7 +416,7 @@ fn mixed_site_triggers_bucket_analyzer() {
         )
     };
     let r = 3_000u64;
-    let n = bucket_count(&spec(1_000), r, 8, 16);
+    let n = bucket_count(&spec(1_000), r, 1_000, 8, 16);
     assert!(n > 3, "analyzer must add buckets, got {n}");
 }
 
