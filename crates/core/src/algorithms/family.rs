@@ -33,7 +33,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use gamma_des::SimTime;
 use gamma_wiss::FileId;
 
-use crate::batch::TupleBatch;
+use crate::batch::{Rec, TupleBatch};
 use crate::bitfilter::BitFilter;
 use crate::exec::control::{broadcast_filters, dispatch_overhead};
 use crate::exec::hash::{
@@ -184,7 +184,7 @@ trait Side: Sync {
     const INNER: bool;
 
     /// The tuple's split-table entry is join site `site`.
-    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, val: u32, rec: &[u8]);
+    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, val: u32, rec: Rec<'_>);
 
     /// The tuple's entry spools it to `bucket`; `false` drops it instead.
     fn spool(
@@ -206,8 +206,8 @@ impl Side for Inner<'_> {
     const INNER: bool = true;
 
     #[inline]
-    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, _val: u32, rec: &[u8]) {
-        ctx.send(self.sites.nodes()[site], tag(TAG_BUILD, site), rec);
+    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, _val: u32, rec: Rec<'_>) {
+        ctx.send_rec(self.sites.nodes()[site], tag(TAG_BUILD, site), rec);
     }
 
     #[inline]
@@ -243,13 +243,13 @@ impl Side for Outer<'_> {
     /// decided), so eliminating an overflow-bound outer tuple here is safe
     /// and saves its spool I/O and every later re-read (§4.2).
     #[inline]
-    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, val: u32, rec: &[u8]) {
+    fn join(&self, ctx: &mut StepCtx<'_>, site: usize, val: u32, rec: Rec<'_>) {
         if self.snap.filter_drops(ctx, site, val) {
             // dropped at the source
         } else if self.snap.outer_diverts(site, val) {
-            ctx.send(self.sites.home(site), tag(TAG_SPOOL_S, site), rec);
+            ctx.send_rec(self.sites.home(site), tag(TAG_SPOOL_S, site), rec);
         } else {
-            ctx.send(self.sites.nodes()[site], tag(TAG_PROBE, site), rec);
+            ctx.send_rec(self.sites.nodes()[site], tag(TAG_PROBE, site), rec);
         }
     }
 
@@ -326,13 +326,13 @@ fn route_batch<S: Side>(
     hashed: &[(u32, u64)],
     shard: &mut Option<Vec<BitFilter>>,
 ) {
-    for (rec, &(val, h)) in recs.iter().zip(hashed) {
+    for (rec, &(val, h)) in recs.recs().zip(hashed) {
         ctx.charge(us);
         match table.route(h) {
             Route::Join { site, .. } => side.join(ctx, site, val, rec),
             Route::Spool { node, bucket } => {
                 if side.spool(ctx, shard, bucket, val) {
-                    ctx.send(node, tag(TAG_BUCKET, bucket), rec);
+                    ctx.send_rec(node, tag(TAG_BUCKET, bucket), rec);
                 }
             }
         }
@@ -390,9 +390,9 @@ fn partition<S: Side>(
             |ctx, pr| {
                 for &file in pr.files {
                     let recs = read(ctx, file, scan);
-                    for rec in recs.iter() {
+                    for rec in recs.recs() {
                         ctx.charge(scan_us);
-                        side.join(ctx, pr.k, attr.get(rec), rec);
+                        side.join(ctx, pr.k, attr.get(&rec), rec);
                     }
                 }
             },
@@ -531,14 +531,14 @@ fn restore_spills(
                     cell += 1;
                 }
                 let (mut restored_b, mut respooled_b) = (0u64, 0u64);
-                for (rec, c) in recs.iter().zip(cells) {
+                for (rec, c) in recs.recs().zip(cells) {
                     ctx.charge(ctx.cost.route_us);
                     if c < cell {
                         restored_b += rec.len() as u64;
-                        ctx.send(sites.nodes()[job.site], tag(TAG_BUILD, job.site), rec);
+                        ctx.send_rec(sites.nodes()[job.site], tag(TAG_BUILD, job.site), rec);
                     } else {
                         respooled_b += rec.len() as u64;
-                        ctx.send(ctx.node, tag(TAG_SPOOL_R, job.site), rec);
+                        ctx.send_rec(ctx.node, tag(TAG_SPOOL_R, job.site), rec);
                     }
                 }
                 let page = ctx.cost.disk.page_bytes as u64;

@@ -85,7 +85,7 @@ fn partition(
                     let val = attr.get(rec);
                     (val, jt.site_index(hash_u32(JOIN_SEED, val)))
                 });
-                for (rec, (val, i)) in recs.iter().zip(routed) {
+                for (rec, (val, i)) in recs.recs().zip(routed) {
                     ctx.charge(ctx.cost.hash_us + ctx.cost.route_us);
                     if let Some(filters) = test_filters {
                         // Outer partitioning: test the destination site's
@@ -105,7 +105,7 @@ fn partition(
                             }
                         }
                     }
-                    ctx.send(disk_nodes[i], TAG_PART, rec);
+                    ctx.send_rec(disk_nodes[i], TAG_PART, rec);
                 }
             },
         );
@@ -334,11 +334,11 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             ctx.ledger.counts.comparisons += compares;
             gamma_metrics::counter_add("comparisons", ctx.node as u16, "merge", compares);
             let mut route = ResultRoute::new(ctx.node, d);
-            for rec in outputs.iter() {
+            for rec in outputs.recs() {
                 ctx.charge(ctx.cost.compose_us);
                 ctx.ledger.counts.tuples_out += 1;
                 gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "merge", 1);
-                ctx.send(route.advance(), RESULT_TAG, rec);
+                ctx.send_rec(route.advance(), RESULT_TAG, rec);
             }
             gamma_trace::emit(
                 ctx.node as u16,

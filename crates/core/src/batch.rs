@@ -12,14 +12,20 @@
 //!   ([`TupleBatch::push_concat`]) or must outlive whatever buffer they
 //!   were read from ([`TupleBatch::push`]).
 //!
-//! Either way a routed tuple's first copy is the one into its packet frame
-//! (`StepCtx::send`), and split routing, bit filters and hashing read it
-//! where it lies. Selections ([`TupleBatch::retain_indices`]) drop range
-//! table entries and move no bytes.
+//! Split routing, bit filters and hashing read a record where it lies, and
+//! a routed record leaves with its home page ([`TupleBatch::recs`] into
+//! `StepCtx::send_rec`): a page-backed one travels as a reference to that
+//! page, so its first copy is the consumer's — into a hash-table arena or
+//! a page under construction — or none at all. Selections
+//! ([`TupleBatch::retain_indices`]) drop range table entries and move no
+//! bytes.
 //!
 //! None of this is visible to the virtual-cost model: ledgers charge per
 //! logical tuple, per page read and per payload byte, and all three are
 //! unchanged by where the host keeps the bytes in between.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use gamma_wiss::Page;
 
@@ -28,6 +34,25 @@ use gamma_wiss::Page;
 const ON_PAGE: u32 = 1 << 31;
 /// A WiSS page is at most 64 KB, so an in-page offset fits 16 bits.
 const PAGE_SHIFT: u32 = 16;
+
+/// One record of a batch with its home: the bytes (it derefs to them) and,
+/// when they lie on a scanned page, that page's shared image — what lets
+/// the exchange carry the record without copying it.
+#[derive(Debug, Clone, Copy)]
+pub struct Rec<'a> {
+    bytes: &'a [u8],
+    /// The image the record lies on and its offset there; `None` for a
+    /// record of the batch's own arena.
+    pub(crate) home: Option<(&'a Arc<[u8]>, usize)>,
+}
+
+impl Deref for Rec<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes
+    }
+}
 
 /// An ordered batch of variable-length records, page-backed or owned.
 #[derive(Debug, Clone, Default)]
@@ -117,20 +142,38 @@ impl TupleBatch {
 
     /// Resolve a range from [`Self::ranges`] back to its record bytes.
     #[inline]
-    pub fn slice(&self, (start, len): (u32, u32)) -> &[u8] {
+    pub fn slice(&self, range: (u32, u32)) -> &[u8] {
+        self.rec(range).bytes
+    }
+
+    /// Resolve a range from [`Self::ranges`] to its record and home.
+    #[inline]
+    fn rec(&self, (start, len): (u32, u32)) -> Rec<'_> {
         let len = len as usize;
         if start & ON_PAGE == 0 {
-            &self.data[start as usize..start as usize + len]
+            Rec {
+                bytes: &self.data[start as usize..start as usize + len],
+                home: None,
+            }
         } else {
-            let page = &self.pages[((start & !ON_PAGE) >> PAGE_SHIFT) as usize];
+            let image = self.pages[((start & !ON_PAGE) >> PAGE_SHIFT) as usize].image();
             let off = (start & ((1 << PAGE_SHIFT) - 1)) as usize;
-            &page.as_bytes()[off..off + len]
+            Rec {
+                bytes: &image[off..off + len],
+                home: Some((image, off)),
+            }
         }
     }
 
     /// Iterate the records in insertion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + Clone {
         self.ranges.iter().map(|&r| self.slice(r))
+    }
+
+    /// Iterate the records in insertion order, each with its home page —
+    /// for a producer that sends them on (`StepCtx::send_rec`).
+    pub fn recs(&self) -> impl ExactSizeIterator<Item = Rec<'_>> + Clone {
+        self.ranges.iter().map(|&r| self.rec(r))
     }
 
     /// Drop every record and page handle but keep the allocations for
@@ -247,6 +290,12 @@ mod tests {
             for (i, want) in model.iter().enumerate() {
                 assert_eq!(batch.get(i), want.as_slice(), "seed {seed} get({i})");
                 assert_eq!(batch.slice(batch.ranges()[i]), want.as_slice());
+            }
+            for (rec, want) in batch.recs().zip(&model) {
+                assert_eq!(&*rec, want.as_slice(), "seed {seed} recs()");
+                if let Some((image, off)) = rec.home {
+                    assert_eq!(&image[off..off + rec.len()], want.as_slice());
+                }
             }
         }
     }

@@ -104,7 +104,7 @@ struct SiteCore {
 
 /// The pure outcome of probing one outer tuple against a frozen site
 /// table: the chain-compare count and the matching arena ranges. The
-/// composed `R ‖ S` result is framed straight into the outbox at replay
+/// composed `R ‖ S` result is copied straight into the outbox at replay
 /// time ([`StepCtx::send2`]) — it is never materialized on the heap.
 struct ProbeOut {
     compares: u64,
@@ -145,11 +145,11 @@ pub struct JoinNode {
 }
 
 impl JoinNode {
-    /// Drain this node's inbox and apply every delivered message. The
-    /// drained batch owns the packet buffers; every payload is handled as
-    /// a borrowed slice, so consuming a message allocates only where the
-    /// tuple genuinely moves somewhere (a table arena, a heap page, an
-    /// outgoing packet frame).
+    /// Drain this node's inbox and apply every delivered message. Every
+    /// payload is a borrowed slice — of the page it was scanned from, for a
+    /// tuple sent by reference — so consuming a message copies only where
+    /// the tuple genuinely moves somewhere (a table arena, a heap page, an
+    /// outgoing stream's arena).
     fn absorb_step(&mut self, ctx: &mut StepCtx<'_>) {
         let drained = ctx.drain();
         match self.precomputed_probes(ctx, &drained) {
@@ -261,8 +261,8 @@ impl JoinNode {
     }
 
     /// Probe stage: matches are composed `R ‖ S` and dealt to the store
-    /// operators as result messages — framed straight into the outgoing
-    /// packet ([`StepCtx::send2`]), never materialized. `pre` carries the
+    /// operators as result messages — copied straight into the outgoing
+    /// stream ([`StepCtx::send2`]), never materialized. `pre` carries the
     /// chunk-precomputed pure outcome when [`Self::precomputed_probes`]
     /// ran; the outcome is identical either way, the charges and sends
     /// happen here in arrival order regardless.

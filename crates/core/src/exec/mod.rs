@@ -49,7 +49,7 @@ use gamma_des::Usage;
 use gamma_net::{Drained, Inbox, Outbox};
 use gamma_wiss::{FileId, HeapWriter};
 
-use crate::batch::TupleBatch;
+use crate::batch::{Rec, TupleBatch};
 use crate::cost::CostModel;
 use crate::machine::{Ledgers, Machine, NodeId, NodeState};
 
@@ -100,7 +100,7 @@ pub struct StepCtx<'a> {
     /// The node's ledger slot for the current phase.
     pub ledger: &'a mut Usage,
     outbox: &'a mut Outbox,
-    inbox: Option<Inbox>,
+    inbox: Inbox,
     pool: Option<&'a pool::WorkerPool>,
 }
 
@@ -112,28 +112,42 @@ impl StepCtx<'_> {
     }
 
     /// Send one tuple to `dst` on stream `tag` through this node's outbox.
-    /// The payload is copied straight into the pending packet frame.
+    /// The payload is copied into the stream's arena: the call for bytes
+    /// with no shared owner (a hash-table eviction, a forwarded message).
     #[inline]
     pub fn send(&mut self, dst: NodeId, tag: u32, payload: &[u8]) {
         self.outbox.send(self.ledger, dst, tag, payload);
     }
 
     /// Send one tuple whose payload is the concatenation `a ++ b`
-    /// (composed result tuples), framed without materializing the join.
+    /// (composed result tuples), copied without materializing the join.
     #[inline]
     pub fn send2(&mut self, dst: NodeId, tag: u32, a: &[u8], b: &[u8]) {
         self.outbox.send2(self.ledger, dst, tag, a, b);
     }
 
+    /// Send one record of a [`TupleBatch`] by reference: charged exactly
+    /// as [`StepCtx::send`] of its bytes, to a local or a ring destination
+    /// alike, but a page-backed record travels as a handle to its page and
+    /// is not copied. The call for every scanned record.
+    #[inline]
+    pub fn send_rec(&mut self, dst: NodeId, tag: u32, rec: Rec<'_>) {
+        match rec.home {
+            Some((image, at)) => {
+                let at = at..at + rec.len();
+                self.outbox.send_shared(self.ledger, dst, tag, image, at);
+            }
+            None => self.outbox.send(self.ledger, dst, tag, &rec),
+        }
+    }
+
     /// Drain every message delivered to this node before the step started,
     /// charging the receive side of each remote packet. The returned batch
-    /// owns the packet buffers; iterate it for borrowed [`gamma_net::Msg`]
-    /// views while `self` stays mutable.
+    /// shares the delivered tables; iterate it for borrowed
+    /// [`gamma_net::Msg`] views while `self` stays mutable, and let it go
+    /// before the step ends so the tables are reused.
     pub fn drain(&mut self) -> Drained {
-        match self.inbox.as_mut() {
-            Some(i) => i.drain(self.ledger, &self.cost.ring),
-            None => Drained::default(),
-        }
+        self.inbox.drain(self.ledger, &self.cost.ring)
     }
 
     /// Read every record of a local heap file as one page-backed
@@ -174,14 +188,17 @@ impl StepCtx<'_> {
 
     /// End-of-step bookkeeping: the operator must have drained its inbox,
     /// and partially filled outgoing packets are sealed so the next step's
-    /// routing delivers them.
-    fn finish(self) {
+    /// routing delivers them. Hands back the inbox, what it drained
+    /// already released for the next node's step to allocate.
+    fn finish(mut self) -> Inbox {
         assert!(
-            self.inbox.as_ref().is_none_or(|i| i.is_empty()),
+            self.inbox.is_empty(),
             "node {} finished a step with undrained messages",
             self.node
         );
         self.outbox.seal(self.ledger);
+        self.inbox.release();
+        self.inbox
     }
 }
 
@@ -213,10 +230,11 @@ struct Bundle<'a, S> {
 
 /// Run one step: deliver routed packets, then run `f` once per
 /// participant with exclusive access to that node's state, ledger and
-/// exchange endpoints. `participants` must be strictly ascending;
-/// `states` supplies one per-node operator state per participant, and the
-/// per-node return values come back in participant order. `stage` names
-/// the step in worker panic reports.
+/// exchange endpoints; the drained inboxes go back to the exchange, whose
+/// streams fill their tables again. `participants` must be strictly
+/// ascending; `states` supplies one per-node operator state per
+/// participant, and the per-node return values come back in participant
+/// order. `stage` names the step in worker panic reports.
 ///
 /// Serially the participants run in ascending node order; when the
 /// machine's [`ExecConfig`] carries a pool with dedicated workers, each
@@ -277,15 +295,19 @@ where
             },
         )
         .collect();
-    if let Some(pool) = pool {
-        if bundles.len() > 1 {
-            return run_bundles_pooled(pool, cost, stage, bundles, &f);
-        }
+    let outs = match pool {
+        Some(pool) if bundles.len() > 1 => run_bundles_pooled(pool, cost, stage, bundles, &f),
+        _ => bundles
+            .into_iter()
+            .map(|b| run_bundle(cost, pool, b, &f))
+            .collect(),
+    };
+    let mut results = Vec::with_capacity(outs.len());
+    for (r, inbox) in outs {
+        exchange.return_inbox(inbox);
+        results.push(r);
     }
-    bundles
-        .into_iter()
-        .map(|b| run_bundle(cost, pool, b, &f))
-        .collect()
+    results
 }
 
 fn run_bundle<S, R>(
@@ -293,19 +315,18 @@ fn run_bundle<S, R>(
     pool: Option<&pool::WorkerPool>,
     b: Bundle<'_, S>,
     f: &(impl Fn(&mut StepCtx<'_>, &mut S) -> R + Sync),
-) -> R {
+) -> (R, Inbox) {
     let mut ctx = StepCtx {
         node: b.node,
         cost,
         state: b.state,
         ledger: b.ledger,
         outbox: b.outbox,
-        inbox: Some(b.inbox),
+        inbox: b.inbox,
         pool,
     };
     let r = f(&mut ctx, b.step_state);
-    ctx.finish();
-    r
+    (r, ctx.finish())
 }
 
 fn run_bundles_pooled<S, R>(
@@ -314,7 +335,7 @@ fn run_bundles_pooled<S, R>(
     stage: &'static str,
     bundles: Vec<Bundle<'_, S>>,
     f: &(impl Fn(&mut StepCtx<'_>, &mut S) -> R + Sync),
-) -> Vec<R>
+) -> Vec<(R, Inbox)>
 where
     S: Send,
     R: Send,
@@ -497,6 +518,51 @@ mod tests {
         for (n, &(src, byte)) in got.iter().enumerate() {
             assert_eq!(src, (n + 8 - 1) % 8);
             assert_eq!(byte as usize, src);
+        }
+        assert!(m.exchange.is_drained());
+    }
+
+    #[test]
+    fn records_sent_by_reference_outlive_their_file() {
+        // Between the producer's step and the consumer's, the scanned file
+        // is updated in place, deleted and evicted; every message still
+        // reads the bytes that were sent, local or across the ring.
+        let mut m = Machine::new(MachineConfig::local_8());
+        let mut ledgers = m.ledgers();
+        let page = m.cfg.cost.disk.page_bytes;
+        let mut w = HeapWriter::create(m.nodes[0].vol_mut(), page);
+        let sent: Vec<[u8; 208]> = (0..100u8).map(|i| [i; 208]).collect();
+        let (vol, pool) = m.nodes[0].vp();
+        for rec in &sent {
+            w.push(vol, pool, &mut ledgers[0], rec);
+        }
+        let file = w.finish(vol, pool, &mut ledgers[0]);
+        run_step(&mut m, &mut ledgers, "send", &[0], &mut [()], |ctx, _| {
+            let batch = ctx.read_batch(file);
+            for (i, rec) in batch.recs().enumerate() {
+                ctx.send_rec(i % 2, 7, rec);
+            }
+        });
+        m.nodes[0]
+            .vol_mut()
+            .page_mut(file, 0)
+            .update(3, &[0xEE; 208]);
+        delete_file(&mut m, 0, file);
+        let got = run_step(
+            &mut m,
+            &mut ledgers,
+            "drain",
+            &[0, 1],
+            &mut [(); 2],
+            |ctx, _| {
+                let drained = ctx.drain();
+                let payloads: Vec<Vec<u8>> = drained.iter().map(|m| m.payload.to_vec()).collect();
+                payloads
+            },
+        );
+        for (n, payloads) in got.iter().enumerate() {
+            let want = sent.iter().skip(n).step_by(2);
+            assert!(payloads.iter().map(Vec::as_slice).eq(want.map(|r| &r[..])));
         }
         assert!(m.exchange.is_drained());
     }

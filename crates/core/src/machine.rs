@@ -505,7 +505,6 @@ impl ResultSink {
         for (n, ledger) in usage.iter_mut().enumerate().take(self.disk_nodes) {
             let mut inbox = machine.exchange.take_inbox(n);
             let msgs = inbox.drain(ledger, machine.fabric.config());
-            machine.exchange.return_inbox(inbox);
             let mut w = self.take_writer(n);
             let mut tuples = 0u64;
             let mut sum = 0u64;
@@ -520,6 +519,8 @@ impl ResultSink {
                 ));
                 tuples += 1;
             }
+            drop(msgs);
+            machine.exchange.return_inbox(inbox);
             self.put_writer(n, w);
             self.absorb(tuples, sum);
         }

@@ -28,54 +28,58 @@
 //!
 //! ## Host representation
 //!
-//! A packet is one contiguous frame buffer (`[tag:u32][len:u32][payload]`
-//! per message) rather than a `Vec` of per-tuple `Vec<u8>`s: a producer
-//! copies payload bytes straight into the current packet's buffer
-//! ([`Outbox::send`] takes `&[u8]`), and a consumer gets borrowed
-//! [`Msg`] views out of a [`Drained`] batch — one heap allocation per
-//! *packet* on each side instead of one per *tuple*. The modeled `bytes`
-//! of a packet remain the sum of payload lengths (frame headers are
-//! unmodeled metadata, like `tag` always was), so every virtual charge,
-//! packet boundary, and counter is unchanged.
+//! The model charges per tuple and per packet; the host frames neither.
+//! Each `(src, dst)` stream fills one **message table**: a 16-byte entry
+//! `(tag, location, len)` per message, in send order. A message's bytes lie
+//! in one of two places:
+//!
+//! * **on a shared image the sender already holds** — in practice the WiSS
+//!   page the record was scanned from ([`Outbox::send_shared`]). The table
+//!   keeps one `Arc` handle per distinct page, so the bytes stay readable
+//!   and unchanged whatever happens to the file before the consumer runs,
+//!   and nothing is copied;
+//! * **in the table's own arena**, for bytes with no shared owner — a
+//!   composed `R‖S` result, a hash-table eviction, any plain `&[u8]`
+//!   ([`Outbox::send`], [`Outbox::send2`]) — copied once.
+//!
+//! A *packet* is a `(bytes, count, query, local)` record over a run of
+//! entries, sealed exactly where `Fabric` would emit, so charges, counters,
+//! trace events and [`Exchange::peak_inbox_packets`] are those of a machine
+//! that really framed 2 KB buffers. Ring and short-circuited streams share
+//! this one representation; they differ only in what `charge_emit` and
+//! [`Inbox::drain`] charge.
+//!
+//! Tables belong to the exchange and circulate: [`Exchange::route`] swaps a
+//! stream's sealed table into its inbox slot and hands the stream the
+//! table the consumer drained and emptied a step earlier
+//! ([`Inbox::release`], [`Exchange::return_inbox`]). Entries and arena
+//! bytes are stored in 4 KB blocks, so growing a table never copies it,
+//! and an emptied table keeps a few blocks of each kind: a warmed machine
+//! allocates nothing per packet or per message — a block per 256 messages
+//! or 4 KB of owned bytes beyond what its streams kept — and no storage is
+//! shared between two machines or two nodes' workers.
 
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
 
 use gamma_des::{SimTime, Usage};
 
 use crate::config::RingConfig;
 
-/// Bytes of unmodeled frame metadata per message (`tag` + payload length).
-const FRAME_HEADER: usize = 8;
+/// Set in [`Entry::seg`] when it indexes [`Table::arena`], not
+/// [`Table::pages`].
+const ARENA: u32 = 1 << 31;
 
-/// Recycled packet frame buffers. Sealing a packet hands its buffer to the
-/// consumer inside the [`Drained`] batch; when the batch drops, the buffers
-/// come back here and the next packet starts at full capacity instead of
-/// regrowing from empty (which costs ~4 reallocations per 2 KB packet).
-/// Host-side only: buffer reuse cannot change a packet boundary or charge.
-static FREE_BUFS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// Entries in a block of a table, bytes in a block of its arena: 4 KB
+/// either way.
+const ENTRY_BLOCK: usize = 256;
+const ARENA_BLOCK: usize = 4096;
 
-/// Most buffers the free list retains; beyond this, dropped buffers are
-/// simply freed (bounds host memory across machines of any size).
-const FREE_BUFS_MAX: usize = 1024;
-
-fn take_buf() -> Vec<u8> {
-    match FREE_BUFS.try_lock() {
-        Ok(mut l) => l.pop().unwrap_or_default(),
-        Err(_) => Vec::new(),
-    }
-}
-
-fn recycle_buf(mut buf: Vec<u8>) {
-    if buf.capacity() == 0 {
-        return;
-    }
-    buf.clear();
-    if let Ok(mut l) = FREE_BUFS.try_lock() {
-        if l.len() < FREE_BUFS_MAX {
-            l.push(buf);
-        }
-    }
-}
+/// Blocks of each kind a drained table keeps for its next fill: enough
+/// that a small join's streams never allocate again, while a stream that
+/// carried a burst once — a relation's worth of messages, the results of a
+/// whole join — does not pin that much for the machine's lifetime.
+const KEEP_BLOCKS: usize = 4;
 
 /// One delivered message: the sending node, the caller-defined stream tag,
 /// the query it belongs to (0 outside the scheduler), and a borrowed view
@@ -91,70 +95,281 @@ pub struct Msg<'a> {
     pub payload: &'a [u8],
 }
 
-/// A sealed packet travelling from one producer to one consumer.
-#[derive(Debug, Clone)]
+/// One message of a table: its tag and where its payload lies.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    tag: u32,
+    /// Index into [`Table::pages`] or, with [`ARENA`] set, of the arena
+    /// block.
+    seg: u32,
+    /// Offset of the payload within its page or arena block.
+    start: u32,
+    len: u32,
+}
+
+/// A sealed packet: accounting over the next `count` entries of its table.
+#[derive(Debug, Clone, Copy)]
 struct Packet {
-    /// Modeled wire bytes (payload sizes as charged, not serialized size).
+    /// Modeled wire bytes (payload sizes as charged).
     bytes: u64,
-    /// True when src == dst: short-circuited, free for the receiver.
-    local: bool,
+    /// Messages in the packet.
+    count: u32,
     /// Query whose tuples fill this packet (packets never mix queries:
     /// a packet is sealed within one query's execution step).
     query: u32,
-    /// Messages framed in `buf`.
-    count: u32,
-    /// Contiguous `[tag][len][payload]` frames.
-    buf: Vec<u8>,
+    /// True when src == dst: short-circuited, free for the receiver.
+    local: bool,
+}
+
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("an exchange table addresses at most 4 GiB")
+}
+
+/// Append-only storage in equal blocks: growing never copies what is
+/// stored, the allocator can place a block anywhere, and an emptied block
+/// serves the next fill as it is.
+#[derive(Debug)]
+struct Blocks<T> {
+    /// `blocks[..used]` hold items; the rest are kept, empty.
+    blocks: Vec<Vec<T>>,
+    used: usize,
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Blocks {
+            blocks: Vec::new(),
+            used: 0,
+        }
+    }
+}
+
+impl<T> Blocks<T> {
+    /// The block being filled if it has room for `need` more items, else
+    /// the next: a kept one, or a new one of `cap` items (of `need`, for
+    /// one message larger than a block).
+    fn room(&mut self, cap: usize, need: usize) -> &mut Vec<T> {
+        let fits = |b: &Vec<T>| b.capacity() - b.len() >= need;
+        if !self.blocks[..self.used].last().is_some_and(fits) {
+            if !self.blocks.get(self.used).is_some_and(fits) {
+                self.blocks
+                    .insert(self.used, Vec::with_capacity(need.max(cap)));
+            }
+            self.used += 1;
+        }
+        &mut self.blocks[self.used - 1]
+    }
+
+    /// Empty every block, keeping [`KEEP_BLOCKS`] of the standard size
+    /// `cap`.
+    fn clear(&mut self, cap: usize) {
+        self.blocks.retain(|b| b.capacity() == cap);
+        self.blocks.truncate(KEEP_BLOCKS);
+        self.blocks.iter_mut().for_each(Vec::clear);
+        self.used = 0;
+    }
+}
+
+/// The messages of one `(src, dst)` stream, in send order.
+#[derive(Debug, Default)]
+struct Table {
+    /// Entry `i` is `entries.blocks[i / ENTRY_BLOCK][i % ENTRY_BLOCK]`.
+    entries: Blocks<Entry>,
+    /// Messages held.
+    len: usize,
+    /// Shared images the by-reference entries point into.
+    pages: Vec<Arc<[u8]>>,
+    /// Owned payloads, back to back within [`ARENA_BLOCK`] blocks.
+    arena: Blocks<u8>,
+    /// Sealed packets, covering the first entries.
+    packets: Vec<Packet>,
+}
+
+impl Table {
+    fn push(&mut self, tag: u32, seg: u32, start: usize, len: usize) {
+        self.entries.room(ENTRY_BLOCK, 1).push(Entry {
+            tag,
+            seg,
+            start: offset(start),
+            len: offset(len),
+        });
+        self.len += 1;
+    }
+
+    fn push_owned(&mut self, tag: u32, a: &[u8], b: &[u8]) {
+        let len = a.len() + b.len();
+        let block = self.arena.room(ARENA_BLOCK, len);
+        let start = block.len();
+        block.extend_from_slice(a);
+        block.extend_from_slice(b);
+        let seg = ARENA | offset(self.arena.used - 1);
+        self.push(tag, seg, start, len);
+    }
+
+    fn push_shared(&mut self, tag: u32, image: &Arc<[u8]>, at: Range<usize>) {
+        assert!(at.end <= image.len(), "message outside its shared image");
+        // A scan sends a page's records one after another, so comparing
+        // with the last handle keeps one per distinct page.
+        if !self.pages.last().is_some_and(|p| Arc::ptr_eq(p, image)) {
+            self.pages.push(Arc::clone(image));
+        }
+        let seg = offset(self.pages.len() - 1);
+        assert_eq!(seg & ARENA, 0, "an exchange table holds too many pages");
+        self.push(tag, seg, at.start, at.len());
+    }
+
+    /// Push message `i` of `from`: shared bytes by handle, owned by copy.
+    fn push_from(&mut self, from: &Table, i: usize) {
+        let e = from.entry(i);
+        if e.seg & ARENA == 0 {
+            let at = e.start as usize..(e.start + e.len) as usize;
+            self.push_shared(e.tag, &from.pages[e.seg as usize], at);
+        } else {
+            self.push_owned(e.tag, from.payload(e), &[]);
+        }
+    }
+
+    #[inline]
+    fn entry(&self, i: usize) -> &Entry {
+        &self.entries.blocks[i / ENTRY_BLOCK][i % ENTRY_BLOCK]
+    }
+
+    #[inline]
+    fn payload(&self, e: &Entry) -> &[u8] {
+        let bytes: &[u8] = if e.seg & ARENA == 0 {
+            &self.pages[e.seg as usize]
+        } else {
+            &self.arena.blocks[(e.seg & !ARENA) as usize]
+        };
+        &bytes[e.start as usize..][..e.len as usize]
+    }
+
+    /// Forget every message and page handle; [`KEEP_BLOCKS`] blocks of
+    /// each kind stay allocated.
+    fn clear(&mut self) {
+        self.entries.clear(ENTRY_BLOCK);
+        self.len = 0;
+        self.pages.clear();
+        self.arena.clear(ARENA_BLOCK);
+        self.packets.clear();
+    }
+
+    /// The messages of the sealed packets, in send order.
+    fn msgs(&self, src: usize) -> Msgs<'_> {
+        Msgs {
+            table: self,
+            src,
+            next: 0,
+            warmed: 0,
+            packets: self.packets.iter(),
+            packet_end: 0,
+            query: 0,
+        }
+    }
+
+    /// Move `from`'s sealed packets and their messages behind this table's.
+    /// The path of a slot not drained since the last route, or of a stream
+    /// routed while a packet still fills — neither happens at a step
+    /// boundary — so message by message, and what `from` keeps is rebuilt.
+    fn append_sealed(&mut self, from: &mut Table) {
+        let sealed: usize = from.packets.iter().map(|p| p.count as usize).sum();
+        (0..sealed).for_each(|i| self.push_from(from, i));
+        self.packets.append(&mut from.packets);
+        let mut pending = Table::default();
+        (sealed..from.len).for_each(|i| pending.push_from(from, i));
+        from.clear();
+        if pending.len > 0 {
+            *from = pending;
+        }
+    }
+}
+
+/// Messages [`Msgs`] touches ahead of the one it hands out; a divisor of
+/// [`ENTRY_BLOCK`], so one block holds them.
+const WARM_AHEAD: usize = 64;
+const _: () = assert!(ENTRY_BLOCK.is_multiple_of(WARM_AHEAD));
+
+/// Iterator over one table's delivered messages.
+struct Msgs<'a> {
+    table: &'a Table,
+    src: usize,
+    /// Entry handed out next.
+    next: usize,
+    /// Entries before this one were touched.
+    warmed: usize,
+    /// Packets not yet entered; the current one ends at entry
+    /// `packet_end` and carries `query`.
+    packets: std::slice::Iter<'a, Packet>,
+    packet_end: usize,
+    query: u32,
+}
+
+impl<'a> Iterator for Msgs<'a> {
+    type Item = Msg<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Msg<'a>> {
+        let table = self.table;
+        while self.next == self.packet_end {
+            let p = self.packets.next()?;
+            self.packet_end += p.count as usize;
+            self.query = p.query;
+        }
+        if self.next == self.warmed {
+            // A relation repartitioned on another attribute deals each of
+            // its pages over every consumer, so by-reference payloads are
+            // cold lines scattered over pages this consumer mostly skips,
+            // and meeting them one by one waits out each miss in turn.
+            // Touch the next few first: independent loads, whose misses
+            // overlap.
+            let ahead = &table.entries.blocks[self.warmed / ENTRY_BLOCK];
+            let ahead = &ahead[self.warmed % ENTRY_BLOCK..];
+            let ahead = &ahead[..ahead.len().min(WARM_AHEAD)];
+            let touched = ahead
+                .iter()
+                .fold(0, |t, e| t ^ table.payload(e).first().copied().unwrap_or(0));
+            std::hint::black_box(touched);
+            self.warmed += ahead.len();
+        }
+        let e = table.entry(self.next);
+        self.next += 1;
+        Some(Msg {
+            src: self.src,
+            tag: e.tag,
+            query: self.query,
+            payload: table.payload(e),
+        })
+    }
 }
 
 /// Per-destination stream state inside an [`Outbox`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Stream {
+    /// Modeled bytes and messages of the packet being filled: the last
+    /// `pending_count` entries of `table`.
     pending_bytes: u64,
     pending_count: u32,
-    pending: Vec<u8>,
-    sealed: Vec<Packet>,
+    table: Table,
 }
 
 impl Stream {
-    fn push_frame(&mut self, packet_bytes: u64, tag: u32, a: &[u8], b: &[u8]) {
-        let len = a.len() + b.len();
-        if self.pending.capacity() == 0 {
-            // One allocation per fresh buffer, sized for what the packet
-            // this tuple starts can hold once sealed: at most
-            // `packet_bytes` of payload — or this one tuple, if it alone
-            // is larger — plus a frame header per tuple, counted as if
-            // the rest are this tuple's size (a stream's tuples are).
-            let packet = packet_bytes as usize;
-            let frames = (packet / len.max(1)).max(1);
-            self.pending
-                .reserve_exact(packet.max(len) + frames * FRAME_HEADER);
-        }
-        self.pending.extend_from_slice(&tag.to_le_bytes());
-        self.pending.extend_from_slice(&(len as u32).to_le_bytes());
-        self.pending.extend_from_slice(a);
-        self.pending.extend_from_slice(b);
-        self.pending_count += 1;
-    }
-
-    fn seal_pending(&mut self, local: bool, query: u32) -> Packet {
-        let p = Packet {
-            bytes: self.pending_bytes,
-            local,
+    /// Close the packet being filled; returns its modeled bytes.
+    fn seal_pending(&mut self, local: bool, query: u32) -> u64 {
+        let bytes = std::mem::take(&mut self.pending_bytes);
+        self.table.packets.push(Packet {
+            bytes,
+            count: std::mem::take(&mut self.pending_count),
             query,
-            count: self.pending_count,
-            buf: std::mem::replace(&mut self.pending, take_buf()),
-        };
-        self.pending_bytes = 0;
-        self.pending_count = 0;
-        p
+            local,
+        });
+        bytes
     }
 }
 
 /// The sending half of one node's exchange endpoint. Owns the packet
 /// batching state for every destination; charges only the producer's
 /// ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Outbox {
     src: usize,
     /// Shared with every other outbox and the exchange (never cloned per
@@ -170,7 +385,7 @@ impl Outbox {
             src,
             cfg,
             query: 0,
-            streams: vec![Stream::default(); nodes],
+            streams: (0..nodes).map(|_| Stream::default()).collect(),
         }
     }
 
@@ -180,22 +395,19 @@ impl Outbox {
     }
 
     /// Stamp subsequently sent tuples with `query` (0 is the single-query
-    /// default). Must only change while the outbox is drained — a packet
-    /// never mixes queries.
+    /// default).
+    ///
+    /// # Panics
+    /// Panics unless the outbox is drained — a packet never mixes queries.
     pub fn set_query(&mut self, query: u32) {
-        debug_assert!(
-            self.streams
-                .iter()
-                .all(|s| s.pending.is_empty() && s.sealed.is_empty()),
-            "query changed mid-packet"
-        );
+        assert!(self.is_drained(), "query changed mid-packet");
         self.query = query;
     }
 
     /// Send one tuple to `dst` on stream `tag`, batching into packets and
     /// charging the producer ledger exactly as [`Fabric::send_tuple`]
     /// charges the source node. The payload bytes are copied into the
-    /// current packet's frame buffer — no per-tuple allocation.
+    /// stream's arena — no per-tuple allocation.
     ///
     /// [`Fabric::send_tuple`]: crate::Fabric::send_tuple
     pub fn send(&mut self, usage: &mut Usage, dst: usize, tag: u32, payload: &[u8]) {
@@ -203,39 +415,62 @@ impl Outbox {
     }
 
     /// Send one logical tuple whose payload is the concatenation `a ++ b`
-    /// (e.g. a composed join result), framed as a single message without
+    /// (e.g. a composed join result), copied as a single message without
     /// materializing the concatenation anywhere else.
     pub fn send2(&mut self, usage: &mut Usage, dst: usize, tag: u32, a: &[u8], b: &[u8]) {
-        let bytes = (a.len() + b.len()) as u64;
+        self.admit(usage, dst, a.len() + b.len())
+            .push_owned(tag, a, b);
+    }
+
+    /// Send the tuple `image[at]` by reference: charged and batched exactly
+    /// like [`Outbox::send`] of those bytes, to a local or a ring
+    /// destination alike, but the stream shares `image` — a scanned page's
+    /// — with the sender instead of copying out of it.
+    ///
+    /// # Panics
+    /// Panics if `at` reaches outside `image`.
+    pub fn send_shared(
+        &mut self,
+        usage: &mut Usage,
+        dst: usize,
+        tag: u32,
+        image: &Arc<[u8]>,
+        at: Range<usize>,
+    ) {
+        self.admit(usage, dst, at.len()).push_shared(tag, image, at);
+    }
+
+    /// Account one `len`-byte tuple to `dst`'s stream — the per-tuple
+    /// charge, then a packet record and the per-packet charge wherever
+    /// `Fabric::send_tuple` would emit — and return the table the caller
+    /// adds the message to.
+    fn admit(&mut self, usage: &mut Usage, dst: usize, len: usize) -> &mut Table {
+        let bytes = len as u64;
         let packet = self.cfg.packet_bytes;
-        if self.src == dst {
+        let (src, query) = (self.src, self.query);
+        let local = src == dst;
+        if local {
             usage.cpu(self.cfg.shortcircuit_cpu_per_tuple);
         } else {
             usage.cpu(self.cfg.marshal_cpu_per_tuple);
         }
-        let src = self.src;
-        let local = src == dst;
-        let query = self.query;
         let s = &mut self.streams[dst];
         if s.pending_bytes + bytes > packet && s.pending_bytes > 0 {
             // Tuple does not fit in the current packet: seal it, then start
             // a new packet with this tuple (tuples are never split).
             let full = s.seal_pending(local, query);
             s.pending_bytes = bytes;
-            s.push_frame(packet, tag, a, b);
-            let fb = full.bytes;
-            s.sealed.push(full);
-            Self::charge_emit(&self.cfg, usage, src, dst, fb);
+            s.pending_count = 1;
+            Self::charge_emit(&self.cfg, usage, src, dst, full);
         } else {
             s.pending_bytes += bytes;
-            s.push_frame(packet, tag, a, b);
+            s.pending_count += 1;
             if s.pending_bytes >= packet {
                 let full = s.seal_pending(local, query);
-                let fb = full.bytes;
-                s.sealed.push(full);
-                Self::charge_emit(&self.cfg, usage, src, dst, fb);
+                Self::charge_emit(&self.cfg, usage, src, dst, full);
             }
         }
+        &mut s.table
     }
 
     /// Producer-side charge for one completed packet (mirrors the source
@@ -275,33 +510,29 @@ impl Outbox {
     /// streams for this step). Destinations flush in ascending order, like
     /// `Fabric::flush` walks its destination-inner loop for one source.
     pub fn seal(&mut self, usage: &mut Usage) {
-        let src = self.src;
-        let query = self.query;
-        let cfg = Arc::clone(&self.cfg);
+        let (src, query) = (self.src, self.query);
         for (dst, s) in self.streams.iter_mut().enumerate() {
             if s.pending_bytes > 0 {
-                let p = s.seal_pending(src == dst, query);
-                let bytes = p.bytes;
-                s.sealed.push(p);
-                Self::charge_emit(&cfg, usage, src, dst, bytes);
+                let bytes = s.seal_pending(src == dst, query);
+                Self::charge_emit(&self.cfg, usage, src, dst, bytes);
             }
         }
     }
 
     /// True when no stream holds pending or sealed-but-unrouted data.
     pub fn is_drained(&self) -> bool {
-        self.streams
-            .iter()
-            .all(|s| s.pending_bytes == 0 && s.pending.is_empty() && s.sealed.is_empty())
+        self.streams.iter().all(|s| s.table.len == 0)
     }
 }
 
-/// The receiving half of one node's exchange endpoint: packets delivered by
-/// [`Exchange::route`], in source-major order.
-#[derive(Debug, Default)]
+/// The receiving half of one node's exchange endpoint: the packets
+/// [`Exchange::route`] delivered, one table per source.
+#[derive(Debug)]
 pub struct Inbox {
     node: usize,
-    packets: Vec<(usize, Packet)>,
+    /// `tables[src]`, shared with the [`Drained`] batch once drained.
+    tables: Arc<Vec<Table>>,
+    drained: bool,
 }
 
 impl Inbox {
@@ -312,7 +543,22 @@ impl Inbox {
 
     /// True when no undelivered packets remain.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.drained || self.tables.iter().all(|t| t.packets.is_empty())
+    }
+
+    /// Empty what was drained — page handles dropped, a few blocks kept —
+    /// as soon as its [`Drained`] batch is gone: a consumer that does so
+    /// when *its* step ends (and not when every node's has) frees what it
+    /// consumed for the next node to allocate. Does nothing while the
+    /// batch is alive or nothing was drained; [`Exchange::return_inbox`]
+    /// settles either case.
+    pub fn release(&mut self) {
+        if self.drained {
+            if let Some(tables) = Arc::get_mut(&mut self.tables) {
+                tables.iter_mut().for_each(Table::clear);
+                self.drained = false;
+            }
+        }
     }
 
     /// Drain every delivered packet, charging the consumer's ledger for the
@@ -321,12 +567,16 @@ impl Inbox {
     /// Short-circuited packets cost nothing here. Messages come back in
     /// (source ascending, emission order) — the order a sequential
     /// source-major driver loop would have produced them. The returned
-    /// [`Drained`] batch owns the packet buffers; iterate it for borrowed
-    /// [`Msg`] views.
+    /// [`Drained`] batch shares the tables; iterate it for borrowed
+    /// [`Msg`] views, and drop it before the inbox goes back
+    /// ([`Exchange::return_inbox`]) so the tables are reused.
     pub fn drain(&mut self, usage: &mut Usage, cfg: &RingConfig) -> Drained {
-        let packets = std::mem::take(&mut self.packets);
-        for (src, p) in &packets {
-            if !p.local {
+        if self.is_empty() {
+            return Drained::default();
+        }
+        self.drained = true;
+        for (src, table) in self.tables.iter().enumerate() {
+            for p in table.packets.iter().filter(|p| !p.local) {
                 usage.cpu(cfg.recv_cpu_per_packet);
                 usage.cpu(SimTime::from_us(
                     cfg.unmarshal_cpu_per_tuple.as_us() * p.count as u64,
@@ -337,65 +587,48 @@ impl Inbox {
                     self.node as u16,
                     usage.total_demand().as_us(),
                     gamma_trace::EventKind::PacketRecv {
-                        src: *src as u16,
+                        src: src as u16,
                         bytes: crate::trace_bytes(p.bytes),
                     },
                 );
             }
         }
-        Drained { packets }
-    }
-}
-
-/// A batch of drained packets; owns the frame buffers so [`Msg`] views can
-/// be borrowed from it while the consumer's context stays mutable. Dropping
-/// the batch recycles the buffers for future packets.
-#[derive(Debug, Default)]
-pub struct Drained {
-    packets: Vec<(usize, Packet)>,
-}
-
-impl Drop for Drained {
-    fn drop(&mut self) {
-        for (_, p) in self.packets.drain(..) {
-            recycle_buf(p.buf);
+        Drained {
+            tables: Some(Arc::clone(&self.tables)),
         }
     }
 }
 
+/// A batch of drained packets; shares the inbox's tables so [`Msg`] views
+/// can be borrowed from it while the consumer's context stays mutable.
+#[derive(Debug, Default)]
+pub struct Drained {
+    /// `tables[src]`; `None` when nothing was delivered.
+    tables: Option<Arc<Vec<Table>>>,
+}
+
 impl Drained {
+    fn tables(&self) -> &[Table] {
+        self.tables.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     /// Total number of messages across every packet.
     pub fn len(&self) -> usize {
-        self.packets.iter().map(|(_, p)| p.count as usize).sum()
+        self.tables().iter().map(|t| t.len).sum()
     }
 
     /// True when no packets were delivered.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.tables.is_none()
     }
 
     /// Iterate the messages in delivery order (source-major, emission
     /// order within a source).
     pub fn iter(&self) -> impl Iterator<Item = Msg<'_>> + '_ {
-        self.packets.iter().flat_map(|(src, p)| {
-            let mut pos = 0usize;
-            std::iter::from_fn(move || {
-                if pos >= p.buf.len() {
-                    return None;
-                }
-                let tag = u32::from_le_bytes(p.buf[pos..pos + 4].try_into().unwrap());
-                let len = u32::from_le_bytes(p.buf[pos + 4..pos + FRAME_HEADER].try_into().unwrap())
-                    as usize;
-                let payload = &p.buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-                pos += FRAME_HEADER + len;
-                Some(Msg {
-                    src: *src,
-                    tag,
-                    query: p.query,
-                    payload,
-                })
-            })
-        })
+        self.tables()
+            .iter()
+            .enumerate()
+            .flat_map(|(src, table)| table.msgs(src))
     }
 
     /// Collect borrowed message views (one Vec per drain, sized up front,
@@ -412,11 +645,17 @@ impl Drained {
 #[derive(Debug)]
 pub struct Exchange {
     outboxes: Vec<Outbox>,
-    inboxes: Vec<Vec<(usize, Packet)>>,
+    /// `inboxes[dst]` holds one table per source; `None` while a consumer
+    /// step has it ([`Exchange::take_inbox`]).
+    inboxes: Vec<Option<Arc<Vec<Table>>>>,
     /// High-water mark of each inbox's undelivered packet count, observed
     /// at every `route()`. Deterministic across executors because routing
     /// replays sends in source-major input order.
     peak_inbox: Vec<usize>,
+}
+
+fn empty_tables(nodes: usize) -> Arc<Vec<Table>> {
+    Arc::new((0..nodes).map(|_| Table::default()).collect())
 }
 
 impl Exchange {
@@ -428,7 +667,7 @@ impl Exchange {
             outboxes: (0..nodes)
                 .map(|n| Outbox::new(n, Arc::clone(&cfg), nodes))
                 .collect(),
-            inboxes: (0..nodes).map(|_| Vec::new()).collect(),
+            inboxes: (0..nodes).map(|_| Some(empty_tables(nodes))).collect(),
             peak_inbox: vec![0; nodes],
         }
     }
@@ -453,20 +692,41 @@ impl Exchange {
         }
     }
 
-    /// Move every sealed packet into its destination inbox, source-major:
-    /// all of node 0's sealed packets (in emission order), then node 1's…
-    /// Deterministic regardless of producer scheduling.
+    /// Move every sealed packet into its destination inbox, where a
+    /// consumer finds them source-major: all of node 0's (in emission
+    /// order), then node 1's… Deterministic regardless of producer
+    /// scheduling. A stream whose inbox slot was drained swaps tables with
+    /// it — the sealed one in, the emptied one back — and copies nothing.
+    ///
+    /// # Panics
+    /// Panics if a packet is bound for an inbox that is still taken.
     pub fn route(&mut self) {
-        for src in 0..self.outboxes.len() {
-            let ob = &mut self.outboxes[src];
-            for dst in 0..ob.streams.len() {
-                for p in ob.streams[dst].sealed.drain(..) {
-                    self.inboxes[dst].push((src, p));
+        for (dst, (inbox, peak)) in self
+            .inboxes
+            .iter_mut()
+            .zip(&mut self.peak_inbox)
+            .enumerate()
+        {
+            let mut slots = inbox.as_mut().map(|tables| {
+                Arc::get_mut(tables).expect("returned inboxes share their tables with no one")
+            });
+            for (src, ob) in self.outboxes.iter_mut().enumerate() {
+                let s = &mut ob.streams[dst];
+                if s.table.packets.is_empty() {
+                    continue;
+                }
+                let Some(slots) = slots.as_deref_mut() else {
+                    panic!("packets routed to node {dst} while its inbox is taken")
+                };
+                if s.pending_count == 0 && slots[src].packets.is_empty() {
+                    std::mem::swap(&mut slots[src], &mut s.table);
+                } else {
+                    slots[src].append_sealed(&mut s.table);
                 }
             }
-        }
-        for (n, inbox) in self.inboxes.iter().enumerate() {
-            self.peak_inbox[n] = self.peak_inbox[n].max(inbox.len());
+            if let Some(slots) = slots {
+                *peak = (*peak).max(slots.iter().map(|t| t.packets.len()).sum());
+            }
         }
     }
 
@@ -476,25 +736,47 @@ impl Exchange {
         &self.peak_inbox
     }
 
-    /// Take node `n`'s inbox (undelivered packets), leaving it empty.
+    /// Take node `n`'s inbox (undelivered packets) for a consumer step;
+    /// [`Exchange::return_inbox`] brings it back.
+    ///
+    /// # Panics
+    /// Panics if the inbox is already taken.
     pub fn take_inbox(&mut self, n: usize) -> Inbox {
+        let tables = self.inboxes[n].take();
         Inbox {
             node: n,
-            packets: std::mem::take(&mut self.inboxes[n]),
+            tables: tables.unwrap_or_else(|| panic!("node {n}'s inbox is already taken")),
+            drained: false,
         }
     }
 
-    /// Put an inbox's remaining state back (after a consumer step asserts
-    /// it drained everything, this is a no-op but keeps ownership simple).
-    pub fn return_inbox(&mut self, inbox: Inbox) {
-        debug_assert!(self.inboxes[inbox.node].is_empty());
-        self.inboxes[inbox.node] = inbox.packets;
+    /// Put an inbox back after its consumer step: what was not drained
+    /// stays delivered, what was is emptied for the streams to fill again
+    /// (a [`Drained`] batch still alive keeps its tables; the slot starts
+    /// over with new ones).
+    ///
+    /// # Panics
+    /// Panics if the node's inbox is not out — the slot's packets would be
+    /// overwritten.
+    pub fn return_inbox(&mut self, mut inbox: Inbox) {
+        let slot = &mut self.inboxes[inbox.node];
+        assert!(slot.is_none(), "node {}'s inbox was not taken", inbox.node);
+        inbox.release();
+        if inbox.drained {
+            inbox.tables = empty_tables(self.outboxes.len());
+        }
+        *slot = Some(inbox.tables);
     }
 
     /// True when no pending bytes, sealed packets, or undelivered inbox
     /// packets remain anywhere — the phase-boundary invariant.
     pub fn is_drained(&self) -> bool {
-        self.outboxes.iter().all(|o| o.is_drained()) && self.inboxes.iter().all(|i| i.is_empty())
+        self.outboxes.iter().all(|o| o.is_drained())
+            && self
+                .inboxes
+                .iter()
+                .flatten()
+                .all(|tables| tables.iter().all(|t| t.packets.is_empty()))
     }
 }
 
@@ -778,5 +1060,230 @@ mod tests {
         inbox.drain(&mut u[1], &RingConfig::gamma_1989());
         ex.return_inbox(inbox);
         assert!(ex.is_drained());
+    }
+
+    #[test]
+    #[should_panic(expected = "query changed mid-packet")]
+    fn query_change_mid_packet_is_refused() {
+        let (mut ex, mut u) = exchange(2);
+        send_n(&mut ex, &mut u, 0, 1, 208, 1);
+        ex.set_query(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "inbox was not taken")]
+    fn returning_an_inbox_over_routed_packets_is_refused() {
+        // The slot a stray inbox would overwrite holds routed packets.
+        let (mut ex, mut u) = exchange(2);
+        let stray = exchange(2).0.take_inbox(1);
+        send_n(&mut ex, &mut u, 0, 1, 208, 1);
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        ex.route();
+        ex.return_inbox(stray);
+    }
+
+    #[test]
+    #[should_panic(expected = "while its inbox is taken")]
+    fn routing_to_a_taken_inbox_is_refused() {
+        let (mut ex, mut u) = exchange(2);
+        let _out = ex.take_inbox(1);
+        send_n(&mut ex, &mut u, 0, 1, 208, 1);
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        ex.route();
+    }
+
+    #[test]
+    fn drained_tables_go_back_to_their_streams() {
+        // After a warm-up round trip in each direction of the swap, the
+        // same stream sends the same messages into the same allocations.
+        let (mut ex, mut u) = exchange(2);
+        let image: Arc<[u8]> = (0..=255u8).collect();
+        let mut seen = Vec::new();
+        for round in 0..6 {
+            for i in 0..40usize {
+                ex.outboxes_mut()[0].send_shared(&mut u[0], 1, 1, &image, i..i + 100);
+                ex.outboxes_mut()[0].send(&mut u[0], 1, 2, &[round as u8; 300]);
+            }
+            ex.outboxes_mut()[0].seal(&mut u[0]);
+            ex.route();
+            let mut inbox = ex.take_inbox(1);
+            let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+            assert_eq!(drained.len(), 80);
+            let table = &drained.tables()[0];
+            assert_eq!(table.pages.len(), 1, "one handle per distinct page");
+            seen.push((
+                table.entries.blocks[0].as_ptr(),
+                table.arena.blocks[2].as_ptr(),
+            ));
+            drop(drained);
+            ex.return_inbox(inbox);
+            assert_eq!(
+                Arc::strong_count(&image),
+                1,
+                "handles dropped with the step"
+            );
+        }
+        assert_eq!(
+            seen[2..4],
+            seen[4..6],
+            "two tables alternate, nothing regrows"
+        );
+    }
+
+    /// What the owned model keeps of one message.
+    type Sent = (usize, u32, u32, Vec<u8>);
+
+    /// The batching rule, restated over owned messages: which of a stream's
+    /// messages are in sealed packets.
+    #[derive(Default)]
+    struct ModelStream {
+        pending: Vec<Sent>,
+        pending_bytes: u64,
+        sealed: Vec<Sent>,
+    }
+
+    impl ModelStream {
+        fn send(&mut self, m: Sent, packet: u64) {
+            let bytes = m.3.len() as u64;
+            if self.pending_bytes + bytes > packet && self.pending_bytes > 0 {
+                self.seal();
+            }
+            self.pending_bytes += bytes;
+            self.pending.push(m);
+            if self.pending_bytes >= packet {
+                self.seal();
+            }
+        }
+
+        fn seal(&mut self) {
+            self.pending_bytes = 0;
+            self.sealed.append(&mut self.pending);
+        }
+    }
+
+    /// Any interleaving of owned, split and by-reference sends — 1 B to
+    /// more than a packet, local and remote, under changing query stamps,
+    /// routed mid-packet and several times between drains, some inboxes
+    /// left undrained for rounds — delivers exactly what an owned model
+    /// says, charges every node exactly what the same stream costs when
+    /// every message is sent owned (the whole `Usage`, request logs
+    /// included), and totals what `Fabric` charges (every field but the
+    /// request logs: `Fabric` bills a receiver when the packet fills, the
+    /// exchange when it is drained, so issue offsets differ by design).
+    #[test]
+    fn mixed_sends_match_an_owned_model_and_fabric() {
+        use rand::{Rng, RngCore, SeedableRng, StdRng};
+        const N: usize = 3;
+        let cfg = RingConfig::gamma_1989();
+        let packet = cfg.packet_bytes;
+        let sizes = [1usize, 2, 16, 208, 416, 1000, 2047, 2048, 2049, 3000];
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let images: Vec<Arc<[u8]>> = (0..4)
+                .map(|_| {
+                    let mut page = vec![0u8; 8192];
+                    rng.fill_bytes(&mut page);
+                    Arc::from(page)
+                })
+                .collect();
+            let (mut ex, mut u) = exchange(N);
+            let (mut owned, mut ou) = exchange(N);
+            let mut fab = crate::Fabric::new(cfg.clone(), N);
+            let mut fu = vec![Usage::ZERO; N];
+            let mut model: Vec<ModelStream> = (0..N * N).map(|_| ModelStream::default()).collect();
+            // Routed, undrained messages per (dst, src); delivered per dst.
+            let mut routed: Vec<Vec<Sent>> = vec![Vec::new(); N * N];
+            let mut want: Vec<Vec<Sent>> = vec![Vec::new(); N];
+            let mut got: Vec<Vec<Sent>> = vec![Vec::new(); N];
+            let mut got_owned: Vec<Vec<Sent>> = vec![Vec::new(); N];
+
+            let rounds = rng.gen_range(1..6usize);
+            for round in 0..rounds {
+                let query = rng.gen_range(0..4u32);
+                ex.set_query(query);
+                owned.set_query(query);
+                for _ in 0..rng.gen_range(0..60usize) {
+                    let (src, dst) = (rng.gen_range(0..N), rng.gen_range(0..N));
+                    let tag = rng.next_u32();
+                    let len = sizes[rng.gen_range(0..sizes.len())];
+                    let image = &images[rng.gen_range(0..images.len())];
+                    let at = rng.gen_range(0..=image.len() - len);
+                    let payload = &image[at..at + len];
+                    let ob = &mut ex.outboxes_mut()[src];
+                    match rng.gen_range(0..3u32) {
+                        0 => ob.send(&mut u[src], dst, tag, payload),
+                        1 => {
+                            let cut = rng.gen_range(0..=len);
+                            let (a, b) = payload.split_at(cut);
+                            ob.send2(&mut u[src], dst, tag, a, b);
+                        }
+                        _ => ob.send_shared(&mut u[src], dst, tag, image, at..at + len),
+                    }
+                    owned.outboxes_mut()[src].send(&mut ou[src], dst, tag, payload);
+                    fab.send_tuple(&mut fu, src, dst, len as u64);
+                    model[src * N + dst].send((src, tag, query, payload.to_vec()), packet);
+                    if rng.gen_bool(0.05) {
+                        // Route mid-packet: only what is sealed travels.
+                        ex.route();
+                        owned.route();
+                        for (s, m) in model.iter_mut().enumerate() {
+                            routed[(s % N) * N + s / N].append(&mut m.sealed);
+                        }
+                    }
+                }
+                for n in 0..N {
+                    ex.outboxes_mut()[n].seal(&mut u[n]);
+                    owned.outboxes_mut()[n].seal(&mut ou[n]);
+                }
+                fab.flush(&mut fu);
+                ex.route();
+                owned.route();
+                for (s, m) in model.iter_mut().enumerate() {
+                    m.seal();
+                    routed[(s % N) * N + s / N].append(&mut m.sealed);
+                }
+                for dst in 0..N {
+                    // Leave some inboxes for a later round's route to add to.
+                    if round + 1 < rounds && rng.gen_bool(0.4) {
+                        continue;
+                    }
+                    for src in 0..N {
+                        want[dst].append(&mut routed[dst * N + src]);
+                    }
+                    for (ex, u, got) in [
+                        (&mut ex, &mut u, &mut got),
+                        (&mut owned, &mut ou, &mut got_owned),
+                    ] {
+                        let mut inbox = ex.take_inbox(dst);
+                        let drained = inbox.drain(&mut u[dst], &cfg);
+                        assert!(inbox.is_empty());
+                        let before = got[dst].len();
+                        got[dst].extend(
+                            drained
+                                .iter()
+                                .map(|m| (m.src, m.tag, m.query, m.payload.to_vec())),
+                        );
+                        assert_eq!(drained.len(), got[dst].len() - before, "seed {seed}");
+                        assert_eq!(drained.msgs().len(), drained.len());
+                        drop(drained);
+                        ex.return_inbox(inbox);
+                    }
+                }
+            }
+            assert!(ex.is_drained() && owned.is_drained(), "seed {seed}");
+            assert_eq!(got, want, "seed {seed}: delivered sequence");
+            assert_eq!(got_owned, want, "seed {seed}: owned-only sequence");
+            assert_eq!(u, ou, "seed {seed}: whole ledgers, mixed == owned-only");
+            assert_eq!(ex.peak_inbox_packets(), owned.peak_inbox_packets());
+            for n in 0..N {
+                let (x, f) = (&u[n], &fu[n]);
+                assert_eq!(
+                    (x.cpu, x.disk, x.net, x.ring_bytes, x.disk_wait, x.net_wait),
+                    (f.cpu, f.disk, f.net, f.ring_bytes, f.disk_wait, f.net_wait),
+                    "seed {seed} node {n}"
+                );
+                assert_eq!(x.counts, f.counts, "seed {seed} node {n} counts");
+            }
+        }
     }
 }

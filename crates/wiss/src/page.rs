@@ -202,6 +202,12 @@ impl Page {
         &self.buf
     }
 
+    /// The shared byte image behind [`Self::as_bytes`]: a clone of it keeps
+    /// these bytes readable, unchanged, for as long as the clone lives.
+    pub fn image(&self) -> &Arc<[u8]> {
+        &self.buf
+    }
+
     /// Rebuild a page from its on-disk image.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Page {

@@ -25,6 +25,15 @@
 #   * `arena: Vec<u8>` — the hash table's arena IS the batch backing
 #     store (one allocation per table, not per tuple).
 #
+# Scanned records leave a producer by reference (`StepCtx::send_rec` over
+# `TupleBatch::recs`): the exchange carries a handle to their page and
+# copies nothing, so the copying `ctx.send(` has no place in either
+# producer file. The exchange itself (`crates/net/src`) owns no
+# process-global buffer list — message tables belong to one machine's
+# `Exchange` — and `exchange.rs` no byte buffer per packet: a packet is a
+# `(bytes, count, query, local)` record, and the only byte vectors are the
+# blocks of a table's arena (`Blocks<u8>`).
+#
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
 # inside the recorder, so they must be allocation-free outright — callers
@@ -58,6 +67,37 @@ if ! grep -q 'push_page(' <<<"$body" ||
     fail=1
 fi
 
+# Producers send page-backed records by reference.
+for f in crates/core/src/algorithms/family.rs crates/core/src/algorithms/sort_merge.rs; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE 'ctx\.send\(' | grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f sends a record by copy; use ctx.send_rec over TupleBatch::recs():" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done
+
+# The exchange: no process-global buffer list, no byte buffer per packet.
+for f in crates/net/src/*.rs; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE '^\s*(pub(\([a-z]+\))? )?static |thread_local!' |
+        grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ] && grep -qE 'Mutex|RwLock|OnceLock|LazyLock|RefCell' "$f"; then
+        echo "error: $f keeps process-global mutable state (a buffer list?):" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done
+f=crates/net/src/exchange.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    grep -nE '\bstatic\b|Vec<u8>|buf:' | grep -vE '^[0-9]+:\s*//' || true)
+if [ -n "$hits" ]; then
+    echo "error: $f holds a static or a byte buffer outside a table's arena blocks:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -76,4 +116,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, page-backed scan loop, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, page-backed scan loop, producers send by reference, no global or per-packet buffer in net::exchange, no allocs in prof sampling"

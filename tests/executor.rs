@@ -132,6 +132,36 @@ fn pooled_matches_serial_when_probe_waves_fan_out() {
     }
 }
 
+/// The exchange's message tables live as long as the machine and pass
+/// from join to join (emptied, swapped between stream and inbox slot, a
+/// few blocks kept). Four different joins back to back on one machine —
+/// by-reference partitioning, hash-table evictions, bucket spools and
+/// composed results through the same streams — report exactly what each
+/// reports on a machine of its own, on either executor.
+#[test]
+fn warmed_exchange_tables_change_nothing() {
+    let w = Workload::scaled(3_000, 300);
+    let pool = Arc::new(WorkerPool::new(3));
+    for exec in [ExecConfig::serial(), ExecConfig::pooled(pool)] {
+        let (mut machine, a, bprime) =
+            w.machine(true, LoadStyle::HashedUnique1, "unique1", "unique1");
+        machine.exec = exec.clone();
+        let memory = machine.relation(bprime).data_bytes / 5;
+        for round in 0..2 {
+            for alg in ALGORITHMS {
+                let mut spec = join_abprime(alg, bprime, a, "unique1", "unique1", memory);
+                if alg != Algorithm::SortMerge {
+                    spec.site = JoinSite::Remote;
+                }
+                let fresh = run_cell(&w, alg, true, false, 5, exec.clone());
+                let warmed = run_join(&mut machine, &spec);
+                let what = format!("{} round {round} on a warmed machine", alg.name());
+                assert_reports_match(&fresh, &warmed, &what);
+            }
+        }
+    }
+}
+
 #[test]
 fn pooled_trace_export_is_byte_identical() {
     let w = Workload::scaled(2_000, 200);
