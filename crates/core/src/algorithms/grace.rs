@@ -35,7 +35,8 @@ fn tune_buckets(
 ) -> Vec<(usize, usize)> {
     // Pack to ~80% of the aggregate table capacity: hash-distribution
     // variance across sites must still fit each site's table.
-    let memory = rz.capacity_per_site * rz.join_nodes.len() as u64 * 80 / 100;
+    let aggregate = rz.capacity_per_site as u128 * rz.join_nodes.len() as u128;
+    let memory = u64::try_from(aggregate * 80 / 100).unwrap_or(u64::MAX);
     // Measured R bytes per bucket across all fragments.
     let size_of = |b: usize| -> u64 {
         (0..machine.cfg.disk_nodes)

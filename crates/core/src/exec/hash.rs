@@ -37,7 +37,7 @@ use crate::algorithms::common::Resolved;
 use crate::bitfilter::BitFilter;
 use crate::exec::{self, pool, run_step, StepCtx};
 use crate::hash::{hash_u32, overflow_seed};
-use crate::hash_table::{JoinHashTable, MatchSet, Offer};
+use crate::hash_table::{JoinHashTable, Offer};
 use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
 use crate::tuple::Attr;
 
@@ -103,21 +103,26 @@ struct SiteCore {
 }
 
 /// The pure outcome of probing one outer tuple against a frozen site
-/// table: the chain-compare count and the matching arena ranges. The
-/// composed `R ‖ S` result is copied straight into the outbox at replay
-/// time ([`StepCtx::send2`]) — it is never materialized on the heap.
+/// table, as plain data: the chain-compare count and where the matches
+/// lie on the chain ([`Matches::key`](crate::hash_table::Matches)),
+/// resolved against the same frozen table at replay. The composed `R ‖ S`
+/// result is copied straight into the outbox there ([`StepCtx::send2`]) —
+/// neither it nor the match list is ever materialized on the heap.
+#[derive(Clone, Copy)]
 struct ProbeOut {
     compares: u64,
-    matches: MatchSet,
+    matches: (u32, u32, u32),
 }
 
 impl SiteCore {
     /// Probe one outer tuple against this site without touching any
     /// mutable state — safe to run on any worker, in any order.
     fn probe_pure(&self, tuple: &[u8]) -> ProbeOut {
-        let val = self.s_attr.get(tuple);
-        let (matches, compares) = self.table.probe_ranges(val);
-        ProbeOut { compares, matches }
+        let (matches, compares) = self.table.probe_ranges(self.s_attr.get(tuple));
+        ProbeOut {
+            compares,
+            matches: matches.key(),
+        }
     }
 }
 
@@ -270,6 +275,7 @@ impl JoinNode {
         let site = self.site.as_ref().expect("probe tuple at a join site");
         debug_assert_eq!(site.index, i, "probe tuple routed to the wrong site");
         let ProbeOut { compares, matches } = pre.unwrap_or_else(|| site.probe_pure(tuple));
+        let matches = site.table.matches_at(matches);
         ctx.ledger.counts.tuples_in += 1;
         ctx.ledger.counts.hash_probes += 1;
         ctx.charge(ctx.cost.probe_us + ctx.cost.chain_compare_us * compares);

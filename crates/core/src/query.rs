@@ -413,8 +413,13 @@ fn run_join_inner(
     // space per disk node for sort-merge. The operators allocate headroom
     // above the optimizer's estimate (hash-distribution variance and
     // per-entry overhead), so integral-ratio runs never overflow (§4).
+    // Widened and saturated: `memory_bytes` may be "unbounded" (`u64::MAX`),
+    // and a wrapped product would be a table of a few bytes.
     let headroom = 100 + machine.cfg.cost.table_headroom_pct;
-    let capacity_per_site = (spec.memory_bytes * headroom / 100 / join_nodes.len() as u64).max(1);
+    let with_headroom = spec.memory_bytes as u128 * headroom as u128 / 100;
+    let capacity_per_site = u64::try_from(with_headroom / join_nodes.len() as u128)
+        .unwrap_or(u64::MAX)
+        .max(1);
     let filter_bits = spec
         .bit_filter
         .then(|| machine.cfg.cost.filter_bits_per_site(join_nodes.len()));

@@ -25,6 +25,13 @@
 #   * `arena: Vec<u8>` — the hash table's arena IS the batch backing
 #     store (one allocation per table, not per tuple).
 #
+# The join hash table (`hash_table.rs`) threads its chains through one
+# entry vector and hands a probe's matches out as a walk over them, so it
+# has no vector per chain bucket and no collected match list to spill:
+# `Vec<Vec<` or a `spill:` field in its non-test body is that layout back
+# again (the `#[cfg(test)]` reference model keeps one vector per chain on
+# purpose), and the collected-match type `MatchSet` is gone from the crate.
+#
 # Scanned records leave a producer by reference (`StepCtx::send_rec` over
 # `TupleBatch::recs`): the exchange carries a handle to their page and
 # copies nothing, so the copying `ctx.send(` has no place in either
@@ -64,6 +71,22 @@ if ! grep -q 'push_page(' <<<"$body" ||
     grep -qE '\.push\(|push_concat\(|next_ref\(' <<<"$body"; then
     echo "error: $f: read_file_batch must push page handles, not copy records:" >&2
     grep -nE '\.push\(|push_concat\(|next_ref\(' <<<"$body" | sed "s|^|  |" >&2 || true
+    fail=1
+fi
+
+# The join hash table: no vector per chain, no collected match list.
+f=crates/core/src/hash_table.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    grep -nE 'Vec<Vec<|\bspill:' | grep -vE '^[0-9]+:\s*//' || true)
+if [ -n "$hits" ]; then
+    echo "error: $f allocates per chain or per probe again:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+hits=$(grep -rn 'MatchSet' crates/core/src || true)
+if [ -n "$hits" ]; then
+    echo "error: MatchSet is back; a probe's matches are a Matches<'_> walk:" >&2
+    echo "$hits" | sed "s|^|  |" >&2
     fail=1
 fi
 
@@ -116,4 +139,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, page-backed scan loop, producers send by reference, no global or per-packet buffer in net::exchange, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, no global or per-packet buffer in net::exchange, no allocs in prof sampling"

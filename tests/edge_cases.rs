@@ -203,6 +203,45 @@ fn one_byte_of_join_memory() {
     }
 }
 
+/// "Unbounded" join memory is a legal grant: `u64::MAX`, and the smallest
+/// value whose product with the 135 % table headroom used to wrap `u64` (to
+/// 29 — a one-byte table per site and a block-nested-loops fallback). Every
+/// hash join, Grace with bucket tuning too, joins in memory and equals the
+/// oracle; the tables reserve by their bucket arrays, not by the grant.
+#[test]
+fn unbounded_join_memory() {
+    use gamma_wisconsin::{load_hashed, oracle_join, WisconsinGen};
+
+    let gen = WisconsinGen::new(1989);
+    let a_rows = gen.relation(2_000, 0);
+    let b_rows = gen.relation(400, 7);
+    let expect = oracle_join(&b_rows, &a_rows, "unique1", "unique1", None, None);
+    let attr = WisconsinGen::schema().int_attr("unique1");
+    let wraps = 136_642_548_694_144_827u64;
+    assert_eq!(wraps.wrapping_mul(135), 29);
+    for alg in [
+        Algorithm::SimpleHash,
+        Algorithm::GraceHash,
+        Algorithm::HybridHash,
+    ] {
+        for memory in [u64::MAX, wraps] {
+            for tuning in [false, alg == Algorithm::GraceHash] {
+                let mut m = Machine::new(MachineConfig::local_8());
+                let a = load_hashed(&mut m, "A", &a_rows, "unique1");
+                let b = load_hashed(&mut m, "B", &b_rows, "unique1");
+                let mut spec = JoinSpec::new(alg, b, a, attr, attr, memory);
+                spec.bucket_tuning = tuning;
+                let report = run_join(&mut m, &spec);
+                let what = format!("{} at {memory} B, tuning {tuning}", alg.name());
+                assert_eq!(report.result_tuples, expect.tuples, "{what}");
+                assert_eq!(report.result_checksum, expect.checksum, "{what}");
+                assert_eq!(report.overflow_passes, 0, "{what}");
+                assert!(!report.bnl_fallback, "{what}");
+            }
+        }
+    }
+}
+
 /// Remote sort-merge is rejected loudly (paper §3.1: the implementation
 /// cannot utilize diskless processors).
 #[test]

@@ -132,6 +132,45 @@ fn pooled_matches_serial_when_probe_waves_fan_out() {
     }
 }
 
+/// A pooled probe's outcome crosses from worker to replay as plain data —
+/// where its matches lie on the chain — and is resolved against the frozen
+/// table there. A many-to-many join (both sides on the duplicate-heavy
+/// `normal` attribute) makes those outcomes carry more than two matches
+/// each on average, in probe waves wide enough to fan out.
+#[test]
+fn pooled_matches_serial_on_many_to_many_probes() {
+    let w = Workload::scaled(10_000, 1_000);
+    let pool = Arc::new(WorkerPool::new(2));
+    for alg in [Algorithm::SimpleHash, Algorithm::HybridHash] {
+        for remote in [false, true] {
+            let run = |exec: ExecConfig| {
+                let (mut machine, a, bprime) =
+                    w.machine(remote, LoadStyle::HashedUnique1, "normal", "normal");
+                machine.exec = exec;
+                let memory = machine.relation(bprime).data_bytes * 4;
+                let mut spec = join_abprime(alg, bprime, a, "normal", "normal", memory);
+                if remote {
+                    spec.site = JoinSite::Remote;
+                }
+                run_join(&mut machine, &spec)
+            };
+            let what = format!("{} remote={remote} many-to-many", alg.name());
+            let serial = run(ExecConfig::serial());
+            let pooled = run(ExecConfig::pooled(Arc::clone(&pool)));
+            let counts = &serial.total.counts;
+            assert_eq!(serial.overflow_passes, 0, "{what}: one probe wave");
+            assert!(counts.hash_probes / 8 > 2 * 512, "{what}: waves fan out");
+            assert!(
+                serial.result_tuples > 2 * counts.hash_probes,
+                "{what}: {} results from {} probes",
+                serial.result_tuples,
+                counts.hash_probes
+            );
+            assert_reports_match(&serial, &pooled, &what);
+        }
+    }
+}
+
 /// The exchange's message tables live as long as the machine and pass
 /// from join to join (emptied, swapped between stream and inbox slot, a
 /// few blocks kept). Four different joins back to back on one machine —
