@@ -46,7 +46,7 @@ use crate::hash_table::{hprime_cell_of, JoinHashTable};
 use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink};
 use crate::report::{DriverOutput, PhaseRecord};
 use crate::split::{PartitioningSplitTable, RefineCfg, Route};
-use crate::tuple::{compose_into, Attr};
+use crate::tuple::Attr;
 
 use super::common::{RangePred, Resolved};
 
@@ -580,23 +580,22 @@ fn block_nested_loops(
     let disk = machine.cfg.disk_nodes;
     let block_bytes = rz.capacity_per_site.max(rz.r_tuple_bytes);
     let block_tuples = (block_bytes / rz.r_tuple_bytes.max(1)).max(1) as usize;
-    let mut out = Vec::new();
     for p in pairs {
         let node = p.home;
         let mut route = ResultRoute::new(node, disk);
         let r_recs = exec::read_batch(machine, ledgers, node, p.r);
         for block in r_recs.ranges().chunks(block_tuples) {
             let s_recs = exec::read_batch(machine, ledgers, node, p.s);
-            for s_rec in s_recs.iter() {
+            for s_rec in s_recs.recs() {
                 cost.charge(&mut ledgers[node], cost.scan_tuple_us);
-                let sv = rz.s_attr.get(s_rec);
+                let sv = rz.s_attr.get(&s_rec);
                 for &rr in block {
-                    let r_rec = r_recs.slice(rr);
+                    let r_rec = r_recs.rec(rr);
                     cost.charge(&mut ledgers[node], cost.chain_compare_us);
-                    if rz.r_attr.get(r_rec) == sv {
+                    if rz.r_attr.get(&r_rec) == sv {
+                        // Both halves by reference to their pages.
                         cost.charge(&mut ledgers[node], cost.compose_us);
-                        compose_into(r_rec, s_rec, &mut out);
-                        sink.push(machine, ledgers, &mut route, node, &out);
+                        sink.push(machine, ledgers, &mut route, node, r_rec, s_rec);
                     }
                 }
             }

@@ -24,9 +24,6 @@
 //! logical tuple, per page read and per payload byte, and all three are
 //! unchanged by where the host keeps the bytes in between.
 
-use std::ops::Deref;
-use std::sync::Arc;
-
 use gamma_wiss::Page;
 
 /// Set in a range's `start` when the record lies on a page: the remaining
@@ -37,22 +34,9 @@ const PAGE_SHIFT: u32 = 16;
 
 /// One record of a batch with its home: the bytes (it derefs to them) and,
 /// when they lie on a scanned page, that page's shared image — what lets
-/// the exchange carry the record without copying it.
-#[derive(Debug, Clone, Copy)]
-pub struct Rec<'a> {
-    bytes: &'a [u8],
-    /// The image the record lies on and its offset there; `None` for a
-    /// record of the batch's own arena.
-    pub(crate) home: Option<(&'a Arc<[u8]>, usize)>,
-}
-
-impl Deref for Rec<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        self.bytes
-    }
-}
+/// the exchange carry the record without copying it. It is the exchange's
+/// message [`Part`](gamma_net::Part).
+pub use gamma_net::Part as Rec;
 
 /// An ordered batch of variable-length records, page-backed or owned.
 #[derive(Debug, Clone, Default)]
@@ -143,25 +127,19 @@ impl TupleBatch {
     /// Resolve a range from [`Self::ranges`] back to its record bytes.
     #[inline]
     pub fn slice(&self, range: (u32, u32)) -> &[u8] {
-        self.rec(range).bytes
+        self.rec(range).bytes()
     }
 
     /// Resolve a range from [`Self::ranges`] to its record and home.
     #[inline]
-    fn rec(&self, (start, len): (u32, u32)) -> Rec<'_> {
+    pub fn rec(&self, (start, len): (u32, u32)) -> Rec<'_> {
         let len = len as usize;
         if start & ON_PAGE == 0 {
-            Rec {
-                bytes: &self.data[start as usize..start as usize + len],
-                home: None,
-            }
+            Rec::from(&self.data[start as usize..start as usize + len])
         } else {
             let image = self.pages[((start & !ON_PAGE) >> PAGE_SHIFT) as usize].image();
             let off = (start & ((1 << PAGE_SHIFT) - 1)) as usize;
-            Rec {
-                bytes: &image[off..off + len],
-                home: Some((image, off)),
-            }
+            Rec::shared(image, off..off + len)
         }
     }
 
@@ -293,8 +271,8 @@ mod tests {
             }
             for (rec, want) in batch.recs().zip(&model) {
                 assert_eq!(&*rec, want.as_slice(), "seed {seed} recs()");
-                if let Some((image, off)) = rec.home {
-                    assert_eq!(&image[off..off + rec.len()], want.as_slice());
+                if let Some((image, off)) = rec.home() {
+                    assert_eq!(&image.bytes()[off..][..rec.len()], want.as_slice());
                 }
             }
         }

@@ -34,6 +34,7 @@ use gamma_net::{Drained, Msg};
 use gamma_wiss::{FileId, HeapWriter};
 
 use crate::algorithms::common::Resolved;
+use crate::batch::Rec;
 use crate::bitfilter::BitFilter;
 use crate::exec::{self, pool, run_step, StepCtx};
 use crate::hash::{hash_u32, overflow_seed};
@@ -105,9 +106,9 @@ struct SiteCore {
 /// The pure outcome of probing one outer tuple against a frozen site
 /// table, as plain data: the chain-compare count and where the matches
 /// lie on the chain ([`Matches::key`](crate::hash_table::Matches)),
-/// resolved against the same frozen table at replay. The composed `R ‖ S`
-/// result is copied straight into the outbox there ([`StepCtx::send2`]) —
-/// neither it nor the match list is ever materialized on the heap.
+/// resolved against the same frozen table at replay. Each `R ‖ S` result
+/// leaves there as two references ([`StepCtx::send_parts`]) — neither it
+/// nor the match list is ever materialized on the heap.
 #[derive(Clone, Copy)]
 struct ProbeOut {
     compares: u64,
@@ -172,13 +173,17 @@ impl JoinNode {
     }
 
     fn apply(&mut self, ctx: &mut StepCtx<'_>, m: Msg<'_>, pre: Option<ProbeOut>) {
+        debug_assert!(
+            m.tail.is_empty() || m.tag == RESULT_TAG,
+            "only result tuples travel in two parts"
+        );
         match m.tag & TAG_KIND {
             TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.payload),
-            TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.payload, pre),
+            TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.part(), pre),
             TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
             TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
             TAG_PART => self.on_part(ctx, m.payload),
-            RESULT_TAG => self.on_result(ctx, m.payload),
+            RESULT_TAG => self.on_result(ctx, m.payload, m.tail),
             other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
         }
     }
@@ -265,16 +270,17 @@ impl JoinNode {
         }
     }
 
-    /// Probe stage: matches are composed `R ‖ S` and dealt to the store
-    /// operators as result messages — copied straight into the outgoing
-    /// stream ([`StepCtx::send2`]), never materialized. `pre` carries the
+    /// Probe stage: each match is dealt to a store operator as the result
+    /// `R ‖ S` in two parts — `R` on the site's frozen table, `S` on the
+    /// page the probing tuple was scanned from — composed only when the
+    /// store writes it ([`StepCtx::send_parts`]). `pre` carries the
     /// chunk-precomputed pure outcome when [`Self::precomputed_probes`]
     /// ran; the outcome is identical either way, the charges and sends
     /// happen here in arrival order regardless.
-    fn on_probe(&mut self, ctx: &mut StepCtx<'_>, i: usize, tuple: &[u8], pre: Option<ProbeOut>) {
+    fn on_probe(&mut self, ctx: &mut StepCtx<'_>, i: usize, tuple: Rec<'_>, pre: Option<ProbeOut>) {
         let site = self.site.as_ref().expect("probe tuple at a join site");
         debug_assert_eq!(site.index, i, "probe tuple routed to the wrong site");
-        let ProbeOut { compares, matches } = pre.unwrap_or_else(|| site.probe_pure(tuple));
+        let ProbeOut { compares, matches } = pre.unwrap_or_else(|| site.probe_pure(&tuple));
         let matches = site.table.matches_at(matches);
         ctx.ledger.counts.tuples_in += 1;
         ctx.ledger.counts.hash_probes += 1;
@@ -296,7 +302,7 @@ impl JoinNode {
             ctx.ledger.counts.tuples_out += 1;
             gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "probe", 1);
             let dst = self.route.advance();
-            ctx.send2(dst, RESULT_TAG, site.table.slice(range), tuple);
+            ctx.send_parts(dst, RESULT_TAG, site.table.shared(range), tuple);
         }
     }
 
@@ -339,10 +345,10 @@ impl JoinNode {
         p.writer.push(vol, pool, ctx.ledger, rec);
     }
 
-    /// Result store operator: append one delivered result tuple.
-    fn on_result(&mut self, ctx: &mut StepCtx<'_>, rec: &[u8]) {
+    /// Result store operator: append one delivered result tuple `r ‖ s`.
+    fn on_result(&mut self, ctx: &mut StepCtx<'_>, r: &[u8], s: &[u8]) {
         let w = self.store.as_mut().expect("store operator open");
-        let sum = ResultSink::store_at(ctx.cost, ctx.state, ctx.ledger, w, rec);
+        let sum = ResultSink::store_at(ctx.cost, ctx.state, ctx.ledger, w, r, s);
         self.check = self.check.wrapping_add(sum);
         self.stored += 1;
     }
@@ -491,13 +497,15 @@ impl Consumers {
     }
 
     /// Snapshot the sites' overflow cutoffs and filters for the probing
-    /// producers.
-    pub fn probe_snapshot(&self, sites: &JoinSites) -> ProbeSnapshot {
+    /// producers, and freeze the sites' tables: the build is over, and
+    /// probe results reference the tables' stored bytes from here on.
+    pub fn probe_snapshot(&mut self, sites: &JoinSites) -> ProbeSnapshot {
         let mut cutoffs = Vec::with_capacity(sites.len());
         let mut seeds = Vec::with_capacity(sites.len());
         let mut filters = Vec::with_capacity(sites.len());
         for &node in &sites.nodes {
-            let site = self.nodes[node].site.as_ref().expect("site installed");
+            let site = self.nodes[node].site.as_mut().expect("site installed");
+            site.table.freeze();
             cutoffs.push(site.table.cutoff());
             seeds.push(site.table.hprime_seed());
             // Filter saturation in parts-per-thousand: the build side is

@@ -119,26 +119,21 @@ impl StepCtx<'_> {
         self.outbox.send(self.ledger, dst, tag, payload);
     }
 
-    /// Send one tuple whose payload is the concatenation `a ++ b`
-    /// (composed result tuples), copied without materializing the join.
-    #[inline]
-    pub fn send2(&mut self, dst: NodeId, tag: u32, a: &[u8], b: &[u8]) {
-        self.outbox.send2(self.ledger, dst, tag, a, b);
-    }
-
     /// Send one record of a [`TupleBatch`] by reference: charged exactly
     /// as [`StepCtx::send`] of its bytes, to a local or a ring destination
     /// alike, but a page-backed record travels as a handle to its page and
     /// is not copied. The call for every scanned record.
     #[inline]
     pub fn send_rec(&mut self, dst: NodeId, tag: u32, rec: Rec<'_>) {
-        match rec.home {
-            Some((image, at)) => {
-                let at = at..at + rec.len();
-                self.outbox.send_shared(self.ledger, dst, tag, image, at);
-            }
-            None => self.outbox.send(self.ledger, dst, tag, &rec),
-        }
+        self.send_parts(dst, tag, rec, Rec::default());
+    }
+
+    /// Send the tuple `a ‖ b` as two parts, each by reference when it lies
+    /// on a shared image ([`gamma_net::Outbox::send_parts`]): a composed
+    /// join result, never assembled before the store writes it.
+    #[inline]
+    pub fn send_parts(&mut self, dst: NodeId, tag: u32, a: Rec<'_>, b: Rec<'_>) {
+        self.outbox.send_parts(self.ledger, dst, tag, a, b);
     }
 
     /// Drain every message delivered to this node before the step started,

@@ -16,7 +16,8 @@
 //!
 //! # Host representation
 //!
-//! Three allocations per table, none per chain, per tuple or per probe:
+//! Three allocations per table while it builds and one when it is frozen,
+//! none per chain, per tuple or per probe:
 //!
 //! * the **chain array** — a `(head, tail)` pair of entry indices per
 //!   chain bucket (8 bytes), made with the table;
@@ -41,6 +42,14 @@
 //! tuple reserves nothing at all. Only eviction garbage, or tuples much
 //! smaller than the first, grow either past that reservation.
 //!
+//! Once the build has settled the table is **frozen**
+//! ([`JoinHashTable::freeze`]): the arena becomes a shared image as it
+//! stands — moved behind a reference count, not copied; one small
+//! allocation. A probe's result then travels to the store as a reference
+//! to that image ([`JoinHashTable::shared`]) plus one to the probing
+//! tuple's page, and is composed only where it is stored. Building into a
+//! frozen table panics.
+//!
 //! A probe is a walk, not a collection: [`JoinHashTable::probe_ranges`]
 //! walks the chain once for the first match, the match count and the
 //! chain length, and returns a borrowed [`Matches`] view that re-walks
@@ -55,6 +64,9 @@
 //! charge after it. The memory *model* (`used_bytes` vs `capacity_bytes`)
 //! counts live tuples only.
 
+use std::sync::Arc;
+
+use crate::batch::Rec;
 use crate::hash::hash_u32;
 
 /// Number of histogram cells over the `h'` range (top 8 bits of the hash).
@@ -198,12 +210,15 @@ pub struct JoinHashTable {
     sweep: Vec<u32>,
     mask: u64,
     arena: Vec<u8>,
+    /// The arena, once the table is frozen for probing.
+    frozen: Option<Arc<Vec<u8>>>,
     capacity_bytes: u64,
     used_bytes: u64,
     entry_overhead: u64,
     hprime_seed: u64,
-    /// Bytes resident per `h'` histogram cell.
-    histogram: Vec<u64>,
+    /// Bytes resident per `h'` histogram cell (held inline: 2 KB, no
+    /// allocation of its own).
+    histogram: [u64; HIST_CELLS],
     cutoff: Option<u64>,
     len: u64,
 }
@@ -222,11 +237,12 @@ impl JoinHashTable {
             sweep: Vec::new(),
             mask: nbuckets as u64 - 1,
             arena: Vec::new(),
+            frozen: None,
             capacity_bytes,
             used_bytes: 0,
             entry_overhead: 8,
             hprime_seed,
-            histogram: vec![0; HIST_CELLS],
+            histogram: [0; HIST_CELLS],
             cutoff: None,
             len: 0,
         }
@@ -269,7 +285,31 @@ impl JoinHashTable {
     /// Resolve an arena range (from an eviction or probe) to tuple bytes.
     #[inline]
     pub fn slice(&self, (start, len): TupleRange) -> &[u8] {
-        &self.arena[start as usize..start as usize + len as usize]
+        let arena = self.frozen.as_deref().unwrap_or(&self.arena);
+        &arena[start as usize..start as usize + len as usize]
+    }
+
+    /// End the build: share the arena as it stands, so that probe results
+    /// can reference the stored bytes ([`Self::shared`]) rather than copy
+    /// them. Every range stays valid; a later offer panics. Idempotent.
+    pub fn freeze(&mut self) {
+        if self.frozen.is_none() {
+            self.frozen = Some(Arc::new(std::mem::take(&mut self.arena)));
+        }
+    }
+
+    /// A stored tuple as a message part on the frozen image, sent by
+    /// reference.
+    ///
+    /// # Panics
+    /// Panics unless the table is frozen.
+    #[inline]
+    pub fn shared(&self, (start, len): TupleRange) -> Rec<'_> {
+        let image = self
+            .frozen
+            .as_ref()
+            .expect("probe results need a frozen table");
+        Rec::shared(image, start as usize..start as usize + len as usize)
     }
 
     fn entry_bytes(&self, tuple_len: usize) -> u64 {
@@ -317,7 +357,11 @@ impl JoinHashTable {
 
     /// Offer a tuple for staging. `clear_pct` is the percentage of capacity
     /// the heuristic tries to free on overflow (the paper's 10).
+    ///
+    /// # Panics
+    /// Panics once the table is frozen ([`Self::freeze`]).
     pub fn offer(&mut self, val: u32, tuple: &[u8], clear_pct: u64) -> Offer {
+        assert!(self.frozen.is_none(), "build into a frozen join hash table");
         let hprime = self.hprime(val);
         if let Some(c) = self.cutoff {
             if hprime >= c {
@@ -534,6 +578,7 @@ impl JoinHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gamma_net::Image;
     use rand::{Rng, SeedableRng, StdRng};
 
     fn tuple(val: u32, len: usize) -> Vec<u8> {
@@ -1005,6 +1050,53 @@ mod tests {
                 _ => v += 1,
             }
         }
+    }
+
+    #[test]
+    fn frozen_tables_share_what_they_stored() {
+        let mut t = JoinHashTable::new(1 << 20, 40, 3);
+        for v in 0..200u32 {
+            assert_eq!(t.offer(v % 50, &tuple(v, 40), 10), Offer::Stored);
+        }
+        let before: Vec<(u32, Vec<u8>)> = t.resident().map(|(v, b)| (v, b.to_vec())).collect();
+        let reserved = t.arena.capacity();
+        t.freeze();
+        t.freeze();
+        let after: Vec<(u32, Vec<u8>)> = t.resident().map(|(v, b)| (v, b.to_vec())).collect();
+        assert_eq!(after, before, "every range resolves as it did");
+        let frozen = t.frozen.as_ref().expect("frozen");
+        assert_eq!(
+            frozen.capacity(),
+            reserved,
+            "shared as it stood, not copied"
+        );
+        let (matches, _) = t.probe_ranges(7);
+        assert_eq!(matches.len(), 4);
+        for range in matches.iter() {
+            let part = t.shared(range);
+            let (image, at) = part.home().expect("by reference");
+            assert!(matches!(image, Image::Buffer(b) if Arc::ptr_eq(b, frozen)));
+            assert_eq!(&*part, t.slice(range));
+            assert_eq!(&image.bytes()[at..][..part.len()], t.slice(range));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "build into a frozen join hash table")]
+    fn building_after_the_freeze_panics() {
+        let mut t = JoinHashTable::new(1 << 20, 40, 3);
+        t.offer(1, &tuple(1, 40), 10);
+        t.freeze();
+        t.offer(2, &tuple(2, 40), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen table")]
+    fn probe_results_need_a_frozen_table() {
+        let mut t = JoinHashTable::new(1 << 20, 40, 3);
+        t.offer(1, &tuple(1, 40), 10);
+        let range = t.probe_ranges(1).0.iter().next().unwrap();
+        t.shared(range);
     }
 
     #[test]

@@ -16,6 +16,8 @@ use gamma_des::Usage;
 use gamma_net::{Exchange, Fabric};
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
+use crate::batch::Rec;
+use crate::checksum::checksum_concat;
 pub use crate::checksum::multiset_checksum;
 use crate::cost::CostModel;
 use crate::exec::ExecConfig;
@@ -452,8 +454,9 @@ impl ResultSink {
         self.writers[n] = Some(w);
     }
 
-    /// Store one delivered result tuple at its destination disk node:
-    /// the store operator's CPU plus the heap append. Returns the record's
+    /// Store one delivered result tuple `r ‖ s` at its destination disk
+    /// node: the store operator's CPU plus the heap append, both halves
+    /// written straight into the page being filled. Returns the record's
     /// checksum contribution; callers fold the per-step tallies back with
     /// [`ResultSink::absorb`].
     pub fn store_at(
@@ -461,12 +464,13 @@ impl ResultSink {
         node: &mut NodeState,
         usage: &mut Usage,
         w: &mut HeapWriter,
-        rec: &[u8],
+        r: &[u8],
+        s: &[u8],
     ) -> u64 {
         usage.cpu(cost.t(cost.store_tuple_us));
         let (vol, pool) = node.vp();
-        w.push(vol, pool, usage, rec);
-        multiset_checksum(0, rec)
+        w.push_concat(vol, pool, usage, r, s);
+        checksum_concat(0, r, s)
     }
 
     /// Fold one step's stored-tuple count and checksum sum into the sink.
@@ -476,20 +480,23 @@ impl ResultSink {
     }
 
     /// Main-thread producer path for simple operators: send one composed
-    /// result tuple from the operator on `src` into the exchange. The
-    /// tuple is stored when [`ResultSink::flush`] drains the store nodes.
+    /// result tuple `r ‖ s` from the operator on `src` into the exchange,
+    /// each part by reference when it lies on a shared image (a single
+    /// tuple is `r` with `s` empty). The tuple is stored when
+    /// [`ResultSink::flush`] drains the store nodes.
     pub fn push(
         &mut self,
         machine: &mut Machine,
         usage: &mut Ledgers,
         route: &mut ResultRoute,
         src: NodeId,
-        rec: &[u8],
+        r: Rec<'_>,
+        s: Rec<'_>,
     ) {
         let dst = route.advance();
         usage[src].counts.tuples_out += 1;
         gamma_metrics::counter_add("op_tuples_out", src as u16, "result", 1);
-        machine.exchange.outboxes_mut()[src].send(&mut usage[src], dst, RESULT_TAG, rec);
+        machine.exchange.outboxes_mut()[src].send_parts(&mut usage[src], dst, RESULT_TAG, r, s);
     }
 
     /// Main-thread store path: seal every outbox, route, and run the store
@@ -516,6 +523,7 @@ impl ResultSink {
                     ledger,
                     &mut w,
                     m.payload,
+                    m.tail,
                 ));
                 tuples += 1;
             }
@@ -650,14 +658,22 @@ mod tests {
         let mut sink = ResultSink::new(&mut m);
         let mut route = ResultRoute::new(0, 8);
         for i in 0..16u32 {
-            sink.push(&mut m, &mut ledgers, &mut route, 0, &i.to_le_bytes());
+            // Sent in two parts, stored and checksummed as one record.
+            let bytes = i.to_le_bytes();
+            let (r, s) = bytes.split_at(1);
+            sink.push(&mut m, &mut ledgers, &mut route, 0, r.into(), s.into());
         }
         sink.flush(&mut m, &mut ledgers);
         assert!(m.exchange.is_drained());
         let info = sink.finish(&mut m, &mut ledgers);
         assert_eq!(info.tuples, 16);
+        let whole = (0..16u32).fold(0, |acc, i| multiset_checksum(acc, &i.to_le_bytes()));
+        assert_eq!(info.checksum, whole);
         for (n, f) in info.files.iter().enumerate() {
-            assert_eq!(m.nodes[n].vol().file_records(*f), 2);
+            let vol = m.nodes[n].vol();
+            let stored: Vec<&[u8]> = vol.page(*f, 0).records().collect();
+            let want: Vec<[u8; 4]> = [n as u32, n as u32 + 8].map(u32::to_le_bytes).to_vec();
+            assert_eq!(stored, want.iter().map(|w| &w[..]).collect::<Vec<_>>());
         }
         assert_eq!(ledgers[0].counts.tuples_out, 16);
         // Checksum is order independent.

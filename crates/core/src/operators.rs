@@ -14,6 +14,7 @@ use gamma_des::{SimTime, Usage};
 use gamma_wiss::btree::BPlusTree;
 
 use crate::algorithms::common::RangePred;
+use crate::batch::Rec;
 use crate::exec::control::dispatch_overhead;
 use crate::exec::scan::scan_fragment_at;
 use crate::exec::{self};
@@ -68,8 +69,8 @@ pub fn select(
     let mut ledgers = machine.ledgers();
     for &node in &disk_nodes {
         let recs = scan_fragment_at(machine, &mut ledgers, node, fragments[node], Some(pred));
-        for rec in recs.iter() {
-            sink.push(machine, &mut ledgers, &mut route, node, rec);
+        for rec in recs.recs() {
+            sink.push(machine, &mut ledgers, &mut route, node, rec, Rec::default());
         }
     }
     sink.flush(machine, &mut ledgers);
@@ -104,7 +105,8 @@ pub fn project(
         for rec in recs.iter() {
             cost.charge(&mut ledgers[node], cost.compose_us);
             project_ranges_into(&ranges, rec, &mut out);
-            sink.push(machine, &mut ledgers, &mut route, node, &out);
+            let rec = Rec::from(&out[..]);
+            sink.push(machine, &mut ledgers, &mut route, node, rec, Rec::default());
         }
     }
     sink.flush(machine, &mut ledgers);
@@ -267,10 +269,11 @@ pub fn aggregate_group(
         for (g, v) in rows {
             groups += 1;
             cost.charge(&mut ledgers[node], cost.compose_us);
-            let mut rec = vec![0u8; 8];
+            let mut rec = [0u8; 8];
             rec[0..4].copy_from_slice(&g.to_le_bytes());
             rec[4..8].copy_from_slice(&(v as u32).to_le_bytes());
-            sink.push(machine, &mut ledgers, &mut route, node, &rec);
+            let rec = Rec::from(&rec[..]);
+            sink.push(machine, &mut ledgers, &mut route, node, rec, Rec::default());
         }
     }
     sink.flush(machine, &mut ledgers);
@@ -503,8 +506,9 @@ pub fn select_indexed(
             }
             out
         };
-        for rec in matches {
-            sink.push(machine, &mut ledgers, &mut route, node, &rec);
+        for rec in &matches {
+            let rec = Rec::from(&rec[..]);
+            sink.push(machine, &mut ledgers, &mut route, node, rec, Rec::default());
         }
     }
     sink.flush(machine, &mut ledgers);

@@ -177,18 +177,6 @@ pub fn project_ranges_into(ranges: &[(usize, usize)], tuple: &[u8], out: &mut Ve
     }
 }
 
-/// Compose a result tuple by concatenating an outer and inner tuple —
-/// Gamma's join operators emitted the concatenation of the matching pair —
-/// into a caller-owned buffer (cleared and refilled): reuse it across a
-/// batch so composition never allocates per result tuple.
-#[inline]
-pub fn compose_into(left: &[u8], right: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(left.len() + right.len());
-    out.extend_from_slice(left);
-    out.extend_from_slice(right);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,12 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_reuse_the_buffer() {
-        let mut buf = Vec::new();
-        compose_into(&[1, 2], &[3], &mut buf);
-        assert_eq!(buf, vec![1, 2, 3]);
-        compose_into(&[9], &[8, 7], &mut buf);
-        assert_eq!(buf, vec![9, 8, 7]);
+    fn projection_into_matches_project_tuple() {
+        let mut buf = vec![1, 2, 3];
         let s = schema();
         let ranges = s.projection(&["normal", "unique1"]);
         let mut t = vec![0u8; s.tuple_bytes()];

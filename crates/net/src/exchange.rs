@@ -30,24 +30,34 @@
 //!
 //! The model charges per tuple and per packet; the host frames neither.
 //! Each `(src, dst)` stream fills one **message table**: a 16-byte entry
-//! `(tag, location, len)` per message, in send order. A message's bytes lie
-//! in one of two places:
+//! `(tag, location, len)` per message part, in send order. A message is
+//! sent as one [`Part`] or two — `a ‖ b`, a composed `R ‖ S` result whose
+//! halves lie in two different places — and each part's bytes lie in one
+//! of two places:
 //!
-//! * **on a shared image the sender already holds** — in practice the WiSS
-//!   page the record was scanned from ([`Outbox::send_shared`]). The table
-//!   keeps one `Arc` handle per distinct page, so the bytes stay readable
-//!   and unchanged whatever happens to the file before the consumer runs,
-//!   and nothing is copied;
+//! * **on a shared image the sender already holds** ([`Part::shared`]) —
+//!   the WiSS page a record was scanned from, or a join site's hash-table
+//!   arena, frozen by moving it behind a reference count ([`Image`]). The
+//!   table keeps one handle per distinct image, so the bytes stay readable
+//!   and unchanged whatever happens to their source before the consumer
+//!   runs, and nothing is copied;
 //! * **in the table's own arena**, for bytes with no shared owner — a
-//!   composed `R‖S` result, a hash-table eviction, any plain `&[u8]`
-//!   ([`Outbox::send`], [`Outbox::send2`]) — copied once.
+//!   hash-table eviction, any plain `&[u8]` ([`Outbox::send`],
+//!   [`Outbox::send2`]) — copied once. A message none of whose parts is
+//!   shared is copied whole, as one part.
+//!
+//! A two-part message takes two consecutive entries, the first flagged;
+//! [`Msg::payload`] is its first part and [`Msg::tail`] its second, and
+//! [`Msg::part`] hands a payload on by reference (a probe's `S`). Parts
+//! change nothing the model sees: a message is admitted, batched and
+//! charged by its total length, whatever it is made of.
 //!
 //! A *packet* is a `(bytes, count, query, local)` record over a run of
-//! entries, sealed exactly where `Fabric` would emit, so charges, counters,
-//! trace events and [`Exchange::peak_inbox_packets`] are those of a machine
-//! that really framed 2 KB buffers. Ring and short-circuited streams share
-//! this one representation; they differ only in what `charge_emit` and
-//! [`Inbox::drain`] charge.
+//! messages, sealed exactly where `Fabric` would emit, so charges,
+//! counters, trace events and [`Exchange::peak_inbox_packets`] are those
+//! of a machine that really framed 2 KB buffers. Ring and short-circuited
+//! streams share this one representation; they differ only in what
+//! `charge_emit` and [`Inbox::drain`] charge.
 //!
 //! Tables belong to the exchange and circulate: [`Exchange::route`] swaps a
 //! stream's sealed table into its inbox slot and hands the stream the
@@ -55,11 +65,11 @@
 //! ([`Inbox::release`], [`Exchange::return_inbox`]). Entries and arena
 //! bytes are stored in 4 KB blocks, so growing a table never copies it,
 //! and an emptied table keeps a few blocks of each kind: a warmed machine
-//! allocates nothing per packet or per message — a block per 256 messages
+//! allocates nothing per packet or per message — a block per 256 entries
 //! or 4 KB of owned bytes beyond what its streams kept — and no storage is
 //! shared between two machines or two nodes' workers.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use gamma_des::{SimTime, Usage};
@@ -69,6 +79,11 @@ use crate::config::RingConfig;
 /// Set in [`Entry::seg`] when it indexes [`Table::arena`], not
 /// [`Table::pages`].
 const ARENA: u32 = 1 << 31;
+/// Set in [`Entry::seg`] of a two-part message's first entry: the next
+/// entry is its second part.
+const FIRST_OF_TWO: u32 = 1 << 30;
+/// The index bits of [`Entry::seg`].
+const INDEX: u32 = FIRST_OF_TWO - 1;
 
 /// Entries in a block of a table, bytes in a block of its arena: 4 KB
 /// either way.
@@ -81,9 +96,130 @@ const ARENA_BLOCK: usize = 4096;
 /// whole join — does not pin that much for the machine's lifetime.
 const KEEP_BLOCKS: usize = 4;
 
+/// A reference-counted byte image message parts can lie on, borrowed
+/// from its owner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Image<'a> {
+    /// A sealed WiSS page's image: one allocation, the bytes inline.
+    Page(&'a Arc<[u8]>),
+    /// A buffer shared whole where it was filled — a join site's frozen
+    /// hash-table arena, shared without a copy.
+    Buffer(&'a Arc<Vec<u8>>),
+}
+
+impl<'a> Image<'a> {
+    /// The image's bytes.
+    #[inline]
+    pub fn bytes(self) -> &'a [u8] {
+        match self {
+            Image::Page(page) => page,
+            Image::Buffer(buffer) => buffer,
+        }
+    }
+}
+
+impl<'a> From<&'a Arc<[u8]>> for Image<'a> {
+    fn from(page: &'a Arc<[u8]>) -> Self {
+        Image::Page(page)
+    }
+}
+
+impl<'a> From<&'a Arc<Vec<u8>>> for Image<'a> {
+    fn from(buffer: &'a Arc<Vec<u8>>) -> Self {
+        Image::Buffer(buffer)
+    }
+}
+
+/// A table's own handle on an [`Image`].
+#[derive(Debug, PartialEq, Eq)]
+enum Handle {
+    Page(Arc<[u8]>),
+    Buffer(Arc<Vec<u8>>),
+}
+
+impl Handle {
+    #[inline]
+    fn image(&self) -> Image<'_> {
+        match self {
+            Handle::Page(page) => Image::Page(page),
+            Handle::Buffer(buffer) => Image::Buffer(buffer),
+        }
+    }
+
+    /// Whether this is a handle on `image`.
+    #[inline]
+    fn holds(&self, image: Image<'_>) -> bool {
+        match (self, image) {
+            (Handle::Page(held), Image::Page(page)) => Arc::ptr_eq(held, page),
+            (Handle::Buffer(held), Image::Buffer(buffer)) => Arc::ptr_eq(held, buffer),
+            _ => false,
+        }
+    }
+}
+
+impl From<Image<'_>> for Handle {
+    fn from(image: Image<'_>) -> Self {
+        match image {
+            Image::Page(page) => Handle::Page(Arc::clone(page)),
+            Image::Buffer(buffer) => Handle::Buffer(Arc::clone(buffer)),
+        }
+    }
+}
+
+/// Bytes a sender hands the exchange, with the shared image they lie on
+/// when they have one: such a part travels by reference — the stream keeps
+/// a handle on the image — and any other is copied into the stream's arena.
+/// It derefs to its bytes; `Part::from(&[u8])` has no image.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Part<'a> {
+    bytes: &'a [u8],
+    /// The image the bytes lie on and their offset there.
+    home: Option<(Image<'a>, usize)>,
+}
+
+impl<'a> Part<'a> {
+    /// `image[at]`, to be sent by reference.
+    ///
+    /// # Panics
+    /// Panics if `at` reaches outside `image`.
+    #[inline]
+    pub fn shared(image: impl Into<Image<'a>>, at: Range<usize>) -> Self {
+        let image = image.into();
+        Part {
+            bytes: &image.bytes()[at.clone()],
+            home: Some((image, at.start)),
+        }
+    }
+
+    /// The bytes, borrowed for as long as their owner lives.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The shared image the bytes lie on and their offset there; `None`
+    /// for bytes that are copied when sent.
+    pub fn home(&self) -> Option<(Image<'a>, usize)> {
+        self.home
+    }
+}
+
+impl<'a> From<&'a [u8]> for Part<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Part { bytes, home: None }
+    }
+}
+
+impl Deref for Part<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.bytes
+    }
+}
+
 /// One delivered message: the sending node, the caller-defined stream tag,
-/// the query it belongs to (0 outside the scheduler), and a borrowed view
-/// of the payload bytes (owned by the [`Drained`] batch it came from).
+/// the query it belongs to (0 outside the scheduler), and borrowed views
+/// of its bytes (owned by the [`Drained`] batch it came from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Msg<'a> {
     pub src: usize,
@@ -92,22 +228,44 @@ pub struct Msg<'a> {
     /// scheduler stamps each admitted query's id so interleaved plan
     /// instances multiplex over one exchange without mixing streams.
     pub query: u32,
+    /// The message's bytes — of a two-part message, its first part.
     pub payload: &'a [u8],
+    /// A two-part message's second part (the tuple is `payload ‖ tail`);
+    /// empty for every single-part message.
+    pub tail: &'a [u8],
+    /// The handle on the shared image `payload` lies on, if it does.
+    handle: Option<&'a Handle>,
 }
 
-/// One message of a table: its tag and where its payload lies.
+impl<'a> Msg<'a> {
+    /// `payload` as a part to send on: by reference when it lies on a
+    /// shared image, otherwise to be copied.
+    pub fn part(&self) -> Part<'a> {
+        let home = self.handle.map(|handle| {
+            let image = handle.image();
+            let at = self.payload.as_ptr() as usize - image.bytes().as_ptr() as usize;
+            (image, at)
+        });
+        Part {
+            bytes: self.payload,
+            home,
+        }
+    }
+}
+
+/// One message part of a table: its tag and where its bytes lie.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u32,
     /// Index into [`Table::pages`] or, with [`ARENA`] set, of the arena
-    /// block.
+    /// block; [`FIRST_OF_TWO`] set when the next entry is the second part.
     seg: u32,
-    /// Offset of the payload within its page or arena block.
+    /// Offset of the bytes within their page or arena block.
     start: u32,
     len: u32,
 }
 
-/// A sealed packet: accounting over the next `count` entries of its table.
+/// A sealed packet: accounting over the next `count` messages of its table.
 #[derive(Debug, Clone, Copy)]
 struct Packet {
     /// Modeled wire bytes (payload sizes as charged).
@@ -123,6 +281,13 @@ struct Packet {
 
 fn offset(at: usize) -> u32 {
     u32::try_from(at).expect("an exchange table addresses at most 4 GiB")
+}
+
+/// The [`Entry::seg`] index of page handle or arena block `i`.
+fn index(i: usize) -> u32 {
+    let i = offset(i);
+    assert_eq!(i & !INDEX, 0, "an exchange table holds too many segments");
+    i
 }
 
 /// Append-only storage in equal blocks: growing never copies what is
@@ -175,57 +340,105 @@ impl<T> Blocks<T> {
 struct Table {
     /// Entry `i` is `entries.blocks[i / ENTRY_BLOCK][i % ENTRY_BLOCK]`.
     entries: Blocks<Entry>,
-    /// Messages held.
+    /// Messages held (a two-part one fills two entries).
     len: usize,
     /// Shared images the by-reference entries point into.
-    pages: Vec<Arc<[u8]>>,
+    pages: Vec<Handle>,
+    /// The handle each part position (first, second) used last.
+    recent: [u32; 2],
     /// Owned payloads, back to back within [`ARENA_BLOCK`] blocks.
     arena: Blocks<u8>,
-    /// Sealed packets, covering the first entries.
+    /// Sealed packets, covering the first messages.
     packets: Vec<Packet>,
 }
 
 impl Table {
-    fn push(&mut self, tag: u32, seg: u32, start: usize, len: usize) {
+    #[inline]
+    fn push_entry(&mut self, tag: u32, (seg, start, len): (u32, usize, usize)) {
         self.entries.room(ENTRY_BLOCK, 1).push(Entry {
             tag,
             seg,
             start: offset(start),
             len: offset(len),
         });
+    }
+
+    /// Add the message `a ‖ b`: a shared part by handle, the other copied;
+    /// a message with no shared part copied whole, as one part.
+    #[inline]
+    fn push(&mut self, tag: u32, a: Part<'_>, b: Part<'_>) {
+        if b.is_empty() {
+            self.push_one(tag, a, 0);
+        } else if a.is_empty() {
+            self.push_one(tag, b, 1);
+        } else if a.home.is_none() && b.home.is_none() {
+            let at = self.copy(a.bytes, b.bytes);
+            self.push_entry(tag, at);
+            self.len += 1;
+        } else {
+            let (seg, start, len) = self.place(a, 0);
+            let second = self.place(b, 1);
+            self.push_entry(tag, (seg | FIRST_OF_TWO, start, len));
+            self.push_entry(tag, second);
+            self.len += 1;
+        }
+    }
+
+    /// Add a single-part message, its bytes being part `position` of a
+    /// sender's tuple.
+    #[inline]
+    fn push_one(&mut self, tag: u32, p: Part<'_>, position: usize) {
+        let at = self.place(p, position);
+        self.push_entry(tag, at);
         self.len += 1;
     }
 
-    fn push_owned(&mut self, tag: u32, a: &[u8], b: &[u8]) {
+    /// Where one part's bytes go: its image's handle, or a copy.
+    #[inline]
+    fn place(&mut self, p: Part<'_>, position: usize) -> (u32, usize, usize) {
+        match p.home {
+            Some((image, at)) => (self.page(image, position), at, p.len()),
+            None => self.copy(p.bytes, &[]),
+        }
+    }
+
+    /// Copy `a ‖ b` into the arena.
+    fn copy(&mut self, a: &[u8], b: &[u8]) -> (u32, usize, usize) {
         let len = a.len() + b.len();
         let block = self.arena.room(ARENA_BLOCK, len);
         let start = block.len();
         block.extend_from_slice(a);
         block.extend_from_slice(b);
-        let seg = ARENA | offset(self.arena.used - 1);
-        self.push(tag, seg, start, len);
+        (ARENA | index(self.arena.used - 1), start, len)
     }
 
-    fn push_shared(&mut self, tag: u32, image: &Arc<[u8]>, at: Range<usize>) {
-        assert!(at.end <= image.len(), "message outside its shared image");
-        // A scan sends a page's records one after another, so comparing
-        // with the last handle keeps one per distinct page.
-        if !self.pages.last().is_some_and(|p| Arc::ptr_eq(p, image)) {
-            self.pages.push(Arc::clone(image));
+    /// The handle of `image`, taken if new. A scan sends a page's records
+    /// one after another, and a result's parts come from one frozen table
+    /// and a run of probe pages, so comparing with the handle each part
+    /// position used last keeps one handle per distinct image.
+    #[inline]
+    fn page(&mut self, image: Image<'_>, position: usize) -> u32 {
+        for seg in self.recent {
+            if self.pages.get(seg as usize).is_some_and(|h| h.holds(image)) {
+                return seg;
+            }
         }
-        let seg = offset(self.pages.len() - 1);
-        assert_eq!(seg & ARENA, 0, "an exchange table holds too many pages");
-        self.push(tag, seg, at.start, at.len());
+        self.pages.push(Handle::from(image));
+        let seg = index(self.pages.len() - 1);
+        self.recent[position] = seg;
+        seg
     }
 
-    /// Push message `i` of `from`: shared bytes by handle, owned by copy.
-    fn push_from(&mut self, from: &Table, i: usize) {
+    /// Push `from`'s message starting at entry `i` — shared parts by
+    /// handle, owned ones by copy — and return the entry after it.
+    fn push_from(&mut self, from: &Table, i: usize) -> usize {
         let e = from.entry(i);
-        if e.seg & ARENA == 0 {
-            let at = e.start as usize..(e.start + e.len) as usize;
-            self.push_shared(e.tag, &from.pages[e.seg as usize], at);
+        if e.seg & FIRST_OF_TWO == 0 {
+            self.push(e.tag, from.part(e), Part::default());
+            i + 1
         } else {
-            self.push_owned(e.tag, from.payload(e), &[]);
+            self.push(e.tag, from.part(e), from.part(from.entry(i + 1)));
+            i + 2
         }
     }
 
@@ -234,14 +447,32 @@ impl Table {
         &self.entries.blocks[i / ENTRY_BLOCK][i % ENTRY_BLOCK]
     }
 
+    /// An entry's bytes and, when they lie on a shared image, the handle
+    /// on it.
+    #[inline]
+    fn locate(&self, e: &Entry) -> (&[u8], Option<&Handle>) {
+        let i = (e.seg & INDEX) as usize;
+        let (whole, handle) = if e.seg & ARENA == 0 {
+            let handle = &self.pages[i];
+            (handle.image().bytes(), Some(handle))
+        } else {
+            (&self.arena.blocks[i][..], None)
+        };
+        (&whole[e.start as usize..][..e.len as usize], handle)
+    }
+
     #[inline]
     fn payload(&self, e: &Entry) -> &[u8] {
-        let bytes: &[u8] = if e.seg & ARENA == 0 {
-            &self.pages[e.seg as usize]
-        } else {
-            &self.arena.blocks[(e.seg & !ARENA) as usize]
-        };
-        &bytes[e.start as usize..][..e.len as usize]
+        self.locate(e).0
+    }
+
+    /// An entry's bytes, with the shared image they lie on.
+    fn part(&self, e: &Entry) -> Part<'_> {
+        let (bytes, handle) = self.locate(e);
+        Part {
+            bytes,
+            home: handle.map(|h| (h.image(), e.start as usize)),
+        }
     }
 
     /// Forget every message and page handle; [`KEEP_BLOCKS`] blocks of
@@ -250,6 +481,7 @@ impl Table {
         self.entries.clear(ENTRY_BLOCK);
         self.len = 0;
         self.pages.clear();
+        self.recent = [0; 2];
         self.arena.clear(ARENA_BLOCK);
         self.packets.clear();
     }
@@ -262,7 +494,7 @@ impl Table {
             next: 0,
             warmed: 0,
             packets: self.packets.iter(),
-            packet_end: 0,
+            left: 0,
             query: 0,
         }
     }
@@ -273,10 +505,15 @@ impl Table {
     /// boundary — so message by message, and what `from` keeps is rebuilt.
     fn append_sealed(&mut self, from: &mut Table) {
         let sealed: usize = from.packets.iter().map(|p| p.count as usize).sum();
-        (0..sealed).for_each(|i| self.push_from(from, i));
+        let mut at = 0;
+        for _ in 0..sealed {
+            at = self.push_from(from, at);
+        }
         self.packets.append(&mut from.packets);
         let mut pending = Table::default();
-        (sealed..from.len).for_each(|i| pending.push_from(from, i));
+        for _ in sealed..from.len {
+            at = pending.push_from(from, at);
+        }
         from.clear();
         if pending.len > 0 {
             *from = pending;
@@ -284,7 +521,7 @@ impl Table {
     }
 }
 
-/// Messages [`Msgs`] touches ahead of the one it hands out; a divisor of
+/// Entries [`Msgs`] touches ahead of the one it hands out; a divisor of
 /// [`ENTRY_BLOCK`], so one block holds them.
 const WARM_AHEAD: usize = 64;
 const _: () = assert!(ENTRY_BLOCK.is_multiple_of(WARM_AHEAD));
@@ -293,14 +530,14 @@ const _: () = assert!(ENTRY_BLOCK.is_multiple_of(WARM_AHEAD));
 struct Msgs<'a> {
     table: &'a Table,
     src: usize,
-    /// Entry handed out next.
+    /// Entry of the message handed out next.
     next: usize,
     /// Entries before this one were touched.
     warmed: usize,
-    /// Packets not yet entered; the current one ends at entry
-    /// `packet_end` and carries `query`.
+    /// Packets not yet entered; the current one has `left` messages to go
+    /// and carries `query`.
     packets: std::slice::Iter<'a, Packet>,
-    packet_end: usize,
+    left: u32,
     query: u32,
 }
 
@@ -310,18 +547,21 @@ impl<'a> Iterator for Msgs<'a> {
     #[inline]
     fn next(&mut self) -> Option<Msg<'a>> {
         let table = self.table;
-        while self.next == self.packet_end {
+        while self.left == 0 {
             let p = self.packets.next()?;
-            self.packet_end += p.count as usize;
+            self.left = p.count;
             self.query = p.query;
         }
-        if self.next == self.warmed {
+        self.left -= 1;
+        let e = table.entry(self.next);
+        let entries = if e.seg & FIRST_OF_TWO == 0 { 1 } else { 2 };
+        while self.warmed < self.next + entries {
             // A relation repartitioned on another attribute deals each of
             // its pages over every consumer, so by-reference payloads are
             // cold lines scattered over pages this consumer mostly skips,
             // and meeting them one by one waits out each miss in turn.
-            // Touch the next few first: independent loads, whose misses
-            // overlap.
+            // Touch the next few parts first: independent loads, whose
+            // misses overlap.
             let ahead = &table.entries.blocks[self.warmed / ENTRY_BLOCK];
             let ahead = &ahead[self.warmed % ENTRY_BLOCK..];
             let ahead = &ahead[..ahead.len().min(WARM_AHEAD)];
@@ -331,13 +571,19 @@ impl<'a> Iterator for Msgs<'a> {
             std::hint::black_box(touched);
             self.warmed += ahead.len();
         }
-        let e = table.entry(self.next);
-        self.next += 1;
+        let (payload, handle) = table.locate(e);
+        let tail = match entries {
+            1 => &[][..],
+            _ => table.payload(table.entry(self.next + 1)),
+        };
+        self.next += entries;
         Some(Msg {
             src: self.src,
             tag: e.tag,
             query: self.query,
-            payload: table.payload(e),
+            payload,
+            tail,
+            handle,
         })
     }
 }
@@ -411,33 +657,31 @@ impl Outbox {
     ///
     /// [`Fabric::send_tuple`]: crate::Fabric::send_tuple
     pub fn send(&mut self, usage: &mut Usage, dst: usize, tag: u32, payload: &[u8]) {
-        self.send2(usage, dst, tag, payload, &[]);
+        self.send_parts(usage, dst, tag, payload.into(), Part::default());
     }
 
-    /// Send one logical tuple whose payload is the concatenation `a ++ b`
-    /// (e.g. a composed join result), copied as a single message without
-    /// materializing the concatenation anywhere else.
+    /// Send one logical tuple whose payload is the concatenation `a ++ b`,
+    /// copied as a single message without materializing the concatenation
+    /// anywhere else.
     pub fn send2(&mut self, usage: &mut Usage, dst: usize, tag: u32, a: &[u8], b: &[u8]) {
-        self.admit(usage, dst, a.len() + b.len())
-            .push_owned(tag, a, b);
+        self.send_parts(usage, dst, tag, a.into(), b.into());
     }
 
-    /// Send the tuple `image[at]` by reference: charged and batched exactly
-    /// like [`Outbox::send`] of those bytes, to a local or a ring
-    /// destination alike, but the stream shares `image` — a scanned page's
-    /// — with the sender instead of copying out of it.
-    ///
-    /// # Panics
-    /// Panics if `at` reaches outside `image`.
-    pub fn send_shared(
+    /// Send the tuple `a ‖ b` — one part when the other is empty — charged
+    /// and batched exactly like [`Outbox::send`] of its bytes, to a local
+    /// or a ring destination alike. A part on a shared image travels by
+    /// reference; when neither is, the tuple is copied whole. A composed
+    /// join result goes this way: `R` on its site's frozen table, `S` on
+    /// the page its probe was scanned from.
+    pub fn send_parts(
         &mut self,
         usage: &mut Usage,
         dst: usize,
         tag: u32,
-        image: &Arc<[u8]>,
-        at: Range<usize>,
+        a: Part<'_>,
+        b: Part<'_>,
     ) {
-        self.admit(usage, dst, at.len()).push_shared(tag, image, at);
+        self.admit(usage, dst, a.len() + b.len()).push(tag, a, b);
     }
 
     /// Account one `len`-byte tuple to `dst`'s stream — the per-tuple
@@ -1101,7 +1345,8 @@ mod tests {
         let mut seen = Vec::new();
         for round in 0..6 {
             for i in 0..40usize {
-                ex.outboxes_mut()[0].send_shared(&mut u[0], 1, 1, &image, i..i + 100);
+                let part = Part::shared(&image, i..i + 100);
+                ex.outboxes_mut()[0].send_parts(&mut u[0], 1, 1, part, Part::default());
                 ex.outboxes_mut()[0].send(&mut u[0], 1, 2, &[round as u8; 300]);
             }
             ex.outboxes_mut()[0].seal(&mut u[0]);
@@ -1127,6 +1372,54 @@ mod tests {
             seen[2..4],
             seen[4..6],
             "two tables alternate, nothing regrows"
+        );
+    }
+
+    #[test]
+    fn two_part_messages_keep_one_handle_per_image() {
+        // Results as a probe sends them: R on one frozen table image, S on
+        // a run of probe pages, each page probed several times over; even
+        // pages' results go to node 0, odd pages' to node 1. Each stream
+        // holds one handle per image, nothing is copied, and each message
+        // reads back as R ‖ S.
+        let (mut ex, mut u) = exchange(2);
+        let table: Arc<Vec<u8>> = Arc::new((0..=255u8).rev().collect());
+        let pages: Vec<Arc<[u8]>> = (0..5u8)
+            .map(|p| (0..200).map(|i| p ^ i).collect())
+            .collect();
+        let mut want = [Vec::new(), Vec::new()];
+        for (p, page) in pages.iter().enumerate() {
+            for i in 0..12usize {
+                let (r, s) = (i * 7..i * 7 + 30, i * 9..i * 9 + 50);
+                want[p % 2].push((table[r.clone()].to_vec(), page[s.clone()].to_vec()));
+                let (r, s) = (Part::shared(&table, r), Part::shared(page, s));
+                ex.outboxes_mut()[0].send_parts(&mut u[0], p % 2, 5, r, s);
+            }
+        }
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        ex.route();
+        for (dst, handles) in [(0, 1 + 3), (1, 1 + 2)] {
+            let mut inbox = ex.take_inbox(dst);
+            let drained = inbox.drain(&mut u[dst], &RingConfig::gamma_1989());
+            let held = &drained.tables()[0];
+            assert_eq!(
+                held.pages.len(),
+                handles,
+                "node {dst}: one handle per image"
+            );
+            assert_eq!(held.arena.used, 0, "node {dst}: nothing copied");
+            let got: Vec<_> = drained
+                .iter()
+                .map(|m| (m.payload.to_vec(), m.tail.to_vec()))
+                .collect();
+            assert_eq!(got, want[dst], "node {dst}");
+            drop(drained);
+            ex.return_inbox(inbox);
+        }
+        assert_eq!(
+            Arc::strong_count(&table),
+            1,
+            "handles dropped with the step"
         );
     }
 
@@ -1161,10 +1454,11 @@ mod tests {
         }
     }
 
-    /// Any interleaving of owned, split and by-reference sends — 1 B to
-    /// more than a packet, local and remote, under changing query stamps,
-    /// routed mid-packet and several times between drains, some inboxes
-    /// left undrained for rounds — delivers exactly what an owned model
+    /// Any interleaving of owned, split, by-reference and two-part sends
+    /// (each part shared or copied) — 1 B to more than a packet, local and
+    /// remote, under changing query stamps, routed mid-packet and several
+    /// times between drains, some inboxes left undrained for rounds —
+    /// delivers exactly what an owned model
     /// says, charges every node exactly what the same stream costs when
     /// every message is sent owned (the whole `Usage`, request logs
     /// included), and totals what `Fabric` charges (every field but the
@@ -1179,12 +1473,18 @@ mod tests {
         let sizes = [1usize, 2, 16, 208, 416, 1000, 2047, 2048, 2049, 3000];
         for seed in 0..48u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let images: Vec<Arc<[u8]>> = (0..4)
-                .map(|_| {
-                    let mut page = vec![0u8; 8192];
-                    rng.fill_bytes(&mut page);
-                    Arc::from(page)
-                })
+            // Two page images and two buffers (what a frozen table shares).
+            let mut random = || {
+                let mut bytes = vec![0u8; 8192];
+                rng.fill_bytes(&mut bytes);
+                bytes
+            };
+            let pages: Vec<Arc<[u8]>> = (0..2).map(|_| Arc::from(random())).collect();
+            let buffers: Vec<Arc<Vec<u8>>> = (0..2).map(|_| Arc::new(random())).collect();
+            let images: Vec<Image<'_>> = pages
+                .iter()
+                .map(Image::from)
+                .chain(buffers.iter().map(Image::from))
                 .collect();
             let (mut ex, mut u) = exchange(N);
             let (mut owned, mut ou) = exchange(N);
@@ -1206,19 +1506,50 @@ mod tests {
                     let (src, dst) = (rng.gen_range(0..N), rng.gen_range(0..N));
                     let tag = rng.next_u32();
                     let len = sizes[rng.gen_range(0..sizes.len())];
-                    let image = &images[rng.gen_range(0..images.len())];
-                    let at = rng.gen_range(0..=image.len() - len);
-                    let payload = &image[at..at + len];
+                    // Bytes somewhere on one of the images.
+                    let pick = |rng: &mut StdRng, len: usize| {
+                        let image = images[rng.gen_range(0..images.len())];
+                        let at = rng.gen_range(0..=image.bytes().len() - len);
+                        (image, at..at + len)
+                    };
                     let ob = &mut ex.outboxes_mut()[src];
-                    match rng.gen_range(0..3u32) {
-                        0 => ob.send(&mut u[src], dst, tag, payload),
-                        1 => {
-                            let cut = rng.gen_range(0..=len);
-                            let (a, b) = payload.split_at(cut);
-                            ob.send2(&mut u[src], dst, tag, a, b);
+                    let payload = match rng.gen_range(0..4u32) {
+                        0 => {
+                            let (image, at) = pick(&mut rng, len);
+                            let bytes = &image.bytes()[at];
+                            ob.send(&mut u[src], dst, tag, bytes);
+                            bytes.to_vec()
                         }
-                        _ => ob.send_shared(&mut u[src], dst, tag, image, at..at + len),
-                    }
+                        1 => {
+                            let (image, at) = pick(&mut rng, len);
+                            let (a, b) = image.bytes()[at].split_at(rng.gen_range(0..=len));
+                            ob.send2(&mut u[src], dst, tag, a, b);
+                            [a, b].concat()
+                        }
+                        2 => {
+                            let (image, at) = pick(&mut rng, len);
+                            let whole = Part::shared(image, at);
+                            ob.send_parts(&mut u[src], dst, tag, whole, Part::default());
+                            whole.to_vec()
+                        }
+                        _ => {
+                            // Two parts, each on its own image, each sent
+                            // by reference or copied: shared/shared,
+                            // shared/owned, owned/shared, owned/owned.
+                            let cut = rng.gen_range(0..=len);
+                            let mut part = |len: usize| {
+                                let (image, at) = pick(&mut rng, len);
+                                match rng.gen_bool(0.5) {
+                                    true => Part::shared(image, at),
+                                    false => Part::from(&image.bytes()[at]),
+                                }
+                            };
+                            let (a, b) = (part(cut), part(len - cut));
+                            ob.send_parts(&mut u[src], dst, tag, a, b);
+                            [&a[..], &b[..]].concat()
+                        }
+                    };
+                    let payload = &payload[..];
                     owned.outboxes_mut()[src].send(&mut ou[src], dst, tag, payload);
                     fab.send_tuple(&mut fu, src, dst, len as u64);
                     model[src * N + dst].send((src, tag, query, payload.to_vec()), packet);
@@ -1258,11 +1589,14 @@ mod tests {
                         let drained = inbox.drain(&mut u[dst], &cfg);
                         assert!(inbox.is_empty());
                         let before = got[dst].len();
-                        got[dst].extend(
-                            drained
-                                .iter()
-                                .map(|m| (m.src, m.tag, m.query, m.payload.to_vec())),
-                        );
+                        for m in drained.iter() {
+                            let part = m.part();
+                            assert_eq!(part.bytes(), m.payload);
+                            if let Some((image, at)) = part.home() {
+                                assert_eq!(&image.bytes()[at..][..m.payload.len()], m.payload);
+                            }
+                            got[dst].push((m.src, m.tag, m.query, [m.payload, m.tail].concat()));
+                        }
                         assert_eq!(drained.len(), got[dst].len() - before, "seed {seed}");
                         assert_eq!(drained.msgs().len(), drained.len());
                         drop(drained);

@@ -25,7 +25,7 @@ pub mod exchange;
 pub mod fabric;
 
 pub use config::RingConfig;
-pub use exchange::{Drained, Exchange, Inbox, Msg, Outbox};
+pub use exchange::{Drained, Exchange, Image, Inbox, Msg, Outbox, Part};
 pub use fabric::Fabric;
 
 /// Narrow a payload size to the fixed-width `u32` byte field trace events

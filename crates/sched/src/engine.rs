@@ -394,6 +394,8 @@ pub fn run_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::plan::{NodePlan, PhasePlan, QueryPlan};
     use gamma_des::Request;
 
@@ -406,7 +408,7 @@ mod tests {
 
     fn one_phase_plan() -> QueryPlan {
         QueryPlan {
-            phases: vec![PhasePlan {
+            phases: Arc::new([PhasePlan {
                 name: "scan".into(),
                 sched_overhead: SimTime::from_us(10),
                 ring: SimTime::from_us(40),
@@ -416,8 +418,8 @@ mod tests {
                     disk: vec![req(0, 30), req(50, 30)],
                     net: vec![req(20, 5)],
                 }],
-            }],
-            peak_pages: vec![4],
+            }]),
+            peak_pages: Arc::new([4]),
             solo_response: SimTime::from_us(110),
         }
     }
@@ -478,7 +480,7 @@ mod tests {
         // One node, disk requests dense enough to queue: with a zero
         // window every microsecond of device wait stalls the CPU.
         let plan = QueryPlan {
-            phases: vec![PhasePlan {
+            phases: Arc::new([PhasePlan {
                 name: "x".into(),
                 sched_overhead: SimTime::ZERO,
                 ring: SimTime::ZERO,
@@ -488,8 +490,8 @@ mod tests {
                     disk: vec![req(0, 20), req(5, 20)],
                     net: vec![],
                 }],
-            }],
-            peak_pages: vec![1],
+            }]),
+            peak_pages: Arc::new([1]),
             solo_response: SimTime::ZERO,
         };
         let free = run(
@@ -526,11 +528,11 @@ mod tests {
         // Query 1 is small and would fit while query 0's big sibling
         // runs, but FIFO admission holds it behind the head.
         let big = QueryPlan {
-            peak_pages: vec![4],
+            peak_pages: Arc::new([4]),
             ..one_phase_plan()
         };
         let small = QueryPlan {
-            peak_pages: vec![1],
+            peak_pages: Arc::new([1]),
             ..one_phase_plan()
         };
         let out = run(
@@ -547,7 +549,7 @@ mod tests {
     #[should_panic(expected = "needs 5 pages")]
     fn oversized_query_is_rejected_up_front() {
         let plan = QueryPlan {
-            peak_pages: vec![5],
+            peak_pages: Arc::new([5]),
             ..one_phase_plan()
         };
         run(vec![plan], &[SimTime::ZERO], &cfg(1, 4));

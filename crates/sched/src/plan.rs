@@ -21,6 +21,8 @@
 //! solo response time the single-query replay produced — the N=1
 //! equivalence baseline.
 
+use std::sync::Arc;
+
 use gamma_core::machine::Machine;
 use gamma_core::{run_join_with_phases, JoinReport, JoinSpec, PhaseRecord};
 use gamma_des::{Request, SimTime, Usage};
@@ -53,14 +55,16 @@ pub struct PhasePlan {
 }
 
 /// The timing skeleton of one query: everything the serve engine needs to
-/// re-time the query's phases under cross-query contention.
+/// re-time the query's phases under cross-query contention. Immutable once
+/// built, so a clone — one per served instance of a template — shares the
+/// phases and peaks instead of copying every request log.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     /// Ordered phases.
-    pub phases: Vec<PhasePlan>,
+    pub phases: Arc<[PhasePlan]>,
     /// Per-node buffer-pool peak page counts for one solo execution — the
     /// query's memory footprint, which admission control reserves.
-    pub peak_pages: Vec<usize>,
+    pub peak_pages: Arc<[usize]>,
     /// Solo (single-user) response time from the standard replay.
     pub solo_response: SimTime,
 }
@@ -137,7 +141,7 @@ impl QueryPlan {
                 .iter()
                 .map(|r| PhasePlan::from_record(r, ring_bandwidth_bytes_per_sec))
                 .collect(),
-            peak_pages,
+            peak_pages: peak_pages.into(),
             solo_response,
         }
     }

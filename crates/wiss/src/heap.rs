@@ -60,6 +60,33 @@ impl HeapWriter {
         self.records += 1;
     }
 
+    /// Append the record `a ‖ b` — a composed join result, its two halves
+    /// wherever they lie — written straight into the page being filled.
+    ///
+    /// # Panics
+    /// Panics if the record cannot fit even in an empty page.
+    pub fn push_concat(
+        &mut self,
+        vol: &mut Volume,
+        pool: &mut BufferPool,
+        usage: &mut Usage,
+        a: &[u8],
+        b: &[u8],
+    ) {
+        if self.cur.insert_concat(a, b).is_none() {
+            let len = a.len() + b.len();
+            assert!(
+                !self.cur.is_empty(),
+                "record of {len} bytes exceeds page capacity"
+            );
+            self.spill(vol, pool, usage);
+            self.cur
+                .insert_concat(a, b)
+                .unwrap_or_else(|| panic!("record of {len} bytes exceeds page capacity"));
+        }
+        self.records += 1;
+    }
+
     fn spill(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
         let idx = vol.append_page(self.file, self.cur.seal());
         pool.charge_write(self.file, idx, usage);

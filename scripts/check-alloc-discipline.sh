@@ -23,7 +23,9 @@
 #   * `&mut Vec<u8>` out-parameters (the reuse-a-buffer idiom the batch
 #     plane is built on);
 #   * `arena: Vec<u8>` — the hash table's arena IS the batch backing
-#     store (one allocation per table, not per tuple).
+#     store (one allocation per table, not per tuple);
+#   * `Arc<Vec<u8>>` — that arena once frozen, shared by reference count
+#     with the result messages that point into it (one per table).
 #
 # The join hash table (`hash_table.rs`) threads its chains through one
 # entry vector and hands a probe's matches out as a walk over them, so it
@@ -32,6 +34,14 @@
 # again (the `#[cfg(test)]` reference model keeps one vector per chain on
 # purpose), and the collected-match type `MatchSet` is gone from the crate.
 #
+# A join result leaves its probe as two references — `R` on the site's
+# frozen hash table, `S` on the probing tuple's page — and is composed
+# only where the store writes it (`StepCtx::send_parts` into
+# `HeapWriter::push_concat`): a `RESULT_TAG` sent by `send` / `send_rec`,
+# or a copying `send2(`, in the hash consumers is the stream-arena compose
+# back again, and `compose_into` (a buffer per composed tuple) is gone
+# from the crate.
+#
 # Scanned records leave a producer by reference (`StepCtx::send_rec` over
 # `TupleBatch::recs`): the exchange carries a handle to their page and
 # copies nothing, so the copying `ctx.send(` has no place in either
@@ -39,7 +49,8 @@
 # process-global buffer list — message tables belong to one machine's
 # `Exchange` — and `exchange.rs` no byte buffer per packet: a packet is a
 # `(bytes, count, query, local)` record, and the only byte vectors are the
-# blocks of a table's arena (`Blocks<u8>`).
+# blocks of a table's arena (`Blocks<u8>`) and the frozen hash-table arenas
+# a message part can lie on (`Arc<Vec<u8>>`, owned by the join site).
 #
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
@@ -55,7 +66,7 @@ for f in crates/core/src/exec/mod.rs crates/core/src/exec/scan.rs \
     # Non-test body: everything above the trailing #[cfg(test)] module.
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
         grep -nE '\.to_vec\(\)|Vec<Vec<u8>>|[^&]Vec<u8>' |
-        grep -vE '^[0-9]+:\s*//|join_nodes\.to_vec|&mut Vec<u8>|arena: Vec<u8>' || true)
+        grep -vE '^[0-9]+:\s*//|join_nodes\.to_vec|&mut Vec<u8>|arena: Vec<u8>|Arc<Vec<u8>>' || true)
     if [ -n "$hits" ]; then
         echo "error: $f re-introduces per-tuple heap traffic on the data plane:" >&2
         echo "$hits" | sed "s|^|  $f:|" >&2
@@ -90,6 +101,23 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Results are composed where they are stored: the hash consumers send a
+# result only with `send_parts`.
+f=crates/core/src/exec/hash.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    grep -nE 'send2\(|send(_rec)?\(.*RESULT_TAG' | grep -vE '^[0-9]+:\s*//' || true)
+if [ -n "$hits" ]; then
+    echo "error: $f copies a result into a stream arena; send it with ctx.send_parts:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+hits=$(grep -rn 'compose_into' crates/core/src || true)
+if [ -n "$hits" ]; then
+    echo "error: compose_into is back; a result is composed where it is stored:" >&2
+    echo "$hits" | sed "s|^|  |" >&2
+    fail=1
+fi
+
 # Producers send page-backed records by reference.
 for f in crates/core/src/algorithms/family.rs crates/core/src/algorithms/sort_merge.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -114,7 +142,7 @@ for f in crates/net/src/*.rs; do
 done
 f=crates/net/src/exchange.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
-    grep -nE '\bstatic\b|Vec<u8>|buf:' | grep -vE '^[0-9]+:\s*//' || true)
+    grep -nE '\bstatic\b|Vec<u8>|buf:' | grep -vE '^[0-9]+:\s*//|Arc<Vec<u8>>' || true)
 if [ -n "$hits" ]; then
     echo "error: $f holds a static or a byte buffer outside a table's arena blocks:" >&2
     echo "$hits" | sed "s|^|  $f:|" >&2
@@ -139,4 +167,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, no global or per-packet buffer in net::exchange, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, results composed where they are stored, no global or per-packet buffer in net::exchange, no allocs in prof sampling"

@@ -15,9 +15,10 @@
 # under `workloads::pass` are kept, so the total is the run's
 # `host_allocs_per_iter`, printed beside it (the harness is left out, and so
 # are the worker threads of `pool2`, whose stacks do not reach the pass). Extra
-# arguments go to the report, e.g. `--match hash_table.rs` or `--quick`
-# (the one flag handed to the benchmark instead: smoke scale). Everything
-# it writes lands under target/host-allocs/ (ignored).
+# arguments go to the report, e.g. `--match hash_table.rs`, or `--under
+# on_probe` to keep only the events made under that function as well, or
+# `--quick` (the one flag handed to the benchmark instead: smoke scale).
+# Everything it writes lands under target/host-allocs/ (ignored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -3,7 +3,7 @@
 the samples (or allocation events) fell.
 
 usage: sigprof-report.py DUMP [--top N] [--match SUBSTRING]...
-                         [--under SUBSTRING] [--per N] [--minus DUMP0]
+                         [--under SUBSTRING]... [--per N] [--minus DUMP0]
 
 Two tables. *self* is the function at the interrupted program counter,
 with inlined callees resolved through the debug info (a hash loop inlined
@@ -21,7 +21,7 @@ its events and gains a bytes column, and *self* becomes the allocation
 site — the first function anywhere on the stack that is not the standard
 library's (`Vec::push` growing is charged to whoever pushed). --under
 keeps only the stacks with a function whose name or source file contains
-the substring; --per N divides every count by N (events per pass);
+the substring (given more than once: every substring, each on the stack); --per N divides every count by N (events per pass);
 --minus DUMP0 subtracts a second dump's tables, function by function, before
 printing: a run of 2N passes minus a run of N leaves N passes of the steady
 state, set-up and warm-up gone (the counts repeat exactly, so the difference
@@ -126,7 +126,7 @@ def tally(dump, under, matches):
         chains = [frames(*loc) for loc in stack]
         flat = [f for c in chains for f in c]
         on_stack = set(flat)
-        if under and not any(hit(under, f) for f in on_stack):
+        if not all(any(hit(u, f) for f in on_stack) for u in under):
             continue
         if allocs:
             # The allocator's own frames (the `#[global_allocator]` shim and
@@ -154,7 +154,7 @@ def tally(dump, under, matches):
 
 def main():
     args = sys.argv[1:]
-    top, matches, dump, under, per, minus = 25, [], None, None, 1, None
+    top, matches, dump, under, per, minus = 25, [], None, [], 1, None
     while args:
         a = args.pop(0)
         if a == "--top":
@@ -162,7 +162,7 @@ def main():
         elif a == "--match":
             matches.append(args.pop(0))
         elif a == "--under":
-            under = args.pop(0)
+            under.append(args.pop(0))
         elif a == "--per":
             per = int(args.pop(0))
         elif a == "--minus":
@@ -183,7 +183,7 @@ def main():
     what = "events" if allocs else "samples"
     print(f"{shown(total).strip()} {what}" + (f", {total_bytes / per / 2**20:.2f} MiB" if allocs else "")
           + (f" per pass (over {per} passes)" if per != 1 else "")
-          + (f" under {under!r}" if under else ""))
+          + "".join(f" under {u!r}" for u in under))
     for title, table in (("site" if allocs else "self", t["self"]), ("inclusive", t["incl"])):
         mib = allocs and table is t["self"]
         print(f"\n{title:>{len(shown(0))}}   share  " + ("      MiB  " if mib else "") + "function")

@@ -171,6 +171,102 @@ fn pooled_matches_serial_on_many_to_many_probes() {
     }
 }
 
+/// A join result crosses to its store operator as two references — `R` on
+/// the site's frozen hash table, `S` on the page its probe was scanned
+/// from — and nothing stops the store from draining it after both owners
+/// are gone. Here a many-to-many probe wave's results are left in flight
+/// while the sites are torn down (`take_overflows`) and the outer relation
+/// is dropped; the store then writes exactly `oracle_join`'s multiset, and
+/// the serial and the two-lane executor write the same result pages.
+#[test]
+fn results_outlive_their_site_and_their_outer_file() {
+    use gamma_core::algorithms::Resolved;
+    use gamma_core::exec::hash::{tag, take_overflows, Consumers, TAG_BUILD, TAG_PROBE};
+    use gamma_core::exec::run_step;
+    use gamma_core::hash::{hash_u32, JOIN_SEED};
+    use gamma_core::machine::{Ledgers, ResultSink};
+    use gamma_wisconsin::oracle_join;
+    use gamma_wiss::FileId;
+
+    let w = Workload::scaled(10_000, 1_000);
+    let expect = oracle_join(&w.bprime_rows, &w.a_rows, "normal", "normal", None, None);
+    let run = |exec: ExecConfig| {
+        let (mut m, a, bprime) = w.machine(false, LoadStyle::HashedUnique1, "normal", "normal");
+        m.exec = exec;
+        let (inner, outer) = (m.relation(bprime), m.relation(a));
+        let (r_attr, s_attr) = (
+            inner.schema.int_attr("normal"),
+            outer.schema.int_attr("normal"),
+        );
+        let nodes = m.disk_nodes();
+        let rz = Resolved {
+            join_nodes: nodes.clone(),
+            buckets: 1,
+            capacity_per_site: inner.data_bytes,
+            r_fragments: inner.fragments.clone(),
+            s_fragments: outer.fragments.clone(),
+            r_attr,
+            s_attr,
+            r_tuple_bytes: inner.schema.tuple_bytes() as u64,
+            filter_bits: None,
+            filter_bucket_forming: false,
+            bucket_tuning: false,
+            r_pred: None,
+            s_pred: None,
+            skew_refinement: false,
+            dynamic_spill: false,
+        };
+        // Scan each node's fragment and send every tuple by reference to
+        // the site its join attribute hashes to.
+        let route =
+            |m: &mut gamma_core::Machine, ledgers: &mut Ledgers, files: &[FileId], kind: u32| {
+                let mut files = files.to_vec();
+                run_step(m, ledgers, "route", &nodes, &mut files, |ctx, &mut file| {
+                    let batch = ctx.read_batch(file);
+                    let attr = if kind == TAG_BUILD { r_attr } else { s_attr };
+                    for rec in batch.recs() {
+                        let site = (hash_u32(JOIN_SEED, attr.get(&rec)) % 8) as usize;
+                        ctx.send_rec(nodes[site], tag(kind, site), rec);
+                    }
+                });
+            };
+        let mut ledgers = m.ledgers();
+        let mut consumers = Consumers::new(&m);
+        let sites = consumers.install_sites(&m, &rz, &nodes, 0, 0);
+        let mut sink = ResultSink::new(&mut m);
+        route(&mut m, &mut ledgers, &rz.r_fragments, TAG_BUILD);
+        consumers.settle(&mut m, &mut ledgers, &mut sink);
+        consumers.probe_snapshot(&sites);
+        route(&mut m, &mut ledgers, &rz.s_fragments, TAG_PROBE);
+        consumers.absorb(&mut m, &mut ledgers, &mut sink);
+        assert!(!m.exchange.is_drained(), "the results are still in flight");
+        let overflowed = take_overflows(&mut m, &mut ledgers, &mut consumers, &sites);
+        assert!(overflowed.is_empty(), "no site overflowed");
+        m.drop_relation(a);
+        consumers.absorb(&mut m, &mut ledgers, &mut sink);
+        assert!(m.exchange.is_drained());
+        let info = sink.finish(&mut m, &mut ledgers);
+        assert_eq!(
+            (info.tuples, info.checksum),
+            (expect.tuples, expect.checksum)
+        );
+        let pages: Vec<Vec<u8>> = info
+            .files
+            .iter()
+            .enumerate()
+            .flat_map(|(n, &f)| {
+                let vol = m.nodes[n].vol();
+                (0..vol.file_pages(f)).map(move |p| vol.page(f, p).as_bytes().to_vec())
+            })
+            .collect();
+        pages
+    };
+    assert!(expect.tuples > 2 * w.a_rows.len() as u64, "many-to-many");
+    let serial = run(ExecConfig::serial());
+    let pooled = run(ExecConfig::pooled(Arc::new(WorkerPool::new(2))));
+    assert!(serial == pooled, "serial and pooled result pages differ");
+}
+
 /// The exchange's message tables live as long as the machine and pass
 /// from join to join (emptied, swapped between stream and inbox slot, a
 /// few blocks kept). Four different joins back to back on one machine —
