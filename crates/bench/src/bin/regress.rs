@@ -66,8 +66,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// The snapshot points kept under `results/` — same points the `trace`
 /// and `prof` binaries export, so the artifact sets describe the same
 /// runs.
-const SNAPSHOT_POINTS: [(Algorithm, f64); 2] =
-    [(Algorithm::HybridHash, 0.5), (Algorithm::GraceHash, 0.2)];
+const SNAPSHOT_POINTS: [(Algorithm, f64); 3] = [
+    (Algorithm::HybridHash, 0.5),
+    (Algorithm::GraceHash, 0.2),
+    (Algorithm::SortMerge, 1.0),
+];
 
 /// `A`-relation cardinality for the snapshot points (the `trace` binary's
 /// default; `Bprime` is a 10% sample).

@@ -196,6 +196,10 @@ mod tests {
     fn artifact_stems_match_the_committed_layout() {
         assert_eq!(artifact_stem(Algorithm::HybridHash, 0.5), "prof-hybrid-r50");
         assert_eq!(artifact_stem(Algorithm::GraceHash, 0.2), "prof-grace-r20");
+        assert_eq!(
+            artifact_stem(Algorithm::SortMerge, 1.0),
+            "prof-sort-merge-r100"
+        );
     }
 
     #[test]
