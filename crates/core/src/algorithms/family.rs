@@ -14,7 +14,9 @@
 //!   entry sends an inner tuple to its site's build stage and runs an outer
 //!   tuple through the `h'`-augmented probe routing (`Side`). With skew
 //!   refinement the inner side first samples, refines the table and
-//!   re-broadcasts it.
+//!   re-broadcasts it. Sort-merge redistributes both relations through
+//!   this step too, over a table whose entries all spool
+//!   ([`super::sort_merge`]).
 //! * **The pass** (`HashJoin::pass`) is the only build/probe skeleton:
 //!   install sites → partition the inner input → settle → restore →
 //!   dispatch → phase; broadcast filters → snapshot → partition the outer
@@ -25,8 +27,8 @@
 //!   respray loop with its block-nested-loops guard — each round and each
 //!   respray being the same pass again.
 //!
-//! The per-tuple code is monomorphised over the two `Side`s; nothing in
-//! a tuple loop dispatches on configuration.
+//! The per-tuple code is monomorphised over the `Side`s; nothing in a
+//! tuple loop dispatches on configuration.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -177,8 +179,9 @@ pub(super) fn bucket_filters(machine: &Machine, buckets: usize, salt: u64) -> Ve
 }
 
 /// What the partition step does with a routed tuple on one side of the
-/// join. Two implementations, statically dispatched.
-trait Side: Sync {
+/// join. Statically dispatched: [`Inner`] and `Outer` here, and sort-merge's
+/// outer side, whose filter is tested per destination site.
+pub(super) trait Side: Sync {
     /// The inner side reads [`Pass::inner`] on the inner attribute, and is
     /// the one that samples and builds bucket-forming filters.
     const INNER: bool;
@@ -186,11 +189,13 @@ trait Side: Sync {
     /// The tuple's split-table entry is join site `site`.
     fn join(&self, ctx: &mut StepCtx<'_>, site: usize, val: u32, rec: Rec<'_>);
 
-    /// The tuple's entry spools it to `bucket`; `false` drops it instead.
+    /// The tuple's entry spools it to `bucket` at disk node `node`; `false`
+    /// drops it instead.
     fn spool(
         &self,
         ctx: &mut StepCtx<'_>,
         shard: &mut Option<Vec<BitFilter>>,
+        node: NodeId,
         bucket: usize,
         val: u32,
     ) -> bool;
@@ -198,8 +203,8 @@ trait Side: Sync {
 
 /// The building side: `Join` feeds the site's build stage, `Spool` sets
 /// the bucket's filter bit in this producer's private shard.
-struct Inner<'a> {
-    sites: &'a JoinSites,
+pub(super) struct Inner<'a> {
+    pub sites: &'a JoinSites,
 }
 
 impl Side for Inner<'_> {
@@ -215,6 +220,7 @@ impl Side for Inner<'_> {
         &self,
         ctx: &mut StepCtx<'_>,
         shard: &mut Option<Vec<BitFilter>>,
+        _node: NodeId,
         bucket: usize,
         val: u32,
     ) -> bool {
@@ -258,6 +264,7 @@ impl Side for Outer<'_> {
         &self,
         ctx: &mut StepCtx<'_>,
         _shard: &mut Option<Vec<BitFilter>>,
+        _node: NodeId,
         bucket: usize,
         val: u32,
     ) -> bool {
@@ -331,7 +338,7 @@ fn route_batch<S: Side>(
         match table.route(h) {
             Route::Join { site, .. } => side.join(ctx, site, val, rec),
             Route::Spool { node, bucket } => {
-                if side.spool(ctx, shard, bucket, val) {
+                if side.spool(ctx, shard, node, bucket, val) {
                     ctx.send_rec(node, tag(TAG_BUCKET, bucket), rec);
                 }
             }
@@ -346,7 +353,7 @@ fn route_batch<S: Side>(
 /// tuples; the refined table, if any entry was hot, is re-broadcast to the
 /// producers and returned, and a second wave routes the held tuples
 /// through it. `form` is the inner side's bucket-forming filters to build.
-fn partition<S: Side>(
+pub(super) fn partition<S: Side>(
     machine: &mut Machine,
     ledgers: &mut Ledgers,
     rz: &Resolved,
@@ -468,6 +475,20 @@ fn partition<S: Side>(
         }
     }
     refined
+}
+
+/// Record each bucket fragment's size: the distribution the bucket
+/// analyzer's uniformity assumption is about.
+fn observe_buckets(machine: &Machine, files: &[Vec<FileId>]) {
+    if !gamma_metrics::is_active() {
+        return;
+    }
+    for (n, files) in files.iter().enumerate() {
+        for &f in files {
+            let tuples = machine.nodes[n].vol().file_records(f) as u64;
+            gamma_metrics::observe("bucket_tuples", n as u16, "forming", tuples);
+        }
+    }
 }
 
 /// Incremental restore (the dynamic spill/restore path): after the build
@@ -686,6 +707,7 @@ impl<'a> HashJoin<'a> {
             restore_spills(machine, &mut ledgers, rz, &mut consumers, &sites, sink);
         }
         let r = consumers.close_buckets(machine, &mut ledgers);
+        observe_buckets(machine, &r);
         let table_bytes = match route {
             Some((table, _)) if stored => machine.cfg.cost.split_table_bytes(table.entries()),
             _ => 0,
@@ -720,6 +742,7 @@ impl<'a> HashJoin<'a> {
         partition(machine, &mut ledgers, rz, &p, route, None, &outer);
         consumers.settle(machine, &mut ledgers, sink);
         let s = consumers.close_buckets(machine, &mut ledgers);
+        observe_buckets(machine, &s);
         let pairs = take_overflows(machine, &mut ledgers, &mut consumers, &sites);
         let starters = if stored { p.outer.nodes } else { p.sites };
         let sched = dispatch_overhead(machine, &mut ledgers, starters, table_bytes);

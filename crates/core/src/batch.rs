@@ -8,9 +8,8 @@
 //!   byte image) plus that page's slot ranges, and copies no record. The
 //!   handles keep the bytes alive and unchanged while the file they came
 //!   from is appended to, updated or deleted;
-//! * **in the batch's own arena**, for records that are composed
-//!   ([`TupleBatch::push_concat`]) or must outlive whatever buffer they
-//!   were read from ([`TupleBatch::push`]).
+//! * **in the batch's own arena**, for records that must outlive whatever
+//!   buffer they were read from ([`TupleBatch::push`]).
 //!
 //! Split routing, bit filters and hashing read a record where it lies, and
 //! a routed record leaves with its home page ([`TupleBatch::recs`] into
@@ -68,17 +67,10 @@ impl TupleBatch {
 
     /// Append one record (copies its bytes into the arena).
     pub fn push(&mut self, rec: &[u8]) {
-        self.push_concat(rec, &[]);
-    }
-
-    /// Append one record formed by concatenating `a ++ b` (a composed join
-    /// output) without materializing the concatenation first.
-    pub fn push_concat(&mut self, a: &[u8], b: &[u8]) {
         let start = self.data.len();
         assert!(start < ON_PAGE as usize, "tuple batch arena exceeds 2 GiB");
-        self.ranges.push((start as u32, (a.len() + b.len()) as u32));
-        self.data.extend_from_slice(a);
-        self.data.extend_from_slice(b);
+        self.ranges.push((start as u32, rec.len() as u32));
+        self.data.extend_from_slice(rec);
     }
 
     /// Append every record of `page`, in slot order, by reference: the
@@ -216,9 +208,8 @@ mod tests {
         assert_eq!(b.get(1), &[9], "offset 65535 of page 1");
     }
 
-    /// Any interleaving of page pushes, `push`, `push_concat` and
-    /// `retain_indices` reads back exactly the records of an owned model,
-    /// through every accessor.
+    /// Any interleaving of page pushes, `push` and `retain_indices` reads
+    /// back exactly the records of an owned model, through every accessor.
     #[test]
     fn interleaved_batches_match_an_owned_model() {
         for seed in 0..64u64 {
@@ -230,7 +221,7 @@ mod tests {
                 (0..n).map(|_| rng.gen_range(0..=255u16) as u8).collect()
             };
             for _ in 0..rng.gen_range(1..40usize) {
-                match rng.gen_range(0..4u32) {
+                match rng.gen_range(0..3u32) {
                     0 => {
                         let mut page = Page::new(rng.gen_range(64..2048usize));
                         for _ in 0..rng.gen_range(0..12usize) {
@@ -245,11 +236,6 @@ mod tests {
                         let r = rec(&mut rng, 300);
                         batch.push(&r);
                         model.push(r);
-                    }
-                    2 => {
-                        let (a, b) = (rec(&mut rng, 200), rec(&mut rng, 200));
-                        batch.push_concat(&a, &b);
-                        model.push([a, b].concat());
                     }
                     _ => {
                         let keep: Vec<bool> = model.iter().map(|_| rng.gen_bool(0.7)).collect();

@@ -3,8 +3,9 @@
 //! Every hash-based join funnels through a set of per-node [`JoinNode`]
 //! consumer states driven by the executor: one [`JoinHashTable`] per join
 //! process (the `Build`/`Probe` stages), plus each node's overflow spools,
-//! bucket-forming writers (`BucketSpill`), sort-merge partition sinks, and
-//! result store operator. Producers route tuples to these consumers as
+//! bucket-forming writers (which also store sort-merge's redistributed
+//! relations, building its filters where they land), and result store
+//! operator. Producers route tuples to these consumers as
 //! tagged exchange messages; an *absorb* step drains each node's inbox and
 //! applies the messages.
 //!
@@ -51,9 +52,6 @@ pub const TAG_PROBE: u32 = 0x50 << 24;
 pub const TAG_SPOOL_R: u32 = 0x72 << 24;
 /// Outer tuples diverted at the source to a site's `S'` overflow file.
 pub const TAG_SPOOL_S: u32 = 0x73 << 24;
-/// Tuples headed for a sort-merge partition sink (destination implies the
-/// site, so the low bits are unused).
-pub const TAG_PART: u32 = 0x70 << 24;
 /// Tuples headed for a Grace/Hybrid bucket-forming writer; the low bits
 /// carry the 1-based bucket number.
 pub const TAG_BUCKET: u32 = 0x62 << 24;
@@ -87,7 +85,7 @@ fn tag_arg(tag: u32) -> usize {
     (tag & TAG_ARG) as usize
 }
 
-/// A spool/bucket/partition file under construction at one node.
+/// An overflow spool under construction at one node.
 struct SpoolFile {
     writer: HeapWriter,
     count: u64,
@@ -127,23 +125,16 @@ impl SiteCore {
     }
 }
 
-/// A sort-merge partition sink at one disk node: incoming tuples are
-/// appended to the node's temp file; in filter-building mode the site's
-/// bit filter is set as they arrive.
-struct PartSink {
-    writer: HeapWriter,
-    filter: Option<BitFilter>,
-    attr: Attr,
-}
-
 /// Everything one node's consumer side may be running: at most one join
-/// site, overflow spools it is home to, bucket-forming writers, a
-/// sort-merge partition sink, and the node's result store operator.
+/// site, overflow spools it is home to, bucket-forming writers and the
+/// filter they build, and the node's result store operator.
 pub struct JoinNode {
     site: Option<SiteCore>,
     spools: BTreeMap<u32, SpoolFile>,
-    buckets: BTreeMap<u32, SpoolFile>,
-    part: Option<PartSink>,
+    buckets: BTreeMap<u32, HeapWriter>,
+    /// The bit filter the bucket writers set on the attribute as tuples
+    /// arrive ([`Consumers::build_filters`]).
+    built: Option<(BitFilter, Attr)>,
     store: Option<HeapWriter>,
     stored: u64,
     check: u64,
@@ -182,7 +173,6 @@ impl JoinNode {
             TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.part(), pre),
             TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
             TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
-            TAG_PART => self.on_part(ctx, m.payload),
             RESULT_TAG => self.on_result(ctx, m.payload, m.tail),
             other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
         }
@@ -320,29 +310,20 @@ impl JoinNode {
         sf.count += 1;
     }
 
-    /// Bucket-forming store: append to this node's writer for the bucket.
+    /// Bucket-forming store: set the node's filter bit when it builds one,
+    /// append to this node's writer for the bucket.
     fn on_bucket(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
-        let sf = self
+        let writer = self
             .buckets
             .get_mut(&tag)
             .expect("bucket writer open at this node");
-        ctx.charge(ctx.cost.store_tuple_us);
-        let (vol, pool) = ctx.state.vp();
-        sf.writer.push(vol, pool, ctx.ledger, rec);
-        sf.count += 1;
-    }
-
-    /// Sort-merge partition store: set the filter bit (build side), append
-    /// to the node's temp file.
-    fn on_part(&mut self, ctx: &mut StepCtx<'_>, rec: &[u8]) {
-        let p = self.part.as_mut().expect("partition sink open");
-        if let Some(f) = &mut p.filter {
+        if let Some((f, attr)) = &mut self.built {
             ctx.charge(ctx.cost.filter_set_us);
-            f.set(p.attr.get(rec));
+            f.set(attr.get(rec));
         }
         ctx.charge(ctx.cost.store_tuple_us);
         let (vol, pool) = ctx.state.vp();
-        p.writer.push(vol, pool, ctx.ledger, rec);
+        writer.push(vol, pool, ctx.ledger, rec);
     }
 
     /// Result store operator: append one delivered result tuple `r ‖ s`.
@@ -356,7 +337,9 @@ impl JoinNode {
 
 /// Main-thread description of one build/probe round's sites: which nodes
 /// run join processes, each site's overflow home, and whether bit filters
-/// are on. The per-site state itself lives in the [`Consumers`].
+/// are on. The per-site state itself lives in the [`Consumers`]. The
+/// default is no sites, as when a pass only spools.
+#[derive(Default)]
 pub struct JoinSites {
     nodes: Vec<NodeId>,
     homes: Vec<NodeId>,
@@ -445,7 +428,7 @@ impl Consumers {
                     site: None,
                     spools: BTreeMap::new(),
                     buckets: BTreeMap::new(),
-                    part: None,
+                    built: None,
                     store: None,
                     stored: 0,
                     check: 0,
@@ -535,13 +518,7 @@ impl Consumers {
         for n in machine.disk_nodes() {
             for b in first..=last {
                 let w = HeapWriter::create(machine.nodes[n].vol_mut(), page);
-                let prev = self.nodes[n].buckets.insert(
-                    tag(TAG_BUCKET, b),
-                    SpoolFile {
-                        writer: w,
-                        count: 0,
-                    },
-                );
+                let prev = self.nodes[n].buckets.insert(tag(TAG_BUCKET, b), w);
                 assert!(prev.is_none(), "bucket {b} already forming at node {n}");
             }
         }
@@ -562,55 +539,31 @@ impl Consumers {
         for n in machine.disk_nodes() {
             let buckets = std::mem::take(&mut self.nodes[n].buckets);
             let mut files = Vec::with_capacity(buckets.len());
-            for (_, sf) in buckets {
-                // Per-bucket fragment sizes — the distribution the bucket
-                // analyzer's uniformity assumption is about.
-                gamma_metrics::observe("bucket_tuples", n as u16, "forming", sf.count);
+            for (_, w) in buckets {
                 let (vol, pool) = machine.nodes[n].vp();
-                files.push(sf.writer.finish(vol, pool, &mut ledgers[n]));
+                files.push(w.finish(vol, pool, &mut ledgers[n]));
             }
             out.push(files);
         }
         out
     }
 
-    /// Open one sort-merge partition sink per disk node. `filters[i]`,
-    /// when building, is moved into disk node `i`'s sink and set as tuples
-    /// arrive; collect them back with [`Consumers::close_parts`].
-    pub fn open_parts(
-        &mut self,
-        machine: &mut Machine,
-        mut filters: Vec<Option<BitFilter>>,
-        attr: Attr,
-    ) {
-        let page = machine.cfg.cost.disk.page_bytes;
-        for n in machine.disk_nodes() {
-            let w = HeapWriter::create(machine.nodes[n].vol_mut(), page);
-            let prev = self.nodes[n].part.replace(PartSink {
-                writer: w,
-                filter: filters.get_mut(n).and_then(Option::take),
-                attr,
-            });
-            assert!(prev.is_none(), "partition sink already open at node {n}");
+    /// Have disk node `n`'s bucket writers set `filters[n]` on `attr` as
+    /// tuples arrive, charged where they are stored — sort-merge's inner
+    /// side builds its sites' filters so (§3.1). The filters move in; take
+    /// them back with [`Consumers::take_filters`].
+    pub fn build_filters(&mut self, filters: &mut [Option<BitFilter>], attr: Attr) {
+        for (jn, f) in self.nodes.iter_mut().zip(filters) {
+            jn.built = f.take().map(|f| (f, attr));
         }
     }
 
-    /// Close every partition sink, returning the temp file per disk node
-    /// and any filters built.
-    pub fn close_parts(
-        &mut self,
-        machine: &mut Machine,
-        ledgers: &mut Ledgers,
-    ) -> (Vec<FileId>, Vec<Option<BitFilter>>) {
-        let mut files = Vec::with_capacity(machine.cfg.disk_nodes);
-        let mut filters = Vec::with_capacity(machine.cfg.disk_nodes);
-        for n in machine.disk_nodes() {
-            let p = self.nodes[n].part.take().expect("partition sink open");
-            let (vol, pool) = machine.nodes[n].vp();
-            files.push(p.writer.finish(vol, pool, &mut ledgers[n]));
-            filters.push(p.filter);
+    /// Move the filters [`Consumers::build_filters`] handed out back into
+    /// `filters`.
+    pub fn take_filters(&mut self, filters: &mut [Option<BitFilter>]) {
+        for (jn, f) in self.nodes.iter_mut().zip(filters) {
+            *f = jn.built.take().map(|(f, _)| f);
         }
-        (files, filters)
     }
 
     /// One absorb step: run every node's consumer over its drained inbox,

@@ -42,9 +42,9 @@
 //!   and unchanged whatever happens to their source before the consumer
 //!   runs, and nothing is copied;
 //! * **in the table's own arena**, for bytes with no shared owner — a
-//!   hash-table eviction, any plain `&[u8]` ([`Outbox::send`],
-//!   [`Outbox::send2`]) — copied once. A message none of whose parts is
-//!   shared is copied whole, as one part.
+//!   hash-table eviction, any plain `&[u8]` ([`Outbox::send`], or a part
+//!   made with `Part::from`) — copied once. A message none of whose parts
+//!   is shared is copied whole, as one part.
 //!
 //! A two-part message takes two consecutive entries, the first flagged;
 //! [`Msg::payload`] is its first part and [`Msg::tail`] its second, and
@@ -660,13 +660,6 @@ impl Outbox {
         self.send_parts(usage, dst, tag, payload.into(), Part::default());
     }
 
-    /// Send one logical tuple whose payload is the concatenation `a ++ b`,
-    /// copied as a single message without materializing the concatenation
-    /// anywhere else.
-    pub fn send2(&mut self, usage: &mut Usage, dst: usize, tag: u32, a: &[u8], b: &[u8]) {
-        self.send_parts(usage, dst, tag, a.into(), b.into());
-    }
-
     /// Send the tuple `a ‖ b` — one part when the other is empty — charged
     /// and batched exactly like [`Outbox::send`] of its bytes, to a local
     /// or a ring destination alike. A part on a shared image travels by
@@ -1154,8 +1147,8 @@ mod tests {
 
     #[test]
     fn split_payload_sends_charge_like_single_payload_sends() {
-        // send2(a, b) must be indistinguishable — charges, boundaries,
-        // delivered bytes — from send(a ++ b).
+        // Two unshared parts a, b must be indistinguishable — charges,
+        // boundaries, delivered bytes — from send(a ++ b).
         let cfg = RingConfig::gamma_1989();
         let (mut ex, mut u) = exchange(2);
         let (mut ex2, mut u2) = exchange(2);
@@ -1163,7 +1156,8 @@ mod tests {
         for (i, &(a, b)) in pairs.iter().enumerate() {
             let left = vec![i as u8; a];
             let right = vec![!(i as u8); b];
-            ex.outboxes_mut()[0].send2(&mut u[0], 1, i as u32, &left, &right);
+            let (a, b) = (Part::from(&left[..]), Part::from(&right[..]));
+            ex.outboxes_mut()[0].send_parts(&mut u[0], 1, i as u32, a, b);
             let mut whole = left.clone();
             whole.extend_from_slice(&right);
             ex2.outboxes_mut()[0].send(&mut u2[0], 1, i as u32, &whole);
@@ -1523,7 +1517,7 @@ mod tests {
                         1 => {
                             let (image, at) = pick(&mut rng, len);
                             let (a, b) = image.bytes()[at].split_at(rng.gen_range(0..=len));
-                            ob.send2(&mut u[src], dst, tag, a, b);
+                            ob.send_parts(&mut u[src], dst, tag, a.into(), b.into());
                             [a, b].concat()
                         }
                         2 => {

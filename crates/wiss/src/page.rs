@@ -171,10 +171,9 @@ impl Page {
     /// # Panics
     /// Panics if the slot is out of range or the lengths differ.
     pub fn update(&mut self, slot: usize, rec: &[u8]) {
-        assert!(slot < self.len(), "slot {slot} out of range");
-        let (off, len) = self.slot(slot);
-        assert_eq!(len, rec.len(), "in-place update must preserve length");
-        self.image_mut()[off..off + len].copy_from_slice(rec);
+        let at = self.range(slot);
+        assert_eq!(at.len(), rec.len(), "in-place update must preserve length");
+        self.image_mut()[at].copy_from_slice(rec);
     }
 
     /// Record stored in `slot`, or `None` if the slot is out of range.
@@ -184,6 +183,16 @@ impl Page {
         }
         let (off, len) = self.slot(slot);
         Some(&self.buf[off..off + len])
+    }
+
+    /// Where the record in `slot` lies within [`Self::image`].
+    ///
+    /// # Panics
+    /// Panics if the slot is out of range.
+    pub fn range(&self, slot: usize) -> Range<usize> {
+        assert!(slot < self.len(), "slot {slot} out of range");
+        let (off, len) = self.slot(slot);
+        off..off + len
     }
 
     /// `(offset, length)` of the record in `slot` within [`Self::as_bytes`].

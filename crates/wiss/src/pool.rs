@@ -11,11 +11,15 @@
 //! overlaps a scan's disk time with its CPU time, which is exactly what
 //! readahead bought on the real machine.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use gamma_des::{SimTime, Usage};
 
 use crate::disk::{DiskConfig, FileId, HeadPos};
+
+/// Touches [`BufferPool`] keeps per frame before it drops the superseded
+/// ones.
+const TOUCHES_PER_FRAME: usize = 4;
 
 /// LRU buffer pool for one node's volume.
 #[derive(Debug, Clone)]
@@ -24,6 +28,11 @@ pub struct BufferPool {
     capacity: usize,
     /// frame key -> LRU stamp
     frames: HashMap<(FileId, usize), u64>,
+    /// `(stamp, key)` of the touches since the last compaction, oldest
+    /// first. An entry is current while its stamp is still its frame's, so
+    /// the first current one is the least recently used frame; the others
+    /// are skipped as they come up.
+    touches: VecDeque<(u64, (FileId, usize))>,
     stamp: u64,
     head: HeadPos,
     hits: u64,
@@ -49,6 +58,7 @@ impl BufferPool {
             cfg,
             capacity,
             frames: HashMap::with_capacity(capacity),
+            touches: VecDeque::new(),
             stamp: 0,
             head: HeadPos::default(),
             hits: 0,
@@ -84,12 +94,20 @@ impl BufferPool {
         let stamp = self.stamp;
         if self.frames.len() >= self.capacity && !self.frames.contains_key(&key) {
             // Evict the least recently used frame.
-            if let Some((&victim, _)) = self.frames.iter().min_by_key(|(_, &s)| s) {
-                self.frames.remove(&victim);
-                gamma_metrics::counter_add("pool_evictions", self.node, "pool", 1);
+            while let Some((s, victim)) = self.touches.pop_front() {
+                if self.frames.get(&victim) == Some(&s) {
+                    self.frames.remove(&victim);
+                    gamma_metrics::counter_add("pool_evictions", self.node, "pool", 1);
+                    break;
+                }
             }
         }
         self.frames.insert(key, stamp);
+        self.touches.push_back((stamp, key));
+        if self.touches.len() > TOUCHES_PER_FRAME * self.capacity {
+            let frames = &self.frames;
+            self.touches.retain(|(s, k)| frames.get(k) == Some(s));
+        }
         self.peak = self.peak.max(self.frames.len());
         gamma_metrics::gauge_max(
             "pool_peak_pages",
@@ -162,6 +180,7 @@ impl BufferPool {
     /// and reset the peak high-water mark.
     pub fn clear(&mut self) {
         self.frames.clear();
+        self.touches.clear();
         self.head = HeadPos::default();
         self.peak = 0;
     }
@@ -262,6 +281,111 @@ mod tests {
         assert_eq!(p.peak_pages(), 0);
         p.charge_read(1, 0, &mut u);
         assert_eq!(p.peak_pages(), 1);
+    }
+
+    /// The pool as it was, finding its victim by scanning every frame: the
+    /// reference the touch queue must agree with, call for call.
+    struct LinearScan {
+        cfg: DiskConfig,
+        capacity: usize,
+        frames: HashMap<(FileId, usize), u64>,
+        stamp: u64,
+        head: HeadPos,
+        hits: u64,
+        misses: u64,
+        peak: usize,
+    }
+
+    impl LinearScan {
+        fn new(capacity: usize) -> Self {
+            LinearScan {
+                cfg: DiskConfig::fujitsu_8inch(),
+                capacity,
+                frames: HashMap::new(),
+                stamp: 0,
+                head: HeadPos::default(),
+                hits: 0,
+                misses: 0,
+                peak: 0,
+            }
+        }
+
+        fn touch(&mut self, key: (FileId, usize)) {
+            self.stamp += 1;
+            if self.frames.len() >= self.capacity && !self.frames.contains_key(&key) {
+                let (&victim, _) = self.frames.iter().min_by_key(|(_, &s)| s).expect("full");
+                self.frames.remove(&victim);
+            }
+            self.frames.insert(key, self.stamp);
+            self.peak = self.peak.max(self.frames.len());
+        }
+
+        fn read(&mut self, file: FileId, page: usize, usage: &mut Usage) -> bool {
+            if self.frames.contains_key(&(file, page)) {
+                self.hits += 1;
+                self.touch((file, page));
+                return true;
+            }
+            self.misses += 1;
+            let us = match self.head.access(file, page) {
+                true => self.cfg.seq_read_us,
+                false => self.cfg.rand_read_us,
+            };
+            usage.disk(SimTime::from_us(us));
+            usage.counts.pages_read += 1;
+            self.touch((file, page));
+            false
+        }
+
+        fn write(&mut self, file: FileId, page: usize, usage: &mut Usage) {
+            let us = match self.head.access(file, page) {
+                true => self.cfg.seq_write_us,
+                false => self.cfg.rand_write_us,
+            };
+            usage.disk(SimTime::from_us(us));
+            usage.counts.pages_written += 1;
+            self.touch((file, page));
+        }
+    }
+
+    #[test]
+    fn touch_queue_evicts_what_a_linear_scan_evicts() {
+        use rand::{Rng, SeedableRng, StdRng};
+        for capacity in 1..=8 {
+            for seed in 0..12u64 {
+                let mut rng = StdRng::seed_from_u64(seed << 4 | capacity as u64);
+                let (mut p, mut want) = (pool(capacity), LinearScan::new(capacity));
+                let (mut u, mut want_u) = (Usage::ZERO, Usage::ZERO);
+                for step in 0..2_000 {
+                    let (file, page) = (rng.gen_range(0..3u64), rng.gen_range(0..12usize));
+                    let at = format!("capacity {capacity} seed {seed} step {step}");
+                    match rng.gen_range(0..100u32) {
+                        0..=59 => assert_eq!(
+                            p.charge_read(file, page, &mut u),
+                            want.read(file, page, &mut want_u),
+                            "{at}: hit or miss"
+                        ),
+                        60..=94 => {
+                            p.charge_write(file, page, &mut u);
+                            want.write(file, page, &mut want_u);
+                        }
+                        95..=98 => {
+                            p.evict_file(file);
+                            want.frames.retain(|(f, _), _| *f != file);
+                        }
+                        _ => {
+                            p.clear();
+                            want.frames.clear();
+                            (want.head, want.peak) = (HeadPos::default(), 0);
+                        }
+                    }
+                    assert_eq!(p.stats(), (want.hits, want.misses), "{at}");
+                    assert_eq!(p.peak_pages(), want.peak, "{at}");
+                    assert!(p.touches.len() <= TOUCHES_PER_FRAME * capacity, "{at}");
+                }
+                assert_eq!(u, want_u, "capacity {capacity} seed {seed}");
+            }
+        }
     }
 
     #[test]

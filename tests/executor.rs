@@ -267,6 +267,88 @@ fn results_outlive_their_site_and_their_outer_file() {
     assert!(serial == pooled, "serial and pooled result pages differ");
 }
 
+/// Sort-merge sends each result as two references into the pages of its
+/// sorted runs, one group of equal values at a time. Groups that span page
+/// boundaries on both sides (the duplicate-heavy `normal` attribute, then
+/// sharp skew), one group holding every tuple, and an empty inner or outer
+/// relation, each with filters off and on: the stored result is exactly
+/// `oracle_join`'s multiset, and the two-lane executor stores the same
+/// result pages as the serial one.
+#[test]
+fn sort_merge_results_leave_by_reference_from_the_sorted_runs() {
+    use gamma_core::query::run_join_materialized;
+    use gamma_wisconsin::gen::INT_ATTRS;
+    use gamma_wisconsin::oracle_join;
+
+    let normal = INT_ATTRS
+        .iter()
+        .position(|&a| a == "normal")
+        .expect("normal");
+    let mut all_equal = Workload::scaled(300, 60);
+    for row in all_equal
+        .a_rows
+        .iter_mut()
+        .chain(&mut all_equal.bprime_rows)
+    {
+        row.ints[normal] = 7;
+    }
+    let mut no_inner = Workload::scaled(300, 60);
+    no_inner.bprime_rows.clear();
+    let mut no_outer = Workload::scaled(300, 60);
+    no_outer.a_rows.clear();
+    let cases = [
+        ("normal", Workload::scaled(4_000, 2_000)),
+        ("sharp skew", Workload::scaled_nu(2_000, 500, 4.0)),
+        ("all equal", all_equal),
+        ("empty inner", no_inner),
+        ("empty outer", no_outer),
+    ];
+    let pool = Arc::new(WorkerPool::new(2));
+    for (case, w) in &cases {
+        let expect = oracle_join(&w.bprime_rows, &w.a_rows, "normal", "normal", None, None);
+        let many_to_many = !w.a_rows.is_empty() && !w.bprime_rows.is_empty();
+        assert_eq!(
+            expect.tuples > w.a_rows.len() as u64,
+            many_to_many,
+            "{case}: shape"
+        );
+        for filtered in [false, true] {
+            let what = format!("sort-merge {case} filters={filtered}");
+            let run = |exec: ExecConfig| {
+                let (mut machine, a, bprime) =
+                    w.machine(false, LoadStyle::HashedUnique1, "normal", "normal");
+                machine.exec = exec;
+                // Half the inner relation's bytes: several runs to merge.
+                let memory = (machine.relation(bprime).data_bytes / 2).max(8192);
+                let mut spec =
+                    join_abprime(Algorithm::SortMerge, bprime, a, "normal", "normal", memory);
+                spec.bit_filter = filtered;
+                let (result, report) = run_join_materialized(&mut machine, &spec, "result");
+                let pages: Vec<Vec<u8>> = machine
+                    .relation(result)
+                    .fragments
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(n, &f)| {
+                        let vol = machine.nodes[n].vol();
+                        (0..vol.file_pages(f)).map(move |p| vol.page(f, p).as_bytes().to_vec())
+                    })
+                    .collect();
+                (report, pages)
+            };
+            let (serial, serial_pages) = run(ExecConfig::serial());
+            assert_eq!(
+                (serial.result_tuples, serial.result_checksum),
+                (expect.tuples, expect.checksum),
+                "{what}: the oracle's multiset"
+            );
+            let (pooled, pooled_pages) = run(ExecConfig::pooled(Arc::clone(&pool)));
+            assert_reports_match(&serial, &pooled, &what);
+            assert!(serial_pages == pooled_pages, "{what}: result pages differ");
+        }
+    }
+}
+
 /// The exchange's message tables live as long as the machine and pass
 /// from join to join (emptied, swapped between stream and inbox slot, a
 /// few blocks kept). Four different joins back to back on one machine —
