@@ -3,11 +3,10 @@
 //! The simulator is single-process and (on the serial executor) single-threaded,
 //! so the number of heap allocations a benchmark point performs is exactly
 //! reproducible — unlike wall-clock time, which measures the host. The
-//! bench binaries install [`CountingAlloc`] as their global allocator and
-//! report the allocation delta around each point; `regress` gates those
-//! deltas against the committed `ALLOC_CEILINGS.json` (Gate 5), which is
-//! how "the data plane got slower" fails CI without a flaky wall-clock
-//! threshold.
+//! `regress` binary installs [`CountingAlloc`] as its global allocator and
+//! gates the allocation delta around each point against the committed
+//! `ALLOC_CEILINGS.json` (Gate 5), which is how "the data plane got
+//! slower" fails CI without a flaky wall-clock threshold.
 //!
 //! Only `alloc` and `realloc` count (a realloc that moves is the moral
 //! equivalent of a fresh allocation); `dealloc` is free. The counter is a

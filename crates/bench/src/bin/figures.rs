@@ -85,10 +85,12 @@ fn main() {
     let all = wanted.iter().any(|w| w == "all");
     let want = |n: &str| all || wanted.iter().any(|w| w == n);
 
-    let a = (100_000f64 * scale).round() as usize;
-    let b = (10_000f64 * scale).round() as usize;
-    eprintln!("# workload: A={a} tuples, Bprime={b} tuples (scale {scale})");
-    let w = Workload::scaled(a, b);
+    let w = Workload::at_scale(scale);
+    eprintln!(
+        "# workload: A={} tuples, Bprime={} tuples (scale {scale})",
+        w.a_rows.len(),
+        w.bprime_rows.len()
+    );
 
     // CI-only mode: never part of `all` (it re-runs every point twice).
     if wanted.iter().any(|w| w == "smoke") {

@@ -31,8 +31,6 @@
 //! table (gate, points checked, status, first offending field/point)
 //! before exiting non-zero if any gate failed.
 //!
-//! Wall-clock fields in the baseline are ignored — they measure the host.
-//!
 //! ```text
 //! cargo run --release -p gamma-bench --bin regress
 //! cargo run --release -p gamma-bench --bin regress -- --tolerance-pct 0.5
@@ -130,11 +128,8 @@ fn main() {
             .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
         let baseline = parse_bench_points(&doc).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
         assert!(!baseline.is_empty(), "{baseline_path} has no points");
-        let scale = parse_scale(&doc);
-        let w = Workload::scaled(
-            (100_000f64 * scale).round() as usize,
-            (10_000f64 * scale).round() as usize,
-        );
+        let scale = parse_scale(&doc).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
+        let w = Workload::at_scale(scale);
         println!(
             "regress: replaying {} baseline points at scale {scale} (tolerance {tolerance_pct}%)",
             baseline.len()
@@ -154,21 +149,7 @@ fn main() {
                     )
                 })
                 .collect();
-            let packets = run.report.packets();
-            let sc = run.report.shortcircuits();
-            let point = BenchPoint {
-                algorithm: b.algorithm.clone(),
-                memory_ratio: b.memory_ratio,
-                response_virtual_us: run.report.response.as_us(),
-                peak_pool_pages: run.registry.gauge_peak("pool_peak_pages").unwrap_or(0),
-                packets,
-                short_circuit_ratio: if sc + packets > 0 {
-                    sc as f64 / (sc + packets) as f64
-                } else {
-                    0.0
-                },
-            };
-            (point, recon)
+            (BenchPoint::of(&run, b.memory_ratio), recon)
         });
         let mut fresh = Vec::new();
         for (point, recon) in replayed {
@@ -398,10 +379,7 @@ fn main() {
                 Algorithm::HybridHash,
             ],
         );
-        let w = Workload::scaled(
-            (100_000f64 * scale).round() as usize,
-            (10_000f64 * scale).round() as usize,
-        );
+        let w = Workload::at_scale(scale);
         let mut ceilings = Vec::new();
         for alg in grid {
             for ratio in [1.0, 0.5, 0.2] {
@@ -440,11 +418,9 @@ fn main() {
                 let ceilings = parse_alloc_ceilings(&doc)
                     .unwrap_or_else(|e| panic!("{alloc_baseline_path}: {e}"));
                 assert!(!ceilings.is_empty(), "{alloc_baseline_path} has no points");
-                let scale = parse_scale(&doc);
-                let w = Workload::scaled(
-                    (100_000f64 * scale).round() as usize,
-                    (10_000f64 * scale).round() as usize,
-                );
+                let scale =
+                    parse_scale(&doc).unwrap_or_else(|e| panic!("{alloc_baseline_path}: {e}"));
+                let w = Workload::at_scale(scale);
                 println!(
                     "regress: replaying {} alloc ceilings at scale {scale} (serial executor)",
                     ceilings.len()

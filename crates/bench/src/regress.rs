@@ -12,8 +12,10 @@
 //! same treatment: virtual-time quantities are drift-gated, deterministic
 //! identity fields are exact-gated.
 //!
-//! Wall-clock fields (`wall_ms`, `speedup`) are never gated: they measure
-//! the host, not the model.
+//! Every baseline records only deterministic fields: the host clock is
+//! measured by the two-clock benchmark under `benchmark/`, not here.
+
+use crate::metrics::MetricsRun;
 
 /// One benchmark point parsed from `BENCH_joinabprime.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,6 +32,26 @@ pub struct BenchPoint {
     pub packets: u64,
     /// Short-circuited messages / (short-circuited + ring packets).
     pub short_circuit_ratio: f64,
+}
+
+impl BenchPoint {
+    /// The gated fields of one metered run at `memory_ratio`.
+    pub fn of(run: &MetricsRun, memory_ratio: f64) -> Self {
+        let packets = run.report.packets();
+        let sc = run.report.shortcircuits();
+        BenchPoint {
+            algorithm: run.report.algorithm.clone(),
+            memory_ratio,
+            response_virtual_us: run.report.response.as_us(),
+            peak_pool_pages: run.registry.gauge_peak("pool_peak_pages").unwrap_or(0),
+            packets,
+            short_circuit_ratio: if sc + packets > 0 {
+                sc as f64 / (sc + packets) as f64
+            } else {
+                0.0
+            },
+        }
+    }
 }
 
 /// Extract the raw value token for `key` from one JSON object line written
@@ -95,11 +117,49 @@ pub fn parse_bench_points(json: &str) -> Result<Vec<BenchPoint>, String> {
     })
 }
 
-/// Parse the envelope's `scale` field (defaults to 1.0 when absent).
-pub fn parse_scale(json: &str) -> f64 {
-    json.lines()
-        .find_map(|l| num_field(l, "scale"))
-        .unwrap_or(1.0)
+/// Serialize points in the committed `BENCH_joinabprime.json` shape, one
+/// object per line (so [`parse_bench_points`] round-trips them).
+pub fn render_bench_points(scale: f64, points: &[BenchPoint]) -> String {
+    let mut json = String::from("{\n");
+    json.push_str(&format!(
+        "  \"benchmark\": \"joinABprime\",\n  \"scale\": {scale},\n  \"points\": [\n"
+    ));
+    for (i, p) in points.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}}}{}\n",
+            p.algorithm,
+            p.memory_ratio,
+            p.response_virtual_us,
+            p.peak_pool_pages,
+            p.packets,
+            p.short_circuit_ratio,
+            if i + 1 < points.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// Parse the envelope's `scale` field: the workload scale every point of
+/// the document was recorded at. Absent, `null`, unparsable, non-finite
+/// and non-positive are each an error (naming the line when there is one),
+/// so a damaged baseline is never replayed at a default scale.
+pub fn parse_scale(json: &str) -> Result<f64, String> {
+    let (i, line) = json
+        .lines()
+        .enumerate()
+        .find(|(_, l)| l.contains("\"scale\":"))
+        .ok_or("no `scale` field in the envelope")?;
+    let raw = field(line, "scale").unwrap_or_default();
+    let line = i + 1;
+    match raw.parse::<f64>() {
+        _ if raw == "null" => Err(format!("line {line}: `scale` is null")),
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        Ok(v) => Err(format!(
+            "line {line}: `scale` must be finite and > 0, got {v}"
+        )),
+        Err(_) => Err(format!("line {line}: `scale` is not a number: `{raw}`")),
+    }
 }
 
 /// Compare a fresh point set against the baseline. Virtual response times
@@ -564,13 +624,18 @@ mod tests {
     const DOC: &str = r#"{
   "benchmark": "joinABprime",
   "scale": 0.25,
-  "executor": "parallel",
-  "threads": 4,
   "points": [
-    {"algorithm": "hybrid", "memory_ratio": 0.5, "response_virtual_us": 1000000, "wall_ms": 5.1, "serial_wall_ms": null, "speedup": null, "peak_pool_pages": 420, "packets": 9000, "short_circuit_ratio": 0.750}
+    {"algorithm": "hybrid", "memory_ratio": 0.5, "response_virtual_us": 1000000, "peak_pool_pages": 420, "packets": 9000, "short_circuit_ratio": 0.750000}
   ]
 }
 "#;
+
+    /// Every field name a baseline document carries, envelope and points.
+    fn keys(doc: &str) -> std::collections::BTreeSet<&str> {
+        doc.match_indices("\":")
+            .map(|(end, _)| &doc[doc[..end].rfind('"').map_or(0, |q| q + 1)..end])
+            .collect()
+    }
 
     fn pt(alg: &str, ratio: f64, us: u64) -> BenchPoint {
         BenchPoint {
@@ -587,7 +652,37 @@ mod tests {
     fn parses_points_and_scale() {
         let pts = parse_bench_points(DOC).unwrap();
         assert_eq!(pts, [pt("hybrid", 0.5, 1_000_000)]);
-        assert_eq!(parse_scale(DOC), 0.25);
+        assert_eq!(parse_scale(DOC), Ok(0.25));
+    }
+
+    #[test]
+    fn rendered_points_round_trip_byte_for_byte() {
+        let pts = parse_bench_points(DOC).unwrap();
+        assert_eq!(render_bench_points(0.25, &pts), DOC);
+    }
+
+    #[test]
+    fn damaged_scale_is_an_error_naming_the_line() {
+        let with = |v: &str| DOC.replace(r#""scale": 0.25"#, &format!(r#""scale": {v}"#));
+        let absent = DOC.replace("  \"scale\": 0.25,\n", "");
+        assert!(parse_scale(&absent)
+            .expect_err("absent")
+            .contains("no `scale`"));
+        for (value, why) in [
+            ("null", "is null"),
+            ("0.2x5", "not a number"),
+            ("", "not a number"),
+            ("inf", "finite"),
+            ("NaN", "finite"),
+            ("0", "> 0"),
+            ("-0.5", "> 0"),
+        ] {
+            let err = parse_scale(&with(value)).expect_err(value);
+            assert!(
+                err.starts_with("line 3:") && err.contains(why),
+                "{value}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -624,14 +719,33 @@ mod tests {
             std::fs::read_to_string(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR")))
                 .unwrap_or_else(|e| panic!("read {name}: {e}"))
         };
-        let bench = parse_bench_points(&read("BENCH_joinabprime.json"));
-        assert_eq!(bench.unwrap().len(), 12);
+        let bench_doc = read("BENCH_joinabprime.json");
+        assert_eq!(parse_bench_points(&bench_doc).unwrap().len(), 12);
+        assert_eq!(parse_scale(&bench_doc), Ok(1.0));
+        // Only the model's fields: no wall-clock, speedup, allocation count
+        // or executor envelope, so the file is a byte-stable artifact.
+        assert_eq!(keys(&bench_doc), keys(DOC));
+        assert_eq!(
+            keys(DOC).into_iter().collect::<Vec<_>>(),
+            [
+                "algorithm",
+                "benchmark",
+                "memory_ratio",
+                "packets",
+                "peak_pool_pages",
+                "points",
+                "response_virtual_us",
+                "scale",
+                "short_circuit_ratio"
+            ]
+        );
         let serve = parse_serve_points(&read("BENCH_serve.json"));
         assert_eq!(serve.unwrap().len(), 6);
         let skew = parse_skew_points(&read("BENCH_skew.json"));
         assert_eq!(skew.unwrap().len(), 36);
-        let ceilings = parse_alloc_ceilings(&read("ALLOC_CEILINGS.json"));
-        assert_eq!(ceilings.unwrap().len(), 12);
+        let ceilings_doc = read("ALLOC_CEILINGS.json");
+        assert_eq!(parse_alloc_ceilings(&ceilings_doc).unwrap().len(), 12);
+        assert!(parse_scale(&ceilings_doc).is_ok());
     }
 
     #[test]
@@ -868,7 +982,7 @@ mod tests {
         ];
         let doc = render_alloc_ceilings(0.2, &ceilings);
         assert_eq!(parse_alloc_ceilings(&doc).unwrap(), ceilings);
-        assert_eq!(parse_scale(&doc), 0.2);
+        assert_eq!(parse_scale(&doc), Ok(0.2));
         // The other parsers must not pick ceiling points up: the
         // joinabprime one shares the `algorithm` key and rejects them.
         assert!(parse_bench_points(&doc).is_err());

@@ -38,6 +38,16 @@ impl Workload {
         Self::scaled(100_000, 10_000)
     }
 
+    /// The full-size workload scaled by `scale`: |A| = 100,000 · scale and
+    /// |Bprime| = 10,000 · scale, rounded (the `joinabprime` / `regress`
+    /// `scale` field).
+    pub fn at_scale(scale: f64) -> Self {
+        Self::scaled(
+            (100_000f64 * scale).round() as usize,
+            (10_000f64 * scale).round() as usize,
+        )
+    }
+
     /// A scaled workload (tests use small ones; figures use the full one).
     pub fn scaled(a: usize, bprime: usize) -> Self {
         let gen = WisconsinGen::new(1989);

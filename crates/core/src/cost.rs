@@ -46,8 +46,6 @@ pub struct CostModel {
     pub clear_scan_us: u64,
     /// One merge-join comparison.
     pub merge_compare_us: u64,
-    /// Update one (local or merged) aggregate accumulator.
-    pub agg_update_us: u64,
 
     /// Bytes per split-table entry (machine id, port, bucket, h' function
     /// descriptor). 40 bytes makes a 7-bucket 8-disk table (56 entries)
@@ -116,7 +114,6 @@ impl CostModel {
             evict_tuple_us: 400,
             clear_scan_us: 70,
             merge_compare_us: 180,
-            agg_update_us: 300,
 
             split_entry_bytes: 40,
             operator_start_bytes: 256,

@@ -433,8 +433,8 @@ fn read_file_batch(
 }
 
 /// Read every record of a heap file at `node` into a [`TupleBatch`]
-/// (main-thread convenience for sequential operators; workers use
-/// [`StepCtx::read_batch`]).
+/// (main-thread convenience, used by the block-nested-loops fallback;
+/// workers use [`StepCtx::read_batch`]).
 pub fn read_batch(
     machine: &mut Machine,
     ledgers: &mut Ledgers,
@@ -520,8 +520,8 @@ mod tests {
     #[test]
     fn records_sent_by_reference_outlive_their_file() {
         // Between the producer's step and the consumer's, the scanned file
-        // is updated in place, deleted and evicted; every message still
-        // reads the bytes that were sent, local or across the ring.
+        // is deleted and evicted; every message still reads the bytes that
+        // were sent, local or across the ring.
         let mut m = Machine::new(MachineConfig::local_8());
         let mut ledgers = m.ledgers();
         let page = m.cfg.cost.disk.page_bytes;
@@ -538,10 +538,6 @@ mod tests {
                 ctx.send_rec(i % 2, 7, rec);
             }
         });
-        m.nodes[0]
-            .vol_mut()
-            .page_mut(file, 0)
-            .update(3, &[0xEE; 208]);
         delete_file(&mut m, 0, file);
         let got = run_step(
             &mut m,

@@ -1,57 +1,39 @@
 //! The `Scan` stage: read a stored fragment, apply an optional selection.
 //!
-//! Every operator that reads a declustered relation — the four join
-//! drivers' build/probe/partition producers and the sequential operators in
-//! [`crate::operators`] — funnels through [`scan_fragment`], so scan cost
-//! accounting (page reads, per-tuple CPU, the `scan` trace span) lives in
-//! exactly one place.
+//! Every producer of the four join drivers — build, probe and partition —
+//! funnels through [`scan_fragment`], so scan cost accounting (page reads,
+//! per-tuple CPU, the `scan` trace span) lives in exactly one place.
 //!
 //! Selections are chunk-parallel: predicate evaluation is pure per record,
 //! so the keep mask is precomputed on the machine's worker pool
-//! ([`pool::map_chunks`]) while page-read and per-tuple charges replay
+//! ([`StepCtx::par_map_batch`]) while page-read and per-tuple charges replay
 //! sequentially in record order — the scan's ledger, counts and trace
 //! bytes never depend on the pool size.
 
-use gamma_des::Usage;
 use gamma_wiss::FileId;
 
 use crate::algorithms::common::RangePred;
 use crate::batch::TupleBatch;
-use crate::cost::CostModel;
-use crate::exec::{pool, read_file_batch, StepCtx};
-use crate::machine::{Ledgers, Machine, NodeId, NodeState};
+use crate::exec::StepCtx;
 
 /// Scan one stored fragment from a step worker: charges page reads and
 /// per-tuple scan CPU, applies the optional selection, and returns the
 /// surviving records as one page-backed [`TupleBatch`] (no record is
 /// copied; a dropped record leaves the range table and nothing else).
 pub fn scan_fragment(ctx: &mut StepCtx<'_>, file: FileId, pred: Option<RangePred>) -> TupleBatch {
-    scan_fragment_inner(ctx.cost, ctx.state, ctx.ledger, ctx.pool, file, pred)
-}
-
-fn scan_fragment_inner(
-    cost: &CostModel,
-    state: &mut NodeState,
-    usage: &mut Usage,
-    pool: Option<&pool::WorkerPool>,
-    file: FileId,
-    pred: Option<RangePred>,
-) -> TupleBatch {
-    let node = state.id;
+    let node = ctx.node;
     gamma_trace::emit(
         node as u16,
-        usage.total_demand().as_us(),
+        ctx.ledger.total_demand().as_us(),
         gamma_trace::EventKind::SpanBegin { name: "scan" },
     );
-    let (vol, bp) = state.vp();
-    let mut batch = read_file_batch(vol, bp, usage, file);
+    let mut batch = ctx.read_batch(file);
     // Pure per-record work, chunked; effects replayed in record order below.
-    let keep: Option<Vec<bool>> =
-        pred.map(|p| pool::map_chunks(pool, batch.ranges(), |&r| p.eval(batch.slice(r))));
+    let keep: Option<Vec<bool>> = pred.map(|p| ctx.par_map_batch(&batch, |rec| p.eval(rec)));
     let scanned = batch.len() as u64;
     for _ in 0..batch.len() {
-        cost.charge(usage, cost.scan_tuple_us);
-        usage.counts.tuples_in += 1;
+        ctx.charge(ctx.cost.scan_tuple_us);
+        ctx.ledger.counts.tuples_in += 1;
     }
     if let Some(mask) = keep {
         batch.retain_indices(|k| mask[k]);
@@ -61,38 +43,17 @@ fn scan_fragment_inner(
     }
     gamma_trace::emit(
         node as u16,
-        usage.total_demand().as_us(),
+        ctx.ledger.total_demand().as_us(),
         gamma_trace::EventKind::SpanEnd { name: "scan" },
     );
     batch
 }
 
-/// Main-thread convenience for sequential operators: scan at `node` using
-/// the machine's state and the phase ledgers.
-pub fn scan_fragment_at(
-    machine: &mut Machine,
-    ledgers: &mut Ledgers,
-    node: NodeId,
-    file: FileId,
-    pred: Option<RangePred>,
-) -> TupleBatch {
-    let Machine {
-        cfg, nodes, exec, ..
-    } = machine;
-    scan_fragment_inner(
-        &cfg.cost,
-        &mut nodes[node],
-        &mut ledgers[node],
-        exec.pool.as_deref(),
-        file,
-        pred,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Declustering, MachineConfig};
+    use crate::exec::run_step;
+    use crate::machine::{Declustering, Machine, MachineConfig};
     use crate::tuple::{Field, Schema};
 
     #[test]
@@ -115,7 +76,11 @@ mod tests {
             lo: 0,
             hi: 99,
         };
-        let got = scan_fragment_at(&mut m, &mut ledgers, 0, f0, Some(pred));
+        let got = run_step(&mut m, &mut ledgers, "scan", &[0], &mut [()], |ctx, _| {
+            scan_fragment(ctx, f0, Some(pred))
+        })
+        .pop()
+        .unwrap();
         // Node 0 holds k ∈ {0, 8, 16, ...}; of its 50 tuples, those < 100
         // are 0..96 step 8 = 13 tuples.
         assert_eq!(got.len(), 13);

@@ -29,11 +29,6 @@
 //!   bucket forming, scheduler dispatch and filter broadcast,
 //! * [`algorithms`] — the four join drivers, each a short composition of
 //!   executor stages,
-//! * [`operators`] — the rest of Gamma's operator set: selection
-//!   (sequential and B+-tree-indexed), projection, scalar and group-by
-//!   aggregation,
-//! * [`planner`] — operator trees, the sampling column analyzer and the
-//!   §5-rule optimizer,
 //! * [`query`] — [`query::JoinSpec`] / [`query::run_join`], the public
 //!   entry point, plus the DES replay that turns phase ledgers into a
 //!   response time,
@@ -53,8 +48,6 @@ pub mod exec;
 pub mod hash;
 pub mod hash_table;
 pub mod machine;
-pub mod operators;
-pub mod planner;
 pub mod query;
 pub mod report;
 pub mod split;

@@ -337,14 +337,6 @@ impl Machine {
         self.relations.len() - 1
     }
 
-    /// Mutable access for same-crate operators (update/delete rewrite
-    /// fragments and cardinalities in place).
-    pub(crate) fn relation_mut(&mut self, id: RelationId) -> &mut StoredRelation {
-        self.relations[id]
-            .as_mut()
-            .unwrap_or_else(|| panic!("relation {id} was dropped"))
-    }
-
     /// Look up a relation.
     pub fn relation(&self, id: RelationId) -> &StoredRelation {
         self.relations[id]
@@ -479,10 +471,10 @@ impl ResultSink {
         self.checksum = self.checksum.wrapping_add(checksum);
     }
 
-    /// Main-thread producer path for simple operators: send one composed
-    /// result tuple `r ‖ s` from the operator on `src` into the exchange,
-    /// each part by reference when it lies on a shared image (a single
-    /// tuple is `r` with `s` empty). The tuple is stored when
+    /// Main-thread producer path (the block-nested-loops fallback): send
+    /// one composed result tuple `r ‖ s` from the operator on `src` into
+    /// the exchange, each part by reference when it lies on a shared image
+    /// (a single tuple is `r` with `s` empty). The tuple is stored when
     /// [`ResultSink::flush`] drains the store nodes.
     pub fn push(
         &mut self,

@@ -214,8 +214,7 @@ pub fn bucket_count(
 /// Replay a driver's phase sequence through the DES: the scheduler's
 /// serialized dispatch overhead precedes each phase, the phase body runs
 /// in parallel under the overlapped-resource model, and the response time
-/// is the final completion event. Shared by the join entry point and the
-/// relational operators in [`crate::operators`].
+/// is the final completion event.
 pub fn replay_phases(
     machine: &Machine,
     phases: &[crate::report::PhaseRecord],
@@ -338,8 +337,8 @@ pub fn run_join_with_phases(
 }
 
 /// Execute a join and register its result as a stored relation named
-/// `name`, returning the new relation id alongside the report. This is how
-/// composed query plans (select → join → aggregate) chain operators.
+/// `name`, returning the new relation id alongside the report, so the
+/// result can be scanned, joined again or dropped like a base relation.
 pub fn run_join_materialized(
     machine: &mut Machine,
     spec: &JoinSpec,

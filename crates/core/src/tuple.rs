@@ -76,51 +76,6 @@ impl Schema {
         panic!("no attribute named {name}");
     }
 
-    /// Byte range of a field by name (offset, width).
-    ///
-    /// # Panics
-    /// Panics if the field does not exist.
-    pub fn field_range(&self, name: &str) -> (usize, usize) {
-        let mut off = 0;
-        for f in &self.fields {
-            if f.name() == name {
-                return (off, f.width());
-            }
-            off += f.width();
-        }
-        panic!("no attribute named {name}");
-    }
-
-    /// A schema keeping only the named fields, in the given order (the
-    /// projection operator's output schema).
-    pub fn project(&self, names: &[&str]) -> Schema {
-        let fields = names
-            .iter()
-            .map(|n| {
-                self.fields
-                    .iter()
-                    .find(|f| f.name() == *n)
-                    .unwrap_or_else(|| panic!("no attribute named {n}"))
-                    .clone()
-            })
-            .collect();
-        Schema::new(fields)
-    }
-
-    /// Resolve the named fields to byte ranges once, so a batch of
-    /// projections pays the name lookups a single time (see
-    /// [`project_ranges_into`]).
-    pub fn projection(&self, names: &[&str]) -> Vec<(usize, usize)> {
-        names.iter().map(|n| self.field_range(n)).collect()
-    }
-
-    /// Project one tuple onto the named fields.
-    pub fn project_tuple(&self, names: &[&str], tuple: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        project_ranges_into(&self.projection(names), tuple, &mut out);
-        out
-    }
-
     /// Concatenation of two schemas (the composed join output schema).
     pub fn join(&self, other: &Schema) -> Schema {
         let mut fields = Vec::with_capacity(self.fields.len() + other.fields.len());
@@ -162,18 +117,6 @@ impl Attr {
     #[inline]
     pub fn put(&self, tuple: &mut [u8], v: u32) {
         tuple[self.offset..self.offset + 4].copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Project a tuple onto pre-resolved field ranges (from
-/// [`Schema::projection`]), writing into a caller-owned buffer that is
-/// cleared and refilled — reuse it across a batch to project with zero
-/// per-tuple allocation and zero per-tuple name lookups.
-#[inline]
-pub fn project_ranges_into(ranges: &[(usize, usize)], tuple: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    for &(off, w) in ranges {
-        out.extend_from_slice(&tuple[off..off + w]);
     }
 }
 
@@ -228,17 +171,5 @@ mod tests {
         assert_eq!(j.tuple_bytes(), 2 * s.tuple_bytes());
         assert_eq!(j.int_attr("l.unique1").offset, 0);
         assert_eq!(j.int_attr("r.unique1").offset, s.tuple_bytes());
-    }
-
-    #[test]
-    fn projection_into_matches_project_tuple() {
-        let mut buf = vec![1, 2, 3];
-        let s = schema();
-        let ranges = s.projection(&["normal", "unique1"]);
-        let mut t = vec![0u8; s.tuple_bytes()];
-        s.int_attr("unique1").put(&mut t, 11);
-        s.int_attr("normal").put(&mut t, 22);
-        project_ranges_into(&ranges, &t, &mut buf);
-        assert_eq!(buf, s.project_tuple(&["normal", "unique1"], &t));
     }
 }

@@ -13,17 +13,13 @@
 //!   `joinCselAselB`) as [`gamma_core::JoinSpec`] builders,
 //! * a reference **oracle join** that computes the expected result
 //!   cardinality and multiset checksum, against which every engine run is
-//!   validated,
-//! * the **full benchmark suite** \[BITT83\] (selections, projections,
-//!   aggregates, joins, updates) as a runnable kit.
+//!   validated.
 
-pub mod benchmark;
 pub mod gen;
 pub mod load;
 pub mod oracle;
 pub mod queries;
 
-pub use benchmark::{QueryResult, WisconsinBenchmark};
 pub use gen::{WisconsinGen, WisconsinRow};
 pub use load::{load_hashed, load_range, load_round_robin, range_cuts};
 pub use oracle::{oracle_join, OracleExpect};

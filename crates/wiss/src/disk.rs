@@ -134,15 +134,6 @@ impl Volume {
             .unwrap_or_else(|| panic!("unknown file {file}"))[idx]
     }
 
-    /// Mutably borrow a page (in-place record updates; the byte-stream
-    /// layer uses this for chunk overwrites).
-    pub fn page_mut(&mut self, file: FileId, idx: usize) -> &mut Page {
-        &mut self
-            .files
-            .get_mut(&file)
-            .unwrap_or_else(|| panic!("unknown file {file}"))[idx]
-    }
-
     /// Append a fully built page to a file; returns its index.
     pub fn append_page(&mut self, file: FileId, page: Page) -> usize {
         let pages = self

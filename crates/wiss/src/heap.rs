@@ -244,12 +244,6 @@ mod tests {
         assert_eq!(vol.file_pages(f), 3);
         assert_eq!(vol.page(f, 0), &held);
 
-        // An in-place update writes a private copy: the volume reads the
-        // new record, the held handle the old one.
-        vol.page_mut(f, 0).update(5, &[0xEE; 208]);
-        assert_eq!(vol.page(f, 0).get(5), Some(&[0xEE; 208][..]));
-        assert_eq!(held.get(5), Some(&[5u8; 208][..]));
-
         // Deleting the file does not take the bytes from under the handle.
         vol.delete_file(f);
         assert!(!vol.exists(f));

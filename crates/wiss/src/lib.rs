@@ -2,8 +2,10 @@
 //!
 //! Gamma's file services came from the Wisconsin Storage System (WiSS):
 //! structured sequential files, B+ indices, a sort utility, and a scan
-//! mechanism with one-page readahead. This crate rebuilds those services on
-//! top of simulated per-node disk volumes:
+//! mechanism with one-page readahead. The four joins use three of them —
+//! temporary and bucket files, the sort utility and sequential scans with
+//! readahead — and this crate rebuilds exactly those on top of simulated
+//! per-node disk volumes:
 //!
 //! * [`page`] — 8 KB slotted pages (variable-length records),
 //! * [`disk`] — per-node [`disk::Volume`]s holding files of pages, plus the
@@ -17,27 +19,19 @@
 //!   files and overflow files,
 //! * [`sort`] — the external merge sort utility (run formation + multi-pass
 //!   merge) that drives the parallel sort-merge join; its pass count is what
-//!   produces the "upward steps" in the paper's sort-merge curves,
-//! * [`stream`] — byte-stream files "as in UNIX",
-//! * [`longdata`] — long data items stored out of line,
-//! * [`btree`] — a B+-tree, completing the WiSS service set.
+//!   produces the "upward steps" in the paper's sort-merge curves.
 //!
 //! Everything executes for real on real bytes; the simulation aspect is the
 //! *cost accounting* charged to [`gamma_des::Usage`] ledgers.
 
-pub mod btree;
 pub mod disk;
 pub mod heap;
-pub mod longdata;
 pub mod page;
 pub mod pool;
 pub mod sort;
-pub mod stream;
 
 pub use disk::{DiskConfig, FileId, Volume};
 pub use heap::{HeapScan, HeapWriter};
-pub use longdata::{LongItemId, LongStore};
 pub use page::Page;
 pub use pool::BufferPool;
 pub use sort::{external_sort, SortConfig, SortCost, SortStats};
-pub use stream::ByteStream;

@@ -17,12 +17,11 @@
 //! A stored page's byte image is reference-counted: cloning a [`Page`]
 //! shares it, so a scan hands out page handles instead of copying records,
 //! and a handle keeps reading the bytes it was taken from whatever later
-//! happens to the file. Writing through a shared handle copies the image
-//! first (only [`Page::update`] on a stored page ever does). A writer
-//! fills a `PageBuilder` — plain owned bytes, no sharing to check on
-//! every insert — and seals each full page into a `Page` with the one
-//! allocation and the one pass over its bytes that zero-filling a fresh
-//! page used to cost.
+//! happens to the file. A stored page is immutable once sealed: no volume
+//! operation writes into it. A writer fills a `PageBuilder` — plain owned
+//! bytes, no sharing to check on every insert — and seals each full page
+//! into a `Page` with the one allocation and the one pass over its bytes
+//! that zero-filling a fresh page used to cost.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -162,18 +161,6 @@ impl Page {
     /// Panics on zero-length records.
     pub fn insert(&mut self, rec: &[u8]) -> Option<usize> {
         insert(self.image_mut(), rec)
-    }
-
-    /// Overwrite the record in `slot` in place. The replacement must have
-    /// exactly the original length (used by the byte-stream file layer,
-    /// whose chunks are fixed size).
-    ///
-    /// # Panics
-    /// Panics if the slot is out of range or the lengths differ.
-    pub fn update(&mut self, slot: usize, rec: &[u8]) {
-        let at = self.range(slot);
-        assert_eq!(at.len(), rec.len(), "in-place update must preserve length");
-        self.image_mut()[at].copy_from_slice(rec);
     }
 
     /// Record stored in `slot`, or `None` if the slot is out of range.

@@ -74,11 +74,6 @@ impl BufferPool {
         self.node = node;
     }
 
-    /// Disk model in force.
-    pub fn config(&self) -> &DiskConfig {
-        &self.cfg
-    }
-
     /// (hits, misses) since creation.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

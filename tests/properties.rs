@@ -15,10 +15,8 @@ use gamma_core::query::{Algorithm, JoinSpec, OverflowPolicy};
 use gamma_core::tuple::Field;
 use gamma_core::{run_join, Machine, Schema};
 use gamma_des::{fifo_drain, Request, SharedServer, SimTime, Usage};
-use gamma_wiss::btree::BPlusTree;
 use gamma_wiss::{
-    external_sort, BufferPool, ByteStream, DiskConfig, HeapScan, HeapWriter, SortConfig, SortCost,
-    Volume,
+    external_sort, BufferPool, DiskConfig, HeapScan, HeapWriter, SortConfig, SortCost, Volume,
 };
 
 /// Deterministic per-property case stream: property name -> base seed,
@@ -408,38 +406,6 @@ fn bit_filter_no_false_negatives() {
     }
 }
 
-/// The B+-tree agrees with a BTreeMap model on membership and range
-/// queries under any insertion order.
-#[test]
-fn btree_matches_model() {
-    for case in 0..24u64 {
-        let mut rng = case_rng("btree_matches_model", case);
-        let len = rng.gen_range(0usize..800);
-        let entries: Vec<(u64, u32)> = (0..len)
-            .map(|_| (rng.gen_range(0u64..2_000), rng.next_u32()))
-            .collect();
-        let mut tree: BPlusTree<u64, u32> = BPlusTree::new();
-        let mut model: std::collections::BTreeMap<u64, Vec<u32>> = Default::default();
-        for &(k, v) in &entries {
-            tree.insert(k, v);
-            model.entry(k).or_default().push(v);
-        }
-        assert_eq!(tree.len(), entries.len(), "case {case}");
-        for k in (0..2_000).step_by(37) {
-            assert_eq!(
-                tree.get(&k).is_some(),
-                model.contains_key(&k),
-                "case {case}"
-            );
-        }
-        let lo = 200u64;
-        let hi = 900u64;
-        let got: usize = tree.range(&lo, &hi).len();
-        let want: usize = model.range(lo..=hi).map(|(_, vs)| vs.len()).sum();
-        assert_eq!(got, want, "case {case}: range count");
-    }
-}
-
 /// Fabric conservation: every packet sent is received exactly once,
 /// and short-circuited messages never touch the ring.
 #[test]
@@ -499,100 +465,6 @@ fn heap_file_roundtrip() {
         let f = w.finish(&mut vol, &mut pool, &mut u);
         let got = HeapScan::open(&vol, f).collect_all(&mut pool, &mut u);
         assert_eq!(got, recs, "case {case}");
-    }
-}
-
-/// The B+-tree with interleaved inserts and removes agrees with a
-/// multiset model.
-#[test]
-fn btree_insert_remove_matches_model() {
-    for case in 0..24u64 {
-        let mut rng = case_rng("btree_insert_remove_matches_model", case);
-        let len = rng.gen_range(0usize..600);
-        let ops: Vec<(bool, u64)> = (0..len)
-            .map(|_| (rng.gen_bool(0.5), rng.gen_range(0u64..64)))
-            .collect();
-        let mut tree: BPlusTree<u64, u32> = BPlusTree::new();
-        let mut model: std::collections::BTreeMap<u64, u32> = Default::default();
-        for (i, &(insert, k)) in ops.iter().enumerate() {
-            if insert {
-                tree.insert(k, i as u32);
-                *model.entry(k).or_default() += 1;
-            } else {
-                let got = tree.remove(&k).is_some();
-                let want = match model.get_mut(&k) {
-                    Some(c) if *c > 0 => {
-                        *c -= 1;
-                        if *c == 0 {
-                            model.remove(&k);
-                        }
-                        true
-                    }
-                    _ => false,
-                };
-                assert_eq!(got, want, "case {case}: remove({k}) at op {i}");
-            }
-        }
-        let total: u32 = model.values().sum();
-        assert_eq!(tree.len() as u32, total, "case {case}");
-        for k in 0..64u64 {
-            assert_eq!(
-                tree.range(&k, &k).len() as u32,
-                model.get(&k).copied().unwrap_or(0),
-                "case {case}: key {k}"
-            );
-        }
-    }
-}
-
-/// Byte-stream files behave exactly like a growable Vec<u8> under any
-/// interleaving of writes, appends and reads.
-#[test]
-fn byte_stream_matches_vec_model() {
-    for case in 0..24u64 {
-        let mut rng = case_rng("byte_stream_matches_vec_model", case);
-        let n = rng.gen_range(0usize..40);
-        let ops: Vec<(u8, u64, Vec<u8>)> = (0..n)
-            .map(|_| {
-                let op = rng.gen_range(0u32..3) as u8;
-                let offset = rng.gen_range(0u64..40_000);
-                let len = rng.gen_range(0usize..600);
-                let data = (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect();
-                (op, offset, data)
-            })
-            .collect();
-        let mut vol = Volume::new();
-        let mut pool = BufferPool::new(DiskConfig::fujitsu_8inch(), 4);
-        let mut u = Usage::ZERO;
-        let mut s = ByteStream::create(&mut vol, 8192);
-        let mut model: Vec<u8> = Vec::new();
-        for (op, offset, data) in &ops {
-            match op {
-                0 => {
-                    s.append(&mut vol, &mut pool, &mut u, data);
-                    model.extend_from_slice(data);
-                }
-                1 => {
-                    s.write_at(&mut vol, &mut pool, &mut u, *offset, data);
-                    if !data.is_empty() {
-                        let end = *offset as usize + data.len();
-                        if model.len() < end {
-                            model.resize(end, 0);
-                        }
-                        model[*offset as usize..end].copy_from_slice(data);
-                    }
-                }
-                _ => {
-                    let got = s.read_at(&vol, &mut pool, &mut u, *offset, data.len());
-                    let lo = (*offset as usize).min(model.len());
-                    let hi = (lo + data.len()).min(model.len());
-                    assert_eq!(&got, &model[lo..hi], "case {case}: read");
-                }
-            }
-            assert_eq!(s.len(), model.len() as u64, "case {case}: length");
-        }
-        let all = s.read_at(&vol, &mut pool, &mut u, 0, model.len());
-        assert_eq!(all, model, "case {case}: full contents");
     }
 }
 
@@ -731,89 +603,5 @@ fn hash_mod_alignment() {
         let k = rng.gen_range(1u64..16);
         let h = hash_u32(JOIN_SEED, v);
         assert_eq!((h % (k * d)) % d, h % d, "case {case}");
-    }
-}
-
-/// Random select→join→aggregate plans agree with a direct model
-/// computation over the raw keys.
-#[test]
-fn plans_match_model() {
-    use gamma_core::operators::AggFn;
-    use gamma_core::planner::{execute, Plan, PlanConfig};
-
-    for case in 0..16u64 {
-        let mut rng = case_rng("plans_match_model", case);
-        let inner = {
-            let mut v = vec_u32(&mut rng, 149, 64);
-            v.push(rng.gen_range(0u32..64)); // 1..150 non-empty
-            v
-        };
-        let outer = {
-            let mut v = vec_u32(&mut rng, 299, 64);
-            v.push(rng.gen_range(0u32..64));
-            v
-        };
-        let sel_hi = rng.gen_range(0u32..64);
-        let mem_div = rng.gen_range(1u64..8);
-        let algorithm = Algorithm::ALL[rng.gen_range(0usize..4)];
-
-        let mut machine = Machine::new(MachineConfig::local_8());
-        let schema = pad_schema();
-        let attr = schema.int_attr("k");
-        let r = machine.load_relation(
-            "r",
-            schema.clone(),
-            Declustering::Hashed { attr },
-            inner.iter().map(|&k| mk_tuple(k)).collect::<Vec<_>>(),
-        );
-        let s = machine.load_relation(
-            "s",
-            schema.clone(),
-            Declustering::Hashed { attr },
-            outer.iter().map(|&k| mk_tuple(k)).collect::<Vec<_>>(),
-        );
-        let plan = Plan::Aggregate {
-            input: Box::new(Plan::Join {
-                inner: Box::new(Plan::Select {
-                    input: Box::new(Plan::Scan(r)),
-                    attr: "k".into(),
-                    lo: 0,
-                    hi: sel_hi,
-                }),
-                outer: Box::new(Plan::Scan(s)),
-                inner_attr: "k".into(),
-                outer_attr: "k".into(),
-                algorithm: Some(algorithm),
-            }),
-            // After a possible inner/outer swap the join schema prefixes
-            // may flip, so group on whichever k survives; both sides carry
-            // the same key value on a match, so l.k == r.k.
-            group_by: "l.k".into(),
-            attr: "l.k".into(),
-            f: AggFn::Count,
-        };
-        let cfg = PlanConfig {
-            memory_bytes: (machine.relation(r).data_bytes / mem_div).max(1),
-            site: gamma_core::JoinSite::Local,
-            bit_filter: true,
-        };
-        let report = execute(&mut machine, &plan, &cfg);
-
-        // Model: count matches per key after the selection.
-        let mut model: std::collections::BTreeMap<u32, u64> = Default::default();
-        for &sk in &outer {
-            let matches = inner.iter().filter(|&&rk| rk == sk && rk <= sel_hi).count() as u64;
-            if matches > 0 {
-                *model.entry(sk).or_default() += matches;
-            }
-        }
-        let want_groups = model.len() as u64;
-        let want_total: u64 = model.values().sum();
-        assert_eq!(report.tuples, want_groups, "case {case}: group count");
-        assert_eq!(
-            report.stages[1].tuples, want_total,
-            "case {case}: join cardinality"
-        );
-        machine.drop_relation(report.output);
     }
 }
