@@ -4,10 +4,12 @@
 //! slices (`&[u8]`). A record's bytes live in one of two places:
 //!
 //! * **on the page it was scanned from.** A scan pushes a handle to each
-//!   WiSS page ([`TupleBatch::push_page`]; cloning a [`Page`] shares its
-//!   byte image) plus that page's slot ranges, and copies no record. The
-//!   handles keep the bytes alive and unchanged while the file they came
-//!   from is appended to, updated or deleted;
+//!   WiSS page ([`TupleBatch::push_page`]; cloning a [`Page`] shares the
+//!   segment it lies in) plus that page's slot ranges, and copies no
+//!   record. The handles keep the bytes alive and unchanged while the file
+//!   they came from is appended to or deleted. A scan sees the pages its
+//!   file holds: a writer's pages join the file a segment at a time, and
+//!   nothing scans a file while its writer is open;
 //! * **in the batch's own arena**, for records that must outlive whatever
 //!   buffer they were read from ([`TupleBatch::push`]).
 //!
@@ -26,9 +28,11 @@
 use gamma_wiss::Page;
 
 /// Set in a range's `start` when the record lies on a page: the remaining
-/// bits are `page index << PAGE_SHIFT | offset within the page`.
+/// bits are the page's index, and the range's `len` is
+/// `offset within the page << PAGE_SHIFT | length`.
 const ON_PAGE: u32 = 1 << 31;
-/// A WiSS page is at most 64 KB, so an in-page offset fits 16 bits.
+/// A WiSS page is at most 64 KB, so an in-page offset and a record's
+/// length fit 16 bits each.
 const PAGE_SHIFT: u32 = 16;
 
 /// One record of a batch with its home: the bytes (it derefs to them) and,
@@ -44,8 +48,8 @@ pub struct TupleBatch {
     data: Vec<u8>,
     /// Handles of the scanned pages the page-backed records lie on.
     pages: Vec<Page>,
-    /// `(start, len)` of each record; `start` is an arena offset, or an
-    /// [`ON_PAGE`] address.
+    /// `(start, len)` of each record: an arena offset and a length, or an
+    /// [`ON_PAGE`] page index and the record's place on that page.
     ranges: Vec<(u32, u32)>,
 }
 
@@ -74,20 +78,18 @@ impl TupleBatch {
     }
 
     /// Append every record of `page`, in slot order, by reference: the
-    /// batch keeps a handle to the page's byte image and copies nothing.
+    /// batch keeps a handle to the page (and so to its segment) and copies
+    /// nothing.
     ///
     /// # Panics
-    /// Panics past 32 768 pages in one batch.
+    /// Panics past 2^31 pages in one batch.
     pub fn push_page(&mut self, page: &Page) {
-        let index = self.pages.len() as u32;
-        assert!(
-            index < ON_PAGE >> PAGE_SHIFT,
-            "tuple batch holds too many pages"
-        );
-        let base = ON_PAGE | index << PAGE_SHIFT;
+        let index = self.pages.len();
+        assert!(index < ON_PAGE as usize, "tuple batch holds too many pages");
+        let start = ON_PAGE | index as u32;
         self.ranges.extend(
             page.slots()
-                .map(|(off, len)| (base | off as u32, len as u32)),
+                .map(|(off, len)| (start, (off as u32) << PAGE_SHIFT | len as u32)),
         );
         self.pages.push(page.clone());
     }
@@ -125,13 +127,13 @@ impl TupleBatch {
     /// Resolve a range from [`Self::ranges`] to its record and home.
     #[inline]
     pub fn rec(&self, (start, len): (u32, u32)) -> Rec<'_> {
-        let len = len as usize;
         if start & ON_PAGE == 0 {
-            Rec::from(&self.data[start as usize..start as usize + len])
+            Rec::from(&self.data[start as usize..][..len as usize])
         } else {
-            let image = self.pages[((start & !ON_PAGE) >> PAGE_SHIFT) as usize].image();
-            let off = (start & ((1 << PAGE_SHIFT) - 1)) as usize;
-            Rec::shared(image, off..off + len)
+            let page = &self.pages[(start & !ON_PAGE) as usize];
+            let off = page.offset() + (len >> PAGE_SHIFT) as usize;
+            let len = (len & ((1 << PAGE_SHIFT) - 1)) as usize;
+            Rec::shared(page.image(), off..off + len)
         }
     }
 
@@ -206,6 +208,21 @@ mod tests {
         b.push_page(&p);
         assert_eq!(b.len(), 2, "an empty page adds no record");
         assert_eq!(b.get(1), &[9], "offset 65535 of page 1");
+    }
+
+    #[test]
+    fn more_than_32768_page_handles_resolve() {
+        let mut p = Page::new(64);
+        p.insert(&[7; 56]).unwrap();
+        let mut b = TupleBatch::new();
+        b.push(&[1]);
+        for _ in 0..32_769 {
+            b.push_page(&p);
+        }
+        assert_eq!(b.len(), 32_770);
+        assert_eq!(b.get(32_769), &[7; 56], "the record of page 32 768");
+        let (image, at) = b.recs().last().unwrap().home().unwrap();
+        assert_eq!(&image.bytes()[at..][..56], &[7; 56]);
     }
 
     /// Any interleaving of page pushes, `push` and `retain_indices` reads

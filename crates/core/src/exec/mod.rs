@@ -526,6 +526,27 @@ mod tests {
     }
 
     #[test]
+    fn a_fragment_of_more_than_32768_pages_reads_into_one_batch() {
+        let mut m = Machine::new(MachineConfig::local_8());
+        let mut ledgers = m.ledgers();
+        let (vol, pool) = m.nodes[0].vp();
+        let mut w = HeapWriter::create(vol, 64);
+        // A 56-byte record fills a 64-byte page.
+        for i in 0..32_769u32 {
+            let mut rec = [0u8; 56];
+            rec[..4].copy_from_slice(&i.to_le_bytes());
+            w.push(vol, pool, &mut ledgers[0], &rec);
+        }
+        let file = w.finish(vol, pool, &mut ledgers[0]);
+        assert_eq!(m.nodes[0].vol().file_pages(file), 32_769);
+        let batch = read_batch(&mut m, &mut ledgers, 0, file);
+        assert_eq!(batch.len(), 32_769);
+        for (i, rec) in batch.iter().enumerate() {
+            assert_eq!(rec[..4], (i as u32).to_le_bytes(), "record {i}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "undrained")]
     fn undrained_step_is_detected() {
         let mut m = Machine::new(MachineConfig::local_8());

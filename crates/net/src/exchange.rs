@@ -36,9 +36,10 @@
 //! of two places:
 //!
 //! * **on a shared image the sender already holds** ([`Part::shared`]) —
-//!   the WiSS page a record was scanned from, or a join site's hash-table
-//!   arena, frozen by moving it behind a reference count ([`Image`]). The
-//!   table keeps one handle per distinct image, so the bytes stay readable
+//!   the WiSS segment of pages a record was scanned from, or a join site's
+//!   hash-table arena, frozen by moving it behind a reference count
+//!   ([`Image`]). The table keeps one handle per distinct image — one for
+//!   all the pages of a segment — so the bytes stay readable
 //!   and unchanged whatever happens to their source before the consumer
 //!   runs, and nothing is copied;
 //! * **in the table's own arena**, for bytes with no shared owner — a
@@ -100,7 +101,8 @@ const KEEP_BLOCKS: usize = 4;
 /// from its owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Image<'a> {
-    /// A sealed WiSS page's image: one allocation, the bytes inline.
+    /// A WiSS segment: the images of up to eight consecutive pages of one
+    /// file, one allocation, the bytes inline.
     Page(&'a Arc<[u8]>),
     /// A buffer shared whole where it was filled — a join site's frozen
     /// hash-table arena, shared without a copy.
@@ -412,8 +414,8 @@ impl Table {
         (ARENA | index(self.arena.used - 1), start, len)
     }
 
-    /// The handle of `image`, taken if new. A scan sends a page's records
-    /// one after another, and a result's parts come from one frozen table
+    /// The handle of `image`, taken if new. A scan sends a segment's
+    /// records one after another, and a result's parts come from one frozen table
     /// and a run of probe pages, so comparing with the handle each part
     /// position used last keeps one handle per distinct image.
     #[inline]
@@ -1406,6 +1408,44 @@ mod tests {
         }
         assert_eq!(
             Arc::strong_count(&table),
+            1,
+            "handles dropped with the step"
+        );
+    }
+
+    #[test]
+    fn pages_of_one_segment_share_one_handle() {
+        // A scan of eight pages published as one segment sends every
+        // record by reference: each stream holds one handle on the
+        // segment, whatever page a record lies on, and copies nothing.
+        let (mut ex, mut u) = exchange(2);
+        let segment: Arc<[u8]> = (0..8 * 512).map(|i| (i * 7 % 251) as u8).collect();
+        let mut want = [Vec::new(), Vec::new()];
+        for page in 0..8usize {
+            for rec in 0..10usize {
+                let at = page * 512 + 4 + rec * 50;
+                let dst = (page + rec) % 2;
+                want[dst].push(segment[at..at + 50].to_vec());
+                let part = Part::shared(&segment, at..at + 50);
+                ex.outboxes_mut()[0].send_parts(&mut u[0], dst, 3, part, Part::default());
+            }
+        }
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        ex.route();
+        assert_eq!(Arc::strong_count(&segment), 3, "one handle per stream");
+        for (dst, want) in want.iter().enumerate() {
+            let mut inbox = ex.take_inbox(dst);
+            let drained = inbox.drain(&mut u[dst], &RingConfig::gamma_1989());
+            let held = &drained.tables()[0];
+            assert_eq!(held.pages.len(), 1, "node {dst}: one handle per segment");
+            assert_eq!(held.arena.used, 0, "node {dst}: nothing copied");
+            let got: Vec<Vec<u8>> = drained.iter().map(|m| m.payload.to_vec()).collect();
+            assert_eq!(&got, want, "node {dst}");
+            drop(drained);
+            ex.return_inbox(inbox);
+        }
+        assert_eq!(
+            Arc::strong_count(&segment),
             1,
             "handles dropped with the step"
         );

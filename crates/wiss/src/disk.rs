@@ -4,10 +4,18 @@
 //! each an append-only sequence of [`Page`]s. Pages are stored in memory
 //! (this is a simulator), but every access is charged to a ledger through
 //! the buffer pool, using the [`DiskConfig`] service-time model.
+//!
+//! A heap writer's pages reach its file a segment at a time: a volume
+//! owns the staging runs its writers fill in place, and a writer appends
+//! a run's pages when the run is full and at `finish`. Until then a page
+//! the writer has sealed (and been charged for) is not in the file yet;
+//! nothing reads a file while its writer is open. A closed writer's run
+//! goes back to the volume, and the next writer opened takes the one
+//! given back last, so a warmed volume allocates no staging per writer.
 
 use std::collections::BTreeMap;
 
-use crate::page::Page;
+use crate::page::{Page, Staging};
 
 /// Identifies a file within one volume.
 pub type FileId = u64;
@@ -76,6 +84,8 @@ impl HeadPos {
 pub struct Volume {
     files: BTreeMap<FileId, Vec<Page>>,
     next_id: FileId,
+    /// Staging runs of closed writers, the one given back last on top.
+    runs: Vec<Staging>,
 }
 
 impl Volume {
@@ -142,6 +152,29 @@ impl Volume {
             .unwrap_or_else(|| panic!("unknown file {file}"));
         pages.push(page);
         pages.len() - 1
+    }
+
+    /// Append the pages a writer's run publishes; see [`Staging::publish`].
+    pub(crate) fn append_pages(&mut self, file: FileId, pages: impl IntoIterator<Item = Page>) {
+        self.files
+            .get_mut(&file)
+            .unwrap_or_else(|| panic!("unknown file {file}"))
+            .extend(pages);
+    }
+
+    /// A staging run of `page_bytes` pages for a writer being opened: the
+    /// one of that size given back last, or a new one.
+    pub(crate) fn take_run(&mut self, page_bytes: usize) -> Staging {
+        match self.runs.iter().rposition(|r| r.page_bytes() == page_bytes) {
+            Some(i) => self.runs.remove(i),
+            None => Staging::new(page_bytes),
+        }
+    }
+
+    /// Give back a closed writer's run, empty, for the next writer.
+    pub(crate) fn return_run(&mut self, run: Staging) {
+        debug_assert!(run.sealed() == 0 && run.is_empty(), "run given back in use");
+        self.runs.push(run);
     }
 
     /// Take every page out of a file, leaving it in place and empty: the

@@ -1,32 +1,39 @@
 //! Heap files: structured sequential files of records.
 //!
-//! [`HeapWriter`] buffers one page in memory and writes it to the volume
-//! when full (charging the write I/O); [`HeapScan`] reads a file back in
-//! sequence (charging reads through the pool). These are the WiSS services
-//! used for base relations, Grace/Hybrid bucket files, Simple-hash overflow
-//! files, sort runs and result relations.
+//! [`HeapWriter`] fills its pages in place, in a staging run of
+//! [`SEGMENT_PAGES`](crate::page::SEGMENT_PAGES) pages it takes from the volume, and charges each
+//! page's write when the page is full (and the last, partial one at
+//! `finish`), in page order. The pages become visible in the file a run at
+//! a time — one shared segment each — when the run is full and at
+//! `finish`; nothing reads a file while its writer is open. [`HeapScan`]
+//! reads a file back in sequence (charging reads through the pool). These
+//! are the WiSS services used for base relations, Grace/Hybrid bucket
+//! files, Simple-hash overflow files, sort runs and result relations.
 
 use gamma_des::Usage;
 
 use crate::disk::{FileId, Volume};
-use crate::page::PageBuilder;
+use crate::page::Staging;
 use crate::pool::BufferPool;
 
 /// Buffered appender for one heap file.
 #[derive(Debug)]
 pub struct HeapWriter {
     file: FileId,
-    cur: PageBuilder,
+    run: Staging,
+    /// Pages sealed so far: the index of the page being filled.
+    pages: usize,
     records: u64,
 }
 
 impl HeapWriter {
-    /// Start writing to a freshly created file on `vol`.
+    /// Start writing to a freshly created file on `vol`, in a staging run
+    /// of `vol`'s.
     pub fn create(vol: &mut Volume, page_bytes: usize) -> Self {
-        let file = vol.create_file();
         HeapWriter {
-            file,
-            cur: PageBuilder::new(page_bytes),
+            file: vol.create_file(),
+            run: vol.take_run(page_bytes),
+            pages: 0,
             records: 0,
         }
     }
@@ -41,19 +48,19 @@ impl HeapWriter {
         self.records
     }
 
-    /// Append one record, spilling the buffered page when full.
+    /// Append one record, sealing the page being filled when full.
     ///
     /// # Panics
     /// Panics if the record cannot fit even in an empty page.
     pub fn push(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage, rec: &[u8]) {
-        if self.cur.insert(rec).is_none() {
+        if self.run.insert(rec).is_none() {
             assert!(
-                !self.cur.is_empty(),
+                !self.run.is_empty(),
                 "record of {} bytes exceeds page capacity",
                 rec.len()
             );
-            self.spill(vol, pool, usage);
-            self.cur
+            self.seal(vol, pool, usage);
+            self.run
                 .insert(rec)
                 .unwrap_or_else(|| panic!("record of {} bytes exceeds page capacity", rec.len()));
         }
@@ -73,30 +80,40 @@ impl HeapWriter {
         a: &[u8],
         b: &[u8],
     ) {
-        if self.cur.insert_concat(a, b).is_none() {
+        if self.run.insert_concat(a, b).is_none() {
             let len = a.len() + b.len();
             assert!(
-                !self.cur.is_empty(),
+                !self.run.is_empty(),
                 "record of {len} bytes exceeds page capacity"
             );
-            self.spill(vol, pool, usage);
-            self.cur
+            self.seal(vol, pool, usage);
+            self.run
                 .insert_concat(a, b)
                 .unwrap_or_else(|| panic!("record of {len} bytes exceeds page capacity"));
         }
         self.records += 1;
     }
 
-    fn spill(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
-        let idx = vol.append_page(self.file, self.cur.seal());
-        pool.charge_write(self.file, idx, usage);
+    /// Charge the write of the page being filled and close it, publishing
+    /// the run when that filled it.
+    fn seal(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
+        pool.charge_write(self.file, self.pages, usage);
+        self.pages += 1;
+        if self.run.seal() {
+            vol.append_pages(self.file, self.run.publish());
+        }
     }
 
-    /// Flush the final partial page and return the file id.
+    /// Write the final partial page, publish what the run holds, give the
+    /// run back to `vol` and return the file id.
     pub fn finish(mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) -> FileId {
-        if !self.cur.is_empty() {
-            self.spill(vol, pool, usage);
+        if !self.run.is_empty() {
+            self.seal(vol, pool, usage);
         }
+        if self.run.sealed() > 0 {
+            vol.append_pages(self.file, self.run.publish());
+        }
+        vol.return_run(self.run);
         self.file
     }
 }
@@ -167,8 +184,11 @@ impl<'a> HeapScan<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::disk::DiskConfig;
+    use crate::page::SEGMENT_PAGES;
 
     fn setup() -> (Volume, BufferPool, Usage) {
         (
@@ -225,29 +245,89 @@ mod tests {
     }
 
     #[test]
-    fn cloned_pages_keep_the_bytes_they_were_taken_from() {
+    fn pages_appear_a_run_at_a_time_and_keep_their_bytes() {
         let (mut vol, mut pool, mut u) = setup();
         let mut w = HeapWriter::create(&mut vol, 8192);
-        for i in 0..40u8 {
-            w.push(&mut vol, &mut pool, &mut u, &[i; 208]);
-        }
         let f = w.file();
-        assert_eq!(vol.file_pages(f), 1, "38 records spilled, 2 buffered");
+        let mut push = |w: &mut HeapWriter, vol: &mut Volume, i: u32| {
+            w.push(vol, &mut pool, &mut u, &[i as u8; 208]);
+            u.counts.pages_written
+        };
+        // 38 records a page: the 305th seals the eighth page.
+        for i in 0..304 {
+            push(&mut w, &mut vol, i);
+        }
+        assert_eq!(
+            push(&mut w, &mut vol, 304),
+            8,
+            "each page charged as it fills"
+        );
+        assert_eq!(vol.file_pages(f), 8, "a full run is published at once");
         let held = vol.page(f, 0).clone();
         let before: Vec<Vec<u8>> = held.records().map(<[u8]>::to_vec).collect();
 
-        // More appends to the same file add pages; the held one is as it was.
-        for i in 40..80u8 {
-            w.push(&mut vol, &mut pool, &mut u, &[i; 208]);
+        // Sealed pages of the next run wait for it; `finish` publishes them
+        // and the partial last page; the held page is as it was.
+        for i in 305..400 {
+            push(&mut w, &mut vol, i);
         }
+        assert_eq!(u.counts.pages_written, 10);
+        assert_eq!(vol.file_pages(f), 8, "not visible while the writer is open");
         w.finish(&mut vol, &mut pool, &mut u);
-        assert_eq!(vol.file_pages(f), 3);
+        assert_eq!((vol.file_pages(f), u.counts.pages_written), (11, 11));
+        assert_eq!(vol.file_records(f), 400);
         assert_eq!(vol.page(f, 0), &held);
 
         // Deleting the file does not take the bytes from under the handle.
         vol.delete_file(f);
         assert!(!vol.exists(f));
         assert!(held.records().eq(before.iter().map(Vec::as_slice)));
+    }
+
+    #[test]
+    fn a_writer_publishes_one_segment_per_run() {
+        for n in [1usize, 7, 8, 9, 16, 17, 40] {
+            let (mut vol, mut pool, mut u) = setup();
+            let mut w = HeapWriter::create(&mut vol, 512);
+            // A 500-byte record fills a 512-byte page.
+            for i in 0..n {
+                w.push(&mut vol, &mut pool, &mut u, &[i as u8; 500]);
+            }
+            let f = w.finish(&mut vol, &mut pool, &mut u);
+            assert_eq!((vol.file_pages(f), u.counts.pages_written), (n, n as u64));
+            let mut images: Vec<&Arc<[u8]>> = Vec::new();
+            for p in 0..n {
+                let image = vol.page(f, p).image();
+                if !images.iter().any(|i| Arc::ptr_eq(i, image)) {
+                    images.push(image);
+                }
+            }
+            assert_eq!(images.len(), n.div_ceil(SEGMENT_PAGES), "{n} pages");
+        }
+    }
+
+    #[test]
+    fn writers_take_the_run_given_back_last() {
+        let (mut vol, mut pool, mut u) = setup();
+        let a = HeapWriter::create(&mut vol, 8192);
+        let mut b = HeapWriter::create(&mut vol, 8192);
+        let (run_a, run_b) = (a.run.as_ptr(), b.run.as_ptr());
+        assert_ne!(run_a, run_b, "open writers hold a run each");
+        b.push(&mut vol, &mut pool, &mut u, &[1; 208]);
+        a.finish(&mut vol, &mut pool, &mut u);
+        b.finish(&mut vol, &mut pool, &mut u);
+        let c = HeapWriter::create(&mut vol, 8192);
+        let other = HeapWriter::create(&mut vol, 512);
+        let d = HeapWriter::create(&mut vol, 8192);
+        assert_eq!(c.run.as_ptr(), run_b, "the run given back last");
+        assert_eq!(d.run.as_ptr(), run_a);
+        assert!(
+            ![run_a, run_b].contains(&other.run.as_ptr()),
+            "runs keep their page size"
+        );
+        for w in [c, other, d] {
+            w.finish(&mut vol, &mut pool, &mut u);
+        }
     }
 
     #[test]

@@ -14,14 +14,21 @@
 //! are supported because the composed join output tuples are wider than the
 //! source tuples.
 //!
-//! A stored page's byte image is reference-counted: cloning a [`Page`]
-//! shares it, so a scan hands out page handles instead of copying records,
-//! and a handle keeps reading the bytes it was taken from whatever later
-//! happens to the file. A stored page is immutable once sealed: no volume
-//! operation writes into it. A writer fills a `PageBuilder` — plain owned
-//! bytes, no sharing to check on every insert — and seals each full page
-//! into a `Page` with the one allocation and the one pass over its bytes
-//! that zero-filling a fresh page used to cost.
+//! A stored page is a view into a reference-counted **segment**: one
+//! `Arc<[u8]>` holding up to [`SEGMENT_PAGES`] consecutive pages of one
+//! file. Cloning a [`Page`] shares the segment, so a scan hands out page
+//! handles instead of copying records, and a handle keeps reading the
+//! bytes it was taken from whatever later happens to the file — and keeps
+//! its whole segment alive while it does. A stored page is immutable once
+//! published: no volume operation writes into it.
+//!
+//! A writer fills its pages in place, in a staging run of
+//! [`SEGMENT_PAGES`] pages that its volume owns and hands from writer to
+//! writer. A page is sealed when it is full (the writer charges its write
+//! then), but it becomes visible in its file only when its run is
+//! published as one segment: when the run is full, and at the writer's
+//! `finish`. Publishing is the one allocation and the one pass over the
+//! bytes of up to [`SEGMENT_PAGES`] pages.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -93,14 +100,42 @@ fn insert(buf: &mut [u8], rec: &[u8]) -> Option<usize> {
     Some(slot)
 }
 
-/// A slotted page of records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Page {
-    buf: Arc<[u8]>,
+/// Pages in a segment: a writer stages this many in place and publishes
+/// them as one shared image. A constant, not a knob — every open writer
+/// holds one run of this many pages.
+pub const SEGMENT_PAGES: usize = 8;
+
+/// Make a used page image empty again: zero what its records and slots
+/// dirtied, nothing more, and format it.
+fn reset(buf: &mut [u8]) {
+    let dir_end = HEADER + nslots(buf) * SLOT;
+    let records = free_end(buf);
+    buf[..dir_end].fill(0);
+    buf[records..].fill(0);
+    format(buf);
 }
 
+/// A slotted page of records: a view of one page of a shared segment.
+#[derive(Debug, Clone)]
+pub struct Page {
+    seg: Arc<[u8]>,
+    /// Where the page starts within `seg`.
+    at: u32,
+    /// The page's size in bytes.
+    size: u32,
+}
+
+impl PartialEq for Page {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Page {}
+
 impl Page {
-    /// An empty page of `page_bytes` total size (Gamma used 8 KB pages).
+    /// An empty page of `page_bytes` total size (Gamma used 8 KB pages),
+    /// alone in its segment.
     ///
     /// # Panics
     /// Panics if the page is too small to hold the header plus one slot.
@@ -108,29 +143,32 @@ impl Page {
         // One allocation: the exact-size iterator is written straight into
         // the shared image.
         let mut page = Page {
-            buf: std::iter::repeat_n(0u8, page_bytes).collect(),
+            seg: std::iter::repeat_n(0u8, page_bytes).collect(),
+            at: 0,
+            size: page_bytes as u32,
         };
         format(page.image_mut());
         page
     }
 
-    /// The image for writing: in place while this is its only handle,
-    /// otherwise a private copy first.
+    /// The page's bytes for writing: in place while this is its segment's
+    /// only handle, otherwise in a private copy of the page first.
     fn image_mut(&mut self) -> &mut [u8] {
-        if Arc::get_mut(&mut self.buf).is_none() {
-            self.buf = Arc::from(&self.buf[..]);
+        if Arc::get_mut(&mut self.seg).is_none() {
+            *self = Page::from_bytes(self.as_bytes());
         }
-        Arc::get_mut(&mut self.buf).expect("page image uniquely owned")
+        let (at, size) = (self.at as usize, self.size as usize);
+        &mut Arc::get_mut(&mut self.seg).expect("segment uniquely owned")[at..at + size]
     }
 
     /// Total size of the page in bytes.
     pub fn size(&self) -> usize {
-        self.buf.len()
+        self.size as usize
     }
 
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        nslots(&self.buf)
+        nslots(self.as_bytes())
     }
 
     /// True when the page holds no records.
@@ -140,7 +178,7 @@ impl Page {
 
     /// Free bytes remaining for one more record (accounting for its slot).
     pub fn free_space(&self) -> usize {
-        free_space(&self.buf)
+        free_space(self.as_bytes())
     }
 
     /// True if a record of `len` bytes fits.
@@ -169,7 +207,7 @@ impl Page {
             return None;
         }
         let (off, len) = self.slot(slot);
-        Some(&self.buf[off..off + len])
+        Some(&self.as_bytes()[off..off + len])
     }
 
     /// Where the record in `slot` lies within [`Self::image`].
@@ -179,13 +217,14 @@ impl Page {
     pub fn range(&self, slot: usize) -> Range<usize> {
         assert!(slot < self.len(), "slot {slot} out of range");
         let (off, len) = self.slot(slot);
-        off..off + len
+        let start = self.offset() + off;
+        start..start + len
     }
 
     /// `(offset, length)` of the record in `slot` within [`Self::as_bytes`].
     fn slot(&self, slot: usize) -> (usize, usize) {
         let dir = HEADER + slot * SLOT;
-        let mut d = &self.buf[dir..dir + 4];
+        let mut d = &self.as_bytes()[dir..dir + 4];
         (d.get_u16_le() as usize, d.get_u16_le() as usize)
     }
 
@@ -203,75 +242,123 @@ impl Page {
 
     /// Serialize the page (it already is its on-disk image).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+        &self.seg[self.at as usize..][..self.size as usize]
     }
 
-    /// The shared byte image behind [`Self::as_bytes`]: a clone of it keeps
-    /// these bytes readable, unchanged, for as long as the clone lives.
+    /// The shared segment behind [`Self::as_bytes`], which starts at
+    /// [`Self::offset`] in it: a clone of it keeps these bytes readable,
+    /// unchanged, for as long as the clone lives — and the segment's other
+    /// pages with them.
     pub fn image(&self) -> &Arc<[u8]> {
-        &self.buf
+        &self.seg
     }
 
-    /// Rebuild a page from its on-disk image.
+    /// Where the page starts within [`Self::image`].
+    pub fn offset(&self) -> usize {
+        self.at as usize
+    }
+
+    /// Rebuild a page from its on-disk image, alone in its segment.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Page {
-            buf: Arc::from(bytes),
+            seg: Arc::from(bytes),
+            at: 0,
+            size: bytes.len() as u32,
         }
     }
 }
 
-/// A page under construction, owned by one writer and reused from page
-/// to page: [`PageBuilder::seal`] copies what was inserted into a fresh
-/// shareable [`Page`] and starts over empty.
-#[derive(Debug)]
-pub(crate) struct PageBuilder {
-    buf: Vec<u8>,
+/// A staging run: [`SEGMENT_PAGES`] pages one writer fills in place, one
+/// after another, and publishes as one segment. Runs belong to a volume,
+/// which hands a closed writer's run to the next writer it opens.
+#[derive(Debug, Clone)]
+pub(crate) struct Staging {
+    buf: Box<[u8]>,
+    page_bytes: usize,
+    /// Pages sealed since the last publish; the page being filled follows.
+    sealed: usize,
 }
 
-impl PageBuilder {
-    /// An empty page of `page_bytes` total size.
+impl Staging {
+    /// A run of empty pages of `page_bytes` total size each.
     ///
     /// # Panics
-    /// Panics if the page is too small to hold the header plus one slot.
+    /// Panics if a page is too small to hold the header plus one slot.
     pub fn new(page_bytes: usize) -> Self {
-        let mut buf = vec![0u8; page_bytes];
-        format(&mut buf);
-        PageBuilder { buf }
+        let mut buf = vec![0u8; SEGMENT_PAGES * page_bytes].into_boxed_slice();
+        buf.chunks_exact_mut(page_bytes).for_each(format);
+        Staging {
+            buf,
+            page_bytes,
+            sealed: 0,
+        }
     }
 
-    /// True when no record was inserted since the last seal.
+    /// Size of each page of the run.
+    pub fn page_bytes(&self) -> usize {
+        self.page_bytes
+    }
+
+    /// Where the run's bytes lie, to tell runs apart.
+    #[cfg(test)]
+    pub fn as_ptr(&self) -> *const u8 {
+        self.buf.as_ptr()
+    }
+
+    /// Pages sealed and not yet published.
+    pub fn sealed(&self) -> usize {
+        self.sealed
+    }
+
+    /// The page being filled.
+    fn page(&mut self) -> &mut [u8] {
+        let pb = self.page_bytes;
+        &mut self.buf[self.sealed * pb..][..pb]
+    }
+
+    /// True when no record was inserted into the page being filled.
     pub fn is_empty(&self) -> bool {
-        nslots(&self.buf) == 0
+        nslots(&self.buf[self.sealed * self.page_bytes..]) == 0
     }
 
-    /// Insert a record as [`Page::insert`] does.
+    /// Insert a record into the page being filled, as [`Page::insert`]
+    /// does.
     pub fn insert(&mut self, rec: &[u8]) -> Option<usize> {
-        insert(&mut self.buf, rec)
+        insert(self.page(), rec)
     }
 
     /// Insert the record `a ‖ b` as [`Page::insert`] inserts one slice,
-    /// writing both parts straight into the page.
+    /// writing both parts straight into the page being filled.
     pub fn insert_concat(&mut self, a: &[u8], b: &[u8]) -> Option<usize> {
-        let (slot, at) = take_slot(&mut self.buf, a.len() + b.len())?;
-        let (head, tail) = self.buf[at].split_at_mut(a.len());
+        let page = self.page();
+        let (slot, at) = take_slot(page, a.len() + b.len())?;
+        let (head, tail) = page[at].split_at_mut(a.len());
         head.copy_from_slice(a);
         tail.copy_from_slice(b);
         Some(slot)
     }
 
-    /// The page built so far — byte for byte what the same inserts into a
-    /// [`Page::new`] give — leaving the builder empty.
-    pub fn seal(&mut self) -> Page {
-        let page = Page {
-            buf: Arc::from(&self.buf[..]),
-        };
-        // Zero what the records and their slots dirtied, nothing more.
-        let dir_end = HEADER + nslots(&self.buf) * SLOT;
-        let records = free_end(&self.buf);
-        self.buf[..dir_end].fill(0);
-        self.buf[records..].fill(0);
-        format(&mut self.buf);
-        page
+    /// Close the page being filled and move on to the next; true when that
+    /// filled the run, which must then be published.
+    pub fn seal(&mut self) -> bool {
+        debug_assert!(self.sealed < SEGMENT_PAGES, "a full run is published");
+        self.sealed += 1;
+        self.sealed == SEGMENT_PAGES
+    }
+
+    /// Publish the sealed pages as one segment — each byte for byte what
+    /// the same inserts into a [`Page::new`] give — and start the run over
+    /// empty.
+    pub fn publish(&mut self) -> impl Iterator<Item = Page> {
+        let (pb, n) = (self.page_bytes, std::mem::take(&mut self.sealed));
+        let used = &mut self.buf[..n * pb];
+        let seg: Arc<[u8]> = Arc::from(&*used);
+        used.chunks_exact_mut(pb).for_each(reset);
+        (0..n).map(move |i| Page {
+            seg: Arc::clone(&seg),
+            at: (i * pb) as u32,
+            size: pb as u32,
+        })
     }
 }
 
@@ -340,45 +427,96 @@ mod tests {
     }
 
     #[test]
-    fn sealed_builder_pages_equal_pages_built_in_place() {
-        // One-slice and two-part inserts, alternating, into a builder
-        // reused across seals — the two-part ones split anywhere, one part
-        // empty included — give the same slots and, once sealed, the same
-        // image as whole-record inserts into a new page; the insert that no
-        // longer fits is refused by both.
-        let mut b = PageBuilder::new(512);
-        for round in 0..4u8 {
-            let mut p = Page::new(512);
-            assert!(b.is_empty());
-            let mut n = 0u8;
-            loop {
-                let rec: Vec<u8> = (0..1 + (n as usize * 7) % 60)
-                    .map(|i| round ^ n ^ i as u8)
-                    .collect();
-                let cut = (n as usize * 13 + round as usize) % (rec.len() + 1);
-                let slot = p.insert(&rec);
-                if slot.is_none() {
-                    assert_eq!(b.insert(&rec), None, "round {round}");
-                    assert_eq!(b.insert_concat(&rec[..cut], &rec[cut..]), None);
-                    break;
+    fn published_pages_equal_pages_built_in_place() {
+        // One-slice and two-part inserts, alternating, into a staging run
+        // — the two-part ones split anywhere, one part empty included —
+        // give the same slots and, once published, the same image as
+        // whole-record inserts into a new page; the insert that no longer
+        // fits is refused by both. Twenty pages cross two run boundaries
+        // and end in a publish in the middle of a run, as a writer's
+        // `finish` does. The same run, stale bytes and all, then serves a
+        // second file, as a recycled run does.
+        let mut run = Staging::new(512);
+        for file in 0..2u8 {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            for page in 0..20u8 {
+                let round = page ^ file << 5;
+                let mut p = Page::new(512);
+                assert!(run.is_empty());
+                let mut n = 0u8;
+                loop {
+                    let rec: Vec<u8> = (0..1 + (n as usize * 7 + file as usize) % 60)
+                        .map(|i| round ^ n ^ i as u8)
+                        .collect();
+                    let cut = (n as usize * 13 + round as usize) % (rec.len() + 1);
+                    let slot = p.insert(&rec);
+                    if slot.is_none() {
+                        assert_eq!(run.insert(&rec), None, "page {page}");
+                        assert_eq!(run.insert_concat(&rec[..cut], &rec[cut..]), None);
+                        break;
+                    }
+                    let got = match (n + round) % 2 {
+                        0 => run.insert(&rec),
+                        _ => run.insert_concat(&rec[..cut], &rec[cut..]),
+                    };
+                    assert_eq!(got, slot, "page {page}, record {n}");
+                    n += 1;
                 }
-                let got = match (n + round) % 2 {
-                    0 => b.insert(&rec),
-                    _ => b.insert_concat(&rec[..cut], &rec[cut..]),
-                };
-                assert_eq!(got, slot, "round {round}, record {n}");
-                n += 1;
+                assert!(n > 5);
+                want.push(p);
+                if run.seal() {
+                    got.extend(run.publish());
+                }
             }
-            assert!(n > 5);
-            assert_eq!(b.seal(), p, "round {round}: same image, stale bytes zeroed");
+            assert_eq!(run.sealed(), 4, "a run in the middle");
+            got.extend(run.publish());
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got, want,
+                    "file {file} page {i}: same image, stale bytes zeroed"
+                );
+                assert_eq!(got.size(), 512);
+                assert_eq!(got.offset(), i % SEGMENT_PAGES * 512);
+                let first = &got.image()[got.range(0)];
+                assert_eq!(Some(first), want.get(0), "ranges lie within the segment");
+            }
+            assert_eq!(got.len(), want.len());
+            let segments = [(0, 8), (8, 8), (16, 4)];
+            for (first, pages) in segments {
+                let seg = got[first].image();
+                assert_eq!(seg.len(), pages * 512, "file {file}: published pages only");
+                assert!(got[first..first + pages]
+                    .iter()
+                    .all(|p| Arc::ptr_eq(p.image(), seg)));
+            }
         }
-        assert_eq!(b.seal(), Page::new(512), "an empty builder seals empty");
+        assert!(run.is_empty());
+        assert_eq!(run.publish().count(), 0, "an empty run publishes nothing");
+    }
+
+    #[test]
+    fn a_page_written_after_sharing_copies_only_itself() {
+        let mut run = Staging::new(256);
+        run.insert(b"first").unwrap();
+        run.seal();
+        run.insert(b"second").unwrap();
+        run.seal();
+        let pages: Vec<Page> = run.publish().collect();
+        let mut p = pages[1].clone();
+        p.insert(b"third").unwrap();
+        assert_eq!(p.size(), 256);
+        assert_eq!(p.offset(), 0, "a private copy of the one page");
+        assert!(p.records().eq([&b"second"[..], b"third"]));
+        assert!(
+            pages[1].records().eq([&b"second"[..]]),
+            "the shared page is as it was"
+        );
     }
 
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_length_two_part_records_rejected() {
-        PageBuilder::new(1024).insert_concat(b"", b"");
+        Staging::new(1024).insert_concat(b"", b"");
     }
 
     #[test]

@@ -62,6 +62,15 @@
 # absorb path it fed (`precomputed_probes`) are gone from the crate, test
 # modules included.
 #
+# A heap writer fills its pages in place, in a staging run of
+# `SEGMENT_PAGES` pages that its volume owns and recycles
+# (`Volume::take_run` / `return_run`): closing a full page
+# (`Staging::seal` in `crates/wiss/src/page.rs`) only moves on to the next
+# page of the run, and a run is published whole — one `Arc<[u8]>` segment
+# per up to `SEGMENT_PAGES` pages — by `Staging::publish`. An allocation in
+# `seal`, a second one in `publish`, a run made per writer in `heap.rs`, or
+# the per-page `PageBuilder` is one image per page written again.
+#
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
 # inside the recorder, so they must be allocation-free outright — callers
@@ -177,6 +186,38 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Closing a page allocates nothing; a run is published as one segment.
+f=crates/wiss/src/page.rs
+body() { # fn name -> the body of Staging's method of that name
+    awk -v fn="fn $1(" '/^impl Staging/{on=1} on&&index($0,fn){s=1} s{print} s&&/^    }$/{exit}' "$f"
+}
+seal=$(body seal)
+if [ -z "$seal" ] || grep -vE '^\s*//' <<<"$seal" |
+    grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
+    echo "error: $f: Staging::seal must close a page without allocating:" >&2
+    echo "$seal" | sed "s|^|  |" >&2
+    fail=1
+fi
+if [ "$(body publish | grep -cE 'Arc::from|Arc::new|collect|to_vec')" -ne 1 ]; then
+    echo "error: $f: Staging::publish must make exactly one image, the segment, per run:" >&2
+    body publish | sed "s|^|  |" >&2
+    fail=1
+fi
+f=crates/wiss/src/heap.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    grep -nE 'Staging::new|PageBuilder|Page::new|Page::from_bytes' | grep -vE '^[0-9]+:\s*//' || true)
+if [ -n "$hits" ] || ! grep -q 'take_run(' "$f"; then
+    echo "error: $f: a writer takes its staging run from its volume, never one of its own:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+hits=$(grep -rn 'PageBuilder' crates/wiss/src || true)
+if [ -n "$hits" ]; then
+    echo "error: PageBuilder is back; pages are staged in a volume's runs:" >&2
+    echo "$hits" | sed "s|^|  |" >&2
+    fail=1
+fi
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -195,4 +236,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, no global or per-packet buffer in net::exchange, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, no allocs in prof sampling"
