@@ -144,17 +144,7 @@ impl Volume {
             .unwrap_or_else(|| panic!("unknown file {file}"))[idx]
     }
 
-    /// Append a fully built page to a file; returns its index.
-    pub fn append_page(&mut self, file: FileId, page: Page) -> usize {
-        let pages = self
-            .files
-            .get_mut(&file)
-            .unwrap_or_else(|| panic!("unknown file {file}"));
-        pages.push(page);
-        pages.len() - 1
-    }
-
-    /// Append the pages a writer's run publishes; see [`Staging::publish`].
+    /// Append the pages a writer's run publishes ([`Staging::publish`]).
     pub(crate) fn append_pages(&mut self, file: FileId, pages: impl IntoIterator<Item = Page>) {
         self.files
             .get_mut(&file)
@@ -223,8 +213,7 @@ mod tests {
         let f = v.create_file();
         let mut p = Page::new(1024);
         p.insert(b"rec").unwrap();
-        let idx = v.append_page(f, p);
-        assert_eq!(idx, 0);
+        v.append_pages(f, [p]);
         assert_eq!(v.file_pages(f), 1);
         assert_eq!(v.file_records(f), 1);
         assert_eq!(v.page(f, 0).get(0), Some(&b"rec"[..]));
@@ -247,8 +236,7 @@ mod tests {
     fn delete_returns_page_count() {
         let mut v = Volume::new();
         let f = v.create_file();
-        v.append_page(f, Page::new(256));
-        v.append_page(f, Page::new(256));
+        v.append_pages(f, [Page::new(256), Page::new(256)]);
         assert_eq!(v.delete_file(f), 2);
         assert!(!v.exists(f));
     }
@@ -279,13 +267,13 @@ mod tests {
         let f = v.create_file();
         let mut p = Page::new(256);
         p.insert(b"rec").unwrap();
-        v.append_page(f, p);
+        v.append_pages(f, [p]);
         let pages = v.detach_pages(f);
         assert_eq!(pages.len(), 1);
         assert!(v.exists(f), "the file stays");
         assert_eq!(v.file_pages(f), 0);
         let g = v.create_file();
-        v.append_page(g, Page::new(256));
+        v.append_pages(g, [Page::new(256)]);
         v.attach_pages(f, pages);
         assert_eq!(v.page(f, 0).get(0), Some(&b"rec"[..]));
     }
@@ -295,9 +283,8 @@ mod tests {
         let mut v = Volume::new();
         let a = v.create_file();
         let b = v.create_file();
-        v.append_page(a, Page::new(256));
-        v.append_page(b, Page::new(256));
-        v.append_page(b, Page::new(256));
+        v.append_pages(a, [Page::new(256)]);
+        v.append_pages(b, [Page::new(256), Page::new(256)]);
         assert_eq!(v.total_pages(), 3);
     }
 }

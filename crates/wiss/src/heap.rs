@@ -1,14 +1,15 @@
 //! Heap files: structured sequential files of records.
 //!
 //! [`HeapWriter`] fills its pages in place, in a staging run of
-//! [`SEGMENT_PAGES`](crate::page::SEGMENT_PAGES) pages it takes from the volume, and charges each
-//! page's write when the page is full (and the last, partial one at
-//! `finish`), in page order. The pages become visible in the file a run at
-//! a time — one shared segment each — when the run is full and at
-//! `finish`; nothing reads a file while its writer is open. [`HeapScan`]
-//! reads a file back in sequence (charging reads through the pool). These
-//! are the WiSS services used for base relations, Grace/Hybrid bucket
-//! files, Simple-hash overflow files, sort runs and result relations.
+//! [`SEGMENT_PAGES`](crate::page::SEGMENT_PAGES) pages it takes from the
+//! volume, and charges each page's write when the page is full (and the
+//! last, partial one at `finish`), in page order. The pages become visible
+//! in the file a run at a time — one shared segment each — when the run is
+//! full and at `finish`; nothing reads a file while its writer is open.
+//! [`HeapScan`] reads a file back in sequence (charging reads through the
+//! pool). These are the WiSS services used for base relations, Grace/Hybrid
+//! bucket files, Simple-hash overflow files, sort runs and result
+//! relations.
 
 use gamma_des::Usage;
 
@@ -245,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn pages_appear_a_run_at_a_time_and_keep_their_bytes() {
+    fn cloned_pages_keep_the_bytes_they_were_taken_from() {
         let (mut vol, mut pool, mut u) = setup();
         let mut w = HeapWriter::create(&mut vol, 8192);
         let f = w.file();

@@ -7,7 +7,8 @@
 //! readahead — and this crate rebuilds exactly those on top of simulated
 //! per-node disk volumes:
 //!
-//! * [`page`] — 8 KB slotted pages (variable-length records),
+//! * [`page`] — 8 KB slotted pages (variable-length records), stored and
+//!   shared in segments of eight,
 //! * [`disk`] — per-node [`disk::Volume`]s holding files of pages, plus the
 //!   [`disk::DiskConfig`] service-time model (sequential vs. random) for an
 //!   8-inch Fujitsu-class drive,

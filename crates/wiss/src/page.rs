@@ -142,13 +142,13 @@ impl Page {
     pub fn new(page_bytes: usize) -> Self {
         // One allocation: the exact-size iterator is written straight into
         // the shared image.
-        let mut page = Page {
-            seg: std::iter::repeat_n(0u8, page_bytes).collect(),
+        let mut seg: Arc<[u8]> = std::iter::repeat_n(0u8, page_bytes).collect();
+        format(Arc::get_mut(&mut seg).expect("a new image has one handle"));
+        Page {
+            seg,
             at: 0,
             size: page_bytes as u32,
-        };
-        format(page.image_mut());
-        page
+        }
     }
 
     /// The page's bytes for writing: in place while this is its segment's
