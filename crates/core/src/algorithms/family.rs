@@ -37,7 +37,7 @@ use gamma_wiss::FileId;
 
 use crate::batch::{Rec, TupleBatch};
 use crate::bitfilter::BitFilter;
-use crate::exec::control::{broadcast_filters, dispatch_overhead};
+use crate::exec::control::{broadcast, broadcast_filters, dispatch_overhead};
 use crate::exec::hash::{
     tag, take_overflows, Consumers, JoinSites, OverflowPair, ProbeSnapshot, Spilled, TAG_BUCKET,
     TAG_BUILD, TAG_PROBE, TAG_SPOOL_R, TAG_SPOOL_S,
@@ -444,9 +444,7 @@ pub(super) fn partition<S: Side>(
             // The scheduler re-broadcasts the larger refined table to every
             // producer before any tuple moves.
             let bytes = machine.cfg.cost.split_table_bytes(refined.entries());
-            for &n in input.nodes {
-                machine.fabric.scheduler_control(&mut ledgers[n], n, bytes);
-            }
+            broadcast(machine, ledgers, input.nodes, bytes);
         }
     }
     let table = refined.as_ref().unwrap_or(table);
@@ -734,9 +732,7 @@ impl<'a> HashJoin<'a> {
         if let Some(form) = &form {
             // Broadcast the per-bucket filter packets to the scanning nodes.
             let bytes = machine.cfg.cost.filter_packet_bytes * form.len() as u64;
-            for &n in p.outer.nodes {
-                machine.fabric.scheduler_control(&mut ledgers[n], n, bytes);
-            }
+            broadcast(machine, &mut ledgers, p.outer.nodes, bytes);
         }
         consumers.open_buckets(machine, first, last);
         let snap = consumers.probe_snapshot(&sites);

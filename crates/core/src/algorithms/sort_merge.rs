@@ -35,7 +35,7 @@ use gamma_wiss::{BufferPool, FileId, SortConfig};
 
 use crate::batch::Rec;
 use crate::bitfilter::BitFilter;
-use crate::exec::control::dispatch_overhead;
+use crate::exec::control::{broadcast, dispatch_overhead};
 use crate::exec::hash::{Consumers, JoinSites};
 use crate::exec::{self, run_step, StepCtx};
 use crate::hash::JOIN_SEED;
@@ -129,9 +129,7 @@ fn redistribute(
         // The aggregate filter packet was broadcast to the scanning nodes
         // before the outer partitioning began.
         let bytes = machine.cfg.cost.filter_packet_bytes;
-        for &n in &disk_nodes {
-            machine.fabric.scheduler_control(&mut ledgers[n], n, bytes);
-        }
+        broadcast(machine, &mut ledgers, &disk_nodes, bytes);
         sched += SimTime::from_us(machine.cfg.cost.scheduler_dispatch_us);
     }
     let label = if inner { "partition R" } else { "partition S" };

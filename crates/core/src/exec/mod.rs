@@ -142,7 +142,7 @@ impl StepCtx<'_> {
     /// [`gamma_net::Msg`] views while `self` stays mutable, and let it go
     /// before the step ends so the tables are reused.
     pub fn drain(&mut self) -> Drained {
-        self.inbox.drain(self.ledger, &self.cost.ring)
+        self.inbox.drain(self.ledger)
     }
 
     /// Read every record of a local heap file as one page-backed

@@ -2,18 +2,18 @@
 //!
 //! A [`Machine`] is one Gamma configuration: `disk_nodes` processors with
 //! attached volumes (always the first node ids) plus `diskless_nodes`
-//! processors used only for join computation, all connected by the ring
-//! fabric. Each processor owns its local state as a [`NodeState`] — volume,
+//! processors used only for join computation, all connected by the token
+//! ring. Each processor owns its local state as a [`NodeState`] — volume,
 //! buffer pool — so the executor can hand disjoint `&mut NodeState` to
 //! per-node workers. Inter-node tuple traffic travels through the machine's
-//! [`Exchange`] as explicit messages; the [`Fabric`] remains for
-//! control-plane accounting (scheduler dispatch, operator start, filter
-//! broadcast). Relations are horizontally declustered across the disk nodes
-//! at load time by one of the paper's strategies (round-robin, hashed,
-//! range).
+//! [`Exchange`] as explicit messages, which is also where every packet is
+//! charged; scheduler control messages (operator starts, split-table and
+//! bit-filter broadcasts) are charged by `exec::control`. Relations are
+//! horizontally declustered across the disk nodes at load time by one of
+//! the paper's strategies (round-robin, hashed, range).
 
 use gamma_des::Usage;
-use gamma_net::{Exchange, Fabric};
+use gamma_net::Exchange;
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
 use crate::batch::Rec;
@@ -158,11 +158,9 @@ pub struct Machine {
     pub cfg: MachineConfig,
     /// Per-node local state (volume, pool), indexed by node id.
     pub nodes: Vec<NodeState>,
-    /// The interconnect's control plane: scheduler messages, operator
-    /// starts, split-table and bit-filter broadcasts.
-    pub fabric: Fabric,
-    /// The interconnect's data plane: every inter-node tuple travels here
-    /// as an explicit message between per-node mailboxes.
+    /// The interconnect: every inter-node tuple travels here as an explicit
+    /// message between per-node mailboxes, and every packet is charged
+    /// here.
     pub exchange: Exchange,
     /// Which executor runs this machine's steps: the serial reference
     /// path, or a persistent worker pool reused across waves, phases and
@@ -187,12 +185,10 @@ impl Machine {
                 }),
             })
             .collect();
-        let fabric = Fabric::new(cfg.cost.ring.clone(), total);
         let exchange = Exchange::new(cfg.cost.ring.clone(), total);
         Machine {
             cfg,
             nodes,
-            fabric,
             exchange,
             exec: ExecConfig::auto(),
             relations: Vec::new(),
@@ -503,7 +499,7 @@ impl ResultSink {
         machine.exchange.route();
         for (n, ledger) in usage.iter_mut().enumerate().take(self.disk_nodes) {
             let mut inbox = machine.exchange.take_inbox(n);
-            let msgs = inbox.drain(ledger, machine.fabric.config());
+            let msgs = inbox.drain(ledger);
             let mut w = self.take_writer(n);
             let mut tuples = 0u64;
             let mut sum = 0u64;

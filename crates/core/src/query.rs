@@ -4,12 +4,11 @@
 //! bucket count via the memory ratio and the Appendix A bucket analyzer,
 //! per-site memory), dispatches the algorithm driver — which executes the
 //! join for real and returns per-phase ledgers — and then *replays* the
-//! phase sequence through the `gamma-des` event queue: the scheduler
-//! dispatches each phase's operator-start messages serially, the phase
-//! runs in parallel under the overlapped-resource model, and the response
-//! time is when the last completion event fires.
+//! phase sequence in virtual time: the scheduler dispatches each phase's
+//! operator-start messages serially, the phase runs in parallel under the
+//! machine's timing model, and the response time is the last phase's end.
 
-use gamma_des::{Sim, SimTime, Usage};
+use gamma_des::{SimTime, Usage};
 
 use crate::algorithms::common::{RangePred, Resolved};
 use crate::algorithms::{grace, hybrid, simple, sort_merge};
@@ -211,17 +210,17 @@ pub fn bucket_count(
     )
 }
 
-/// Replay a driver's phase sequence through the DES: the scheduler's
+/// Replay a driver's phase sequence in virtual time: the scheduler's
 /// serialized dispatch overhead precedes each phase, the phase body runs
-/// in parallel under the overlapped-resource model, and the response time
-/// is the final completion event.
+/// in parallel under the machine's timing model, and the response time is
+/// the last phase's end. Each phase's end is one simulation step of the
+/// trace, recorded in phase order once every phase is replayed.
 pub fn replay_phases(
     machine: &Machine,
     phases: &[crate::report::PhaseRecord],
 ) -> (SimTime, Vec<PhaseSummary>) {
     let bw = machine.cfg.cost.ring.bandwidth_bytes_per_sec;
     let model = machine.cfg.cost.timing;
-    let mut sim: Sim<Vec<(usize, SimTime)>> = Sim::new(Vec::new());
     let mut t = SimTime::ZERO;
     let mut summaries = Vec::with_capacity(phases.len());
     for (i, ph) in phases.iter().enumerate() {
@@ -296,7 +295,6 @@ pub fn replay_phases(
             }
         });
         t += timing.duration;
-        sim.schedule_at(t, move |s| s.state.push((i, s.now())));
         summaries.push(PhaseSummary {
             name: ph.name.clone(),
             sched_overhead: ph.sched_overhead,
@@ -307,9 +305,14 @@ pub fn replay_phases(
             net_wait: timing.net_wait,
         });
     }
-    let response = sim.run_until_idle();
-    assert_eq!(sim.state.len(), phases.len(), "replay lost a phase");
-    (response, summaries)
+    gamma_trace::with(|s| {
+        let mut end = SimTime::ZERO;
+        for ph in &summaries {
+            end += ph.sched_overhead + ph.duration;
+            s.emit_sim_step(end.as_us());
+        }
+    });
+    (t, summaries)
 }
 
 /// Execute a join and produce its timed report.
@@ -448,7 +451,6 @@ fn run_join_inner(
         Algorithm::GraceHash => grace::run(machine, &rz),
         Algorithm::HybridHash => hybrid::run(machine, &rz),
     };
-    debug_assert!(machine.fabric.is_drained(), "driver left unflushed packets");
     debug_assert!(
         machine.exchange.is_drained(),
         "driver left undelivered exchange messages"

@@ -10,7 +10,7 @@
 //! * [`Usage`] / [`Counts`] — per-(node, phase) resource ledgers that higher
 //!   layers charge CPU, disk and network demand to,
 //! * [`queue`] — single-server FIFO request queues for each node's disk arm
-//!   and network interface, drained on the event kernel,
+//!   and network interface, drained by a closed-form fold,
 //! * [`phase`] — helpers that turn per-node ledgers into phase completion
 //!   times under a selectable [`TimingModel`]: the legacy
 //!   *overlapped-resources, balanced-pipeline* bound (a node's phase time is
@@ -35,5 +35,5 @@ pub use phase::{compose, PhaseTiming, TimingModel};
 pub use queue::{
     fifo_drain, fold_waits, QueueStats, Request, RequestLog, ServiceSpan, SharedServer,
 };
-pub use sim::{EventId, Sim};
+pub use sim::Sim;
 pub use time::SimTime;

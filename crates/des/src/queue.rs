@@ -4,10 +4,10 @@
 //! The ledgers in [`crate::ledger`] record *when* each disk/NI request was
 //! issued (the node's CPU progress at the charge site) and *how long* the
 //! device needs to service it. This module replays those request logs
-//! through a single-server FIFO queue on the event kernel ([`crate::Sim`])
-//! to find out when the device actually finishes — including the queueing
-//! delay that appears when requests arrive faster than the device drains
-//! them (convoy effects).
+//! through a single-server FIFO queue, as a closed-form fold, to find out
+//! when the device actually finishes — including the queueing delay that
+//! appears when requests arrive faster than the device drains them (convoy
+//! effects).
 //!
 //! The legacy timing model (`Usage::busy_time`) assumed a device at 95 %
 //! load behaves like one at 5 %: phase time was just
@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn fifo_drain_kernel(requests: &[Request]) -> QueueStats {
-        let mut sim = Sim::untraced(Server {
+        let mut sim = Sim::new(Server {
             queued: VecDeque::with_capacity(requests.len()),
             busy: false,
             stats: QueueStats {

@@ -1,26 +1,25 @@
-//! Mailbox-style tuple exchange between per-node operator instances.
+//! Mailbox-style tuple exchange between per-node operator instances: the
+//! one place inter-node tuples travel and are charged.
 //!
-//! [`Fabric`](crate::Fabric) charges both ends of a stream at the moment a
-//! packet fills, which forces the caller to hold every node's ledger at
-//! once — fine for a sequential driver loop, fatal for per-node workers.
-//! `Exchange` splits the same accounting in two:
+//! Tuples to one destination are batched into packets of at most
+//! [`RingConfig::packet_bytes`]. A tuple that does not fit in the packet
+//! being filled seals it and starts the next (tuples are never split), a
+//! packet that reaches the size exactly seals at once, and a producer seals
+//! what is left of each packet when its step ends. Each half of a stream
+//! pays its own side, so a producer and a consumer never need each
+//! other's ledgers:
 //!
-//! * a producer owns an [`Outbox`] and pays the send side (marshalling,
-//!   per-packet protocol CPU, ring occupancy) as packets fill, exactly as
-//!   `Fabric::send_tuple` would charge the source node;
+//! * a producer owns an [`Outbox`] and pays the send side as packets
+//!   fill — marshalling per tuple, and per remote packet the protocol CPU
+//!   and the ring occupancy of its bytes;
 //! * packets carry their payloads to a per-node [`Inbox`], and the consumer
-//!   pays the receive side (per-packet protocol CPU, per-tuple
-//!   unmarshalling) when it drains them.
+//!   pays the receive side — per remote packet the protocol CPU plus
+//!   unmarshalling per tuple — when it drains them.
 //!
-//! Same-node messages are short-circuited just like the fabric's: they are
-//! batched identically, the producer pays the cheap hand-off, and the
-//! consumer pays nothing at drain time (the communications software hands
-//! the buffer over by reference).
-//!
-//! Packet boundaries, byte counts, and per-node charge totals are identical
-//! to routing the same tuple stream through `Fabric` — only the receiver's
-//! charges move from "when the packet filled" to "when the consumer drained
-//! it", which is also where they belong in a message-passing execution.
+//! Same-node messages are short-circuited: they are batched identically,
+//! the producer pays the cheap per-tuple and per-message hand-off, never
+//! touches the ring, and the consumer pays nothing at drain time (the
+//! communications software hands the buffer over by reference).
 //!
 //! Ordering is deterministic: [`Exchange::route`] moves sealed packets into
 //! inboxes source-major, so a consumer sees source 0's tuples (in emission
@@ -54,11 +53,11 @@
 //! charged by its total length, whatever it is made of.
 //!
 //! A *packet* is a `(bytes, count, query, local)` record over a run of
-//! messages, sealed exactly where `Fabric` would emit, so charges,
-//! counters, trace events and [`Exchange::peak_inbox_packets`] are those
-//! of a machine that really framed 2 KB buffers. Ring and short-circuited
-//! streams share this one representation; they differ only in what
-//! `charge_emit` and [`Inbox::drain`] charge.
+//! messages, sealed where the batching rule above closes a packet, so
+//! charges, counters, trace events and [`Exchange::peak_inbox_packets`] are
+//! those of a machine that really framed 2 KB buffers. Ring and
+//! short-circuited streams share this one representation; they differ only
+//! in what `charge_emit` and [`Inbox::drain`] charge.
 //!
 //! Tables belong to the exchange and circulate: [`Exchange::route`] swaps a
 //! stream's sealed table into its inbox slot and hands the stream the
@@ -654,12 +653,10 @@ impl Outbox {
         self.query = query;
     }
 
-    /// Send one tuple to `dst` on stream `tag`, batching into packets and
-    /// charging the producer ledger exactly as [`Fabric::send_tuple`]
-    /// charges the source node. The payload bytes are copied into the
-    /// stream's arena — no per-tuple allocation.
-    ///
-    /// [`Fabric::send_tuple`]: crate::Fabric::send_tuple
+    /// Send one tuple to `dst` on stream `tag`, batching it into packets
+    /// and charging the producer ledger its send side (see `admit`).
+    /// The payload bytes are copied into the stream's arena — no per-tuple
+    /// allocation.
     pub fn send(&mut self, usage: &mut Usage, dst: usize, tag: u32, payload: &[u8]) {
         self.send_parts(usage, dst, tag, payload.into(), Part::default());
     }
@@ -681,10 +678,13 @@ impl Outbox {
         self.admit(usage, dst, a.len() + b.len()).push(tag, a, b);
     }
 
-    /// Account one `len`-byte tuple to `dst`'s stream — the per-tuple
-    /// charge, then a packet record and the per-packet charge wherever
-    /// `Fabric::send_tuple` would emit — and return the table the caller
-    /// adds the message to.
+    /// Account one `len`-byte tuple to `dst`'s stream and return the table
+    /// the caller adds the message to. The tuple costs the producer its
+    /// marshalling CPU (the short-circuit hand-off when `dst` is this
+    /// node). If it does not fit in the packet being filled, that packet is
+    /// sealed first and the tuple starts the next; a packet that reaches
+    /// `packet_bytes` is sealed at once. Each sealed packet is charged by
+    /// [`Outbox::charge_emit`].
     fn admit(&mut self, usage: &mut Usage, dst: usize, len: usize) -> &mut Table {
         let bytes = len as u64;
         let packet = self.cfg.packet_bytes;
@@ -714,8 +714,9 @@ impl Outbox {
         &mut s.table
     }
 
-    /// Producer-side charge for one completed packet (mirrors the source
-    /// half of `Fabric::emit`).
+    /// Producer-side charge for one sealed packet of `bytes`: a
+    /// short-circuited one costs the hand-off CPU per message; a remote one
+    /// costs the send protocol CPU and `bytes` of ring occupancy.
     fn charge_emit(cfg: &RingConfig, usage: &mut Usage, src: usize, dst: usize, bytes: u64) {
         if src == dst {
             usage.cpu(cfg.shortcircuit_cpu_per_msg);
@@ -748,8 +749,8 @@ impl Outbox {
     }
 
     /// Seal every partially filled packet (end of the producer's output
-    /// streams for this step). Destinations flush in ascending order, like
-    /// `Fabric::flush` walks its destination-inner loop for one source.
+    /// streams for this step) and charge each by `charge_emit`,
+    /// destinations in ascending order.
     pub fn seal(&mut self, usage: &mut Usage) {
         let (src, query) = (self.src, self.query);
         for (dst, s) in self.streams.iter_mut().enumerate() {
@@ -771,6 +772,8 @@ impl Outbox {
 #[derive(Debug)]
 pub struct Inbox {
     node: usize,
+    /// The exchange's config, shared with its outboxes.
+    cfg: Arc<RingConfig>,
     /// `tables[src]`, shared with the [`Drained`] batch once drained.
     tables: Arc<Vec<Table>>,
     drained: bool,
@@ -802,20 +805,21 @@ impl Inbox {
         }
     }
 
-    /// Drain every delivered packet, charging the consumer's ledger for the
-    /// receive side of each remote packet (per-packet protocol CPU plus
-    /// per-tuple unmarshalling — the receiver half of `Fabric::emit`).
+    /// Drain every delivered packet, charging the consumer's ledger the
+    /// receive side of each remote packet: the receive protocol CPU plus
+    /// unmarshalling CPU per tuple, by the exchange's own [`RingConfig`].
     /// Short-circuited packets cost nothing here. Messages come back in
     /// (source ascending, emission order) — the order a sequential
     /// source-major driver loop would have produced them. The returned
     /// [`Drained`] batch shares the tables; iterate it for borrowed
     /// [`Msg`] views, and drop it before the inbox goes back
     /// ([`Exchange::return_inbox`]) so the tables are reused.
-    pub fn drain(&mut self, usage: &mut Usage, cfg: &RingConfig) -> Drained {
+    pub fn drain(&mut self, usage: &mut Usage) -> Drained {
         if self.is_empty() {
             return Drained::default();
         }
         self.drained = true;
+        let cfg = &self.cfg;
         for (src, table) in self.tables.iter().enumerate() {
             for p in table.packets.iter().filter(|p| !p.local) {
                 usage.cpu(cfg.recv_cpu_per_packet);
@@ -877,6 +881,8 @@ impl Drained {
 /// packets for each destination node.
 #[derive(Debug)]
 pub struct Exchange {
+    /// Shared with every outbox and every inbox taken.
+    cfg: Arc<RingConfig>,
     outboxes: Vec<Outbox>,
     /// `inboxes[dst]` holds one table per source; `None` while a consumer
     /// step has it ([`Exchange::take_inbox`]).
@@ -900,6 +906,7 @@ impl Exchange {
             outboxes: (0..nodes)
                 .map(|n| Outbox::new(n, Arc::clone(&cfg), nodes))
                 .collect(),
+            cfg,
             inboxes: (0..nodes).map(|_| Some(empty_tables(nodes))).collect(),
             peak_inbox: vec![0; nodes],
         }
@@ -978,6 +985,7 @@ impl Exchange {
         let tables = self.inboxes[n].take();
         Inbox {
             node: n,
+            cfg: Arc::clone(&self.cfg),
             tables: tables.unwrap_or_else(|| panic!("node {n}'s inbox is already taken")),
             drained: false,
         }
@@ -1044,58 +1052,44 @@ mod tests {
         assert_eq!(u[0].counts.packets_sent, 2, "seal emits the partial packet");
         ex.route();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        let drained = inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         assert_eq!(drained.len(), 10);
         assert_eq!(drained.iter().count(), 10);
         assert_eq!(u[1].counts.packets_recv, 2);
         assert!(ex.is_drained());
+        // The receiver pays per packet and per tuple, and no ring bytes.
+        let cfg = RingConfig::gamma_1989();
+        let recv = cfg.recv_cpu_per_packet.scaled(2) + cfg.unmarshal_cpu_per_tuple.scaled(10);
+        assert_eq!(u[1].cpu, recv);
+        assert_eq!((u[0].ring_bytes, u[1].ring_bytes), (10 * 208, 0));
     }
 
     #[test]
-    fn charges_match_fabric_exactly() {
-        // The producer+consumer totals must equal what Fabric charges for
-        // the identical tuple stream — packet boundaries and all.
-        let cfg = RingConfig::gamma_1989();
-        let sizes = [208u64, 100, 2048, 2040, 16, 208, 208, 1000, 3000, 5];
-        let mut fab = crate::Fabric::new(cfg.clone(), 3);
-        let mut fu = vec![Usage::ZERO; 3];
-        for (i, &b) in sizes.iter().enumerate() {
-            let dst = if i % 3 == 0 { 0 } else { 2 };
-            fab.send_tuple(&mut fu, 0, dst, b);
-        }
-        fab.flush(&mut fu);
-
+    fn charges_match_the_packet_model_exactly() {
+        // The producer+consumer totals must equal what the packet model
+        // charges for the identical tuple stream — packet boundaries and
+        // all.
+        let sizes = [208usize, 100, 2048, 2040, 16, 208, 208, 1000, 3000, 5];
+        let dst = |i: usize| if i.is_multiple_of(3) { 0 } else { 2 };
         let (mut ex, mut u) = exchange(3);
         for (i, &b) in sizes.iter().enumerate() {
-            let dst = if i % 3 == 0 { 0 } else { 2 };
-            ex.outboxes_mut()[0].send(&mut u[0], dst, 7, &vec![0u8; b as usize]);
+            ex.outboxes_mut()[0].send(&mut u[0], dst(i), 7, &vec![0u8; b]);
         }
         ex.outboxes_mut()[0].seal(&mut u[0]);
         ex.route();
         for n in [0usize, 2] {
             let mut inbox = ex.take_inbox(n);
-            inbox.drain(&mut u[n], &cfg);
+            inbox.drain(&mut u[n]);
             ex.return_inbox(inbox);
         }
         assert!(ex.is_drained());
-        for n in 0..3 {
-            assert_eq!(u[n].cpu, fu[n].cpu, "node {n} cpu");
-            assert_eq!(u[n].net, fu[n].net, "node {n} net");
-            assert_eq!(u[n].ring_bytes, fu[n].ring_bytes, "node {n} ring bytes");
-            assert_eq!(
-                u[n].counts.packets_sent, fu[n].counts.packets_sent,
-                "node {n} packets sent"
-            );
-            assert_eq!(
-                u[n].counts.packets_recv, fu[n].counts.packets_recv,
-                "node {n} packets recv"
-            );
-            assert_eq!(
-                u[n].counts.msgs_shortcircuit, fu[n].counts.msgs_shortcircuit,
-                "node {n} short circuits"
-            );
-        }
+        let sends: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| (0, dst(i), b))
+            .collect();
+        assert_charged_like_model(&u, &model_charges(3, &sends), "");
     }
 
     #[test]
@@ -1103,23 +1097,18 @@ mod tests {
         // The two ends of the frame sizing: a packet of 16-byte tuples is a
         // third frame headers (128 of them), and one tuple larger than a
         // packet travels alone. Both come back byte for byte, with exactly
-        // the charges Fabric makes for the same stream.
-        let cfg = RingConfig::gamma_1989();
-        let packet = cfg.packet_bytes as usize;
+        // the charges the packet model makes for the same stream.
+        let packet = RingConfig::gamma_1989().packet_bytes as usize;
         let mut sent: Vec<Vec<u8>> = (0..2 * packet / 16)
             .map(|i| (0..16).map(|b| (i * 16 + b) as u8).collect())
             .collect();
         sent.push((0..packet + 952).map(|i| i as u8).collect());
         sent.push(vec![7u8; 16]);
 
-        let mut fab = crate::Fabric::new(cfg.clone(), 2);
-        let mut fu = vec![Usage::ZERO; 2];
         let (mut ex, mut u) = exchange(2);
         for (i, t) in sent.iter().enumerate() {
-            fab.send_tuple(&mut fu, 0, 1, t.len() as u64);
             ex.outboxes_mut()[0].send(&mut u[0], 1, i as u32, t);
         }
-        fab.flush(&mut fu);
         ex.outboxes_mut()[0].seal(&mut u[0]);
         assert_eq!(
             u[0].counts.packets_sent, 4,
@@ -1127,25 +1116,20 @@ mod tests {
         );
         ex.route();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &cfg);
+        let drained = inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         assert_eq!(drained.len(), sent.len());
         for (i, (m, want)) in drained.iter().zip(&sent).enumerate() {
             assert_eq!((m.tag, m.payload), (i as u32, want.as_slice()));
         }
-        for n in 0..2 {
-            assert_eq!(u[n].cpu, fu[n].cpu, "node {n} cpu");
-            assert_eq!(u[n].net, fu[n].net, "node {n} net");
-            assert_eq!(u[n].ring_bytes, fu[n].ring_bytes, "node {n} ring bytes");
-            assert_eq!(u[n].counts, fu[n].counts, "node {n} counts");
-        }
+        let sends: Vec<_> = sent.iter().map(|t| (0, 1, t.len())).collect();
+        assert_charged_like_model(&u, &model_charges(2, &sends), "");
     }
 
     #[test]
     fn split_payload_sends_charge_like_single_payload_sends() {
         // Two unshared parts a, b must be indistinguishable — charges,
         // boundaries, delivered bytes — from send(a ++ b).
-        let cfg = RingConfig::gamma_1989();
         let (mut ex, mut u) = exchange(2);
         let (mut ex2, mut u2) = exchange(2);
         let pairs: [(usize, usize); 5] = [(100, 108), (0, 208), (2040, 8), (1, 1), (208, 0)];
@@ -1165,8 +1149,8 @@ mod tests {
         ex2.route();
         let mut i1 = ex.take_inbox(1);
         let mut i2 = ex2.take_inbox(1);
-        let d1 = i1.drain(&mut u[1], &cfg);
-        let d2 = i2.drain(&mut u2[1], &cfg);
+        let d1 = i1.drain(&mut u[1]);
+        let d2 = i2.drain(&mut u2[1]);
         assert_eq!(u[1], u2[1]);
         let m1: Vec<(u32, Vec<u8>)> = d1.iter().map(|m| (m.tag, m.payload.to_vec())).collect();
         let m2: Vec<(u32, Vec<u8>)> = d2.iter().map(|m| (m.tag, m.payload.to_vec())).collect();
@@ -1189,10 +1173,19 @@ mod tests {
         ex.route();
         let before = u[1].clone();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        let drained = inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         assert_eq!(drained.len(), 10);
         assert_eq!(u[1], before, "short-circuited drain is free");
+        // Short-circuiting is much cheaper than the same tuples on the ring.
+        let (mut remote, mut ru) = exchange(2);
+        send_n(&mut remote, &mut ru, 0, 1, 208, 10);
+        remote.outboxes_mut()[0].seal(&mut ru[0]);
+        remote.route();
+        let mut inbox = remote.take_inbox(1);
+        inbox.drain(&mut ru[1]);
+        remote.return_inbox(inbox);
+        assert!(u[1].cpu.as_us() * 2 < (ru[0].cpu + ru[1].cpu).as_us());
     }
 
     #[test]
@@ -1206,7 +1199,7 @@ mod tests {
         ex.outboxes_mut()[2].seal(&mut u[2]);
         ex.route();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        let drained = inbox.drain(&mut u[1]);
         let msgs: Vec<_> = drained.iter().collect();
         let srcs: Vec<usize> = msgs.iter().map(|m| m.src).collect();
         assert_eq!(srcs, vec![0, 2, 2]);
@@ -1226,7 +1219,7 @@ mod tests {
         ex.route();
         assert_eq!(ex.peak_inbox_packets(), &[0, 2, 0]);
         let mut inbox = ex.take_inbox(1);
-        inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         // A later, smaller burst does not lower the recorded peak.
         ex.outboxes_mut()[0].send(&mut u[0], 1, 9, &[0u8; 8]);
@@ -1243,6 +1236,16 @@ mod tests {
         assert_eq!(u[0].counts.packets_sent, 1, "first packet sealed early");
         ex.outboxes_mut()[0].seal(&mut u[0]);
         assert_eq!(u[0].counts.packets_sent, 2);
+        send_n(&mut ex, &mut u, 0, 1, 2048, 1);
+        assert_eq!(u[0].counts.packets_sent, 3, "an exact fill seals at once");
+        ex.outboxes_mut()[0].seal(&mut u[0]);
+        assert_eq!(u[0].counts.packets_sent, 3, "nothing was left to seal");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn zero_node_exchange_rejected() {
+        Exchange::new(RingConfig::gamma_1989(), 0);
     }
 
     #[test]
@@ -1253,7 +1256,7 @@ mod tests {
         ex.outboxes_mut()[0].seal(&mut u[0]);
         ex.route();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        let drained = inbox.drain(&mut u[1]);
         let msgs: Vec<_> = drained.iter().collect();
         assert_eq!(msgs.len(), 2);
         assert_eq!(msgs[0].tag, 0xAB00_0001);
@@ -1275,7 +1278,7 @@ mod tests {
         ex.outboxes_mut()[0].seal(&mut u[0]);
         ex.route();
         let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        let drained = inbox.drain(&mut u[1]);
         let queries: Vec<u32> = drained.iter().map(|m| m.query).collect();
         assert_eq!(queries, vec![3, 4]);
         ex.return_inbox(inbox);
@@ -1291,7 +1294,7 @@ mod tests {
         ex.route();
         assert!(!ex.is_drained(), "routed but undrained");
         let mut inbox = ex.take_inbox(1);
-        inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+        inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         assert!(ex.is_drained());
     }
@@ -1342,7 +1345,7 @@ mod tests {
             ex.outboxes_mut()[0].seal(&mut u[0]);
             ex.route();
             let mut inbox = ex.take_inbox(1);
-            let drained = inbox.drain(&mut u[1], &RingConfig::gamma_1989());
+            let drained = inbox.drain(&mut u[1]);
             assert_eq!(drained.len(), 80);
             let table = &drained.tables()[0];
             assert_eq!(table.pages.len(), 1, "one handle per distinct page");
@@ -1390,7 +1393,7 @@ mod tests {
         ex.route();
         for (dst, handles) in [(0, 1 + 3), (1, 1 + 2)] {
             let mut inbox = ex.take_inbox(dst);
-            let drained = inbox.drain(&mut u[dst], &RingConfig::gamma_1989());
+            let drained = inbox.drain(&mut u[dst]);
             let held = &drained.tables()[0];
             assert_eq!(
                 held.pages.len(),
@@ -1435,7 +1438,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&segment), 3, "one handle per stream");
         for (dst, want) in want.iter().enumerate() {
             let mut inbox = ex.take_inbox(dst);
-            let drained = inbox.drain(&mut u[dst], &RingConfig::gamma_1989());
+            let drained = inbox.drain(&mut u[dst]);
             let held = &drained.tables()[0];
             assert_eq!(held.pages.len(), 1, "node {dst}: one handle per segment");
             assert_eq!(held.arena.used, 0, "node {dst}: nothing copied");
@@ -1454,8 +1457,11 @@ mod tests {
     /// What the owned model keeps of one message.
     type Sent = (usize, u32, u32, Vec<u8>);
 
-    /// The batching rule, restated over owned messages: which of a stream's
-    /// messages are in sealed packets.
+    /// The packet rule, restated over owned messages: which of a stream's
+    /// messages are in sealed packets, and what each packet costs by
+    /// [`RingConfig`]'s rule. It charges both ends of a packet when it
+    /// seals, so its ledgers agree with the exchange's in every field but
+    /// the request logs (the exchange bills a receiver when it drains).
     #[derive(Default)]
     struct ModelStream {
         pending: Vec<Sent>,
@@ -1464,21 +1470,72 @@ mod tests {
     }
 
     impl ModelStream {
-        fn send(&mut self, m: Sent, packet: u64) {
-            let bytes = m.3.len() as u64;
-            if self.pending_bytes + bytes > packet && self.pending_bytes > 0 {
-                self.seal();
+        /// Add message `m` from `m.0` to `dst`, charging `u` the tuple and
+        /// any packet it seals.
+        fn send(&mut self, m: Sent, dst: usize, cfg: &RingConfig, u: &mut [Usage]) {
+            let (src, bytes) = (m.0, m.3.len() as u64);
+            u[src].cpu(match src == dst {
+                true => cfg.shortcircuit_cpu_per_tuple,
+                false => cfg.marshal_cpu_per_tuple,
+            });
+            if self.pending_bytes + bytes > cfg.packet_bytes && self.pending_bytes > 0 {
+                self.seal(dst, cfg, u);
             }
             self.pending_bytes += bytes;
             self.pending.push(m);
-            if self.pending_bytes >= packet {
-                self.seal();
+            if self.pending_bytes >= cfg.packet_bytes {
+                self.seal(dst, cfg, u);
             }
         }
 
-        fn seal(&mut self) {
-            self.pending_bytes = 0;
+        /// Seal the packet being filled, if it holds any bytes, and charge
+        /// it: the hand-off when local; else the send protocol and the
+        /// ring bytes to the sender, the receive protocol and per-tuple
+        /// unmarshalling to `dst`.
+        fn seal(&mut self, dst: usize, cfg: &RingConfig, u: &mut [Usage]) {
+            if self.pending_bytes == 0 {
+                return;
+            }
+            let (src, tuples) = (self.pending[0].0, self.pending.len() as u64);
+            let bytes = std::mem::take(&mut self.pending_bytes);
+            if src == dst {
+                u[src].cpu(cfg.shortcircuit_cpu_per_msg);
+                u[src].counts.msgs_shortcircuit += 1;
+            } else {
+                u[src].cpu(cfg.send_cpu_per_packet);
+                u[src].net(cfg.wire_time(bytes), bytes);
+                u[src].counts.packets_sent += 1;
+                u[dst].cpu(cfg.recv_cpu_per_packet + cfg.unmarshal_cpu_per_tuple.scaled(tuples));
+                u[dst].counts.packets_recv += 1;
+            }
             self.sealed.append(&mut self.pending);
+        }
+    }
+
+    /// What the packet model charges an `n`-node machine for `sends` of
+    /// `(src, dst, len)`, every stream sealed at the end.
+    fn model_charges(n: usize, sends: &[(usize, usize, usize)]) -> Vec<Usage> {
+        let cfg = RingConfig::gamma_1989();
+        let mut u = vec![Usage::ZERO; n];
+        let mut model: Vec<ModelStream> = (0..n * n).map(|_| ModelStream::default()).collect();
+        for &(src, dst, len) in sends {
+            model[src * n + dst].send((src, 0, 0, vec![0; len]), dst, &cfg, &mut u);
+        }
+        for (s, m) in model.iter_mut().enumerate() {
+            m.seal(s % n, &cfg, &mut u);
+        }
+        u
+    }
+
+    /// Every ledger field but the request logs agrees with the model's.
+    fn assert_charged_like_model(u: &[Usage], model: &[Usage], case: &str) {
+        for (n, (x, m)) in u.iter().zip(model).enumerate() {
+            assert_eq!(
+                (x.cpu, x.disk, x.net, x.ring_bytes, x.disk_wait, x.net_wait),
+                (m.cpu, m.disk, m.net, m.ring_bytes, m.disk_wait, m.net_wait),
+                "{case} node {n}"
+            );
+            assert_eq!(x.counts, m.counts, "{case} node {n} counts");
         }
     }
 
@@ -1489,15 +1546,14 @@ mod tests {
     /// delivers exactly what an owned model
     /// says, charges every node exactly what the same stream costs when
     /// every message is sent owned (the whole `Usage`, request logs
-    /// included), and totals what `Fabric` charges (every field but the
-    /// request logs: `Fabric` bills a receiver when the packet fills, the
+    /// included), and totals what the model charges (every field but the
+    /// request logs: the model bills a receiver when the packet seals, the
     /// exchange when it is drained, so issue offsets differ by design).
     #[test]
-    fn mixed_sends_match_an_owned_model_and_fabric() {
+    fn mixed_sends_match_an_owned_model() {
         use rand::{Rng, RngCore, SeedableRng, StdRng};
         const N: usize = 3;
         let cfg = RingConfig::gamma_1989();
-        let packet = cfg.packet_bytes;
         let sizes = [1usize, 2, 16, 208, 416, 1000, 2047, 2048, 2049, 3000];
         for seed in 0..48u64 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1516,8 +1572,7 @@ mod tests {
                 .collect();
             let (mut ex, mut u) = exchange(N);
             let (mut owned, mut ou) = exchange(N);
-            let mut fab = crate::Fabric::new(cfg.clone(), N);
-            let mut fu = vec![Usage::ZERO; N];
+            let mut mu = vec![Usage::ZERO; N];
             let mut model: Vec<ModelStream> = (0..N * N).map(|_| ModelStream::default()).collect();
             // Routed, undrained messages per (dst, src); delivered per dst.
             let mut routed: Vec<Vec<Sent>> = vec![Vec::new(); N * N];
@@ -1579,8 +1634,8 @@ mod tests {
                     };
                     let payload = &payload[..];
                     owned.outboxes_mut()[src].send(&mut ou[src], dst, tag, payload);
-                    fab.send_tuple(&mut fu, src, dst, len as u64);
-                    model[src * N + dst].send((src, tag, query, payload.to_vec()), packet);
+                    let m = (src, tag, query, payload.to_vec());
+                    model[src * N + dst].send(m, dst, &cfg, &mut mu);
                     if rng.gen_bool(0.05) {
                         // Route mid-packet: only what is sealed travels.
                         ex.route();
@@ -1594,11 +1649,10 @@ mod tests {
                     ex.outboxes_mut()[n].seal(&mut u[n]);
                     owned.outboxes_mut()[n].seal(&mut ou[n]);
                 }
-                fab.flush(&mut fu);
                 ex.route();
                 owned.route();
                 for (s, m) in model.iter_mut().enumerate() {
-                    m.seal();
+                    m.seal(s % N, &cfg, &mut mu);
                     routed[(s % N) * N + s / N].append(&mut m.sealed);
                 }
                 for dst in 0..N {
@@ -1614,7 +1668,7 @@ mod tests {
                         (&mut owned, &mut ou, &mut got_owned),
                     ] {
                         let mut inbox = ex.take_inbox(dst);
-                        let drained = inbox.drain(&mut u[dst], &cfg);
+                        let drained = inbox.drain(&mut u[dst]);
                         assert!(inbox.is_empty());
                         let before = got[dst].len();
                         for m in drained.iter() {
@@ -1636,15 +1690,7 @@ mod tests {
             assert_eq!(got_owned, want, "seed {seed}: owned-only sequence");
             assert_eq!(u, ou, "seed {seed}: whole ledgers, mixed == owned-only");
             assert_eq!(ex.peak_inbox_packets(), owned.peak_inbox_packets());
-            for n in 0..N {
-                let (x, f) = (&u[n], &fu[n]);
-                assert_eq!(
-                    (x.cpu, x.disk, x.net, x.ring_bytes, x.disk_wait, x.net_wait),
-                    (f.cpu, f.disk, f.net, f.ring_bytes, f.disk_wait, f.net_wait),
-                    "seed {seed} node {n}"
-                );
-                assert_eq!(x.counts, f.counts, "seed {seed} node {n} counts");
-            }
+            assert_charged_like_model(&u, &mu, &format!("seed {seed}"));
         }
     }
 }

@@ -15,18 +15,18 @@
 //!   the aggregate-bytes/bandwidth lower bound from the `ring_bytes` this
 //!   crate charges.
 //!
-//! The fabric does not move any payload bytes itself — the join engine hands
-//! real tuples to real consumers directly — it only *accounts* for the
-//! communication, charging [`gamma_des::Usage`] ledgers supplied by the
-//! caller.
+//! The [`Exchange`] is the one packet path: it carries every inter-node
+//! tuple from a producer's [`Outbox`] to a consumer's [`Inbox`] and makes
+//! every packet charge on the way, the send half to the producer's
+//! [`gamma_des::Usage`] ledger as packets seal, the receive half to the
+//! consumer's as it drains them. Scheduler control messages do not travel
+//! here; the join engine charges them where it sends them.
 
 pub mod config;
 pub mod exchange;
-pub mod fabric;
 
 pub use config::RingConfig;
 pub use exchange::{Drained, Exchange, Image, Inbox, Msg, Outbox, Part};
-pub use fabric::Fabric;
 
 /// Narrow a payload size to the fixed-width `u32` byte field trace events
 /// carry. A silent `as` cast here once wrapped >4 GiB transfers to almost

@@ -360,7 +360,7 @@ pub fn run_recorded(
         rec: tick_us.map(|t| FlightRecorder::new(cfg.nodes, t)),
     };
 
-    let mut sim = Sim::untraced(state);
+    let mut sim = Sim::new(state);
     for (q, &t) in arrivals.iter().enumerate() {
         sim.schedule_at(t, move |s| {
             let now = s.now();

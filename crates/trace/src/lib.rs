@@ -1,9 +1,9 @@
 //! # gamma-trace — deterministic structured event tracing
 //!
-//! An event recorder for the Gamma simulator. Operators, the
-//! interconnect fabric, the buffer pool, and the DES kernel emit typed
-//! [`EventKind`]s into a thread-local [`TraceSink`]; with no sink
-//! installed every hook is one thread-local load and a branch.
+//! An event recorder for the Gamma simulator. Operators, the exchange,
+//! the scheduler's control plane, the buffer pool, and the phase replay
+//! emit typed [`EventKind`]s into a thread-local [`TraceSink`]; with no
+//! sink installed every hook is one thread-local load and a branch.
 //! Because the simulator itself is single-threaded and deterministic,
 //! the recorded stream — and every exported artifact — is byte-identical
 //! across runs, making traces usable as golden regression files.
@@ -70,7 +70,8 @@ pub enum EventKind {
     SpanBegin { name: &'static str },
     /// The most recent operator span on this node closed.
     SpanEnd { name: &'static str },
-    /// A DES kernel event fired during replay (absolute time, not offset).
+    /// A simulation step: one replayed phase's end (absolute time, not
+    /// offset).
     SimStep,
 }
 
@@ -297,7 +298,8 @@ impl TraceSink {
         });
     }
 
-    /// Record a DES kernel step at an absolute simulated time.
+    /// Record a simulation step (a replayed phase's end) at an absolute
+    /// simulated time.
     pub fn emit_sim_step(&mut self, at_us: u64) {
         self.totals.record(&EventKind::SimStep);
         if self.ring.len() == self.capacity {

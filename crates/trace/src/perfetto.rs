@@ -5,7 +5,7 @@
 //! load directly. Layout:
 //!
 //! - one *process* (`pid`) per simulated node, named `node N`;
-//! - a synthetic `scheduler` process for DES kernel steps;
+//! - a synthetic `scheduler` process for simulation steps (phase ends);
 //! - each sealed phase is a `"X"` complete event on every node it ran
 //!   on, with per-node `dur` equal to that node's busy time (so skew is
 //!   visible as ragged right edges) and resource splits in `args`;

@@ -71,6 +71,16 @@
 # `seal`, a second one in `publish`, a run made per writer in `heap.rs`, or
 # the per-page `PageBuilder` is one image per page written again.
 #
+# One packet path: the exchange (`crates/net/src/exchange.rs`) batches and
+# charges every inter-node tuple, and scheduler control messages are
+# charged in `crates/core/src/exec/control.rs`. A second batcher — a
+# `struct Fabric` or a `fn send_tuple` in any non-test body — or a machine
+# field holding one is a second N×N pending matrix charging packets again.
+# The event kernel keeps only what its users need: the phase replay
+# records its own simulation steps, so a traced mode (`trace_steps`) or
+# event cancellation (`fn cancel`) in `crates/des/src/sim.rs` is dead
+# weight back again.
+#
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
 # inside the recorder, so they must be allocation-free outright — callers
@@ -218,6 +228,29 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# One packet path, and an event kernel without dead modes.
+while IFS= read -r f; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE 'struct Fabric\b|fn send_tuple\b' | grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f batches packets outside the exchange:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
+hits=$(grep -rn 'machine\.fabric' crates src tests examples benchmark/src || true)
+if [ -n "$hits" ]; then
+    echo "error: a machine fabric is back; packets are charged by the exchange only:" >&2
+    echo "$hits" | sed "s|^|  |" >&2
+    fail=1
+fi
+hits=$(grep -nE 'trace_steps|fn cancel\b' crates/des/src/sim.rs || true)
+if [ -n "$hits" ]; then
+    echo "error: crates/des/src/sim.rs grew a traced mode or cancellation again:" >&2
+    echo "$hits" | sed "s|^|  crates/des/src/sim.rs:|" >&2
+    fail=1
+fi
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -236,4 +269,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), no traced mode or cancellation in the event kernel, no allocs in prof sampling"

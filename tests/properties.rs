@@ -406,40 +406,49 @@ fn bit_filter_no_false_negatives() {
     }
 }
 
-/// Fabric conservation: every packet sent is received exactly once,
-/// and short-circuited messages never touch the ring.
+/// Exchange conservation: every packet sent is received exactly once, the
+/// ring carries exactly the remote payload bytes, and short-circuited
+/// messages never touch it — however often the streams are routed
+/// mid-packet.
 #[test]
-fn fabric_conserves_packets() {
-    use gamma_net::{Fabric, RingConfig};
+fn exchange_conserves_packets() {
+    use gamma_net::{Exchange, RingConfig};
+    const N: usize = 4;
+    let payload = [0u8; 2048];
     for case in 0..48u64 {
-        let mut rng = case_rng("fabric_conserves_packets", case);
-        let len = rng.gen_range(0usize..300);
-        let sends: Vec<(usize, usize, u64)> = (0..len)
-            .map(|_| {
-                (
-                    rng.gen_range(0usize..4),
-                    rng.gen_range(0usize..4),
-                    rng.gen_range(1u64..2048),
-                )
-            })
-            .collect();
-        let mut f = Fabric::new(RingConfig::gamma_1989(), 4);
-        let mut u = vec![Usage::ZERO; 4];
-        for &(src, dst, bytes) in &sends {
-            f.send_tuple(&mut u, src, dst, bytes);
+        let mut rng = case_rng("exchange_conserves_packets", case);
+        let mut ex = Exchange::new(RingConfig::gamma_1989(), N);
+        let mut u = vec![Usage::ZERO; N];
+        let mut remote_payload = 0u64;
+        for _ in 0..rng.gen_range(0usize..300) {
+            let (src, dst) = (rng.gen_range(0..N), rng.gen_range(0..N));
+            let bytes = rng.gen_range(1usize..2048);
+            let ring_before = u[src].ring_bytes;
+            ex.outboxes_mut()[src].send(&mut u[src], dst, 0, &payload[..bytes]);
+            if src == dst {
+                assert_eq!(u[src].ring_bytes, ring_before, "case {case}: local send");
+            } else {
+                remote_payload += bytes as u64;
+            }
+            if rng.gen_bool(0.05) {
+                ex.route();
+            }
         }
-        f.flush(&mut u);
-        assert!(f.is_drained(), "case {case}");
+        for (n, ob) in ex.outboxes_mut().iter_mut().enumerate() {
+            ob.seal(&mut u[n]);
+        }
+        ex.route();
+        for (n, ledger) in u.iter_mut().enumerate() {
+            let mut inbox = ex.take_inbox(n);
+            drop(inbox.drain(ledger));
+            ex.return_inbox(inbox);
+        }
+        assert!(ex.is_drained(), "case {case}");
         let sent: u64 = u.iter().map(|x| x.counts.packets_sent).sum();
         let recv: u64 = u.iter().map(|x| x.counts.packets_recv).sum();
         assert_eq!(sent, recv, "case {case}: packet conservation");
-        let local_bytes: u64 = u.iter().map(|x| x.ring_bytes).sum();
-        let remote_payload: u64 = sends
-            .iter()
-            .filter(|(s, d, _)| s != d)
-            .map(|&(_, _, b)| b)
-            .sum();
-        assert_eq!(local_bytes, remote_payload, "case {case}: ring bytes");
+        let ring_bytes: u64 = u.iter().map(|x| x.ring_bytes).sum();
+        assert_eq!(ring_bytes, remote_payload, "case {case}: ring bytes");
     }
 }
 

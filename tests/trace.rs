@@ -106,3 +106,64 @@ fn tracing_does_not_perturb_results() {
         );
     }
 }
+
+/// A filter packet too large for the trace's `u32` byte field stops a
+/// traced join with the narrowing panic, before any event records a
+/// wrapped size.
+#[test]
+fn oversized_filter_packet_panics_instead_of_wrapping() {
+    use gamma_core::cost::CostModel;
+    use gamma_core::machine::{Declustering, MachineConfig};
+    use gamma_core::query::JoinSpec;
+    use gamma_core::tuple::{Field, Schema};
+    use gamma_core::{run_join, ExecConfig, Machine};
+    use gamma_trace::{EventKind, TraceSink};
+
+    let bytes = u64::from(u32::MAX) + 1 + 64;
+    let mut cost = CostModel::gamma_1989();
+    cost.filter_packet_bytes = bytes;
+    // One join site: leave it a 1024-bit filter, not a 4 GiB one.
+    cost.filter_overhead_bits_per_site = bytes * 8 - 1024;
+    let cfg = MachineConfig {
+        disk_nodes: 1,
+        diskless_nodes: 0,
+        cost,
+    };
+    let mut m = Machine::new(cfg).with_exec(ExecConfig::serial());
+    let schema = Schema::new(vec![Field::Int("k".into()), Field::Str("pad".into(), 28)]);
+    let attr = schema.int_attr("k");
+    let mut load = |name: &str| {
+        let tuples: Vec<Vec<u8>> = (0..40u32)
+            .map(|k| {
+                let mut t = vec![0u8; schema.tuple_bytes()];
+                attr.put(&mut t, k);
+                t
+            })
+            .collect();
+        m.load_relation(name, schema.clone(), Declustering::Hashed { attr }, tuples)
+    };
+    let (r, s) = (load("r"), load("s"));
+    let spec = JoinSpec::new(Algorithm::HybridHash, r, s, attr, attr, 1 << 20).with_filter(true);
+
+    // Unbounded: a ring could evict a wrapped event before the panic.
+    let prev = gamma_trace::install(TraceSink::unbounded());
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_join(&mut m, &spec)));
+    let sink = gamma_trace::take().expect("sink installed above");
+    if let Some(p) = prev {
+        gamma_trace::install(p);
+    }
+    let err = run.expect_err("a 4 GiB filter packet must not trace");
+    let msg = err
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| err.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(msg.contains("exceeds the u32 trace field"), "{msg}");
+    let wrapped = bytes as u32;
+    assert!(
+        !sink
+            .events()
+            .any(|e| matches!(e.kind, EventKind::PacketSend { bytes, .. } if bytes == wrapped)),
+        "a wrapped filter packet size was recorded"
+    );
+}
