@@ -8,9 +8,10 @@
 //! ```
 //!
 //! The output JSON carries only virtual-time quantities (no wall-clock),
-//! so two runs of the same configuration are byte-identical — CI compares
-//! them with `cmp`, and the `regress` binary replays the committed
-//! `BENCH_serve.json` under drift/counter gates. Each rate point also
+//! so two runs of the same configuration are byte-identical. With no
+//! flags the sweep is `ServeSweepConfig::smoke()` and the output is
+//! `gamma_bench::serve::baseline_doc()`, the committed `BENCH_serve.json`
+//! that `regress` Gate 3 compares byte for byte. Each rate point also
 //! passes the concurrent ledger↔metrics reconciliation before its
 //! numbers are reported.
 //!
@@ -23,7 +24,7 @@
 
 use gamma_bench::serve::{
     calibrate_backlog_window, profile, render_json, serve_point, serve_sweep, ServeSweepConfig,
-    DEFAULT_BACKLOG_WINDOW_US,
+    BASELINE, DEFAULT_BACKLOG_WINDOW_US,
 };
 use gamma_bench::Workload;
 use gamma_des::SimTime;
@@ -32,7 +33,7 @@ use gamma_sched::{explain, ServeConfig};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ServeSweepConfig::smoke();
-    let mut out_path = String::from("BENCH_serve.json");
+    let mut out_path = String::from(BASELINE);
     if let Some(i) = args.iter().position(|a| a == "--a-rows") {
         cfg.a_rows = args[i + 1].parse().expect("a-rows must be an integer");
     }

@@ -11,16 +11,17 @@
 //! overflow machinery and once with the robust path (skew-aware
 //! split-table refinement + dynamic spill/restore). The output JSON
 //! carries only virtual-time quantities, so two runs of the same
-//! configuration are byte-identical — CI compares serial vs pooled builds
-//! with `cmp`, and the `regress` binary replays the committed
-//! `BENCH_skew.json` under drift/counter gates.
+//! configuration are byte-identical at any pool size. With no flags the
+//! grid is `SkewSweepConfig::smoke()` and the output is
+//! `gamma_bench::skew::baseline_doc()`, the committed `BENCH_skew.json`
+//! that `regress` Gate 4 compares byte for byte.
 
-use gamma_bench::skew::{render_json, skew_sweep, SkewSweepConfig, MODES, SKEW_LEVELS};
+use gamma_bench::skew::{render_json, skew_sweep, SkewSweepConfig, BASELINE, MODES, SKEW_LEVELS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = SkewSweepConfig::smoke();
-    let mut out_path = String::from("BENCH_skew.json");
+    let mut out_path = String::from(BASELINE);
     if let Some(i) = args.iter().position(|a| a == "--a-rows") {
         cfg.a_rows = args[i + 1].parse().expect("a-rows must be an integer");
     }

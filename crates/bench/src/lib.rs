@@ -12,6 +12,7 @@
 
 pub mod alloc;
 pub mod experiments;
+pub mod joinabprime;
 pub mod metrics;
 pub mod plot;
 pub mod prof;

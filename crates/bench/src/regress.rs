@@ -1,58 +1,18 @@
-//! Virtual-time performance-regression gate.
+//! Virtual-time regression gates.
 //!
-//! The simulator is deterministic, so the committed `BENCH_joinabprime.json`
-//! doubles as a perf baseline: any code change that moves a point's
-//! `response_virtual_us` is a *modelled* performance change, not noise, and
-//! must be either intentional (regenerate the baseline) or a regression.
-//! This module holds the pure pieces of the gate — parsing the baseline's
-//! hand-rolled JSON, comparing point sets under a tolerance, and diffing
-//! metric snapshots line by line — so they are unit-testable without
+//! The simulator is deterministic, so every committed baseline — the
+//! `BENCH_*.json` sweeps, the metrics snapshots and the flight-recorder
+//! profiles — is a document a fresh run must reproduce byte for byte: any
+//! difference is a *modelled* change, either intentional (re-record the
+//! file in the same commit) or a regression. The one baseline that is an
+//! inequality rather than bytes is `ALLOC_CEILINGS.json`, a ceiling on
+//! each point's heap allocation count. This module holds the pure pieces
+//! of the gates — the byte comparison, the ceiling document and its
+//! comparison, the summary table — so they are unit-testable without
 //! rerunning joins. The `regress` binary wires them to fresh runs.
-//! The committed `BENCH_serve.json` (concurrent-serving sweep) gets the
-//! same treatment: virtual-time quantities are drift-gated, deterministic
-//! identity fields are exact-gated.
 //!
 //! Every baseline records only deterministic fields: the host clock is
 //! measured by the two-clock benchmark under `benchmark/`, not here.
-
-use crate::metrics::MetricsRun;
-
-/// One benchmark point parsed from `BENCH_joinabprime.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    /// Algorithm name as printed by the report (e.g. `"hybrid"`).
-    pub algorithm: String,
-    /// Memory / |inner relation| ratio.
-    pub memory_ratio: f64,
-    /// Simulated end-to-end response time.
-    pub response_virtual_us: u64,
-    /// Peak buffer-pool residency over all nodes.
-    pub peak_pool_pages: u64,
-    /// Total packets placed on the ring.
-    pub packets: u64,
-    /// Short-circuited messages / (short-circuited + ring packets).
-    pub short_circuit_ratio: f64,
-}
-
-impl BenchPoint {
-    /// The gated fields of one metered run at `memory_ratio`.
-    pub fn of(run: &MetricsRun, memory_ratio: f64) -> Self {
-        let packets = run.report.packets();
-        let sc = run.report.shortcircuits();
-        BenchPoint {
-            algorithm: run.report.algorithm.clone(),
-            memory_ratio,
-            response_virtual_us: run.report.response.as_us(),
-            peak_pool_pages: run.registry.gauge_peak("pool_peak_pages").unwrap_or(0),
-            packets,
-            short_circuit_ratio: if sc + packets > 0 {
-                sc as f64 / (sc + packets) as f64
-            } else {
-                0.0
-            },
-        }
-    }
-}
 
 /// Extract the raw value token for `key` from one JSON object line written
 /// by our own benchmark serializers (`"key": value` pairs, one object per
@@ -77,391 +37,6 @@ fn str_field(line: &str, key: &str) -> Option<String> {
     Some(v.trim_matches('"').to_string())
 }
 
-/// Parse the point objects of a baseline document: every line carrying
-/// `key` must be one whole `{...}` object from which `point` reads all of
-/// its fields. A keyed line that does not yield a complete point —
-/// truncated, a field missing, `null` or unparsable — is an error naming
-/// the line, so a damaged baseline can never gate fewer points than it
-/// lists. Lines without `key` (the envelope) are skipped.
-fn parse_points<T>(
-    json: &str,
-    key: &str,
-    point: impl Fn(&str) -> Option<T>,
-) -> Result<Vec<T>, String> {
-    let pat = format!("\"{key}\":");
-    json.lines()
-        .enumerate()
-        .filter(|(_, l)| l.contains(&pat))
-        .map(|(i, l)| {
-            let obj = l.trim().trim_end_matches(',');
-            Some(obj)
-                .filter(|o| o.starts_with('{') && o.ends_with('}'))
-                .and_then(&point)
-                .ok_or_else(|| format!("line {}: not a complete `{key}` point: {obj}", i + 1))
-        })
-        .collect()
-}
-
-/// Parse every point object out of a `BENCH_joinabprime.json` document
-/// (keyed on `algorithm`; see [`parse_points`] for the error rule).
-pub fn parse_bench_points(json: &str) -> Result<Vec<BenchPoint>, String> {
-    parse_points(json, "algorithm", |l| {
-        Some(BenchPoint {
-            algorithm: str_field(l, "algorithm")?,
-            memory_ratio: num_field(l, "memory_ratio")?,
-            response_virtual_us: num_field(l, "response_virtual_us")? as u64,
-            peak_pool_pages: num_field(l, "peak_pool_pages")? as u64,
-            packets: num_field(l, "packets")? as u64,
-            short_circuit_ratio: num_field(l, "short_circuit_ratio")?,
-        })
-    })
-}
-
-/// Serialize points in the committed `BENCH_joinabprime.json` shape, one
-/// object per line (so [`parse_bench_points`] round-trips them).
-pub fn render_bench_points(scale: f64, points: &[BenchPoint]) -> String {
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"benchmark\": \"joinABprime\",\n  \"scale\": {scale},\n  \"points\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}}}{}\n",
-            p.algorithm,
-            p.memory_ratio,
-            p.response_virtual_us,
-            p.peak_pool_pages,
-            p.packets,
-            p.short_circuit_ratio,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    json
-}
-
-/// The first line carrying `key` — its 1-based number and the raw value —
-/// or an error when no line does.
-fn envelope_field<'a>(json: &'a str, key: &str) -> Result<(usize, &'a str), String> {
-    let pat = format!("\"{key}\":");
-    let (i, line) = json
-        .lines()
-        .enumerate()
-        .find(|(_, l)| l.contains(&pat))
-        .ok_or_else(|| format!("no `{key}` field in the envelope"))?;
-    Ok((i + 1, field(line, key).unwrap_or_default()))
-}
-
-/// Parse the envelope's `scale` field: the workload scale every point of
-/// the document was recorded at. Absent, `null`, unparsable, non-finite
-/// and non-positive are each an error (naming the line when there is one),
-/// so a damaged baseline is never replayed at a default scale.
-pub fn parse_scale(json: &str) -> Result<f64, String> {
-    let (line, raw) = envelope_field(json, "scale")?;
-    match raw.parse::<f64>() {
-        _ if raw == "null" => Err(format!("line {line}: `scale` is null")),
-        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-        Ok(v) => Err(format!(
-            "line {line}: `scale` must be finite and > 0, got {v}"
-        )),
-        Err(_) => Err(format!("line {line}: `scale` is not a number: `{raw}`")),
-    }
-}
-
-/// Compare a fresh point set against the baseline. Virtual response times
-/// may drift up to `tol_pct` percent (to leave room for deliberate cost
-/// recalibrations guarded by their own tests); the deterministic event
-/// counters (`packets`, `peak_pool_pages`, and `short_circuit_ratio` at
-/// its recorded six decimals) must match exactly. Missing or extra points
-/// are failures. Returns every violation found (empty ⇒ the gate passes).
-pub fn compare_points(baseline: &[BenchPoint], fresh: &[BenchPoint], tol_pct: f64) -> Vec<String> {
-    let mut errs = Vec::new();
-    for b in baseline {
-        let id = format!("{} @ ratio {}", b.algorithm, b.memory_ratio);
-        let Some(f) = fresh
-            .iter()
-            .find(|f| f.algorithm == b.algorithm && f.memory_ratio == b.memory_ratio)
-        else {
-            errs.push(format!("{id}: present in baseline, missing from fresh run"));
-            continue;
-        };
-        let (old, new) = (b.response_virtual_us, f.response_virtual_us);
-        if old != new {
-            let drift = (new.abs_diff(old)) as f64 * 100.0 / old as f64;
-            if drift > tol_pct {
-                errs.push(format!(
-                    "{id}: response_virtual_us drifted {drift:.3}% ({old} -> {new}, tolerance {tol_pct}%)"
-                ));
-            }
-        }
-        for (what, old, new) in [
-            ("packets", b.packets, f.packets),
-            ("peak_pool_pages", b.peak_pool_pages, f.peak_pool_pages),
-        ] {
-            if old != new {
-                errs.push(format!("{id}: {what} changed ({old} -> {new})"));
-            }
-        }
-        let (old, new) = (
-            format!("{:.6}", b.short_circuit_ratio),
-            format!("{:.6}", f.short_circuit_ratio),
-        );
-        if old != new {
-            errs.push(format!(
-                "{id}: short_circuit_ratio changed ({old} -> {new})"
-            ));
-        }
-    }
-    for f in fresh {
-        if !baseline
-            .iter()
-            .any(|b| b.algorithm == f.algorithm && b.memory_ratio == f.memory_ratio)
-        {
-            errs.push(format!(
-                "{} @ ratio {}: in fresh run but not in baseline",
-                f.algorithm, f.memory_ratio
-            ));
-        }
-    }
-    errs
-}
-
-/// One serve rate point parsed from `BENCH_serve.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBenchPoint {
-    /// Index within the sweep (identity key; also the arrival seed case).
-    pub rate_index: u64,
-    /// Offered load as a fraction of the analytical bound.
-    pub load_fraction: f64,
-    /// Mean inter-arrival time handed to the generator (exact-gated).
-    pub mean_interarrival_us: u64,
-    /// Queries completed (exact-gated).
-    pub completed: u64,
-    /// Virtual makespan (drift-gated).
-    pub makespan_us: u64,
-    /// Exact nearest-rank response percentiles (drift-gated).
-    pub response_p50_us: u64,
-    /// 99th percentile response (drift-gated).
-    pub response_p99_us: u64,
-    /// 99.9th percentile response (drift-gated).
-    pub response_p999_us: u64,
-    /// Total admission-queue wait (drift-gated).
-    pub admission_wait_total_us: u64,
-}
-
-/// Parse every rate-point object out of a `BENCH_serve.json` document
-/// (keyed on `rate_index`; see [`parse_points`] for the error rule).
-pub fn parse_serve_points(json: &str) -> Result<Vec<ServeBenchPoint>, String> {
-    parse_points(json, "rate_index", |l| {
-        Some(ServeBenchPoint {
-            rate_index: num_field(l, "rate_index")? as u64,
-            load_fraction: num_field(l, "load_fraction")?,
-            mean_interarrival_us: num_field(l, "mean_interarrival_us")? as u64,
-            completed: num_field(l, "completed")? as u64,
-            makespan_us: num_field(l, "makespan_us")? as u64,
-            response_p50_us: num_field(l, "response_p50_us")? as u64,
-            response_p99_us: num_field(l, "response_p99_us")? as u64,
-            response_p999_us: num_field(l, "response_p999_us")? as u64,
-            admission_wait_total_us: num_field(l, "admission_wait_total_us")? as u64,
-        })
-    })
-}
-
-/// Parse one positive integer field of a baseline's envelope (its first
-/// line carrying `key`). Absent, `null`, not an integer (`2.5`, `4e3`) and
-/// not positive are each an error naming the line, as for
-/// [`parse_scale`], so a damaged envelope is never cast into a replay size.
-fn envelope_count(json: &str, key: &str) -> Result<u64, String> {
-    let (line, raw) = envelope_field(json, key)?;
-    match raw.parse::<i64>() {
-        _ if raw == "null" => Err(format!("line {line}: `{key}` is null")),
-        Ok(v) if v > 0 => Ok(v as u64),
-        Ok(v) => Err(format!("line {line}: `{key}` must be > 0, got {v}")),
-        Err(_) => Err(format!("line {line}: `{key}` is not an integer: `{raw}`")),
-    }
-}
-
-/// Parse the serve envelope: `(a_rows, queries, budget_multiplier)` (see
-/// [`envelope_count`] for the error rule).
-pub fn parse_serve_envelope(json: &str) -> Result<(usize, u32, usize), String> {
-    let queries = envelope_count(json, "queries")?;
-    Ok((
-        envelope_count(json, "a_rows")? as usize,
-        u32::try_from(queries).map_err(|_| format!("`queries` {queries} exceeds u32"))?,
-        envelope_count(json, "budget_multiplier")? as usize,
-    ))
-}
-
-/// Compare a fresh serve sweep against the committed baseline, point by
-/// point (keyed on `rate_index`). Virtual-time quantities (makespan,
-/// response percentiles, admission wait) may drift up to `tol_pct`
-/// percent; the deterministic identity fields (`mean_interarrival_us`,
-/// `completed`) must match exactly. Missing or extra points are failures.
-pub fn compare_serve_points(
-    baseline: &[ServeBenchPoint],
-    fresh: &[ServeBenchPoint],
-    tol_pct: f64,
-) -> Vec<String> {
-    fn drift(id: &str, what: &str, old: u64, new: u64, tol_pct: f64) -> Option<String> {
-        if old == new {
-            return None;
-        }
-        // Relative to max(old, 1) so a baseline zero still gates.
-        let pct = new.abs_diff(old) as f64 * 100.0 / (old.max(1)) as f64;
-        (pct > tol_pct).then(|| {
-            format!("{id}: {what} drifted {pct:.3}% ({old} -> {new}, tolerance {tol_pct}%)")
-        })
-    }
-    let mut errs = Vec::new();
-    for b in baseline {
-        let id = format!("serve point {}", b.rate_index);
-        let Some(f) = fresh.iter().find(|f| f.rate_index == b.rate_index) else {
-            errs.push(format!("{id}: present in baseline, missing from fresh run"));
-            continue;
-        };
-        if b.mean_interarrival_us != f.mean_interarrival_us {
-            errs.push(format!(
-                "{id}: mean_interarrival_us changed ({} -> {}) — the offered rate moved",
-                b.mean_interarrival_us, f.mean_interarrival_us
-            ));
-        }
-        if b.completed != f.completed {
-            errs.push(format!(
-                "{id}: completed changed ({} -> {})",
-                b.completed, f.completed
-            ));
-        }
-        let checks = [
-            ("makespan_us", b.makespan_us, f.makespan_us),
-            ("response_p50_us", b.response_p50_us, f.response_p50_us),
-            ("response_p99_us", b.response_p99_us, f.response_p99_us),
-            ("response_p999_us", b.response_p999_us, f.response_p999_us),
-            (
-                "admission_wait_total_us",
-                b.admission_wait_total_us,
-                f.admission_wait_total_us,
-            ),
-        ];
-        errs.extend(
-            checks
-                .into_iter()
-                .filter_map(|(what, old, new)| drift(&id, what, old, new, tol_pct)),
-        );
-    }
-    for f in fresh {
-        if !baseline.iter().any(|b| b.rate_index == f.rate_index) {
-            errs.push(format!(
-                "serve point {}: in fresh run but not in baseline",
-                f.rate_index
-            ));
-        }
-    }
-    errs
-}
-
-/// One skew-grid point parsed from `BENCH_skew.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkewBenchPoint {
-    /// Skew level (`uniform` / `nu` / `sharp`); identity key with `mode`
-    /// and `memory_ratio`.
-    pub skew: String,
-    /// Machinery (`legacy` / `robust`).
-    pub mode: String,
-    /// Memory / |inner| ratio.
-    pub memory_ratio: f64,
-    /// Simulated response time (drift-gated).
-    pub response_virtual_us: u64,
-    /// Classic re-spray passes (exact-gated).
-    pub overflow_passes: u64,
-    /// Pages left spilled by the dynamic path (exact-gated).
-    pub pages_spilled: u64,
-    /// Pages restored into table slack (exact-gated).
-    pub pages_restored: u64,
-    /// Bucket count (exact-gated).
-    pub buckets: u64,
-    /// Result cardinality (exact-gated).
-    pub result_tuples: u64,
-}
-
-/// Parse every grid point out of a `BENCH_skew.json` document. Keyed on
-/// the `skew` field, which neither the joinabprime nor the serve documents
-/// carry — the three parsers ignore each other's points (see
-/// [`parse_points`] for the error rule).
-pub fn parse_skew_points(json: &str) -> Result<Vec<SkewBenchPoint>, String> {
-    parse_points(json, "skew", |l| {
-        Some(SkewBenchPoint {
-            skew: str_field(l, "skew")?,
-            mode: str_field(l, "mode")?,
-            memory_ratio: num_field(l, "memory_ratio")?,
-            response_virtual_us: num_field(l, "response_virtual_us")? as u64,
-            overflow_passes: num_field(l, "overflow_passes")? as u64,
-            pages_spilled: num_field(l, "pages_spilled")? as u64,
-            pages_restored: num_field(l, "pages_restored")? as u64,
-            buckets: num_field(l, "buckets")? as u64,
-            result_tuples: num_field(l, "result_tuples")? as u64,
-        })
-    })
-}
-
-/// Parse the skew envelope: `(a_rows, bprime_rows)` (see
-/// [`envelope_count`] for the error rule).
-pub fn parse_skew_envelope(json: &str) -> Result<(usize, usize), String> {
-    Ok((
-        envelope_count(json, "a_rows")? as usize,
-        envelope_count(json, "bprime_rows")? as usize,
-    ))
-}
-
-/// Compare a fresh skew grid against the committed baseline, keyed on
-/// (skew, mode, memory_ratio). `response_virtual_us` may drift up to
-/// `tol_pct` percent; the deterministic counters (overflow passes, spill
-/// and restore pages, buckets, result cardinality) must match exactly.
-/// Missing or extra points are failures.
-pub fn compare_skew_points(
-    baseline: &[SkewBenchPoint],
-    fresh: &[SkewBenchPoint],
-    tol_pct: f64,
-) -> Vec<String> {
-    let mut errs = Vec::new();
-    let key = |p: &SkewBenchPoint| (p.skew.clone(), p.mode.clone(), p.memory_ratio);
-    for b in baseline {
-        let id = format!("skew {}/{} @ ratio {}", b.skew, b.mode, b.memory_ratio);
-        let Some(f) = fresh.iter().find(|f| key(f) == key(b)) else {
-            errs.push(format!("{id}: present in baseline, missing from fresh run"));
-            continue;
-        };
-        let (old, new) = (b.response_virtual_us, f.response_virtual_us);
-        if old != new {
-            let drift = new.abs_diff(old) as f64 * 100.0 / (old.max(1)) as f64;
-            if drift > tol_pct {
-                errs.push(format!(
-                    "{id}: response_virtual_us drifted {drift:.3}% ({old} -> {new}, tolerance {tol_pct}%)"
-                ));
-            }
-        }
-        for (what, old, new) in [
-            ("overflow_passes", b.overflow_passes, f.overflow_passes),
-            ("pages_spilled", b.pages_spilled, f.pages_spilled),
-            ("pages_restored", b.pages_restored, f.pages_restored),
-            ("buckets", b.buckets, f.buckets),
-            ("result_tuples", b.result_tuples, f.result_tuples),
-        ] {
-            if old != new {
-                errs.push(format!("{id}: {what} changed ({old} -> {new})"));
-            }
-        }
-    }
-    for f in fresh {
-        if !baseline.iter().any(|b| key(b) == key(f)) {
-            errs.push(format!(
-                "skew {}/{} @ ratio {}: in fresh run but not in baseline",
-                f.skew, f.mode, f.memory_ratio
-            ));
-        }
-    }
-    errs
-}
-
 /// One allocation ceiling parsed from `ALLOC_CEILINGS.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocCeiling {
@@ -474,21 +49,34 @@ pub struct AllocCeiling {
     pub ceiling_allocs: u64,
 }
 
-/// Parse every ceiling object out of an `ALLOC_CEILINGS.json` document.
-/// Keyed on the `algorithm` field like the joinabprime points (see
-/// [`parse_points`] for the error rule), so feeding either document to
-/// the other's parser is an error rather than an empty gate.
+/// Parse every ceiling object out of an `ALLOC_CEILINGS.json` document:
+/// every line carrying `"algorithm":` must be one whole `{...}` object with
+/// all three fields. A line that does not yield a complete ceiling —
+/// truncated, a field missing, `null` or unparsable — is an error naming
+/// the line, so a damaged document can never gate fewer points than it
+/// lists. Lines without the key (the envelope) are skipped.
 pub fn parse_alloc_ceilings(json: &str) -> Result<Vec<AllocCeiling>, String> {
-    parse_points(json, "algorithm", |l| {
+    let ceiling = |l: &str| {
         Some(AllocCeiling {
             algorithm: str_field(l, "algorithm")?,
             memory_ratio: num_field(l, "memory_ratio")?,
             ceiling_allocs: num_field(l, "ceiling_allocs")? as u64,
         })
-    })
+    };
+    json.lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("\"algorithm\":"))
+        .map(|(i, l)| {
+            let obj = l.trim().trim_end_matches(',');
+            Some(obj)
+                .filter(|o| o.starts_with('{') && o.ends_with('}'))
+                .and_then(ceiling)
+                .ok_or_else(|| format!("line {}: not a complete ceiling: {obj}", i + 1))
+        })
+        .collect()
 }
 
-/// Serialize ceilings in the same hand-rolled one-object-per-line shape the
+/// Serialize ceilings in the hand-rolled one-object-per-line shape the
 /// other baselines use (so [`parse_alloc_ceilings`] round-trips them).
 pub fn render_alloc_ceilings(scale: f64, points: &[AllocCeiling]) -> String {
     let mut json = String::from("{\n");
@@ -571,6 +159,26 @@ pub fn diff_snapshots(label: &str, baseline: &str, fresh: &str) -> Vec<String> {
     errs
 }
 
+/// The byte gate every committed document goes through: compare `fresh`
+/// with the committed file at `path`. Each differing line is reported as
+/// `path:line` (see [`diff_snapshots`]), a difference in line endings
+/// alone as `path`, and a missing or unreadable file names `writer`, the
+/// command that writes it. Empty ⇒ byte-identical.
+pub fn byte_gate(path: &str, fresh: &str, writer: &str) -> Vec<String> {
+    match std::fs::read_to_string(path) {
+        Ok(committed) => {
+            let mut errs = diff_snapshots(path, &committed, fresh);
+            if errs.is_empty() && committed != fresh {
+                errs.push(format!("{path}: line endings differ from a fresh render"));
+            }
+            errs
+        }
+        Err(e) => vec![format!(
+            "{path}: unreadable ({e}); run `{writer}` to write it"
+        )],
+    }
+}
+
 /// Outcome of one regression gate, for the end-of-run summary table.
 #[derive(Debug, Clone)]
 pub struct GateSummary {
@@ -645,395 +253,32 @@ pub fn render_gate_table(gates: &[GateSummary]) -> String {
 mod tests {
     use super::*;
 
-    const DOC: &str = r#"{
-  "benchmark": "joinABprime",
-  "scale": 0.25,
-  "points": [
-    {"algorithm": "hybrid", "memory_ratio": 0.5, "response_virtual_us": 1000000, "peak_pool_pages": 420, "packets": 9000, "short_circuit_ratio": 0.750000}
-  ]
-}
-"#;
-
-    /// Every field name a baseline document carries, envelope and points.
-    fn keys(doc: &str) -> std::collections::BTreeSet<&str> {
-        doc.match_indices("\":")
-            .map(|(end, _)| &doc[doc[..end].rfind('"').map_or(0, |q| q + 1)..end])
-            .collect()
-    }
-
-    fn pt(alg: &str, ratio: f64, us: u64) -> BenchPoint {
-        BenchPoint {
-            algorithm: alg.into(),
-            memory_ratio: ratio,
-            response_virtual_us: us,
-            peak_pool_pages: 420,
-            packets: 9_000,
-            short_circuit_ratio: 0.75,
-        }
-    }
-
-    #[test]
-    fn parses_points_and_scale() {
-        let pts = parse_bench_points(DOC).unwrap();
-        assert_eq!(pts, [pt("hybrid", 0.5, 1_000_000)]);
-        assert_eq!(parse_scale(DOC), Ok(0.25));
-    }
-
-    #[test]
-    fn rendered_points_round_trip_byte_for_byte() {
-        let pts = parse_bench_points(DOC).unwrap();
-        assert_eq!(render_bench_points(0.25, &pts), DOC);
-    }
-
-    #[test]
-    fn damaged_scale_is_an_error_naming_the_line() {
-        let with = |v: &str| DOC.replace(r#""scale": 0.25"#, &format!(r#""scale": {v}"#));
-        let absent = DOC.replace("  \"scale\": 0.25,\n", "");
-        assert!(parse_scale(&absent)
-            .expect_err("absent")
-            .contains("no `scale`"));
-        for (value, why) in [
-            ("null", "is null"),
-            ("0.2x5", "not a number"),
-            ("", "not a number"),
-            ("inf", "finite"),
-            ("NaN", "finite"),
-            ("0", "> 0"),
-            ("-0.5", "> 0"),
-        ] {
-            let err = parse_scale(&with(value)).expect_err(value);
-            assert!(
-                err.starts_with("line 3:") && err.contains(why),
-                "{value}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn damaged_envelope_counts_are_errors_naming_the_line() {
-        let serve = |from: &str, to: &str| parse_serve_envelope(&SERVE_DOC.replace(from, to));
-        let skew = |from: &str, to: &str| parse_skew_envelope(&SKEW_DOC.replace(from, to));
-        for (value, why) in [
-            ("null", "is null"),
-            ("-4000", "> 0"),
-            ("0", "> 0"),
-            ("2.5", "not an integer"),
-            ("4e3", "not an integer"),
-            ("", "not an integer"),
-        ] {
-            for err in [
-                serve(r#""a_rows": 4000"#, &format!(r#""a_rows": {value}"#)).map(drop),
-                skew(r#""a_rows": 4000"#, &format!(r#""a_rows": {value}"#)).map(drop),
-            ] {
-                let err = err.expect_err(value);
-                assert!(
-                    err.starts_with("line 3:") && err.contains("`a_rows`") && err.contains(why),
-                    "{value}: {err}"
-                );
-            }
-            let err =
-                serve(r#""queries": 24"#, &format!(r#""queries": {value}"#)).expect_err(value);
-            assert!(
-                err.starts_with("line 4:") && err.contains(why),
-                "{value}: {err}"
-            );
-            let err = skew(
-                r#""bprime_rows": 400"#,
-                &format!(r#""bprime_rows": {value}"#),
-            )
-            .expect_err(value);
-            assert!(
-                err.starts_with("line 4:") && err.contains(why),
-                "{value}: {err}"
-            );
-        }
-        let err = serve("  \"budget_multiplier\": 3,\n", "").expect_err("absent");
-        assert!(err.contains("no `budget_multiplier`"), "{err}");
-        let err = skew("  \"bprime_rows\": 400,\n", "").expect_err("absent");
-        assert!(err.contains("no `bprime_rows`"), "{err}");
-        let err = serve(r#""queries": 24"#, r#""queries": 5000000000"#).expect_err("wide");
-        assert!(err.contains("exceeds u32"), "{err}");
-    }
-
     #[test]
     fn damaged_point_lines_are_errors_naming_the_line() {
-        let good = r#"    {"algorithm": "grace", "memory_ratio": 0.2, "response_virtual_us": 75003260, "peak_pool_pages": 7, "packets": 12, "short_circuit_ratio": 0.125000},"#;
-        assert_eq!(parse_bench_points(good).unwrap().len(), 1);
+        let good = r#"    {"algorithm": "grace", "memory_ratio": 0.2, "ceiling_allocs": 4210},"#;
+        assert_eq!(parse_alloc_ceilings(good).unwrap().len(), 1);
         for damaged in [
             // truncated mid-line
-            good[..good.len() - 20].to_string(),
-            // missing counter
-            good.replace(r#" "packets": 12,"#, ""),
-            // null counter
-            good.replace(r#""peak_pool_pages": 7"#, r#""peak_pool_pages": null"#),
-            // unparsable gated value
-            good.replace("75003260", "7500x260"),
+            good[..good.len() - 10].to_string(),
+            // missing field
+            good.replace(r#" "memory_ratio": 0.2,"#, ""),
+            // null field
+            good.replace("4210", "null"),
+            // unparsable value
+            good.replace("4210", "42x0"),
         ] {
             let doc = format!("{{\n  \"points\": [\n{good}\n{damaged}\n  ]\n}}\n");
-            let err = parse_bench_points(&doc).expect_err(&damaged);
+            let err = parse_alloc_ceilings(&doc).expect_err(&damaged);
             assert!(err.starts_with("line 4:"), "{err}");
             assert!(err.contains(damaged.trim().trim_end_matches(',')), "{err}");
         }
-        // The same rule guards the other three baselines.
-        let cut = |doc: &str, field: &str| doc.replace(field, "");
-        assert!(parse_serve_points(&cut(SERVE_DOC, r#" "completed": 24,"#)).is_err());
-        assert!(parse_skew_points(&cut(SKEW_DOC, r#" "buckets": 1,"#)).is_err());
-        let ceilings =
-            r#"    {"algorithm": "hybrid", "memory_ratio": 0.5, "ceiling_allocs": null}"#;
-        assert!(parse_alloc_ceilings(ceilings).is_err());
     }
 
     #[test]
-    fn committed_baselines_parse_completely() {
-        let read = |name: &str| {
-            std::fs::read_to_string(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR")))
-                .unwrap_or_else(|e| panic!("read {name}: {e}"))
-        };
-        let bench_doc = read("BENCH_joinabprime.json");
-        assert_eq!(parse_bench_points(&bench_doc).unwrap().len(), 12);
-        assert_eq!(parse_scale(&bench_doc), Ok(1.0));
-        // Only the model's fields: no wall-clock, speedup, allocation count
-        // or executor envelope, so the file is a byte-stable artifact.
-        assert_eq!(keys(&bench_doc), keys(DOC));
-        assert_eq!(
-            keys(DOC).into_iter().collect::<Vec<_>>(),
-            [
-                "algorithm",
-                "benchmark",
-                "memory_ratio",
-                "packets",
-                "peak_pool_pages",
-                "points",
-                "response_virtual_us",
-                "scale",
-                "short_circuit_ratio"
-            ]
-        );
-        let serve = parse_serve_points(&read("BENCH_serve.json"));
-        assert_eq!(serve.unwrap().len(), 6);
-        let skew = parse_skew_points(&read("BENCH_skew.json"));
-        assert_eq!(skew.unwrap().len(), 36);
-        let ceilings_doc = read("ALLOC_CEILINGS.json");
-        assert_eq!(parse_alloc_ceilings(&ceilings_doc).unwrap().len(), 12);
-        assert!(parse_scale(&ceilings_doc).is_ok());
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance() {
-        let base = vec![pt("hybrid", 0.5, 1_000_000)];
-        let fresh = vec![pt("hybrid", 0.5, 1_009_900)]; // 0.99% drift
-        assert!(compare_points(&base, &fresh, 1.0).is_empty());
-    }
-
-    #[test]
-    fn gate_fails_beyond_tolerance() {
-        let base = vec![pt("hybrid", 0.5, 1_000_000)];
-        let fresh = vec![pt("hybrid", 0.5, 1_010_100)]; // 1.01% drift
-        let errs = compare_points(&base, &fresh, 1.0);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("drifted"), "{errs:?}");
-        // Shrinking is gated too: a 2% speedup still invalidates the baseline.
-        let faster = vec![pt("hybrid", 0.5, 980_000)];
-        assert!(!compare_points(&base, &faster, 1.0).is_empty());
-    }
-
-    #[test]
-    fn gate_fails_on_exact_counter_mismatch() {
-        let b = pt("hybrid", 0.5, 1_000_000);
-        for (what, f) in [
-            (
-                "packets",
-                BenchPoint {
-                    packets: 9_001,
-                    ..b.clone()
-                },
-            ),
-            (
-                "peak_pool_pages",
-                BenchPoint {
-                    peak_pool_pages: 421,
-                    ..b.clone()
-                },
-            ),
-            (
-                "short_circuit_ratio",
-                BenchPoint {
-                    short_circuit_ratio: 0.750001,
-                    ..b.clone()
-                },
-            ),
-        ] {
-            let errs = compare_points(std::slice::from_ref(&b), &[f], 1.0);
-            assert_eq!(errs.len(), 1, "{errs:?}");
-            assert!(errs[0].contains(what), "{errs:?}");
-        }
-    }
-
-    #[test]
-    fn gate_fails_on_missing_or_extra_points() {
-        let base = vec![pt("hybrid", 0.5, 1_000_000), pt("grace", 0.2, 2_000_000)];
-        let fresh = vec![pt("hybrid", 0.5, 1_000_000), pt("simple", 1.0, 3_000_000)];
-        let errs = compare_points(&base, &fresh, 1.0);
-        assert_eq!(errs.len(), 2, "{errs:?}");
-    }
-
-    const SERVE_DOC: &str = r#"{
-  "benchmark": "serve",
-  "a_rows": 4000,
-  "queries": 24,
-  "budget_multiplier": 3,
-  "budget_pages": 144,
-  "peak_pages": 48,
-  "solo_response_us": 1200000,
-  "bound_qps": 2.5,
-  "knee_qps": 2.2,
-  "points": [
-    {"rate_index": 0, "load_fraction": 0.2, "mean_interarrival_us": 2000000, "offered_qps": 0.5, "completed": 24, "makespan_us": 50000000, "throughput_qps": 0.48, "response_p50_us": 1250000, "response_p99_us": 1400000, "response_p999_us": 1400000, "mean_response_us": 1260.5, "admission_wait_total_us": 0, "peak_utilisation": 0.41}
-  ]
-}
-"#;
-
-    fn spt(idx: u64, makespan: u64, p50: u64) -> ServeBenchPoint {
-        ServeBenchPoint {
-            rate_index: idx,
-            load_fraction: 0.2,
-            mean_interarrival_us: 2_000_000,
-            completed: 24,
-            makespan_us: makespan,
-            response_p50_us: p50,
-            response_p99_us: p50 + 1000,
-            response_p999_us: p50 + 1000,
-            admission_wait_total_us: 0,
-        }
-    }
-
-    #[test]
-    fn parses_serve_points_and_envelope() {
-        let pts = parse_serve_points(SERVE_DOC).unwrap();
-        assert_eq!(pts.len(), 1);
-        assert_eq!(pts[0].rate_index, 0);
-        assert_eq!(pts[0].mean_interarrival_us, 2_000_000);
-        assert_eq!(pts[0].completed, 24);
-        assert_eq!(pts[0].makespan_us, 50_000_000);
-        assert_eq!(pts[0].response_p999_us, 1_400_000);
-        assert_eq!(parse_serve_envelope(SERVE_DOC), Ok((4_000, 24, 3)));
-        // The joinabprime parser must not pick serve points up (no
-        // algorithm key) and vice versa.
-        assert!(parse_bench_points(SERVE_DOC).unwrap().is_empty());
-    }
-
-    #[test]
-    fn serve_gate_passes_within_tolerance_and_fails_beyond() {
-        let base = vec![spt(0, 50_000_000, 1_250_000)];
-        let ok = vec![spt(0, 50_400_000, 1_250_000)]; // 0.8% makespan drift
-        assert!(compare_serve_points(&base, &ok, 1.0).is_empty());
-        let bad = vec![spt(0, 51_000_000, 1_250_000)]; // 2% drift
-        let errs = compare_serve_points(&base, &bad, 1.0);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("makespan_us"), "{errs:?}");
-    }
-
-    #[test]
-    fn serve_gate_is_exact_on_identity_fields() {
-        let base = vec![spt(0, 50_000_000, 1_250_000)];
-        let mut f = spt(0, 50_000_000, 1_250_000);
-        f.completed = 23;
-        f.mean_interarrival_us = 2_000_001;
-        let errs = compare_serve_points(&base, &[f], 1.0);
-        assert_eq!(errs.len(), 2, "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("completed")));
-        assert!(errs.iter().any(|e| e.contains("mean_interarrival_us")));
-    }
-
-    #[test]
-    fn serve_gate_fails_on_missing_or_extra_points() {
-        let base = vec![spt(0, 1, 1), spt(1, 1, 1)];
-        let fresh = vec![spt(1, 1, 1), spt(2, 1, 1)];
-        let errs = compare_serve_points(&base, &fresh, 1.0);
-        assert_eq!(errs.len(), 2, "{errs:?}");
-    }
-
-    #[test]
-    fn serve_gate_catches_zero_baseline_regressions() {
-        // admission_wait_total_us 0 -> 500: 50000% relative to max(0,1).
-        let base = vec![spt(0, 1_000, 1_000)];
-        let mut f = spt(0, 1_000, 1_000);
-        f.admission_wait_total_us = 500;
-        let errs = compare_serve_points(&base, &[f], 1.0);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("admission_wait_total_us"), "{errs:?}");
-    }
-
-    const SKEW_DOC: &str = r#"{
-  "benchmark": "skew",
-  "a_rows": 4000,
-  "bprime_rows": 400,
-  "points": [
-    {"skew": "nu", "mode": "legacy", "memory_ratio": 0.6, "response_virtual_us": 9000000, "overflow_passes": 1, "pages_spilled": 0, "pages_restored": 0, "buckets": 1, "result_tuples": 2100, "bnl": false},
-    {"skew": "nu", "mode": "robust", "memory_ratio": 0.6, "response_virtual_us": 7000000, "overflow_passes": 0, "pages_spilled": 12, "pages_restored": 30, "buckets": 1, "result_tuples": 2100, "bnl": false}
-  ]
-}
-"#;
-
-    fn kpt(skew: &str, mode: &str, ratio: f64, us: u64) -> SkewBenchPoint {
-        SkewBenchPoint {
-            skew: skew.into(),
-            mode: mode.into(),
-            memory_ratio: ratio,
-            response_virtual_us: us,
-            overflow_passes: 1,
-            pages_spilled: 0,
-            pages_restored: 0,
-            buckets: 1,
-            result_tuples: 2_100,
-        }
-    }
-
-    #[test]
-    fn parses_skew_points_and_envelope() {
-        let pts = parse_skew_points(SKEW_DOC).unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].skew, "nu");
-        assert_eq!(pts[0].mode, "legacy");
-        assert_eq!(pts[0].response_virtual_us, 9_000_000);
-        assert_eq!(pts[1].pages_restored, 30);
-        assert_eq!(parse_skew_envelope(SKEW_DOC), Ok((4_000, 400)));
-    }
-
-    #[test]
-    fn skew_points_are_invisible_to_the_other_parsers_and_vice_versa() {
-        // Cross-parser isolation: each baseline document must only feed its
-        // own gate, or a gate would fail on fields that are not there.
-        assert!(parse_bench_points(SKEW_DOC).unwrap().is_empty());
-        assert!(parse_serve_points(SKEW_DOC).unwrap().is_empty());
-        assert!(parse_skew_points(DOC).unwrap().is_empty());
-        assert!(parse_skew_points(SERVE_DOC).unwrap().is_empty());
-    }
-
-    #[test]
-    fn skew_gate_drifts_response_and_exacts_counters() {
-        let base = vec![kpt("nu", "legacy", 0.6, 1_000_000)];
-        let ok = vec![kpt("nu", "legacy", 0.6, 1_009_000)]; // 0.9%
-        assert!(compare_skew_points(&base, &ok, 1.0).is_empty());
-        let bad = vec![kpt("nu", "legacy", 0.6, 1_020_000)]; // 2%
-        let errs = compare_skew_points(&base, &bad, 1.0);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("drifted"), "{errs:?}");
-        let mut f = kpt("nu", "legacy", 0.6, 1_000_000);
-        f.overflow_passes = 2;
-        f.pages_restored = 5;
-        let errs = compare_skew_points(&base, &[f], 1.0);
-        assert_eq!(errs.len(), 2, "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("overflow_passes")));
-        assert!(errs.iter().any(|e| e.contains("pages_restored")));
-    }
-
-    #[test]
-    fn skew_gate_fails_on_missing_or_extra_points() {
-        let base = vec![kpt("nu", "legacy", 0.6, 1), kpt("nu", "robust", 0.6, 1)];
-        let fresh = vec![kpt("nu", "robust", 0.6, 1), kpt("sharp", "robust", 0.6, 1)];
-        let errs = compare_skew_points(&base, &fresh, 1.0);
-        assert_eq!(errs.len(), 2, "{errs:?}");
+    fn committed_ceilings_parse_completely() {
+        let path = format!("{}/../../ALLOC_CEILINGS.json", env!("CARGO_MANIFEST_DIR"));
+        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        assert_eq!(parse_alloc_ceilings(&doc).unwrap().len(), 12);
     }
 
     #[test]
@@ -1052,13 +297,6 @@ mod tests {
         ];
         let doc = render_alloc_ceilings(0.2, &ceilings);
         assert_eq!(parse_alloc_ceilings(&doc).unwrap(), ceilings);
-        assert_eq!(parse_scale(&doc), Ok(0.2));
-        // The other parsers must not pick ceiling points up: the
-        // joinabprime one shares the `algorithm` key and rejects them.
-        assert!(parse_bench_points(&doc).is_err());
-        assert!(parse_alloc_ceilings(DOC).is_err());
-        assert!(parse_serve_points(&doc).unwrap().is_empty());
-        assert!(parse_skew_points(&doc).unwrap().is_empty());
 
         // At or under the ceiling passes; over fails; missing fails.
         let ok = vec![
@@ -1117,5 +355,34 @@ mod tests {
         let errs = diff_snapshots("s", "a\nb\nc\n", "a\nX\nc\nd\n");
         assert!(errs.iter().any(|e| e.contains("s:2")), "{errs:?}");
         assert!(errs.iter().any(|e| e.contains("line count")), "{errs:?}");
+    }
+
+    #[test]
+    fn byte_gate_passes_only_identical_bytes() {
+        let dir = std::env::temp_dir().join(format!("regress-byte-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_x.json");
+        let path = path.to_str().unwrap();
+        let doc = "{\n  \"a_rows\": 4000,\n  \"points\": [\n    {\"us\": 9000000}\n  ]\n}\n";
+        std::fs::write(path, doc).unwrap();
+
+        assert!(byte_gate(path, doc, "x").is_empty());
+        // One digit changed: the error names the file and the line.
+        let errs = byte_gate(path, &doc.replace("9000000", "9000001"), "x");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with(&format!("{path}:4: ")), "{errs:?}");
+        // Only the final newline differs: still not byte-identical.
+        let errs = byte_gate(path, doc.trim_end(), "x");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("line endings"), "{errs:?}");
+        // No committed file: the error names the command that writes it.
+        std::fs::remove_file(path).unwrap();
+        let errs = byte_gate(path, doc, "skew");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(
+            errs[0].starts_with(path) && errs[0].contains("run `skew`"),
+            "{errs:?}"
+        );
+        std::fs::remove_dir(&dir).unwrap();
     }
 }

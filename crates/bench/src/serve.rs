@@ -9,8 +9,9 @@
 //! `joinABprime`), the paper's general-case query.
 //!
 //! Everything is virtual time over deterministic arrivals, so a sweep is
-//! byte-reproducible; `BENCH_serve.json` doubles as a perf baseline that
-//! the `regress` binary replays under drift/counter gates.
+//! byte-reproducible. The smoke sweep is the committed [`BASELINE`]: the
+//! `serve` binary writes [`baseline_doc`] and `regress` Gate 3 compares a
+//! fresh one with the file byte for byte.
 
 use gamma_core::query::Algorithm;
 use gamma_core::JoinReport;
@@ -18,6 +19,9 @@ use gamma_des::SimTime;
 use gamma_sched::{serve, QueryPlan, ServeConfig, ServeResult};
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
+
+/// The committed sweep, written by `serve` with no flags.
+pub const BASELINE: &str = "BENCH_serve.json";
 
 /// Offered-load fractions of the analytical bound swept by default: well
 /// below the knee, around it, and into overload.
@@ -343,6 +347,12 @@ pub fn render_json(cfg: &ServeSweepConfig, sweep: &ServeSweep) -> String {
     }
     json.push_str("  ]\n}\n");
     json
+}
+
+/// The committed [`BASELINE`] document: the smoke sweep, rendered.
+pub fn baseline_doc() -> String {
+    let cfg = ServeSweepConfig::smoke();
+    render_json(&cfg, &serve_sweep(&cfg))
 }
 
 #[cfg(test)]

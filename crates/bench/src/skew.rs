@@ -15,11 +15,17 @@
 //! Every point joins `Bprime ⋈ A` on Hybrid under the Optimistic policy
 //! and is validated against the oracle. The emitted JSON carries only
 //! virtual-time quantities (no wall-clock), so two runs of the same
-//! configuration are byte-identical regardless of executor.
+//! configuration are byte-identical regardless of executor. The smoke grid
+//! is the committed [`BASELINE`]: the `skew` binary writes
+//! [`baseline_doc`] and `regress` Gate 4 compares a fresh one with the file
+//! byte for byte.
 
 use gamma_core::query::{Algorithm, OverflowPolicy};
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
+
+/// The committed grid, written by `skew` with no flags.
+pub const BASELINE: &str = "BENCH_skew.json";
 
 /// The three skew levels the sweep crosses with the memory ratios.
 ///
@@ -176,6 +182,12 @@ pub fn render_json(cfg: &SkewSweepConfig, sweep: &SkewSweep) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// The committed [`BASELINE`] document: the smoke grid, rendered.
+pub fn baseline_doc() -> String {
+    let cfg = SkewSweepConfig::smoke();
+    render_json(&cfg, &skew_sweep(&cfg))
 }
 
 #[cfg(test)]

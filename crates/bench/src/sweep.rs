@@ -39,7 +39,7 @@ impl Workload {
     }
 
     /// The full-size workload scaled by `scale`: |A| = 100,000 · scale and
-    /// |Bprime| = 10,000 · scale, rounded (the `joinabprime` / `regress`
+    /// |Bprime| = 10,000 · scale, rounded (the `joinabprime` document's
     /// `scale` field).
     pub fn at_scale(scale: f64) -> Self {
         Self::scaled(

@@ -17,7 +17,7 @@
 //! * [`checksum`] — the order-independent result-multiset checksum every
 //!   engine run is validated through,
 //! * [`machine`] — machine configuration (disk/diskless nodes), volumes,
-//!   buffer pools, fabric and the relation catalog,
+//!   buffer pools, the exchange and the relation catalog,
 //! * [`split`] — partitioning/joining split tables built per Appendix A and
 //!   the optimizer *bucket analyzer*,
 //! * [`bitfilter`] — packet-sized bit-vector filters \[BABB79, VALD84\],

@@ -212,24 +212,12 @@ impl Usage {
     }
 
     /// Drain this node's request logs through per-device FIFO queues
-    /// (see [`crate::queue`]).
-    ///
-    /// A ledger whose service time was accumulated without request logging
-    /// (e.g. a hand-built total) falls back to a single request issued at
-    /// time zero, which reproduces the legacy bound for that device.
+    /// (see [`crate::queue`]; an unlogged service total counts as one
+    /// request at time zero, [`queue::with_requests`]).
     pub fn queue_timing(&self) -> NodeQueueTiming {
-        let drain = |log: &[Request], total: SimTime| -> QueueStats {
-            if log.is_empty() && total > SimTime::ZERO {
-                return queue::fifo_drain(&[Request {
-                    issue: SimTime::ZERO,
-                    service: total,
-                }]);
-            }
-            queue::fifo_drain(log)
-        };
         NodeQueueTiming {
-            disk: drain(&self.reqs.disk, self.disk),
-            net: drain(&self.reqs.net, self.net),
+            disk: queue::with_requests(&self.reqs.disk, self.disk, queue::fifo_drain),
+            net: queue::with_requests(&self.reqs.net, self.net, queue::fifo_drain),
         }
     }
 
@@ -261,26 +249,18 @@ impl Usage {
 
     /// Emit per-request disk/NI wait and service histograms for this
     /// ledger into `reg`, attributed to `(node, phase)`. Replays the same
-    /// FIFO discipline per request via [`queue::fold_waits`], so each
-    /// device's `*_service_us` histogram sums exactly to the ledger's
+    /// FIFO discipline per request via [`queue::fold_waits`], over the same
+    /// requests as [`Usage::queue_timing`] ([`queue::with_requests`]), so
+    /// each device's `*_service_us` histogram sums exactly to the ledger's
     /// service total and `*_wait_us` sums exactly to the annotated wait —
-    /// every charged microsecond stays attributable. Mirrors the
-    /// unlogged-total fallback of [`Usage::queue_timing`] (one synthetic
-    /// request at issue zero).
+    /// every charged microsecond stays attributable.
     pub fn meter_device_requests(&self, reg: &mut gamma_metrics::Registry, node: u16, phase: u32) {
         let mut meter = |log: &[Request], total: SimTime, wait: &'static str, svc: &'static str| {
-            let synthetic = [Request {
-                issue: SimTime::ZERO,
-                service: total,
-            }];
-            let log = if log.is_empty() && total > SimTime::ZERO {
-                &synthetic[..]
-            } else {
-                log
-            };
-            queue::fold_waits(log, |w, s| {
-                reg.observe_at(wait, phase, node, "", w.as_us());
-                reg.observe_at(svc, phase, node, "", s.as_us());
+            queue::with_requests(log, total, |log| {
+                queue::fold_waits(log, |w, s| {
+                    reg.observe_at(wait, phase, node, "", w.as_us());
+                    reg.observe_at(svc, phase, node, "", s.as_us());
+                })
             });
         };
         meter(

@@ -31,9 +31,10 @@ pub mod sim;
 pub mod time;
 
 pub use ledger::{Counts, NodeQueueTiming, Usage};
-pub use phase::{compose, PhaseTiming, TimingModel};
+pub use phase::{compose, ring_time, PhaseTiming, TimingModel};
 pub use queue::{
-    fifo_drain, fold_waits, QueueStats, Request, RequestLog, ServiceSpan, SharedServer,
+    fifo_drain, fold_waits, with_requests, QueueStats, Request, RequestLog, ServiceSpan,
+    SharedServer,
 };
 pub use sim::Sim;
 pub use time::SimTime;

@@ -65,6 +65,26 @@ pub struct PhaseTiming {
     pub net_wait: SimTime,
 }
 
+/// How long the shared ring is occupied carrying `ring_bytes` at
+/// `bandwidth_bytes_per_sec`, in µs rounded up, so a non-empty transfer is
+/// never free. The product is computed in u128: `bytes * 1_000_000`
+/// overflows u64 beyond ~18 TB per phase, and a saturating product would
+/// silently *underestimate* the bound.
+///
+/// # Panics
+/// Panics on a zero bandwidth.
+pub fn ring_time(ring_bytes: u64, bandwidth_bytes_per_sec: u64) -> SimTime {
+    assert!(
+        bandwidth_bytes_per_sec > 0,
+        "ring bandwidth must be positive"
+    );
+    if ring_bytes == 0 {
+        return SimTime::ZERO;
+    }
+    let us = (u128::from(ring_bytes) * 1_000_000).div_ceil(u128::from(bandwidth_bytes_per_sec));
+    SimTime::from_us(u64::try_from(us).unwrap_or(u64::MAX).max(1))
+}
+
 /// Compose a phase from per-node ledgers under the given timing model.
 ///
 /// `ring_bandwidth_bytes_per_sec` is the capacity of the shared token ring
@@ -74,10 +94,6 @@ pub fn compose(
     ring_bandwidth_bytes_per_sec: u64,
     model: TimingModel,
 ) -> PhaseTiming {
-    assert!(
-        ring_bandwidth_bytes_per_sec > 0,
-        "ring bandwidth must be positive"
-    );
     let mut max_node_busy = SimTime::ZERO;
     let mut critical_node = None;
     let mut ring_bytes: u64 = 0;
@@ -101,18 +117,7 @@ pub fn compose(
         }
         ring_bytes += u.ring_bytes;
     }
-    // bytes / (bytes/s) in µs, rounding up so a non-empty transfer is never
-    // free. The product is computed in u128: `bytes * 1_000_000` overflows
-    // u64 beyond ~18 TB per phase, and a saturating product would silently
-    // *underestimate* the bound.
-    let ring_us =
-        (u128::from(ring_bytes) * 1_000_000u128).div_ceil(u128::from(ring_bandwidth_bytes_per_sec));
-    let ring_us = u64::try_from(ring_us).unwrap_or(u64::MAX);
-    let ring_bound = if ring_bytes == 0 {
-        SimTime::ZERO
-    } else {
-        SimTime::from_us(ring_us.max(1))
-    };
+    let ring_bound = ring_time(ring_bytes, ring_bandwidth_bytes_per_sec);
     PhaseTiming {
         duration: max_node_busy.max(ring_bound),
         max_node_busy,

@@ -59,6 +59,23 @@ impl RequestLog {
     }
 }
 
+/// Run `f` over the requests a device served in one phase: its logged
+/// requests, or — when service was charged without a log (a ledger built
+/// by bulk addition or by hand) — one synthetic request for the whole
+/// `total` issued at time zero, which reproduces the legacy bound for that
+/// device. Every replay of a ledger goes through this one rule, and the
+/// synthetic request lives on the stack.
+pub fn with_requests<R>(log: &[Request], total: SimTime, f: impl FnOnce(&[Request]) -> R) -> R {
+    if log.is_empty() && total > SimTime::ZERO {
+        f(&[Request {
+            issue: SimTime::ZERO,
+            service: total,
+        }])
+    } else {
+        f(log)
+    }
+}
+
 /// Result of draining one device's request log through its FIFO queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {

@@ -9,12 +9,12 @@
 //!
 //! * per phase, the serialized scheduler dispatch overhead;
 //! * per participating node, the CPU demand and the *materialized* device
-//!   request logs (the `queue_timing` synthetic-request fallback — an
-//!   empty log with nonzero service total becomes one request at issue 0 —
-//!   is applied here so the engine and the single-query replay agree
-//!   exactly);
-//! * the phase's shared-ring occupancy, computed with the same u128
-//!   round-up arithmetic as `gamma_des::phase::compose`.
+//!   request logs, through the same `gamma_des::with_requests` rule the
+//!   single-query replay drains (an empty log with a nonzero service total
+//!   is one request at issue 0), so the engine and the replay agree
+//!   exactly;
+//! * the phase's shared-ring occupancy, from the same
+//!   `gamma_des::ring_time` that `gamma_des::compose` bounds a phase by.
 //!
 //! The plan also captures the query's per-node buffer-pool peak (its
 //! memory footprint, which admission control budgets against) and the
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use gamma_core::machine::Machine;
 use gamma_core::{run_join_with_phases, JoinReport, JoinSpec, PhaseRecord};
-use gamma_des::{Request, SimTime, Usage};
+use gamma_des::{ring_time, with_requests, Request, SimTime};
 
 /// One node's work within one phase.
 #[derive(Debug, Clone)]
@@ -69,35 +69,6 @@ pub struct QueryPlan {
     pub solo_response: SimTime,
 }
 
-/// Materialize a device request log the way `Usage::queue_timing` does:
-/// ledgers charged via bulk `Usage` addition have service totals but no
-/// per-request log, and stand in as one request issued at phase start.
-fn device_log(reqs: &[Request], total: SimTime) -> Vec<Request> {
-    if reqs.is_empty() && total > SimTime::ZERO {
-        vec![Request {
-            issue: SimTime::ZERO,
-            service: total,
-        }]
-    } else {
-        reqs.to_vec()
-    }
-}
-
-/// Shared-ring occupancy for a phase, mirroring `compose`'s arithmetic
-/// exactly (u128 product, round up, never free when bytes moved).
-fn ring_time(per_node: &[Usage], bandwidth_bytes_per_sec: u64) -> SimTime {
-    assert!(
-        bandwidth_bytes_per_sec > 0,
-        "ring bandwidth must be positive"
-    );
-    let ring_bytes: u64 = per_node.iter().map(|u| u.ring_bytes).sum();
-    if ring_bytes == 0 {
-        return SimTime::ZERO;
-    }
-    let us = (u128::from(ring_bytes) * 1_000_000u128).div_ceil(u128::from(bandwidth_bytes_per_sec));
-    SimTime::from_us(u64::try_from(us).unwrap_or(u64::MAX).max(1))
-}
-
 impl PhasePlan {
     /// Build one phase's plan from its sealed record.
     pub fn from_record(record: &PhaseRecord, ring_bandwidth_bytes_per_sec: u64) -> Self {
@@ -106,8 +77,8 @@ impl PhasePlan {
             .iter()
             .enumerate()
             .filter_map(|(node, u)| {
-                let disk = device_log(&u.reqs.disk, u.disk);
-                let net = device_log(&u.reqs.net, u.net);
+                let disk = with_requests(&u.reqs.disk, u.disk, <[Request]>::to_vec);
+                let net = with_requests(&u.reqs.net, u.net, <[Request]>::to_vec);
                 if u.cpu == SimTime::ZERO && disk.is_empty() && net.is_empty() {
                     return None;
                 }
@@ -122,7 +93,10 @@ impl PhasePlan {
         PhasePlan {
             name: record.name.clone(),
             sched_overhead: record.sched_overhead,
-            ring: ring_time(&record.ledgers, ring_bandwidth_bytes_per_sec),
+            ring: ring_time(
+                record.ledgers.iter().map(|u| u.ring_bytes).sum(),
+                ring_bandwidth_bytes_per_sec,
+            ),
             nodes,
         }
     }

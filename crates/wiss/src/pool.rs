@@ -11,7 +11,9 @@
 //! overlaps a scan's disk time with its CPU time, which is exactly what
 //! readahead bought on the real machine.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use gamma_des::{SimTime, Usage};
 
@@ -21,13 +23,18 @@ use crate::disk::{DiskConfig, FileId, HeadPos};
 /// ones.
 const TOUCHES_PER_FRAME: usize = 4;
 
+/// The frame table's hasher, keyed the same in every process: where an
+/// evicted key's slot lands decides when the table rehashes, so a
+/// per-process random key made the pool's allocation count vary run to run.
+type FrameHasher = BuildHasherDefault<DefaultHasher>;
+
 /// LRU buffer pool for one node's volume.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     cfg: DiskConfig,
     capacity: usize,
     /// frame key -> LRU stamp
-    frames: HashMap<(FileId, usize), u64>,
+    frames: HashMap<(FileId, usize), u64, FrameHasher>,
     /// `(stamp, key)` of the touches since the last compaction, oldest
     /// first. An entry is current while its stamp is still its frame's, so
     /// the first current one is the least recently used frame; the others
@@ -57,7 +64,7 @@ impl BufferPool {
         BufferPool {
             cfg,
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: HashMap::with_capacity_and_hasher(capacity, FrameHasher::default()),
             touches: VecDeque::new(),
             stamp: 0,
             head: HeadPos::default(),

@@ -20,8 +20,9 @@
 #                                             Perfetto JSON + summary .txt
 #   regress --write --snapshots               metrics-*.{json,prom} and
 #                                             prof-*.json snapshots (the
-#                                             replay also re-checks Gates
-#                                             1, 3 and 4 at each size)
+#                                             run also byte-gates the
+#                                             committed BENCH_*.json,
+#                                             Gates 1, 3 and 4, at each size)
 #
 # It replaces seven CI jobs; each compare they made is one of the above:
 #   trace-determinism           trace hybrid 0.5, two serial runs      -> pool 1
