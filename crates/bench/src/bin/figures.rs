@@ -9,23 +9,7 @@
 use gamma_bench::experiments as ex;
 use gamma_bench::{ExperimentPoint, Workload};
 use gamma_core::query::Algorithm;
-
-/// Escape a plain string for a JSON literal (names here are ASCII, but
-/// stay correct for anything).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use gamma_prof::export::json_str;
 
 /// When `--json PATH` is given, every measured point is appended to PATH
 /// as one JSON record per line (machine-readable experiment log).

@@ -8,7 +8,9 @@ use gamma_des::TimingModel;
 use gamma_wisconsin::{
     join_abprime, load_hashed, load_range, oracle_join, OracleExpect, WisconsinGen, WisconsinRow,
 };
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Mutex;
 /// How the relations are declustered at load time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +31,9 @@ pub struct Workload {
     /// Memoized oracle expectations per join-attribute pair — a sweep
     /// validates every point against the same expected result, so the
     /// oracle join runs once per workload instead of once per point.
-    oracle_cache: Mutex<HashMap<(String, String), OracleExpect>>,
+    /// Keyed the same in every process, so a sweep allocates alike run to
+    /// run.
+    oracle_cache: Mutex<HashMap<(String, String), OracleExpect, BuildHasherDefault<DefaultHasher>>>,
 }
 
 impl Workload {
@@ -56,7 +60,7 @@ impl Workload {
         Workload {
             a_rows,
             bprime_rows,
-            oracle_cache: Mutex::new(HashMap::new()),
+            oracle_cache: Mutex::new(HashMap::default()),
         }
     }
 
@@ -71,7 +75,7 @@ impl Workload {
         Workload {
             a_rows,
             bprime_rows,
-            oracle_cache: Mutex::new(HashMap::new()),
+            oracle_cache: Mutex::new(HashMap::default()),
         }
     }
 
@@ -194,7 +198,6 @@ pub struct SweepBuilder<'a> {
     policy: OverflowPolicy,
     style: LoadStyle,
     extra_buckets: usize,
-    validate: bool,
     timing: TimingModel,
     slow_disk: u64,
     exec: ExecConfig,
@@ -215,7 +218,6 @@ impl<'a> SweepBuilder<'a> {
             policy: OverflowPolicy::Pessimistic,
             style: LoadStyle::HashedUnique1,
             extra_buckets: 0,
-            validate: true,
             timing: TimingModel::default(),
             slow_disk: 1,
             exec: ExecConfig::auto(),
@@ -314,12 +316,6 @@ impl<'a> SweepBuilder<'a> {
         self
     }
 
-    /// Disable oracle validation (only for deliberately lossy ablations).
-    pub fn unvalidated(mut self) -> Self {
-        self.validate = false;
-        self
-    }
-
     /// Build the loaded machine and the join spec for one point. Loading
     /// is not part of the measured query, so callers that trace (see
     /// `crate::tracing`) install their sink between `prepare` and
@@ -377,21 +373,19 @@ impl<'a> SweepBuilder<'a> {
         ratio: f64,
     ) -> ExperimentPoint {
         let report = run_join(machine, spec);
-        if self.validate {
-            let expect = self.workload.expect(&self.inner_attr, &self.outer_attr);
-            assert_eq!(
-                report.result_tuples,
-                expect.tuples,
-                "{} at ratio {ratio}: wrong cardinality",
-                algorithm.name()
-            );
-            assert_eq!(
-                report.result_checksum,
-                expect.checksum,
-                "{} at ratio {ratio}: wrong result contents",
-                algorithm.name()
-            );
-        }
+        let expect = self.workload.expect(&self.inner_attr, &self.outer_attr);
+        assert_eq!(
+            report.result_tuples,
+            expect.tuples,
+            "{} at ratio {ratio}: wrong cardinality",
+            algorithm.name()
+        );
+        assert_eq!(
+            report.result_checksum,
+            expect.checksum,
+            "{} at ratio {ratio}: wrong result contents",
+            algorithm.name()
+        );
         ExperimentPoint {
             algorithm: algorithm.name().into(),
             ratio,

@@ -137,14 +137,6 @@ impl CostModel {
         }
     }
 
-    /// The same model under the legacy flat-`max` overlap bound.
-    pub fn gamma_1989_legacy_timing() -> Self {
-        CostModel {
-            timing: TimingModel::Legacy,
-            ..Self::gamma_1989()
-        }
-    }
-
     /// µs → [`SimTime`] convenience.
     #[inline]
     pub fn t(&self, us: u64) -> SimTime {

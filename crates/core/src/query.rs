@@ -172,12 +172,6 @@ impl JoinSpec {
         self.bit_filter = on;
         self
     }
-
-    /// Builder: set the overflow policy.
-    pub fn with_policy(mut self, p: OverflowPolicy) -> Self {
-        self.overflow_policy = p;
-        self
-    }
 }
 
 /// Compute the Grace/Hybrid bucket count for a memory budget: the memory

@@ -39,12 +39,10 @@ impl PhaseRecord {
             .map(|u| u.annotate_queue_waits())
             .collect();
         gamma_trace::with(|sink| {
-            let query_id = sink.current_query();
             let per_node = ledgers
                 .iter()
                 .zip(&timings)
                 .map(|(u, q)| gamma_trace::NodeUsage {
-                    query_id,
                     cpu_us: u.cpu.as_us(),
                     disk_us: u.disk.as_us(),
                     net_us: u.net.as_us(),

@@ -9,10 +9,10 @@
 //! and asymptotic bounds of Denning & Buzen) to a measured
 //! [`crate::JoinReport`]: every phase's per-node busy times define each
 //! processor's service demand per query, the largest demand is the
-//! bottleneck, and standard bounds give the achievable throughput and
-//! response time as the number of concurrent queries grows. The engine
-//! measures one query at a time; these laws extrapolate to the multiuser
-//! regime the authors left to future work.
+//! bottleneck, and the asymptotic bound gives the achievable throughput
+//! as the number of concurrent queries grows. The engine measures one
+//! query at a time; this law extrapolates to the multiuser regime the
+//! authors left to future work.
 
 use gamma_des::SimTime;
 
@@ -73,23 +73,6 @@ impl DemandProfile {
         }
         (clients as f64 / (d + think_seconds)).min(1.0 / dmax)
     }
-
-    /// Response-time lower bound at `N` clients (the other face of the
-    /// asymptotic bounds): `R(N) >= max(D, N * D_max - Z)`.
-    pub fn response_bound(&self, clients: u32, think_seconds: f64) -> f64 {
-        let d = self.total_demand();
-        (clients as f64 * self.bottleneck() - think_seconds).max(d)
-    }
-
-    /// Number of clients at which the bottleneck saturates:
-    /// `N* = (D + Z) / D_max`.
-    pub fn saturation_point(&self, think_seconds: f64) -> f64 {
-        let dmax = self.bottleneck();
-        if dmax <= 0.0 {
-            return f64::INFINITY;
-        }
-        (self.total_demand() + think_seconds) / dmax
-    }
 }
 
 #[cfg(test)]
@@ -126,23 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn saturation_point_matches_bounds_crossing() {
-        let p = profile(&[2.0, 5.0, 3.0]);
-        let nstar = p.saturation_point(0.0);
-        assert!((nstar - 10.1 / 5.0).abs() < 1e-9);
-        // Just below N*: the linear bound binds; above: the bottleneck.
-        let below = p.throughput_bound(2, 0.0);
-        assert!(below < 1.0 / 5.0 + 1e-12);
-    }
-
-    #[test]
-    fn response_bound_grows_linearly_past_saturation() {
-        let p = profile(&[2.0, 5.0, 3.0]);
-        assert!((p.response_bound(1, 0.0) - 10.1).abs() < 1e-9);
-        assert!((p.response_bound(10, 0.0) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn from_phases_folds_ledgers() {
         use crate::machine::MachineConfig;
         let machine = Machine::new(MachineConfig::local_8());
@@ -172,6 +138,5 @@ mod tests {
             response: 0.0,
         };
         assert_eq!(empty.throughput_bound(10, 1.0), 0.0);
-        assert!(empty.saturation_point(1.0).is_infinite());
     }
 }

@@ -34,17 +34,6 @@ pub enum TimingModel {
     Queued,
 }
 
-impl TimingModel {
-    /// The node completion time for `u` under this model.
-    #[inline]
-    pub fn node_busy(self, u: &Usage) -> SimTime {
-        match self {
-            TimingModel::Legacy => u.busy_time(),
-            TimingModel::Queued => u.queued_busy_time(),
-        }
-    }
-}
-
 /// Result of composing one phase's per-node ledgers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseTiming {

@@ -113,55 +113,6 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
     }
-
-    /// The `num/den` quantile as a bucket **upper bound**.
-    ///
-    /// The histogram only knows which power-of-two bucket each observation
-    /// fell in, so the answer is conservative: the returned value is the
-    /// upper bound of the bucket holding the rank-`⌈count·num/den⌉`
-    /// observation (1-based, observations sorted ascending). Every reported
-    /// percentile therefore *over*-estimates the true quantile by at most
-    /// one bucket width — never under. Returns `None` for an empty
-    /// histogram or when the rank lands in the unbounded overflow bucket
-    /// (values above the last [`BUCKET_BOUNDS`] entry have no finite upper
-    /// bound to report).
-    ///
-    /// `num/den` must be a proportion in `(0, 1]` — `percentile(99, 100)`
-    /// is p99, `percentile(999, 1000)` is p999.
-    pub fn percentile(&self, num: u64, den: u64) -> Option<u64> {
-        assert!(den > 0 && num > 0 && num <= den, "need 0 < num/den <= 1");
-        if self.count == 0 {
-            return None;
-        }
-        // 1-based rank of the requested quantile, rounding up so p50 of
-        // two observations is the first (lower) one. Widened to u128: the
-        // product can exceed u64 for large counts; the rank itself cannot
-        // (rank <= count).
-        let rank = (u128::from(self.count) * u128::from(num)).div_ceil(u128::from(den)) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return BUCKET_BOUNDS.get(i).copied();
-            }
-        }
-        unreachable!("rank {rank} exceeds count {}", self.count)
-    }
-
-    /// Median upper bound ([`Histogram::percentile`] at 1/2).
-    pub fn p50(&self) -> Option<u64> {
-        self.percentile(1, 2)
-    }
-
-    /// 99th-percentile upper bound.
-    pub fn p99(&self) -> Option<u64> {
-        self.percentile(99, 100)
-    }
-
-    /// 99.9th-percentile upper bound.
-    pub fn p999(&self) -> Option<u64> {
-        self.percentile(999, 1000)
-    }
 }
 
 /// Full label set of one metric series. The derived `Ord` (field order:
@@ -397,14 +348,6 @@ impl Registry {
         })
     }
 
-    /// Sum of a counter over the series carrying operator label `op`.
-    pub fn counter_total_op(&self, name: &str, op: &str) -> u64 {
-        self.iter_name(name).fold(0, |acc, (k, v)| match v {
-            Value::Counter(c) if k.op == op => acc + c,
-            _ => acc,
-        })
-    }
-
     /// Largest value of a gauge over all its series (`None` when absent).
     pub fn gauge_peak(&self, name: &str) -> Option<u64> {
         let mut peak = None;
@@ -498,48 +441,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_of_empty_is_none() {
-        let h = Histogram::default();
-        assert_eq!(h.p50(), None);
-        assert_eq!(h.percentile(1, 1), None);
-    }
-
-    #[test]
-    fn percentile_reports_bucket_upper_bounds() {
-        let mut h = Histogram::default();
-        // 100 observations of 3 (bucket upper bound 4) and 1 of 1000
-        // (bucket upper bound 1024).
-        for _ in 0..100 {
-            h.observe(3);
-        }
-        h.observe(1000);
-        assert_eq!(h.p50(), Some(4));
-        assert_eq!(h.p99(), Some(4)); // rank 100 of 101 is still a 3
-        assert_eq!(h.percentile(1, 1), Some(1024)); // the max
-        assert_eq!(h.p999(), Some(1024)); // rank 101
-    }
-
-    #[test]
-    fn percentile_rank_rounds_up() {
-        let mut h = Histogram::default();
-        h.observe(1); // bound 1
-        h.observe(100); // bound 128
-                        // p50 rank = ceil(2·1/2) = 1 → the lower observation's bucket.
-        assert_eq!(h.p50(), Some(1));
-        assert_eq!(h.percentile(51, 100), Some(128));
-    }
-
-    #[test]
-    fn percentile_in_overflow_bucket_is_none() {
-        let mut h = Histogram::default();
-        h.observe(1);
-        h.observe((1 << 20) + 1); // overflow: beyond the last bound
-        assert_eq!(h.p50(), Some(1));
-        assert_eq!(h.percentile(1, 1), None, "overflow has no upper bound");
-    }
-
-    #[test]
-    fn percentile_survives_merge() {
+    fn merged_halves_equal_the_whole() {
         let mut a = Histogram::default();
         let mut b = Histogram::default();
         for v in 0..50 {
@@ -553,14 +455,7 @@ mod tests {
         for v in 0..100 {
             whole.observe(v);
         }
-        assert_eq!(a.p50(), whole.p50());
-        assert_eq!(a.p99(), whole.p99());
-    }
-
-    #[test]
-    #[should_panic(expected = "need 0 < num/den <= 1")]
-    fn percentile_rejects_improper_fraction() {
-        Histogram::default().percentile(3, 2);
+        assert_eq!(a, whole);
     }
 
     #[test]
@@ -624,17 +519,6 @@ mod tests {
         let (ha, hb) = (ab.histogram_total("h"), ba.histogram_total("h"));
         assert_eq!(ha, hb);
         assert_eq!(ab.iter().collect::<Vec<_>>(), ba.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn counter_total_op_filters() {
-        let mut r = Registry::new();
-        r.counter_add("pages_read", 0, "pool", 5);
-        r.counter_add("pages_read", 1, "pool", 2);
-        r.counter_add("pages_read", 0, "index", 1);
-        assert_eq!(r.counter_total("pages_read"), 8);
-        assert_eq!(r.counter_total_op("pages_read", "pool"), 7);
-        assert_eq!(r.counter_total_op("pages_read", "index"), 1);
     }
 
     #[test]

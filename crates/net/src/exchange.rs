@@ -52,7 +52,7 @@
 //! change nothing the model sees: a message is admitted, batched and
 //! charged by its total length, whatever it is made of.
 //!
-//! A *packet* is a `(bytes, count, query, local)` record over a run of
+//! A *packet* is a `(bytes, count, local)` record over a run of
 //! messages, sealed where the batching rule above closes a packet, so
 //! charges, counters, trace events and [`Exchange::peak_inbox_packets`] are
 //! those of a machine that really framed 2 KB buffers. Ring and
@@ -219,16 +219,12 @@ impl Deref for Part<'_> {
 }
 
 /// One delivered message: the sending node, the caller-defined stream tag,
-/// the query it belongs to (0 outside the scheduler), and borrowed views
-/// of its bytes (owned by the [`Drained`] batch it came from).
+/// and borrowed views of its bytes (owned by the [`Drained`] batch it came
+/// from).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Msg<'a> {
     pub src: usize,
     pub tag: u32,
-    /// Query the message belongs to. 0 for plain single-query runs; the
-    /// scheduler stamps each admitted query's id so interleaved plan
-    /// instances multiplex over one exchange without mixing streams.
-    pub query: u32,
     /// The message's bytes — of a two-part message, its first part.
     pub payload: &'a [u8],
     /// A two-part message's second part (the tuple is `payload ‖ tail`);
@@ -273,9 +269,6 @@ struct Packet {
     bytes: u64,
     /// Messages in the packet.
     count: u32,
-    /// Query whose tuples fill this packet (packets never mix queries:
-    /// a packet is sealed within one query's execution step).
-    query: u32,
     /// True when src == dst: short-circuited, free for the receiver.
     local: bool,
 }
@@ -496,7 +489,6 @@ impl Table {
             warmed: 0,
             packets: self.packets.iter(),
             left: 0,
-            query: 0,
         }
     }
 
@@ -535,11 +527,9 @@ struct Msgs<'a> {
     next: usize,
     /// Entries before this one were touched.
     warmed: usize,
-    /// Packets not yet entered; the current one has `left` messages to go
-    /// and carries `query`.
+    /// Packets not yet entered; the current one has `left` messages to go.
     packets: std::slice::Iter<'a, Packet>,
     left: u32,
-    query: u32,
 }
 
 impl<'a> Iterator for Msgs<'a> {
@@ -553,7 +543,6 @@ impl<'a> Iterator for Msgs<'a> {
         while self.left == 0 {
             let p = self.packets.next()?;
             self.left = p.count;
-            self.query = p.query;
         }
         self.left -= 1;
         let e = table.entry(self.next);
@@ -583,7 +572,6 @@ impl<'a> Iterator for Msgs<'a> {
         Some(Msg {
             src: self.src,
             tag: e.tag,
-            query: self.query,
             payload,
             tail,
             handle,
@@ -603,12 +591,11 @@ struct Stream {
 
 impl Stream {
     /// Close the packet being filled; returns its modeled bytes.
-    fn seal_pending(&mut self, local: bool, query: u32) -> u64 {
+    fn seal_pending(&mut self, local: bool) -> u64 {
         let bytes = std::mem::take(&mut self.pending_bytes);
         self.table.packets.push(Packet {
             bytes,
             count: std::mem::take(&mut self.pending_count),
-            query,
             local,
         });
         bytes
@@ -624,7 +611,6 @@ pub struct Outbox {
     /// Shared with every other outbox and the exchange (never cloned per
     /// endpoint — the config is immutable for the machine's lifetime).
     cfg: Arc<RingConfig>,
-    query: u32,
     streams: Vec<Stream>,
 }
 
@@ -633,7 +619,6 @@ impl Outbox {
         Outbox {
             src,
             cfg,
-            query: 0,
             streams: (0..nodes).map(|_| Stream::default()).collect(),
         }
     }
@@ -641,16 +626,6 @@ impl Outbox {
     /// The node this outbox belongs to.
     pub fn node(&self) -> usize {
         self.src
-    }
-
-    /// Stamp subsequently sent tuples with `query` (0 is the single-query
-    /// default).
-    ///
-    /// # Panics
-    /// Panics unless the outbox is drained — a packet never mixes queries.
-    pub fn set_query(&mut self, query: u32) {
-        assert!(self.is_drained(), "query changed mid-packet");
-        self.query = query;
     }
 
     /// Send one tuple to `dst` on stream `tag`, batching it into packets
@@ -688,7 +663,7 @@ impl Outbox {
     fn admit(&mut self, usage: &mut Usage, dst: usize, len: usize) -> &mut Table {
         let bytes = len as u64;
         let packet = self.cfg.packet_bytes;
-        let (src, query) = (self.src, self.query);
+        let src = self.src;
         let local = src == dst;
         if local {
             usage.cpu(self.cfg.shortcircuit_cpu_per_tuple);
@@ -699,7 +674,7 @@ impl Outbox {
         if s.pending_bytes + bytes > packet && s.pending_bytes > 0 {
             // Tuple does not fit in the current packet: seal it, then start
             // a new packet with this tuple (tuples are never split).
-            let full = s.seal_pending(local, query);
+            let full = s.seal_pending(local);
             s.pending_bytes = bytes;
             s.pending_count = 1;
             Self::charge_emit(&self.cfg, usage, src, dst, full);
@@ -707,7 +682,7 @@ impl Outbox {
             s.pending_bytes += bytes;
             s.pending_count += 1;
             if s.pending_bytes >= packet {
-                let full = s.seal_pending(local, query);
+                let full = s.seal_pending(local);
                 Self::charge_emit(&self.cfg, usage, src, dst, full);
             }
         }
@@ -752,10 +727,10 @@ impl Outbox {
     /// streams for this step) and charge each by `charge_emit`,
     /// destinations in ascending order.
     pub fn seal(&mut self, usage: &mut Usage) {
-        let (src, query) = (self.src, self.query);
+        let src = self.src;
         for (dst, s) in self.streams.iter_mut().enumerate() {
             if s.pending_bytes > 0 {
-                let bytes = s.seal_pending(src == dst, query);
+                let bytes = s.seal_pending(src == dst);
                 Self::charge_emit(&self.cfg, usage, src, dst, bytes);
             }
         }
@@ -921,15 +896,6 @@ impl Exchange {
     /// each worker its own sending endpoint.
     pub fn outboxes_mut(&mut self) -> &mut [Outbox] {
         &mut self.outboxes
-    }
-
-    /// Stamp every node's subsequently sent tuples with `query`. The
-    /// scheduler brackets each admitted query's execution steps with this;
-    /// plain single-query runs never call it and stay stamped 0.
-    pub fn set_query(&mut self, query: u32) {
-        for ob in self.outboxes.iter_mut() {
-            ob.set_query(query);
-        }
     }
 
     /// Move every sealed packet into its destination inbox, where a
@@ -1267,24 +1233,6 @@ mod tests {
     }
 
     #[test]
-    fn query_ids_survive_transit() {
-        let (mut ex, mut u) = exchange(2);
-        ex.set_query(3);
-        ex.outboxes_mut()[0].send(&mut u[0], 1, 7, &[1, 2, 3]);
-        ex.outboxes_mut()[0].seal(&mut u[0]);
-        ex.route();
-        ex.set_query(4);
-        ex.outboxes_mut()[0].send(&mut u[0], 1, 7, &[4, 5]);
-        ex.outboxes_mut()[0].seal(&mut u[0]);
-        ex.route();
-        let mut inbox = ex.take_inbox(1);
-        let drained = inbox.drain(&mut u[1]);
-        let queries: Vec<u32> = drained.iter().map(|m| m.query).collect();
-        assert_eq!(queries, vec![3, 4]);
-        ex.return_inbox(inbox);
-    }
-
-    #[test]
     fn undrained_exchange_is_detected() {
         let (mut ex, mut u) = exchange(2);
         send_n(&mut ex, &mut u, 0, 1, 208, 1);
@@ -1297,14 +1245,6 @@ mod tests {
         inbox.drain(&mut u[1]);
         ex.return_inbox(inbox);
         assert!(ex.is_drained());
-    }
-
-    #[test]
-    #[should_panic(expected = "query changed mid-packet")]
-    fn query_change_mid_packet_is_refused() {
-        let (mut ex, mut u) = exchange(2);
-        send_n(&mut ex, &mut u, 0, 1, 208, 1);
-        ex.set_query(5);
     }
 
     #[test]
@@ -1455,7 +1395,7 @@ mod tests {
     }
 
     /// What the owned model keeps of one message.
-    type Sent = (usize, u32, u32, Vec<u8>);
+    type Sent = (usize, u32, Vec<u8>);
 
     /// The packet rule, restated over owned messages: which of a stream's
     /// messages are in sealed packets, and what each packet costs by
@@ -1473,7 +1413,7 @@ mod tests {
         /// Add message `m` from `m.0` to `dst`, charging `u` the tuple and
         /// any packet it seals.
         fn send(&mut self, m: Sent, dst: usize, cfg: &RingConfig, u: &mut [Usage]) {
-            let (src, bytes) = (m.0, m.3.len() as u64);
+            let (src, bytes) = (m.0, m.2.len() as u64);
             u[src].cpu(match src == dst {
                 true => cfg.shortcircuit_cpu_per_tuple,
                 false => cfg.marshal_cpu_per_tuple,
@@ -1519,7 +1459,7 @@ mod tests {
         let mut u = vec![Usage::ZERO; n];
         let mut model: Vec<ModelStream> = (0..n * n).map(|_| ModelStream::default()).collect();
         for &(src, dst, len) in sends {
-            model[src * n + dst].send((src, 0, 0, vec![0; len]), dst, &cfg, &mut u);
+            model[src * n + dst].send((src, 0, vec![0; len]), dst, &cfg, &mut u);
         }
         for (s, m) in model.iter_mut().enumerate() {
             m.seal(s % n, &cfg, &mut u);
@@ -1541,7 +1481,7 @@ mod tests {
 
     /// Any interleaving of owned, split, by-reference and two-part sends
     /// (each part shared or copied) — 1 B to more than a packet, local and
-    /// remote, under changing query stamps, routed mid-packet and several
+    /// remote, routed mid-packet and several
     /// times between drains, some inboxes left undrained for rounds —
     /// delivers exactly what an owned model
     /// says, charges every node exactly what the same stream costs when
@@ -1582,9 +1522,6 @@ mod tests {
 
             let rounds = rng.gen_range(1..6usize);
             for round in 0..rounds {
-                let query = rng.gen_range(0..4u32);
-                ex.set_query(query);
-                owned.set_query(query);
                 for _ in 0..rng.gen_range(0..60usize) {
                     let (src, dst) = (rng.gen_range(0..N), rng.gen_range(0..N));
                     let tag = rng.next_u32();
@@ -1634,7 +1571,7 @@ mod tests {
                     };
                     let payload = &payload[..];
                     owned.outboxes_mut()[src].send(&mut ou[src], dst, tag, payload);
-                    let m = (src, tag, query, payload.to_vec());
+                    let m = (src, tag, payload.to_vec());
                     model[src * N + dst].send(m, dst, &cfg, &mut mu);
                     if rng.gen_bool(0.05) {
                         // Route mid-packet: only what is sealed travels.
@@ -1677,7 +1614,7 @@ mod tests {
                             if let Some((image, at)) = part.home() {
                                 assert_eq!(&image.bytes()[at..][..m.payload.len()], m.payload);
                             }
-                            got[dst].push((m.src, m.tag, m.query, [m.payload, m.tail].concat()));
+                            got[dst].push((m.src, m.tag, [m.payload, m.tail].concat()));
                         }
                         assert_eq!(drained.len(), got[dst].len() - before, "seed {seed}");
                         drop(drained);

@@ -90,14 +90,6 @@ impl QueryExplain {
     pub fn explained_total(&self) -> SimTime {
         self.phases.iter().map(PhaseBreakdown::explained).sum()
     }
-
-    /// Total time attributed to queueing (including dispatch queueing).
-    pub fn total_queue_wait(&self) -> SimTime {
-        self.phases
-            .iter()
-            .map(|p| p.dispatch_wait + p.queue_wait)
-            .sum()
-    }
 }
 
 fn fmt_row(label: &str, b: &PhaseBreakdown) -> String {
@@ -190,6 +182,5 @@ mod tests {
             phases: vec![b.clone(), b],
         };
         assert_eq!(q.explained_total(), us(320));
-        assert_eq!(q.total_queue_wait(), us(60));
     }
 }

@@ -10,11 +10,9 @@
 //! The design keeps the repo's *work first, time later* split intact:
 //!
 //! 1. **Work.** Every query instance is *physically executed* on the real
-//!    machine with [`gamma_core::run_join_with_phases`], bracketed by
-//!    `Exchange::set_query` and `gamma_trace::set_query` so packets,
-//!    trace spans and metrics carry the query id. Ledgers therefore
-//!    reconcile exactly: the serve run's resource totals are integer
-//!    sums of per-query totals.
+//!    machine with [`gamma_core::run_join_with_phases`], one instance
+//!    after another; each leaves the exchange drained, so the serve
+//!    run's resource totals are exact integer sums of per-query totals.
 //! 2. **Time.** The first instance's phase ledgers become a
 //!    [`plan::QueryPlan`]; the [`engine`] interleaves one plan per query
 //!    over shared cross-phase FIFO device queues
@@ -85,43 +83,17 @@ impl ServeResult {
 
 /// Serve `cfg.queries` instances of `spec` over `machine`.
 ///
-/// Instances are physically executed up front in admission order (FIFO
-/// admission of a homogeneous stream preserves arrival order), each
-/// tagged with its query id `1..=N` on the exchange and the trace sink;
-/// the id is reset to 0 afterwards.
+/// Instances are physically executed up front, one after another, in
+/// admission order (FIFO admission of a homogeneous stream preserves
+/// arrival order); each `run_join` leaves the exchange drained.
 /// Execution is deterministic, so every instance must reproduce the
 /// template's result checksum and solo response — asserted here.
 pub fn serve(machine: &mut Machine, spec: &JoinSpec, cfg: &ServeConfig) -> ServeResult {
-    serve_inner(machine, spec, cfg, None).0
-}
-
-/// [`serve`], plus a flight-recorder profile of the interleaved timeline
-/// sampled every `tick_us` of virtual time (see `gamma-prof`). The
-/// recorder is a pure observer: the returned `ServeResult` is identical
-/// to [`serve`]'s.
-pub fn serve_recorded(
-    machine: &mut Machine,
-    spec: &JoinSpec,
-    cfg: &ServeConfig,
-    tick_us: u64,
-) -> (ServeResult, gamma_prof::FlightProfile) {
-    let (result, profile) = serve_inner(machine, spec, cfg, Some(tick_us));
-    (result, profile.expect("recorder was attached"))
-}
-
-fn serve_inner(
-    machine: &mut Machine,
-    spec: &JoinSpec,
-    cfg: &ServeConfig,
-    tick_us: Option<u64>,
-) -> (ServeResult, Option<gamma_prof::FlightProfile>) {
     assert!(cfg.queries > 0, "serving zero queries is vacuous");
 
     let mut reports: Vec<JoinReport> = Vec::with_capacity(cfg.queries as usize);
     let mut plan: Option<QueryPlan> = None;
-    for qid in 1..=cfg.queries {
-        machine.exchange.set_query(qid);
-        gamma_trace::set_query(qid);
+    for _ in 0..cfg.queries {
         let (report, phases) = run_join_with_phases(machine, spec);
         if plan.is_none() {
             let peaks = machine.pool_peaks();
@@ -130,8 +102,6 @@ fn serve_inner(
         }
         reports.push(report);
     }
-    machine.exchange.set_query(0);
-    gamma_trace::set_query(0);
 
     let plan = plan.expect("at least one instance ran");
     let solo = reports[0].clone();
@@ -154,15 +124,12 @@ fn serve_inner(
         backlog_window: cfg.backlog_window,
     };
     let plans = vec![plan.clone(); cfg.queries as usize];
-    let (outcome, profile) = engine::run_recorded(plans, &arrival_times, &engine_cfg, tick_us);
+    let outcome = engine::run(plans, &arrival_times, &engine_cfg);
 
-    (
-        ServeResult {
-            solo,
-            plan,
-            reports,
-            outcome,
-        },
-        profile,
-    )
+    ServeResult {
+        solo,
+        plan,
+        reports,
+        outcome,
+    }
 }

@@ -6,8 +6,7 @@
 //! percentiles are computed **exactly** by nearest-rank over the sorted
 //! response vector (`rank = ⌈count·q⌉`, 1-based), not from histogram
 //! buckets. Device *wait* distributions, which do fit the bucket range,
-//! are kept as histograms and surfaced with the bucket-upper-bound
-//! percentile semantics documented in `gamma-metrics`.
+//! are kept as histograms.
 
 use gamma_des::{QueueStats, SimTime};
 use gamma_metrics::Histogram;

@@ -10,7 +10,7 @@
 
 use gamma_core::{Algorithm, Machine, MachineConfig};
 use gamma_des::SimTime;
-use gamma_sched::{explain, serve, serve_recorded, ServeConfig};
+use gamma_sched::{engine, explain, serve, Arrivals, EngineConfig, ServeConfig};
 use gamma_wisconsin::{join_abprime, load_hashed, WisconsinGen};
 
 fn workload(alg: Algorithm, memory_ratio_pct: u64) -> (Machine, gamma_core::JoinSpec) {
@@ -85,15 +85,26 @@ fn explain_reconciles_every_microsecond_across_algorithms() {
 
 #[test]
 fn recorder_is_a_pure_observer_and_profile_reconciles() {
-    let (mut m1, s1) = workload(Algorithm::HybridHash, 50);
-    let plain = serve(&mut m1, &s1, &cfg(5, 1));
-    let (mut m2, s2) = workload(Algorithm::HybridHash, 50);
-    let (recorded, profile) = serve_recorded(&mut m2, &s2, &cfg(5, 1), 10_000);
+    let (mut machine, spec) = workload(Algorithm::HybridHash, 50);
+    let c = cfg(5, 1);
+    let served = serve(&mut machine, &spec, &c);
+    let arrivals = Arrivals::new(&c.name, c.case, c.mean_interarrival).take_times(c.queries);
+    let engine_cfg = EngineConfig {
+        nodes: machine.nodes(),
+        pool_budget_pages: c.pool_budget_pages,
+        backlog_window: c.backlog_window,
+    };
+    let plans = || vec![served.plan.clone(); c.queries as usize];
+    let plain = engine::run(plans(), &arrivals, &engine_cfg);
+    let (recorded, profile) = engine::run_recorded(plans(), &arrivals, &engine_cfg, Some(10_000));
+    let profile = profile.expect("recorder was attached");
 
-    // Attaching the recorder must not perturb the timeline.
-    assert_eq!(plain.outcome.queries, recorded.outcome.queries);
-    assert_eq!(plain.outcome.makespan, recorded.outcome.makespan);
-    assert_eq!(plain.outcome.explains, recorded.outcome.explains);
+    // The engine is what serve ran, and attaching the recorder must not
+    // perturb the timeline.
+    assert_eq!(plain.queries, served.outcome.queries);
+    assert_eq!(plain.queries, recorded.queries);
+    assert_eq!(plain.makespan, recorded.makespan);
+    assert_eq!(plain.explains, recorded.explains);
 
     // Busy series integrate to the engine's exact totals (no stall was
     // configured, so CPU busy spans are pure demand).
@@ -111,25 +122,22 @@ fn recorder_is_a_pure_observer_and_profile_reconciles() {
     for n in 0..profile.nodes {
         assert_eq!(
             sum(&format!("node{n}.cpu_busy_us")),
-            recorded.outcome.cpu_busy[n].as_us(),
+            recorded.cpu_busy[n].as_us(),
             "node {n} cpu busy"
         );
         assert_eq!(
             sum(&format!("node{n}.disk_busy_us")),
-            recorded.outcome.disk[n].service.as_us(),
+            recorded.disk[n].service.as_us(),
             "node {n} disk busy"
         );
         assert_eq!(
             sum(&format!("node{n}.net_busy_us")),
-            recorded.outcome.net[n].service.as_us(),
+            recorded.net[n].service.as_us(),
             "node {n} net busy"
         );
     }
-    assert_eq!(
-        sum("dispatch_busy_us"),
-        recorded.outcome.dispatch.service.as_us()
-    );
-    assert_eq!(sum("ring_busy_us"), recorded.outcome.ring.service.as_us());
+    assert_eq!(sum("dispatch_busy_us"), recorded.dispatch.service.as_us());
+    assert_eq!(sum("ring_busy_us"), recorded.ring.service.as_us());
 
     // Occupancy gauges drain by the end of the run.
     for name in ["inflight_queries", "admission_backlog"] {

@@ -105,9 +105,6 @@ impl EventKind {
 pub struct Event {
     pub node: u16,
     pub phase: u32,
-    /// Query the event belongs to (0 for single-query runs — the sink's
-    /// default — so solo traces are byte-identical to pre-scheduler ones).
-    pub query: u32,
     pub offset_us: u64,
     pub kind: EventKind,
 }
@@ -119,9 +116,6 @@ const PENDING_PHASE: u32 = u32::MAX;
 /// Per-node resource split for one sealed phase, in simulated µs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeUsage {
-    /// Query this usage belongs to (0 = single-query run; nonzero ids let
-    /// the Perfetto export put interleaved queries on their own tracks).
-    pub query_id: u32,
     pub cpu_us: u64,
     pub disk_us: u64,
     pub net_us: u64,
@@ -238,9 +232,6 @@ pub struct TraceSink {
     pub phases: Vec<Phase>,
     /// Next phase index awaiting `phase_replayed_next`.
     replay_cursor: usize,
-    /// Query id stamped onto every emitted event (0 = single-query run;
-    /// the scheduler sets it around each query's execution).
-    current_query: u32,
 }
 
 impl Default for TraceSink {
@@ -259,19 +250,7 @@ impl TraceSink {
             totals: EventTotals::default(),
             phases: Vec::new(),
             replay_cursor: 0,
-            current_query: 0,
         }
-    }
-
-    /// Stamp subsequent events with `query` (0 restores the single-query
-    /// default). The scheduler brackets each query's execution with this.
-    pub fn set_query(&mut self, query: u32) {
-        self.current_query = query;
-    }
-
-    /// Query id currently stamped onto emitted events.
-    pub fn current_query(&self) -> u32 {
-        self.current_query
     }
 
     /// A sink that never evicts. Used by per-node worker threads, whose
@@ -292,7 +271,6 @@ impl TraceSink {
         self.ring.push_back(Event {
             node,
             phase: PENDING_PHASE,
-            query: self.current_query,
             offset_us,
             kind,
         });
@@ -309,7 +287,6 @@ impl TraceSink {
         self.ring.push_back(Event {
             node: 0,
             phase: SCHEDULER_PHASE,
-            query: self.current_query,
             offset_us: at_us,
             kind: EventKind::SimStep,
         });
@@ -435,12 +412,6 @@ pub fn emit(node: u16, offset_us: u64, kind: EventKind) {
     with(|s| s.emit(node, offset_us, kind));
 }
 
-/// Stamp subsequent events on the installed sink with `query`; no-op when
-/// tracing is off.
-pub fn set_query(query: u32) {
-    with(|s| s.set_query(query));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,19 +478,6 @@ mod tests {
         let sink = take().unwrap();
         assert_eq!(sink.totals.hash_inserts, 1);
         assert!(!is_active());
-    }
-
-    #[test]
-    fn events_carry_the_current_query_id() {
-        let mut sink = TraceSink::new(16);
-        sink.emit(0, 1, EventKind::HashInsert);
-        sink.set_query(7);
-        sink.emit(0, 2, EventKind::HashInsert);
-        sink.emit_sim_step(3);
-        sink.set_query(0);
-        sink.emit(0, 4, EventKind::HashInsert);
-        let queries: Vec<u32> = sink.events().map(|e| e.query).collect();
-        assert_eq!(queries, vec![0, 7, 7, 0]);
     }
 
     #[test]

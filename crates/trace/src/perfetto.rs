@@ -67,14 +67,6 @@ fn push_meta(out: &mut String, pid: u32, name: &str) {
     out.push_str("\"}}");
 }
 
-fn push_thread_meta(out: &mut String, pid: u32, tid: u32, name: &str) {
-    out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":");
-    let _ = write!(out, "{pid},\"tid\":{tid}");
-    out.push_str(",\"args\":{\"name\":\"");
-    escape(name, out);
-    out.push_str("\"}}");
-}
-
 /// Append the `args` object for a discrete event.
 fn push_args(out: &mut String, kind: &EventKind) {
     match kind {
@@ -140,33 +132,6 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
         push_meta(&mut out, SCHEDULER_PID, "scheduler");
     }
 
-    // Interleaved-query runs get one named thread track per (node, query)
-    // so concurrent queries are visually distinguishable. Single-query
-    // runs (query id 0 everywhere) emit nothing here and keep every span
-    // on tid 0 — the export stays byte-identical to pre-scheduler output.
-    let mut query_tracks: std::collections::BTreeSet<(u32, u32)> = Default::default();
-    for ph in sink.phases.iter() {
-        for (n, usage) in ph.per_node.iter().enumerate() {
-            if usage.demand_us() > 0 && usage.query_id != 0 {
-                query_tracks.insert((n as u32, usage.query_id));
-            }
-        }
-    }
-    for ev in sink.events() {
-        if ev.query != 0 {
-            let pid = if ev.phase == SCHEDULER_PHASE {
-                SCHEDULER_PID
-            } else {
-                ev.node as u32
-            };
-            query_tracks.insert((pid, ev.query));
-        }
-    }
-    for &(pid, q) in query_tracks.iter() {
-        sep(&mut out);
-        push_thread_meta(&mut out, pid, q, &format!("query {q}"));
-    }
-
     // Phase spans: one "X" per (phase, node) with dur = node busy time.
     for (idx, ph) in sink.phases.iter().enumerate() {
         let (Some(start), Some(dur)) = (ph.start_us, ph.dur_us) else {
@@ -182,8 +147,7 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             escape(&ph.name, &mut out);
             let _ = write!(
                 out,
-                "\",\"ph\":\"X\",\"pid\":{n},\"tid\":{},\"ts\":{start},\"dur\":{}",
-                usage.query_id,
+                "\",\"ph\":\"X\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"dur\":{}",
                 usage.busy_us().min(dur)
             );
             let _ = write!(
@@ -265,23 +229,23 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
         let Some(ts) = sink.absolute_ts(ev) else {
             continue;
         };
-        let (pid, tid) = if ev.phase == SCHEDULER_PHASE {
-            (SCHEDULER_PID, ev.query)
+        let pid = if ev.phase == SCHEDULER_PHASE {
+            SCHEDULER_PID
         } else {
-            (ev.node as u32, ev.query)
+            ev.node as u32
         };
         sep(&mut out);
         match ev.kind {
             EventKind::SpanBegin { name } => {
                 let _ = write!(
                     out,
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"
+                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"pid\":{pid},\"tid\":0,\"ts\":{ts}}}"
                 );
             }
             EventKind::SpanEnd { name } => {
                 let _ = write!(
                     out,
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"
+                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"pid\":{pid},\"tid\":0,\"ts\":{ts}}}"
                 );
             }
             kind => {
@@ -289,7 +253,7 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
                 out.push_str(kind.label());
                 let _ = write!(
                     out,
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":"
+                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":"
                 );
                 push_args(&mut out, &kind);
                 out.push('}');
@@ -377,38 +341,6 @@ mod tests {
         assert!(doc.contains(
             "{\"name\":\"queue depth (milli)\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":20,\"args\":{\"disk\":0,\"net\":0}}"
         ));
-    }
-
-    #[test]
-    fn interleaved_queries_get_named_tracks() {
-        let mut sink = TraceSink::new(64);
-        sink.set_query(1);
-        sink.emit(0, 5, EventKind::DiskRead { file: 1, page: 9 });
-        sink.seal_phase(
-            "q1.build",
-            vec![NodeUsage {
-                query_id: 1,
-                cpu_us: 10,
-                ..Default::default()
-            }],
-        );
-        sink.set_query(2);
-        sink.emit(0, 3, EventKind::HashInsert);
-        sink.seal_phase(
-            "q2.build",
-            vec![NodeUsage {
-                query_id: 2,
-                cpu_us: 8,
-                ..Default::default()
-            }],
-        );
-        sink.phase_replayed(0, 0, 10);
-        sink.phase_replayed(1, 10, 8);
-        let doc = to_json(&sink);
-        assert!(doc.contains("\"name\":\"query 1\""));
-        assert!(doc.contains("\"name\":\"query 2\""));
-        assert!(doc.contains("\"ph\":\"X\",\"pid\":0,\"tid\":1"));
-        assert!(doc.contains("\"ph\":\"X\",\"pid\":0,\"tid\":2"));
     }
 
     #[test]

@@ -190,20 +190,6 @@ fn resolve_int_attrs(schema: &Schema) -> [Attr; 13] {
     INT_ATTRS.map(|n| schema.int_attr(n))
 }
 
-/// Serialize rows with the standard schema.
-pub fn to_tuples(rows: &[WisconsinRow]) -> Vec<Vec<u8>> {
-    let schema = WisconsinGen::schema();
-    let attrs = resolve_int_attrs(&schema);
-    let per = schema.tuple_bytes();
-    rows.iter()
-        .map(|r| {
-            let mut t = Vec::new();
-            r.write_bytes_with(&attrs, per, &mut t);
-            t
-        })
-        .collect()
-}
-
 /// Serialize rows into one arena-backed batch: a single data buffer for
 /// the whole relation instead of one `Vec<u8>` per row.
 pub fn to_tuple_batch(rows: &[WisconsinRow]) -> TupleBatch {

@@ -6,7 +6,9 @@
 //! test and every harness run validates the parallel algorithms against
 //! this.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use gamma_core::checksum::checksum_concat;
 
@@ -38,7 +40,9 @@ pub fn oracle_join(
             lo <= v && v <= hi
         })
     };
-    let mut table: HashMap<u32, Vec<Vec<u8>>> = HashMap::new();
+    // Keyed the same in every process, so the join allocates alike run to run.
+    let mut table: HashMap<u32, Vec<Vec<u8>>, BuildHasherDefault<DefaultHasher>> =
+        HashMap::default();
     for r in inner {
         if keep(r, inner_attr, inner_sel) {
             table

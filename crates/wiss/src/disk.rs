@@ -192,11 +192,6 @@ impl Volume {
         *slot = pages;
     }
 
-    /// Ids of all live files (ascending).
-    pub fn file_ids(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.files.keys().copied()
-    }
-
     /// Total pages across all files (for capacity/debug reporting).
     pub fn total_pages(&self) -> usize {
         self.files.values().map(|f| f.len()).sum()
@@ -229,7 +224,6 @@ mod tests {
         v.delete_file(b);
         let d = v.create_file();
         assert!(d > c, "ids are never reused");
-        assert_eq!(v.file_ids().collect::<Vec<_>>(), vec![a, c, d]);
     }
 
     #[test]

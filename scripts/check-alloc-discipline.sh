@@ -51,7 +51,7 @@
 # file or the merge join. The exchange itself (`crates/net/src`) owns no
 # process-global buffer list — message tables belong to one machine's
 # `Exchange` — and `exchange.rs` no byte buffer per packet: a packet is a
-# `(bytes, count, query, local)` record, and the only byte vectors are the
+# `(bytes, count, local)` record, and the only byte vectors are the
 # blocks of a table's arena (`Blocks<u8>`) and the frozen hash-table arenas
 # a message part can lie on (`Arc<Vec<u8>>`, owned by the join site).
 #
@@ -80,6 +80,18 @@
 # records its own simulation steps, so a traced mode (`trace_steps`) or
 # event cancellation (`fn cancel`) in `crates/des/src/sim.rs` is dead
 # weight back again.
+#
+# Serve runs its instances one after another, each leaving the exchange
+# drained, so nothing multiplexes queries: a query id stamped on packets,
+# messages, trace events or phase usage (`set_query`, `query_id`,
+# `current_query`) in a non-test body of the exchange, the trace sink, the
+# engine or the scheduler is a dimension nobody reads back again.
+#
+# The host-side tables of the engine crates (`core`, `net`, `wiss`, `des`)
+# hash with a fixed key: where a key lands decides when a table rehashes,
+# so a `HashMap` / `HashSet` on the default per-process `RandomState` makes
+# allocation counts differ run to run. Each such line names its hasher
+# (`BuildHasherDefault<DefaultHasher>` or an alias ending in `Hasher`).
 #
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
@@ -251,6 +263,32 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# No query ids.
+while IFS= read -r f; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE 'set_query|query_id|current_query' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f stamps a query id again; serve runs its instances one after another:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/{net,trace,core,sched}/src -name '*.rs' | sort)
+
+# Fixed-key hashing in the engine crates.
+while IFS= read -r f; do
+    src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nvE '^\s*//' || true)
+    hits=$({
+        grep -E '\b(HashMap|HashSet)\b' <<<"$src" | grep -vE '^[0-9]+:\s*(pub )?use ' |
+            grep -vE '[A-Za-z]Hasher\b'
+        grep -E '\bRandomState\b' <<<"$src"
+    } | sort -nu || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f hashes with a per-process random key; use BuildHasherDefault<DefaultHasher>:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/{core,net,wiss,des}/src -name '*.rs' | sort)
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -269,4 +307,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), no traced mode or cancellation in the event kernel, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
