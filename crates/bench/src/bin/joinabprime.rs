@@ -1,15 +1,16 @@
 //! The `joinABprime` benchmark: every algorithm at three memory ratios
-//! (see `gamma_bench::joinabprime`). With no flags it writes the committed
-//! `BENCH_joinabprime.json`, the document `regress` Gate 1 renders afresh
-//! and compares byte for byte. Every point must also pass the
-//! metrics↔ledger reconciliation before the file is written.
+//! (see `gamma_bench::joinabprime`). Prints one line per point, then the
+//! JSON document — to `--out` when given, else to stdout. At the default
+//! scale the document is the committed `BENCH_joinabprime.json`, which
+//! `regress` Gate 1 renders afresh and compares byte for byte. Every point
+//! must also pass the metrics↔ledger reconciliation.
 //!
 //! ```text
 //! cargo run --release -p gamma-bench --bin joinabprime
-//! cargo run --release -p gamma-bench --bin joinabprime -- --scale 0.2 --out BENCH.json
+//! cargo run --release -p gamma-bench --bin joinabprime -- --scale 0.2 --out /tmp/bench.json
 //! ```
 
-use gamma_bench::joinabprime::{sweep, BASELINE, BASELINE_SCALE};
+use gamma_bench::joinabprime::{sweep, BASELINE_SCALE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,7 +18,6 @@ fn main() {
     let scale = flag("--scale").map_or(BASELINE_SCALE, |s| {
         s.parse().expect("scale must be a float")
     });
-    let out_path = flag("--out").map_or(BASELINE, String::as_str);
 
     let sweep = sweep(scale);
     for p in &sweep.points {
@@ -31,6 +31,5 @@ fn main() {
         "{}",
         sweep.unreconciled.join("\n")
     );
-    std::fs::write(out_path, sweep.render()).expect("write bench json");
-    println!("\nwrote {out_path}");
+    gamma_bench::emit(flag("--out").map(String::as_str), &sweep.render());
 }

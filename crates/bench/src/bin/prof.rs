@@ -1,14 +1,16 @@
 //! Flight-record one `joinABprime` execution.
 //!
 //! Extracts the point's timing plan, replays it through the serve engine
-//! with the gamma-prof flight recorder attached, and writes the sampled
-//! time series under `results/`:
+//! with the gamma-prof flight recorder attached, and writes two exports of
+//! the sampled time series under `--out-dir` (default `results/`, where
+//! both are gitignored):
 //!
-//! * `prof-<alg>-r<pct>.json` — line-oriented series document (the shape
-//!   Gate 6 of the `regress` binary byte-gates);
 //! * `prof-<alg>-r<pct>.csv` — one row per tick, for spreadsheets;
 //! * `prof-<alg>-r<pct>-perfetto.json` — the point's Perfetto trace with
 //!   the recorder's counter tracks merged in.
+//!
+//! The line-oriented series documents of three points are committed as
+//! `results/prof-*.json` (`regress` Gate 6, written by `regress --write`).
 //!
 //! Usage: `prof [hybrid|grace|simple|sort-merge] [ratio] [scale]
 //!              [--tick-us N] [--out-dir DIR]`
@@ -17,9 +19,10 @@
 //! executor or pool size) produce byte-identical artifacts, which CI
 //! checks with `cmp`.
 
-use gamma_bench::prof::{artifact_stem, render_csv, render_json, solo_profile, ProfRun, TICK_US};
+use gamma_bench::prof::{artifact_stem, render_csv, solo_profile, ProfRun, TICK_US};
 use gamma_bench::Workload;
 use gamma_core::query::Algorithm;
+use gamma_core::ExecConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,9 +66,7 @@ fn main() {
 
     std::fs::create_dir_all(&out_dir).expect("create out dir");
     let stem = format!("{out_dir}/{}", artifact_stem(alg, ratio));
-    let json_path = format!("{stem}.json");
     let csv_path = format!("{stem}.csv");
-    std::fs::write(&json_path, render_json(&run)).expect("write prof json");
     std::fs::write(&csv_path, render_csv(&run)).expect("write prof csv");
 
     println!(
@@ -75,10 +76,10 @@ fn main() {
         run.profile.ticks(),
         run.profile.makespan_us,
     );
-    println!("series json:   {json_path}");
     println!("series csv:    {csv_path}");
 
-    let merged = gamma_bench::prof::merged_perfetto(&workload, alg, ratio, &run.profile);
+    let merged =
+        gamma_bench::prof::merged_perfetto(&workload, alg, ratio, &run.profile, ExecConfig::auto());
     let path = format!("{stem}-perfetto.json");
     std::fs::write(&path, merged).expect("write merged perfetto json");
     println!("perfetto json: {path} (trace spans + counter tracks)");

@@ -3,37 +3,31 @@
 //!
 //! ```text
 //! cargo run --release -p gamma-bench --bin serve
-//! cargo run --release -p gamma-bench --bin serve -- --a-rows 4000 --queries 24
-//! cargo run --release -p gamma-bench --bin serve -- --out BENCH_serve.json
+//! cargo run --release -p gamma-bench --bin serve -- --a-rows 2000 --queries 12 --out /tmp/serve.json
+//! cargo run --release -p gamma-bench --bin serve -- --explain --a-rows 2000 --queries 8
 //! ```
 //!
-//! The output JSON carries only virtual-time quantities (no wall-clock),
-//! so two runs of the same configuration are byte-identical. With no
-//! flags the sweep is `ServeSweepConfig::smoke()` and the output is
-//! `gamma_bench::serve::baseline_doc()`, the committed `BENCH_serve.json`
-//! that `regress` Gate 3 compares byte for byte. Each rate point also
-//! passes the concurrent ledger↔metrics reconciliation before its
-//! numbers are reported.
+//! The JSON document goes to `--out` when given, else to stdout after the
+//! per-point summary. It carries only virtual-time quantities (no
+//! wall-clock), so two runs of the same configuration are byte-identical.
+//! With no flags the sweep is `ServeSweepConfig::smoke()` and the document
+//! is the committed `BENCH_serve.json` that `regress` Gate 3 compares byte
+//! for byte. Each rate point also passes the concurrent ledger↔metrics
+//! reconciliation before its numbers are reported.
 //!
-//! `--explain [--load-fraction F] [--out PATH]` serves a single rate
-//! point (default: the analytical knee, 1.0×) and prints the per-query
-//! EXPLAIN report — admission wait plus per-phase scheduling, cpu, disk,
-//! net and queue-wait components, each reconciling exactly to the
-//! query's response. The text is deterministic, so CI `cmp`s it across
-//! runs and executors.
+//! `--explain [--load-fraction F]` serves a single rate point (default:
+//! the analytical knee, 1.0×) and emits its per-query EXPLAIN report
+//! (`gamma_bench::serve::explain_doc`) the same way. At `--a-rows 2000
+//! --queries 8` it is the committed `results/explain-serve.txt` (Gate 7).
 
 use gamma_bench::serve::{
-    calibrate_backlog_window, profile, render_json, serve_point, serve_sweep, ServeSweepConfig,
-    BASELINE, DEFAULT_BACKLOG_WINDOW_US,
+    calibrate_backlog_window, explain_doc, render_json, serve_sweep, ServeSweepConfig,
+    DEFAULT_BACKLOG_WINDOW_US,
 };
-use gamma_bench::Workload;
-use gamma_des::SimTime;
-use gamma_sched::{explain, ServeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ServeSweepConfig::smoke();
-    let mut out_path = String::from(BASELINE);
     if let Some(i) = args.iter().position(|a| a == "--a-rows") {
         cfg.a_rows = args[i + 1].parse().expect("a-rows must be an integer");
     }
@@ -45,9 +39,10 @@ fn main() {
             .parse()
             .expect("budget-multiplier must be an integer");
     }
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        out_path = args[i + 1].clone();
-    }
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args[i + 1].as_str());
 
     // `--explain` serves one rate point and renders the per-query EXPLAIN
     // decomposition instead of sweeping.
@@ -57,30 +52,7 @@ fn main() {
             .position(|a| a == "--load-fraction")
             .map(|i| args[i + 1].parse().expect("load-fraction must be a number"))
             .unwrap_or(1.0);
-        assert!(load_fraction > 0.0, "load-fraction must be positive");
-        let workload = Workload::scaled(cfg.a_rows, cfg.a_rows / 10);
-        let (plan, report) = profile(&workload);
-        let budget_pages = plan.max_peak_pages() * cfg.budget_multiplier.max(1);
-        let bound_qps = 1.0 / report.demand.bottleneck();
-        let mean_interarrival_us = (1e6 / (bound_qps * load_fraction)).round().max(1.0) as u64;
-        let result = serve_point(
-            &workload,
-            &ServeConfig {
-                name: "serve".into(),
-                case: 0,
-                mean_interarrival: SimTime::from_us(mean_interarrival_us),
-                queries: cfg.queries,
-                pool_budget_pages: budget_pages,
-                backlog_window: cfg.backlog_window,
-            },
-        );
-        let text = explain::render(&result.outcome, result.solo.response);
-        print!("{text}");
-        if let Some(i) = args.iter().position(|a| a == "--out") {
-            let path = &args[i + 1];
-            std::fs::write(path, &text).expect("write explain report");
-            println!("wrote {path}");
-        }
+        gamma_bench::emit(out_path, &explain_doc(&cfg, load_fraction));
         return;
     }
 
@@ -133,6 +105,5 @@ fn main() {
         100.0 * sweep.knee_qps / sweep.bound_qps
     );
 
-    std::fs::write(&out_path, render_json(&cfg, &sweep)).expect("write serve json");
-    println!("wrote {out_path}");
+    gamma_bench::emit(out_path, &render_json(&cfg, &sweep));
 }

@@ -2,35 +2,35 @@
 //!
 //! ```text
 //! cargo run --release -p gamma-bench --bin skew
-//! cargo run --release -p gamma-bench --bin skew -- --a-rows 4000 --bprime-rows 400
-//! cargo run --release -p gamma-bench --bin skew -- --out BENCH_skew.json
+//! cargo run --release -p gamma-bench --bin skew -- --a-rows 2000 --bprime-rows 200 --out /tmp/skew.json
 //! ```
 //!
 //! Measures Hybrid under the Figure 7 "optimistic" bucket policy across a
 //! skew-level × memory-ratio grid, once with the legacy all-or-nothing
 //! overflow machinery and once with the robust path (skew-aware
-//! split-table refinement + dynamic spill/restore). The output JSON
-//! carries only virtual-time quantities, so two runs of the same
-//! configuration are byte-identical at any pool size. With no flags the
-//! grid is `SkewSweepConfig::smoke()` and the output is
-//! `gamma_bench::skew::baseline_doc()`, the committed `BENCH_skew.json`
-//! that `regress` Gate 4 compares byte for byte.
+//! split-table refinement + dynamic spill/restore). The JSON document
+//! goes to `--out` when given, else to stdout after the per-series
+//! summary. It carries only virtual-time quantities, so two runs of the
+//! same configuration are byte-identical at any pool size. With no flags
+//! the grid is `SkewSweepConfig::smoke()` and the document is the
+//! committed `BENCH_skew.json` that `regress` Gate 4 compares byte for
+//! byte.
 
-use gamma_bench::skew::{render_json, skew_sweep, SkewSweepConfig, BASELINE, MODES, SKEW_LEVELS};
+use gamma_bench::skew::{render_json, skew_sweep, SkewSweepConfig, MODES, SKEW_LEVELS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = SkewSweepConfig::smoke();
-    let mut out_path = String::from(BASELINE);
     if let Some(i) = args.iter().position(|a| a == "--a-rows") {
         cfg.a_rows = args[i + 1].parse().expect("a-rows must be an integer");
     }
     if let Some(i) = args.iter().position(|a| a == "--bprime-rows") {
         cfg.bprime_rows = args[i + 1].parse().expect("bprime-rows must be an integer");
     }
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        out_path = args[i + 1].clone();
-    }
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args[i + 1].as_str());
 
     println!(
         "skew: hybrid/optimistic, A={} rows, Bprime={} rows, ratios {:?}",
@@ -55,6 +55,5 @@ fn main() {
         }
     }
 
-    std::fs::write(&out_path, render_json(&cfg, &sweep)).expect("write skew json");
-    println!("wrote {out_path}");
+    gamma_bench::emit(out_path, &render_json(&cfg, &sweep));
 }

@@ -1,12 +1,11 @@
 //! Trace one `joinABprime` execution.
 //!
-//! Runs a single join with the structured-event recorder installed and
-//! writes two artifacts under `results/`:
-//!
-//! * `trace-<alg>-r<pct>.json` — Chrome trace-event / Perfetto JSON
-//!   (load it at <https://ui.perfetto.dev> or `chrome://tracing`);
-//! * `trace-<alg>-r<pct>.txt` — the text critical-path summary, also
-//!   printed to stdout.
+//! Runs a single join with the structured-event recorder installed,
+//! prints the text critical-path summary and writes the Chrome
+//! trace-event / Perfetto JSON to `results/trace-<alg>-r<pct>.json`
+//! (gitignored; load it at <https://ui.perfetto.dev> or
+//! `chrome://tracing`). The summaries of three points are committed as
+//! `results/trace-*.txt`, rendered by `regress --write`.
 //!
 //! Usage: `trace [hybrid|grace|simple|sort-merge] [ratio] [scale]`
 //!
@@ -43,19 +42,14 @@ fn main() {
     let run = trace_join(&workload, alg, ratio, false);
 
     std::fs::create_dir_all("results").expect("create results/");
-    let stem = format!(
-        "results/trace-{}-r{:02}",
+    let json_path = format!(
+        "results/trace-{}-r{:02}.json",
         alg.name(),
         (ratio * 100.0) as u32
     );
-    let json_path = format!("{stem}.json");
-    let txt_path = format!("{stem}.txt");
     std::fs::write(&json_path, run.perfetto_json()).expect("write trace json");
-    let summary = run.summary();
-    std::fs::write(&txt_path, &summary).expect("write summary");
 
-    print!("{summary}");
+    print!("{}", run.summary());
     println!();
     println!("perfetto json: {json_path}");
-    println!("summary:       {txt_path}");
 }

@@ -1,23 +1,31 @@
 //! One function per paper table/figure.
 //!
-//! Each returns the measured series and can print itself as a TSV block
-//! whose rows mirror what the paper plots. `EXPERIMENTS.md` records the
-//! output of `cargo run --release -p gamma-bench --bin figures -- all`
-//! next to the paper's qualitative claims.
+//! Each returns the measured series; [`render`] lays the wanted ones out
+//! as TSV blocks whose rows mirror what the paper plots, each sweep
+//! followed by an ASCII chart. The `figures` binary prints it, and
+//! `results/figures_full.txt` — every figure and table at full scale,
+//! gated by `regress` — is what `EXPERIMENTS.md` sets against the paper's
+//! qualitative claims.
+
+use std::fmt::Write;
 
 use gamma_core::query::{Algorithm, OverflowPolicy};
 
+use crate::plot;
 use crate::sweep::{paper_ratios, pooled_map, ExperimentPoint, SweepBuilder, Workload};
 
-/// Pretty-print a series grouped by algorithm.
-pub fn print_series(title: &str, pts: &[ExperimentPoint]) {
-    println!("\n== {title} ==");
-    println!(
+/// One series as a block: a `== title ==` line, a header and one row per
+/// point.
+fn render_series(title: &str, pts: &[ExperimentPoint]) -> String {
+    let mut out = format!("\n== {title} ==\n");
+    let _ = writeln!(
+        out,
         "{:<12} {:>7} {:>10} {:>8} {:>10} {:>10} {:>9}",
         "algorithm", "ratio", "seconds", "buckets", "pageIOs", "packets", "ovfl"
     );
     for p in pts {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<12} {:>7.3} {:>10.2} {:>8} {:>10} {:>10} {:>9}",
             p.algorithm,
             p.ratio,
@@ -28,6 +36,101 @@ pub fn print_series(title: &str, pts: &[ExperimentPoint]) {
             p.report.overflow_passes,
         );
     }
+    out
+}
+
+/// A figure: its name on the `figures` command line, its title, its
+/// sweep, and whether an ASCII chart follows the block.
+type Figure = (
+    &'static str,
+    &'static str,
+    fn(&Workload) -> Vec<ExperimentPoint>,
+    bool,
+);
+
+/// Figures 5–16 in report order.
+const FIGURES: [Figure; 12] = [
+    ("fig05", "Figure 5: HPJA joins, local", fig05, true),
+    ("fig06", "Figure 6: non-HPJA joins, local", fig06, true),
+    (
+        "fig07",
+        "Figure 7: Hybrid overflow vs extra bucket",
+        fig07,
+        true,
+    ),
+    (
+        "fig08",
+        "Figure 8: HPJA joins with bit filters",
+        fig08,
+        false,
+    ),
+    (
+        "fig09",
+        "Figure 9: non-HPJA joins with bit filters",
+        fig09,
+        false,
+    ),
+    (
+        "fig10",
+        "Figure 10: Hybrid filter effect",
+        |w| fig10_13(w, Algorithm::HybridHash),
+        false,
+    ),
+    (
+        "fig11",
+        "Figure 11: Simple filter effect",
+        |w| fig10_13(w, Algorithm::SimpleHash),
+        false,
+    ),
+    (
+        "fig12",
+        "Figure 12: Grace filter effect",
+        |w| fig10_13(w, Algorithm::GraceHash),
+        false,
+    ),
+    (
+        "fig13",
+        "Figure 13: Sort-merge filter effect",
+        |w| fig10_13(w, Algorithm::SortMerge),
+        false,
+    ),
+    (
+        "fig14",
+        "Figure 14: remote joins, HPJA vs non-HPJA",
+        fig14,
+        false,
+    ),
+    ("fig15", "Figure 15: local vs remote, HPJA", fig15, false),
+    (
+        "fig16",
+        "Figure 16: local vs remote, non-HPJA",
+        fig16,
+        false,
+    ),
+];
+
+/// Render the wanted figures (`fig05` … `fig16`) and `table3` (which
+/// brings Table 4 with it) over `w`, in report order.
+pub fn render(w: &Workload, want: impl Fn(&str) -> bool) -> String {
+    let mut out = String::new();
+    for (name, title, sweep, chart) in FIGURES {
+        if want(name) {
+            let pts = sweep(w);
+            out += &render_series(title, &pts);
+            if chart {
+                let _ = writeln!(out, "{}", plot::render(&pts, 64, 18));
+            }
+        }
+    }
+    if want("table3") {
+        let t3 = table3(w);
+        out += &render_series("Table 3: non-uniform join attribute values", &t3);
+        out += "\n== Table 4: % improvement from bit filters ==\n";
+        for (name, impr) in table4(&t3) {
+            let _ = writeln!(out, "{name:<28} {impr:>6.1}%");
+        }
+    }
+    out
 }
 
 /// Figure 5: HPJA joins, local configuration, no filters.

@@ -4,20 +4,17 @@
 //!
 //! Every field is a deterministic function of the model, so a rendered
 //! sweep is byte-identical across hosts, runs and pool sizes. At
-//! [`BASELINE_SCALE`] it is the committed [`BASELINE`] document: the
-//! `joinabprime` binary writes it, and `regress` Gate 1 renders it afresh
-//! and compares the two byte for byte. The JSON schema is documented in
-//! `EXPERIMENTS.md`.
+//! [`BASELINE_SCALE`] it is the committed `BENCH_joinabprime.json`:
+//! `regress` Gate 1 renders it afresh and compares the two byte for byte.
+//! The JSON schema is documented in `EXPERIMENTS.md`.
 
 use gamma_core::query::Algorithm;
 
 use crate::metrics::{metrics_join, reconcile, MetricsRun};
 use crate::sweep::{pooled_map, Workload};
 
-/// The committed sweep, written by `joinabprime` with no flags.
-pub const BASELINE: &str = "BENCH_joinabprime.json";
-
-/// Workload scale of [`BASELINE`] (the paper's full-size relations).
+/// Workload scale of `BENCH_joinabprime.json` (the paper's full-size
+/// relations) and the `joinabprime` binary's default.
 pub const BASELINE_SCALE: f64 = 1.0;
 
 /// Memory / |inner relation| ratios, in document order.

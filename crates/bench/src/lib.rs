@@ -9,7 +9,10 @@
 //!
 //! Run `cargo run --release -p gamma-bench --bin figures -- all` to
 //! regenerate everything (see `EXPERIMENTS.md` for the recorded output).
+//! Every committed artifact is one row of [`regress::artifacts`]; `regress`
+//! gates them and `regress --write` is the only writer of any of them.
 
+pub mod ablations;
 pub mod alloc;
 pub mod experiments;
 pub mod joinabprime;
@@ -23,3 +26,16 @@ pub mod sweep;
 pub mod tracing;
 
 pub use sweep::{bench_pool, pooled_map, pooled_map_on, ExperimentPoint, SweepBuilder, Workload};
+
+/// Write a binary's document to `out` when given, else print it to
+/// stdout. No binary writes a tracked file on its own: the committed
+/// copies are rendered by `regress --write`.
+pub fn emit(out: Option<&str>, doc: &str) {
+    match out {
+        Some(path) => {
+            std::fs::write(path, doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("wrote {path}");
+        }
+        None => print!("{doc}"),
+    }
+}

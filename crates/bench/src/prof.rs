@@ -8,8 +8,8 @@
 //! describe the same run the `trace` and `metrics` snapshots under
 //! `results/` do. Everything is virtual time sampled on a fixed tick —
 //! two runs of the same point are byte-identical, across executors, so
-//! the committed `results/prof-*.json` artifacts double as regression
-//! baselines (Gate 6 of the `regress` binary).
+//! the committed `results/prof-*.json` documents ([`render_json`]) double
+//! as regression baselines (Gate 6 of the `regress` binary).
 
 use gamma_core::query::Algorithm;
 use gamma_core::{ExecConfig, JoinReport};
@@ -119,14 +119,6 @@ pub fn artifact_stem(alg: Algorithm, ratio: f64) -> String {
     format!("prof-{}-r{:02}", alg.name(), (ratio * 100.0) as u32)
 }
 
-/// Regenerate the `prof-*.json` document for one snapshot point at the
-/// given scale — the single entry point Gate 6, the `prof` binary and the
-/// integration tests share, so they can never drift apart.
-pub fn snapshot_doc(alg: Algorithm, ratio: f64, scale: usize, tick_us: u64) -> String {
-    let w = Workload::scaled(scale, scale / 10);
-    render_json(&solo_profile(&w, alg, ratio, tick_us))
-}
-
 /// Map a flight profile onto Perfetto counter tracks: per-node series
 /// attach to their node's process, machine-wide series to the scheduler
 /// process. Merge into a trace export with
@@ -149,16 +141,18 @@ pub fn perfetto_counters(profile: &FlightProfile) -> Vec<gamma_trace::perfetto::
         .collect()
 }
 
-/// Trace the same point the profile replays and merge the profile's
-/// counter tracks into the Perfetto export. Both sides are deterministic
-/// replays of the same ledgers, so the counters line up with the spans.
+/// Trace the same point the profile replays on `exec` and merge the
+/// profile's counter tracks into the Perfetto export. Both sides are
+/// deterministic replays of the same ledgers, so the counters line up
+/// with the spans.
 pub fn merged_perfetto(
     workload: &Workload,
     alg: Algorithm,
     ratio: f64,
     profile: &FlightProfile,
+    exec: ExecConfig,
 ) -> String {
-    let traced = crate::tracing::trace_join(workload, alg, ratio, false);
+    let traced = crate::tracing::trace_join_with(workload, alg, ratio, false, exec);
     gamma_trace::perfetto::to_json_with_counters(&traced.sink, &perfetto_counters(profile))
 }
 
@@ -206,7 +200,13 @@ mod tests {
     fn merged_perfetto_carries_counter_tracks() {
         let w = Workload::scaled(2_000, 200);
         let run = solo_profile(&w, Algorithm::HybridHash, 0.5, 10_000);
-        let doc = merged_perfetto(&w, Algorithm::HybridHash, 0.5, &run.profile);
+        let doc = merged_perfetto(
+            &w,
+            Algorithm::HybridHash,
+            0.5,
+            &run.profile,
+            ExecConfig::auto(),
+        );
         assert!(gamma_trace::perfetto::looks_like_trace_json(&doc));
         assert!(doc.contains("\"name\":\"node0.cpu_busy_us\""));
         assert!(doc.contains("\"name\":\"inflight_queries\""));

@@ -1,18 +1,246 @@
-//! Virtual-time regression gates.
+//! The committed artifacts and the gates that hold them.
 //!
-//! The simulator is deterministic, so every committed baseline — the
-//! `BENCH_*.json` sweeps, the metrics snapshots and the flight-recorder
-//! profiles — is a document a fresh run must reproduce byte for byte: any
-//! difference is a *modelled* change, either intentional (re-record the
-//! file in the same commit) or a regression. The one baseline that is an
-//! inequality rather than bytes is `ALLOC_CEILINGS.json`, a ceiling on
-//! each point's heap allocation count. This module holds the pure pieces
-//! of the gates — the byte comparison, the ceiling document and its
-//! comparison, the summary table — so they are unit-testable without
-//! rerunning joins. The `regress` binary wires them to fresh runs.
+//! The simulator is deterministic, so every committed result — the
+//! `BENCH_*.json` sweeps, the metrics snapshots, the flight-recorder
+//! profiles, the paper's figures and tables, the ablations, the trace
+//! summaries and the EXPLAIN report — is a document a fresh run must
+//! reproduce byte for byte: any difference is a *modelled* change, either
+//! intentional (re-record the file in the same commit) or a regression.
+//! [`artifacts`] is the one table of them: each row is a tracked path and
+//! the function that renders its content. The `regress` binary gates
+//! every row and `regress --write` re-records every row whose gate fails;
+//! nothing else writes a tracked file.
 //!
-//! Every baseline records only deterministic fields: the host clock is
+//! The one row that is an inequality rather than bytes is
+//! `ALLOC_CEILINGS.json` (Gate 5), a ceiling on each point's heap
+//! allocation count on the serial executor.
+//!
+//! Every row records only deterministic fields: the host clock is
 //! measured by the two-clock benchmark under `benchmark/`, not here.
+
+use gamma_core::query::Algorithm;
+use gamma_core::ExecConfig;
+
+use crate::alloc::count_allocs;
+use crate::metrics::{metrics_join, metrics_join_with, reconcile, MetricsRun};
+use crate::serve::ServeSweepConfig;
+use crate::skew::SkewSweepConfig;
+use crate::sweep::Workload;
+use crate::{ablations, experiments, joinabprime, prof, serve, skew, tracing};
+
+/// How a row's fresh render is held against its committed file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Check {
+    /// Byte for byte ([`byte_gate`]).
+    Bytes,
+    /// Each fresh allocation count at or under its committed ceiling
+    /// ([`ceiling_gate`]); rendered on the serial executor only, because
+    /// worker pools allocate their own bookkeeping concurrently.
+    Ceilings,
+}
+
+/// A fresh render of one row.
+pub struct Rendered {
+    /// The file content `regress --write` records.
+    pub doc: String,
+    /// Failures found while rendering, whatever the committed file says:
+    /// a metrics↔ledger reconciliation miss, or an allocation count that
+    /// differs between two runs of the same point.
+    pub errors: Vec<String>,
+}
+
+impl Rendered {
+    fn clean(doc: String) -> Self {
+        Rendered {
+            doc,
+            errors: Vec::new(),
+        }
+    }
+}
+
+/// One committed artifact.
+pub struct Artifact {
+    /// Gate number printed in the summary.
+    pub gate: u8,
+    /// Path of the committed file, relative to the repository root.
+    pub path: String,
+    /// How the fresh render is compared with the committed file.
+    pub check: Check,
+    /// Renders the file's content afresh.
+    pub render: Box<dyn Fn() -> Rendered>,
+}
+
+fn row(gate: u8, path: impl Into<String>, render: impl Fn() -> Rendered + 'static) -> Artifact {
+    Artifact {
+        gate,
+        path: path.into(),
+        check: Check::Bytes,
+        render: Box::new(render),
+    }
+}
+
+/// The points whose metrics snapshot, flight-recorder profile and trace
+/// summary are committed under `results/`.
+const SNAPSHOT_POINTS: [(Algorithm, f64); 3] = [
+    (Algorithm::HybridHash, 0.5),
+    (Algorithm::GraceHash, 0.2),
+    (Algorithm::SortMerge, 1.0),
+];
+
+/// `A`-relation cardinality of the snapshot points (`Bprime` is a 10%
+/// sample; the `trace` and `prof` binaries' default).
+const SNAPSHOT_SCALE: usize = 20_000;
+
+/// Workload scale the allocation ceilings are recorded at (the same
+/// `--scale 0.2` sweep EXPERIMENTS.md benchmarks wall-clock on).
+const ALLOC_SCALE: f64 = 0.2;
+
+/// `results/<kind>-<alg>-r<pct>`, the committed layout of a snapshot
+/// point's files.
+fn stem(kind: &str, alg: Algorithm, ratio: f64) -> String {
+    format!(
+        "results/{kind}-{}-r{:02}",
+        alg.name(),
+        (ratio * 100.0) as u32
+    )
+}
+
+fn snapshot_workload() -> Workload {
+    Workload::scaled(SNAPSHOT_SCALE, SNAPSHOT_SCALE / 10)
+}
+
+fn snapshot_metrics(alg: Algorithm, ratio: f64) -> MetricsRun {
+    metrics_join(&snapshot_workload(), alg, ratio, false, false)
+}
+
+/// Every committed deterministic artifact, in gate order:
+///
+/// * Gate 1: `BENCH_joinabprime.json`, the `joinabprime` sweep at full
+///   scale; every point must also reconcile its metrics with its ledger;
+/// * Gate 2: `results/metrics-*.{json,prom}`, the snapshot points'
+///   metrics (the JSON row also reconciles);
+/// * Gate 3: `BENCH_serve.json`, the smoke serve sweep;
+/// * Gate 4: `BENCH_skew.json`, the smoke skew grid;
+/// * Gate 5: `ALLOC_CEILINGS.json`, every `joinabprime` point at scale
+///   0.2 counted twice on the serial executor: the two counts must agree
+///   and stay at or under the committed ceiling;
+/// * Gate 6: `results/prof-*.json`, the snapshot points' flight-recorder
+///   series;
+/// * Gate 7: `results/figures_full.txt` (Figures 5–16, Tables 3 and 4 at
+///   full scale), `results/ablations.txt`, `results/trace-*.txt` (the
+///   snapshot points' critical-path summaries) and
+///   `results/explain-serve.txt` (the EXPLAIN report of one serve rate
+///   point at the knee).
+pub fn artifacts() -> Vec<Artifact> {
+    let mut rows = vec![row(1, "BENCH_joinabprime.json", || {
+        let sweep = joinabprime::sweep(joinabprime::BASELINE_SCALE);
+        Rendered {
+            doc: sweep.render(),
+            errors: sweep.unreconciled,
+        }
+    })];
+    for (alg, ratio) in SNAPSHOT_POINTS {
+        let stem = stem("metrics", alg, ratio);
+        rows.push(row(2, format!("{stem}.json"), move || {
+            let run = snapshot_metrics(alg, ratio);
+            let errors = reconcile(&run.registry, &run.report)
+                .into_iter()
+                .map(|e| format!("{} @ ratio {ratio}: reconciliation: {e}", alg.name()))
+                .collect();
+            Rendered {
+                doc: run.json(),
+                errors,
+            }
+        }));
+        rows.push(row(2, format!("{stem}.prom"), move || {
+            Rendered::clean(snapshot_metrics(alg, ratio).prometheus())
+        }));
+    }
+    rows.push(row(3, "BENCH_serve.json", || {
+        let cfg = ServeSweepConfig::smoke();
+        Rendered::clean(serve::render_json(&cfg, &serve::serve_sweep(&cfg)))
+    }));
+    rows.push(row(4, "BENCH_skew.json", || {
+        let cfg = SkewSweepConfig::smoke();
+        Rendered::clean(skew::render_json(&cfg, &skew::skew_sweep(&cfg)))
+    }));
+    rows.push(Artifact {
+        check: Check::Ceilings,
+        ..row(5, "ALLOC_CEILINGS.json", alloc_ceilings)
+    });
+    for (alg, ratio) in SNAPSHOT_POINTS {
+        let path = format!("{}.json", stem("prof", alg, ratio));
+        rows.push(row(6, path, move || {
+            let run = prof::solo_profile(&snapshot_workload(), alg, ratio, prof::TICK_US);
+            Rendered::clean(prof::render_json(&run))
+        }));
+    }
+    rows.push(row(7, "results/figures_full.txt", || {
+        Rendered::clean(experiments::render(&Workload::full(), |_| true))
+    }));
+    rows.push(row(7, "results/ablations.txt", || {
+        Rendered::clean(ablations::render(|_| true))
+    }));
+    for (alg, ratio) in SNAPSHOT_POINTS {
+        let path = format!("{}.txt", stem("trace", alg, ratio));
+        rows.push(row(7, path, move || {
+            let run = tracing::trace_join(&snapshot_workload(), alg, ratio, false);
+            Rendered::clean(run.summary())
+        }));
+    }
+    rows.push(row(7, "results/explain-serve.txt", || {
+        let cfg = ServeSweepConfig {
+            a_rows: 2_000,
+            queries: 8,
+            ..ServeSweepConfig::smoke()
+        };
+        Rendered::clean(serve::explain_doc(&cfg, 1.0))
+    }));
+    rows
+}
+
+/// The Gate 5 render: count every `joinabprime` point's heap allocations
+/// twice on the serial executor (the counts are meaningful only under the
+/// `regress` binary's counting allocator) and record each count with
+/// [`ceiling_for`]'s headroom.
+fn alloc_ceilings() -> Rendered {
+    let w = Workload::at_scale(ALLOC_SCALE);
+    // The workload memoizes the reference join's result; compute it
+    // before counting, so every point counts its own join alone.
+    w.expect("unique1", "unique1");
+    let mut errors = Vec::new();
+    let mut ceilings = Vec::new();
+    for (alg, ratio) in joinabprime::cases() {
+        let count = || {
+            count_allocs(|| metrics_join_with(&w, alg, ratio, false, false, ExecConfig::serial())).1
+        };
+        let (allocs, again) = (count(), count());
+        if allocs != again {
+            errors.push(format!(
+                "{} @ ratio {ratio}: {allocs} then {again} allocations — the count \
+                 depends on more than the inputs",
+                alg.name()
+            ));
+        }
+        ceilings.push(AllocCeiling {
+            algorithm: alg.name().to_string(),
+            memory_ratio: ratio,
+            ceiling_allocs: ceiling_for(allocs),
+        });
+    }
+    Rendered {
+        doc: render_alloc_ceilings(ALLOC_SCALE, &ceilings),
+        errors,
+    }
+}
+
+/// The ceiling recorded for a measured allocation count: ~5% headroom.
+/// Counts are deterministic for one toolchain, but std container growth
+/// policies may shift across rustc releases; the gate targets
+/// order-of-magnitude regressions.
+fn ceiling_for(allocs: u64) -> u64 {
+    allocs + allocs / 20 + 64
+}
 
 /// Extract the raw value token for `key` from one JSON object line written
 /// by our own benchmark serializers (`"key": value` pairs, one object per
@@ -96,29 +324,30 @@ pub fn render_alloc_ceilings(scale: f64, points: &[AllocCeiling]) -> String {
     json
 }
 
-/// Gate fresh serial allocation counts against the committed ceilings:
-/// a measured count above its ceiling is a data-plane regression (the
-/// ceiling carries the headroom, so the comparison is exact). Points in
-/// the baseline but not measured are failures; exceeding-ly *low* counts
-/// pass (tighten the ceiling by re-recording when an optimisation lands).
-pub fn compare_alloc_points(
-    ceilings: &[AllocCeiling],
-    measured: &[(String, f64, u64)],
-) -> Vec<String> {
+/// Gate fresh ceilings against the committed ones: a point whose fresh
+/// count exceeds its committed ceiling is a data-plane regression. The
+/// fresh side is a re-recorded document, and [`ceiling_for`] is strictly
+/// increasing, so a count exceeds the committed ceiling `c` exactly when
+/// its re-recorded ceiling exceeds `ceiling_for(c)`. Points committed but
+/// not re-recorded are failures; counts that fall pass (to tighten the
+/// ceilings when an optimisation lands, delete `ALLOC_CEILINGS.json` and
+/// run `regress --write`).
+pub fn compare_alloc_points(committed: &[AllocCeiling], fresh: &[AllocCeiling]) -> Vec<String> {
     let mut errs = Vec::new();
-    for c in ceilings {
+    for c in committed {
         let id = format!("{} @ ratio {}", c.algorithm, c.memory_ratio);
-        let Some((_, _, got)) = measured
+        let Some(f) = fresh
             .iter()
-            .find(|(a, r, _)| *a == c.algorithm && *r == c.memory_ratio)
+            .find(|f| f.algorithm == c.algorithm && f.memory_ratio == c.memory_ratio)
         else {
             errs.push(format!("{id}: in alloc baseline, missing from fresh run"));
             continue;
         };
-        if *got > c.ceiling_allocs {
+        if f.ceiling_allocs > ceiling_for(c.ceiling_allocs) {
             errs.push(format!(
-                "{id}: {got} allocations exceeds the committed ceiling {} — the data plane regressed",
-                c.ceiling_allocs
+                "{id}: more allocations than the committed ceiling {} (re-recorded \
+                 ceiling {}) — the data plane regressed",
+                c.ceiling_allocs, f.ceiling_allocs
             ));
         }
     }
@@ -159,13 +388,18 @@ pub fn diff_snapshots(label: &str, baseline: &str, fresh: &str) -> Vec<String> {
     errs
 }
 
-/// The byte gate every committed document goes through: compare `fresh`
-/// with the committed file at `path`. Each differing line is reported as
-/// `path:line` (see [`diff_snapshots`]), a difference in line endings
-/// alone as `path`, and a missing or unreadable file names `writer`, the
-/// command that writes it. Empty ⇒ byte-identical.
-pub fn byte_gate(path: &str, fresh: &str, writer: &str) -> Vec<String> {
-    match std::fs::read_to_string(path) {
+/// Read the committed file at `path`, or an error naming it and the fix.
+fn committed(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("{path}: unreadable ({e}); run `regress --write` to write it"))
+}
+
+/// The byte gate: compare `fresh` with the committed file at `path`. Each
+/// differing line is reported as `path:line` (see [`diff_snapshots`]), a
+/// difference in line endings alone as `path`, and a missing or
+/// unreadable file names `regress --write`. Empty ⇒ byte-identical.
+pub fn byte_gate(path: &str, fresh: &str) -> Vec<String> {
+    match committed(path) {
         Ok(committed) => {
             let mut errs = diff_snapshots(path, &committed, fresh);
             if errs.is_empty() && committed != fresh {
@@ -173,76 +407,73 @@ pub fn byte_gate(path: &str, fresh: &str, writer: &str) -> Vec<String> {
             }
             errs
         }
-        Err(e) => vec![format!(
-            "{path}: unreadable ({e}); run `{writer}` to write it"
-        )],
+        Err(e) => vec![e],
     }
 }
 
-/// Outcome of one regression gate, for the end-of-run summary table.
+/// The ceiling gate: hold the re-recorded ceilings document `fresh`
+/// against the committed one at `path` ([`compare_alloc_points`]).
+pub fn ceiling_gate(path: &str, fresh: &str) -> Vec<String> {
+    let parsed = committed(path)
+        .and_then(|doc| parse_alloc_ceilings(&doc).map_err(|e| format!("{path}: {e}")));
+    match parsed {
+        Ok(committed) => {
+            let fresh = parse_alloc_ceilings(fresh).expect("a rendered ceilings document parses");
+            compare_alloc_points(&committed, &fresh)
+        }
+        Err(e) => vec![e],
+    }
+}
+
+/// Outcome of one row, for the end-of-run summary table.
 #[derive(Debug, Clone)]
-pub struct GateSummary {
-    /// Gate name as printed in the table.
-    pub name: &'static str,
-    /// Points (or snapshot files) the gate checked.
-    pub checked: usize,
-    /// Every violation the gate found (empty ⇒ pass).
+pub struct RowSummary {
+    /// Gate number.
+    pub gate: u8,
+    /// The row's committed path.
+    pub path: String,
+    /// Every violation found (empty ⇒ pass).
     pub errors: Vec<String>,
-    /// Why the gate did not run, when it was skipped.
+    /// Why the row was not rendered, when it was not.
     pub skipped: Option<String>,
+    /// `regress --write` re-recorded the committed file.
+    pub wrote: bool,
 }
 
-impl GateSummary {
-    /// A gate that ran over `checked` points.
-    pub fn ran(name: &'static str, checked: usize, errors: Vec<String>) -> Self {
-        GateSummary {
-            name,
-            checked,
-            errors,
-            skipped: None,
-        }
-    }
-
-    /// A gate that did not run (e.g. alloc counting on a pooled executor).
-    pub fn skip(name: &'static str, why: impl Into<String>) -> Self {
-        GateSummary {
-            name,
-            checked: 0,
-            errors: Vec::new(),
-            skipped: Some(why.into()),
-        }
-    }
-
-    /// `PASS` / `FAIL` / `SKIP`.
+impl RowSummary {
+    /// `PASS` / `FAIL` / `SKIP` / `WROTE`.
     pub fn status(&self) -> &'static str {
-        if self.skipped.is_some() {
-            "SKIP"
-        } else if self.errors.is_empty() {
-            "PASS"
-        } else {
+        if !self.errors.is_empty() {
             "FAIL"
+        } else if self.skipped.is_some() {
+            "SKIP"
+        } else if self.wrote {
+            "WROTE"
+        } else {
+            "PASS"
         }
     }
 }
 
-/// Render the per-gate summary table the `regress` binary prints before
-/// exiting: gate name, points checked, status, and the first offending
-/// field/point (the full violation lists are printed above the table).
-pub fn render_gate_table(gates: &[GateSummary]) -> String {
+/// Render the per-row summary table the `regress` binary prints before
+/// exiting: gate, path, status, and the first violation or skip reason
+/// (the full violation lists are printed above the table).
+pub fn render_gate_table(rows: &[RowSummary]) -> String {
     let mut out = String::from(
-        "gate                            checked  status  first violation / skip reason\n",
+        "gate  artifact                               status first violation / skip reason\n",
     );
-    for g in gates {
-        let detail = g
-            .skipped
-            .as_deref()
-            .or_else(|| g.errors.first().map(String::as_str))
+    for r in rows {
+        let detail = r
+            .errors
+            .first()
+            .map(String::as_str)
+            .or(r.skipped.as_deref())
             .unwrap_or("-");
         out.push_str(&format!(
-            "  {:<30} {:>7}  {:<5} {}\n",
-            g.name,
-            g.checked,
-            g.status(),
+            "  {:<3} {:<38} {:<6} {}\n",
+            r.gate,
+            r.path,
+            r.status(),
             detail
         ));
     }
@@ -283,58 +514,59 @@ mod tests {
 
     #[test]
     fn alloc_ceilings_round_trip_and_gate() {
-        let ceilings = vec![
-            AllocCeiling {
-                algorithm: "hybrid".into(),
-                memory_ratio: 0.5,
-                ceiling_allocs: 10_000,
-            },
-            AllocCeiling {
-                algorithm: "grace".into(),
-                memory_ratio: 0.2,
-                ceiling_allocs: 20_000,
-            },
+        let ceiling = |algorithm: &str, memory_ratio, allocs| AllocCeiling {
+            algorithm: algorithm.into(),
+            memory_ratio,
+            ceiling_allocs: ceiling_for(allocs),
+        };
+        let committed = vec![
+            ceiling("hybrid", 0.5, 10_000),
+            ceiling("grace", 0.2, 20_000),
         ];
-        let doc = render_alloc_ceilings(0.2, &ceilings);
-        assert_eq!(parse_alloc_ceilings(&doc).unwrap(), ceilings);
+        let doc = render_alloc_ceilings(0.2, &committed);
+        assert_eq!(parse_alloc_ceilings(&doc).unwrap(), committed);
 
-        // At or under the ceiling passes; over fails; missing fails.
-        let ok = vec![
-            ("hybrid".to_string(), 0.5, 10_000u64),
-            ("grace".to_string(), 0.2, 5_000),
-        ];
-        assert!(compare_alloc_points(&ceilings, &ok).is_empty());
-        let over = vec![
-            ("hybrid".to_string(), 0.5, 10_001u64),
-            ("grace".to_string(), 0.2, 5_000),
-        ];
-        let errs = compare_alloc_points(&ceilings, &over);
+        // A count at or under the committed ceiling passes, one over it
+        // fails, a missing point fails.
+        let at = committed[0].ceiling_allocs;
+        let ok = vec![ceiling("hybrid", 0.5, at), ceiling("grace", 0.2, 5_000)];
+        assert!(compare_alloc_points(&committed, &ok).is_empty());
+        let over = vec![ceiling("hybrid", 0.5, at + 1), ceiling("grace", 0.2, 5_000)];
+        let errs = compare_alloc_points(&committed, &over);
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("exceeds"), "{errs:?}");
-        let missing = vec![("hybrid".to_string(), 0.5, 1u64)];
-        let errs = compare_alloc_points(&ceilings, &missing);
+        assert!(errs[0].contains("regressed"), "{errs:?}");
+        let missing = vec![ceiling("hybrid", 0.5, 1)];
+        let errs = compare_alloc_points(&committed, &missing);
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("missing"), "{errs:?}");
     }
 
     #[test]
     fn gate_table_shows_status_and_first_violation() {
-        let gates = [
-            GateSummary::ran("baseline points", 12, vec![]),
-            GateSummary::ran(
-                "flight-recorder snapshots",
-                2,
+        let summary = |gate, path: &str, errors: Vec<String>, skipped: Option<&str>| RowSummary {
+            gate,
+            path: path.into(),
+            errors,
+            skipped: skipped.map(Into::into),
+            wrote: false,
+        };
+        let rows = [
+            summary(1, "BENCH_joinabprime.json", vec![], None),
+            summary(
+                6,
+                "results/prof-hybrid-r50.json",
                 vec![
                     "results/prof-hybrid-r50.json:7: baseline `1` != fresh `2`".into(),
                     "second violation".into(),
                 ],
+                None,
             ),
-            GateSummary::skip("alloc ceilings", "worker pool active"),
+            summary(5, "ALLOC_CEILINGS.json", vec![], Some("worker pool active")),
         ];
-        let table = render_gate_table(&gates);
+        let table = render_gate_table(&rows);
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 4, "{table}");
-        assert!(lines[1].contains("baseline points") && lines[1].contains("PASS"));
+        assert!(lines[1].contains("BENCH_joinabprime.json") && lines[1].contains("PASS"));
         assert!(
             lines[2].contains("FAIL") && lines[2].contains("prof-hybrid-r50.json:7"),
             "{table}"
@@ -344,9 +576,9 @@ mod tests {
             "only the first violation belongs in the table"
         );
         assert!(lines[3].contains("SKIP") && lines[3].contains("worker pool active"));
-        assert_eq!(gates[0].status(), "PASS");
-        assert_eq!(gates[1].status(), "FAIL");
-        assert_eq!(gates[2].status(), "SKIP");
+        assert_eq!(rows[0].status(), "PASS");
+        assert_eq!(rows[1].status(), "FAIL");
+        assert_eq!(rows[2].status(), "SKIP");
     }
 
     #[test]
@@ -366,23 +598,78 @@ mod tests {
         let doc = "{\n  \"a_rows\": 4000,\n  \"points\": [\n    {\"us\": 9000000}\n  ]\n}\n";
         std::fs::write(path, doc).unwrap();
 
-        assert!(byte_gate(path, doc, "x").is_empty());
+        assert!(byte_gate(path, doc).is_empty());
         // One digit changed: the error names the file and the line.
-        let errs = byte_gate(path, &doc.replace("9000000", "9000001"), "x");
+        let errs = byte_gate(path, &doc.replace("9000000", "9000001"));
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].starts_with(&format!("{path}:4: ")), "{errs:?}");
         // Only the final newline differs: still not byte-identical.
-        let errs = byte_gate(path, doc.trim_end(), "x");
+        let errs = byte_gate(path, doc.trim_end());
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("line endings"), "{errs:?}");
         // No committed file: the error names the command that writes it.
         std::fs::remove_file(path).unwrap();
-        let errs = byte_gate(path, doc, "skew");
+        let errs = byte_gate(path, doc);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(
-            errs[0].starts_with(path) && errs[0].contains("run `skew`"),
+            errs[0].starts_with(path) && errs[0].contains("run `regress --write`"),
             "{errs:?}"
         );
         std::fs::remove_dir(&dir).unwrap();
+    }
+
+    /// Every tracked file under `results/` (bar `results/host/`, the
+    /// host-clock measurements), every root `BENCH_*.json` and
+    /// `ALLOC_CEILINGS.json` is one row of [`artifacts`], and every row
+    /// names a file that exists. Files `.gitignore` matches under
+    /// `results/` (the `trace` and `prof` exports) are not committed.
+    #[test]
+    fn every_committed_artifact_has_one_row() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let rows: Vec<String> = artifacts().into_iter().map(|a| a.path).collect();
+        for (i, path) in rows.iter().enumerate() {
+            assert!(root.join(path).is_file(), "row {path} names a missing file");
+            assert!(!rows[..i].contains(path), "{path} has two rows");
+        }
+
+        let gitignore = std::fs::read_to_string(root.join(".gitignore")).unwrap();
+        let ignored = |path: &str| {
+            gitignore
+                .lines()
+                .filter(|l| !l.starts_with('#'))
+                .filter_map(|l| l.split_once('*'))
+                .any(|(pre, suf)| {
+                    path.len() >= pre.len() + suf.len()
+                        && path.starts_with(pre)
+                        && path.ends_with(suf)
+                })
+        };
+        fn walk(root: &std::path::Path, dir: &str, out: &mut Vec<String>) {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let entry = entry.unwrap();
+                let path = format!("{dir}/{}", entry.file_name().to_string_lossy());
+                if entry.file_type().unwrap().is_dir() {
+                    if path != "results/host" {
+                        walk(root, &path, out);
+                    }
+                } else {
+                    out.push(path);
+                }
+            }
+        }
+        let mut committed = vec!["ALLOC_CEILINGS.json".to_string()];
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                committed.push(name);
+            }
+        }
+        walk(&root, "results", &mut committed);
+        for path in committed.iter().filter(|p| !ignored(p)) {
+            assert!(
+                rows.contains(path),
+                "{path} has no row in regress::artifacts()"
+            );
+        }
     }
 }

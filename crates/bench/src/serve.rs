@@ -9,19 +9,17 @@
 //! `joinABprime`), the paper's general-case query.
 //!
 //! Everything is virtual time over deterministic arrivals, so a sweep is
-//! byte-reproducible. The smoke sweep is the committed [`BASELINE`]: the
-//! `serve` binary writes [`baseline_doc`] and `regress` Gate 3 compares a
-//! fresh one with the file byte for byte.
+//! byte-reproducible. The smoke sweep is the committed `BENCH_serve.json`
+//! (`regress` Gate 3), and one rate point's [`explain_doc`] is the
+//! committed `results/explain-serve.txt` (Gate 7): `regress --write`
+//! renders both.
 
 use gamma_core::query::Algorithm;
 use gamma_core::JoinReport;
 use gamma_des::SimTime;
-use gamma_sched::{serve, QueryPlan, ServeConfig, ServeResult};
+use gamma_sched::{explain, serve, QueryPlan, ServeConfig, ServeResult};
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
-
-/// The committed sweep, written by `serve` with no flags.
-pub const BASELINE: &str = "BENCH_serve.json";
 
 /// Offered-load fractions of the analytical bound swept by default: well
 /// below the knee, around it, and into overload.
@@ -349,10 +347,29 @@ pub fn render_json(cfg: &ServeSweepConfig, sweep: &ServeSweep) -> String {
     json
 }
 
-/// The committed [`BASELINE`] document: the smoke sweep, rendered.
-pub fn baseline_doc() -> String {
-    let cfg = ServeSweepConfig::smoke();
-    render_json(&cfg, &serve_sweep(&cfg))
+/// Serve one rate point at `load_fraction` of the analytical bound and
+/// render its per-query EXPLAIN report: admission wait plus per-phase
+/// scheduling, cpu, disk, net and queue-wait components, each reconciling
+/// exactly to the query's response.
+pub fn explain_doc(cfg: &ServeSweepConfig, load_fraction: f64) -> String {
+    assert!(load_fraction > 0.0, "load-fraction must be positive");
+    let workload = Workload::scaled(cfg.a_rows, cfg.a_rows / 10);
+    let (plan, report) = profile(&workload);
+    let budget_pages = plan.max_peak_pages() * cfg.budget_multiplier.max(1);
+    let bound_qps = 1.0 / report.demand.bottleneck();
+    let mean_interarrival_us = (1e6 / (bound_qps * load_fraction)).round().max(1.0) as u64;
+    let result = serve_point(
+        &workload,
+        &ServeConfig {
+            name: "serve".into(),
+            case: 0,
+            mean_interarrival: SimTime::from_us(mean_interarrival_us),
+            queries: cfg.queries,
+            pool_budget_pages: budget_pages,
+            backlog_window: cfg.backlog_window,
+        },
+    );
+    explain::render(&result.outcome, result.solo.response)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
-//! Flight-recorder acceptance properties: the rendered artifacts must be
+//! Flight-recorder acceptance properties: the rendered artifacts — the
+//! series JSON, the CSV and the merged Perfetto export — must be
 //! byte-identical across runs and across executors (serial and pool
 //! sizes 1/2/8). The profile is a pure function of the replayed ledgers,
 //! so the host executor must be invisible in it.
 
 use std::sync::Arc;
 
-use gamma_bench::prof::{render_csv, render_json, solo_profile_with};
+use gamma_bench::prof::{merged_perfetto, render_csv, render_json, solo_profile_with};
 use gamma_bench::Workload;
 use gamma_core::query::Algorithm;
 use gamma_core::{ExecConfig, WorkerPool};
@@ -16,11 +17,16 @@ fn profiles_are_byte_identical_across_runs_and_pool_sizes() {
     let serial = solo_profile_with(&w, Algorithm::GraceHash, 0.2, 10_000, ExecConfig::serial());
     let reference_json = render_json(&serial);
     let reference_csv = render_csv(&serial);
+    let merged = |run: &gamma_bench::prof::ProfRun, exec| {
+        merged_perfetto(&w, Algorithm::GraceHash, 0.2, &run.profile, exec)
+    };
+    let reference_perfetto = merged(&serial, ExecConfig::serial());
 
     // Run-to-run identity on the same executor.
     let again = solo_profile_with(&w, Algorithm::GraceHash, 0.2, 10_000, ExecConfig::serial());
     assert_eq!(reference_json, render_json(&again));
     assert_eq!(reference_csv, render_csv(&again));
+    assert_eq!(reference_perfetto, merged(&again, ExecConfig::serial()));
 
     // Executor invariance: pools of 1, 2 and 8 workers all reproduce the
     // serial artifacts byte for byte.
@@ -31,10 +37,15 @@ fn profiles_are_byte_identical_across_runs_and_pool_sizes() {
             Algorithm::GraceHash,
             0.2,
             10_000,
-            ExecConfig::pooled(pool),
+            ExecConfig::pooled(Arc::clone(&pool)),
         );
         assert_eq!(reference_json, render_json(&run), "pool size {workers}");
         assert_eq!(reference_csv, render_csv(&run), "pool size {workers}");
+        assert_eq!(
+            reference_perfetto,
+            merged(&run, ExecConfig::pooled(pool)),
+            "pool size {workers}"
+        );
     }
 }
 

@@ -56,7 +56,6 @@
 use std::collections::VecDeque;
 
 use gamma_des::{SharedServer, Sim, SimTime};
-use gamma_metrics::Histogram;
 use gamma_prof::{Device, FlightProfile, FlightRecorder};
 
 use crate::explain::{PhaseBreakdown, QueryExplain};
@@ -90,8 +89,6 @@ struct EngineState {
     waiting: VecDeque<usize>,
     records: Vec<QueryTiming>,
     explains: Vec<QueryExplain>,
-    disk_wait_hist: Histogram,
-    net_wait_hist: Histogram,
     /// Flight recorder (present only under [`run_recorded`]); owned by the
     /// state so event closures stay capture-light.
     rec: Option<FlightRecorder>,
@@ -185,12 +182,6 @@ fn run_phase(sim: &mut Sim<EngineState>, q: usize, p: usize) {
                 let dev = if take_disk { Device::Disk } else { Device::Net };
                 rec.device(np.node, dev, span.arrival, span.start, span.completion);
             }
-            let hist = if take_disk {
-                &mut st.disk_wait_hist
-            } else {
-                &mut st.net_wait_hist
-            };
-            hist.observe(wait.as_us());
             if let Some(w) = st.backlog_window {
                 if wait > w {
                     stall += wait - w;
@@ -355,8 +346,6 @@ pub fn run_recorded(
         waiting: VecDeque::new(),
         records,
         explains,
-        disk_wait_hist: Histogram::default(),
-        net_wait_hist: Histogram::default(),
         rec: tick_us.map(|t| FlightRecorder::new(cfg.nodes, t)),
     };
 
@@ -384,8 +373,6 @@ pub fn run_recorded(
         net: st.net.iter().map(SharedServer::stats).collect(),
         cpu_busy: st.cpu_busy,
         cpu_stall: st.cpu_stall,
-        disk_wait_hist: st.disk_wait_hist,
-        net_wait_hist: st.net_wait_hist,
         explains: st.explains,
     };
     (outcome, profile)

@@ -2,14 +2,12 @@
 //! response-time percentiles the bench layer publishes.
 //!
 //! Response times in a loaded serve run to many virtual seconds — far
-//! past the 2²⁰ µs cap of the power-of-two [`Histogram`] — so response
-//! percentiles are computed **exactly** by nearest-rank over the sorted
-//! response vector (`rank = ⌈count·q⌉`, 1-based), not from histogram
-//! buckets. Device *wait* distributions, which do fit the bucket range,
-//! are kept as histograms.
+//! past the 2²⁰ µs cap of the power-of-two `gamma_metrics::Histogram` —
+//! so response percentiles are computed **exactly** by nearest-rank over
+//! the sorted response vector (`rank = ⌈count·q⌉`, 1-based), not from
+//! histogram buckets.
 
 use gamma_des::{QueueStats, SimTime};
-use gamma_metrics::Histogram;
 
 use crate::explain::QueryExplain;
 
@@ -55,10 +53,6 @@ pub struct ServeOutcome {
     pub cpu_busy: Vec<SimTime>,
     /// Per-node CPU stall injected by the back-pressure window.
     pub cpu_stall: Vec<SimTime>,
-    /// Distribution of individual disk-request queue waits (µs).
-    pub disk_wait_hist: Histogram,
-    /// Distribution of individual NI-request queue waits (µs).
-    pub net_wait_hist: Histogram,
     /// Per-query EXPLAIN breakdowns, in arrival order (one entry per
     /// query; empty phase lists for queries that never ran).
     pub explains: Vec<QueryExplain>,

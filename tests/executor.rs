@@ -356,28 +356,39 @@ fn warmed_exchange_tables_change_nothing() {
 #[test]
 fn pooled_trace_export_is_byte_identical() {
     let w = Workload::scaled(2_000, 200);
-    let pool = Arc::new(WorkerPool::new(4));
-    for alg in ALGORITHMS {
+    // Every algorithm at ratio 0.5, plus the ratios of the committed
+    // `results/trace-*.txt` points (grace 0.2, sort-merge 1.0).
+    let mut points: Vec<(Algorithm, f64)> = ALGORITHMS.iter().map(|&alg| (alg, 0.5)).collect();
+    points.extend([(Algorithm::GraceHash, 0.2), (Algorithm::SortMerge, 1.0)]);
+    let pools: Vec<Arc<WorkerPool>> = [1, 2, 4, 8]
+        .into_iter()
+        .map(|n| Arc::new(WorkerPool::new(n)))
+        .collect();
+    for (alg, ratio) in points {
         for filtered in [false, true] {
-            let serial = trace_join_with(&w, alg, 0.5, filtered, ExecConfig::serial());
-            let pooled = trace_join_with(
-                &w,
-                alg,
-                0.5,
-                filtered,
-                ExecConfig::pooled(Arc::clone(&pool)),
-            );
+            let serial = trace_join_with(&w, alg, ratio, filtered, ExecConfig::serial());
             assert!(
                 !serial.sink.is_empty(),
                 "{}: no events recorded",
                 alg.name()
             );
-            assert_eq!(
-                serial.perfetto_json(),
-                pooled.perfetto_json(),
-                "{} filters={filtered}: trace export differs between serial and pooled",
-                alg.name()
-            );
+            for pool in &pools {
+                let pooled = trace_join_with(
+                    &w,
+                    alg,
+                    ratio,
+                    filtered,
+                    ExecConfig::pooled(Arc::clone(pool)),
+                );
+                assert_eq!(
+                    serial.perfetto_json(),
+                    pooled.perfetto_json(),
+                    "{} ratio {ratio} filters={filtered} pool {}: trace export differs \
+                     between serial and pooled",
+                    alg.name(),
+                    pool.size()
+                );
+            }
         }
     }
 }
