@@ -32,7 +32,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use gamma_des::SimTime;
+use gamma_des::{Event, SimTime};
 use gamma_wiss::FileId;
 
 use crate::batch::{Rec, TupleBatch};
@@ -275,8 +275,8 @@ impl Side for Outer<'_> {
         if filters[bucket - 1].test(val) {
             return true;
         }
-        ctx.ledger.counts.filter_drops += 1;
-        gamma_metrics::counter_add("filter_drops", ctx.node as u16, "forming", 1);
+        ctx.ledger
+            .record(ctx.node as u16, "forming", Event::FilterDrop);
         false
     }
 }
@@ -569,10 +569,10 @@ fn restore_spills(
                 let page = ctx.cost.disk.page_bytes as u64;
                 let pr = restored_b.div_ceil(page);
                 let ps = respooled_b.div_ceil(page);
-                ctx.ledger.counts.pages_restored += pr;
-                ctx.ledger.counts.pages_spilled += ps;
-                gamma_metrics::counter_add("pages_restored", ctx.node as u16, "restore", pr);
-                gamma_metrics::counter_add("pages_spilled", ctx.node as u16, "restore", ps);
+                ctx.ledger
+                    .record(ctx.node as u16, "restore", Event::PagesRestored(pr));
+                ctx.ledger
+                    .record(ctx.node as u16, "restore", Event::PagesSpilled(ps));
                 let cutoff =
                     (cell < JoinHashTable::CELLS).then(|| JoinHashTable::cell_cutoff(cell));
                 raised.push((job.site, cutoff));

@@ -29,7 +29,7 @@
 
 use std::cmp::Ordering;
 
-use gamma_des::{SimTime, Usage};
+use gamma_des::{Event, SimTime, Usage};
 use gamma_wiss::sort::{external_sort, RunMerger};
 use gamma_wiss::{BufferPool, FileId, SortConfig};
 
@@ -79,8 +79,8 @@ impl Side for Outer<'_> {
         if f.test(val) {
             return true;
         }
-        ctx.ledger.counts.filter_drops += 1;
-        gamma_metrics::counter_add("filter_drops", ctx.node as u16, "sortmerge", 1);
+        ctx.ledger
+            .record(ctx.node as u16, "sortmerge", Event::FilterDrop);
         false
     }
 }
@@ -319,15 +319,14 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             let mut sm = RunMerger::open(vol, &[sr], &s_key);
             let (groups, compares) = merge_groups(pool, ctx.ledger, &mut rm, &mut sm);
             ctx.charge(ctx.cost.merge_compare_us * compares);
-            ctx.ledger.counts.comparisons += compares;
-            gamma_metrics::counter_add("comparisons", ctx.node as u16, "merge", compares);
+            ctx.ledger
+                .record(ctx.node as u16, "merge", Event::Comparisons(compares));
             let mut route = ResultRoute::new(ctx.node, d);
             for g in &groups {
                 for (s_page, s) in sm.walk(0, g.s_at).take(g.s as usize) {
                     for (r_page, r) in rm.walk(0, g.r_at).take(g.r as usize) {
                         ctx.charge(ctx.cost.compose_us);
-                        ctx.ledger.counts.tuples_out += 1;
-                        gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "merge", 1);
+                        ctx.ledger.record(ctx.node as u16, "merge", Event::TupleOut);
                         let (r, s) = (Rec::shared(r_page, r), Rec::shared(s_page, s.clone()));
                         ctx.send_parts(route.advance(), RESULT_TAG, r, s);
                     }

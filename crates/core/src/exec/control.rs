@@ -9,8 +9,8 @@
 //! the scheduler itself spends is returned to the caller, which adds it to
 //! the phase's serial dispatch time.
 
-use gamma_des::{SimTime, Usage};
-use gamma_net::{trace_bytes, RingConfig};
+use gamma_des::{Event, SimTime, Usage};
+use gamma_net::RingConfig;
 
 use crate::exec::hash::JoinSites;
 use crate::machine::{Ledgers, Machine, NodeId};
@@ -36,30 +36,15 @@ fn receive(cfg: &RingConfig, usage: &mut Usage, node: NodeId, bytes: u64) {
         remaining -= chunk;
         usage.cpu(cfg.recv_cpu_per_packet);
         usage.net(cfg.wire_time(chunk), chunk);
-        usage.counts.packets_recv += 1;
-        gamma_metrics::counter_add("packets_recv", node as u16, "sched", 1);
-        gamma_metrics::counter_add("wire_bytes", node as u16, "sched", chunk);
-        gamma_metrics::observe("packet_bytes", node as u16, "sched", chunk);
-        gamma_trace::emit(
-            node as u16,
-            usage.total_demand().as_us(),
-            gamma_trace::EventKind::PacketRecv {
-                src: u16::MAX, // the off-node scheduler process
-                bytes: trace_bytes(chunk),
-            },
-        );
+        let ev = Event::PacketRecv {
+            src: u16::MAX, // the off-node scheduler process
+            bytes: chunk,
+            wire: true,
+        };
+        usage.record(node as u16, "sched", ev);
     }
     usage.cpu(cfg.control_cpu_per_msg);
-    usage.counts.control_msgs += 1;
-    gamma_metrics::counter_add("control_msgs", node as u16, "sched", 1);
-    gamma_trace::emit(
-        node as u16,
-        usage.total_demand().as_us(),
-        gamma_trace::EventKind::Control {
-            dst: node as u16,
-            bytes: trace_bytes(bytes),
-        },
-    );
+    usage.record(node as u16, "sched", Event::ControlMsg { bytes });
 }
 
 /// Charge operator-start control messages for a phase: the scheduler sends
@@ -95,16 +80,12 @@ pub fn broadcast_filters(machine: &Machine, ledgers: &mut Ledgers, sites: &JoinS
     // Each site contributes its slice of the aggregate filter packet...
     for &node in sites.nodes() {
         ledgers[node].cpu(send_cpu);
-        ledgers[node].counts.packets_sent += 1;
-        gamma_metrics::counter_add("packets_sent", node as u16, "filter", 1);
-        gamma_trace::emit(
-            node as u16,
-            ledgers[node].total_demand().as_us(),
-            gamma_trace::EventKind::PacketSend {
-                dst: u16::MAX, // aggregate broadcast to the scanning nodes
-                bytes: trace_bytes(bytes),
-            },
-        );
+        let ev = Event::PacketSent {
+            dst: u16::MAX, // aggregate broadcast to the scanning nodes
+            bytes,
+            wire: false,
+        };
+        ledgers[node].record(node as u16, "filter", ev);
     }
     // ...and each disk node receives the aggregate packet.
     broadcast(machine, ledgers, &machine.disk_nodes(), bytes);

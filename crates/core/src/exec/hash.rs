@@ -31,6 +31,7 @@
 
 use std::collections::BTreeMap;
 
+use gamma_des::Event;
 use gamma_net::Msg;
 use gamma_wiss::{FileId, HeapWriter};
 
@@ -151,20 +152,13 @@ impl JoinNode {
         let site = self.site.as_mut().expect("build tuple at a join site");
         debug_assert_eq!(site.index, i, "build tuple routed to the wrong site");
         let val = site.r_attr.get(tuple);
-        ctx.ledger.counts.tuples_in += 1;
         ctx.charge(ctx.cost.build_insert_us + ctx.cost.histogram_update_us);
         if let Some(f) = &mut site.filter {
             ctx.charge(ctx.cost.filter_set_us);
             f.set(val);
         }
-        ctx.ledger.counts.hash_inserts += 1;
-        gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "build", 1);
-        gamma_metrics::counter_add("hash_inserts", ctx.node as u16, "build", 1);
-        gamma_trace::emit(
-            ctx.node as u16,
-            ctx.ledger.total_demand().as_us(),
-            gamma_trace::EventKind::HashInsert,
-        );
+        ctx.ledger
+            .record(ctx.node as u16, "build", Event::HashInsert);
         let home = site.overflow_home;
         let spool_tag = tag(TAG_SPOOL_R, i);
         match site.table.offer(val, tuple, ctx.cost.overflow_clear_pct) {
@@ -185,8 +179,8 @@ impl JoinNode {
                 );
                 for (_, range) in evicted {
                     ctx.charge(ctx.cost.evict_tuple_us);
-                    ctx.ledger.counts.overflow_evictions += 1;
-                    gamma_metrics::counter_add("overflow_evictions", ctx.node as u16, "build", 1);
+                    ctx.ledger
+                        .record(ctx.node as u16, "build", Event::OverflowEviction);
                     ctx.send(home, spool_tag, site.table.slice(range));
                 }
                 if diverted {
@@ -205,25 +199,15 @@ impl JoinNode {
         let site = self.site.as_ref().expect("probe tuple at a join site");
         debug_assert_eq!(site.index, i, "probe tuple routed to the wrong site");
         let (matches, compares) = site.table.probe_ranges(site.s_attr.get(&tuple));
-        ctx.ledger.counts.tuples_in += 1;
-        ctx.ledger.counts.hash_probes += 1;
         ctx.charge(ctx.cost.probe_us + ctx.cost.chain_compare_us * compares);
-        ctx.ledger.counts.comparisons += compares;
-        gamma_metrics::counter_add("op_tuples_in", ctx.node as u16, "probe", 1);
-        gamma_metrics::counter_add("hash_probes", ctx.node as u16, "probe", 1);
-        gamma_metrics::counter_add("comparisons", ctx.node as u16, "probe", compares);
-        gamma_metrics::observe("probe_chain_compares", ctx.node as u16, "probe", compares);
-        gamma_trace::emit(
-            ctx.node as u16,
-            ctx.ledger.total_demand().as_us(),
-            gamma_trace::EventKind::HashProbe {
-                matched: !matches.is_empty(),
-            },
-        );
+        let ev = Event::HashProbe {
+            compares,
+            matched: !matches.is_empty(),
+        };
+        ctx.ledger.record(ctx.node as u16, "probe", ev);
         for range in matches.iter() {
             ctx.charge(ctx.cost.compose_us);
-            ctx.ledger.counts.tuples_out += 1;
-            gamma_metrics::counter_add("op_tuples_out", ctx.node as u16, "probe", 1);
+            ctx.ledger.record(ctx.node as u16, "probe", Event::TupleOut);
             let dst = self.route.advance();
             ctx.send_parts(dst, RESULT_TAG, site.table.shared(range), tuple);
         }
@@ -334,8 +318,8 @@ impl ProbeSnapshot {
                 if f.test(val) {
                     false
                 } else {
-                    ctx.ledger.counts.filter_drops += 1;
-                    gamma_metrics::counter_add("filter_drops", ctx.node as u16, "probe", 1);
+                    ctx.ledger
+                        .record(ctx.node as u16, "probe", Event::FilterDrop);
                     true
                 }
             }

@@ -9,6 +9,7 @@
 //! whole node steps and nothing finer, so the scan's ledger, counts and
 //! trace bytes never depend on the pool size.
 
+use gamma_des::Event;
 use gamma_wiss::FileId;
 
 use crate::algorithms::common::RangePred;
@@ -31,13 +32,13 @@ pub fn scan_fragment(ctx: &mut StepCtx<'_>, file: FileId, pred: Option<RangePred
     let scanned = batch.len() as u64;
     for _ in 0..batch.len() {
         ctx.charge(ctx.cost.scan_tuple_us);
-        ctx.ledger.counts.tuples_in += 1;
     }
     if let Some(mask) = keep {
         batch.retain_indices(|k| mask[k]);
     }
     if scanned > 0 {
-        gamma_metrics::counter_add("op_tuples_in", node as u16, "scan", scanned);
+        ctx.ledger
+            .record(node as u16, "scan", Event::TuplesIn(scanned));
     }
     gamma_trace::emit(
         node as u16,

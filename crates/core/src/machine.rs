@@ -12,7 +12,7 @@
 //! horizontally declustered across the disk nodes at load time by one of
 //! the paper's strategies (round-robin, hashed, range).
 
-use gamma_des::Usage;
+use gamma_des::{Event, Usage};
 use gamma_net::Exchange;
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
@@ -482,8 +482,7 @@ impl ResultSink {
         s: Rec<'_>,
     ) {
         let dst = route.advance();
-        usage[src].counts.tuples_out += 1;
-        gamma_metrics::counter_add("op_tuples_out", src as u16, "result", 1);
+        usage[src].record(src as u16, "result", Event::TupleOut);
         machine.exchange.outboxes_mut()[src].send_parts(&mut usage[src], dst, RESULT_TAG, r, s);
     }
 

@@ -130,7 +130,7 @@ pub struct Usage {
     /// Bytes this node placed on the shared ring (for the shared-bandwidth
     /// bound computed at the phase level).
     pub ring_bytes: u64,
-    /// Event counters.
+    /// Event counters, charged through [`Usage::record`].
     pub counts: Counts,
     /// Per-device request logs (issue offset + service time per charge),
     /// the input to the queued timing model.

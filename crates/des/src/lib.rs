@@ -17,7 +17,9 @@
 //!   `max(cpu, disk, net)`) or the queued model (CPU overlapped against each
 //!   device's FIFO-queued completion, so loaded devices produce convoy
 //!   effects). Either way a phase completes at the max over nodes and is
-//!   bounded below by shared ring bandwidth.
+//!   bounded below by shared ring bandwidth,
+//! * [`Usage::record`] — the one call that charges a counted [`Event`] to
+//!   the ledger, the metrics registry and the trace sink.
 //!
 //! The kernel is intentionally small and fully deterministic: two events at
 //! the same virtual time fire in the order they were scheduled, so a whole
@@ -27,6 +29,7 @@
 pub mod ledger;
 pub mod phase;
 pub mod queue;
+mod record;
 pub mod sim;
 pub mod time;
 
@@ -36,5 +39,6 @@ pub use queue::{
     fifo_drain, fold_waits, with_requests, QueueStats, Request, RequestLog, ServiceSpan,
     SharedServer,
 };
+pub use record::Event;
 pub use sim::Sim;
 pub use time::SimTime;

@@ -113,18 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_bytes_roundtrips_at_boundary() {
-        assert_eq!(crate::trace_bytes(u32::MAX as u64), u32::MAX);
-        assert_eq!(crate::trace_bytes(2048), 2048);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the u32 trace field")]
-    fn trace_bytes_rejects_wrapping() {
-        crate::trace_bytes(u32::MAX as u64 + 1);
-    }
-
-    #[test]
     fn default_is_gamma_1989() {
         assert_eq!(RingConfig::default(), RingConfig::gamma_1989());
     }

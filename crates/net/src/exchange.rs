@@ -72,7 +72,7 @@
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use gamma_des::{SimTime, Usage};
+use gamma_des::{Event, SimTime, Usage};
 
 use crate::config::RingConfig;
 
@@ -695,31 +695,16 @@ impl Outbox {
     fn charge_emit(cfg: &RingConfig, usage: &mut Usage, src: usize, dst: usize, bytes: u64) {
         if src == dst {
             usage.cpu(cfg.shortcircuit_cpu_per_msg);
-            usage.counts.msgs_shortcircuit += 1;
-            gamma_metrics::counter_add("msgs_shortcircuit", src as u16, "exchange", 1);
-            gamma_metrics::counter_add("shortcircuit_bytes", src as u16, "exchange", bytes);
-            gamma_trace::emit(
-                src as u16,
-                usage.total_demand().as_us(),
-                gamma_trace::EventKind::ShortCircuit {
-                    bytes: crate::trace_bytes(bytes),
-                },
-            );
+            usage.record(src as u16, "exchange", Event::ShortCircuit { bytes });
         } else {
             usage.cpu(cfg.send_cpu_per_packet);
             usage.net(cfg.wire_time(bytes), bytes);
-            usage.counts.packets_sent += 1;
-            gamma_metrics::counter_add("packets_sent", src as u16, "exchange", 1);
-            gamma_metrics::counter_add("wire_bytes", src as u16, "exchange", bytes);
-            gamma_metrics::observe("packet_bytes", src as u16, "exchange", bytes);
-            gamma_trace::emit(
-                src as u16,
-                usage.total_demand().as_us(),
-                gamma_trace::EventKind::PacketSend {
-                    dst: dst as u16,
-                    bytes: crate::trace_bytes(bytes),
-                },
-            );
+            let ev = Event::PacketSent {
+                dst: dst as u16,
+                bytes,
+                wire: true,
+            };
+            usage.record(src as u16, "exchange", ev);
         }
     }
 
@@ -801,16 +786,12 @@ impl Inbox {
                 usage.cpu(SimTime::from_us(
                     cfg.unmarshal_cpu_per_tuple.as_us() * p.count as u64,
                 ));
-                usage.counts.packets_recv += 1;
-                gamma_metrics::counter_add("packets_recv", self.node as u16, "exchange", 1);
-                gamma_trace::emit(
-                    self.node as u16,
-                    usage.total_demand().as_us(),
-                    gamma_trace::EventKind::PacketRecv {
-                        src: src as u16,
-                        bytes: crate::trace_bytes(p.bytes),
-                    },
-                );
+                let ev = Event::PacketRecv {
+                    src: src as u16,
+                    bytes: p.bytes,
+                    wire: false,
+                };
+                usage.record(self.node as u16, "exchange", ev);
             }
         }
         Drained {

@@ -27,13 +27,3 @@ pub mod exchange;
 
 pub use config::RingConfig;
 pub use exchange::{Drained, Exchange, Image, Inbox, Msg, Outbox, Part};
-
-/// Narrow a payload size to the fixed-width `u32` byte field trace events
-/// carry. A silent `as` cast here once wrapped >4 GiB transfers to almost
-/// nothing in the trace; every real payload is batched into 2 KB packets,
-/// so anything past `u32` is a charging bug — fail loudly instead of
-/// mis-recording it.
-#[inline]
-pub fn trace_bytes(bytes: u64) -> u32 {
-    u32::try_from(bytes).expect("payload byte count exceeds the u32 trace field")
-}

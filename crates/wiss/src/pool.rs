@@ -15,7 +15,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
-use gamma_des::{SimTime, Usage};
+use gamma_des::{Event, SimTime, Usage};
 
 use crate::disk::{DiskConfig, FileId, HeadPos};
 
@@ -137,16 +137,11 @@ impl BufferPool {
             self.cfg.rand_read_us
         };
         usage.disk(SimTime::from_us(us));
-        usage.counts.pages_read += 1;
-        gamma_metrics::counter_add("pages_read", self.node, "pool", 1);
-        gamma_trace::emit(
-            self.node,
-            usage.total_demand().as_us(),
-            gamma_trace::EventKind::DiskRead {
-                file: file as u32,
-                page: page as u32,
-            },
-        );
+        let ev = Event::PageRead {
+            file: file as u32,
+            page: page as u32,
+        };
+        usage.record(self.node, "pool", ev);
         self.touch(key);
         false
     }
@@ -160,16 +155,11 @@ impl BufferPool {
             self.cfg.rand_write_us
         };
         usage.disk(SimTime::from_us(us));
-        usage.counts.pages_written += 1;
-        gamma_metrics::counter_add("pages_written", self.node, "pool", 1);
-        gamma_trace::emit(
-            self.node,
-            usage.total_demand().as_us(),
-            gamma_trace::EventKind::DiskWrite {
-                file: file as u32,
-                page: page as u32,
-            },
-        );
+        let ev = Event::PageWritten {
+            file: file as u32,
+            page: page as u32,
+        };
+        usage.record(self.node, "pool", ev);
         self.touch((file, page));
     }
 

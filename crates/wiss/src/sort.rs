@@ -105,6 +105,9 @@ struct Sorter<'a, K> {
 impl<K: Ord> Sorter<'_, K> {
     fn charge_compares(&mut self, n: u64) {
         self.usage.cpu(SimTime::from_us(self.cost.compare_us * n));
+        // The one ledger count not charged through `Usage::record`: the
+        // sort kernel knows no node, and its comparisons have no metric
+        // series or trace event to mirror.
         self.usage.counts.comparisons += n;
         self.stats.comparisons += n;
     }
