@@ -6,6 +6,7 @@ use gamma_core::machine::{Declustering, MachineConfig};
 use gamma_core::query::{Algorithm, JoinSite, JoinSpec};
 use gamma_core::tuple::{Field, Schema};
 use gamma_core::{run_join, Machine};
+use gamma_des::Counts;
 
 fn small_schema() -> Schema {
     Schema::new(vec![Field::Int("k".into()), Field::Str("pad".into(), 28)])
@@ -292,35 +293,86 @@ fn filters_on_edge_shapes() {
 /// respray passes than the resolve loop will run (each pass admits only a
 /// few tuples per site). That is a legal input, not a runaway: reaching the
 /// pass cap joins what is left by block-nested-loops, under either overflow
-/// policy, and the result is exact. (These four inputs used to panic with
-/// "overflow recursion ran away".)
+/// policy, and the result is exact. (These inputs used to panic with
+/// "overflow recursion ran away".) No committed artifact reaches that exit,
+/// so each case also pins its response and its total counts; the remote
+/// row has diskless join nodes deal their results to the disk nodes'
+/// stores.
 #[test]
 fn starved_simple_hash_hits_the_pass_cap_and_stays_exact() {
     let schema = small_schema();
     let attr = schema.int_attr("k");
-    for (n, memories) in [(2_000u32, [512u64, 1_024]), (10_000, [2_048, 4_096])] {
+    let mut pins = PINNED_BNL.iter();
+    for (site, n, memories) in [
+        (JoinSite::Local, 2_000u32, &[512u64, 1_024][..]),
+        (JoinSite::Local, 10_000, &[2_048, 4_096]),
+        (JoinSite::Remote, 2_000, &[512]),
+    ] {
         let keys: Vec<u32> = (0..n).collect();
-        let mut m = Machine::new(MachineConfig::local_8());
+        let mut m = Machine::new(match site {
+            JoinSite::Remote => MachineConfig::remote_8_plus_8(),
+            _ => MachineConfig::local_8(),
+        });
         let r = load(&mut m, "r", &keys);
         let s = load(&mut m, "s", &keys);
-        let in_memory = run_join(
-            &mut m,
-            &JoinSpec::new(Algorithm::SimpleHash, r, s, attr, attr, 1 << 24),
-        );
+        let mut spec = JoinSpec::new(Algorithm::SimpleHash, r, s, attr, attr, 1 << 24);
+        spec.site = site;
+        let in_memory = run_join(&mut m, &spec);
         assert_eq!(in_memory.result_tuples, n as u64);
         assert_eq!(in_memory.overflow_passes, 0);
-        for memory in memories {
+        for &memory in memories {
             for robust in [false, true] {
-                let mut spec = JoinSpec::new(Algorithm::SimpleHash, r, s, attr, attr, memory);
+                spec.memory_bytes = memory;
                 spec.skew_refinement = robust;
                 spec.dynamic_spill = robust;
                 let report = run_join(&mut m, &spec);
-                let what = format!("{n} x {n} at {memory} B, robust {robust}");
+                let what = format!("{site:?} {n} x {n} at {memory} B, robust {robust}");
                 assert_eq!(report.result_tuples, n as u64, "{what}");
                 assert_eq!(report.result_checksum, in_memory.result_checksum, "{what}");
                 assert!(report.bnl_fallback, "{what}: the cap exit is the BNL exit");
                 assert_eq!(report.overflow_passes, 63, "{what}");
+                let &(response, counts) = pins.next().expect("a pin per case");
+                assert_eq!(report.response.as_us(), response, "{what}");
+                assert_eq!(report.total.counts, counts, "{what}");
             }
         }
     }
+}
+
+/// The block-nested-loops cases above, in order: `(response µs, total
+/// counts)`, recorded before the cap exit stored its results through the
+/// absorb step. The counts are in [`Counts`] field order.
+#[rustfmt::skip]
+const PINNED_BNL: [(u64, Counts); 10] = [
+    pin(149883310, [32, 1300, 7377, 8409, 3402, 110447, 2000, 105741, 706, 736, 0, 1032, 4604, 0, 0]),
+    pin(151044130, [32, 1338, 7378, 8418, 3542, 111962, 2000, 107249, 713, 743, 0, 1040, 4662, 10, 1]),
+    pin(102638020, [32, 1149, 8415, 9447, 2938, 77385, 2000, 71557, 1828, 2154, 0, 1032, 6779, 0, 0]),
+    pin(102266290, [32, 1174, 8429, 9469, 3049, 77402, 2000, 71546, 1856, 2186, 0, 1040, 6834, 10, 1]),
+    pin(814424700, [96, 5386, 21043, 22075, 12163, 568184, 10000, 545127, 3057, 4145, 0, 1032, 19450, 0, 0]),
+    pin(815822060, [96, 5510, 20971, 22011, 12749, 575447, 10000, 552351, 3096, 4190, 0, 1040, 19787, 42, 0]),
+    pin(443046270, [96, 4050, 17744, 18776, 9158, 425765, 10000, 397951, 7814, 11418, 0, 1032, 31605, 0, 0]),
+    pin(437614460, [96, 4111, 17487, 18527, 9618, 426294, 10000, 398324, 7970, 11684, 0, 1040, 31854, 41, 1]),
+    pin(138582390, [32, 1300, 10904, 11936, 547, 110447, 2000, 105741, 706, 736, 0, 1032, 4604, 0, 0]),
+    pin(139792880, [32, 1338, 10903, 11943, 687, 111962, 2000, 107249, 713, 743, 0, 1040, 4662, 10, 1]),
+];
+
+const fn pin(response_us: u64, c: [u64; 15]) -> (u64, Counts) {
+    let counts = Counts {
+        pages_read: c[0],
+        pages_written: c[1],
+        packets_sent: c[2],
+        packets_recv: c[3],
+        msgs_shortcircuit: c[4],
+        tuples_in: c[5],
+        tuples_out: c[6],
+        hash_inserts: c[7],
+        hash_probes: c[8],
+        comparisons: c[9],
+        filter_drops: c[10],
+        control_msgs: c[11],
+        overflow_evictions: c[12],
+        pages_spilled: c[13],
+        pages_restored: c[14],
+    };
+    (response_us, counts)
 }
