@@ -45,7 +45,7 @@ use crate::exec::hash::{
 use crate::exec::{self, run_step, scan, StepCtx};
 use crate::hash::{hash_u32, respread_seed, JOIN_SEED};
 use crate::hash_table::{hprime_cell_of, JoinHashTable};
-use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink};
+use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
 use crate::report::{DriverOutput, PhaseRecord};
 use crate::split::{PartitioningSplitTable, RefineCfg, Route};
 use crate::tuple::Attr;
@@ -592,40 +592,52 @@ fn restore_spills(
     consumers.settle(machine, ledgers, sink);
 }
 
-/// Block-nested-loops fallback: join each `(R', S')` pair by staging `R'`
-/// in memory-sized blocks and scanning `S'` once per block.
+/// Block-nested-loops fallback: one step over the pairs' homes, where each
+/// home joins its `(R', S')` pairs in order by staging `R'` in memory-sized
+/// blocks and scanning `S'` once per block, dealing the matches to the
+/// store operators.
 fn block_nested_loops(
     machine: &mut Machine,
+    ledgers: &mut Ledgers,
     rz: &Resolved,
     pairs: &[OverflowPair],
-    sink: &mut ResultSink,
-    ledgers: &mut Ledgers,
 ) {
-    let cost = machine.cfg.cost.clone();
     let disk = machine.cfg.disk_nodes;
     let block_bytes = rz.capacity_per_site.max(rz.r_tuple_bytes);
     let block_tuples = (block_bytes / rz.r_tuple_bytes.max(1)).max(1) as usize;
-    for p in pairs {
-        let node = p.home;
-        let mut route = ResultRoute::new(node, disk);
-        let r_recs = exec::read_batch(machine, ledgers, node, p.r);
-        for block in r_recs.ranges().chunks(block_tuples) {
-            let s_recs = exec::read_batch(machine, ledgers, node, p.s);
-            for s_rec in s_recs.recs() {
-                cost.charge(&mut ledgers[node], cost.scan_tuple_us);
-                let sv = rz.s_attr.get(&s_rec);
-                for &rr in block {
-                    let r_rec = r_recs.rec(rr);
-                    cost.charge(&mut ledgers[node], cost.chain_compare_us);
-                    if rz.r_attr.get(&r_rec) == sv {
-                        // Both halves by reference to their pages.
-                        cost.charge(&mut ledgers[node], cost.compose_us);
-                        sink.push(machine, ledgers, &mut route, node, r_rec, s_rec);
+    let (homes, r_files, s_files) = by_home(pairs);
+    let mut states: Vec<_> = r_files.into_iter().zip(s_files).collect();
+    run_step(
+        machine,
+        ledgers,
+        "block nested loops",
+        &homes,
+        &mut states,
+        |ctx, (r_files, s_files)| {
+            for (&r, &s) in r_files.iter().zip(s_files.iter()) {
+                let mut route = ResultRoute::new(ctx.node, disk);
+                let r_recs = ctx.read_batch(r);
+                for block in r_recs.ranges().chunks(block_tuples) {
+                    let s_recs = ctx.read_batch(s);
+                    for s_rec in s_recs.recs() {
+                        ctx.charge(ctx.cost.scan_tuple_us);
+                        let sv = rz.s_attr.get(&s_rec);
+                        for &rr in block {
+                            let r_rec = r_recs.rec(rr);
+                            ctx.charge(ctx.cost.chain_compare_us);
+                            if rz.r_attr.get(&r_rec) == sv {
+                                // Both halves by reference to their pages.
+                                ctx.charge(ctx.cost.compose_us);
+                                ctx.ledger
+                                    .record(ctx.node as u16, "result", Event::TupleOut);
+                                ctx.send_parts(route.advance(), RESULT_TAG, r_rec, s_rec);
+                            }
+                        }
                     }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// Group overflow pairs by home node: the homes (ascending) and, per home,
@@ -838,8 +850,8 @@ impl<'a> HashJoin<'a> {
             if !next.is_empty() && (next_r >= input_r || pass >= MAX_RESPRAY_PASSES) {
                 self.bnl_fallback = true;
                 let mut ledgers = self.machine.ledgers();
-                block_nested_loops(self.machine, rz, &next, &mut self.sink, &mut ledgers);
-                self.sink.flush(self.machine, &mut ledgers);
+                block_nested_loops(self.machine, &mut ledgers, rz, &next);
+                Consumers::new(self.machine).absorb(self.machine, &mut ledgers, &mut self.sink);
                 self.delete(&next);
                 self.phases.push(PhaseRecord::new(
                     format!("{prefix}overflow-bnl p{pass}"),

@@ -339,7 +339,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             );
         },
     );
-    sink.flush(machine, &mut ledgers);
+    Consumers::new(machine).absorb(machine, &mut ledgers, &mut sink);
     for (i, &node) in disk_nodes.iter().enumerate() {
         exec::delete_file(machine, node, r_runs[i]);
         exec::delete_file(machine, node, s_runs[i]);

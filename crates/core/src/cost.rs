@@ -137,12 +137,6 @@ impl CostModel {
         }
     }
 
-    /// µs → [`SimTime`] convenience.
-    #[inline]
-    pub fn t(&self, us: u64) -> SimTime {
-        SimTime::from_us(us)
-    }
-
     /// Charge `us` microseconds of CPU to a ledger.
     #[inline]
     pub fn charge(&self, usage: &mut gamma_des::Usage, us: u64) {

@@ -38,6 +38,7 @@ use gamma_wiss::{FileId, HeapWriter};
 use crate::algorithms::common::Resolved;
 use crate::batch::Rec;
 use crate::bitfilter::BitFilter;
+use crate::checksum::checksum_concat;
 use crate::exec::{self, run_step, StepCtx};
 use crate::hash::{hash_u32, overflow_seed};
 use crate::hash_table::{JoinHashTable, Offer};
@@ -243,11 +244,16 @@ impl JoinNode {
         writer.push(vol, pool, ctx.ledger, rec);
     }
 
-    /// Result store operator: append one delivered result tuple `r ‖ s`.
+    /// Result store operator: append one delivered result tuple `r ‖ s`
+    /// at this disk node — the store's CPU plus the heap append, both
+    /// halves written straight into the page being filled — and tally it
+    /// for [`ResultSink::absorb`].
     fn on_result(&mut self, ctx: &mut StepCtx<'_>, r: &[u8], s: &[u8]) {
         let w = self.store.as_mut().expect("store operator open");
-        let sum = ResultSink::store_at(ctx.cost, ctx.state, ctx.ledger, w, r, s);
-        self.check = self.check.wrapping_add(sum);
+        ctx.charge(ctx.cost.store_tuple_us);
+        let (vol, pool) = ctx.state.vp();
+        w.push_concat(vol, pool, ctx.ledger, r, s);
+        self.check = self.check.wrapping_add(checksum_concat(0, r, s));
         self.stored += 1;
     }
 }

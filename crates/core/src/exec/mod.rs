@@ -11,6 +11,10 @@
 //! * an *absorb* step drains each node's inbox and applies the delivered
 //!   messages (hash-table inserts/probes, spool stores, result stores).
 //!
+//! [`run_step`] is the only way into the exchange: nothing else in the
+//! engine routes it, takes an inbox or reaches an outbox, so every tuple
+//! is sent by one node step and stored by a later absorb step.
+//!
 //! Because a worker only ever touches its own node's state and its own
 //! outbox, the steps of one wave are independent: each step dispatches
 //! the per-node closures onto the machine's persistent [`pool`] (workers
@@ -383,8 +387,7 @@ where
 
 /// Scan a heap file into a page-backed [`TupleBatch`] — one handle per
 /// page and that page's slot ranges, no record copied — charging each
-/// page read as the scan enters the page (shared by the `Scan` stage,
-/// [`StepCtx::read_batch`] and the free helper below).
+/// page read as the scan enters the page ([`StepCtx::read_batch`]).
 fn read_file_batch(
     vol: &gamma_wiss::Volume,
     pool: &mut gamma_wiss::BufferPool,
@@ -397,19 +400,6 @@ fn read_file_batch(
         batch.push_page(vol.page(file, idx));
     }
     batch
-}
-
-/// Read every record of a heap file at `node` into a [`TupleBatch`]
-/// (main-thread convenience, used by the block-nested-loops fallback;
-/// workers use [`StepCtx::read_batch`]).
-pub fn read_batch(
-    machine: &mut Machine,
-    ledgers: &mut Ledgers,
-    node: NodeId,
-    file: FileId,
-) -> TupleBatch {
-    let (vol, pool) = machine.nodes[node].vp();
-    read_file_batch(vol, pool, &mut ledgers[node], file)
 }
 
 /// Delete a temporary file at `node` and evict its cached pages.
@@ -539,11 +529,13 @@ mod tests {
         }
         let file = w.finish(vol, pool, &mut ledgers[0]);
         assert_eq!(m.nodes[0].vol().file_pages(file), 32_769);
-        let batch = read_batch(&mut m, &mut ledgers, 0, file);
-        assert_eq!(batch.len(), 32_769);
-        for (i, rec) in batch.iter().enumerate() {
-            assert_eq!(rec[..4], (i as u32).to_le_bytes(), "record {i}");
-        }
+        run_step(&mut m, &mut ledgers, "read", &[0], &mut [()], |ctx, _| {
+            let batch = ctx.read_batch(file);
+            assert_eq!(batch.len(), 32_769);
+            for (i, rec) in batch.iter().enumerate() {
+                assert_eq!(rec[..4], (i as u32).to_le_bytes(), "record {i}");
+            }
+        });
     }
 
     #[test]

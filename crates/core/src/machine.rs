@@ -12,12 +12,10 @@
 //! horizontally declustered across the disk nodes at load time by one of
 //! the paper's strategies (round-robin, hashed, range).
 
-use gamma_des::{Event, Usage};
+use gamma_des::Usage;
 use gamma_net::Exchange;
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
-use crate::batch::Rec;
-use crate::checksum::checksum_concat;
 pub use crate::checksum::multiset_checksum;
 use crate::cost::CostModel;
 use crate::exec::ExecConfig;
@@ -385,13 +383,14 @@ impl ResultRoute {
     }
 }
 
-/// Round-robin result store: the operators at the root of the query tree
-/// distribute result tuples to store operators at each disk site (Section
-/// 2.2). Producers send [`RESULT_TAG`] messages through the [`Exchange`];
-/// the store side runs at the disk nodes when their inboxes drain.
+/// The query's result relation: the operators at the root of the query
+/// tree distribute result tuples to store operators at each disk site
+/// (Section 2.2). Producers send [`RESULT_TAG`] messages through the
+/// [`Exchange`]; the store operator is the absorb step's
+/// (`exec::hash::Consumers::absorb`), which borrows each disk node's writer
+/// from the sink for the step and folds its stored count and checksum back.
 pub struct ResultSink {
     writers: Vec<Option<HeapWriter>>,
-    disk_nodes: usize,
     tuples: u64,
     checksum: u64,
 }
@@ -410,14 +409,12 @@ pub struct ResultInfo {
 impl ResultSink {
     /// Open one store operator per disk node.
     pub fn new(machine: &mut Machine) -> Self {
-        let d = machine.cfg.disk_nodes;
         let page = machine.cfg.cost.disk.page_bytes;
-        let writers = (0..d)
+        let writers = (0..machine.cfg.disk_nodes)
             .map(|n| Some(HeapWriter::create(machine.nodes[n].vol_mut(), page)))
             .collect();
         ResultSink {
             writers,
-            disk_nodes: d,
             tuples: 0,
             checksum: 0,
         }
@@ -425,7 +422,7 @@ impl ResultSink {
 
     /// Number of store operators.
     pub fn disk_nodes(&self) -> usize {
-        self.disk_nodes
+        self.writers.len()
     }
 
     /// Take disk node `n`'s store writer for the duration of a consumer
@@ -442,94 +439,24 @@ impl ResultSink {
         self.writers[n] = Some(w);
     }
 
-    /// Store one delivered result tuple `r ‖ s` at its destination disk
-    /// node: the store operator's CPU plus the heap append, both halves
-    /// written straight into the page being filled. Returns the record's
-    /// checksum contribution; callers fold the per-step tallies back with
-    /// [`ResultSink::absorb`].
-    pub fn store_at(
-        cost: &CostModel,
-        node: &mut NodeState,
-        usage: &mut Usage,
-        w: &mut HeapWriter,
-        r: &[u8],
-        s: &[u8],
-    ) -> u64 {
-        usage.cpu(cost.t(cost.store_tuple_us));
-        let (vol, pool) = node.vp();
-        w.push_concat(vol, pool, usage, r, s);
-        checksum_concat(0, r, s)
-    }
-
     /// Fold one step's stored-tuple count and checksum sum into the sink.
     pub fn absorb(&mut self, tuples: u64, checksum: u64) {
         self.tuples += tuples;
         self.checksum = self.checksum.wrapping_add(checksum);
     }
 
-    /// Main-thread producer path (the block-nested-loops fallback): send
-    /// one composed result tuple `r ‖ s` from the operator on `src` into
-    /// the exchange, each part by reference when it lies on a shared image
-    /// (a single tuple is `r` with `s` empty). The tuple is stored when
-    /// [`ResultSink::flush`] drains the store nodes.
-    pub fn push(
-        &mut self,
-        machine: &mut Machine,
-        usage: &mut Ledgers,
-        route: &mut ResultRoute,
-        src: NodeId,
-        r: Rec<'_>,
-        s: Rec<'_>,
-    ) {
-        let dst = route.advance();
-        usage[src].record(src as u16, "result", Event::TupleOut);
-        machine.exchange.outboxes_mut()[src].send_parts(&mut usage[src], dst, RESULT_TAG, r, s);
-    }
-
-    /// Main-thread store path: seal every outbox, route, and run the store
-    /// operators sequentially over their inboxes. Every delivered message
-    /// must be a result tuple (operators with other in-flight traffic must
-    /// drain it before flushing the sink).
-    pub fn flush(&mut self, machine: &mut Machine, usage: &mut Ledgers) {
-        let cost = machine.cfg.cost.clone();
-        for (n, ledger) in usage.iter_mut().enumerate() {
-            machine.exchange.outboxes_mut()[n].seal(ledger);
-        }
-        machine.exchange.route();
-        for (n, ledger) in usage.iter_mut().enumerate().take(self.disk_nodes) {
-            let mut inbox = machine.exchange.take_inbox(n);
-            let msgs = inbox.drain(ledger);
-            let mut w = self.take_writer(n);
-            let mut tuples = 0u64;
-            let mut sum = 0u64;
-            for m in msgs.iter() {
-                assert_eq!(m.tag, RESULT_TAG, "unexpected stream in result flush");
-                sum = sum.wrapping_add(Self::store_at(
-                    &cost,
-                    &mut machine.nodes[n],
-                    ledger,
-                    &mut w,
-                    m.payload,
-                    m.tail,
-                ));
-                tuples += 1;
-            }
-            drop(msgs);
-            machine.exchange.return_inbox(inbox);
-            self.put_writer(n, w);
-            self.absorb(tuples, sum);
-        }
-    }
-
     /// Close the store operators and return the result description.
-    pub fn finish(mut self, machine: &mut Machine, usage: &mut Ledgers) -> ResultInfo {
-        let mut files = Vec::with_capacity(self.disk_nodes);
-        let writers = std::mem::take(&mut self.writers);
-        for (n, w) in writers.into_iter().enumerate() {
-            let w = w.expect("store writer in use");
-            let (vol, pool) = machine.nodes[n].vp();
-            files.push(w.finish(vol, pool, &mut usage[n]));
-        }
+    pub fn finish(self, machine: &mut Machine, usage: &mut Ledgers) -> ResultInfo {
+        let files = self
+            .writers
+            .into_iter()
+            .enumerate()
+            .map(|(n, w)| {
+                let w = w.expect("store writer in use");
+                let (vol, pool) = machine.nodes[n].vp();
+                w.finish(vol, pool, &mut usage[n])
+            })
+            .collect();
         ResultInfo {
             files,
             tuples: self.tuples,
@@ -541,7 +468,10 @@ impl ResultSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::hash::Consumers;
+    use crate::exec::run_step;
     use crate::tuple::Field;
+    use gamma_des::Event;
 
     fn schema() -> Schema {
         Schema::new(vec![Field::Int("k".into()), Field::Str("pad".into(), 28)])
@@ -643,14 +573,24 @@ mod tests {
         let mut m = Machine::new(MachineConfig::local_8());
         let mut ledgers = m.ledgers();
         let mut sink = ResultSink::new(&mut m);
-        let mut route = ResultRoute::new(0, 8);
-        for i in 0..16u32 {
-            // Sent in two parts, stored and checksummed as one record.
-            let bytes = i.to_le_bytes();
-            let (r, s) = bytes.split_at(1);
-            sink.push(&mut m, &mut ledgers, &mut route, 0, r.into(), s.into());
-        }
-        sink.flush(&mut m, &mut ledgers);
+        run_step(
+            &mut m,
+            &mut ledgers,
+            "produce",
+            &[0],
+            &mut [()],
+            |ctx, _| {
+                let mut route = ResultRoute::new(0, 8);
+                for i in 0..16u32 {
+                    // Sent in two parts, stored and checksummed as one record.
+                    let bytes = i.to_le_bytes();
+                    let (r, s) = bytes.split_at(1);
+                    ctx.ledger.record(0, "result", Event::TupleOut);
+                    ctx.send_parts(route.advance(), RESULT_TAG, r.into(), s.into());
+                }
+            },
+        );
+        Consumers::new(&m).absorb(&mut m, &mut ledgers, &mut sink);
         assert!(m.exchange.is_drained());
         let info = sink.finish(&mut m, &mut ledgers);
         assert_eq!(info.tuples, 16);
