@@ -64,7 +64,10 @@ impl BufferPool {
         BufferPool {
             cfg,
             capacity,
-            frames: HashMap::with_capacity_and_hasher(capacity, FrameHasher::default()),
+            // Room for twice the frames: fewer than half its slots are ever
+            // live, so the insert/evict churn of a full pool rehashes in
+            // place and never grows the table, which `clear` would keep.
+            frames: HashMap::with_capacity_and_hasher(2 * capacity, FrameHasher::default()),
             touches: VecDeque::new(),
             stamp: 0,
             head: HeadPos::default(),
@@ -273,6 +276,29 @@ mod tests {
         assert_eq!(p.peak_pages(), 0);
         p.charge_read(1, 0, &mut u);
         assert_eq!(p.peak_pages(), 1);
+    }
+
+    #[test]
+    fn a_full_pool_churned_across_clears_never_grows_its_frame_table() {
+        // A reused machine reads ever-new file ids, so each run hashes new
+        // keys and leaves a new tombstone pattern behind its evictions.
+        // Tombstones lower `capacity()` until the next in-place rehash or
+        // `clear`, so it is compared after each clear: a table that grew
+        // keeps its larger size there.
+        let mut p = pool(48);
+        let capacity = p.frames.capacity();
+        let mut u = Usage::ZERO;
+        let mut file = 0;
+        for run in 0..8 {
+            for _ in 0..16 {
+                file += 1;
+                for page in 0..24 {
+                    p.charge_read(file, page, &mut u);
+                }
+            }
+            p.clear();
+            assert_eq!(p.frames.capacity(), capacity, "run {run}");
+        }
     }
 
     /// The pool as it was, finding its victim by scanning every frame: the
