@@ -76,6 +76,11 @@
 # charged in `crates/core/src/exec/control.rs`. A second batcher — a
 # `struct Fabric` or a `fn send_tuple` in any non-test body — or a machine
 # field holding one is a second N×N pending matrix charging packets again.
+# One exchange client: `run_step` (`crates/core/src/exec/mod.rs`) is the
+# only engine code that routes the exchange, takes or returns an inbox or
+# reaches into the outboxes, so every tuple is sent and stored by a node
+# step; a main-thread store loop anywhere else in `crates/core/src` is a
+# second way into the exchange.
 # The event kernel keeps only what its users need: the phase replay
 # records its own simulation steps, so a traced mode (`trace_steps`) or
 # event cancellation (`fn cancel`) in `crates/des/src/sim.rs` is dead
@@ -256,6 +261,17 @@ if [ -n "$hits" ]; then
     echo "$hits" | sed "s|^|  |" >&2
     fail=1
 fi
+while IFS= read -r f; do
+    [ "$f" = crates/core/src/exec/mod.rs ] && continue
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE 'outboxes_mut\(|take_inbox\(|return_inbox\(|exchange\.route\(' |
+        grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f reaches into the exchange; only run_step may:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/core/src -name '*.rs' | sort)
 hits=$(grep -nE 'trace_steps|fn cancel\b' crates/des/src/sim.rs || true)
 if [ -n "$hits" ]; then
     echo "error: crates/des/src/sim.rs grew a traced mode or cancellation again:" >&2
@@ -307,4 +323,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
