@@ -340,8 +340,7 @@ fn starved_simple_hash_hits_the_pass_cap_and_stays_exact() {
 }
 
 /// The block-nested-loops cases above, in order: `(response µs, total
-/// counts)`, recorded before the cap exit stored its results through the
-/// absorb step. The counts are in [`Counts`] field order.
+/// counts)`, the counts in [`Counts`] field order.
 #[rustfmt::skip]
 const PINNED_BNL: [(u64, Counts); 10] = [
     pin(149883310, [32, 1300, 7377, 8409, 3402, 110447, 2000, 105741, 706, 736, 0, 1032, 4604, 0, 0]),
