@@ -375,3 +375,62 @@ const fn pin(response_us: u64, c: [u64; 15]) -> (u64, Counts) {
     };
     (response_us, counts)
 }
+
+/// Each join process deals its results round-robin to the disk nodes'
+/// stores, starting at its own node, and restarts that rotation in every
+/// pass. So a join of several passes stores a fixed number of results at
+/// each disk node, and the response its store writes add up to is fixed
+/// too. Grace at r0.2 runs one pass per bucket (and resprays a bucket that
+/// overflows); optimistic Hybrid at r0.5 on skewed keys overflows and
+/// resprays. Both results are materialized, and each case pins its
+/// per-node fragment sizes and its response.
+#[test]
+fn multi_pass_joins_place_their_results_exactly() {
+    use gamma_core::query::run_join_materialized;
+    use gamma_core::query::OverflowPolicy::{Optimistic, Pessimistic};
+    let schema = small_schema();
+    let attr = schema.int_attr("k");
+    let uniform: Vec<u32> = (0..2_000).collect();
+    // A fifth of the inner keys share 40 values: their sites overflow.
+    let skewed: Vec<u32> = (0..2_000)
+        .map(|i| if i % 5 == 0 { i % 40 } else { i })
+        .collect();
+    let outer: Vec<u32> = (0..4_000).map(|i| i % 2_000).collect();
+    let cases = [
+        (Algorithm::GraceHash, Pessimistic, &uniform, 0.2),
+        (Algorithm::HybridHash, Optimistic, &skewed, 0.5),
+    ];
+    for ((alg, policy, inner, ratio), pin) in cases.into_iter().zip(PINNED_PLACEMENT) {
+        let mut m = Machine::new(MachineConfig::local_8());
+        let r = load(&mut m, "r", inner);
+        let s = load(&mut m, "s", &outer);
+        let memory = (m.relation(r).data_bytes as f64 * ratio) as u64;
+        let mut spec = JoinSpec::new(alg, r, s, attr, attr, memory);
+        spec.overflow_policy = policy;
+        let (id, report) = run_join_materialized(&mut m, &spec, "result");
+        let what = format!("{} r{ratio}", alg.name());
+        assert_eq!(report.result_tuples, 4_000, "{what}");
+        assert!(!report.bnl_fallback, "{what}");
+        let rel = m.relation(id);
+        let placed: Vec<usize> = m
+            .disk_nodes()
+            .into_iter()
+            .map(|n| m.nodes[n].vol().file_records(rel.fragments[n]))
+            .collect();
+        let got = (
+            report.buckets,
+            report.overflow_passes,
+            placed,
+            report.response.as_us(),
+        );
+        assert_eq!(got, (pin.0, pin.1, pin.2.to_vec(), pin.3), "{what}");
+    }
+}
+
+/// The cases above, in order: `(buckets, overflow passes, result tuples
+/// stored at each disk node, response µs)`.
+#[rustfmt::skip]
+const PINNED_PLACEMENT: [(usize, u32, [usize; 8], u64); 2] = [
+    (5, 4, [501, 502, 500, 501, 499, 498, 500, 499], 9940830),
+    (2, 2, [502, 501, 502, 499, 496, 498, 500, 502], 6665290),
+];
