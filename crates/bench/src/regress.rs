@@ -326,7 +326,7 @@ pub fn render_alloc_ceilings(scale: f64, points: &[AllocCeiling]) -> String {
 
 /// Gate fresh ceilings against the committed ones: a point whose fresh
 /// count exceeds its committed ceiling is a data-plane regression. The
-/// fresh side is a re-recorded document, and [`ceiling_for`] is strictly
+/// fresh side is a re-recorded document, and `ceiling_for` is strictly
 /// increasing, so a count exceeds the committed ceiling `c` exactly when
 /// its re-recorded ceiling exceeds `ceiling_for(c)`. Points committed but
 /// not re-recorded are failures; counts that fall pass (to tighten the

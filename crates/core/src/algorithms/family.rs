@@ -39,13 +39,13 @@ use crate::batch::{Rec, TupleBatch};
 use crate::bitfilter::BitFilter;
 use crate::exec::control::{broadcast, broadcast_filters, dispatch_overhead};
 use crate::exec::hash::{
-    tag, take_overflows, Consumers, JoinSites, OverflowPair, ProbeSnapshot, Spilled, TAG_BUCKET,
-    TAG_BUILD, TAG_PROBE, TAG_SPOOL_R, TAG_SPOOL_S,
+    tag, take_overflows, Consumers, JoinSites, OverflowPair, ProbeSnapshot, ResultRoute, Spilled,
+    RESULT_TAG, TAG_BUCKET, TAG_BUILD, TAG_PROBE, TAG_SPOOL_R, TAG_SPOOL_S,
 };
 use crate::exec::{self, run_step, scan, StepCtx};
 use crate::hash::{hash_u32, respread_seed, JOIN_SEED};
 use crate::hash_table::{hprime_cell_of, JoinHashTable};
-use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
+use crate::machine::{Ledgers, Machine, NodeId};
 use crate::report::{DriverOutput, PhaseRecord};
 use crate::split::{PartitioningSplitTable, RefineCfg, Route};
 use crate::tuple::Attr;
@@ -516,7 +516,6 @@ fn restore_spills(
     rz: &Resolved,
     consumers: &mut Consumers,
     sites: &JoinSites,
-    sink: &mut ResultSink,
 ) {
     let by_home = consumers.take_spilled(machine, ledgers, sites);
     if by_home.is_empty() {
@@ -589,7 +588,7 @@ fn restore_spills(
             exec::delete_file(machine, sites.home(job.site), job.file);
         }
     }
-    consumers.settle(machine, ledgers, sink);
+    consumers.settle(machine, ledgers);
 }
 
 /// Block-nested-loops fallback: one step over the pairs' homes, where each
@@ -660,20 +659,21 @@ pub(super) struct HashJoin<'a> {
     /// The machine the join runs on.
     pub machine: &'a mut Machine,
     rz: &'a Resolved,
-    sink: ResultSink,
+    consumers: Consumers,
     phases: Vec<PhaseRecord>,
     overflow_passes: u32,
     bnl_fallback: bool,
 }
 
 impl<'a> HashJoin<'a> {
-    /// Open the result store and start with no phases.
+    /// Open the join's consumer side, result store included, and start
+    /// with no phases.
     pub fn new(machine: &'a mut Machine, rz: &'a Resolved) -> Self {
-        let sink = ResultSink::new(machine);
+        let consumers = Consumers::new(machine);
         HashJoin {
             machine,
             rz,
-            sink,
+            consumers,
             phases: Vec::new(),
             overflow_passes: 0,
             bnl_fallback: false,
@@ -688,13 +688,12 @@ impl<'a> HashJoin<'a> {
     /// runs after the build of a pass over stored files, under the robust
     /// policy — overflow passes never restore.
     pub fn pass(&mut self, mut p: Pass<'_>) -> (Vec<OverflowPair>, Buckets) {
-        let (machine, rz, sink) = (&mut *self.machine, self.rz, &mut self.sink);
+        let (machine, rz, consumers) = (&mut *self.machine, self.rz, &mut self.consumers);
         let stored = matches!(p.inner.scan, Scan::Stored(_));
         // Buckets that spool: all of Grace's, Hybrid's 2..N, none otherwise.
         let first = if p.sites.is_empty() { 1 } else { 2 };
         let last = p.route.map_or(0, |(table, _)| table.buckets());
         let mut form = p.form.take();
-        let mut consumers = Consumers::new(machine);
         let sites = consumers.install_sites(machine, rz, p.sites, p.hprime, p.filter_salt);
 
         // ---- build half: route the inner input into the sites' hash
@@ -718,9 +717,9 @@ impl<'a> HashJoin<'a> {
         let route = p
             .route
             .map(|(table, seed)| (refined.as_ref().unwrap_or(table), seed));
-        consumers.settle(machine, &mut ledgers, sink);
+        consumers.settle(machine, &mut ledgers);
         if stored && rz.dynamic_spill {
-            restore_spills(machine, &mut ledgers, rz, &mut consumers, &sites, sink);
+            restore_spills(machine, &mut ledgers, rz, consumers, &sites);
         }
         let r = consumers.close_buckets(machine, &mut ledgers);
         observe_buckets(machine, &r);
@@ -754,10 +753,10 @@ impl<'a> HashJoin<'a> {
             form: form.as_deref(),
         };
         partition(machine, &mut ledgers, rz, &p, route, None, &outer);
-        consumers.settle(machine, &mut ledgers, sink);
+        consumers.settle(machine, &mut ledgers);
         let s = consumers.close_buckets(machine, &mut ledgers);
         observe_buckets(machine, &s);
-        let pairs = take_overflows(machine, &mut ledgers, &mut consumers, &sites);
+        let pairs = take_overflows(machine, &mut ledgers, consumers, &sites);
         let starters = if stored { p.outer.nodes } else { p.sites };
         let sched = dispatch_overhead(machine, &mut ledgers, starters, table_bytes);
         if let Some(bucket) = p.bucket {
@@ -851,7 +850,7 @@ impl<'a> HashJoin<'a> {
                 self.bnl_fallback = true;
                 let mut ledgers = self.machine.ledgers();
                 block_nested_loops(self.machine, &mut ledgers, rz, &next);
-                Consumers::new(self.machine).absorb(self.machine, &mut ledgers, &mut self.sink);
+                self.consumers.absorb(self.machine, &mut ledgers);
                 self.delete(&next);
                 self.phases.push(PhaseRecord::new(
                     format!("{prefix}overflow-bnl p{pass}"),
@@ -917,7 +916,7 @@ impl<'a> HashJoin<'a> {
     /// Close the result store and hand the phases to the replay.
     pub fn finish(mut self, buckets: usize) -> DriverOutput {
         let last = self.phases.last_mut().expect("a join has phases");
-        let result = self.sink.finish(self.machine, &mut last.ledgers);
+        let result = self.consumers.finish(self.machine, &mut last.ledgers);
         // The store's final page flushes landed after the phase sealed;
         // refresh the queue-wait annotation so the recorded waits cover the
         // final request log (replay drains the same log when timing the

@@ -9,7 +9,7 @@
 //! up, which needs the sorted file local).
 //!
 //! The redistribution is the hash-join family's partition step
-//! ([`family::partition`]) over the one-bucket Grace table: `h mod D`, every
+//! (`family::partition`) over the one-bucket Grace table: `h mod D`, every
 //! entry a spool to a disk site's temp file. Bit filters are built at each
 //! disk site while the inner relation is stored into its temp file, then
 //! applied at the *source* while the outer relation is partitioned: a
@@ -36,10 +36,10 @@ use gamma_wiss::{BufferPool, FileId, SortConfig};
 use crate::batch::Rec;
 use crate::bitfilter::BitFilter;
 use crate::exec::control::{broadcast, dispatch_overhead};
-use crate::exec::hash::{Consumers, JoinSites};
+use crate::exec::hash::{Consumers, JoinSites, ResultRoute, RESULT_TAG};
 use crate::exec::{self, run_step, StepCtx};
 use crate::hash::JOIN_SEED;
-use crate::machine::{Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
+use crate::machine::{Machine, NodeId};
 use crate::report::{DriverOutput, PhaseRecord};
 use crate::split::PartitioningSplitTable;
 
@@ -92,7 +92,7 @@ impl Side for Outer<'_> {
 fn redistribute(
     machine: &mut Machine,
     phases: &mut Vec<PhaseRecord>,
-    sink: &mut ResultSink,
+    consumers: &mut Consumers,
     rz: &Resolved,
     filters: &mut [Option<BitFilter>],
     inner: bool,
@@ -105,7 +105,6 @@ fn redistribute(
         outer: Input::fragments(&disk_nodes, &rz.s_fragments, rz.s_pred),
         ..Pass::default()
     };
-    let mut consumers = Consumers::new(machine);
     consumers.open_buckets(machine, 1, 1);
     let mut ledgers = machine.ledgers();
     if inner {
@@ -118,7 +117,7 @@ fn redistribute(
         let side = Outer { filters };
         family::partition(machine, &mut ledgers, rz, &p, p.route, None, &side);
     }
-    consumers.settle(machine, &mut ledgers, sink);
+    consumers.settle(machine, &mut ledgers);
     let files = consumers.close_buckets(machine, &mut ledgers);
     if inner {
         consumers.take_filters(filters);
@@ -257,7 +256,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let d = disk_nodes.len();
     let mem_per_node = rz.capacity_per_site; // resolver set this to M / D
     let mut phases = Vec::new();
-    let mut sink = ResultSink::new(machine);
+    let mut consumers = Consumers::new(machine);
 
     let mut filters: Vec<Option<BitFilter>> = (0..d)
         .map(|i| {
@@ -267,7 +266,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
         .collect();
 
     // Phase 1: redistribute R (building filters at the destinations).
-    let r_temp = redistribute(machine, &mut phases, &mut sink, rz, &mut filters, true);
+    let r_temp = redistribute(machine, &mut phases, &mut consumers, rz, &mut filters, true);
     // Phase 2: sort R locally.
     let r_runs = sort_phase(
         machine,
@@ -279,7 +278,14 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     );
 
     // Phase 3: redistribute S, filtering at the sources.
-    let s_temp = redistribute(machine, &mut phases, &mut sink, rz, &mut filters, false);
+    let s_temp = redistribute(
+        machine,
+        &mut phases,
+        &mut consumers,
+        rz,
+        &mut filters,
+        false,
+    );
     // Phase 4: sort S locally.
     let s_runs = sort_phase(
         machine,
@@ -339,13 +345,13 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             );
         },
     );
-    Consumers::new(machine).absorb(machine, &mut ledgers, &mut sink);
+    consumers.absorb(machine, &mut ledgers);
     for (i, &node) in disk_nodes.iter().enumerate() {
         exec::delete_file(machine, node, r_runs[i]);
         exec::delete_file(machine, node, s_runs[i]);
     }
     let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, 0);
-    let result = sink.finish(machine, &mut ledgers);
+    let result = consumers.finish(machine, &mut ledgers);
     phases.push(PhaseRecord::new("merge join", ledgers, sched));
 
     DriverOutput {

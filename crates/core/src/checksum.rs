@@ -2,7 +2,7 @@
 //!
 //! Every gate, test and benchmark pass proves "the parallel join produced
 //! the reference join's result" by comparing cardinality plus this
-//! checksum, so the engine's store path ([`crate::machine::ResultSink`]),
+//! checksum, so the engine's result store ([`crate::exec::hash::Consumers`]),
 //! the oracle join and the model joins in the tests all call the one
 //! implementation here.
 //!

@@ -1,19 +1,24 @@
-//! Consumer-side state of the hash-join family.
+//! Consumer side of every join, and the query's result store.
 //!
-//! Every hash-based join funnels through a set of per-node [`JoinNode`]
-//! consumer states driven by the executor: one [`JoinHashTable`] per join
-//! process (the `Build`/`Probe` stages), plus each node's overflow spools,
-//! bucket-forming writers (which also store sort-merge's redistributed
-//! relations, building its filters where they land), and result store
-//! operator. Producers route tuples to these consumers as
-//! tagged exchange messages; an *absorb* step drains each node's inbox and
-//! applies the messages.
+//! Every join funnels through one [`Consumers`]: a set of per-node
+//! [`JoinNode`] consumer states driven by the executor, built when the join
+//! starts and closed by [`Consumers::finish`] when it ends. A node may run
+//! one [`JoinHashTable`] per join process (the `Build`/`Probe` stages),
+//! overflow spools, bucket-forming writers (which also store sort-merge's
+//! redistributed relations, building its filters where they land), and —
+//! at a disk node, for the whole join — the result store operator
+//! (§2.2: the operators at the root of the query distribute result tuples
+//! to a store operator at each disk site). Producers route tuples to these
+//! consumers as tagged exchange messages; an *absorb* step drains each
+//! node's inbox and applies the messages.
 //!
-//! This module is consumer state only — the stream tags, [`JoinNode`],
-//! [`Consumers`], [`JoinSites`], the [`ProbeSnapshot`] producers consult,
-//! and the overflow files a round leaves behind ([`take_overflows`]). It
-//! runs no producer step: the one partition step, the one build/probe
-//! pass and the one overflow `resolve` that drive these consumers live in
+//! This module is consumer state only — the stream tags ([`RESULT_TAG`]
+//! included), [`JoinNode`], [`Consumers`], [`JoinSites`], the
+//! [`ProbeSnapshot`] producers consult, the [`ResultRoute`] producers deal
+//! results by, the overflow files a round leaves behind
+//! ([`take_overflows`]) and the finished result ([`ResultInfo`]). It runs
+//! no producer step: the one partition step, the one build/probe pass and
+//! the one overflow `resolve` that drive these consumers live in
 //! [`crate::algorithms::family`].
 //!
 //! Key behaviours implemented exactly as the paper describes:
@@ -42,7 +47,7 @@ use crate::checksum::checksum_concat;
 use crate::exec::{self, run_step, StepCtx};
 use crate::hash::{hash_u32, overflow_seed};
 use crate::hash_table::{JoinHashTable, Offer};
-use crate::machine::{Ledgers, Machine, NodeId, ResultRoute, ResultSink, RESULT_TAG};
+use crate::machine::{Ledgers, Machine, NodeId};
 use crate::tuple::Attr;
 
 /// Stream tag of inner tuples headed for a join site's build stage; the low
@@ -57,6 +62,9 @@ pub const TAG_SPOOL_S: u32 = 0x73 << 24;
 /// Tuples headed for a Grace/Hybrid bucket-forming writer; the low bits
 /// carry the 1-based bucket number.
 pub const TAG_BUCKET: u32 = 0x62 << 24;
+
+/// Result tuples headed for a disk node's store operator.
+pub const RESULT_TAG: u32 = 0x52 << 24;
 
 /// Mask selecting a tag's kind byte.
 pub const TAG_KIND: u32 = 0xFF00_0000;
@@ -87,25 +95,67 @@ fn tag_arg(tag: u32) -> usize {
     (tag & TAG_ARG) as usize
 }
 
+/// Per-producer round-robin destination chooser for result tuples. Each
+/// producing operator instance deals its matches to the store operators
+/// independently (starting at its own offset so producers do not gang up
+/// on store node 0), which keeps the assignment deterministic without any
+/// cross-worker coordination.
+#[derive(Debug, Clone, Copy)]
+pub struct ResultRoute {
+    disk_nodes: usize,
+    next: usize,
+}
+
+impl ResultRoute {
+    /// A route for the producer on node `src`.
+    pub fn new(src: NodeId, disk_nodes: usize) -> Self {
+        ResultRoute {
+            disk_nodes,
+            next: src % disk_nodes,
+        }
+    }
+
+    /// Next store node in rotation.
+    pub fn advance(&mut self) -> NodeId {
+        let dst = self.next;
+        self.next = (self.next + 1) % self.disk_nodes;
+        dst
+    }
+}
+
+/// The query's result relation, as [`Consumers::finish`] closes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultInfo {
+    /// Result heap files, one per disk node.
+    pub files: Vec<FileId>,
+    /// Result cardinality.
+    pub tuples: u64,
+    /// Order-independent checksum of the result multiset.
+    pub checksum: u64,
+}
+
 /// An overflow spool under construction at one node.
 struct SpoolFile {
     writer: HeapWriter,
     count: u64,
 }
 
-/// One join process: the site's hash table, bit filter and overflow home.
+/// One join process: the site's hash table, bit filter, overflow home and
+/// the route its probe results take to the stores.
 struct SiteCore {
     index: usize,
     table: JoinHashTable,
     filter: Option<BitFilter>,
     overflow_home: NodeId,
+    route: ResultRoute,
     r_attr: Attr,
     s_attr: Attr,
 }
 
 /// Everything one node's consumer side may be running: at most one join
 /// site, overflow spools it is home to, bucket-forming writers and the
-/// filter they build, and the node's result store operator.
+/// filter they build, and — at a disk node — the result store operator
+/// with what it has stored so far.
 pub struct JoinNode {
     site: Option<SiteCore>,
     spools: BTreeMap<u32, SpoolFile>,
@@ -116,7 +166,6 @@ pub struct JoinNode {
     store: Option<HeapWriter>,
     stored: u64,
     check: u64,
-    route: ResultRoute,
 }
 
 impl JoinNode {
@@ -197,7 +246,7 @@ impl JoinNode {
     /// store writes it ([`StepCtx::send_parts`]); neither it nor the match
     /// list is ever materialized on the heap.
     fn on_probe(&mut self, ctx: &mut StepCtx<'_>, i: usize, tuple: Rec<'_>) {
-        let site = self.site.as_ref().expect("probe tuple at a join site");
+        let site = self.site.as_mut().expect("probe tuple at a join site");
         debug_assert_eq!(site.index, i, "probe tuple routed to the wrong site");
         let (matches, compares) = site.table.probe_ranges(site.s_attr.get(&tuple));
         ctx.charge(ctx.cost.probe_us + ctx.cost.chain_compare_us * compares);
@@ -209,7 +258,7 @@ impl JoinNode {
         for range in matches.iter() {
             ctx.charge(ctx.cost.compose_us);
             ctx.ledger.record(ctx.node as u16, "probe", Event::TupleOut);
-            let dst = self.route.advance();
+            let dst = site.route.advance();
             ctx.send_parts(dst, RESULT_TAG, site.table.shared(range), tuple);
         }
     }
@@ -247,7 +296,7 @@ impl JoinNode {
     /// Result store operator: append one delivered result tuple `r ‖ s`
     /// at this disk node — the store's CPU plus the heap append, both
     /// halves written straight into the page being filled — and tally it
-    /// for [`ResultSink::absorb`].
+    /// for [`Consumers::finish`].
     fn on_result(&mut self, ctx: &mut StepCtx<'_>, r: &[u8], s: &[u8]) {
         let w = self.store.as_mut().expect("store operator open");
         ctx.charge(ctx.cost.store_tuple_us);
@@ -334,38 +383,47 @@ impl ProbeSnapshot {
     }
 }
 
-/// The consumer states of every node, driven by absorb steps.
+/// The consumer states of every node for one join, driven by absorb
+/// steps.
 pub struct Consumers {
     nodes: Vec<JoinNode>,
     all: Vec<NodeId>,
 }
 
 impl Consumers {
-    /// Fresh consumer states (no sites, no open files) for every node.
-    pub fn new(machine: &Machine) -> Self {
-        let d = machine.cfg.disk_nodes;
-        let total = machine.nodes();
+    /// The join's consumer side: no sites and no spools or buckets yet,
+    /// and one result store operator opened per disk node.
+    pub fn new(machine: &mut Machine) -> Self {
+        let page = machine.cfg.cost.disk.page_bytes;
+        let nodes = machine
+            .nodes
+            .iter_mut()
+            .map(|state| JoinNode {
+                site: None,
+                spools: BTreeMap::new(),
+                buckets: BTreeMap::new(),
+                built: None,
+                store: state.volume.as_mut().map(|v| HeapWriter::create(v, page)),
+                stored: 0,
+                check: 0,
+            })
+            .collect();
         Consumers {
-            nodes: (0..total)
-                .map(|n| JoinNode {
-                    site: None,
-                    spools: BTreeMap::new(),
-                    buckets: BTreeMap::new(),
-                    built: None,
-                    store: None,
-                    stored: 0,
-                    check: 0,
-                    route: ResultRoute::new(n, d),
-                })
-                .collect(),
-            all: (0..total).collect(),
+            nodes,
+            all: (0..machine.nodes()).collect(),
         }
     }
 
     /// Install one join process per `join_nodes` entry, sized and keyed by
     /// the plan: a hash table of `rz.capacity_per_site` bytes whose `h'`
     /// is seeded for `pass`, a bit filter salted by `filter_salt` when the
-    /// plan filters, and an overflow home on a disk node.
+    /// plan filters, an overflow home on a disk node, and a result route
+    /// starting at its own node.
+    ///
+    /// # Panics
+    /// If a node still holds an overflow spool or a bucket writer: the
+    /// pass before must have closed them, or this pass would append to
+    /// them.
     pub fn install_sites(
         &mut self,
         machine: &Machine,
@@ -374,6 +432,12 @@ impl Consumers {
         pass: u32,
         filter_salt: u64,
     ) -> JoinSites {
+        for (n, jn) in self.nodes.iter().enumerate() {
+            assert!(
+                jn.spools.is_empty() && jn.buckets.is_empty(),
+                "node {n} still holds an open spool or bucket writer"
+            );
+        }
         let disk = machine.cfg.disk_nodes;
         let mut homes = Vec::with_capacity(join_nodes.len());
         for (i, &node) in join_nodes.iter().enumerate() {
@@ -390,6 +454,7 @@ impl Consumers {
                     .filter_bits
                     .map(|b| BitFilter::new(b, filter_salt.wrapping_add(i as u64))),
                 overflow_home: home,
+                route: ResultRoute::new(node, disk),
                 r_attr: rz.r_attr,
                 s_attr: rz.s_attr,
             });
@@ -489,13 +554,8 @@ impl Consumers {
         }
     }
 
-    /// One absorb step: run every node's consumer over its drained inbox,
-    /// then fold stored-result tallies back into the sink.
-    pub fn absorb(&mut self, machine: &mut Machine, ledgers: &mut Ledgers, sink: &mut ResultSink) {
-        let d = sink.disk_nodes();
-        for n in 0..d {
-            self.nodes[n].store = Some(sink.take_writer(n));
-        }
+    /// One absorb step: run every node's consumer over its drained inbox.
+    pub fn absorb(&mut self, machine: &mut Machine, ledgers: &mut Ledgers) {
         run_step(
             machine,
             ledgers,
@@ -504,27 +564,37 @@ impl Consumers {
             &mut self.nodes,
             |ctx, jn| jn.absorb_step(ctx),
         );
-        for n in 0..d {
-            sink.put_writer(n, self.nodes[n].store.take().expect("store writer"));
-        }
-        for jn in &mut self.nodes {
-            sink.absorb(
-                std::mem::take(&mut jn.stored),
-                std::mem::take(&mut jn.check),
-            );
-        }
     }
 
     /// Absorb until the exchange is quiet: two steps suffice, because the
     /// only messages an absorb step *sends* are overflow spools and result
     /// tuples, and the consumers of those send nothing.
-    pub fn settle(&mut self, machine: &mut Machine, ledgers: &mut Ledgers, sink: &mut ResultSink) {
-        self.absorb(machine, ledgers, sink);
-        self.absorb(machine, ledgers, sink);
+    pub fn settle(&mut self, machine: &mut Machine, ledgers: &mut Ledgers) {
+        self.absorb(machine, ledgers);
+        self.absorb(machine, ledgers);
         debug_assert!(
             machine.exchange.is_drained(),
             "phase sealed with in-flight exchange traffic"
         );
+    }
+
+    /// Close the result store operators, charging their last page
+    /// flushes to `ledgers`, and describe the stored result.
+    pub fn finish(self, machine: &mut Machine, ledgers: &mut Ledgers) -> ResultInfo {
+        let mut info = ResultInfo {
+            files: Vec::with_capacity(machine.cfg.disk_nodes),
+            tuples: 0,
+            checksum: 0,
+        };
+        for (n, jn) in self.nodes.into_iter().enumerate() {
+            info.tuples += jn.stored;
+            info.checksum = info.checksum.wrapping_add(jn.check);
+            if let Some(w) = jn.store {
+                let (vol, pool) = machine.nodes[n].vp();
+                info.files.push(w.finish(vol, pool, &mut ledgers[n]));
+            }
+        }
+        info
     }
 }
 
@@ -652,7 +722,7 @@ impl Consumers {
 mod tests {
     use super::*;
     use crate::hash::JOIN_SEED;
-    use crate::machine::MachineConfig;
+    use crate::machine::{multiset_checksum, MachineConfig};
     use crate::tuple::{Field, Schema};
 
     fn schema() -> Schema {
@@ -672,9 +742,8 @@ mod tests {
         let mut rz = Resolved::for_test(m.disk_nodes(), 1 << 20, attr, 48);
         rz.filter_bits = Some(1973);
         let join_nodes = &rz.join_nodes;
-        let mut consumers = Consumers::new(&m);
+        let mut consumers = Consumers::new(&mut m);
         let sites = consumers.install_sites(&m, &rz, join_nodes, 0, 42);
-        let mut sink = ResultSink::new(&mut m);
         let mut ledgers = m.ledgers();
         let participants = [0usize];
         run_step(
@@ -691,7 +760,7 @@ mod tests {
                 }
             },
         );
-        consumers.settle(&mut m, &mut ledgers, &mut sink);
+        consumers.settle(&mut m, &mut ledgers);
         let snap = consumers.probe_snapshot(&sites);
         let (kept, dropped) = {
             let snap = &snap;
@@ -719,10 +788,10 @@ mod tests {
                 },
             )[0]
         };
-        consumers.settle(&mut m, &mut ledgers, &mut sink);
+        consumers.settle(&mut m, &mut ledgers);
         assert!(dropped > 1500, "filter should drop most non-joining tuples");
         assert!(kept >= 300);
-        let info = sink.finish(&mut m, &mut ledgers);
+        let info = consumers.finish(&mut m, &mut ledgers);
         assert_eq!(info.tuples, 300, "all real matches survive filtering");
     }
 
@@ -741,10 +810,10 @@ mod tests {
 
     #[test]
     fn remote_sites_spool_overflow_to_disk_nodes() {
-        let m = Machine::new(MachineConfig::remote_8_plus_8());
+        let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.diskless_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&m);
+        let mut consumers = Consumers::new(&mut m);
         let sites = consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         for i in 0..sites.len() {
             assert!(sites.home(i) < 8, "overflow must live on a disk node");
@@ -755,14 +824,79 @@ mod tests {
     fn no_sites_means_no_filters_to_broadcast() {
         // Grace forms buckets through the family's pass with no join
         // sites; the filter broadcast must then charge nothing.
-        let m = Machine::new(MachineConfig::local_8());
+        let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
         let mut rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
         rz.filter_bits = Some(1973);
-        let mut consumers = Consumers::new(&m);
+        let mut consumers = Consumers::new(&mut m);
         assert!(!consumers.install_sites(&m, &rz, &[], 0, 0).filters_on());
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
             .filters_on());
+    }
+
+    #[test]
+    fn result_store_round_robins_and_checksums() {
+        let mut m = Machine::new(MachineConfig::local_8());
+        let mut ledgers = m.ledgers();
+        let mut consumers = Consumers::new(&mut m);
+        run_step(
+            &mut m,
+            &mut ledgers,
+            "produce",
+            &[0],
+            &mut [()],
+            |ctx, _| {
+                let mut route = ResultRoute::new(0, 8);
+                for i in 0..16u32 {
+                    // Sent in two parts, stored and checksummed as one record.
+                    let bytes = i.to_le_bytes();
+                    let (r, s) = bytes.split_at(1);
+                    ctx.ledger.record(0, "result", Event::TupleOut);
+                    ctx.send_parts(route.advance(), RESULT_TAG, r.into(), s.into());
+                }
+            },
+        );
+        consumers.absorb(&mut m, &mut ledgers);
+        assert!(m.exchange.is_drained());
+        let info = consumers.finish(&mut m, &mut ledgers);
+        assert_eq!(info.tuples, 16);
+        let whole = (0..16u32).fold(0, |acc, i| multiset_checksum(acc, &i.to_le_bytes()));
+        assert_eq!(info.checksum, whole);
+        for (n, f) in info.files.iter().enumerate() {
+            let vol = m.nodes[n].vol();
+            let stored: Vec<&[u8]> = vol.page(*f, 0).records().collect();
+            let want: Vec<[u8; 4]> = [n as u32, n as u32 + 8].map(u32::to_le_bytes).to_vec();
+            assert_eq!(stored, want.iter().map(|w| &w[..]).collect::<Vec<_>>());
+        }
+        assert_eq!(ledgers[0].counts.tuples_out, 16);
+        // Checksum is order independent.
+        let a = multiset_checksum(multiset_checksum(0, b"x"), b"y");
+        let b = multiset_checksum(multiset_checksum(0, b"y"), b"x");
+        assert_eq!(a, b);
+        assert_ne!(a, multiset_checksum(0, b"x"));
+    }
+
+    #[test]
+    #[should_panic(expected = "still holds an open spool or bucket writer")]
+    fn a_pass_over_a_spool_left_open_panics() {
+        // A build that overflows a 1 KB site spools to its home; the pass
+        // ends without collecting the spools, so the next pass's
+        // install_sites must refuse to start on top of them.
+        let mut m = Machine::new(MachineConfig::local_8());
+        let attr = schema().int_attr("k");
+        let rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
+        let mut consumers = Consumers::new(&mut m);
+        consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
+        let mut ledgers = m.ledgers();
+        run_step(&mut m, &mut ledgers, "build", &[0], &mut [()], |ctx, _| {
+            for k in 0..400u32 {
+                let i = (hash_u32(JOIN_SEED, k) % 8) as usize;
+                ctx.send(rz.join_nodes[i], tag(TAG_BUILD, i), &mk(&schema(), k));
+            }
+        });
+        consumers.settle(&mut m, &mut ledgers);
+        assert!(consumers.nodes.iter().any(|jn| !jn.spools.is_empty()));
+        consumers.install_sites(&m, &rz, &[], 1, 0);
     }
 }

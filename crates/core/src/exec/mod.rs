@@ -59,7 +59,7 @@ use crate::cost::CostModel;
 use crate::machine::{Ledgers, Machine, NodeId, NodeState};
 
 /// Per-run executor configuration, carried by each
-/// [`Machine`](crate::machine::Machine).
+/// [`Machine`].
 #[derive(Clone, Default)]
 pub struct ExecConfig {
     /// Worker pool running each step's participants. `None` — or a pool

@@ -21,7 +21,7 @@
 //!
 //! * the **chain array** — a `(head, tail)` pair of entry indices per
 //!   chain bucket (8 bytes), made with the table;
-//! * the **entry vector** — one 24-byte [`Entry`] `(hprime, val, start,
+//! * the **entry vector** — one 24-byte `Entry` `(hprime, val, start,
 //!   len, next)` per stored tuple. A chain is threaded through it by
 //!   `next`; a new entry is appended at its chain's tail, an evicted
 //!   entry's slot goes on a free list (also threaded through `next`) and
@@ -543,7 +543,7 @@ impl JoinHashTable {
     }
 
     /// Number of `h'` histogram cells (cutoffs are aligned to cell
-    /// boundaries; cell index [`HIST_CELLS`] means "no cutoff").
+    /// boundaries; cell index `CELLS` means "no cutoff").
     pub const CELLS: usize = HIST_CELLS;
 
     /// Raise (or clear) the overflow cutoff after a dynamic restore pass

@@ -1,4 +1,4 @@
-//! Machine configuration, per-node state, relation catalog and result sink.
+//! Machine configuration, per-node state and relation catalog.
 //!
 //! A [`Machine`] is one Gamma configuration: `disk_nodes` processors with
 //! attached volumes (always the first node ids) plus `diskless_nodes`
@@ -10,7 +10,9 @@
 //! charged; scheduler control messages (operator starts, split-table and
 //! bit-filter broadcasts) are charged by `exec::control`. Relations are
 //! horizontally declustered across the disk nodes at load time by one of
-//! the paper's strategies (round-robin, hashed, range).
+//! the paper's strategies (round-robin, hashed, range). A join's result is
+//! written by the store operators of its consumer side
+//! ([`crate::exec::hash`]) and can be registered here like any relation.
 
 use gamma_des::Usage;
 use gamma_net::Exchange;
@@ -351,127 +353,10 @@ impl Machine {
     }
 }
 
-/// Exchange stream tag carried by every result tuple headed for a store
-/// operator.
-pub const RESULT_TAG: u32 = 0x52 << 24;
-
-/// Per-producer round-robin destination chooser for result tuples. Each
-/// producing operator instance deals its matches to the store operators
-/// independently (starting at its own offset so producers do not gang up
-/// on store node 0), which keeps the assignment deterministic without any
-/// cross-worker coordination.
-#[derive(Debug, Clone, Copy)]
-pub struct ResultRoute {
-    disk_nodes: usize,
-    next: usize,
-}
-
-impl ResultRoute {
-    /// A route for the producer on node `src`.
-    pub fn new(src: NodeId, disk_nodes: usize) -> Self {
-        ResultRoute {
-            disk_nodes,
-            next: src % disk_nodes,
-        }
-    }
-
-    /// Next store node in rotation.
-    pub fn advance(&mut self) -> NodeId {
-        let dst = self.next;
-        self.next = (self.next + 1) % self.disk_nodes;
-        dst
-    }
-}
-
-/// The query's result relation: the operators at the root of the query
-/// tree distribute result tuples to store operators at each disk site
-/// (Section 2.2). Producers send [`RESULT_TAG`] messages through the
-/// [`Exchange`]; the store operator is the absorb step's
-/// (`exec::hash::Consumers::absorb`), which borrows each disk node's writer
-/// from the sink for the step and folds its stored count and checksum back.
-pub struct ResultSink {
-    writers: Vec<Option<HeapWriter>>,
-    tuples: u64,
-    checksum: u64,
-}
-
-/// What a finished [`ResultSink`] produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultInfo {
-    /// Result heap files, one per disk node.
-    pub files: Vec<FileId>,
-    /// Result cardinality.
-    pub tuples: u64,
-    /// Order-independent checksum of the result multiset.
-    pub checksum: u64,
-}
-
-impl ResultSink {
-    /// Open one store operator per disk node.
-    pub fn new(machine: &mut Machine) -> Self {
-        let page = machine.cfg.cost.disk.page_bytes;
-        let writers = (0..machine.cfg.disk_nodes)
-            .map(|n| Some(HeapWriter::create(machine.nodes[n].vol_mut(), page)))
-            .collect();
-        ResultSink {
-            writers,
-            tuples: 0,
-            checksum: 0,
-        }
-    }
-
-    /// Number of store operators.
-    pub fn disk_nodes(&self) -> usize {
-        self.writers.len()
-    }
-
-    /// Take disk node `n`'s store writer for the duration of a consumer
-    /// step (the step's worker owns it; return with [`put_writer`]).
-    ///
-    /// [`put_writer`]: ResultSink::put_writer
-    pub fn take_writer(&mut self, n: NodeId) -> HeapWriter {
-        self.writers[n].take().expect("store writer in use")
-    }
-
-    /// Return a store writer borrowed with [`ResultSink::take_writer`].
-    pub fn put_writer(&mut self, n: NodeId, w: HeapWriter) {
-        debug_assert!(self.writers[n].is_none());
-        self.writers[n] = Some(w);
-    }
-
-    /// Fold one step's stored-tuple count and checksum sum into the sink.
-    pub fn absorb(&mut self, tuples: u64, checksum: u64) {
-        self.tuples += tuples;
-        self.checksum = self.checksum.wrapping_add(checksum);
-    }
-
-    /// Close the store operators and return the result description.
-    pub fn finish(self, machine: &mut Machine, usage: &mut Ledgers) -> ResultInfo {
-        let files = self
-            .writers
-            .into_iter()
-            .enumerate()
-            .map(|(n, w)| {
-                let w = w.expect("store writer in use");
-                let (vol, pool) = machine.nodes[n].vp();
-                w.finish(vol, pool, &mut usage[n])
-            })
-            .collect();
-        ResultInfo {
-            files,
-            tuples: self.tuples,
-            checksum: self.checksum,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::hash::Consumers;
-    use crate::exec::run_step;
     use crate::tuple::Field;
-    use gamma_des::Event;
 
     fn schema() -> Schema {
         Schema::new(vec![Field::Int("k".into()), Field::Str("pad".into(), 28)])
@@ -566,48 +451,6 @@ mod tests {
         let id = m.load_relation("t", s, Declustering::RoundRobin, Vec::<Vec<u8>>::new());
         m.drop_relation(id);
         m.relation(id);
-    }
-
-    #[test]
-    fn result_sink_round_robins_and_checksums() {
-        let mut m = Machine::new(MachineConfig::local_8());
-        let mut ledgers = m.ledgers();
-        let mut sink = ResultSink::new(&mut m);
-        run_step(
-            &mut m,
-            &mut ledgers,
-            "produce",
-            &[0],
-            &mut [()],
-            |ctx, _| {
-                let mut route = ResultRoute::new(0, 8);
-                for i in 0..16u32 {
-                    // Sent in two parts, stored and checksummed as one record.
-                    let bytes = i.to_le_bytes();
-                    let (r, s) = bytes.split_at(1);
-                    ctx.ledger.record(0, "result", Event::TupleOut);
-                    ctx.send_parts(route.advance(), RESULT_TAG, r.into(), s.into());
-                }
-            },
-        );
-        Consumers::new(&m).absorb(&mut m, &mut ledgers, &mut sink);
-        assert!(m.exchange.is_drained());
-        let info = sink.finish(&mut m, &mut ledgers);
-        assert_eq!(info.tuples, 16);
-        let whole = (0..16u32).fold(0, |acc, i| multiset_checksum(acc, &i.to_le_bytes()));
-        assert_eq!(info.checksum, whole);
-        for (n, f) in info.files.iter().enumerate() {
-            let vol = m.nodes[n].vol();
-            let stored: Vec<&[u8]> = vol.page(*f, 0).records().collect();
-            let want: Vec<[u8; 4]> = [n as u32, n as u32 + 8].map(u32::to_le_bytes).to_vec();
-            assert_eq!(stored, want.iter().map(|w| &w[..]).collect::<Vec<_>>());
-        }
-        assert_eq!(ledgers[0].counts.tuples_out, 16);
-        // Checksum is order independent.
-        let a = multiset_checksum(multiset_checksum(0, b"x"), b"y");
-        let b = multiset_checksum(multiset_checksum(0, b"y"), b"x");
-        assert_eq!(a, b);
-        assert_ne!(a, multiset_checksum(0, b"x"));
     }
 
     #[test]

@@ -316,8 +316,7 @@ pub fn replay_phases(
 /// paper), remote joins on a machine without diskless nodes, or dropped
 /// relations.
 pub fn run_join(machine: &mut Machine, spec: &JoinSpec) -> JoinReport {
-    let mut sink = None;
-    run_join_inner(machine, spec, None, &mut sink).0
+    run_join_inner(machine, spec, None).0
 }
 
 /// Execute a join and also return the raw per-phase records alongside the
@@ -329,8 +328,8 @@ pub fn run_join_with_phases(
     machine: &mut Machine,
     spec: &JoinSpec,
 ) -> (JoinReport, Vec<crate::report::PhaseRecord>) {
-    let mut sink = None;
-    run_join_inner(machine, spec, None, &mut sink)
+    let (report, phases, _) = run_join_inner(machine, spec, None);
+    (report, phases)
 }
 
 /// Execute a join and register its result as a stored relation named
@@ -341,17 +340,21 @@ pub fn run_join_materialized(
     spec: &JoinSpec,
     name: &str,
 ) -> (RelationId, JoinReport) {
-    let mut materialized = None;
-    let (report, _) = run_join_inner(machine, spec, Some(name), &mut materialized);
-    (materialized.expect("materialization requested"), report)
+    let (report, _, id) = run_join_inner(machine, spec, Some(name));
+    (id.expect("materialization requested"), report)
 }
 
+/// Run the join; register the result as `materialize_as` and return its
+/// id when that is given, else free the result files.
 fn run_join_inner(
     machine: &mut Machine,
     spec: &JoinSpec,
     materialize_as: Option<&str>,
-    materialized: &mut Option<RelationId>,
-) -> (JoinReport, Vec<crate::report::PhaseRecord>) {
+) -> (
+    JoinReport,
+    Vec<crate::report::PhaseRecord>,
+    Option<RelationId>,
+) {
     let join_nodes = match spec.site {
         JoinSite::Local => machine.disk_nodes(),
         JoinSite::Remote => {
@@ -482,7 +485,7 @@ fn run_join_inner(
         }
     };
 
-    if let Some(name) = materialize_as {
+    let materialized = if let Some(name) = materialize_as {
         let schema = machine
             .relation(spec.inner)
             .schema
@@ -493,14 +496,15 @@ fn run_join_inner(
             crate::machine::Declustering::RoundRobin,
             out.result.files.clone(),
         );
-        *materialized = Some(id);
+        Some(id)
     } else {
         // Free the result files (the harness reruns thousands of joins;
         // tests validate through cardinality + checksum).
         for (n, f) in out.result.files.iter().enumerate() {
             crate::exec::delete_file(machine, n, *f);
         }
-    }
+        None
+    };
 
     let demand = crate::throughput::DemandProfile::from_phases(machine, &out.phases, response);
     let report = JoinReport {
@@ -517,7 +521,7 @@ fn run_join_inner(
         total,
         demand,
     };
-    (report, out.phases)
+    (report, out.phases, materialized)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 
 use gamma_des::{compose, PhaseTiming, SimTime, TimingModel, Usage};
 
-use crate::machine::{Ledgers, ResultInfo};
+use crate::exec::hash::ResultInfo;
+use crate::machine::Ledgers;
 
 /// One phase of a join's execution.
 pub struct PhaseRecord {

@@ -3,7 +3,7 @@
 //! Schneider & DeWitt measured their four join algorithms one query at a
 //! time; their §2.4 scheduler, however, existed precisely to run *many*
 //! queries against one machine. This crate closes that gap: it admits,
-//! interleaves and completes many [`run_join`]-shaped queries over one
+//! interleaves and completes many [`run_join`](gamma_core::run_join)-shaped queries over one
 //! simulated machine, deterministically, and measures what the
 //! single-query `throughput` bounds only predict — the saturation knee.
 //!

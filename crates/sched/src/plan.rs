@@ -2,7 +2,7 @@
 //! serve engine interleaves.
 //!
 //! The simulator is *work first, time later*: `run_join_with_phases`
-//! executes the join for real and hands back per-phase, per-node [`Usage`]
+//! executes the join for real and hands back per-phase, per-node [`Usage`](gamma_des::Usage)
 //! ledgers whose request logs record when (on the node's CPU-progress
 //! clock) each disk/NI request was issued and how long it needs. A
 //! [`QueryPlan`] is exactly that information, reshaped for the engine:

@@ -11,24 +11,22 @@
 //! ## Recording model
 //!
 //! The simulator executes *work first, time later*: operators run over
-//! real tuples while charging per-node [`Usage`] ledgers, and absolute
-//! times only exist once `replay_phases` schedules the sealed phases on
-//! the virtual clock. The sink mirrors that two-step structure:
+//! real tuples while charging per-node `Usage` ledgers (`gamma-des`), and
+//! absolute times only exist once `replay_phases` schedules the sealed
+//! phases on the virtual clock. The sink mirrors that two-step structure:
 //!
 //! 1. During operator execution, emitters call [`emit`] with the node id
 //!    and the node's *demand offset* (its `Usage::total_demand()` in µs
 //!    at the moment of the event). Events accumulate as pending.
 //! 2. When a driver seals a phase (`PhaseRecord::new`), it calls
-//!    [`seal_phase`] with the phase name and per-node resource splits;
+//!    [`TraceSink::seal_phase`] with the phase name and per-node resource splits;
 //!    pending events are attached to that phase.
 //! 3. When `replay_phases` assigns the phase an absolute start and
-//!    duration, it calls [`phase_replayed`]. Export then maps each
+//!    duration, it calls [`TraceSink::phase_replayed_next`]. Export then maps each
 //!    event's demand offset into absolute µs by scaling with the node's
 //!    busy/demand ratio (resources overlap, so busy ≤ demand).
 //!
 //! All arithmetic is integer (u64/u128); no floats touch timestamps.
-//!
-//! [`Usage`]: https://example.invalid/gamma-des — see `crates/des/src/ledger.rs`
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

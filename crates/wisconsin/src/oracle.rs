@@ -2,7 +2,7 @@
 //!
 //! A plain single-threaded hash join over the generated rows, producing the
 //! result cardinality and the same order-independent multiset checksum the
-//! engine's [`gamma_core::machine::ResultSink`] computes. Every integration
+//! engine's [`gamma_core::exec::hash::Consumers::finish`] computes. Every integration
 //! test and every harness run validates the parallel algorithms against
 //! this.
 

@@ -81,6 +81,14 @@
 # reaches into the outboxes, so every tuple is sent and stored by a node
 # step; a main-thread store loop anywhere else in `crates/core/src` is a
 # second way into the exchange.
+# One consumer side per join: each join builds one `exec::hash::Consumers`
+# — in `HashJoin::new` (`algorithms/family.rs`) or at the start of
+# `sort_merge::run` — and it holds the result store operators from the
+# first step to `Consumers::finish`. A `Consumers::new(` anywhere else in a
+# non-test body of `crates/core/src` is a second consumer side (a fresh
+# one per pass once dropped spools and reset routes silently), and a
+# `ResultSink` under `crates/*/src` or `tests/` is the second owner of the
+# store writers back again.
 # The event kernel keeps only what its users need: the phase replay
 # records its own simulation steps, so a traced mode (`trace_steps`) or
 # event cancellation (`fn cancel`) in `crates/des/src/sim.rs` is dead
@@ -272,6 +280,30 @@ while IFS= read -r f; do
         fail=1
     fi
 done < <(find crates/core/src -name '*.rs' | sort)
+hits=$(grep -rn 'ResultSink' crates/*/src tests || true)
+if [ -n "$hits" ]; then
+    echo "error: ResultSink is back; a join's Consumers owns its result store:" >&2
+    echo "$hits" | sed "s|^|  |" >&2
+    fail=1
+fi
+while IFS= read -r f; do
+    # Each `Consumers::new(` call, named by its enclosing impl type and fn.
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit}
+        /^impl/ {t=$0; sub(/^impl(<[^>]*>)? */, "", t); sub(/[<{].*/, "", t); n=split(t, w, " "); ty=w[n] "::"}
+        /^}/ {ty=""}
+        /^[[:space:]]*(pub(\([a-z]+\))? )?fn / {fn=$0; sub(/^[[:space:]]*(pub(\([a-z]+\))? )?fn /, "", fn); sub(/[(<].*/, "", fn)}
+        /Consumers::new\(/ && !/^[[:space:]]*\/\// {print NR ": in " ty fn ": " $0}' "$f" |
+        grep -vE "^[0-9]+: in $(case "$f" in
+            */algorithms/family.rs) echo 'HashJoin::new' ;;
+            */algorithms/sort_merge.rs) echo 'run' ;;
+            *) echo '-' ;;
+        esac): " || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f builds a second consumer side; a join has one, from HashJoin::new or sort_merge::run:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/core/src -name '*.rs' | sort)
 hits=$(grep -nE 'trace_steps|fn cancel\b' crates/des/src/sim.rs || true)
 if [ -n "$hits" ]; then
     echo "error: crates/des/src/sim.rs grew a traced mode or cancellation again:" >&2
@@ -323,4 +355,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"

@@ -158,7 +158,7 @@ fn results_outlive_their_site_and_their_outer_file() {
     use gamma_core::exec::hash::{tag, take_overflows, Consumers, TAG_BUILD, TAG_PROBE};
     use gamma_core::exec::run_step;
     use gamma_core::hash::{hash_u32, JOIN_SEED};
-    use gamma_core::machine::{Ledgers, ResultSink};
+    use gamma_core::machine::Ledgers;
     use gamma_wisconsin::oracle_join;
     use gamma_wiss::FileId;
 
@@ -205,21 +205,20 @@ fn results_outlive_their_site_and_their_outer_file() {
                 });
             };
         let mut ledgers = m.ledgers();
-        let mut consumers = Consumers::new(&m);
+        let mut consumers = Consumers::new(&mut m);
         let sites = consumers.install_sites(&m, &rz, &nodes, 0, 0);
-        let mut sink = ResultSink::new(&mut m);
         route(&mut m, &mut ledgers, &rz.r_fragments, TAG_BUILD);
-        consumers.settle(&mut m, &mut ledgers, &mut sink);
+        consumers.settle(&mut m, &mut ledgers);
         consumers.probe_snapshot(&sites);
         route(&mut m, &mut ledgers, &rz.s_fragments, TAG_PROBE);
-        consumers.absorb(&mut m, &mut ledgers, &mut sink);
+        consumers.absorb(&mut m, &mut ledgers);
         assert!(!m.exchange.is_drained(), "the results are still in flight");
         let overflowed = take_overflows(&mut m, &mut ledgers, &mut consumers, &sites);
         assert!(overflowed.is_empty(), "no site overflowed");
         m.drop_relation(a);
-        consumers.absorb(&mut m, &mut ledgers, &mut sink);
+        consumers.absorb(&mut m, &mut ledgers);
         assert!(m.exchange.is_drained());
-        let info = sink.finish(&mut m, &mut ledgers);
+        let info = consumers.finish(&mut m, &mut ledgers);
         assert_eq!(
             (info.tuples, info.checksum),
             (expect.tuples, expect.checksum)
