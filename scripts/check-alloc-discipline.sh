@@ -85,10 +85,10 @@
 # — in `HashJoin::new` (`algorithms/family.rs`) or at the start of
 # `sort_merge::run` — and it holds the result store operators from the
 # first step to `Consumers::finish`. A `Consumers::new(` anywhere else in a
-# non-test body of `crates/core/src` is a second consumer side (a fresh
-# one per pass once dropped spools and reset routes silently), and a
-# `ResultSink` under `crates/*/src` or `tests/` is the second owner of the
-# store writers back again.
+# non-test body of `crates/core/src` is a second consumer side: its stores
+# would hold a second result, and what it drops (an open spool) would
+# vanish without the `install_sites` panic. A `ResultSink` under
+# `crates/*/src` or `tests/` is a second owner of the store writers.
 # The event kernel keeps only what its users need: the phase replay
 # records its own simulation steps, so a traced mode (`trace_steps`) or
 # event cancellation (`fn cancel`) in `crates/des/src/sim.rs` is dead
