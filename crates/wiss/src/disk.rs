@@ -161,6 +161,12 @@ impl Volume {
         }
     }
 
+    /// Staging runs waiting for the next writer.
+    #[cfg(test)]
+    pub(crate) fn idle_runs(&self) -> usize {
+        self.runs.len()
+    }
+
     /// Give back a closed writer's run, empty, for the next writer.
     pub(crate) fn return_run(&mut self, run: Staging) {
         debug_assert!(run.sealed() == 0 && run.is_empty(), "run given back in use");

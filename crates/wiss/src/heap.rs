@@ -6,6 +6,10 @@
 //! last, partial one at `finish`), in page order. The pages become visible
 //! in the file a run at a time — one shared segment each — when the run is
 //! full and at `finish`; nothing reads a file while its writer is open.
+//! A writer opened with [`HeapWriter::create_unkept`] is for a file nothing
+//! will read: it charges, seals and counts every page as a kept writer
+//! does, and recycles its run in place where that one publishes it, so
+//! its file stays empty.
 //! [`HeapScan`] reads a file back in sequence (charging reads through the
 //! pool). These are the WiSS services used for base relations, Grace/Hybrid
 //! bucket files, Simple-hash overflow files, sort runs and result
@@ -25,17 +29,32 @@ pub struct HeapWriter {
     /// Pages sealed so far: the index of the page being filled.
     pages: usize,
     records: u64,
+    /// Publish each full run into the file, or recycle it unread.
+    keep: bool,
 }
 
 impl HeapWriter {
     /// Start writing to a freshly created file on `vol`, in a staging run
     /// of `vol`'s.
     pub fn create(vol: &mut Volume, page_bytes: usize) -> Self {
+        Self::open(vol, page_bytes, true)
+    }
+
+    /// Start writing a file that nothing will read — a query result no
+    /// caller keeps. Every page is charged and counted as [`Self::create`]'s
+    /// writer charges it, on the same file id and pool frames, but its
+    /// bytes are dropped at each run boundary: the file stays empty.
+    pub fn create_unkept(vol: &mut Volume, page_bytes: usize) -> Self {
+        Self::open(vol, page_bytes, false)
+    }
+
+    fn open(vol: &mut Volume, page_bytes: usize, keep: bool) -> Self {
         HeapWriter {
             file: vol.create_file(),
             run: vol.take_run(page_bytes),
             pages: 0,
             records: 0,
+            keep,
         }
     }
 
@@ -95,24 +114,34 @@ impl HeapWriter {
         self.records += 1;
     }
 
-    /// Charge the write of the page being filled and close it, publishing
+    /// Charge the write of the page being filled and close it, flushing
     /// the run when that filled it.
     fn seal(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
         pool.charge_write(self.file, self.pages, usage);
         self.pages += 1;
         if self.run.seal() {
-            vol.append_pages(self.file, self.run.publish());
+            self.flush(vol);
         }
     }
 
-    /// Write the final partial page, publish what the run holds, give the
+    /// Publish the run's sealed pages into the file, or recycle them when
+    /// nothing will read it.
+    fn flush(&mut self, vol: &mut Volume) {
+        if self.keep {
+            vol.append_pages(self.file, self.run.publish());
+        } else {
+            self.run.recycle();
+        }
+    }
+
+    /// Write the final partial page, flush what the run holds, give the
     /// run back to `vol` and return the file id.
     pub fn finish(mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) -> FileId {
         if !self.run.is_empty() {
             self.seal(vol, pool, usage);
         }
         if self.run.sealed() > 0 {
-            vol.append_pages(self.file, self.run.publish());
+            self.flush(vol);
         }
         vol.return_run(self.run);
         self.file
@@ -329,6 +358,42 @@ mod tests {
         for w in [c, other, d] {
             w.finish(&mut vol, &mut pool, &mut u);
         }
+    }
+
+    #[test]
+    fn an_unkept_writer_charges_what_a_kept_one_does() {
+        // 38 records a page: 400 records are ten full pages, across one
+        // run boundary, and a partial last page.
+        let recs: Vec<[u8; 208]> = (0..400u32).map(|i| [i as u8; 208]).collect();
+        let write = |create: fn(&mut Volume, usize) -> HeapWriter| {
+            let (mut vol, mut pool, mut u) = setup();
+            let mut w = create(&mut vol, 8192);
+            for (i, r) in recs.iter().enumerate() {
+                match i % 2 {
+                    0 => w.push(&mut vol, &mut pool, &mut u, r),
+                    _ => w.push_concat(&mut vol, &mut pool, &mut u, &r[..100], &r[100..]),
+                }
+            }
+            assert_eq!(w.records(), 400);
+            let f = w.finish(&mut vol, &mut pool, &mut u);
+            assert_eq!(vol.idle_runs(), 1, "the run is given back");
+            // Which of the file's pages the pool holds: a read of a
+            // resident page is a hit.
+            let resident: Vec<bool> = (0..12)
+                .map(|p| pool.clone().charge_read(f, p, &mut Usage::default()))
+                .collect();
+            (vol, f, u, resident, pool.peak_pages())
+        };
+        let (kept, kf, ku, k_frames, k_peak) = write(HeapWriter::create);
+        let (unkept, uf, uu, u_frames, u_peak) = write(HeapWriter::create_unkept);
+        assert_eq!(kf, uf, "same file id");
+        assert_eq!(ku.counts.pages_written, 11);
+        assert_eq!(ku, uu, "same pages written, disk time and events");
+        assert_eq!(k_frames, u_frames, "same pool frames");
+        assert_eq!(k_frames.iter().filter(|&&r| r).count(), 8);
+        assert_eq!(k_peak, u_peak);
+        assert_eq!((kept.file_pages(kf), kept.file_records(kf)), (11, 400));
+        assert_eq!((unkept.file_pages(uf), unkept.total_pages()), (0, 0));
     }
 
     #[test]

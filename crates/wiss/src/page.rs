@@ -28,7 +28,9 @@
 //! then), but it becomes visible in its file only when its run is
 //! published as one segment: when the run is full, and at the writer's
 //! `finish`. Publishing is the one allocation and the one pass over the
-//! bytes of up to [`SEGMENT_PAGES`] pages.
+//! bytes of up to [`SEGMENT_PAGES`] pages. A writer whose file nothing
+//! reads recycles its run at those points instead: the pages are sealed
+//! and charged alike, and their bytes are dropped in place.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -350,15 +352,23 @@ impl Staging {
     /// the same inserts into a [`Page::new`] give — and start the run over
     /// empty.
     pub fn publish(&mut self) -> impl Iterator<Item = Page> {
-        let (pb, n) = (self.page_bytes, std::mem::take(&mut self.sealed));
-        let used = &mut self.buf[..n * pb];
-        let seg: Arc<[u8]> = Arc::from(&*used);
-        used.chunks_exact_mut(pb).for_each(reset);
+        let (pb, n) = (self.page_bytes, self.sealed);
+        let seg: Arc<[u8]> = Arc::from(&self.buf[..n * pb]);
+        self.recycle();
         (0..n).map(move |i| Page {
             seg: Arc::clone(&seg),
             at: (i * pb) as u32,
             size: pb as u32,
         })
+    }
+
+    /// Drop the sealed pages and start the run over empty, in place: the
+    /// reset [`Self::publish`] ends with, without the segment it allocates.
+    pub fn recycle(&mut self) {
+        let n = std::mem::take(&mut self.sealed);
+        self.buf[..n * self.page_bytes]
+            .chunks_exact_mut(self.page_bytes)
+            .for_each(reset);
     }
 }
 
@@ -492,6 +502,29 @@ mod tests {
         }
         assert!(run.is_empty());
         assert_eq!(run.publish().count(), 0, "an empty run publishes nothing");
+    }
+
+    #[test]
+    fn a_recycled_run_stages_as_a_new_one() {
+        let fill = |run: &mut Staging, salt: u8| {
+            for page in 0..3u8 {
+                for n in 1..40u8 {
+                    if run.insert(&[salt ^ page ^ n; 11]).is_none() {
+                        break;
+                    }
+                }
+                run.seal();
+            }
+        };
+        let mut used = Staging::new(256);
+        fill(&mut used, 0x5a);
+        assert_eq!(used.sealed(), 3);
+        used.recycle();
+        assert_eq!((used.sealed(), used.is_empty()), (0, true));
+        let mut fresh = Staging::new(256);
+        fill(&mut used, 1);
+        fill(&mut fresh, 1);
+        assert!(used.publish().eq(fresh.publish()), "stale bytes zeroed");
     }
 
     #[test]

@@ -175,6 +175,69 @@ fn no_storage_leaks_across_runs() {
     }
 }
 
+/// A join whose result nobody reads (`run_join`) stores it as a join whose
+/// result is kept (`run_join_materialized`) does: every result page is
+/// charged, sealed and counted alike, so the two give the same report and
+/// the same per-phase, per-node ledgers (the metrics registry's `ledger_*`
+/// series) — for every algorithm, joined on the partitioning attribute
+/// (HPJA) and off it, at ratios 1.0 and 0.2. Only the kept result's pages
+/// stay on the disks.
+#[test]
+fn unread_results_are_charged_as_kept_ones() {
+    use gamma_bench::sweep::LoadStyle;
+    use gamma_core::query::{run_join, run_join_materialized};
+    use gamma_core::Machine;
+    use gamma_metrics::Registry;
+    use gamma_wisconsin::join_abprime;
+
+    fn stored_pages(m: &Machine) -> usize {
+        m.nodes
+            .iter()
+            .filter_map(|n| n.volume.as_ref())
+            .map(|v| v.total_pages())
+            .sum()
+    }
+
+    let w = workload();
+    for alg in Algorithm::ALL {
+        for attr in ["unique1", "unique2"] {
+            for ratio in [1.0, 0.2] {
+                let what = format!("{} on {attr} at {ratio}", alg.name());
+                let run = |keep: bool| {
+                    let (mut m, a, b) = w.machine(false, LoadStyle::HashedUnique1, attr, attr);
+                    let memory = (m.relation(b).data_bytes as f64 * ratio).ceil() as u64;
+                    let spec = join_abprime(alg, b, a, attr, attr, memory);
+                    let before = stored_pages(&m);
+                    let prev = gamma_metrics::install(Registry::new());
+                    let report = if keep {
+                        let (result, report) = run_join_materialized(&mut m, &spec, "result");
+                        let records: usize = (m.relation(result).fragments.iter().enumerate())
+                            .map(|(n, &f)| m.nodes[n].vol().file_records(f))
+                            .sum();
+                        assert_eq!(records as u64, report.result_tuples, "{what}: kept");
+                        report
+                    } else {
+                        run_join(&mut m, &spec)
+                    };
+                    let registry = gamma_metrics::take().expect("installed above");
+                    if let Some(p) = prev {
+                        gamma_metrics::install(p);
+                    }
+                    let ledgers = gamma_metrics::json::render(&registry);
+                    (format!("{report:?}"), ledgers, stored_pages(&m) - before)
+                };
+                let (kept, kept_ledgers, kept_pages) = run(true);
+                let (unkept, unkept_ledgers, unkept_pages) = run(false);
+                assert_eq!(kept, unkept, "{what}: reports");
+                assert!(kept_ledgers.contains("ledger_pages_written"), "{what}");
+                assert_eq!(kept_ledgers, unkept_ledgers, "{what}: per-phase ledgers");
+                assert!(kept_pages > 0, "{what}: the kept result stays");
+                assert_eq!(unkept_pages, 0, "{what}: the unread result is gone");
+            }
+        }
+    }
+}
+
 /// The two implemented extensions — bucket-forming filters (§4.2/§5) and
 /// Grace bucket tuning [KITS83] — stay exact, separately and together,
 /// including under a deliberately misestimated bucket plan.
