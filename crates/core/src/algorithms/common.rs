@@ -69,13 +69,17 @@ pub struct Resolved {
     /// table slack after the build settles, and join residual spill pairs
     /// locally instead of re-spraying the whole overflow globally.
     pub dynamic_spill: bool,
+    /// Keep the result relation's pages: the caller registers it
+    /// (`run_join_materialized`). Otherwise nothing reads the result, and
+    /// the store operators charge and count every page but drop its bytes.
+    pub keep_result: bool,
 }
 
 #[cfg(test)]
 impl Resolved {
     /// A one-bucket plan joining on `attr` at `join_nodes` with every
-    /// option off and no input fragments — unit tests fill in what they
-    /// exercise.
+    /// option off, no input fragments and the result kept — unit tests
+    /// fill in what they exercise.
     pub(crate) fn for_test(
         join_nodes: Vec<NodeId>,
         capacity_per_site: u64,
@@ -98,6 +102,7 @@ impl Resolved {
             s_pred: None,
             skew_refinement: false,
             dynamic_spill: false,
+            keep_result: true,
         }
     }
 }

@@ -669,7 +669,7 @@ impl<'a> HashJoin<'a> {
     /// Open the join's consumer side, result store included, and start
     /// with no phases.
     pub fn new(machine: &'a mut Machine, rz: &'a Resolved) -> Self {
-        let consumers = Consumers::new(machine);
+        let consumers = Consumers::new(machine, rz.keep_result);
         HashJoin {
             machine,
             rz,

@@ -392,9 +392,16 @@ pub struct Consumers {
 
 impl Consumers {
     /// The join's consumer side: no sites and no spools or buckets yet,
-    /// and one result store operator opened per disk node.
-    pub fn new(machine: &mut Machine) -> Self {
+    /// and one result store operator opened per disk node. The stores keep
+    /// the result's pages when `keep_result` is set; otherwise they charge
+    /// and count every page alike and drop its bytes
+    /// ([`HeapWriter::create_unkept`]).
+    pub fn new(machine: &mut Machine, keep_result: bool) -> Self {
         let page = machine.cfg.cost.disk.page_bytes;
+        let open = match keep_result {
+            true => HeapWriter::create,
+            false => HeapWriter::create_unkept,
+        };
         let nodes = machine
             .nodes
             .iter_mut()
@@ -403,7 +410,7 @@ impl Consumers {
                 spools: BTreeMap::new(),
                 buckets: BTreeMap::new(),
                 built: None,
-                store: state.volume.as_mut().map(|v| HeapWriter::create(v, page)),
+                store: state.volume.as_mut().map(|v| open(v, page)),
                 stored: 0,
                 check: 0,
             })
@@ -742,7 +749,7 @@ mod tests {
         let mut rz = Resolved::for_test(m.disk_nodes(), 1 << 20, attr, 48);
         rz.filter_bits = Some(1973);
         let join_nodes = &rz.join_nodes;
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, join_nodes, 0, 42);
         let mut ledgers = m.ledgers();
         let participants = [0usize];
@@ -813,7 +820,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.diskless_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         for i in 0..sites.len() {
             assert!(sites.home(i) < 8, "overflow must live on a disk node");
@@ -828,7 +835,7 @@ mod tests {
         let attr = schema().int_attr("k");
         let mut rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
         rz.filter_bits = Some(1973);
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         assert!(!consumers.install_sites(&m, &rz, &[], 0, 0).filters_on());
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
@@ -839,7 +846,7 @@ mod tests {
     fn result_store_round_robins_and_checksums() {
         let mut m = Machine::new(MachineConfig::local_8());
         let mut ledgers = m.ledgers();
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         run_step(
             &mut m,
             &mut ledgers,
@@ -886,7 +893,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         let mut ledgers = m.ledgers();
         run_step(&mut m, &mut ledgers, "build", &[0], &mut [()], |ctx, _| {

@@ -311,6 +311,13 @@ pub fn replay_phases(
 
 /// Execute a join and produce its timed report.
 ///
+/// The result relation is stored as in the paper — every result page is
+/// written, charged and counted at its disk site — but nothing reads it
+/// afterwards, so its pages are not kept: each store operator drops a run
+/// of pages once it has charged them, and the emptied result files are
+/// deleted before this returns. The report's cardinality and multiset
+/// checksum describe the result. [`run_join_materialized`] keeps it.
+///
 /// # Panics
 /// Panics if the spec asks for remote sort-merge (unsupported, as in the
 /// paper), remote joins on a machine without diskless nodes, or dropped
@@ -335,6 +342,9 @@ pub fn run_join_with_phases(
 /// Execute a join and register its result as a stored relation named
 /// `name`, returning the new relation id alongside the report, so the
 /// result can be scanned, joined again or dropped like a base relation.
+///
+/// The store operators publish every result page into the relation's
+/// files; the charges, and so the report, equal [`run_join`]'s.
 pub fn run_join_materialized(
     machine: &mut Machine,
     spec: &JoinSpec,
@@ -344,8 +354,8 @@ pub fn run_join_materialized(
     (id.expect("materialization requested"), report)
 }
 
-/// Run the join; register the result as `materialize_as` and return its
-/// id when that is given, else free the result files.
+/// Run the join; keep the result and register it as `materialize_as`
+/// when that is given, else store it unkept and delete its empty files.
 fn run_join_inner(
     machine: &mut Machine,
     spec: &JoinSpec,
@@ -439,6 +449,7 @@ fn run_join_inner(
         s_pred: spec.outer_pred,
         skew_refinement: spec.skew_refinement,
         dynamic_spill: spec.dynamic_spill,
+        keep_result: materialize_as.is_some(),
     };
 
     machine.clear_pools();
@@ -498,8 +509,9 @@ fn run_join_inner(
         );
         Some(id)
     } else {
-        // Free the result files (the harness reruns thousands of joins;
-        // tests validate through cardinality + checksum).
+        // Delete the result files. The store operators opened them unkept
+        // (`keep_result` is false), so they hold no pages: every page was
+        // charged and counted, and its bytes dropped at a run boundary.
         for (n, f) in out.result.files.iter().enumerate() {
             crate::exec::delete_file(machine, n, *f);
         }

@@ -189,6 +189,7 @@ fn results_outlive_their_site_and_their_outer_file() {
             s_pred: None,
             skew_refinement: false,
             dynamic_spill: false,
+            keep_result: true,
         };
         // Scan each node's fragment and send every tuple by reference to
         // the site its join attribute hashes to.
@@ -205,7 +206,7 @@ fn results_outlive_their_site_and_their_outer_file() {
                 });
             };
         let mut ledgers = m.ledgers();
-        let mut consumers = Consumers::new(&mut m);
+        let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, &nodes, 0, 0);
         route(&mut m, &mut ledgers, &rz.r_fragments, TAG_BUILD);
         consumers.settle(&mut m, &mut ledgers);
