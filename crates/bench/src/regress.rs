@@ -13,19 +13,21 @@
 //!
 //! The one row that is an inequality rather than bytes is
 //! `ALLOC_CEILINGS.json` (Gate 5), a ceiling on each point's heap
-//! allocation count on the serial executor.
+//! allocation count on the serial executor. The same row also checks that
+//! passes repeat: joins rerun on one machine settle on one allocation
+//! count and keep it ([`pass_repeat_errors`]).
 //!
 //! Every row records only deterministic fields: the host clock is
 //! measured by the two-clock benchmark under `benchmark/`, not here.
 
-use gamma_core::query::Algorithm;
+use gamma_core::query::{Algorithm, JoinSpec, OverflowPolicy};
 use gamma_core::ExecConfig;
 
 use crate::alloc::count_allocs;
 use crate::metrics::{metrics_join, metrics_join_with, reconcile, MetricsRun};
 use crate::serve::ServeSweepConfig;
 use crate::skew::SkewSweepConfig;
-use crate::sweep::Workload;
+use crate::sweep::{SweepBuilder, Workload};
 use crate::{ablations, experiments, joinabprime, prof, serve, skew, tracing};
 
 /// How a row's fresh render is held against its committed file.
@@ -123,7 +125,8 @@ fn snapshot_metrics(alg: Algorithm, ratio: f64) -> MetricsRun {
 /// * Gate 4: `BENCH_skew.json`, the smoke skew grid;
 /// * Gate 5: `ALLOC_CEILINGS.json`, every `joinabprime` point at scale
 ///   0.2 counted twice on the serial executor: the two counts must agree
-///   and stay at or under the committed ceiling;
+///   and stay at or under the committed ceiling; and the passes of
+///   [`pass_repeat_errors`] must allocate alike;
 /// * Gate 6: `results/prof-*.json`, the snapshot points' flight-recorder
 ///   series;
 /// * Gate 7: `results/figures_full.txt` (Figures 5–16, Tables 3 and 4 at
@@ -228,10 +231,71 @@ fn alloc_ceilings() -> Rendered {
             ceiling_allocs: ceiling_for(allocs),
         });
     }
+    errors.extend(pass_repeat_errors());
     Rendered {
         doc: render_alloc_ceilings(ALLOC_SCALE, &ceilings),
         errors,
     }
+}
+
+/// Most passes [`pass_repeat_errors`] runs before two in a row agree.
+const WARM_PASSES: usize = 4;
+/// Passes [`pass_repeat_errors`] then holds to the settled count.
+const HELD_PASSES: usize = 4;
+
+/// Passes repeat by construction: the benchmark's `skew-overflow` grid at
+/// its smoke scale (a 500 × 50 join on `normal` drawn at `sd` = 1, Hybrid
+/// under the optimistic policy at ratio 0.5, legacy then robust), rerun as
+/// one pass after another on one machine, as the benchmark reruns it. A
+/// buffer, free list or table that `clear()` keeps but a pass still grows
+/// shows up as a pass that allocates more than the one before. The passes
+/// warm up until two in a row allocate alike (at most [`WARM_PASSES`]);
+/// each of the next [`HELD_PASSES`] must then allocate exactly that.
+/// Counts under the `regress` binary's counting allocator, serially.
+pub fn pass_repeat_errors() -> Vec<String> {
+    let w = Workload::scaled_nu(500, 50, 1.0);
+    let builder = SweepBuilder::new(&w)
+        .on("normal", "normal")
+        .policy(OverflowPolicy::Optimistic)
+        .exec(ExecConfig::serial());
+    let (mut machine, legacy) = builder.prepare(Algorithm::HybridHash, 0.5);
+    let robust = JoinSpec {
+        skew_refinement: true,
+        dynamic_spill: true,
+        ..legacy.clone()
+    };
+    w.expect("normal", "normal");
+    let mut pass = || {
+        count_allocs(|| {
+            for spec in [&legacy, &robust] {
+                builder.measure(&mut machine, spec, Algorithm::HybridHash, 0.5);
+            }
+        })
+        .1
+    };
+    let mut last = pass();
+    let mut warm = 1;
+    while warm < WARM_PASSES {
+        let next = pass();
+        warm += 1;
+        if next == last {
+            break;
+        }
+        last = next;
+    }
+    let mut errors = Vec::new();
+    for held in 1..=HELD_PASSES {
+        let count = pass();
+        if count != last {
+            errors.push(format!(
+                "skew-overflow smoke grid on one machine: pass {} allocated {count} \
+                 times, the passes before it {last} — a pass grows what the \
+                 next one keeps",
+                warm + held
+            ));
+        }
+    }
+    errors
 }
 
 /// The ceiling recorded for a measured allocation count: ~5% headroom.
