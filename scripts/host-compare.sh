@@ -24,6 +24,15 @@
 # run's value follows the table. Raw result lines land beside the
 # checkouts in target/host-compare/ (ignored). Exit status is non-zero
 # when an operation failed or a verdict is WORSE.
+#
+# Host CPU and faults are measured from outside the harness: python3 wraps
+# every harness run and reads the run's RUSAGE_CHILDREN. Each pair also
+# runs each side at --passes N and at --passes 2N (N = rusage_passes
+# below); their difference over N is one pass's user CPU, system CPU and
+# minor faults, set-up and warm-up cancelling out. These three columns get
+# verdicts by the same rule, with the bounds of host_iter_p50_s (CPU) and
+# host_peak_rss_mb (faults); they are diagnostics, so they never set the
+# exit status.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,7 +45,9 @@ manifest=$PWD/BENCHMARK.json
 seconds=${RUN_SECONDS:-$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['run_seconds'])" "$manifest")}
 workloads=${*:-$(python3 -c "import json,sys; print(' '.join(w['name'] for w in json.load(open(sys.argv[1]))['workloads']))" "$manifest")}
 budget=(--seconds "$seconds")
-[ -z "${QUICK:-}" ] || budget=(--quick)
+scale=()
+[ -z "${QUICK:-}" ] || { budget=(--quick); scale=(--quick); }
+rusage_passes=10
 
 out=$PWD/target/host-compare
 mkdir -p "$out"
@@ -56,11 +67,24 @@ dir_b=$(checkout "$rev_b")
 
 runs=$out/runs-$(basename "$dir_a" | cut -c1-10)-$(basename "$dir_b" | cut -c1-10)-seed$seed.jsonl
 : >"$runs"
+measure() { # dir harness-args... -> {"result": last stdout line, "user_s", "sys_s", "minflt"}
+    local dir=$1
+    shift
+    (cd "$dir" && python3 -c '
+import json, resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE, check=True).stdout
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"result": json.loads(out.splitlines()[-1]),
+                  "user_s": ru.ru_utime, "sys_s": ru.ru_stime, "minflt": ru.ru_minflt}))
+' ./benchmark/target/release/gamma-benchmark "$@")
+}
 run() { # side dir workload pair
-    local line
-    line=$(cd "$2" && ./benchmark/target/release/gamma-benchmark \
-        --workload "$3" --seed "$seed" "${budget[@]}" --trace 0 | tail -n 1)
-    printf '{"side": "%s", "workload": "%s", "pair": %s, "result": %s}\n' "$1" "$3" "$4" "$line" >>"$runs"
+    local args=(--workload "$3" --seed "$seed" --trace 0) timed short long
+    timed=$(measure "$2" "${args[@]}" "${budget[@]}")
+    short=$(measure "$2" "${args[@]}" "${scale[@]}" --passes "$rusage_passes")
+    long=$(measure "$2" "${args[@]}" "${scale[@]}" --passes $((2 * rusage_passes)))
+    printf '{"side": "%s", "workload": "%s", "pair": %s, "timed": %s, "short": %s, "long": %s}\n' \
+        "$1" "$3" "$4" "$timed" "$short" "$long" >>"$runs"
 }
 for w in $workloads; do
     for pair in $(seq 1 "$pairs"); do
@@ -73,19 +97,30 @@ for w in $workloads; do
     echo "$w: $pairs pair(s) done" >&2
 done
 
-echo "host-compare: A = $rev_a ($(basename "$dir_a" | cut -c1-10)), B = $rev_b ($(basename "$dir_b" | cut -c1-10)); seed $seed, $pairs alternating pair(s), ${budget[*]}; $(nproc) cpu(s), $(date -u +%F)"
-python3 - "$manifest" "$runs" <<'PY'
+echo "host-compare: A = $rev_a ($(basename "$dir_a" | cut -c1-10)), B = $rev_b ($(basename "$dir_b" | cut -c1-10)); seed $seed, $pairs alternating pair(s), ${budget[*]}; rusage from --passes $rusage_passes and $((2 * rusage_passes)); $(nproc) cpu(s), $(date -u +%F)"
+python3 - "$manifest" "$runs" "$rusage_passes" <<'PY'
 import json, statistics, sys
 
 manifest = json.load(open(sys.argv[1]))
+n = int(sys.argv[3])
+bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
+# (column, rusage field, bound borrowed from an end-to-end metric)
+RUSAGE = [("user_s_per_pass", "user_s", bounds["host_iter_p50_s"]),
+          ("sys_s_per_pass", "sys_s", bounds["host_iter_p50_s"]),
+          ("minflt_per_pass", "minflt", bounds["host_peak_rss_mb"])]
 runs = {}
 failed = []
 for line in open(sys.argv[2]):
     r = json.loads(line)
-    runs.setdefault(r["workload"], {"a": [], "b": []})[r["side"]].append(r["result"])
-    if not r["result"]["correct"] or r["result"]["failed"]:
-        failed.append(f"{r['workload']} side {r['side']} pair {r['pair']}: "
-                      f"{r['result']['failed']} of {r['result']['attempted']} failed")
+    values = {k: m["value"] for k, m in r["timed"]["result"]["metrics"].items()}
+    for col, field, _ in RUSAGE:
+        values[col] = (r["long"][field] - r["short"][field]) / n
+    runs.setdefault(r["workload"], {"a": [], "b": []})[r["side"]].append(values)
+    for run in ("timed", "short", "long"):
+        res = r[run]["result"]
+        if not res["correct"] or res["failed"]:
+            failed.append(f"{r['workload']} side {r['side']} pair {r['pair']} ({run} run): "
+                          f"{res['failed']} of {res['attempted']} failed")
 
 def quartiles(v):
     if len(v) < 2:
@@ -96,11 +131,12 @@ def quartiles(v):
 worse_rows, listing = [], []
 print(f"{'workload':<14} {'metric':<23} {'median A':>12} {'median B':>12} {'B vs A':>8} "
       f"{'A q1..q3':>23} {'B q1..q3':>23} {'B won':>6} {'bound':>5}  verdict")
+columns = [(m["name"], m["bound"], m["better"] == "lower", True) for m in manifest["end_to_end"]]
+columns += [(col, bound, True, False) for col, _, bound in RUSAGE]
 for w, sides in runs.items():
-    for m in manifest["end_to_end"]:
-        name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
-        a = [r["metrics"][name]["value"] for r in sides["a"]]
-        b = [r["metrics"][name]["value"] for r in sides["b"]]
+    for name, bound, lower, gated in columns:
+        a = [v[name] for v in sides["a"]]
+        b = [v[name] for v in sides["b"]]
         ma, mb = statistics.median(a), statistics.median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
         better = lambda x, y: x < y if lower else x > y
@@ -115,7 +151,8 @@ for w, sides in runs.items():
             verdict = "better"
         elif worse_by > bound and (apart or abs(mb - ma) > max(a3 - a1, b3 - b1)):
             verdict = "WORSE than the bound"
-            worse_rows.append(f"{w} {name}")
+            if gated:
+                worse_rows.append(f"{w} {name}")
         elif lost * 10 >= 9 * len(a) and abs(mb - ma) > a3 - a1:
             verdict = "worse, within the bound"
         else:
