@@ -15,7 +15,7 @@
 //! `ALLOC_CEILINGS.json` (Gate 5), a ceiling on each point's heap
 //! allocation count on the serial executor. The same row also checks that
 //! passes repeat: joins rerun on one machine settle on one allocation
-//! count and keep it ([`pass_repeat_errors`]).
+//! count and keep it.
 //!
 //! Every row records only deterministic fields: the host clock is
 //! measured by the two-clock benchmark under `benchmark/`, not here.
@@ -125,8 +125,8 @@ fn snapshot_metrics(alg: Algorithm, ratio: f64) -> MetricsRun {
 /// * Gate 4: `BENCH_skew.json`, the smoke skew grid;
 /// * Gate 5: `ALLOC_CEILINGS.json`, every `joinabprime` point at scale
 ///   0.2 counted twice on the serial executor: the two counts must agree
-///   and stay at or under the committed ceiling; and the passes of
-///   [`pass_repeat_errors`] must allocate alike;
+///   and stay at or under the committed ceiling; and joins rerun pass
+///   after pass on one machine must settle on one allocation count;
 /// * Gate 6: `results/prof-*.json`, the snapshot points' flight-recorder
 ///   series;
 /// * Gate 7: `results/figures_full.txt` (Figures 5–16, Tables 3 and 4 at
@@ -252,7 +252,7 @@ const HELD_PASSES: usize = 4;
 /// warm up until two in a row allocate alike (at most [`WARM_PASSES`]);
 /// each of the next [`HELD_PASSES`] must then allocate exactly that.
 /// Counts under the `regress` binary's counting allocator, serially.
-pub fn pass_repeat_errors() -> Vec<String> {
+fn pass_repeat_errors() -> Vec<String> {
     let w = Workload::scaled_nu(500, 50, 1.0);
     let builder = SweepBuilder::new(&w)
         .on("normal", "normal")

@@ -398,9 +398,10 @@ impl Consumers {
     /// ([`HeapWriter::create_unkept`]).
     pub fn new(machine: &mut Machine, keep_result: bool) -> Self {
         let page = machine.cfg.cost.disk.page_bytes;
-        let open = match keep_result {
-            true => HeapWriter::create,
-            false => HeapWriter::create_unkept,
+        let open = if keep_result {
+            HeapWriter::create
+        } else {
+            HeapWriter::create_unkept
         };
         let nodes = machine
             .nodes

@@ -67,9 +67,11 @@
 # (`Volume::take_run` / `return_run`): closing a full page
 # (`Staging::seal` in `crates/wiss/src/page.rs`) only moves on to the next
 # page of the run, and a run is published whole — one `Arc<[u8]>` segment
-# per up to `SEGMENT_PAGES` pages — by `Staging::publish`. An allocation in
-# `seal`, a second one in `publish`, a run made per writer in `heap.rs`, or
-# the per-page `PageBuilder` is one image per page written again.
+# per up to `SEGMENT_PAGES` pages — by `Staging::publish`, or reset in
+# place by `Staging::recycle` when nothing reads the file. An allocation in
+# `seal` or `recycle`, a second one in `publish`, a run made per writer in
+# `heap.rs`, or the per-page `PageBuilder` is one image per page written
+# again.
 #
 # One packet path: the exchange (`crates/net/src/exchange.rs`) batches and
 # charges every inter-node tuple, and scheduler control messages are
@@ -221,18 +223,21 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-# Closing a page allocates nothing; a run is published as one segment.
+# Closing a page and recycling a run allocate nothing; a run is published
+# as one segment.
 f=crates/wiss/src/page.rs
 body() { # fn name -> the body of Staging's method of that name
     awk -v fn="fn $1(" '/^impl Staging/{on=1} on&&index($0,fn){s=1} s{print} s&&/^    }$/{exit}' "$f"
 }
-seal=$(body seal)
-if [ -z "$seal" ] || grep -vE '^\s*//' <<<"$seal" |
-    grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
-    echo "error: $f: Staging::seal must close a page without allocating:" >&2
-    echo "$seal" | sed "s|^|  |" >&2
-    fail=1
-fi
+for fn in seal recycle; do
+    b=$(body $fn)
+    if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
+        grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
+        echo "error: $f: Staging::$fn must work in place, without allocating:" >&2
+        echo "$b" | sed "s|^|  |" >&2
+        fail=1
+    fi
+done
 if [ "$(body publish | grep -cE 'Arc::from|Arc::new|collect|to_vec')" -ne 1 ]; then
     echo "error: $f: Staging::publish must make exactly one image, the segment, per run:" >&2
     body publish | sed "s|^|  |" >&2
