@@ -264,6 +264,7 @@ fn pass_repeat_errors() -> Vec<String> {
         dynamic_spill: true,
         ..legacy.clone()
     };
+    // Memoize the reference join before counting, as `alloc_ceilings` does.
     w.expect("normal", "normal");
     let mut pass = || {
         count_allocs(|| {
@@ -289,8 +290,8 @@ fn pass_repeat_errors() -> Vec<String> {
         if count != last {
             errors.push(format!(
                 "skew-overflow smoke grid on one machine: pass {} allocated {count} \
-                 times, the passes before it {last} — a pass grows what the \
-                 next one keeps",
+                 times where the warmed-up passes allocated {last} — something a \
+                 pass grows outlives its clear()",
                 warm + held
             ));
         }

@@ -211,7 +211,10 @@ fn unread_results_are_charged_as_kept_ones() {
                     let prev = gamma_metrics::install(Registry::new());
                     let report = if keep {
                         let (result, report) = run_join_materialized(&mut m, &spec, "result");
-                        let records: usize = (m.relation(result).fragments.iter().enumerate())
+                        let fragments = &m.relation(result).fragments;
+                        let records: usize = fragments
+                            .iter()
+                            .enumerate()
                             .map(|(n, &f)| m.nodes[n].vol().file_records(f))
                             .sum();
                         assert_eq!(records as u64, report.result_tuples, "{what}: kept");
