@@ -613,6 +613,207 @@ mod tests {
         out
     }
 
+    /// The sort as it was first written, every run a kept file: run
+    /// formation copies each sorted workspace into a file, and each merge
+    /// reads its runs through [`HeapScan`]s ([`heap_scan_merge`]) and writes
+    /// the merged file. It charges what every sort must charge, in order.
+    struct Reference<'a> {
+        vol: &'a mut Volume,
+        pool: &'a mut BufferPool,
+        u: &'a mut Usage,
+        cfg: SortConfig,
+        cost: SortCost,
+        stats: SortStats,
+    }
+
+    impl Reference<'_> {
+        fn compares(&mut self, n: u64) {
+            self.u.cpu(SimTime::from_us(self.cost.compare_us * n));
+            self.u.counts.comparisons += n;
+            self.stats.comparisons += n;
+        }
+
+        fn moves(&mut self, n: u64) {
+            self.u.cpu(SimTime::from_us(self.cost.move_us * n));
+        }
+
+        /// Copy `recs` into a new kept file, charging the moves before the
+        /// last page's write.
+        fn write(&mut self, recs: Vec<Vec<u8>>) -> FileId {
+            let mut w = HeapWriter::create(self.vol, self.cfg.page_bytes);
+            for rec in &recs {
+                w.push(self.vol, self.pool, self.u, rec);
+            }
+            self.moves(recs.len() as u64);
+            w.finish(self.vol, self.pool, self.u)
+        }
+
+        fn sort(mut self, input: FileId) -> (FileId, SortStats) {
+            let pages = self.vol.file_pages(input);
+            for page in 0..pages {
+                self.pool.charge_read(input, page, self.u);
+            }
+            let recs: Vec<Vec<Vec<u8>>> = (0..pages)
+                .map(|p| {
+                    self.vol
+                        .page(input, p)
+                        .records()
+                        .map(<[u8]>::to_vec)
+                        .collect()
+                })
+                .collect();
+            let mut runs = Vec::new();
+            let mut workspace: Vec<Indexed<u32>> = Vec::new();
+            let mut ws_bytes = 0;
+            let mut form = |this: &mut Self, workspace: &mut Vec<Indexed<u32>>| {
+                let mut compares = 0;
+                workspace.sort_by(|a, b| {
+                    compares += 1;
+                    a.0.cmp(&b.0)
+                });
+                this.compares(compares);
+                let run = workspace
+                    .drain(..)
+                    .map(|(_, (p, s))| recs[p as usize][s as usize].clone())
+                    .collect();
+                this.stats.initial_runs += 1;
+                runs.push(this.write(run));
+            };
+            for (p, page) in recs.iter().enumerate() {
+                for (s, rec) in page.iter().enumerate() {
+                    self.stats.records += 1;
+                    ws_bytes += rec.len() as u64;
+                    self.moves(1);
+                    workspace.push((key_u32(rec), (p as u32, s as u32)));
+                    if ws_bytes >= self.cfg.mem_bytes {
+                        form(&mut self, &mut workspace);
+                        ws_bytes = 0;
+                    }
+                }
+            }
+            if !workspace.is_empty() {
+                form(&mut self, &mut workspace);
+            }
+            while runs.len() > 1 {
+                let mut next = Vec::new();
+                for group in runs.chunks(self.cfg.fan_in()) {
+                    if let [run] = group {
+                        next.push(*run);
+                        continue;
+                    }
+                    let merged = heap_scan_merge(self.vol, self.pool, self.u, group);
+                    let k = group.len() as u64;
+                    let log2_k = (64 - (k - 1).leading_zeros() as u64).max(1);
+                    self.compares(merged.len() as u64 * log2_k);
+                    next.push(self.write(merged.into_iter().map(|(_, rec)| rec).collect()));
+                    for &r in group {
+                        self.pool.evict_file(r);
+                        self.vol.delete_file(r);
+                    }
+                }
+                self.stats.merge_passes += 1;
+                runs = next;
+            }
+            let out = runs.pop().unwrap_or_else(|| self.vol.create_file());
+            (out, self.stats)
+        }
+    }
+
+    /// Sort cases: page size, sort space, records, merge passes they take,
+    /// and each record's key and length.
+    type Case = (usize, u64, u32, u64, fn(u32) -> u32, fn(u32) -> usize);
+
+    fn cases() -> Vec<Case> {
+        let perm: fn(u32) -> u32 = |i| (i as u64 * 2654435761 % 4999) as u32;
+        let equal: fn(u32) -> u32 = |_| 7;
+        let wide: fn(u32) -> usize = |i| 40 + (i as usize * 7) % 50;
+        let narrow: fn(u32) -> usize = |i| 4 + (i as usize * 13) % 90;
+        let fixed: fn(u32) -> usize = |_| 100;
+        vec![
+            (8192, 1 << 20, 3000, 0, perm, wide),
+            (8192, 64 * 1024, 3000, 1, perm, wide),
+            (8192, 16 * 1024, 3000, 4, perm, wide),
+            (8192, 16 * 1024, 3000, 4, equal, wide),
+            (8192, 16 * 1024, 0, 0, perm, wide),
+            (512, 1 << 16, 600, 0, perm, narrow),
+            (512, 8192, 600, 1, perm, narrow),
+            (512, 1024, 600, 5, perm, narrow),
+            (512, 1024, 600, 5, equal, narrow),
+            (512, 2048, 600, 4, perm, fixed),
+            (512, 1024, 0, 0, perm, narrow),
+        ]
+    }
+
+    /// A volume holding one input file written from `case`, its pool of
+    /// four frames and the ledger that wrote it; the input; and its records
+    /// in the order a stable sort by key gives.
+    fn case_input(case: &Case) -> ((Volume, BufferPool, Usage), FileId, Vec<Vec<u8>>) {
+        let &(page_bytes, _, n, _, key, len) = case;
+        let (mut vol, mut pool, mut u) = setup();
+        let recs: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                let mut rec = key(i).to_le_bytes().to_vec();
+                rec.resize(len(i), i as u8);
+                rec
+            })
+            .collect();
+        let mut w = HeapWriter::create(&mut vol, page_bytes);
+        for rec in &recs {
+            w.push(&mut vol, &mut pool, &mut u, rec);
+        }
+        let input = w.finish(&mut vol, &mut pool, &mut u);
+        let mut sorted = recs;
+        sorted.sort_by_key(|r| key_u32(r));
+        ((vol, pool, u), input, sorted)
+    }
+
+    fn file_records(vol: &Volume, file: FileId) -> Vec<Vec<u8>> {
+        (0..vol.file_pages(file))
+            .flat_map(|p| vol.page(file, p).records().map(<[u8]>::to_vec))
+            .collect()
+    }
+
+    #[test]
+    fn external_sort_charges_and_writes_what_the_kept_file_reference_does() {
+        for case in cases() {
+            let (page_bytes, mem_bytes, n, passes, ..) = case;
+            let what = format!("{page_bytes}-byte pages, {mem_bytes} bytes, {n} records");
+            let cfg = SortConfig {
+                mem_bytes,
+                page_bytes,
+            };
+            let cost = SortCost::default();
+            let ((mut vol, mut pool, mut u), input, sorted) = case_input(&case);
+            let (mut ref_vol, mut ref_pool, mut ref_u) = (vol.clone(), pool.clone(), u.clone());
+            let (want, want_stats) = Reference {
+                vol: &mut ref_vol,
+                pool: &mut ref_pool,
+                u: &mut ref_u,
+                cfg,
+                cost,
+                stats: SortStats::default(),
+            }
+            .sort(input);
+            assert_eq!(want_stats.merge_passes, passes, "{what}");
+            assert_eq!(want_stats.records, n as u64);
+            assert_eq!(file_records(&ref_vol, want), sorted, "{what}");
+
+            let (got, stats) =
+                external_sort(&mut vol, &mut pool, input, &key_u32, cfg, &cost, &mut u);
+            assert_eq!(stats, want_stats, "{what}");
+            assert_eq!(u, ref_u, "{what}: ledger and disk request log");
+            assert_eq!(pool.stats(), ref_pool.stats(), "{what}: pool hits, misses");
+            assert_eq!(pool.peak_pages(), ref_pool.peak_pages(), "{what}");
+            assert_eq!(got, want, "{what}: file id");
+            assert_eq!(vol.file_pages(got), ref_vol.file_pages(want), "{what}");
+            for p in 0..vol.file_pages(got) {
+                assert_eq!(vol.page(got, p), ref_vol.page(want, p), "{what}: page {p}");
+            }
+            assert_eq!(file_records(&vol, input), file_records(&ref_vol, input));
+            assert_eq!(vol.total_pages(), ref_vol.total_pages(), "{what}");
+        }
+    }
+
     #[test]
     fn merger_places_records_and_charges_reads_as_heap_scans_do() {
         // Four sorted runs of 7-record pages with shared keys, merged through
