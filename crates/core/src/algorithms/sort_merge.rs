@@ -20,18 +20,20 @@
 //! parallel… a local merge join performed in parallel across the disk sites
 //! will fully compute the join"), each relation is sorted to completion
 //! before the merge join starts. The merge join itself streams the two
-//! sorted files lazily, so a highly skewed inner relation ends the merge
+//! sorted runs lazily, so a highly skewed inner relation ends the merge
 //! early without reading the tail of the outer relation's *sorted* file
-//! (§4.4's NU anomaly) — the sorting cost, however, is fully paid. Each
-//! result `R ‖ S` then leaves the site as two references, `R` on its
-//! sorted-`R` page and `S` on its sorted-`S` page, and is composed only in
-//! the result page that stores it.
+//! (§4.4's NU anomaly) — the sorting cost, however, is fully paid. A
+//! sorted run is an order over its temp file's pages, charged as written
+//! to a file of its own ([`sort_order`]), so no record is copied on the
+//! host. Each result `R ‖ S` then leaves the site as two references, `R`
+//! and `S` each on the temp-file page it arrived on, and is composed only
+//! in the result page that stores it.
 
 use std::cmp::Ordering;
 
 use gamma_des::{Event, SimTime, Usage};
-use gamma_wiss::sort::{external_sort, RunMerger};
-use gamma_wiss::{BufferPool, FileId, SortConfig};
+use gamma_wiss::sort::{sort_order, Run, RunMerger};
+use gamma_wiss::{BufferPool, FileId, Page, SortConfig};
 
 use crate::batch::Rec;
 use crate::bitfilter::BitFilter;
@@ -136,6 +138,10 @@ fn redistribute(
     files.into_iter().map(|bucket| bucket[0]).collect()
 }
 
+/// One disk node's sorted fragment: its run, an order over the pages
+/// taken from its temp file, and those pages.
+type Sorted = (Run<u32>, Vec<Page>);
+
 /// Fully sort every node's temp fragment (run formation plus however many
 /// merge passes the memory budget requires — the source of the "upward
 /// steps" in the paper's sort-merge curves). Each node's sort is
@@ -148,7 +154,7 @@ fn sort_phase(
     attr: crate::tuple::Attr,
     mem_per_node: u64,
     label: &str,
-) -> Vec<FileId> {
+) -> Vec<Sorted> {
     let cfg = SortConfig {
         mem_bytes: mem_per_node.max(machine.cfg.cost.disk.page_bytes as u64 * 2),
         page_bytes: machine.cfg.cost.disk.page_bytes,
@@ -172,18 +178,18 @@ fn sort_phase(
                     gamma_trace::EventKind::SpanBegin { name: "sort" },
                 );
                 let (vol, pool) = ctx.state.vp();
-                let (sorted, _stats) =
-                    external_sort(vol, pool, *f, key, cfg, &ctx.cost.sort, ctx.ledger);
+                let (run, pages, _stats) =
+                    sort_order(vol, pool, *f, key, cfg, &ctx.cost.sort, ctx.ledger);
                 gamma_trace::emit(
                     ctx.node as u16,
                     ctx.ledger.total_demand().as_us(),
                     gamma_trace::EventKind::SpanEnd { name: "sort" },
                 );
-                sorted
+                (run, pages)
             },
         )
     };
-    // Free the unsorted temp files.
+    // Free the temp files: their pages live on in the sorted runs' orders.
     for &node in &disk_nodes {
         exec::delete_file(machine, node, temp[node]);
     }
@@ -193,11 +199,11 @@ fn sort_phase(
 }
 
 /// A run of equal join values the merge found: `r` records of the sorted
-/// `R` run from place `r_at` on, each joined with each of `s` records of
-/// the sorted `S` run from `s_at` on.
+/// `R` run from place `r_at` of its order on, each joined with each of `s`
+/// records of the sorted `S` run from `s_at` on.
 struct Group {
-    r_at: (u32, u32),
-    s_at: (u32, u32),
+    r_at: usize,
+    s_at: usize,
     r: u32,
     s: u32,
 }
@@ -217,7 +223,7 @@ fn merge_groups(
     let mut s_cur = sm.next(pool, ledger);
     while let (Some(r), Some(s)) = (r_next, s_cur) {
         compares += 1;
-        match r.key.cmp(&s.key) {
+        match r.key.cmp(s.key) {
             Ordering::Less => r_next = rm.next(pool, ledger),
             Ordering::Greater => s_cur = sm.next(pool, ledger),
             Ordering::Equal => {
@@ -298,31 +304,30 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
 
     // Phase 5: local merge join in parallel at every disk site.
     let mut ledgers = machine.ledgers();
-    let mut states: Vec<(FileId, FileId)> = disk_nodes
+    let files: Vec<(FileId, FileId)> = r_runs
         .iter()
-        .enumerate()
-        .map(|(i, _)| (r_runs[i], s_runs[i]))
+        .zip(&s_runs)
+        .map(|((r, _), (s, _))| (r.file, s.file))
         .collect();
-    let (r_attr, s_attr) = (rz.r_attr, rz.s_attr);
-    let r_key = move |rec: &[u8]| r_attr.get(rec);
-    let s_key = move |rec: &[u8]| s_attr.get(rec);
+    let mut states: Vec<(Sorted, Sorted)> = r_runs.into_iter().zip(s_runs).collect();
     run_step(
         machine,
         &mut ledgers,
         "merge join",
         &disk_nodes,
         &mut states,
-        |ctx, &mut (rr, sr)| {
+        |ctx, ((r_run, r_pages), (s_run, s_pages))| {
             gamma_trace::emit(
                 ctx.node as u16,
                 ctx.ledger.total_demand().as_us(),
                 gamma_trace::EventKind::SpanBegin { name: "merge" },
             );
-            // The mergers take the runs' pages, which the results below are
-            // sent by reference to; the emptied files are deleted after.
-            let (vol, pool) = ctx.state.vp();
-            let mut rm = RunMerger::open(vol, &[rr], &r_key);
-            let mut sm = RunMerger::open(vol, &[sr], &s_key);
+            // The results below are sent by reference to the temp-file
+            // pages the runs' orders point into; the runs' empty files are
+            // deleted after.
+            let (_, pool) = ctx.state.vp();
+            let mut rm = RunMerger::open(r_pages, std::slice::from_ref(r_run));
+            let mut sm = RunMerger::open(s_pages, std::slice::from_ref(s_run));
             let (groups, compares) = merge_groups(pool, ctx.ledger, &mut rm, &mut sm);
             ctx.charge(ctx.cost.merge_compare_us * compares);
             ctx.ledger
@@ -345,10 +350,11 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             );
         },
     );
+    drop(states);
     consumers.absorb(machine, &mut ledgers);
-    for (i, &node) in disk_nodes.iter().enumerate() {
-        exec::delete_file(machine, node, r_runs[i]);
-        exec::delete_file(machine, node, s_runs[i]);
+    for (&node, &(r_file, s_file)) in disk_nodes.iter().zip(&files) {
+        exec::delete_file(machine, node, r_file);
+        exec::delete_file(machine, node, s_file);
     }
     let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, 0);
     let result = consumers.finish(machine, &mut ledgers);

@@ -7,9 +7,10 @@
 //! in the file a run at a time — one shared segment each — when the run is
 //! full and at `finish`; nothing reads a file while its writer is open.
 //! A writer opened with [`HeapWriter::create_unkept`] is for a file nothing
-//! will read: it charges, seals and counts every page as a kept writer
-//! does, and recycles its run in place where that one publishes it, so
-//! its file stays empty.
+//! will read: it lays its pages out by record length alone, and charges,
+//! seals and counts every page as a kept writer does, at the same records.
+//! It takes no staging run and copies no record bytes, so its file stays
+//! empty.
 //! [`HeapScan`] reads a file back in sequence (charging reads through the
 //! pool). These are the WiSS services used for base relations, Grace/Hybrid
 //! bucket files, Simple-hash overflow files, sort runs and result
@@ -18,43 +19,74 @@
 use gamma_des::Usage;
 
 use crate::disk::{FileId, Volume};
-use crate::page::Staging;
+use crate::page::{Layout, Staging};
 use crate::pool::BufferPool;
 
 /// Buffered appender for one heap file.
 #[derive(Debug)]
 pub struct HeapWriter {
     file: FileId,
-    run: Staging,
+    fill: Fill,
     /// Pages sealed so far: the index of the page being filled.
     pages: usize,
     records: u64,
-    /// Publish each full run into the file, or recycle it unread.
-    keep: bool,
+}
+
+/// Where a writer fills the page it is on.
+#[derive(Debug)]
+enum Fill {
+    /// In a staging run whose full runs are published into the file.
+    Kept(Staging),
+    /// By record length alone: the file nothing reads stays empty.
+    Unkept(Layout),
+}
+
+impl Fill {
+    /// Place a `len`-byte record on the page being filled, writing its
+    /// bytes with `write` when they are kept: its slot, or `None` if it
+    /// does not fit.
+    fn insert(
+        &mut self,
+        len: usize,
+        write: impl FnOnce(&mut Staging) -> Option<usize>,
+    ) -> Option<usize> {
+        match self {
+            Fill::Kept(run) => write(run),
+            Fill::Unkept(page) => page.insert(len),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            Fill::Kept(run) => run.is_empty(),
+            Fill::Unkept(page) => page.is_empty(),
+        }
+    }
 }
 
 impl HeapWriter {
     /// Start writing to a freshly created file on `vol`, in a staging run
     /// of `vol`'s.
     pub fn create(vol: &mut Volume, page_bytes: usize) -> Self {
-        Self::open(vol, page_bytes, true)
+        let file = vol.create_file();
+        Self::open(file, Fill::Kept(vol.take_run(page_bytes)))
     }
 
     /// Start writing a file that nothing will read — a query result no
-    /// caller keeps. Every page is charged and counted as [`Self::create`]'s
-    /// writer charges it, on the same file id and pool frames, but its
-    /// bytes are dropped at each run boundary: the file stays empty.
+    /// caller keeps, a sort run read only through its order. Every page is
+    /// charged and counted as [`Self::create`]'s writer charges it, on the
+    /// same file id and pool frames, but no record byte is written: the
+    /// file stays empty.
     pub fn create_unkept(vol: &mut Volume, page_bytes: usize) -> Self {
-        Self::open(vol, page_bytes, false)
+        Self::open(vol.create_file(), Fill::Unkept(Layout::new(page_bytes)))
     }
 
-    fn open(vol: &mut Volume, page_bytes: usize, keep: bool) -> Self {
+    fn open(file: FileId, fill: Fill) -> Self {
         HeapWriter {
-            file: vol.create_file(),
-            run: vol.take_run(page_bytes),
+            file,
+            fill,
             pages: 0,
             records: 0,
-            keep,
         }
     }
 
@@ -68,23 +100,17 @@ impl HeapWriter {
         self.records
     }
 
+    /// Pages sealed so far: the index of the page the last record went to.
+    pub fn pages(&self) -> usize {
+        self.pages
+    }
+
     /// Append one record, sealing the page being filled when full.
     ///
     /// # Panics
     /// Panics if the record cannot fit even in an empty page.
     pub fn push(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage, rec: &[u8]) {
-        if self.run.insert(rec).is_none() {
-            assert!(
-                !self.run.is_empty(),
-                "record of {} bytes exceeds page capacity",
-                rec.len()
-            );
-            self.seal(vol, pool, usage);
-            self.run
-                .insert(rec)
-                .unwrap_or_else(|| panic!("record of {} bytes exceeds page capacity", rec.len()));
-        }
-        self.records += 1;
+        self.append(vol, pool, usage, rec.len(), |run| run.insert(rec));
     }
 
     /// Append the record `a ‖ b` — a composed join result, its two halves
@@ -100,50 +126,60 @@ impl HeapWriter {
         a: &[u8],
         b: &[u8],
     ) {
-        if self.run.insert_concat(a, b).is_none() {
-            let len = a.len() + b.len();
+        let len = a.len() + b.len();
+        self.append(vol, pool, usage, len, |run| run.insert_concat(a, b));
+    }
+
+    /// Place a `len`-byte record, sealing the page being filled first when
+    /// it does not fit there; `write` writes its bytes into a kept run.
+    fn append(
+        &mut self,
+        vol: &mut Volume,
+        pool: &mut BufferPool,
+        usage: &mut Usage,
+        len: usize,
+        write: impl Fn(&mut Staging) -> Option<usize>,
+    ) {
+        if self.fill.insert(len, &write).is_none() {
             assert!(
-                !self.run.is_empty(),
+                !self.fill.is_empty(),
                 "record of {len} bytes exceeds page capacity"
             );
             self.seal(vol, pool, usage);
-            self.run
-                .insert_concat(a, b)
+            self.fill
+                .insert(len, &write)
                 .unwrap_or_else(|| panic!("record of {len} bytes exceeds page capacity"));
         }
         self.records += 1;
     }
 
-    /// Charge the write of the page being filled and close it, flushing
-    /// the run when that filled it.
+    /// Charge the write of the page being filled and close it, publishing
+    /// a kept run when that filled it.
     fn seal(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
         pool.charge_write(self.file, self.pages, usage);
         self.pages += 1;
-        if self.run.seal() {
-            self.flush(vol);
+        match &mut self.fill {
+            Fill::Kept(run) => {
+                if run.seal() {
+                    vol.append_pages(self.file, run.publish());
+                }
+            }
+            Fill::Unkept(page) => page.seal(),
         }
     }
 
-    /// Publish the run's sealed pages into the file, or recycle them when
-    /// nothing will read it.
-    fn flush(&mut self, vol: &mut Volume) {
-        if self.keep {
-            vol.append_pages(self.file, self.run.publish());
-        } else {
-            self.run.recycle();
-        }
-    }
-
-    /// Write the final partial page, flush what the run holds, give the
-    /// run back to `vol` and return the file id.
+    /// Write the final partial page, publish what a kept run holds and
+    /// give the run back to `vol`, and return the file id.
     pub fn finish(mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) -> FileId {
-        if !self.run.is_empty() {
+        if !self.fill.is_empty() {
             self.seal(vol, pool, usage);
         }
-        if self.run.sealed() > 0 {
-            self.flush(vol);
+        if let Fill::Kept(mut run) = self.fill {
+            if run.sealed() > 0 {
+                vol.append_pages(self.file, run.publish());
+            }
+            vol.return_run(run);
         }
-        vol.return_run(self.run);
         self.file
     }
 }
@@ -341,7 +377,11 @@ mod tests {
         let (mut vol, mut pool, mut u) = setup();
         let a = HeapWriter::create(&mut vol, 8192);
         let mut b = HeapWriter::create(&mut vol, 8192);
-        let (run_a, run_b) = (a.run.as_ptr(), b.run.as_ptr());
+        let run = |w: &HeapWriter| match &w.fill {
+            Fill::Kept(run) => run.as_ptr(),
+            Fill::Unkept(_) => panic!("a kept writer stages in a run"),
+        };
+        let (run_a, run_b) = (run(&a), run(&b));
         assert_ne!(run_a, run_b, "open writers hold a run each");
         b.push(&mut vol, &mut pool, &mut u, &[1; 208]);
         a.finish(&mut vol, &mut pool, &mut u);
@@ -349,10 +389,10 @@ mod tests {
         let c = HeapWriter::create(&mut vol, 8192);
         let other = HeapWriter::create(&mut vol, 512);
         let d = HeapWriter::create(&mut vol, 8192);
-        assert_eq!(c.run.as_ptr(), run_b, "the run given back last");
-        assert_eq!(d.run.as_ptr(), run_a);
+        assert_eq!(run(&c), run_b, "the run given back last");
+        assert_eq!(run(&d), run_a);
         assert!(
-            ![run_a, run_b].contains(&other.run.as_ptr()),
+            ![run_a, run_b].contains(&run(&other)),
             "runs keep their page size"
         );
         for w in [c, other, d] {
@@ -365,9 +405,10 @@ mod tests {
         // 38 records a page: 400 records are ten full pages, across one
         // run boundary, and a partial last page.
         let recs: Vec<[u8; 208]> = (0..400u32).map(|i| [i as u8; 208]).collect();
-        let write = |create: fn(&mut Volume, usize) -> HeapWriter| {
+        let write = |create: fn(&mut Volume, usize) -> HeapWriter, keep: bool| {
             let (mut vol, mut pool, mut u) = setup();
             let mut w = create(&mut vol, 8192);
+            assert_eq!(matches!(w.fill, Fill::Kept(_)), keep, "stages in a run");
             for (i, r) in recs.iter().enumerate() {
                 match i % 2 {
                     0 => w.push(&mut vol, &mut pool, &mut u, r),
@@ -376,7 +417,11 @@ mod tests {
             }
             assert_eq!(w.records(), 400);
             let f = w.finish(&mut vol, &mut pool, &mut u);
-            assert_eq!(vol.idle_runs(), 1, "the run is given back");
+            assert_eq!(
+                vol.idle_runs(),
+                usize::from(keep),
+                "a kept writer gives its run back; an unkept one takes none"
+            );
             // Which of the file's pages the pool holds: a read of a
             // resident page is a hit.
             let resident: Vec<bool> = (0..12)
@@ -384,8 +429,8 @@ mod tests {
                 .collect();
             (vol, f, u, resident, pool.peak_pages())
         };
-        let (kept, kf, ku, k_frames, k_peak) = write(HeapWriter::create);
-        let (unkept, uf, uu, u_frames, u_peak) = write(HeapWriter::create_unkept);
+        let (kept, kf, ku, k_frames, k_peak) = write(HeapWriter::create, true);
+        let (unkept, uf, uu, u_frames, u_peak) = write(HeapWriter::create_unkept, false);
         assert_eq!(kf, uf, "same file id");
         assert_eq!(ku.counts.pages_written, 11);
         assert_eq!(ku, uu, "same pages written, disk time and events");
@@ -427,5 +472,16 @@ mod tests {
         let (mut vol, mut pool, mut u) = setup();
         let mut w = HeapWriter::create(&mut vol, 128);
         w.push(&mut vol, &mut pool, &mut u, &[0u8; 500]);
+    }
+
+    #[test]
+    #[should_panic(expected = "record of 500 bytes exceeds page capacity")]
+    fn oversized_record_panics_unkept_too() {
+        // After a page that holds a record: the page is sealed first, and
+        // the record fits the empty page no better.
+        let (mut vol, mut pool, mut u) = setup();
+        let mut w = HeapWriter::create_unkept(&mut vol, 128);
+        w.push(&mut vol, &mut pool, &mut u, &[0u8; 8]);
+        w.push_concat(&mut vol, &mut pool, &mut u, &[0u8; 250], &[0u8; 250]);
     }
 }

@@ -29,8 +29,9 @@
 //! published as one segment: when the run is full, and at the writer's
 //! `finish`. Publishing is the one allocation and the one pass over the
 //! bytes of up to [`SEGMENT_PAGES`] pages. A writer whose file nothing
-//! reads recycles its run at those points instead: the pages are sealed
-//! and charged alike, and their bytes are dropped in place.
+//! reads lays its pages out by record length alone (`Layout`): one rule
+//! decides where a page is full for both, so it seals and charges the
+//! same pages at the same records, and it holds and copies no bytes.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -52,6 +53,14 @@ fn free_end(buf: &[u8]) -> usize {
     u16::from_le_bytes([buf[2], buf[3]]) as usize + 1
 }
 
+/// The slotted-page fit rule: whether a `len`-byte record fits on a page
+/// of `page_bytes` that holds `slots` records of `bytes` bytes in all. The
+/// record's bytes and its own slot-directory entry must both fit between
+/// the directory and the records.
+fn fits(slots: usize, bytes: usize, len: usize, page_bytes: usize) -> bool {
+    HEADER + (slots + 1) * SLOT + bytes + len <= page_bytes
+}
+
 fn free_space(buf: &[u8]) -> usize {
     let dir_end = HEADER + nslots(buf) * SLOT;
     let free = free_end(buf).saturating_sub(dir_end);
@@ -65,11 +74,18 @@ fn free_space(buf: &[u8]) -> usize {
 /// Panics if the page is too small to hold the header plus one slot.
 fn format(buf: &mut [u8]) {
     let page_bytes = buf.len();
+    check_size(page_bytes);
+    buf[2..4].copy_from_slice(&((page_bytes - 1) as u16).to_le_bytes());
+}
+
+/// # Panics
+/// Panics if a page of `page_bytes` cannot hold the header plus one slot,
+/// or its boundary does not fit the header.
+fn check_size(page_bytes: usize) {
     assert!(
         page_bytes > HEADER + SLOT && page_bytes <= u16::MAX as usize + 1,
         "page size {page_bytes} out of range"
     );
-    buf[2..4].copy_from_slice(&((page_bytes - 1) as u16).to_le_bytes());
 }
 
 /// Take the next slot for a `len`-byte record: its slot number and the
@@ -80,11 +96,10 @@ fn format(buf: &mut [u8]) {
 /// missing slots and never occur in the engine).
 fn take_slot(buf: &mut [u8], len: usize) -> Option<(usize, Range<usize>)> {
     assert!(len > 0, "zero-length records are not supported");
-    if len > free_space(buf) {
+    let (slot, end) = (nslots(buf), free_end(buf));
+    if !fits(slot, buf.len() - end, len, buf.len()) {
         return None;
     }
-    let slot = nslots(buf);
-    let end = free_end(buf);
     let start = end - len;
     let dir = HEADER + slot * SLOT;
     buf[dir..dir + 2].copy_from_slice(&(start as u16).to_le_bytes());
@@ -185,7 +200,8 @@ impl Page {
 
     /// True if a record of `len` bytes fits.
     pub fn fits(&self, len: usize) -> bool {
-        len <= self.free_space()
+        let used = self.size() - free_end(self.as_bytes());
+        fits(self.len(), used, len, self.size())
     }
 
     /// Number of records of fixed size `rec` that fit in an empty page of
@@ -350,25 +366,68 @@ impl Staging {
 
     /// Publish the sealed pages as one segment — each byte for byte what
     /// the same inserts into a [`Page::new`] give — and start the run over
-    /// empty.
+    /// empty, in place.
     pub fn publish(&mut self) -> impl Iterator<Item = Page> {
-        let (pb, n) = (self.page_bytes, self.sealed);
+        let (pb, n) = (self.page_bytes, std::mem::take(&mut self.sealed));
         let seg: Arc<[u8]> = Arc::from(&self.buf[..n * pb]);
-        self.recycle();
+        self.buf[..n * pb].chunks_exact_mut(pb).for_each(reset);
         (0..n).map(move |i| Page {
             seg: Arc::clone(&seg),
             at: (i * pb) as u32,
             size: pb as u32,
         })
     }
+}
 
-    /// Drop the sealed pages and start the run over empty, in place: the
-    /// reset [`Self::publish`] ends with, without the segment it allocates.
-    pub fn recycle(&mut self) {
-        let n = std::mem::take(&mut self.sealed);
-        self.buf[..n * self.page_bytes]
-            .chunks_exact_mut(self.page_bytes)
-            .for_each(reset);
+/// A page laid out by record length alone: how many records it holds and
+/// how many bytes they take, placed by the rule [`Staging::insert`] places
+/// records by, and none of their bytes. A writer whose file nothing reads
+/// fills these, so it seals its pages at the records a staging writer
+/// seals them at.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    page_bytes: usize,
+    slots: usize,
+    bytes: usize,
+}
+
+impl Layout {
+    /// An empty page of `page_bytes` total size.
+    ///
+    /// # Panics
+    /// Panics if the page is too small to hold the header plus one slot.
+    pub fn new(page_bytes: usize) -> Self {
+        check_size(page_bytes);
+        Layout {
+            page_bytes,
+            slots: 0,
+            bytes: 0,
+        }
+    }
+
+    /// True when no record was placed on the page.
+    pub fn is_empty(&self) -> bool {
+        self.slots == 0
+    }
+
+    /// Place a `len`-byte record, returning its slot number, or `None` if
+    /// it does not fit.
+    ///
+    /// # Panics
+    /// Panics on zero-length records, as [`Staging::insert`] does.
+    pub fn insert(&mut self, len: usize) -> Option<usize> {
+        assert!(len > 0, "zero-length records are not supported");
+        if !fits(self.slots, self.bytes, len, self.page_bytes) {
+            return None;
+        }
+        self.slots += 1;
+        self.bytes += len;
+        Some(self.slots - 1)
+    }
+
+    /// Close the page and start the next one, empty.
+    pub fn seal(&mut self) {
+        (self.slots, self.bytes) = (0, 0);
     }
 }
 
@@ -444,8 +503,8 @@ mod tests {
         // whole-record inserts into a new page; the insert that no longer
         // fits is refused by both. Twenty pages cross two run boundaries
         // and end in a publish in the middle of a run, as a writer's
-        // `finish` does. The same run, stale bytes and all, then serves a
-        // second file, as a recycled run does.
+        // `finish` does. The same run then serves a second file, as a run
+        // given back to its volume does.
         let mut run = Staging::new(512);
         for file in 0..2u8 {
             let (mut want, mut got) = (Vec::new(), Vec::new());
@@ -505,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_run_stages_as_a_new_one() {
+    fn a_published_run_stages_as_a_new_one() {
         let fill = |run: &mut Staging, salt: u8| {
             for page in 0..3u8 {
                 for n in 1..40u8 {
@@ -519,12 +578,61 @@ mod tests {
         let mut used = Staging::new(256);
         fill(&mut used, 0x5a);
         assert_eq!(used.sealed(), 3);
-        used.recycle();
+        assert_eq!(used.publish().count(), 3);
         assert_eq!((used.sealed(), used.is_empty()), (0, true));
         let mut fresh = Staging::new(256);
         fill(&mut used, 1);
         fill(&mut fresh, 1);
         assert!(used.publish().eq(fresh.publish()), "stale bytes zeroed");
+    }
+
+    #[test]
+    fn a_layout_seals_where_a_staging_run_does() {
+        // Random lengths, short and long, on small and Gamma-sized pages:
+        // the by-length layout takes the slot a staging run takes for
+        // every record, refuses the same records, and so seals its pages
+        // at the same records; the staged pages read back intact.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for (page_bytes, longest) in [(64, 56), (512, 200), (8192, 420), (8192, 8000)] {
+            let (mut run, mut layout) = (Staging::new(page_bytes), Layout::new(page_bytes));
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            let mut page = Vec::new();
+            let mut seals = 0;
+            for i in 0..2000u64 {
+                let rec: Vec<u8> = (0..1 + next(longest)).map(|b| (b ^ i) as u8).collect();
+                let slot = run.insert(&rec);
+                assert_eq!(layout.insert(rec.len()), slot, "{page_bytes}: record {i}");
+                if slot.is_none() {
+                    assert!(!layout.is_empty() && !run.is_empty());
+                    layout.seal();
+                    seals += 1;
+                    want.push(std::mem::take(&mut page));
+                    if run.seal() {
+                        got.extend(run.publish());
+                    }
+                    assert_eq!(layout.insert(rec.len()), run.insert(&rec));
+                }
+                page.push(rec);
+            }
+            assert!(seals > 10, "{page_bytes}: {seals} pages");
+            got.extend(run.publish());
+            assert_eq!(got.len(), want.len());
+            for (got, want) in got.iter().zip(&want) {
+                assert!(got.records().eq(want.iter().map(Vec::as_slice)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length")]
+    fn a_layout_rejects_zero_length_records() {
+        Layout::new(1024).insert(0);
     }
 
     #[test]

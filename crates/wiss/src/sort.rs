@@ -1,8 +1,10 @@
 //! External merge sort — the WiSS sort utility.
 //!
-//! [`external_sort`] fully materialises a sorted file; the parallel
-//! sort-merge join sorts each node's two temporary files with it and then
-//! merge-joins the sorted files through single-run [`RunMerger`]s.
+//! [`external_sort`] fully materialises a sorted file. The parallel
+//! sort-merge join sorts each node's two temporary files with
+//! [`sort_order`] instead, which charges the same sort and ends in a
+//! [`Run`] rather than a file, and merge-joins the two sorted runs through
+//! single-run [`RunMerger`]s.
 //!
 //! Run formation reads the input sequentially, fills the sort workspace
 //! (`mem_bytes`), quicksorts it and writes a run. Merging proceeds in passes
@@ -12,16 +14,21 @@
 //! curves are precisely these extra merge passes appearing as memory
 //! shrinks.
 //!
-//! On the host, records are copied once per pass, page to page: run
-//! formation sorts an index of `(key, page, slot)` over the input's pages
-//! and a merge records only the order in which it consumed its runs, and
-//! both then write the output straight from the source pages, which are
-//! detached from the volume for the duration (the writer needs the volume
-//! mutably). A [`RunMerger`] holds the pages of the runs it merges and
-//! yields each record's place on them, never its bytes, so the merge join
-//! can send its results by reference to those pages. The ledger sees the
-//! same charges in the same order either way: all input page reads, the
-//! comparisons, the run writes, the moves.
+//! On the host a run is an *order*, not a file of copied records: the
+//! sorted `(key, (page, slot))` entries over the input's pages, which stay
+//! detached from the volume for the whole sort, and where each of the
+//! run's pages starts in that order. Each run is still written to a file
+//! of its own, by an unkept [`HeapWriter`] that lays the pages out by the
+//! records' lengths and charges every one; each merge charges the read of
+//! a run's page as it enters it, and takes the keys from the orders. Only
+//! `external_sort`'s result is copied: its last run is written by a kept
+//! writer, once, from the input pages. A [`RunMerger`] yields each
+//! record's place in its run's order, never its bytes, and
+//! [`RunMerger::walk`] hands out the records on the input pages, so the
+//! merge join can send its results by reference to them. The ledger sees
+//! the charges a sort over kept files makes, in the same order: all input
+//! page reads; per run the comparisons, the page writes and the moves; per
+//! merge the reads, then the deletes of the runs it merged.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -88,7 +95,20 @@ pub struct SortStats {
 /// Sort workspace entry: a record's key and its `(page, slot)` in the
 /// detached input. Its size decides how many comparator calls `sort_by`
 /// makes, and so what the sort is charged.
-type Indexed<K> = (K, (u32, u32));
+pub type Indexed<K> = (K, (u32, u32));
+
+/// A sorted run as an order over the input's pages. Its file was charged
+/// as written, page by page, and holds no bytes.
+#[derive(Debug)]
+pub struct Run<K> {
+    /// The file the run was charged to: its page reads are charged there
+    /// too.
+    pub file: FileId,
+    /// Every record's key and place on the input's pages, in sorted order.
+    pub order: Vec<Indexed<K>>,
+    /// The run's page shape: where in `order` each of its pages starts.
+    pub starts: Vec<u32>,
+}
 
 /// One sort in progress: the node's volume and buffer pool, the ledger it
 /// charges, the key and shape it sorts by, and what it has done so far.
@@ -102,7 +122,7 @@ struct Sorter<'a, K> {
     stats: SortStats,
 }
 
-impl<K: Ord> Sorter<'_, K> {
+impl<K: Ord + Clone> Sorter<'_, K> {
     fn charge_compares(&mut self, n: u64) {
         self.usage.cpu(SimTime::from_us(self.cost.compare_us * n));
         // The one ledger count not charged through `Usage::record`: the
@@ -116,29 +136,50 @@ impl<K: Ord> Sorter<'_, K> {
         self.usage.cpu(SimTime::from_us(self.cost.move_us * n));
     }
 
-    /// Sort the workspace, write it out as one run and empty it.
-    fn write_run(&mut self, input: &[Page], workspace: &mut Vec<Indexed<K>>) -> FileId {
-        let mut compares = 0u64;
-        workspace.sort_by(|a, b| {
-            compares += 1;
-            a.0.cmp(&b.0)
-        });
-        self.charge_compares(compares);
-        let mut w = HeapWriter::create(self.vol, self.cfg.page_bytes);
-        for &(_, (page, slot)) in workspace.iter() {
+    /// Write `order` as one run, charging its pages and its moves. A kept
+    /// run's records are copied from `input` into its file; an unkept
+    /// run's pages are laid out by the records' lengths alone.
+    fn write(&mut self, input: &[Page], order: Vec<Indexed<K>>, keep: bool) -> Run<K> {
+        let page_bytes = self.cfg.page_bytes;
+        let mut w = if keep {
+            HeapWriter::create(self.vol, page_bytes)
+        } else {
+            HeapWriter::create_unkept(self.vol, page_bytes)
+        };
+        let mut starts = Vec::new();
+        for (i, &(_, (page, slot))) in order.iter().enumerate() {
             let rec = input[page as usize]
                 .get(slot as usize)
                 .expect("indexed slot");
             w.push(self.vol, self.pool, self.usage, rec);
+            if w.pages() == starts.len() {
+                starts.push(i as u32);
+            }
         }
-        self.charge_moves(workspace.len() as u64);
-        self.stats.initial_runs += 1;
-        workspace.clear();
-        w.finish(self.vol, self.pool, self.usage)
+        self.charge_moves(order.len() as u64);
+        let file = w.finish(self.vol, self.pool, self.usage);
+        Run {
+            file,
+            order,
+            starts,
+        }
     }
 
-    /// Form sorted runs from `input`.
-    fn form_runs(&mut self, input: FileId) -> Vec<FileId> {
+    /// Sort one workspace of records and write it as a run.
+    fn write_run(&mut self, input: &[Page], mut order: Vec<Indexed<K>>, keep: bool) -> Run<K> {
+        let mut compares = 0u64;
+        order.sort_by(|a, b| {
+            compares += 1;
+            a.0.cmp(&b.0)
+        });
+        self.charge_compares(compares);
+        self.stats.initial_runs += 1;
+        self.write(input, order, keep)
+    }
+
+    /// Form sorted runs from `input`, whose pages it detaches and returns;
+    /// with `keep`, a run that is the only one is written kept.
+    fn form_runs(&mut self, input: FileId, keep: bool) -> (Vec<Page>, Vec<Run<K>>) {
         // The sequential read of the whole input comes first on the ledger;
         // on the real system the records were then copied into the sort
         // workspace, which `move_us` charges per record below.
@@ -146,6 +187,7 @@ impl<K: Ord> Sorter<'_, K> {
             self.pool.charge_read(input, page, self.usage);
         }
         let pages = self.vol.detach_pages(input);
+        let records: u64 = pages.iter().map(|p| p.len() as u64).sum();
         let mut runs = Vec::new();
         let mut workspace: Vec<Indexed<K>> = Vec::new();
         let mut ws_bytes = 0u64;
@@ -156,63 +198,89 @@ impl<K: Ord> Sorter<'_, K> {
                 self.charge_moves(1);
                 workspace.push(((self.key)(rec), (p as u32, slot as u32)));
                 if ws_bytes >= self.cfg.mem_bytes {
-                    runs.push(self.write_run(&pages, &mut workspace));
+                    let rest = records - self.stats.records;
+                    let next = Vec::with_capacity(if rest > 0 { workspace.len() } else { 0 });
+                    let order = std::mem::replace(&mut workspace, next);
+                    let only = keep && runs.is_empty() && rest == 0;
+                    runs.push(self.write_run(&pages, order, only));
                     ws_bytes = 0;
                 }
             }
         }
         if !workspace.is_empty() {
-            runs.push(self.write_run(&pages, &mut workspace));
+            let only = keep && runs.is_empty();
+            runs.push(self.write_run(&pages, workspace, only));
         }
-        self.vol.attach_pages(input, pages);
-        runs
+        (pages, runs)
     }
 
-    /// Merge a group of runs into one new run and delete them, charging all
-    /// I/O and compares.
-    fn merge_group(&mut self, group: &[FileId]) -> FileId {
-        // An actual k-way heap merge decides the order, reading every input
-        // page; only which run each output record came from is kept, and the
-        // writer replays that order from the runs' pages once the
+    /// Merge a group of runs into one new run and delete their files,
+    /// charging all I/O and compares.
+    fn merge_group(&mut self, input: &[Page], group: &[Run<K>], keep: bool) -> Run<K> {
+        // An actual k-way heap merge decides the order, reading every page
+        // of the group's runs; the merged order is written once the
         // comparisons are charged.
-        let mut merger = RunMerger::open(self.vol, group, self.key);
-        let mut order: Vec<u16> = Vec::new();
+        let mut merger = RunMerger::open(input, group);
+        let mut order = Vec::with_capacity(group.iter().map(|r| r.order.len()).sum());
         while let Some(m) = merger.next(self.pool, self.usage) {
-            order.push(u16::try_from(m.run).expect("merge fan-in fits u16"));
+            order.push((m.key.clone(), group[m.run].order[m.at].1));
         }
-        self.charge_compares(merger.comparisons());
-        let mut runs: Vec<_> = (0..group.len()).map(|r| merger.walk(r, (0, 0))).collect();
-        let mut w = HeapWriter::create(self.vol, self.cfg.page_bytes);
-        for &run in &order {
-            let (image, at) = runs[run as usize].next().expect("merged record");
-            w.push(self.vol, self.pool, self.usage, &image[at]);
-        }
-        self.charge_moves(order.len() as u64);
-        let out = w.finish(self.vol, self.pool, self.usage);
-        for &r in group {
-            self.pool.evict_file(r);
-            self.vol.delete_file(r);
+        let compares = merger.comparisons();
+        self.charge_compares(compares);
+        let out = self.write(input, order, keep);
+        for r in group {
+            self.pool.evict_file(r.file);
+            self.vol.delete_file(r.file);
         }
         out
     }
 
     /// Merge `runs` down to one, in passes of the configured fan-in; `None`
-    /// when there were none.
-    fn merge_to_one(&mut self, mut runs: Vec<FileId>) -> Option<FileId> {
+    /// when there were none. With `keep`, the last merge is written kept.
+    fn merge_to_one(
+        &mut self,
+        input: &[Page],
+        mut runs: Vec<Run<K>>,
+        keep: bool,
+    ) -> Option<Run<K>> {
         let fan_in = self.cfg.fan_in();
         while runs.len() > 1 {
-            let mut next: Vec<FileId> = Vec::new();
-            for group in runs.chunks(fan_in) {
-                next.push(match group {
-                    [run] => *run,
-                    _ => self.merge_group(group),
-                });
-            }
+            let keep = keep && runs.len() <= fan_in;
+            // A run alone in the last group goes on to the next pass as it is.
+            let alone = if runs.len() % fan_in == 1 {
+                runs.pop()
+            } else {
+                None
+            };
+            let mut next: Vec<Run<K>> = runs
+                .chunks(fan_in)
+                .map(|group| self.merge_group(input, group, keep))
+                .collect();
+            next.extend(alone);
             self.stats.merge_passes += 1;
             runs = next;
         }
         runs.pop()
     }
+}
+
+/// Sort `input` to one run; with `keep`, that run is written kept, as a
+/// file of its records. Returns the run, the input's pages, detached from
+/// its file, and what the sort did.
+fn sort_to_run<K: Ord + Clone>(
+    mut sorter: Sorter<'_, K>,
+    input: FileId,
+    keep: bool,
+) -> (Run<K>, Vec<Page>, SortStats) {
+    let (pages, runs) = sorter.form_runs(input, keep);
+    let run = sorter
+        .merge_to_one(&pages, runs, keep)
+        .unwrap_or_else(|| Run {
+            file: sorter.vol.create_file(),
+            order: Vec::new(),
+            starts: Vec::new(),
+        });
+    (run, pages, sorter.stats)
 }
 
 /// Fully sort `input` into a new file. The input file is left intact.
@@ -250,7 +318,36 @@ pub fn external_sort<K: Ord + Clone>(
     cost: &SortCost,
     usage: &mut Usage,
 ) -> (FileId, SortStats) {
-    let mut sort = Sorter {
+    let sorter = Sorter {
+        vol: &mut *vol,
+        pool,
+        usage,
+        key,
+        cfg,
+        cost,
+        stats: SortStats::default(),
+    };
+    let (run, pages, stats) = sort_to_run(sorter, input, true);
+    vol.attach_pages(input, pages);
+    (run.file, stats)
+}
+
+/// Sort `input` as [`external_sort`] does, charging the same reads,
+/// writes, comparisons and moves in the same order, but copy no record:
+/// the sorted run is an order over the input's pages, which are taken
+/// from its file — it stays, empty, for the caller to delete. Returns the
+/// run (its file stays, empty, too), the input's pages and what the sort
+/// did.
+pub fn sort_order<K: Ord + Clone>(
+    vol: &mut Volume,
+    pool: &mut BufferPool,
+    input: FileId,
+    key: &dyn Fn(&[u8]) -> K,
+    cfg: SortConfig,
+    cost: &SortCost,
+    usage: &mut Usage,
+) -> (Run<K>, Vec<Page>, SortStats) {
+    let sorter = Sorter {
         vol,
         pool,
         usage,
@@ -259,108 +356,98 @@ pub fn external_sort<K: Ord + Clone>(
         cost,
         stats: SortStats::default(),
     };
-    let runs = sort.form_runs(input);
-    let out = match sort.merge_to_one(runs) {
-        Some(run) => run,
-        None => sort.vol.create_file(),
-    };
-    (out, sort.stats)
+    sort_to_run(sorter, input, false)
 }
 
 /// One record out of a [`RunMerger`].
 #[derive(Debug, Clone, Copy)]
-pub struct Merged<K> {
+pub struct Merged<'a, K> {
     /// The record's key.
-    pub key: K,
+    pub key: &'a K,
     /// The run it came from: an index into the runs given to
     /// [`RunMerger::open`].
     pub run: usize,
-    /// Its page and slot in that run.
-    pub at: (u32, u32),
+    /// Its place in that run's order.
+    pub at: usize,
 }
 
 /// Entry in the merge heap: a run's next record (min-heap by key, then run
 /// index for stability).
-struct HeapEntry<K>(Merged<K>);
+struct HeapEntry<'a, K>(Merged<'a, K>);
 
-impl<K: Ord> PartialEq for HeapEntry<K> {
+impl<K: Ord> PartialEq for HeapEntry<'_, K> {
     fn eq(&self, other: &Self) -> bool {
         self.0.key == other.0.key && self.0.run == other.0.run
     }
 }
-impl<K: Ord> Eq for HeapEntry<K> {}
-impl<K: Ord> PartialOrd for HeapEntry<K> {
+impl<K: Ord> Eq for HeapEntry<'_, K> {}
+impl<K: Ord> PartialOrd for HeapEntry<'_, K> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K: Ord> Ord for HeapEntry<K> {
+impl<K: Ord> Ord for HeapEntry<'_, K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a min-heap.
-        (&other.0.key, other.0.run).cmp(&(&self.0.key, self.0.run))
+        (other.0.key, other.0.run).cmp(&(self.0.key, self.0.run))
     }
 }
 
-/// One run being merged: its file, which its page reads are charged to,
-/// its pages, and the place of the record it reads next.
-struct Run {
-    file: FileId,
-    pages: Vec<Page>,
+/// One run being merged: the run, the place in its order it reads next,
+/// and the next of its pages to enter.
+struct Cursor<'a, K> {
+    run: &'a Run<K>,
+    next: usize,
     page: usize,
-    slot: usize,
 }
 
-impl Run {
+impl<K> Cursor<'_, K> {
     /// The place of the run's next record, charging each page's read as the
     /// run enters it — where [`HeapScan::next_ref`](crate::HeapScan::next_ref)
     /// charges it.
-    fn advance(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<(u32, u32)> {
-        loop {
-            let page = self.pages.get(self.page)?;
-            if self.slot == 0 {
-                pool.charge_read(self.file, self.page, usage);
-            }
-            if self.slot < page.len() {
-                self.slot += 1;
-                return Some((self.page as u32, self.slot as u32 - 1));
-            }
-            (self.page, self.slot) = (self.page + 1, 0);
+    fn advance(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<usize> {
+        let at = self.next;
+        if at == self.run.order.len() {
+            return None;
         }
+        if self.run.starts.get(self.page) == Some(&(at as u32)) {
+            pool.charge_read(self.run.file, self.page, usage);
+            self.page += 1;
+        }
+        self.next += 1;
+        Some(at)
     }
 }
 
-/// Streaming k-way merge over sorted run files. It takes the runs' pages
-/// off the volume when it opens — their files stay, empty, for the caller
-/// to delete — and yields each record's place on them
-/// ([`RunMerger::next`]); [`RunMerger::walk`] hands out the records
-/// themselves as a page image and a range of it, so they can be sent by
-/// reference.
-pub struct RunMerger<'k, K> {
-    key: &'k dyn Fn(&[u8]) -> K,
-    runs: Vec<Run>,
-    heap: BinaryHeap<HeapEntry<K>>,
+/// Streaming k-way merge over sorted [`Run`]s, all orders over the same
+/// input pages. It yields each record's place in its run
+/// ([`RunMerger::next`]), charging the reads of the runs' pages as it
+/// enters them; [`RunMerger::walk`] hands out the records themselves as a
+/// page image and a range of it, so they can be sent by reference.
+pub struct RunMerger<'a, K> {
+    input: &'a [Page],
+    runs: Vec<Cursor<'a, K>>,
+    heap: BinaryHeap<HeapEntry<'a, K>>,
     primed: bool,
     comparisons: u64,
     log2_k: u64,
 }
 
-impl<'k, K: Ord> RunMerger<'k, K> {
-    /// Open a merger over `runs` (each must be internally sorted by `key`),
-    /// detaching their pages from `vol`.
-    pub fn open(vol: &mut Volume, runs: &[FileId], key: &'k dyn Fn(&[u8]) -> K) -> Self {
+impl<'a, K: Ord> RunMerger<'a, K> {
+    /// Open a merger over `runs`, orders over the pages `input`.
+    pub fn open(input: &'a [Page], runs: &'a [Run<K>]) -> Self {
         let k = runs.len().max(1) as u64;
         RunMerger {
-            key,
+            input,
             runs: runs
                 .iter()
-                .map(|&file| Run {
-                    file,
-                    pages: vol.detach_pages(file),
+                .map(|run| Cursor {
+                    run,
+                    next: 0,
                     page: 0,
-                    slot: 0,
                 })
                 .collect(),
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(runs.len()),
             primed: false,
             comparisons: 0,
             log2_k: 64 - (k.saturating_sub(1)).leading_zeros() as u64,
@@ -371,14 +458,14 @@ impl<'k, K: Ord> RunMerger<'k, K> {
     fn refill(&mut self, run: usize, pool: &mut BufferPool, usage: &mut Usage) {
         let r = &mut self.runs[run];
         if let Some(at) = r.advance(pool, usage) {
-            let (page, slot) = (at.0 as usize, at.1 as usize);
-            let key = (self.key)(r.pages[page].get(slot).expect("slot in range"));
+            let order: &'a [Indexed<K>] = &r.run.order;
+            let key = &order[at].0;
             self.heap.push(HeapEntry(Merged { key, run, at }));
         }
     }
 
     /// The next record in globally sorted order.
-    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<Merged<K>> {
+    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<Merged<'a, K>> {
         if !self.primed {
             for run in 0..self.runs.len() {
                 self.refill(run, pool, usage);
@@ -393,18 +480,18 @@ impl<'k, K: Ord> RunMerger<'k, K> {
     }
 
     /// Run `run`'s records from place `at` on, in run order, each as the
-    /// image of the page it lies on and its range there. Reads nothing from
-    /// the volume and charges nothing.
+    /// image of the input page it lies on and its range there. Reads
+    /// nothing from the volume and charges nothing.
     pub fn walk(
         &self,
         run: usize,
-        (page, slot): (u32, u32),
-    ) -> impl Iterator<Item = (&Arc<[u8]>, Range<usize>)> + '_ {
-        let firsts = std::iter::once(slot as usize).chain(std::iter::repeat(0));
-        self.runs[run].pages[page as usize..]
-            .iter()
-            .zip(firsts)
-            .flat_map(|(p, first)| (first..p.len()).map(move |s| (p.image(), p.range(s))))
+        at: usize,
+    ) -> impl Iterator<Item = (&'a Arc<[u8]>, Range<usize>)> + 'a {
+        let (input, run): (&'a [Page], &'a Run<K>) = (self.input, self.runs[run].run);
+        run.order[at..].iter().map(move |&(_, (page, slot))| {
+            let page = &input[page as usize];
+            (page.image(), page.range(slot as usize))
+        })
     }
 
     /// Comparisons attributed to the merge so far.
@@ -815,40 +902,152 @@ mod tests {
     }
 
     #[test]
+    fn sort_order_charges_what_the_kept_file_reference_does() {
+        for case in cases() {
+            let (page_bytes, mem_bytes, n, ..) = case;
+            let what = format!("{page_bytes}-byte pages, {mem_bytes} bytes, {n} records");
+            let cfg = SortConfig {
+                mem_bytes,
+                page_bytes,
+            };
+            let cost = SortCost::default();
+            let ((mut vol, mut pool, mut u), input, sorted) = case_input(&case);
+            let (mut ref_vol, mut ref_pool, mut ref_u) = (vol.clone(), pool.clone(), u.clone());
+            let (want, want_stats) = Reference {
+                vol: &mut ref_vol,
+                pool: &mut ref_pool,
+                u: &mut ref_u,
+                cfg,
+                cost,
+                stats: SortStats::default(),
+            }
+            .sort(input);
+
+            let (run, pages, stats) =
+                sort_order(&mut vol, &mut pool, input, &key_u32, cfg, &cost, &mut u);
+            assert_eq!(stats, want_stats, "{what}");
+            assert_eq!(u, ref_u, "{what}: ledger and disk request log");
+            assert_eq!(pool.stats(), ref_pool.stats(), "{what}: pool hits, misses");
+            assert_eq!(pool.peak_pages(), ref_pool.peak_pages(), "{what}");
+            assert_eq!(run.file, want, "{what}: file id");
+            assert_eq!(
+                vol.file_pages(run.file),
+                0,
+                "{what}: the run holds no bytes"
+            );
+            assert_eq!(
+                vol.file_pages(input),
+                0,
+                "{what}: the input's pages are taken"
+            );
+            assert_eq!(vol.total_pages(), 0, "{what}: no other file is left");
+            let recs: Vec<&[u8]> = run
+                .order
+                .iter()
+                .map(|&(_, (p, s))| pages[p as usize].get(s as usize).unwrap())
+                .collect();
+            assert!(
+                recs.iter().copied().eq(sorted.iter().map(Vec::as_slice)),
+                "{what}"
+            );
+            assert!(run
+                .order
+                .iter()
+                .zip(&recs)
+                .all(|(e, rec)| e.0 == key_u32(rec)));
+            let mut at = 0;
+            let starts: Vec<u32> = (0..ref_vol.file_pages(want))
+                .map(|p| {
+                    let start = at;
+                    at += ref_vol.page(want, p).len() as u32;
+                    start
+                })
+                .collect();
+            assert_eq!(run.starts, starts, "{what}: the kept file's page shape");
+        }
+    }
+
+    #[test]
     fn merger_places_records_and_charges_reads_as_heap_scans_do() {
-        // Four sorted runs of 7-record pages with shared keys, merged through
-        // a 3-frame pool: every place the merger yields walks, across page
-        // boundaries, over exactly the records a scan of its run reads from
-        // there on; the merge order is the scan-based merge's; and the page
-        // reads charge the same ledger and the same pool hits and misses.
+        // Four sorted runs of 7-record pages with shared keys, their records
+        // interleaved on the input's pages, merged through a 3-frame pool:
+        // every place the merger yields walks over exactly the records a
+        // scan of the kept copy of its run reads from there on; the merge
+        // order is the scan-based merge's; and the page reads charge the
+        // same ledger and the same pool hits and misses.
         let (mut vol, mut u) = (Volume::new(), Usage::ZERO);
         let mut pool = BufferPool::new(DiskConfig::fujitsu_8inch(), 3);
-        let runs: Vec<FileId> = (0..4u32)
+        let mut w = HeapWriter::create(&mut vol, 512);
+        for i in 0..49u32 {
+            for r in (0..4u32).filter(|&r| i < 10 + 13 * r) {
+                let mut rec = (i * 3 / (r + 1)).to_le_bytes().to_vec();
+                rec.extend_from_slice(&[r as u8; 30]);
+                rec.extend_from_slice(&i.to_le_bytes());
+                rec.extend_from_slice(&[0xAB; 26]);
+                w.push(&mut vol, &mut pool, &mut u, &rec);
+            }
+        }
+        let input = w.finish(&mut vol, &mut pool, &mut u);
+        let pages = vol.detach_pages(input);
+        let orders: Vec<Vec<Indexed<u32>>> = (0..4u8)
             .map(|r| {
-                let mut w = HeapWriter::create(&mut vol, 512);
-                for i in 0..(10 + 13 * r) {
-                    let mut rec = (i * 3 / (r + 1)).to_le_bytes().to_vec();
-                    rec.extend_from_slice(&[r as u8; 30]);
-                    rec.extend_from_slice(&i.to_le_bytes());
-                    rec.extend_from_slice(&[0xAB; 26]);
-                    w.push(&mut vol, &mut pool, &mut u, &rec);
-                }
-                w.finish(&mut vol, &mut pool, &mut u)
+                let places = pages
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(p, page)| (0..page.len()).map(move |s| (p as u32, s as u32)));
+                places
+                    .map(|(p, s)| (pages[p as usize].get(s as usize).unwrap(), (p, s)))
+                    .filter(|(rec, _)| rec[4] == r)
+                    .map(|(rec, at)| (key_u32(rec), at))
+                    .collect()
             })
             .collect();
-        assert!(runs.iter().all(|&r| vol.file_pages(r) >= 2));
-        let scanned: Vec<Vec<Vec<u8>>> = {
-            let mut p = pool.clone();
-            let mut io = Usage::ZERO;
-            runs.iter()
-                .map(|&r| HeapScan::open(&vol, r).collect_all(&mut p, &mut io))
-                .collect()
+        let (mut kept_vol, mut kept_pool, mut kept_u) = (vol.clone(), pool.clone(), u.clone());
+        let cfg = SortConfig {
+            mem_bytes: 1024,
+            page_bytes: 512,
         };
-        let (mut want_pool, mut want_u) = (pool.clone(), u.clone());
-        let want = heap_scan_merge(&vol, &mut want_pool, &mut want_u, &runs);
+        let cost = SortCost::default();
+        let write = |vol: &mut Volume, pool: &mut BufferPool, u: &mut Usage, keep: bool| {
+            let mut sorter = Sorter {
+                vol,
+                pool,
+                usage: u,
+                key: &key_u32,
+                cfg,
+                cost: &cost,
+                stats: SortStats::default(),
+            };
+            let runs: Vec<Run<u32>> = orders
+                .iter()
+                .map(|order| sorter.write(&pages, order.clone(), keep))
+                .collect();
+            runs
+        };
+        let runs = write(&mut vol, &mut pool, &mut u, false);
+        let files: Vec<FileId> = write(&mut kept_vol, &mut kept_pool, &mut kept_u, true)
+            .iter()
+            .map(|r| r.file)
+            .collect();
+        assert_eq!(u, kept_u, "unkept runs charge what kept ones do");
+        assert!(runs.iter().all(|r| r.starts.len() >= 2));
+        for (run, &file) in runs.iter().zip(&files) {
+            assert_eq!(run.file, file);
+            assert_eq!(vol.file_pages(run.file), 0, "no bytes kept");
+            let lens: Vec<u32> = (0..kept_vol.file_pages(file))
+                .map(|p| kept_vol.page(file, p).len() as u32)
+                .collect();
+            let starts: Vec<u32> = lens
+                .iter()
+                .scan(0, |at, n| Some(std::mem::replace(at, *at + n)))
+                .collect();
+            assert_eq!(run.starts, starts, "the kept file's page shape");
+        }
+        let scanned: Vec<Vec<Vec<u8>>> =
+            files.iter().map(|&f| file_records(&kept_vol, f)).collect();
+        let want = heap_scan_merge(&kept_vol, &mut kept_pool, &mut kept_u, &files);
 
-        let mut merger = RunMerger::open(&mut vol, &runs, &key_u32);
-        assert!(runs.iter().all(|&r| vol.file_pages(r) == 0), "pages taken");
+        let mut merger = RunMerger::open(&pages, &runs);
         let mut got = Vec::new();
         let mut read = vec![0usize; runs.len()];
         while let Some(m) = merger.next(&mut pool, &mut u) {
@@ -858,13 +1057,13 @@ mod tests {
                 .map(|(image, at)| &image[at])
                 .collect();
             assert!(walked.iter().copied().eq(rest.iter().map(Vec::as_slice)));
-            assert_eq!(m.key, key_u32(walked[0]));
+            assert_eq!(*m.key, key_u32(walked[0]));
             got.push((m.run, walked[0].to_vec()));
             read[m.run] += 1;
         }
         assert_eq!(got, want, "merge order");
-        assert_eq!(u, want_u, "page-read charges");
-        assert_eq!(pool.stats(), want_pool.stats(), "pool hits and misses");
+        assert_eq!(u, kept_u, "page-read charges");
+        assert_eq!(pool.stats(), kept_pool.stats(), "pool hits and misses");
         assert_eq!(
             merger.comparisons(),
             want.len() as u64 * 2,
