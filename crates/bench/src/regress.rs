@@ -243,15 +243,18 @@ const WARM_PASSES: usize = 4;
 /// Passes [`pass_repeat_errors`] then holds to the settled count.
 const HELD_PASSES: usize = 4;
 
-/// Passes repeat by construction: the benchmark's `skew-overflow` grid at
-/// its smoke scale (a 500 × 50 join on `normal` drawn at `sd` = 1, Hybrid
-/// under the optimistic policy at ratio 0.5, legacy then robust), rerun as
-/// one pass after another on one machine, as the benchmark reruns it. A
-/// buffer, free list or table that `clear()` keeps but a pass still grows
-/// shows up as a pass that allocates more than the one before. The passes
-/// warm up until two in a row allocate alike (at most [`WARM_PASSES`]);
-/// each of the next [`HELD_PASSES`] must then allocate exactly that.
-/// Counts under the `regress` binary's counting allocator, serially.
+/// Passes repeat by construction: two of the benchmark's smoke points,
+/// each rerun as one pass after another on one machine, as the benchmark
+/// reruns it. One is the `skew-overflow` grid (a 500 × 50 join on `normal`
+/// drawn at `sd` = 1, Hybrid under the optimistic policy at ratio 0.5,
+/// legacy then robust); the other is `sort-merge` at ratio 0.2 (a
+/// 5,000 × 500 join on `unique1`), whose outer fragments take three or
+/// four merge passes per node. A buffer, free list or table that `clear()` keeps but
+/// a pass still grows shows up as a pass that allocates more than the one
+/// before. The passes warm up until two in a row allocate alike (at most
+/// [`WARM_PASSES`]); each of the next [`HELD_PASSES`] must then allocate
+/// exactly that. Counts under the `regress` binary's counting allocator,
+/// serially.
 fn pass_repeat_errors() -> Vec<String> {
     let w = Workload::scaled_nu(500, 50, 1.0);
     let builder = SweepBuilder::new(&w)
@@ -266,14 +269,26 @@ fn pass_repeat_errors() -> Vec<String> {
     };
     // Memoize the reference join before counting, as `alloc_ceilings` does.
     w.expect("normal", "normal");
-    let mut pass = || {
-        count_allocs(|| {
-            for spec in [&legacy, &robust] {
-                builder.measure(&mut machine, spec, Algorithm::HybridHash, 0.5);
-            }
-        })
-        .1
-    };
+    let mut errors = settled_errors("skew-overflow smoke grid", || {
+        for spec in [&legacy, &robust] {
+            builder.measure(&mut machine, spec, Algorithm::HybridHash, 0.5);
+        }
+    });
+
+    let w = Workload::at_scale(0.05);
+    let builder = SweepBuilder::new(&w).exec(ExecConfig::serial());
+    let (mut machine, spec) = builder.prepare(Algorithm::SortMerge, 0.2);
+    w.expect("unique1", "unique1");
+    errors.extend(settled_errors("sort-merge smoke point", || {
+        builder.measure(&mut machine, &spec, Algorithm::SortMerge, 0.2);
+    }));
+    errors
+}
+
+/// Run `pass` until two passes in a row allocate alike, then
+/// [`HELD_PASSES`] more, and name each of those that allocates otherwise.
+fn settled_errors(what: &str, mut run: impl FnMut()) -> Vec<String> {
+    let mut pass = || count_allocs(&mut run).1;
     let mut last = pass();
     let mut warm = 1;
     while warm < WARM_PASSES {
@@ -289,9 +304,9 @@ fn pass_repeat_errors() -> Vec<String> {
         let count = pass();
         if count != last {
             errors.push(format!(
-                "skew-overflow smoke grid on one machine: pass {} allocated {count} \
-                 times where the warmed-up passes allocated {last} — something a \
-                 pass grows outlives its clear()",
+                "{what} on one machine: pass {} allocated {count} times where the \
+                 warmed-up passes allocated {last} — something a pass grows \
+                 outlives its clear()",
                 warm + held
             ));
         }

@@ -63,15 +63,20 @@
 # modules included.
 #
 # A heap writer fills its pages in place, in a staging run of
-# `SEGMENT_PAGES` pages that its volume owns and recycles
-# (`Volume::take_run` / `return_run`): closing a full page
+# `SEGMENT_PAGES` pages that its volume owns and hands from writer to
+# writer (`Volume::take_run` / `return_run`): closing a full page
 # (`Staging::seal` in `crates/wiss/src/page.rs`) only moves on to the next
 # page of the run, and a run is published whole — one `Arc<[u8]>` segment
-# per up to `SEGMENT_PAGES` pages — by `Staging::publish`, or reset in
-# place by `Staging::recycle` when nothing reads the file. An allocation in
-# `seal` or `recycle`, a second one in `publish`, a run made per writer in
+# per up to `SEGMENT_PAGES` pages — by `Staging::publish`. An allocation
+# in `seal`, a second one in `publish`, a run made per writer in
 # `heap.rs`, or the per-page `PageBuilder` is one image per page written
-# again.
+# again. A writer whose file nothing reads (`HeapWriter::create_unkept`)
+# takes no staging run and copies no record bytes: it lays its pages out
+# by length in a `Layout`, which holds and writes no bytes. The sort
+# (`crates/wiss/src/sort.rs`) writes its runs as orders over the input's
+# pages through unkept writers, and opens a kept `HeapWriter::create(` at
+# one site only, for `external_sort`'s final run: a second one is a sort
+# run copied record by record again.
 #
 # One packet path: the exchange (`crates/net/src/exchange.rs`) batches and
 # charges every inter-node tuple, and scheduler control messages are
@@ -223,21 +228,18 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
-# Closing a page and recycling a run allocate nothing; a run is published
-# as one segment.
+# Closing a page allocates nothing; a run is published as one segment.
 f=crates/wiss/src/page.rs
 body() { # fn name -> the body of Staging's method of that name
     awk -v fn="fn $1(" '/^impl Staging/{on=1} on&&index($0,fn){s=1} s{print} s&&/^    }$/{exit}' "$f"
 }
-for fn in seal recycle; do
-    b=$(body $fn)
-    if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
-        grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
-        echo "error: $f: Staging::$fn must work in place, without allocating:" >&2
-        echo "$b" | sed "s|^|  |" >&2
-        fail=1
-    fi
-done
+b=$(body seal)
+if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
+    grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
+    echo "error: $f: Staging::seal must work in place, without allocating:" >&2
+    echo "$b" | sed "s|^|  |" >&2
+    fail=1
+fi
 if [ "$(body publish | grep -cE 'Arc::from|Arc::new|collect|to_vec')" -ne 1 ]; then
     echo "error: $f: Staging::publish must make exactly one image, the segment, per run:" >&2
     body publish | sed "s|^|  |" >&2
@@ -248,6 +250,31 @@ hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
     grep -nE 'Staging::new|PageBuilder|Page::new|Page::from_bytes' | grep -vE '^[0-9]+:\s*//' || true)
 if [ -n "$hits" ] || ! grep -q 'take_run(' "$f"; then
     echo "error: $f: a writer takes its staging run from its volume, never one of its own:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+# An unkept writer takes no staging run, and its by-length page holds and
+# copies no bytes.
+b=$(awk '/fn create_unkept\(/{s=1} s{print} s&&/^    }$/{exit}' "$f")
+if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" | grep -qE 'take_run\(|Staging'; then
+    echo "error: $f: an unkept writer takes no staging run:" >&2
+    echo "$b" | sed "s|^|  |" >&2
+    fail=1
+fi
+b=$(awk '/^pub\(crate\) struct Layout/{s=1} s{print} s&&/^impl Layout/{i=1} i&&/^}$/{exit}' \
+    crates/wiss/src/page.rs)
+if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
+    grep -qE 'u8|Box|Vec|Arc|\[|copy_from_slice|fill\('; then
+    echo "error: crates/wiss/src/page.rs: Layout lays a page out by length; it holds and copies no bytes:" >&2
+    echo "$b" | sed "s|^|  |" >&2
+    fail=1
+fi
+# The sort copies records once, into external_sort's result.
+f=crates/wiss/src/sort.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+    grep -nE 'HeapWriter::create\(' | grep -vE '^[0-9]+:\s*//' || true)
+if [ "$(grep -c . <<<"$hits")" -ne 1 ]; then
+    echo "error: $f must open a kept writer at one site only, for external_sort's final run:" >&2
     echo "$hits" | sed "s|^|  $f:|" >&2
     fail=1
 fi
@@ -360,4 +387,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from recycled runs, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
