@@ -146,7 +146,17 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         } else {
             HeapWriter::create_unkept(self.vol, page_bytes)
         };
-        let mut starts = Vec::new();
+        // A run's records are alike: the pages its first record's length
+        // fills hold them all.
+        let pages = order.first().map_or(0, |&(_, (page, slot))| {
+            let len = input[page as usize]
+                .get(slot as usize)
+                .map_or(1, <[u8]>::len);
+            order
+                .len()
+                .div_ceil(Page::capacity_for(page_bytes, len).max(1))
+        });
+        let mut starts = Vec::with_capacity(pages);
         for (i, &(_, (page, slot))) in order.iter().enumerate() {
             let rec = input[page as usize]
                 .get(slot as usize)
@@ -188,8 +198,12 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         }
         let pages = self.vol.detach_pages(input);
         let records: u64 = pages.iter().map(|p| p.len() as u64).sum();
+        // A full workspace holds what `mem_bytes` holds of records like the
+        // first one.
+        let first = pages.first().and_then(|p| p.get(0)).map_or(1, <[u8]>::len);
+        let per_run = records.min(self.cfg.mem_bytes / first as u64 + 1);
         let mut runs = Vec::new();
-        let mut workspace: Vec<Indexed<K>> = Vec::new();
+        let mut workspace: Vec<Indexed<K>> = Vec::with_capacity(per_run as usize);
         let mut ws_bytes = 0u64;
         for (p, page) in pages.iter().enumerate() {
             for (slot, rec) in page.records().enumerate() {
@@ -199,7 +213,7 @@ impl<K: Ord + Clone> Sorter<'_, K> {
                 workspace.push(((self.key)(rec), (p as u32, slot as u32)));
                 if ws_bytes >= self.cfg.mem_bytes {
                     let rest = records - self.stats.records;
-                    let next = Vec::with_capacity(if rest > 0 { workspace.len() } else { 0 });
+                    let next = Vec::with_capacity(rest.min(per_run) as usize);
                     let order = std::mem::replace(&mut workspace, next);
                     let only = keep && runs.is_empty() && rest == 0;
                     runs.push(self.write_run(&pages, order, only));
