@@ -307,7 +307,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let files: Vec<(FileId, FileId)> = r_runs
         .iter()
         .zip(&s_runs)
-        .map(|((r, _), (s, _))| (r.file, s.file))
+        .map(|((r, _), (s, _))| (r.file(), s.file()))
         .collect();
     let mut states: Vec<(Sorted, Sorted)> = r_runs.into_iter().zip(s_runs).collect();
     run_step(
@@ -350,6 +350,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             );
         },
     );
+    // The orders go now; the pages live on only in the results sent.
     drop(states);
     consumers.absorb(machine, &mut ledgers);
     for (&node, &(r_file, s_file)) in disk_nodes.iter().zip(&files) {

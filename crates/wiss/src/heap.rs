@@ -101,7 +101,7 @@ impl HeapWriter {
     }
 
     /// Pages sealed so far: the index of the page the last record went to.
-    pub fn pages(&self) -> usize {
+    pub(crate) fn pages(&self) -> usize {
         self.pages
     }
 

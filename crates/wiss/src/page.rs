@@ -78,6 +78,8 @@ fn format(buf: &mut [u8]) {
     buf[2..4].copy_from_slice(&((page_bytes - 1) as u16).to_le_bytes());
 }
 
+/// Check that a page of `page_bytes` can be formatted.
+///
 /// # Panics
 /// Panics if a page of `page_bytes` cannot hold the header plus one slot,
 /// or its boundary does not fit the header.

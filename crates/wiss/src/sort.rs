@@ -95,7 +95,7 @@ pub struct SortStats {
 /// Sort workspace entry: a record's key and its `(page, slot)` in the
 /// detached input. Its size decides how many comparator calls `sort_by`
 /// makes, and so what the sort is charged.
-pub type Indexed<K> = (K, (u32, u32));
+type Indexed<K> = (K, (u32, u32));
 
 /// A sorted run as an order over the input's pages. Its file was charged
 /// as written, page by page, and holds no bytes.
@@ -103,11 +103,18 @@ pub type Indexed<K> = (K, (u32, u32));
 pub struct Run<K> {
     /// The file the run was charged to: its page reads are charged there
     /// too.
-    pub file: FileId,
+    file: FileId,
     /// Every record's key and place on the input's pages, in sorted order.
-    pub order: Vec<Indexed<K>>,
+    order: Vec<Indexed<K>>,
     /// The run's page shape: where in `order` each of its pages starts.
-    pub starts: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl<K> Run<K> {
+    /// The file the run was charged to, empty: the caller deletes it.
+    pub fn file(&self) -> FileId {
+        self.file
+    }
 }
 
 /// One sort in progress: the node's volume and buffer pool, the ledger it
@@ -146,22 +153,20 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         } else {
             HeapWriter::create_unkept(self.vol, page_bytes)
         };
+        let record = |(page, slot): (u32, u32)| {
+            input[page as usize]
+                .get(slot as usize)
+                .expect("indexed slot")
+        };
         // A run's records are alike: the pages its first record's length
         // fills hold them all.
-        let pages = order.first().map_or(0, |&(_, (page, slot))| {
-            let len = input[page as usize]
-                .get(slot as usize)
-                .map_or(1, <[u8]>::len);
-            order
-                .len()
-                .div_ceil(Page::capacity_for(page_bytes, len).max(1))
+        let pages = order.first().map_or(0, |&(_, at)| {
+            let per_page = Page::capacity_for(page_bytes, record(at).len());
+            order.len().div_ceil(per_page.max(1))
         });
         let mut starts = Vec::with_capacity(pages);
-        for (i, &(_, (page, slot))) in order.iter().enumerate() {
-            let rec = input[page as usize]
-                .get(slot as usize)
-                .expect("indexed slot");
-            w.push(self.vol, self.pool, self.usage, rec);
+        for (i, &(_, at)) in order.iter().enumerate() {
+            w.push(self.vol, self.pool, self.usage, record(at));
             if w.pages() == starts.len() {
                 starts.push(i as u32);
             }
