@@ -281,25 +281,21 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         }
         runs.pop()
     }
-}
 
-/// Sort `input` to one run; with `keep`, that run is written kept, as a
-/// file of its records. Returns the run, the input's pages, detached from
-/// its file, and what the sort did.
-fn sort_to_run<K: Ord + Clone>(
-    mut sorter: Sorter<'_, K>,
-    input: FileId,
-    keep: bool,
-) -> (Run<K>, Vec<Page>, SortStats) {
-    let (pages, runs) = sorter.form_runs(input, keep);
-    let run = sorter
-        .merge_to_one(&pages, runs, keep)
-        .unwrap_or_else(|| Run {
-            file: sorter.vol.create_file(),
-            order: Vec::new(),
-            starts: Vec::new(),
-        });
-    (run, pages, sorter.stats)
+    /// Sort `input` to one run; with `keep`, that run is written kept, as
+    /// a file of its records. Returns the run, the input's pages, detached
+    /// from its file, and what the sort did.
+    fn sort(mut self, input: FileId, keep: bool) -> (Run<K>, Vec<Page>, SortStats) {
+        let (pages, runs) = self.form_runs(input, keep);
+        let run = self
+            .merge_to_one(&pages, runs, keep)
+            .unwrap_or_else(|| Run {
+                file: self.vol.create_file(),
+                order: Vec::new(),
+                starts: Vec::new(),
+            });
+        (run, pages, self.stats)
+    }
 }
 
 /// Fully sort `input` into a new file. The input file is left intact.
@@ -346,7 +342,7 @@ pub fn external_sort<K: Ord + Clone>(
         cost,
         stats: SortStats::default(),
     };
-    let (run, pages, stats) = sort_to_run(sorter, input, true);
+    let (run, pages, stats) = sorter.sort(input, true);
     vol.attach_pages(input, pages);
     (run.file, stats)
 }
@@ -375,7 +371,7 @@ pub fn sort_order<K: Ord + Clone>(
         cost,
         stats: SortStats::default(),
     };
-    sort_to_run(sorter, input, false)
+    sorter.sort(input, false)
 }
 
 /// One record out of a [`RunMerger`].
@@ -719,10 +715,10 @@ mod tests {
         out
     }
 
-    /// The sort as it was first written, every run a kept file: run
-    /// formation copies each sorted workspace into a file, and each merge
-    /// reads its runs through [`HeapScan`]s ([`heap_scan_merge`]) and writes
-    /// the merged file. It charges what every sort must charge, in order.
+    /// The reference sort, every run a kept file: run formation copies
+    /// each sorted workspace into a file, and each merge reads its runs
+    /// through [`HeapScan`]s ([`heap_scan_merge`]) and writes the merged
+    /// file. It charges what every sort must charge, in order.
     struct Reference<'a> {
         vol: &'a mut Volume,
         pool: &'a mut BufferPool,
@@ -873,6 +869,18 @@ mod tests {
         ((vol, pool, u), input, sorted)
     }
 
+    /// Where each page of `file` starts among the file's records.
+    fn page_starts(vol: &Volume, file: FileId) -> Vec<u32> {
+        let mut at = 0;
+        (0..vol.file_pages(file))
+            .map(|p| {
+                let start = at;
+                at += vol.page(file, p).len() as u32;
+                start
+            })
+            .collect()
+    }
+
     fn file_records(vol: &Volume, file: FileId) -> Vec<Vec<u8>> {
         (0..vol.file_pages(file))
             .flat_map(|p| vol.page(file, p).records().map(<[u8]>::to_vec))
@@ -974,15 +982,8 @@ mod tests {
                 .iter()
                 .zip(&recs)
                 .all(|(e, rec)| e.0 == key_u32(rec)));
-            let mut at = 0;
-            let starts: Vec<u32> = (0..ref_vol.file_pages(want))
-                .map(|p| {
-                    let start = at;
-                    at += ref_vol.page(want, p).len() as u32;
-                    start
-                })
-                .collect();
-            assert_eq!(run.starts, starts, "{what}: the kept file's page shape");
+            let shape = page_starts(&ref_vol, want);
+            assert_eq!(run.starts, shape, "{what}: the kept file's page shape");
         }
     }
 
@@ -1053,14 +1054,8 @@ mod tests {
         for (run, &file) in runs.iter().zip(&files) {
             assert_eq!(run.file, file);
             assert_eq!(vol.file_pages(run.file), 0, "no bytes kept");
-            let lens: Vec<u32> = (0..kept_vol.file_pages(file))
-                .map(|p| kept_vol.page(file, p).len() as u32)
-                .collect();
-            let starts: Vec<u32> = lens
-                .iter()
-                .scan(0, |at, n| Some(std::mem::replace(at, *at + n)))
-                .collect();
-            assert_eq!(run.starts, starts, "the kept file's page shape");
+            let shape = page_starts(&kept_vol, file);
+            assert_eq!(run.starts, shape, "the kept file's page shape");
         }
         let scanned: Vec<Vec<Vec<u8>>> =
             files.iter().map(|&f| file_records(&kept_vol, f)).collect();
