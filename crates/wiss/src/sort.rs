@@ -449,7 +449,7 @@ pub struct RunMerger<'a, K> {
 }
 
 impl<'a, K: Ord> RunMerger<'a, K> {
-    /// Open a merger over `runs`, orders over the pages `input`.
+    /// Open a merger over `runs`, each an order over the pages `input`.
     pub fn open(input: &'a [Page], runs: &'a [Run<K>]) -> Self {
         let k = runs.len().max(1) as u64;
         RunMerger {
