@@ -434,3 +434,80 @@ const PINNED_PLACEMENT: [(usize, u32, [usize; 8], u64); 2] = [
     (5, 4, [501, 502, 500, 501, 499, 498, 500, 499], 9940830),
     (2, 2, [502, 501, 502, 499, 496, 498, 500, 502], 6665290),
 ];
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Sort-merge reads each sorted run's pages in the order the merge join
+/// reaches them: it opens R's run, takes R's first record, then opens S's
+/// and takes S's first, and each run reads the page of the record after
+/// the one it hands out. With 600-byte inner tuples on 1 KB pages every R
+/// record has a run page of its own, so the merge join's disk request log
+/// — and each phase's whole ledger with it, hashed here — pins that order,
+/// which the response time alone does not. Pinned at unbounded memory and
+/// at 8 KB (several merge passes per node).
+#[test]
+fn sort_merge_reads_run_pages_in_merge_order() {
+    let mut cost = CostModel::gamma_1989();
+    cost.disk.page_bytes = 1024;
+    let cfg = MachineConfig {
+        disk_nodes: 4,
+        diskless_nodes: 0,
+        cost,
+    };
+    let schema = |width: usize| {
+        Schema::new(vec![
+            Field::Int("k".into()),
+            Field::Str("pad".into(), width - 4),
+        ])
+    };
+    let (r_schema, s_schema) = (schema(600), schema(40));
+    let (r_attr, s_attr) = (r_schema.int_attr("k"), s_schema.int_attr("k"));
+    let tuples = |schema: &Schema, keys: Vec<u32>| -> Vec<Vec<u8>> {
+        keys.into_iter()
+            .map(|k| {
+                let mut t = vec![0u8; schema.tuple_bytes()];
+                schema.int_attr("k").put(&mut t, k);
+                t
+            })
+            .collect()
+    };
+    for (memory, pin) in [1u64 << 40, 8_192].into_iter().zip(PINNED_SORT_MERGE) {
+        let mut m = Machine::new(cfg.clone());
+        let r = m.load_relation(
+            "r",
+            r_schema.clone(),
+            Declustering::Hashed { attr: r_attr },
+            tuples(&r_schema, (0..200).collect()),
+        );
+        let s = m.load_relation(
+            "s",
+            s_schema.clone(),
+            Declustering::Hashed { attr: s_attr },
+            tuples(&s_schema, (0..8_000).map(|k| k % 250).collect()),
+        );
+        let spec = JoinSpec::new(Algorithm::SortMerge, r, s, r_attr, s_attr, memory);
+        let report = run_join(&mut m, &spec);
+        let phases: Vec<(&str, u64)> = report
+            .phases
+            .iter()
+            .map(|p| (p.name.as_str(), fnv1a(format!("{:?}", p.total).as_bytes())))
+            .collect();
+        let got = (report.response.as_us(), report.result_tuples, phases);
+        assert_eq!(got, (pin.0, pin.1, pin.2.to_vec()), "{memory} B");
+    }
+}
+
+/// Each phase's name and the FNV-1a of its total ledger's `Debug` text.
+type PhaseDigests = [(&'static str, u64); 5];
+
+/// The cases above, in order: `(response µs, result tuples, phases)`.
+#[rustfmt::skip]
+const PINNED_SORT_MERGE: [(u64, u64, PhaseDigests); 2] = [
+    (37323310, 6400, [("partition R", 0xabe7_1709_7b62_b577), ("sort R", 0xb631_c9e4_41df_3f01), ("partition S", 0x794f_1eb1_f368_2542), ("sort S", 0xf297_ede2_865c_40b6), ("merge join", 0x4b0c_6d60_0734_f216)]),
+    (52522010, 6400, [("partition R", 0xabe7_1709_7b62_b577), ("sort R", 0x0587_6f8d_3951_d1f1), ("partition S", 0x794f_1eb1_f368_2542), ("sort S", 0x103b_679c_2d02_af94), ("merge join", 0x4b0c_6d60_0734_f216)]),
+];
