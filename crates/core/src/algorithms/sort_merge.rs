@@ -32,7 +32,7 @@
 use std::cmp::Ordering;
 
 use gamma_des::{Event, SimTime, Usage};
-use gamma_wiss::sort::{sort_order, Run, RunMerger};
+use gamma_wiss::sort::{sort_order, Cursor, Run};
 use gamma_wiss::{BufferPool, FileId, Page, SortConfig};
 
 use crate::batch::Rec;
@@ -208,51 +208,56 @@ struct Group {
     s: u32,
 }
 
-/// Merge-join one node's sorted runs, reading their pages as the merge
-/// reaches them; returns the groups of equal values in merge order and the
-/// comparisons made.
+/// Merge-join one node's sorted runs through a cursor each, reading their
+/// pages as the merge reaches them; returns the groups of equal values in
+/// merge order and the comparisons made.
 fn merge_groups(
     pool: &mut BufferPool,
     ledger: &mut Usage,
-    rm: &mut RunMerger<'_, u32>,
-    sm: &mut RunMerger<'_, u32>,
+    r_run: &Run<u32>,
+    s_run: &Run<u32>,
 ) -> (Vec<Group>, u64) {
     let mut groups = Vec::new();
     let mut compares = 0u64;
-    let mut r_next = rm.next(pool, ledger);
-    let mut s_cur = sm.next(pool, ledger);
-    while let (Some(r), Some(s)) = (r_next, s_cur) {
+    // `r_cur` and `s_cur` are the records last taken, each at place
+    // `taken() - 1` of its run.
+    let mut rc = Cursor::open(r_run, pool, ledger);
+    let mut r_cur = rc.next(pool, ledger);
+    let mut sc = Cursor::open(s_run, pool, ledger);
+    let mut s_cur = sc.next(pool, ledger);
+    while let (Some(r), Some(s)) = (r_cur, s_cur) {
         compares += 1;
-        match r.key.cmp(s.key) {
-            Ordering::Less => r_next = rm.next(pool, ledger),
-            Ordering::Greater => s_cur = sm.next(pool, ledger),
+        match r.cmp(s) {
+            Ordering::Less => r_cur = rc.next(pool, ledger),
+            Ordering::Greater => s_cur = sc.next(pool, ledger),
             Ordering::Equal => {
                 // Every inner tuple of the value, then every outer tuple of
                 // it (this is the "backup" that keeps sort-merge on the disk
                 // nodes); each outer tuple costs one more comparison.
                 let mut g = Group {
-                    r_at: r.at,
-                    s_at: s.at,
+                    r_at: rc.taken() - 1,
+                    s_at: sc.taken() - 1,
                     r: 1,
                     s: 0,
                 };
                 loop {
-                    r_next = rm.next(pool, ledger);
-                    match r_next {
-                        Some(r2) if r2.key == r.key => g.r += 1,
+                    r_cur = rc.next(pool, ledger);
+                    match r_cur {
+                        Some(r2) if r2 == r => g.r += 1,
                         _ => break,
                     }
                 }
-                while s_cur.is_some_and(|s2| s2.key == r.key) {
+                while s_cur == Some(r) {
                     compares += 1;
                     g.s += 1;
-                    s_cur = sm.next(pool, ledger);
+                    s_cur = sc.next(pool, ledger);
                 }
                 groups.push(g);
             }
         }
     }
-    compares += rm.comparisons() + sm.comparisons();
+    // Taking a record costs a comparison, as a one-run heap merge's pop.
+    compares += (rc.taken() + sc.taken()) as u64;
     (groups, compares)
 }
 
@@ -326,16 +331,14 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
             // pages the runs' orders point into; the runs' empty files are
             // deleted after.
             let (_, pool) = ctx.state.vp();
-            let mut rm = RunMerger::open(r_pages, std::slice::from_ref(r_run));
-            let mut sm = RunMerger::open(s_pages, std::slice::from_ref(s_run));
-            let (groups, compares) = merge_groups(pool, ctx.ledger, &mut rm, &mut sm);
+            let (groups, compares) = merge_groups(pool, ctx.ledger, r_run, s_run);
             ctx.charge(ctx.cost.merge_compare_us * compares);
             ctx.ledger
                 .record(ctx.node as u16, "merge", Event::Comparisons(compares));
             let mut route = ResultRoute::new(ctx.node, d);
             for g in &groups {
-                for (s_page, s) in sm.walk(0, g.s_at).take(g.s as usize) {
-                    for (r_page, r) in rm.walk(0, g.r_at).take(g.r as usize) {
+                for (s_page, s) in s_run.records(s_pages, g.s_at).take(g.s as usize) {
+                    for (r_page, r) in r_run.records(r_pages, g.r_at).take(g.r as usize) {
                         ctx.charge(ctx.cost.compose_us);
                         ctx.ledger.record(ctx.node as u16, "merge", Event::TupleOut);
                         let (r, s) = (Rec::shared(r_page, r), Rec::shared(s_page, s.clone()));

@@ -4,33 +4,35 @@
 //! sort-merge join sorts each node's two temporary files with
 //! [`sort_order`] instead, which charges the same sort and ends in a
 //! [`Run`] rather than a file, and merge-joins the two sorted runs through
-//! single-run [`RunMerger`]s.
+//! one [`Cursor`] each.
 //!
 //! Run formation reads the input sequentially, fills the sort workspace
-//! (`mem_bytes`), quicksorts it and writes a run. Merging proceeds in passes
-//! of fan-in `mem_bytes / page_bytes − 1` (one page per input run plus one
-//! output page, as on the real system). Every comparison actually performed
-//! is charged to the ledger — the paper's "upward steps" in the sort-merge
-//! curves are precisely these extra merge passes appearing as memory
-//! shrinks.
+//! (`mem_bytes`), sorts it with std's stable `sort_by` and writes a run.
+//! Merging proceeds in passes of fan-in `mem_bytes / page_bytes − 1` (one
+//! page per input run plus one output page, as on the real system). Every
+//! comparison actually performed is charged to the ledger — the paper's
+//! "upward steps" in the sort-merge curves are precisely these extra merge
+//! passes appearing as memory shrinks.
 //!
 //! On the host a run is an *order*, not a file of copied records: the
 //! sorted `(key, (page, slot))` entries over the input's pages, which stay
 //! detached from the volume for the whole sort, and where each of the
 //! run's pages starts in that order. Each run is still written to a file
 //! of its own, by an unkept [`HeapWriter`] that lays the pages out by the
-//! records' lengths and charges every one; each merge charges the read of
-//! a run's page as it enters it, and takes the keys from the orders. Only
-//! `external_sort`'s result is copied: its last run is written by a kept
-//! writer, once, from the input pages. A [`RunMerger`] yields each
-//! record's place in its run's order, never its bytes, and
-//! [`RunMerger::walk`] hands out the records on the input pages, so the
-//! merge join can send its results by reference to them. The ledger sees
-//! the charges a sort over kept files makes, in the same order: all input
-//! page reads; per run the comparisons, the page writes and the moves; per
-//! merge the reads, then the deletes of the runs it merged.
+//! records' lengths and charges every one. A [`Cursor`] is the one reader
+//! of a run: it charges the read of each of the run's pages as it enters
+//! it and hands out each record's key and place in the order, never its
+//! bytes; [`Run::records`] hands out the records on the input pages, so
+//! the merge join can send its results by reference to them. A merge reads
+//! its runs through cursors and writes the merged order the same way. Only
+//! `external_sort`'s result is copied: once the sort is done, the last
+//! run's records are copied from the input pages into the run's file. The
+//! ledger sees the charges a sort over kept files makes, in the same
+//! order: all input page reads; per run the comparisons, the page writes
+//! and the moves; per merge the reads, then the deletes of the runs it
+//! merged.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -115,6 +117,73 @@ impl<K> Run<K> {
     pub fn file(&self) -> FileId {
         self.file
     }
+
+    /// The run's records from place `at` of its order on, in order, each
+    /// as the image of the page of `input` it lies on and its range there.
+    /// Reads nothing from the volume and charges nothing.
+    pub fn records<'r>(
+        &'r self,
+        input: &'r [Page],
+        at: usize,
+    ) -> impl Iterator<Item = (&'r Arc<[u8]>, Range<usize>)> + 'r {
+        self.order[at..].iter().map(move |&(_, (page, slot))| {
+            let page = &input[page as usize];
+            (page.image(), page.range(slot as usize))
+        })
+    }
+}
+
+/// A reader of one [`Run`], in order, that holds its next record already
+/// read. Opening it reads the run's first record, and taking a record
+/// reads the one after it; each of the run's pages is charged as read when
+/// its first record is — where a scan of a kept copy of the run, a record
+/// ahead, charges it.
+#[derive(Debug)]
+pub struct Cursor<'a, K> {
+    run: &'a Run<K>,
+    /// Records taken: the place in the run's order of the one held.
+    taken: usize,
+    /// The next of the run's pages to enter.
+    page: usize,
+}
+
+impl<'a, K> Cursor<'a, K> {
+    /// Open a cursor on `run`, reading its first record.
+    pub fn open(run: &'a Run<K>, pool: &mut BufferPool, usage: &mut Usage) -> Self {
+        let mut cursor = Cursor {
+            run,
+            taken: 0,
+            page: 0,
+        };
+        cursor.read(pool, usage);
+        cursor
+    }
+
+    /// Read the held record, charging its page's read if it starts one.
+    fn read(&mut self, pool: &mut BufferPool, usage: &mut Usage) {
+        if self.run.starts.get(self.page) == Some(&(self.taken as u32)) {
+            pool.charge_read(self.run.file, self.page, usage);
+            self.page += 1;
+        }
+    }
+
+    /// The held record's key; `None` once every record is taken.
+    pub fn peek(&self) -> Option<&'a K> {
+        self.run.order.get(self.taken).map(|(key, _)| key)
+    }
+
+    /// Take the held record, returning its key, and read the next one.
+    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<&'a K> {
+        let key = self.peek()?;
+        self.taken += 1;
+        self.read(pool, usage);
+        Some(key)
+    }
+
+    /// Records taken so far: the place of the held record.
+    pub fn taken(&self) -> usize {
+        self.taken
+    }
 }
 
 /// One sort in progress: the node's volume and buffer pool, the ledger it
@@ -143,16 +212,11 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         self.usage.cpu(SimTime::from_us(self.cost.move_us * n));
     }
 
-    /// Write `order` as one run, charging its pages and its moves. A kept
-    /// run's records are copied from `input` into its file; an unkept
-    /// run's pages are laid out by the records' lengths alone.
-    fn write(&mut self, input: &[Page], order: Vec<Indexed<K>>, keep: bool) -> Run<K> {
+    /// Write `order` as one run, charging its pages, laid out by the
+    /// lengths of its records on `input`, and its moves.
+    fn write(&mut self, input: &[Page], order: Vec<Indexed<K>>) -> Run<K> {
         let page_bytes = self.cfg.page_bytes;
-        let mut w = if keep {
-            HeapWriter::create(self.vol, page_bytes)
-        } else {
-            HeapWriter::create_unkept(self.vol, page_bytes)
-        };
+        let mut w = HeapWriter::create_unkept(self.vol, page_bytes);
         let record = |(page, slot): (u32, u32)| {
             input[page as usize]
                 .get(slot as usize)
@@ -181,7 +245,7 @@ impl<K: Ord + Clone> Sorter<'_, K> {
     }
 
     /// Sort one workspace of records and write it as a run.
-    fn write_run(&mut self, input: &[Page], mut order: Vec<Indexed<K>>, keep: bool) -> Run<K> {
+    fn write_run(&mut self, input: &[Page], mut order: Vec<Indexed<K>>) -> Run<K> {
         let mut compares = 0u64;
         order.sort_by(|a, b| {
             compares += 1;
@@ -189,12 +253,11 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         });
         self.charge_compares(compares);
         self.stats.initial_runs += 1;
-        self.write(input, order, keep)
+        self.write(input, order)
     }
 
-    /// Form sorted runs from `input`, whose pages it detaches and returns;
-    /// with `keep`, a run that is the only one is written kept.
-    fn form_runs(&mut self, input: FileId, keep: bool) -> (Vec<Page>, Vec<Run<K>>) {
+    /// Form sorted runs from `input`, whose pages it detaches and returns.
+    fn form_runs(&mut self, input: FileId) -> (Vec<Page>, Vec<Run<K>>) {
         // The sequential read of the whole input comes first on the ledger;
         // on the real system the records were then copied into the sort
         // workspace, which `move_us` charges per record below.
@@ -220,33 +283,44 @@ impl<K: Ord + Clone> Sorter<'_, K> {
                     let rest = records - self.stats.records;
                     let next = Vec::with_capacity(rest.min(per_run) as usize);
                     let order = std::mem::replace(&mut workspace, next);
-                    let only = keep && runs.is_empty() && rest == 0;
-                    runs.push(self.write_run(&pages, order, only));
+                    runs.push(self.write_run(&pages, order));
                     ws_bytes = 0;
                 }
             }
         }
         if !workspace.is_empty() {
-            let only = keep && runs.is_empty();
-            runs.push(self.write_run(&pages, workspace, only));
+            runs.push(self.write_run(&pages, workspace));
         }
         (pages, runs)
     }
 
     /// Merge a group of runs into one new run and delete their files,
     /// charging all I/O and compares.
-    fn merge_group(&mut self, input: &[Page], group: &[Run<K>], keep: bool) -> Run<K> {
-        // An actual k-way heap merge decides the order, reading every page
-        // of the group's runs; the merged order is written once the
-        // comparisons are charged.
-        let mut merger = RunMerger::open(input, group);
+    fn merge_group(&mut self, input: &[Page], group: &[Run<K>]) -> Run<K> {
+        // A k-way heap merge over the runs' cursors decides the order,
+        // reading every page of the group's runs; ties go to the earlier
+        // run. The merged order is written once the comparisons are
+        // charged.
+        let mut cursors: Vec<Cursor<'_, K>> = group
+            .iter()
+            .map(|run| Cursor::open(run, self.pool, self.usage))
+            .collect();
+        let mut heap: BinaryHeap<Reverse<(&K, usize)>> = cursors
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| Some(Reverse((c.peek()?, i))))
+            .collect();
         let mut order = Vec::with_capacity(group.iter().map(|r| r.order.len()).sum());
-        while let Some(m) = merger.next(self.pool, self.usage) {
-            order.push((m.key.clone(), group[m.run].order[m.at].1));
+        while let Some(Reverse((_, i))) = heap.pop() {
+            let c = &mut cursors[i];
+            order.push(group[i].order[c.taken()].clone());
+            c.next(self.pool, self.usage);
+            heap.extend(c.peek().map(|key| Reverse((key, i))));
         }
-        let compares = merger.comparisons();
-        self.charge_compares(compares);
-        let out = self.write(input, order, keep);
+        // A heap pop and refill costs ~log2(k) comparisons.
+        let log2_k = u64::from(usize::BITS - (group.len() - 1).leading_zeros());
+        self.charge_compares(order.len() as u64 * log2_k.max(1));
+        let out = self.write(input, order);
         for r in group {
             self.pool.evict_file(r.file);
             self.vol.delete_file(r.file);
@@ -255,16 +329,10 @@ impl<K: Ord + Clone> Sorter<'_, K> {
     }
 
     /// Merge `runs` down to one, in passes of the configured fan-in; `None`
-    /// when there were none. With `keep`, the last merge is written kept.
-    fn merge_to_one(
-        &mut self,
-        input: &[Page],
-        mut runs: Vec<Run<K>>,
-        keep: bool,
-    ) -> Option<Run<K>> {
+    /// when there were none.
+    fn merge_to_one(&mut self, input: &[Page], mut runs: Vec<Run<K>>) -> Option<Run<K>> {
         let fan_in = self.cfg.fan_in();
         while runs.len() > 1 {
-            let keep = keep && runs.len() <= fan_in;
             // A run alone in the last group goes on to the next pass as it is.
             let alone = if runs.len() % fan_in == 1 {
                 runs.pop()
@@ -273,7 +341,7 @@ impl<K: Ord + Clone> Sorter<'_, K> {
             };
             let mut next: Vec<Run<K>> = runs
                 .chunks(fan_in)
-                .map(|group| self.merge_group(input, group, keep))
+                .map(|group| self.merge_group(input, group))
                 .collect();
             next.extend(alone);
             self.stats.merge_passes += 1;
@@ -282,23 +350,22 @@ impl<K: Ord + Clone> Sorter<'_, K> {
         runs.pop()
     }
 
-    /// Sort `input` to one run; with `keep`, that run is written kept, as
-    /// a file of its records. Returns the run, the input's pages, detached
-    /// from its file, and what the sort did.
-    fn sort(mut self, input: FileId, keep: bool) -> (Run<K>, Vec<Page>, SortStats) {
-        let (pages, runs) = self.form_runs(input, keep);
-        let run = self
-            .merge_to_one(&pages, runs, keep)
-            .unwrap_or_else(|| Run {
-                file: self.vol.create_file(),
-                order: Vec::new(),
-                starts: Vec::new(),
-            });
+    /// Sort `input` to one run. Returns the run, the input's pages,
+    /// detached from its file, and what the sort did.
+    fn sort(mut self, input: FileId) -> (Run<K>, Vec<Page>, SortStats) {
+        let (pages, runs) = self.form_runs(input);
+        let run = self.merge_to_one(&pages, runs).unwrap_or_else(|| Run {
+            file: self.vol.create_file(),
+            order: Vec::new(),
+            starts: Vec::new(),
+        });
         (run, pages, self.stats)
     }
 }
 
 /// Fully sort `input` into a new file. The input file is left intact.
+/// The sort is [`sort_order`]'s; its run's records are then copied into
+/// the run's file, which charges nothing more.
 ///
 /// ```
 /// use gamma_des::Usage;
@@ -333,26 +400,29 @@ pub fn external_sort<K: Ord + Clone>(
     cost: &SortCost,
     usage: &mut Usage,
 ) -> (FileId, SortStats) {
-    let sorter = Sorter {
-        vol: &mut *vol,
-        pool,
-        usage,
-        key,
-        cfg,
-        cost,
-        stats: SortStats::default(),
-    };
-    let (run, pages, stats) = sorter.sort(input, true);
+    let (run, pages, stats) = sort_order(vol, pool, input, key, cfg, cost, usage);
+    // The sort's one copy of its records: the run's, from the input pages
+    // into the run's file, page by page along the shape it was charged as.
+    let mut sorted: Vec<Page> = Vec::with_capacity(run.starts.len());
+    for (i, (image, at)) in run.records(&pages, 0).enumerate() {
+        if run.starts.get(sorted.len()) == Some(&(i as u32)) {
+            sorted.push(Page::new(cfg.page_bytes));
+        }
+        let page = sorted.last_mut().expect("a run starts with a page");
+        page.insert(&image[at])
+            .expect("the run's page shape fits it");
+    }
+    vol.attach_pages(run.file, sorted);
     vol.attach_pages(input, pages);
     (run.file, stats)
 }
 
-/// Sort `input` as [`external_sort`] does, charging the same reads,
-/// writes, comparisons and moves in the same order, but copy no record:
-/// the sorted run is an order over the input's pages, which are taken
-/// from its file — it stays, empty, for the caller to delete. Returns the
-/// run (its file stays, empty, too), the input's pages and what the sort
-/// did.
+/// Sort `input`, charging every page read and write, comparison and move
+/// of the sort, but copy no record: the sorted run is an order over the
+/// input's pages, which are taken from its file — it stays, empty, for the
+/// caller to delete. Returns the run (its file stays, empty, too), the
+/// input's pages and what the sort did. [`external_sort`] is this sort
+/// and one copy of its result.
 pub fn sort_order<K: Ord + Clone>(
     vol: &mut Volume,
     pool: &mut BufferPool,
@@ -371,148 +441,7 @@ pub fn sort_order<K: Ord + Clone>(
         cost,
         stats: SortStats::default(),
     };
-    sorter.sort(input, false)
-}
-
-/// One record out of a [`RunMerger`].
-#[derive(Debug, Clone, Copy)]
-pub struct Merged<'a, K> {
-    /// The record's key.
-    pub key: &'a K,
-    /// The run it came from: an index into the runs given to
-    /// [`RunMerger::open`].
-    pub run: usize,
-    /// Its place in that run's order.
-    pub at: usize,
-}
-
-/// Entry in the merge heap: a run's next record (min-heap by key, then run
-/// index for stability).
-struct HeapEntry<'a, K>(Merged<'a, K>);
-
-impl<K: Ord> PartialEq for HeapEntry<'_, K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key == other.0.key && self.0.run == other.0.run
-    }
-}
-impl<K: Ord> Eq for HeapEntry<'_, K> {}
-impl<K: Ord> PartialOrd for HeapEntry<'_, K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord> Ord for HeapEntry<'_, K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for a min-heap.
-        (other.0.key, other.0.run).cmp(&(self.0.key, self.0.run))
-    }
-}
-
-/// One run being merged: the run, the place in its order it reads next,
-/// and the next of its pages to enter.
-struct Cursor<'a, K> {
-    run: &'a Run<K>,
-    next: usize,
-    page: usize,
-}
-
-impl<K> Cursor<'_, K> {
-    /// The place of the run's next record, charging each page's read as the
-    /// run enters it — where [`HeapScan::next_ref`](crate::HeapScan::next_ref)
-    /// charges it.
-    fn advance(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<usize> {
-        let at = self.next;
-        if at == self.run.order.len() {
-            return None;
-        }
-        if self.run.starts.get(self.page) == Some(&(at as u32)) {
-            pool.charge_read(self.run.file, self.page, usage);
-            self.page += 1;
-        }
-        self.next += 1;
-        Some(at)
-    }
-}
-
-/// Streaming k-way merge over sorted [`Run`]s, all orders over the same
-/// input pages. It yields each record's place in its run
-/// ([`RunMerger::next`]), charging the reads of the runs' pages as it
-/// enters them; [`RunMerger::walk`] hands out the records themselves as a
-/// page image and a range of it, so they can be sent by reference.
-pub struct RunMerger<'a, K> {
-    input: &'a [Page],
-    runs: Vec<Cursor<'a, K>>,
-    heap: BinaryHeap<HeapEntry<'a, K>>,
-    primed: bool,
-    comparisons: u64,
-    log2_k: u64,
-}
-
-impl<'a, K: Ord> RunMerger<'a, K> {
-    /// Open a merger over `runs`, each an order over the pages `input`.
-    pub fn open(input: &'a [Page], runs: &'a [Run<K>]) -> Self {
-        let k = runs.len().max(1) as u64;
-        RunMerger {
-            input,
-            runs: runs
-                .iter()
-                .map(|run| Cursor {
-                    run,
-                    next: 0,
-                    page: 0,
-                })
-                .collect(),
-            heap: BinaryHeap::with_capacity(runs.len()),
-            primed: false,
-            comparisons: 0,
-            log2_k: 64 - (k.saturating_sub(1)).leading_zeros() as u64,
-        }
-    }
-
-    /// Read run `run`'s next record into the heap.
-    fn refill(&mut self, run: usize, pool: &mut BufferPool, usage: &mut Usage) {
-        let r = &mut self.runs[run];
-        if let Some(at) = r.advance(pool, usage) {
-            let order: &'a [Indexed<K>] = &r.run.order;
-            let key = &order[at].0;
-            self.heap.push(HeapEntry(Merged { key, run, at }));
-        }
-    }
-
-    /// The next record in globally sorted order.
-    pub fn next(&mut self, pool: &mut BufferPool, usage: &mut Usage) -> Option<Merged<'a, K>> {
-        if !self.primed {
-            for run in 0..self.runs.len() {
-                self.refill(run, pool, usage);
-            }
-            self.primed = true;
-        }
-        let HeapEntry(top) = self.heap.pop()?;
-        // A heap pop/refill costs ~log2(k) comparisons.
-        self.comparisons += self.log2_k.max(1);
-        self.refill(top.run, pool, usage);
-        Some(top)
-    }
-
-    /// Run `run`'s records from place `at` on, in run order, each as the
-    /// image of the input page it lies on and its range there. Reads
-    /// nothing from the volume and charges nothing.
-    pub fn walk(
-        &self,
-        run: usize,
-        at: usize,
-    ) -> impl Iterator<Item = (&'a Arc<[u8]>, Range<usize>)> + 'a {
-        let (input, run): (&'a [Page], &'a Run<K>) = (self.input, self.runs[run].run);
-        run.order[at..].iter().map(move |&(_, (page, slot))| {
-            let page = &input[page as usize];
-            (page.image(), page.range(slot as usize))
-        })
-    }
-
-    /// Comparisons attributed to the merge so far.
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
+    sorter.sort(input)
 }
 
 #[cfg(test)]
@@ -988,13 +917,14 @@ mod tests {
     }
 
     #[test]
-    fn merger_places_records_and_charges_reads_as_heap_scans_do() {
+    fn cursors_place_records_and_charge_reads_as_heap_scans_do() {
         // Four sorted runs of 7-record pages with shared keys, their records
-        // interleaved on the input's pages, merged through a 3-frame pool:
-        // every place the merger yields walks over exactly the records a
-        // scan of the kept copy of its run reads from there on; the merge
-        // order is the scan-based merge's; and the page reads charge the
-        // same ledger and the same pool hits and misses.
+        // interleaved on the input's pages, read through a 3-frame pool.
+        // From every place, a run's records are exactly what a scan of its
+        // kept copy reads from there on; a cursor reads each run as that
+        // scan does behind a one-record buffer; and the k-way merge of the
+        // runs merges as the scan-based merge of the kept copies does. Both
+        // charge the same ledger and the same pool hits and misses.
         let (mut vol, mut u) = (Volume::new(), Usage::ZERO);
         let mut pool = BufferPool::new(DiskConfig::fujitsu_8inch(), 3);
         let mut w = HeapWriter::create(&mut vol, 512);
@@ -1009,6 +939,7 @@ mod tests {
         }
         let input = w.finish(&mut vol, &mut pool, &mut u);
         let pages = vol.detach_pages(input);
+        let record = |(p, s): (u32, u32)| pages[p as usize].get(s as usize).unwrap();
         let orders: Vec<Vec<Indexed<u32>>> = (0..4u8)
             .map(|r| {
                 let places = pages
@@ -1016,9 +947,8 @@ mod tests {
                     .enumerate()
                     .flat_map(|(p, page)| (0..page.len()).map(move |s| (p as u32, s as u32)));
                 places
-                    .map(|(p, s)| (pages[p as usize].get(s as usize).unwrap(), (p, s)))
-                    .filter(|(rec, _)| rec[4] == r)
-                    .map(|(rec, at)| (key_u32(rec), at))
+                    .filter(|&at| record(at)[4] == r)
+                    .map(|at| (key_u32(record(at)), at))
                     .collect()
             })
             .collect();
@@ -1027,62 +957,127 @@ mod tests {
             mem_bytes: 1024,
             page_bytes: 512,
         };
-        let cost = SortCost::default();
-        let write = |vol: &mut Volume, pool: &mut BufferPool, u: &mut Usage, keep: bool| {
-            let mut sorter = Sorter {
+        fn sorter<'a>(
+            vol: &'a mut Volume,
+            pool: &'a mut BufferPool,
+            usage: &'a mut Usage,
+            cfg: SortConfig,
+            cost: &'a SortCost,
+        ) -> Sorter<'a, u32> {
+            let key = &key_u32;
+            let stats = SortStats::default();
+            Sorter {
                 vol,
                 pool,
-                usage: u,
-                key: &key_u32,
+                usage,
+                key,
                 cfg,
-                cost: &cost,
-                stats: SortStats::default(),
-            };
-            let runs: Vec<Run<u32>> = orders
+                cost,
+                stats,
+            }
+        }
+        fn reference<'a>(
+            vol: &'a mut Volume,
+            pool: &'a mut BufferPool,
+            u: &'a mut Usage,
+            cfg: SortConfig,
+            cost: &SortCost,
+        ) -> Reference<'a> {
+            let (cost, stats) = (*cost, SortStats::default());
+            Reference {
+                vol,
+                pool,
+                u,
+                cfg,
+                cost,
+                stats,
+            }
+        }
+        let cost = SortCost::default();
+        let runs: Vec<Run<u32>> = {
+            let mut sorter = sorter(&mut vol, &mut pool, &mut u, cfg, &cost);
+            orders
                 .iter()
-                .map(|order| sorter.write(&pages, order.clone(), keep))
-                .collect();
-            runs
+                .map(|o| sorter.write(&pages, o.clone()))
+                .collect()
         };
-        let runs = write(&mut vol, &mut pool, &mut u, false);
-        let files: Vec<FileId> = write(&mut kept_vol, &mut kept_pool, &mut kept_u, true)
-            .iter()
-            .map(|r| r.file)
-            .collect();
+        let files: Vec<FileId> = {
+            let mut reference = reference(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg, &cost);
+            let copy =
+                |o: &Vec<Indexed<u32>>| o.iter().map(|&(_, at)| record(at).to_vec()).collect();
+            orders.iter().map(|o| reference.write(copy(o))).collect()
+        };
         assert_eq!(u, kept_u, "unkept runs charge what kept ones do");
         assert!(runs.iter().all(|r| r.starts.len() >= 2));
-        for (run, &file) in runs.iter().zip(&files) {
+        let scanned: Vec<Vec<Vec<u8>>> =
+            files.iter().map(|&f| file_records(&kept_vol, f)).collect();
+        for ((run, &file), scanned) in runs.iter().zip(&files).zip(&scanned) {
             assert_eq!(run.file, file);
             assert_eq!(vol.file_pages(run.file), 0, "no bytes kept");
             let shape = page_starts(&kept_vol, file);
             assert_eq!(run.starts, shape, "the kept file's page shape");
+            for at in 0..=scanned.len() {
+                let rest = run.records(&pages, at).map(|(image, r)| &image[r]);
+                assert!(rest.eq(scanned[at..].iter().map(Vec::as_slice)));
+            }
         }
-        let scanned: Vec<Vec<Vec<u8>>> =
-            files.iter().map(|&f| file_records(&kept_vol, f)).collect();
-        let want = heap_scan_merge(&kept_vol, &mut kept_pool, &mut kept_u, &files);
 
-        let mut merger = RunMerger::open(&pages, &runs);
-        let mut got = Vec::new();
-        let mut read = vec![0usize; runs.len()];
-        while let Some(m) = merger.next(&mut pool, &mut u) {
-            let rest = &scanned[m.run][read[m.run]..];
-            let walked: Vec<&[u8]> = merger
-                .walk(m.run, m.at)
-                .map(|(image, at)| &image[at])
-                .collect();
-            assert!(walked.iter().copied().eq(rest.iter().map(Vec::as_slice)));
-            assert_eq!(*m.key, key_u32(walked[0]));
-            got.push((m.run, walked[0].to_vec()));
-            read[m.run] += 1;
+        let (mut c_pool, mut c_u) = (pool.clone(), u.clone());
+        let (mut s_pool, mut s_u) = (kept_pool.clone(), kept_u.clone());
+        for (run, &file) in runs.iter().zip(&files) {
+            let mut cursor = Cursor::open(run, &mut c_pool, &mut c_u);
+            let mut scan = HeapScan::open(&kept_vol, file);
+            let mut held = scan.next_ref(&mut s_pool, &mut s_u);
+            assert_eq!(c_u, s_u, "the first page's read");
+            loop {
+                let taken = cursor.taken();
+                assert_eq!(cursor.peek().copied(), held.map(key_u32));
+                let got = cursor.next(&mut c_pool, &mut c_u).copied();
+                let want = held.take().map(key_u32);
+                if want.is_some() {
+                    held = scan.next_ref(&mut s_pool, &mut s_u);
+                }
+                assert_eq!(got, want);
+                assert_eq!(c_u, s_u, "page-read charges at place {taken}");
+                assert_eq!(c_pool.stats(), s_pool.stats(), "pool hits and misses");
+                if got.is_none() {
+                    assert_eq!(cursor.taken(), taken);
+                    break;
+                }
+                assert_eq!(cursor.taken(), taken + 1);
+            }
         }
+
+        let (merged, stats) = {
+            let mut sorter = sorter(&mut vol, &mut pool, &mut u, cfg, &cost);
+            (sorter.merge_group(&pages, &runs), sorter.stats)
+        };
+        let want = heap_scan_merge(&kept_vol, &mut kept_pool, &mut kept_u, &files);
+        let want_file = {
+            let mut reference = reference(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg, &cost);
+            reference.compares(want.len() as u64 * 2);
+            let file = reference.write(want.iter().map(|(_, rec)| rec.clone()).collect());
+            for &f in &files {
+                reference.pool.evict_file(f);
+                reference.vol.delete_file(f);
+            }
+            file
+        };
+        let got: Vec<(usize, Vec<u8>)> = merged
+            .order
+            .iter()
+            .map(|&(_, at)| (record(at)[4] as usize, record(at).to_vec()))
+            .collect();
         assert_eq!(got, want, "merge order");
-        assert_eq!(u, kept_u, "page-read charges");
+        assert_eq!(u, kept_u, "page-read, compare, write and move charges");
         assert_eq!(pool.stats(), kept_pool.stats(), "pool hits and misses");
         assert_eq!(
-            merger.comparisons(),
+            stats.comparisons,
             want.len() as u64 * 2,
             "log2(4) per record"
         );
+        assert_eq!(merged.file, want_file);
+        assert_eq!(merged.starts, page_starts(&kept_vol, want_file));
     }
 
     #[test]
