@@ -74,9 +74,10 @@
 # takes no staging run and copies no record bytes: it lays its pages out
 # by length in a `Layout`, which holds and writes no bytes. The sort
 # (`crates/wiss/src/sort.rs`) writes its runs as orders over the input's
-# pages through unkept writers, and opens a kept `HeapWriter::create(` at
-# one site only, for `external_sort`'s final run: a second one is a sort
-# run copied record by record again.
+# pages through unkept writers and opens no kept `HeapWriter::create(`,
+# and it has one record-copy site, in `external_sort`, which copies the
+# sorted result into its file once: a kept writer or a second copy site
+# is a sort run copied record by record again.
 #
 # One packet path: the exchange (`crates/net/src/exchange.rs`) batches and
 # charges every inter-node tuple, and scheduler control messages are
@@ -269,12 +270,22 @@ if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
     echo "$b" | sed "s|^|  |" >&2
     fail=1
 fi
-# The sort copies records once, into external_sort's result.
+# The sort copies records once, into external_sort's result: it opens no
+# kept writer, and its one record-copy site lies in external_sort.
 f=crates/wiss/src/sort.rs
-hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
-    grep -nE 'HeapWriter::create\(' | grep -vE '^[0-9]+:\s*//' || true)
-if [ "$(grep -c . <<<"$hits")" -ne 1 ]; then
-    echo "error: $f must open a kept writer at one site only, for external_sort's final run:" >&2
+copy='\.insert\(|insert_concat\(|copy_from_slice|extend_from_slice|to_vec\(|to_owned\('
+src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f")
+hits=$(grep -nE 'HeapWriter::create\(' <<<"$src" | grep -vE '^[0-9]+:\s*//' || true)
+if [ -n "$hits" ]; then
+    echo "error: $f opens a kept writer; its runs are orders written by unkept ones:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+hits=$(grep -nE "$copy" <<<"$src" | grep -vE '^[0-9]+:\s*//' || true)
+ext=$(awk '/^pub fn external_sort</{s=1} s{print} s&&/^}$/{exit}' "$f" |
+    grep -vE '^\s*//' | grep -cE "$copy" || true)
+if [ "$(grep -c . <<<"$hits")" -ne 1 ] || [ "$ext" -ne 1 ]; then
+    echo "error: $f must copy records at one site only, in external_sort:" >&2
     echo "$hits" | sed "s|^|  $f:|" >&2
     fail=1
 fi
