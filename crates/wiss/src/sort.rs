@@ -305,11 +305,10 @@ impl<K: Ord + Clone> Sorter<'_, K> {
             .iter()
             .map(|run| Cursor::open(run, self.pool, self.usage))
             .collect();
-        let mut heap: BinaryHeap<Reverse<(&K, usize)>> = cursors
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| Some(Reverse((c.peek()?, i))))
-            .collect();
+        let mut heap = BinaryHeap::with_capacity(group.len());
+        for (i, c) in cursors.iter().enumerate() {
+            heap.extend(c.peek().map(|key| Reverse((key, i))));
+        }
         let mut order = Vec::with_capacity(group.iter().map(|r| r.order.len()).sum());
         while let Some(Reverse((_, i))) = heap.pop() {
             let c = &mut cursors[i];
