@@ -19,15 +19,16 @@
 //! As in the paper's implementation ("each of the local files is sorted in
 //! parallel… a local merge join performed in parallel across the disk sites
 //! will fully compute the join"), each relation is sorted to completion
-//! before the merge join starts. The merge join itself streams the two
-//! sorted runs lazily, so a highly skewed inner relation ends the merge
-//! early without reading the tail of the outer relation's *sorted* file
-//! (§4.4's NU anomaly) — the sorting cost, however, is fully paid. A
-//! sorted run is an order over its temp file's pages, charged as written
-//! to a file of its own ([`sort_order`]), so no record is copied on the
-//! host. Each result `R ‖ S` then leaves the site as two references, `R`
-//! and `S` each on the temp-file page it arrived on, and is composed only
-//! in the result page that stores it.
+//! before the merge join starts. The merge join itself scans the two
+//! sorted runs lazily, one [`Cursor`] each, so a highly skewed inner
+//! relation ends the merge early without reading the tail of the outer
+//! relation's *sorted* file (§4.4's NU anomaly) — the sorting cost,
+//! however, is fully paid. A sorted run is an order over its temp file's
+//! pages, charged as written to a file of its own ([`sort_order`]), so no
+//! record is copied on the host. Each result `R ‖ S` then leaves the site
+//! as two references ([`Run::records`]), `R` and `S` each on the
+//! temp-file page it arrived on, and is composed only in the result page
+//! that stores it.
 
 use std::cmp::Ordering;
 
@@ -219,8 +220,10 @@ fn merge_groups(
 ) -> (Vec<Group>, u64) {
     let mut groups = Vec::new();
     let mut compares = 0u64;
-    // `r_cur` and `s_cur` are the records last taken, each at place
-    // `taken() - 1` of its run.
+    // Open R and take from it, then open S and take from it: each cursor
+    // reads a record ahead, so this is the order the runs' first pages are
+    // charged in. `r_cur` and `s_cur` are the keys last taken, each at
+    // place `taken() - 1` of its run.
     let mut rc = Cursor::open(r_run, pool, ledger);
     let mut r_cur = rc.next(pool, ledger);
     let mut sc = Cursor::open(s_run, pool, ledger);

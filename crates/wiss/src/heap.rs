@@ -188,8 +188,10 @@ impl HeapWriter {
 ///
 /// [`HeapScan::next_ref`] yields records as slices borrowed from the
 /// volume, so the volume stays borrowed for as long as a record is in
-/// use: it serves readers that consume each record at once (the sort's
-/// run merger, tests). The engine's fragment scans instead clone the
+/// use: it serves readers that consume each record at once (tests, the
+/// benchmark's scan kernel). A sort run, whose file holds no bytes, is
+/// read by a [`Cursor`](crate::sort::Cursor), which charges the same read
+/// per page. The engine's fragment scans instead clone the
 /// file's [`Page`](crate::Page) handles into a tuple batch (`gamma_core::exec`),
 /// charging the same read per page in the same order, and keep reading
 /// the records while they write to the volume.
