@@ -656,7 +656,25 @@ mod tests {
         stats: SortStats,
     }
 
-    impl Reference<'_> {
+    impl<'a> Reference<'a> {
+        /// A reference sort in `cfg` at the default cost.
+        fn new(
+            vol: &'a mut Volume,
+            pool: &'a mut BufferPool,
+            u: &'a mut Usage,
+            cfg: SortConfig,
+        ) -> Self {
+            let (cost, stats) = (SortCost::default(), SortStats::default());
+            Reference {
+                vol,
+                pool,
+                u,
+                cfg,
+                cost,
+                stats,
+            }
+        }
+
         fn compares(&mut self, n: u64) {
             self.u.cpu(SimTime::from_us(self.cost.compare_us * n));
             self.u.counts.comparisons += n;
@@ -827,15 +845,8 @@ mod tests {
             let cost = SortCost::default();
             let ((mut vol, mut pool, mut u), input, sorted) = case_input(&case);
             let (mut ref_vol, mut ref_pool, mut ref_u) = (vol.clone(), pool.clone(), u.clone());
-            let (want, want_stats) = Reference {
-                vol: &mut ref_vol,
-                pool: &mut ref_pool,
-                u: &mut ref_u,
-                cfg,
-                cost,
-                stats: SortStats::default(),
-            }
-            .sort(input);
+            let (want, want_stats) =
+                Reference::new(&mut ref_vol, &mut ref_pool, &mut ref_u, cfg).sort(input);
             assert_eq!(want_stats.merge_passes, passes, "{what}");
             assert_eq!(want_stats.records, n as u64);
             assert_eq!(file_records(&ref_vol, want), sorted, "{what}");
@@ -868,15 +879,8 @@ mod tests {
             let cost = SortCost::default();
             let ((mut vol, mut pool, mut u), input, sorted) = case_input(&case);
             let (mut ref_vol, mut ref_pool, mut ref_u) = (vol.clone(), pool.clone(), u.clone());
-            let (want, want_stats) = Reference {
-                vol: &mut ref_vol,
-                pool: &mut ref_pool,
-                u: &mut ref_u,
-                cfg,
-                cost,
-                stats: SortStats::default(),
-            }
-            .sort(input);
+            let (want, want_stats) =
+                Reference::new(&mut ref_vol, &mut ref_pool, &mut ref_u, cfg).sort(input);
 
             let (run, pages, stats) =
                 sort_order(&mut vol, &mut pool, input, &key_u32, cfg, &cost, &mut u);
@@ -975,23 +979,6 @@ mod tests {
                 stats,
             }
         }
-        fn reference<'a>(
-            vol: &'a mut Volume,
-            pool: &'a mut BufferPool,
-            u: &'a mut Usage,
-            cfg: SortConfig,
-            cost: &SortCost,
-        ) -> Reference<'a> {
-            let (cost, stats) = (*cost, SortStats::default());
-            Reference {
-                vol,
-                pool,
-                u,
-                cfg,
-                cost,
-                stats,
-            }
-        }
         let cost = SortCost::default();
         let runs: Vec<Run<u32>> = {
             let mut sorter = sorter(&mut vol, &mut pool, &mut u, cfg, &cost);
@@ -1001,7 +988,7 @@ mod tests {
                 .collect()
         };
         let files: Vec<FileId> = {
-            let mut reference = reference(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg, &cost);
+            let mut reference = Reference::new(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg);
             let copy =
                 |o: &Vec<Indexed<u32>>| o.iter().map(|&(_, at)| record(at).to_vec()).collect();
             orders.iter().map(|o| reference.write(copy(o))).collect()
@@ -1053,7 +1040,7 @@ mod tests {
         };
         let want = heap_scan_merge(&kept_vol, &mut kept_pool, &mut kept_u, &files);
         let want_file = {
-            let mut reference = reference(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg, &cost);
+            let mut reference = Reference::new(&mut kept_vol, &mut kept_pool, &mut kept_u, cfg);
             reference.compares(want.len() as u64 * 2);
             let file = reference.write(want.iter().map(|(_, rec)| rec.clone()).collect());
             for &f in &files {
