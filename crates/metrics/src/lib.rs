@@ -541,4 +541,242 @@ mod tests {
         r.gauge_max("m", 0, "", 1);
         r.counter_add("m", 0, "", 1);
     }
+
+    #[test]
+    #[should_panic(expected = "kind mismatch on merge")]
+    fn kind_mismatch_is_detected_on_merge() {
+        let mut r = Registry::at_phase(2);
+        r.gauge_max("m", 0, "", 1);
+        let mut worker = Registry::at_phase(2);
+        worker.counter_add("m", 0, "", 1);
+        r.merge(worker);
+    }
+
+    /// The metrics the seeded streams emit, with their kinds. Names share
+    /// prefixes so that a lookup comparing only part of a name would mix
+    /// them up.
+    const STREAM_NAMES: [(&str, char); 6] = [
+        ("pages_read", 'c'),
+        ("pages_written", 'c'),
+        ("packet_bytes", 'h'),
+        ("packets_sent", 'c'),
+        ("pool_peak_pages", 'g'),
+        ("p", 'h'),
+    ];
+    /// Operator labels, including the empty one and the exporters' specials.
+    const STREAM_OPS: [&str; 6] = ["", "scan", "scan2", "q\"w", "back\\slash", "new\nline"];
+
+    /// One emission, at the phase it was attributed to.
+    #[derive(Clone, Copy)]
+    struct Emission {
+        name: &'static str,
+        kind: char,
+        phase: u32,
+        node: u16,
+        op: &'static str,
+        value: u64,
+    }
+
+    impl Emission {
+        fn key(&self) -> Key {
+            Key {
+                name: self.name,
+                phase: self.phase,
+                node: self.node,
+                op: self.op,
+            }
+        }
+
+        fn apply(&self, r: &mut Registry) {
+            let Emission {
+                name,
+                phase,
+                node,
+                op,
+                value,
+                ..
+            } = *self;
+            match self.kind {
+                'c' => r.counter_add_at(name, phase, node, op, value),
+                'g' => r.gauge_max_at(name, phase, node, op, value),
+                _ => r.observe_at(name, phase, node, op, value),
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream of test choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn emission(&mut self, phase: u32) -> Emission {
+            let (name, kind) = STREAM_NAMES[self.below(STREAM_NAMES.len())];
+            let phase = if self.below(8) == 0 {
+                GLOBAL_PHASE
+            } else {
+                phase
+            };
+            Emission {
+                name,
+                kind,
+                phase,
+                node: self.below(4) as u16,
+                op: STREAM_OPS[self.below(STREAM_OPS.len())],
+                // Below 2^24: every histogram bucket, the overflow one too.
+                value: self.next() >> (40 + self.next() % 24),
+            }
+        }
+    }
+
+    /// The test-only reference: the `BTreeMap` registry, fed the same
+    /// emissions. Its map order is the canonical export order.
+    #[derive(Default)]
+    struct Reference {
+        metrics: BTreeMap<Key, Value>,
+        emissions: Vec<Emission>,
+    }
+
+    impl Reference {
+        fn apply(&mut self, e: Emission) {
+            let v = self.metrics.entry(e.key()).or_insert(match e.kind {
+                'c' => Value::Counter(0),
+                'g' => Value::Gauge(0),
+                _ => Value::Histogram(Histogram::default()),
+            });
+            match v {
+                Value::Counter(c) => *c += e.value,
+                Value::Gauge(g) => *g = (*g).max(e.value),
+                Value::Histogram(h) => h.observe(e.value),
+            }
+            self.emissions.push(e);
+        }
+
+        /// A registry fed this reference's emissions in canonical key
+        /// order, after `phases` are sealed: its exports are the bytes the
+        /// registry under test must reproduce whatever order it saw.
+        fn canonical(&self, phases: &[String]) -> Registry {
+            let mut r = Registry::new();
+            for p in phases {
+                r.seal_phase(p);
+            }
+            let mut sorted = self.emissions.clone();
+            sorted.sort_by_key(Emission::key);
+            for e in &sorted {
+                e.apply(&mut r);
+            }
+            r
+        }
+    }
+
+    /// Drive a registry through a seeded stream: emissions at the current
+    /// phase and at [`GLOBAL_PHASE`], seals, and per phase two worker
+    /// registries merged in the order `swap` picks. Returns the registry
+    /// and the reference fed the same emissions.
+    fn drive(seed: u64, swap: bool) -> (Registry, Reference) {
+        let mut rng = Rng(seed);
+        let mut r = Registry::new();
+        let mut reference = Reference::default();
+        for phase in 0..5u32 {
+            for _ in 0..rng.below(60) {
+                let e = rng.emission(r.current_phase());
+                reference.apply(e);
+                if e.phase == r.current_phase() {
+                    // The current-phase entry points.
+                    match e.kind {
+                        'c' => r.counter_add(e.name, e.node, e.op, e.value),
+                        'g' => r.gauge_max(e.name, e.node, e.op, e.value),
+                        _ => r.observe(e.name, e.node, e.op, e.value),
+                    }
+                } else {
+                    e.apply(&mut r);
+                }
+            }
+            let mut workers = [
+                Registry::at_phase(r.current_phase()),
+                Registry::at_phase(r.current_phase()),
+            ];
+            for w in &mut workers {
+                for _ in 0..rng.below(40) {
+                    let e = rng.emission(w.current_phase());
+                    e.apply(w);
+                    reference.apply(e);
+                }
+            }
+            if swap {
+                workers.reverse();
+            }
+            for w in workers {
+                r.merge(w);
+            }
+            // The last phase stays unsealed.
+            if phase < 4 {
+                r.seal_phase(["build", "probe \"x\"", "", "spill\\n"][phase as usize]);
+            }
+        }
+        (r, reference)
+    }
+
+    #[test]
+    fn store_matches_the_btreemap_reference() {
+        for seed in 0..40 {
+            let (a, reference) = drive(seed, false);
+            let (b, _) = drive(seed, true);
+            let canonical = reference.canonical(a.phases());
+            let want: Vec<(Key, Value)> = reference
+                .metrics
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            for r in [&a, &b] {
+                let got: Vec<(Key, Value)> = r.iter().map(|(k, v)| (*k, v.clone())).collect();
+                assert_eq!(got, want, "seed {seed}: series or canonical order differ");
+                assert_eq!(r.len(), reference.metrics.len(), "seed {seed}");
+                assert_eq!(
+                    json::render(r),
+                    json::render(&canonical),
+                    "seed {seed}: json"
+                );
+                assert_eq!(
+                    prometheus::render(r),
+                    prometheus::render(&canonical),
+                    "seed {seed}: prometheus"
+                );
+                for (name, _) in STREAM_NAMES.iter().chain(&[("absent", 'c')]) {
+                    let of_name = || reference.metrics.iter().filter(|(k, _)| k.name == *name);
+                    let counter: u64 = of_name()
+                        .map(|(_, v)| match v {
+                            Value::Counter(c) => *c,
+                            _ => 0,
+                        })
+                        .sum();
+                    let peak = of_name()
+                        .filter_map(|(_, v)| match v {
+                            Value::Gauge(g) => Some(*g),
+                            _ => None,
+                        })
+                        .max();
+                    let mut hist: Option<Histogram> = None;
+                    for (_, v) in of_name() {
+                        if let Value::Histogram(h) = v {
+                            hist.get_or_insert_with(Histogram::default).merge(h);
+                        }
+                    }
+                    assert_eq!(r.counter_total(name), counter, "seed {seed}: {name}");
+                    assert_eq!(r.gauge_peak(name), peak, "seed {seed}: {name}");
+                    assert_eq!(r.histogram_total(name), hist, "seed {seed}: {name}");
+                }
+            }
+        }
+    }
 }
