@@ -12,8 +12,10 @@
 //! Snapshots are byte-identical across runs and across the serial and
 //! thread-parallel executors:
 //!
-//! * keys live in a `BTreeMap`, so iteration (and therefore every export)
-//!   is in a canonical order independent of emission order;
+//! * series are found by a hash of their key's content and kept in
+//!   emission order; [`Registry::iter`] sorts them by [`Key`]'s `Ord`
+//!   when an export walks them, so every export is in a canonical order
+//!   independent of emission and merge order;
 //! * every accumulation is commutative — counters add, gauges take the
 //!   max, histograms add bucket-wise — so merging per-worker registries
 //!   at a parallel step's join point yields the same state as serial
@@ -30,7 +32,6 @@
 //! use the `*_at` variants with an explicit phase index.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
 pub mod json;
 pub mod prometheus;
@@ -90,10 +91,10 @@ impl Default for Histogram {
 impl Histogram {
     /// Record one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = BUCKET_BOUNDS
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(BUCKET_BOUNDS.len());
+        // The first bound 2^i at or above `value`: i = ⌈log₂ value⌉, or
+        // the overflow bucket past 2^20.
+        let idx = ((u64::BITS - value.saturating_sub(1).leading_zeros()) as usize)
+            .min(BUCKET_BOUNDS.len());
         self.buckets[idx] += 1;
         self.count += 1;
         self.sum += value;
@@ -142,8 +143,10 @@ pub enum Value {
     Counter(u64),
     /// High-water-mark gauge (merge: max).
     Gauge(u64),
-    /// Fixed-bucket histogram (merge: bucket-wise add).
-    Histogram(Histogram),
+    /// Fixed-bucket histogram (merge: bucket-wise add). Boxed, so that a
+    /// value is 16 bytes and the counters and gauges that make up most of
+    /// a registry do not each carry a histogram's 192.
+    Histogram(Box<Histogram>),
 }
 
 impl Value {
@@ -157,7 +160,22 @@ impl Value {
     }
 }
 
+/// Series per chunk of a registry's store. A chunk is allocated once at
+/// its full size, 32 × 56 B = 1.75 KiB, and never moves: the store grows
+/// without copying, in blocks the size of the B-tree nodes it replaced,
+/// which glibc serves from its free lists. A store grown by doubling
+/// passes the 128 KiB mmap threshold at a few thousand series, and freeing
+/// such a block raises that threshold for the rest of the process, and
+/// with it the peak resident set.
+const CHUNK: usize = 32;
+const _: () = assert!(CHUNK * std::mem::size_of::<(Key, Value)>() <= 2 << 10);
+
 /// The deterministic metrics registry.
+///
+/// Series are stored in first-emission order and found through a hash of
+/// their key's content; [`Registry::iter`] sorts them by [`Key`]'s `Ord`
+/// when an export walks them, so the order every export sees is canonical
+/// whatever order the emissions and merges came in.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     /// Names of sealed phases, in seal order.
@@ -166,7 +184,13 @@ pub struct Registry {
     /// phases sealed so far, except in worker registries, which inherit
     /// the spawning thread's value and never seal).
     current: u32,
-    metrics: BTreeMap<Key, Value>,
+    /// Every series in first-emission order, [`CHUNK`] to a chunk; all
+    /// chunks but the last are full.
+    series: Vec<Vec<(Key, Value)>>,
+    /// Open-addressing index over `series`: a slot holds a series'
+    /// position + 1, or 0 when empty. Empty, or a power of two at least
+    /// twice the number of series long.
+    slots: Vec<u32>,
 }
 
 impl Registry {
@@ -223,16 +247,13 @@ impl Registry {
         op: &'static str,
         delta: u64,
     ) {
-        match self
-            .metrics
-            .entry(Key {
-                name,
-                phase,
-                node,
-                op,
-            })
-            .or_insert(Value::Counter(0))
-        {
+        let key = Key {
+            name,
+            phase,
+            node,
+            op,
+        };
+        match self.entry(key, || Value::Counter(0)) {
             Value::Counter(v) => *v += delta,
             other => panic!("metric {name} is a {}, not a counter", other.kind()),
         }
@@ -252,16 +273,13 @@ impl Registry {
         op: &'static str,
         value: u64,
     ) {
-        match self
-            .metrics
-            .entry(Key {
-                name,
-                phase,
-                node,
-                op,
-            })
-            .or_insert(Value::Gauge(0))
-        {
+        let key = Key {
+            name,
+            phase,
+            node,
+            op,
+        };
+        match self.entry(key, || Value::Gauge(0)) {
             Value::Gauge(v) => *v = (*v).max(value),
             other => panic!("metric {name} is a {}, not a gauge", other.kind()),
         }
@@ -281,16 +299,13 @@ impl Registry {
         op: &'static str,
         value: u64,
     ) {
-        match self
-            .metrics
-            .entry(Key {
-                name,
-                phase,
-                node,
-                op,
-            })
-            .or_insert(Value::Histogram(Histogram::default()))
-        {
+        let key = Key {
+            name,
+            phase,
+            node,
+            op,
+        };
+        match self.entry(key, || Value::Histogram(Box::default())) {
             Value::Histogram(h) => h.observe(value),
             other => panic!("metric {name} is a {}, not a histogram", other.kind()),
         }
@@ -305,44 +320,49 @@ impl Registry {
             self.phases = other.phases;
             self.current = self.current.max(other.current);
         }
-        for (k, v) in other.metrics {
-            match self.metrics.entry(k) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
+        for (k, v) in other.series.into_iter().flatten() {
+            let at = match self.find(&k) {
+                Ok(at) => at,
+                Err(slot) => {
+                    self.insert(slot, k, v);
+                    continue;
                 }
-                std::collections::btree_map::Entry::Occupied(mut e) => match (e.get_mut(), v) {
-                    (Value::Counter(a), Value::Counter(b)) => *a += b,
-                    (Value::Gauge(a), Value::Gauge(b)) => *a = (*a).max(b),
-                    (Value::Histogram(a), Value::Histogram(b)) => a.merge(&b),
-                    (a, b) => panic!(
-                        "metric {} kind mismatch on merge: {} vs {}",
-                        k.name,
-                        a.kind(),
-                        b.kind()
-                    ),
-                },
+            };
+            match (&mut self.series[at / CHUNK][at % CHUNK].1, v) {
+                (Value::Counter(a), Value::Counter(b)) => *a += b,
+                (Value::Gauge(a), Value::Gauge(b)) => *a = (*a).max(b),
+                (Value::Histogram(a), Value::Histogram(b)) => a.merge(&b),
+                (a, b) => panic!(
+                    "metric {} kind mismatch on merge: {} vs {}",
+                    k.name,
+                    a.kind(),
+                    b.kind()
+                ),
             }
         }
     }
 
     /// All series in canonical (name, phase, node, op) order.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
-        self.metrics.iter()
+        let mut order: Vec<&(Key, Value)> = self.series.iter().flatten().collect();
+        // Keys are unique, so an unstable sort is deterministic.
+        order.sort_unstable_by_key(|s| s.0);
+        order.into_iter().map(|(k, v)| (k, v))
     }
 
     /// Number of series.
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.series.iter().map(Vec::len).sum()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.series.is_empty()
     }
 
     /// Sum of a counter over all its series.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.iter_name(name).fold(0, |acc, (_, v)| match v {
+        self.iter_name(name).fold(0, |acc, v| match v {
             Value::Counter(c) => acc + c,
             _ => acc,
         })
@@ -351,7 +371,7 @@ impl Registry {
     /// Largest value of a gauge over all its series (`None` when absent).
     pub fn gauge_peak(&self, name: &str) -> Option<u64> {
         let mut peak = None;
-        for (_, v) in self.iter_name(name) {
+        for v in self.iter_name(name) {
             if let Value::Gauge(g) = v {
                 peak = Some(peak.map_or(*g, |p: u64| p.max(*g)));
             }
@@ -362,7 +382,7 @@ impl Registry {
     /// Aggregate of a histogram over all its series (`None` when absent).
     pub fn histogram_total(&self, name: &str) -> Option<Histogram> {
         let mut total: Option<Histogram> = None;
-        for (_, v) in self.iter_name(name) {
+        for v in self.iter_name(name) {
             if let Value::Histogram(h) = v {
                 total.get_or_insert_with(Histogram::default).merge(h);
             }
@@ -370,9 +390,104 @@ impl Registry {
         total
     }
 
-    fn iter_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (&'a Key, &'a Value)> + 'a {
-        self.metrics.iter().filter(move |(k, _)| k.name == name)
+    /// The values of one metric's series, in store order: the folds above
+    /// commute, so they need no sort.
+    fn iter_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Value> + 'a {
+        self.series
+            .iter()
+            .flatten()
+            .filter(move |(k, _)| k.name == name)
+            .map(|(_, v)| v)
     }
+
+    /// The value of `key`, inserted as `init()` first when absent.
+    fn entry(&mut self, key: Key, init: impl FnOnce() -> Value) -> &mut Value {
+        let at = match self.find(&key) {
+            Ok(at) => at,
+            Err(slot) => self.insert(slot, key, init()),
+        };
+        &mut self.series[at / CHUNK][at % CHUNK].1
+    }
+
+    /// The position of `key`'s series (`Ok`), or the empty slot its index
+    /// entry would take (`Err`).
+    fn find(&self, key: &Key) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = home(key, mask);
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                s => {
+                    let at = s as usize - 1;
+                    if same(&self.series[at / CHUNK][at % CHUNK].0, key) {
+                        return Ok(at);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Append a new series, indexed at the empty `slot` [`Registry::find`]
+    /// returned, and return its position.
+    fn insert(&mut self, slot: usize, key: Key, value: Value) -> usize {
+        if !matches!(self.series.last(), Some(c) if c.len() < CHUNK) {
+            self.series.push(Vec::with_capacity(CHUNK));
+        }
+        let at = self.len();
+        self.series
+            .last_mut()
+            .expect("pushed above")
+            .push((key, value));
+        if 2 * (at + 1) > self.slots.len() {
+            // Rebuild the index at twice the size, the new series included.
+            let size = (2 * self.slots.len()).max(64);
+            let mask = size - 1;
+            self.slots = vec![0; size];
+            for (i, (k, _)) in self.series.iter().flatten().enumerate() {
+                let mut s = home(k, mask);
+                while self.slots[s] != 0 {
+                    s = (s + 1) & mask;
+                }
+                self.slots[s] = i as u32 + 1;
+            }
+        } else {
+            self.slots[slot] = at as u32 + 1;
+        }
+        at
+    }
+}
+
+/// Key equality that tries the labels' addresses before their bytes: an
+/// emission site passes the same `&'static str`s every time.
+fn same(a: &Key, b: &Key) -> bool {
+    let eq = |x: &str, y: &str| std::ptr::eq(x, y) || x == y;
+    a.phase == b.phase && a.node == b.node && eq(a.name, b.name) && eq(a.op, b.op)
+}
+
+/// The index slot a key's probe starts at: an FxHash-style hash of the
+/// key's content (one multiply per eight bytes), fixed, so where a key
+/// lands repeats run to run. Equal strings at different addresses hash
+/// alike.
+fn home(key: &Key, mask: usize) -> usize {
+    fn mix(h: u64, word: u64) -> u64 {
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+    let mut h = mix(0, u64::from(key.phase) << 16 | u64::from(key.node));
+    for s in [key.name, key.op] {
+        let mut words = s.as_bytes().chunks_exact(8);
+        for w in &mut words {
+            h = mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h = mix(h, u64::from_le_bytes(tail) ^ (s.len() as u64) << 56);
+    }
+    // The multiply carries entropy upward: index by the high half.
+    (h >> 32) as usize & mask
 }
 
 thread_local! {
@@ -439,6 +554,7 @@ pub fn seal_phase(name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn merged_halves_equal_the_whole() {
@@ -474,6 +590,27 @@ mod tests {
         assert_eq!(h.buckets()[2], 1, "3 lands in le=4");
         assert_eq!(h.buckets()[BUCKETS - 2], 1, "2^20 in the last bound");
         assert_eq!(h.buckets()[BUCKETS - 1], 1, "2^20+1 overflows");
+    }
+
+    #[test]
+    fn bucket_index_matches_the_linear_search() {
+        let linear = |v: u64| {
+            BUCKET_BOUNDS
+                .iter()
+                .position(|&b| v <= b)
+                .unwrap_or(BUCKET_BOUNDS.len())
+        };
+        let values = BUCKET_BOUNDS
+            .iter()
+            .flat_map(|&b| [b, b + 1])
+            .chain([0, u64::MAX]);
+        for v in values {
+            let mut h = Histogram::default();
+            h.observe(v);
+            let mut want = [0; BUCKETS];
+            want[linear(v)] = 1;
+            assert_eq!(h.buckets(), &want, "value {v}");
+        }
     }
 
     #[test]
@@ -652,7 +789,7 @@ mod tests {
             let v = self.metrics.entry(e.key()).or_insert(match e.kind {
                 'c' => Value::Counter(0),
                 'g' => Value::Gauge(0),
-                _ => Value::Histogram(Histogram::default()),
+                _ => Value::Histogram(Box::default()),
             });
             match v {
                 Value::Counter(c) => *c += e.value,
