@@ -7,9 +7,12 @@
 //! — the perf-regression gate (`gamma-bench --bin regress`) leans on
 //! this. Hand-rolled; the build is offline so there is no serde.
 
+use std::fmt::Write as _;
+
 use crate::{Registry, Value, GLOBAL_PHASE};
 
-/// Render the full registry as a deterministic JSON snapshot.
+/// Render the full registry as a deterministic JSON snapshot, written
+/// straight into the one output buffer.
 pub fn render(registry: &Registry) -> String {
     let mut out = String::from("{\n\"phases\": [");
     for (i, name) in registry.phases().iter().enumerate() {
@@ -17,38 +20,37 @@ pub fn render(registry: &Registry) -> String {
             out.push_str(", ");
         }
         out.push('"');
-        out.push_str(&escape(name));
+        escape(&mut out, name);
         out.push('"');
     }
     out.push_str("],\n\"metrics\": [\n");
-    let mut first = true;
-    for (key, value) in registry.iter() {
-        if !first {
+    for (i, (key, value)) in registry.iter().enumerate() {
+        if i > 0 {
             out.push_str(",\n");
         }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"kind\": \"{}\", \"phase\": {}, \"node\": {}, \"op\": \"{}\"",
-            escape(key.name),
-            value.kind(),
-            if key.phase == GLOBAL_PHASE {
-                "null".to_string()
-            } else {
-                key.phase.to_string()
-            },
-            key.node,
-            escape(key.op),
-        ));
+        out.push_str("{\"name\": \"");
+        escape(&mut out, key.name);
+        let _ = write!(out, "\", \"kind\": \"{}\", \"phase\": ", value.kind());
+        if key.phase == GLOBAL_PHASE {
+            out.push_str("null");
+        } else {
+            let _ = write!(out, "{}", key.phase);
+        }
+        let _ = write!(out, ", \"node\": {}, \"op\": \"", key.node);
+        escape(&mut out, key.op);
+        out.push('"');
         match value {
-            Value::Counter(v) | Value::Gauge(v) => out.push_str(&format!(", \"value\": {v}")),
+            Value::Counter(v) | Value::Gauge(v) => {
+                let _ = write!(out, ", \"value\": {v}");
+            }
             Value::Histogram(h) => {
-                out.push_str(&format!(", \"count\": {}, \"sum\": {}", h.count, h.sum));
+                let _ = write!(out, ", \"count\": {}, \"sum\": {}", h.count, h.sum);
                 out.push_str(", \"buckets\": [");
                 for (i, b) in h.buckets().iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&b.to_string());
+                    let _ = write!(out, "{b}");
                 }
                 out.push(']');
             }
@@ -59,20 +61,28 @@ pub fn render(registry: &Registry) -> String {
     out
 }
 
-fn escape(s: &str) -> String {
-    let mut e = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => e.push_str("\\\""),
-            '\\' => e.push_str("\\\\"),
-            '\n' => e.push_str("\\n"),
-            '\t' => e.push_str("\\t"),
-            '\r' => e.push_str("\\r"),
-            c if (c as u32) < 0x20 => e.push_str(&format!("\\u{:04x}", c as u32)),
-            c => e.push(c),
+/// Append `s` JSON-escaped: the runs between specials are copied whole.
+fn escape(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
         }
+        run = i + 1;
     }
-    e
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -102,6 +112,13 @@ mod tests {
         r.observe("h", 0, "", 3);
         let text = render(&r);
         assert!(text.contains("\"count\": 1, \"sum\": 3, \"buckets\": [0,0,1,"));
+    }
+
+    #[test]
+    fn strings_escape_quote_backslash_and_control_bytes() {
+        let mut out = String::new();
+        escape(&mut out, "a\"b\\c\nd\te\rf\u{1}g\u{1f}é");
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fé");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! the `gamma_` prefix. Because the registry's key order is canonical,
 //! the output is byte-identical for identical registries.
 
+use std::fmt::Write as _;
+
 use crate::{Key, Registry, Value, BUCKET_BOUNDS, GLOBAL_PHASE};
 
 /// Help text for the well-known registry metrics; generic for the rest.
@@ -28,72 +30,85 @@ fn metric_help(name: &str) -> &'static str {
     }
 }
 
-/// Render the full registry in Prometheus text-exposition format.
+/// Render the full registry in Prometheus text-exposition format,
+/// written straight into the one output buffer.
 pub fn render(registry: &Registry) -> String {
     let mut out = String::new();
     let mut last_name = "";
     for (key, value) in registry.iter() {
-        if key.name != last_name {
-            out.push_str(&format!(
-                "# HELP gamma_{} {}\n",
-                key.name,
-                metric_help(key.name)
-            ));
-            out.push_str(&format!("# TYPE gamma_{} {}\n", key.name, value.kind()));
-            last_name = key.name;
+        let name = key.name;
+        if name != last_name {
+            let _ = write!(
+                out,
+                "# HELP gamma_{name} {}\n# TYPE gamma_{name} {}\n",
+                metric_help(name),
+                value.kind()
+            );
+            last_name = name;
         }
-        let labels = labels(registry, key);
         match value {
             Value::Counter(v) => {
-                out.push_str(&format!("gamma_{}_total{{{labels}}} {v}\n", key.name));
+                sample(&mut out, registry, key, "_total");
+                let _ = writeln!(out, "}} {v}");
             }
             Value::Gauge(v) => {
-                out.push_str(&format!("gamma_{}{{{labels}}} {v}\n", key.name));
+                sample(&mut out, registry, key, "");
+                let _ = writeln!(out, "}} {v}");
             }
             Value::Histogram(h) => {
                 let mut cum = 0u64;
                 for (bound, count) in BUCKET_BOUNDS.iter().zip(h.buckets().iter()) {
                     cum += count;
-                    out.push_str(&format!(
-                        "gamma_{}_bucket{{{labels},le=\"{bound}\"}} {cum}\n",
-                        key.name
-                    ));
+                    sample(&mut out, registry, key, "_bucket");
+                    let _ = writeln!(out, ",le=\"{bound}\"}} {cum}");
                 }
-                out.push_str(&format!(
-                    "gamma_{}_bucket{{{labels},le=\"+Inf\"}} {}\n",
-                    key.name, h.count
-                ));
-                out.push_str(&format!("gamma_{}_sum{{{labels}}} {}\n", key.name, h.sum));
-                out.push_str(&format!(
-                    "gamma_{}_count{{{labels}}} {}\n",
-                    key.name, h.count
-                ));
+                sample(&mut out, registry, key, "_bucket");
+                let _ = writeln!(out, ",le=\"+Inf\"}} {}", h.count);
+                sample(&mut out, registry, key, "_sum");
+                let _ = writeln!(out, "}} {}", h.sum);
+                sample(&mut out, registry, key, "_count");
+                let _ = writeln!(out, "}} {}", h.count);
             }
         }
     }
     out
 }
 
-fn labels(registry: &Registry, key: &Key) -> String {
-    let mut l = format!("node=\"{}\"", key.node);
+/// Append a sample line's head, `gamma_<name><suffix>{<labels>`; the
+/// caller closes the label set and writes the value.
+fn sample(out: &mut String, registry: &Registry, key: &Key, suffix: &str) {
+    let _ = write!(out, "gamma_{}{suffix}{{node=\"{}\"", key.name, key.node);
     if key.phase != GLOBAL_PHASE {
-        l.push_str(&format!(",phase=\"{}\"", key.phase));
+        let _ = write!(out, ",phase=\"{}\"", key.phase);
         if let Some(name) = registry.phase_name(key.phase) {
-            l.push_str(&format!(",phase_name=\"{}\"", escape(name)));
+            out.push_str(",phase_name=\"");
+            escape(out, name);
+            out.push('"');
         }
     }
     if !key.op.is_empty() {
-        l.push_str(&format!(",op=\"{}\"", escape(key.op)));
+        out.push_str(",op=\"");
+        escape(out, key.op);
+        out.push('"');
     }
-    l
 }
 
-/// Escape a label value per the text format: backslash first, then
-/// quotes and newlines (a raw newline would split the sample line).
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// Append a label value escaped per the text format: backslash, quote and
+/// newline (a raw newline would split the sample line).
+fn escape(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'\\' => "\\\\",
+            b'"' => "\\\"",
+            b'\n' => "\\n",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(esc);
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]

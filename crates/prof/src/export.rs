@@ -10,56 +10,81 @@
 //! profiles textually, and its same-line field extractors can never
 //! confuse a profile document with a bench-point document.
 
+use std::fmt::Write as _;
+
 use crate::FlightProfile;
 
-/// JSON-escape a string value (quotes, backslashes, control chars).
+/// JSON-escape a string value (quotes, backslashes, control chars) into a
+/// string of its own, for [`render_json`]'s envelope values.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
 }
 
-/// Render a profile as a line-oriented JSON document.
+/// Append `s` as a quoted, escaped JSON string: the runs between specials
+/// are copied whole.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Render a profile as a line-oriented JSON document, written straight
+/// into the one output buffer.
 ///
 /// `envelope` entries are emitted before the grid metadata, one per line;
 /// values must already be valid JSON (use [`json_str`] for strings).
 pub fn render_json(profile: &FlightProfile, envelope: &[(&str, String)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"prof\",\n");
+    let mut out = String::from("{\n  \"benchmark\": \"prof\",\n");
     for (key, value) in envelope {
-        out.push_str(&format!("  {}: {},\n", json_str(key), value));
+        out.push_str("  ");
+        push_json_str(&mut out, key);
+        let _ = writeln!(out, ": {value},");
     }
-    out.push_str(&format!("  \"tick_us\": {},\n", profile.tick_us));
-    out.push_str(&format!("  \"ticks\": {},\n", profile.ticks()));
-    out.push_str(&format!("  \"nodes\": {},\n", profile.nodes));
-    out.push_str(&format!("  \"makespan_us\": {},\n", profile.makespan_us));
+    let _ = write!(
+        out,
+        "  \"tick_us\": {},\n  \"ticks\": {},\n  \"nodes\": {},\n  \"makespan_us\": {},\n",
+        profile.tick_us,
+        profile.ticks(),
+        profile.nodes,
+        profile.makespan_us
+    );
     out.push_str("  \"series\": [\n");
     for (i, s) in profile.series.iter().enumerate() {
-        let comma = if i + 1 == profile.series.len() {
-            ""
-        } else {
-            ","
-        };
-        let values: Vec<String> = s.values.iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!(
-            "    {{\"series\": {}, \"values\": [{}]}}{}\n",
-            json_str(&s.name),
-            values.join(","),
-            comma
-        ));
+        out.push_str("    {\"series\": ");
+        push_json_str(&mut out, &s.name);
+        out.push_str(", \"values\": [");
+        for (j, v) in s.values.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{v}");
+        }
+        out.push_str("]}");
+        if i + 1 < profile.series.len() {
+            out.push(',');
+        }
+        out.push('\n');
     }
     out.push_str("  ]\n}\n");
     out
@@ -74,9 +99,9 @@ pub fn render_csv(profile: &FlightProfile) -> String {
     }
     out.push('\n');
     for tick in 0..profile.ticks() {
-        out.push_str(&format!("{},{}", tick, tick as u64 * profile.tick_us));
+        let _ = write!(out, "{},{}", tick, tick as u64 * profile.tick_us);
         for s in &profile.series {
-            out.push_str(&format!(",{}", s.values[tick]));
+            let _ = write!(out, ",{}", s.values[tick]);
         }
         out.push('\n');
     }
@@ -136,5 +161,6 @@ mod tests {
     #[test]
     fn json_str_escapes() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\t\r\u{1}é"), "\"\\t\\r\\u0001é\"");
     }
 }
