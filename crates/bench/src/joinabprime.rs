@@ -9,6 +9,7 @@
 //! The JSON schema is documented in `EXPERIMENTS.md`.
 
 use gamma_core::query::Algorithm;
+use std::fmt::Write as _;
 
 use crate::metrics::{metrics_join, reconcile, MetricsRun};
 use crate::sweep::{pooled_map, Workload};
@@ -108,13 +109,14 @@ impl Sweep {
     /// The sweep as a JSON document, one point object per line.
     pub fn render(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"benchmark\": \"joinABprime\",\n  \"scale\": {},\n  \"points\": [\n",
+        let _ = writeln!(
+            json,
+            "  \"benchmark\": \"joinABprime\",\n  \"scale\": {},\n  \"points\": [",
             self.scale
-        ));
+        );
         for (i, p) in self.points.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}}}{}\n",
+            let _ = writeln!(json,
+                "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"response_virtual_us\": {}, \"peak_pool_pages\": {}, \"packets\": {}, \"short_circuit_ratio\": {:.6}}}{}",
                 p.algorithm,
                 p.memory_ratio,
                 p.response_virtual_us,
@@ -122,7 +124,7 @@ impl Sweep {
                 p.packets,
                 p.short_circuit_ratio,
                 if i + 1 < self.points.len() { "," } else { "" }
-            ));
+            );
         }
         json.push_str("  ]\n}\n");
         json

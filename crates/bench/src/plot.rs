@@ -3,6 +3,7 @@
 //! ratio (descending, as the paper draws it), the y-axis response seconds.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::sweep::ExperimentPoint;
 
@@ -63,21 +64,22 @@ pub fn render(points: &[ExperimentPoint], width: usize, height: usize) -> String
     let mut out = String::new();
     for (i, row) in grid.iter().enumerate() {
         let yval = ymax * (height - 1 - i) as f64 / (height - 1) as f64;
-        out.push_str(&format!("{yval:>8.1} |"));
+        let _ = write!(out, "{yval:>8.1} |");
         out.extend(row.iter());
         out.push('\n');
     }
-    out.push_str(&format!("{:>8} +{}\n", "", "-".repeat(width)));
-    out.push_str(&format!(
-        "{:>8}  {:<width$.2}{:>.2}\n",
+    let _ = writeln!(out, "{:>8} +{}", "", "-".repeat(width));
+    let _ = writeln!(
+        out,
+        "{:>8}  {:<width$.2}{:>.2}",
         "ratio",
         xmin,
         xmax,
         width = width - 3
-    ));
+    );
     out.push_str("          ");
     for (si, name) in order.iter().enumerate() {
-        out.push_str(&format!("{} {}   ", GLYPHS[si % GLYPHS.len()], name));
+        let _ = write!(out, "{} {}   ", GLYPHS[si % GLYPHS.len()], name);
     }
     out.push('\n');
     out

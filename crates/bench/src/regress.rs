@@ -22,6 +22,7 @@
 
 use gamma_core::query::{Algorithm, JoinSpec, OverflowPolicy};
 use gamma_core::ExecConfig;
+use std::fmt::Write as _;
 
 use crate::alloc::count_allocs;
 use crate::metrics::{metrics_join, metrics_join_with, reconcile, MetricsRun};
@@ -388,17 +389,19 @@ pub fn parse_alloc_ceilings(json: &str) -> Result<Vec<AllocCeiling>, String> {
 /// other baselines use (so [`parse_alloc_ceilings`] round-trips them).
 pub fn render_alloc_ceilings(scale: f64, points: &[AllocCeiling]) -> String {
     let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"benchmark\": \"alloc_ceilings\",\n  \"scale\": {scale},\n  \"points\": [\n"
-    ));
+    let _ = writeln!(
+        json,
+        "  \"benchmark\": \"alloc_ceilings\",\n  \"scale\": {scale},\n  \"points\": ["
+    );
     for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"ceiling_allocs\": {}}}{}\n",
+        let _ = writeln!(
+            json,
+            "    {{\"algorithm\": \"{}\", \"memory_ratio\": {}, \"ceiling_allocs\": {}}}{}",
             p.algorithm,
             p.memory_ratio,
             p.ceiling_allocs,
             if i + 1 < points.len() { "," } else { "" }
-        ));
+        );
     }
     json.push_str("  ]\n}\n");
     json
@@ -549,13 +552,14 @@ pub fn render_gate_table(rows: &[RowSummary]) -> String {
             .map(String::as_str)
             .or(r.skipped.as_deref())
             .unwrap_or("-");
-        out.push_str(&format!(
-            "  {:<3} {:<38} {:<6} {}\n",
+        let _ = writeln!(
+            out,
+            "  {:<3} {:<38} {:<6} {}",
             r.gate,
             r.path,
             r.status(),
             detail
-        ));
+        );
     }
     out
 }

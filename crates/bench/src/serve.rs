@@ -18,6 +18,7 @@ use gamma_core::query::Algorithm;
 use gamma_core::JoinReport;
 use gamma_des::SimTime;
 use gamma_sched::{explain, serve, QueryPlan, ServeConfig, ServeResult};
+use std::fmt::Write as _;
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
 
@@ -312,8 +313,8 @@ pub fn calibrate_backlog_window(cfg: &ServeSweepConfig) -> Vec<BacklogCalPoint> 
 /// identical sweeps produce byte-identical files).
 pub fn render_json(cfg: &ServeSweepConfig, sweep: &ServeSweep) -> String {
     let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"benchmark\": \"serve\",\n  \"a_rows\": {},\n  \"queries\": {},\n  \"budget_multiplier\": {},\n  \"budget_pages\": {},\n  \"peak_pages\": {},\n  \"solo_response_us\": {},\n  \"bound_qps\": {:.6},\n  \"knee_qps\": {:.6},\n",
+    let _ = writeln!(json,
+        "  \"benchmark\": \"serve\",\n  \"a_rows\": {},\n  \"queries\": {},\n  \"budget_multiplier\": {},\n  \"budget_pages\": {},\n  \"peak_pages\": {},\n  \"solo_response_us\": {},\n  \"bound_qps\": {:.6},\n  \"knee_qps\": {:.6},",
         cfg.a_rows,
         cfg.queries,
         cfg.budget_multiplier,
@@ -322,11 +323,11 @@ pub fn render_json(cfg: &ServeSweepConfig, sweep: &ServeSweep) -> String {
         sweep.solo_response_us,
         sweep.bound_qps,
         sweep.knee_qps,
-    ));
+    );
     json.push_str("  \"points\": [\n");
     for (i, p) in sweep.points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"rate_index\": {}, \"load_fraction\": {}, \"mean_interarrival_us\": {}, \"offered_qps\": {:.6}, \"completed\": {}, \"makespan_us\": {}, \"throughput_qps\": {:.6}, \"response_p50_us\": {}, \"response_p99_us\": {}, \"response_p999_us\": {}, \"mean_response_us\": {:.3}, \"admission_wait_total_us\": {}, \"peak_utilisation\": {:.6}}}{}\n",
+        let _ = writeln!(json,
+            "    {{\"rate_index\": {}, \"load_fraction\": {}, \"mean_interarrival_us\": {}, \"offered_qps\": {:.6}, \"completed\": {}, \"makespan_us\": {}, \"throughput_qps\": {:.6}, \"response_p50_us\": {}, \"response_p99_us\": {}, \"response_p999_us\": {}, \"mean_response_us\": {:.3}, \"admission_wait_total_us\": {}, \"peak_utilisation\": {:.6}}}{}",
             p.rate_index,
             p.load_fraction,
             p.mean_interarrival_us,
@@ -341,7 +342,7 @@ pub fn render_json(cfg: &ServeSweepConfig, sweep: &ServeSweep) -> String {
             p.admission_wait_total_us,
             p.peak_utilisation,
             if i + 1 < sweep.points.len() { "," } else { "" }
-        ));
+        );
     }
     json.push_str("  ]\n}\n");
     json

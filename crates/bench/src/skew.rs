@@ -20,6 +20,7 @@
 //! and compares it with the file byte for byte.
 
 use gamma_core::query::{Algorithm, OverflowPolicy};
+use std::fmt::Write as _;
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
 
@@ -154,16 +155,17 @@ pub fn render_json(cfg: &SkewSweepConfig, sweep: &SkewSweep) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"skew\",\n");
-    out.push_str(&format!("  \"a_rows\": {},\n", cfg.a_rows));
-    out.push_str(&format!("  \"bprime_rows\": {},\n", cfg.bprime_rows));
+    let _ = writeln!(out, "  \"a_rows\": {},", cfg.a_rows);
+    let _ = writeln!(out, "  \"bprime_rows\": {},", cfg.bprime_rows);
     out.push_str("  \"points\": [\n");
     for (i, p) in sweep.points.iter().enumerate() {
         let sep = if i + 1 == sweep.points.len() { "" } else { "," };
-        out.push_str(&format!(
+        let _ = writeln!(
+            out,
             "    {{\"skew\": \"{}\", \"mode\": \"{}\", \"memory_ratio\": {}, \
              \"response_virtual_us\": {}, \"overflow_passes\": {}, \
              \"pages_spilled\": {}, \"pages_restored\": {}, \"buckets\": {}, \
-             \"result_tuples\": {}, \"bnl\": {}}}{sep}\n",
+             \"result_tuples\": {}, \"bnl\": {}}}{sep}",
             p.skew,
             p.mode,
             p.memory_ratio,
@@ -174,7 +176,7 @@ pub fn render_json(cfg: &SkewSweepConfig, sweep: &SkewSweep) -> String {
             p.buckets,
             p.result_tuples,
             p.bnl,
-        ));
+        );
     }
     out.push_str("  ]\n}\n");
     out

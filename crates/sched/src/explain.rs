@@ -23,6 +23,7 @@
 //! text report behind `gamma-bench serve --explain`.
 
 use gamma_des::SimTime;
+use std::fmt::Write as _;
 
 use crate::report::ServeOutcome;
 
@@ -112,12 +113,13 @@ fn fmt_row(label: &str, b: &PhaseBreakdown) -> String {
 /// per-query `delta` column is the contention cost relative to it.
 pub fn render(outcome: &ServeOutcome, solo_response: SimTime) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "EXPLAIN serve: {} queries, makespan {} us, solo response {} us\n",
+    let _ = writeln!(
+        out,
+        "EXPLAIN serve: {} queries, makespan {} us, solo response {} us",
         outcome.queries.len(),
         outcome.makespan.as_us(),
         solo_response.as_us(),
-    ));
+    );
     out.push_str(
         "per-phase columns: span = sched wait+service, then critical-path cpu/disk/net service and queue wait\n",
     );
@@ -128,27 +130,28 @@ pub fn render(outcome: &ServeOutcome, solo_response: SimTime) -> String {
                 let response = finished - timing.arrival;
                 let admission = admitted - timing.arrival;
                 let delta = response - solo_response;
-                out.push_str(&format!(
-                    "q{q:03}: arrival {:>9}  admission_wait {:>9}  response {:>9}  delta_vs_solo {:>9}\n",
+                let _ = writeln!(out,
+                    "q{q:03}: arrival {:>9}  admission_wait {:>9}  response {:>9}  delta_vs_solo {:>9}",
                     timing.arrival.as_us(),
                     admission.as_us(),
                     response.as_us(),
                     delta.as_us(),
-                ));
+                );
                 for b in &explain.phases {
                     out.push_str(&fmt_row(&b.name, b));
                 }
                 let explained = admission + explain.explained_total();
                 debug_assert_eq!(explained, response);
-                out.push_str(&format!(
-                    "  reconciled: admission {} + phases {} = response {} us\n",
+                let _ = writeln!(
+                    out,
+                    "  reconciled: admission {} + phases {} = response {} us",
                     admission.as_us(),
                     explain.explained_total().as_us(),
                     explained.as_us(),
-                ));
+                );
             }
             _ => {
-                out.push_str(&format!("q{q:03}: never completed\n"));
+                let _ = writeln!(out, "q{q:03}: never completed");
             }
         }
     }
