@@ -114,6 +114,14 @@
 # allocation counts differ run to run. Each such line names its hasher
 # (`BuildHasherDefault<DefaultHasher>` or an alias ending in `Hasher`).
 #
+# The observers' exporters (`crates/metrics/src/{json,prometheus}.rs`,
+# `crates/prof/src/export.rs`) write labels, escapes and values straight
+# into their one output `String` with `write!` / `push_str`: a `format!`,
+# `.to_string()`, `.join(` or `.replace(` in a non-test body, a helper
+# returning a `String` other than the public renderers and `json_str`, or a
+# `json_str(` call inside `export.rs` is an allocation per line or value
+# again (the `observed` workload made 219,000 of them a pass so).
+#
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
 # inside the recorder, so they must be allocation-free outright — callers
@@ -380,6 +388,21 @@ while IFS= read -r f; do
     fi
 done < <(find crates/{core,net,wiss,des}/src -name '*.rs' | sort)
 
+# Exporters write into one buffer.
+for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof/src/export.rs; do
+    src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nvE '^\s*//' || true)
+    hits=$({
+        grep -E 'format!\(|\.to_string\(\)|\.join\(|\.replace\(' <<<"$src"
+        grep -E -- '-> String' <<<"$src" | grep -vE 'pub fn (render|render_json|render_csv|json_str)\('
+        grep -E '(^|[^_a-z])json_str\(' <<<"$src" | grep -v 'fn json_str('
+    } | sort -nu || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f allocates per line or value; write into the one output buffer:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -398,4 +421,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, exporters writing into one buffer, no allocs in prof sampling"
