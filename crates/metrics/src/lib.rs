@@ -161,12 +161,11 @@ impl Value {
 }
 
 /// Series per chunk of a registry's store. A chunk is allocated once at
-/// its full size, 32 × 56 B = 1.75 KiB, and never moves: the store grows
-/// without copying, in blocks the size of the B-tree nodes it replaced,
-/// which glibc serves from its free lists. A store grown by doubling
-/// passes the 128 KiB mmap threshold at a few thousand series, and freeing
-/// such a block raises that threshold for the rest of the process, and
-/// with it the peak resident set.
+/// its full size, 32 × 56 B = 1.75 KiB, about a B-tree node's, and never
+/// moves: the store grows without copying or freeing, in blocks glibc
+/// serves from its free lists. (A store grown by doubling passes glibc's
+/// 128 KiB mmap threshold at a few thousand series, and freeing such a
+/// block raises that threshold for the rest of the process.)
 const CHUNK: usize = 32;
 const _: () = assert!(CHUNK * std::mem::size_of::<(Key, Value)>() <= 2 << 10);
 
@@ -469,22 +468,39 @@ fn same(a: &Key, b: &Key) -> bool {
 }
 
 /// The index slot a key's probe starts at: an FxHash-style hash of the
-/// key's content (one multiply per eight bytes), fixed, so where a key
-/// lands repeats run to run. Equal strings at different addresses hash
-/// alike.
+/// key's content, fixed, so where a key lands repeats run to run. Equal
+/// strings at different addresses hash alike.
 fn home(key: &Key, mask: usize) -> usize {
     fn mix(h: u64, word: u64) -> u64 {
         (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     }
-    let mut h = mix(0, u64::from(key.phase) << 16 | u64::from(key.node));
-    for s in [key.name, key.op] {
-        let mut words = s.as_bytes().chunks_exact(8);
-        for w in &mut words {
-            h = mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
+    /// A label's first and last eight bytes (four, or three single bytes,
+    /// when it is shorter), read without a loop. Labels that agree on
+    /// these and on their length collide, and [`same`] tells them apart.
+    fn ends(s: &str) -> (u64, u64) {
+        let b = s.as_bytes();
+        let n = b.len();
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+        let half = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                b[at..at + 4].try_into().expect("four bytes"),
+            ))
+        };
+        match n {
+            8.. => (word(0), word(n - 8)),
+            4..=7 => (half(0), half(n - 4)),
+            1..=3 => (
+                u64::from(b[0]) | u64::from(b[n / 2]) << 8,
+                u64::from(b[n - 1]),
+            ),
+            0 => (0, 0),
         }
-        let mut tail = [0u8; 8];
-        tail[..words.remainder().len()].copy_from_slice(words.remainder());
-        h = mix(h, u64::from_le_bytes(tail) ^ (s.len() as u64) << 56);
+    }
+    let (name, op) = (ends(key.name), ends(key.op));
+    let labels = (key.name.len() as u64) << 48 | (key.op.len() as u64) << 32;
+    let mut h = mix(0, labels | u64::from(key.phase) << 16 | u64::from(key.node));
+    for w in [name.0, name.1, op.0, op.1] {
+        h = mix(h, w);
     }
     // The multiply carries entropy upward: index by the high half.
     (h >> 32) as usize & mask
