@@ -341,7 +341,8 @@ impl Registry {
         }
     }
 
-    /// All series in canonical (name, phase, node, op) order.
+    /// All series in canonical (name, phase, node, op) order, sorted on
+    /// each call.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
         let mut order: Vec<&(Key, Value)> = self.series.iter().flatten().collect();
         // Keys are unique, so an unstable sort is deterministic.
