@@ -5,7 +5,7 @@ use gamma_core::cost::CostModel;
 use gamma_core::machine::{Declustering, MachineConfig};
 use gamma_core::query::{Algorithm, JoinSite, JoinSpec};
 use gamma_core::tuple::{Field, Schema};
-use gamma_core::{run_join, Machine};
+use gamma_core::{run_join, run_join_with_phases, Machine};
 use gamma_des::Counts;
 
 fn small_schema() -> Schema {
@@ -446,10 +446,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// reaches them: it opens R's run, takes R's first record, then opens S's
 /// and takes S's first, and each run reads the page of the record after
 /// the one it hands out. With 600-byte inner tuples on 1 KB pages every R
-/// record has a run page of its own, so the merge join's disk request log
-/// — and each phase's whole ledger with it, hashed here — pins that order,
-/// which the response time alone does not. Pinned at unbounded memory and
-/// at 8 KB (several merge passes per node).
+/// record has a run page of its own, so the merge join's disk request logs
+/// — and each phase's per-node ledgers with them, hashed here — pin that
+/// order, which the response time alone does not. Pinned at unbounded
+/// memory and at 8 KB (several merge passes per node).
 #[test]
 fn sort_merge_reads_run_pages_in_merge_order() {
     let mut cost = CostModel::gamma_1989();
@@ -491,23 +491,28 @@ fn sort_merge_reads_run_pages_in_merge_order() {
             tuples(&s_schema, (0..8_000).map(|k| k % 250).collect()),
         );
         let spec = JoinSpec::new(Algorithm::SortMerge, r, s, r_attr, s_attr, memory);
-        let report = run_join(&mut m, &spec);
-        let phases: Vec<(&str, u64)> = report
-            .phases
+        let (report, records) = run_join_with_phases(&mut m, &spec);
+        let phases: Vec<(&str, u64)> = records
             .iter()
-            .map(|p| (p.name.as_str(), fnv1a(format!("{:?}", p.total).as_bytes())))
+            .map(|p| {
+                (
+                    p.name.as_str(),
+                    fnv1a(format!("{:?}", p.ledgers).as_bytes()),
+                )
+            })
             .collect();
         let got = (report.response.as_us(), report.result_tuples, phases);
         assert_eq!(got, (pin.0, pin.1, pin.2.to_vec()), "{memory} B");
     }
 }
 
-/// Each phase's name and the FNV-1a of its total ledger's `Debug` text.
+/// Each phase's name and the FNV-1a of the `Debug` text of its per-node
+/// ledgers, request logs included.
 type PhaseDigests = [(&'static str, u64); 5];
 
 /// The cases above, in order: `(response µs, result tuples, phases)`.
 #[rustfmt::skip]
 const PINNED_SORT_MERGE: [(u64, u64, PhaseDigests); 2] = [
-    (37323310, 6400, [("partition R", 0xabe7_1709_7b62_b577), ("sort R", 0xb631_c9e4_41df_3f01), ("partition S", 0x794f_1eb1_f368_2542), ("sort S", 0xf297_ede2_865c_40b6), ("merge join", 0x4b0c_6d60_0734_f216)]),
-    (52522010, 6400, [("partition R", 0xabe7_1709_7b62_b577), ("sort R", 0x0587_6f8d_3951_d1f1), ("partition S", 0x794f_1eb1_f368_2542), ("sort S", 0x103b_679c_2d02_af94), ("merge join", 0x4b0c_6d60_0734_f216)]),
+    (37323310, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0x861e_e576_2ff1_3b14), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0xe605_c3e7_c8e7_10b2), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
+    (52522010, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0x047a_d3b9_762b_4de1), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0x2240_e15c_cd28_96d5), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
 ];
