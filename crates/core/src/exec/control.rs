@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn dispatch_overhead_grows_with_split_table() {
-        let m = Machine::new(MachineConfig::local_8());
+        let mut m = Machine::new(MachineConfig::local_8());
         let nodes = m.disk_nodes();
         let mut l1 = m.ledgers();
         let small = dispatch_overhead(&m, &mut l1, &nodes, 512);

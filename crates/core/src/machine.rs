@@ -14,7 +14,7 @@
 //! written by the store operators of its consumer side
 //! ([`crate::exec::hash`]) and can be registered here like any relation.
 
-use gamma_des::Usage;
+use gamma_des::{RequestLog, Usage};
 use gamma_net::Exchange;
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
 
@@ -22,6 +22,8 @@ pub use crate::checksum::multiset_checksum;
 use crate::cost::CostModel;
 use crate::exec::ExecConfig;
 use crate::hash::{hash_u32, JOIN_SEED};
+use crate::query::JoinSpec;
+use crate::report::PhaseRecord;
 use crate::tuple::{Attr, Schema};
 
 /// Processor identifier (0-based; disk nodes come first).
@@ -167,6 +169,24 @@ pub struct Machine {
     /// queries. Per-machine state — there is no process-global switch.
     pub exec: ExecConfig,
     relations: Vec<Option<StoredRelation>>,
+    /// Request-log lengths of the last [`REMEMBERED_JOINS`] distinct joins
+    /// run here, least recently run first: what [`Machine::ledgers`]
+    /// reserves.
+    log_lengths: Vec<LogLengths>,
+    /// The running join's remembered lengths and the number of ledger
+    /// sets it has opened; `None` outside a join.
+    running: Option<(LogLengths, usize)>,
+}
+
+/// Distinct joins a machine remembers request-log lengths for. The
+/// benchmark's largest grid runs twelve joins on one machine.
+const REMEMBERED_JOINS: usize = 16;
+
+/// The `[disk, net]` request-log lengths of each (phase, node) ledger of
+/// one join, phase-major.
+struct LogLengths {
+    spec: JoinSpec,
+    lengths: Vec<[usize; 2]>,
 }
 
 impl Machine {
@@ -192,6 +212,8 @@ impl Machine {
             exchange,
             exec: ExecConfig::auto(),
             relations: Vec::new(),
+            log_lengths: Vec::new(),
+            running: None,
         }
     }
 
@@ -218,9 +240,64 @@ impl Machine {
         (self.cfg.disk_nodes..self.nodes()).collect()
     }
 
-    /// Fresh zeroed ledgers, one per node.
-    pub fn ledgers(&self) -> Ledgers {
-        vec![Usage::ZERO; self.nodes()]
+    /// Fresh zeroed ledgers, one per node. Inside a join, the k-th set
+    /// opened since its entry — its k-th phase — reserves each node's
+    /// request logs at the lengths the k-th phase's logs reached when this
+    /// machine last ran the same join spec, so a join run again sizes each
+    /// log once. The lengths only size storage: no charge, count or
+    /// request order depends on them.
+    pub fn ledgers(&mut self) -> Ledgers {
+        let n = self.nodes();
+        let Some((known, opened)) = self.running.as_mut() else {
+            return vec![Usage::ZERO; n];
+        };
+        let lengths = known.lengths.get(*opened * n..).unwrap_or(&[]);
+        *opened += 1;
+        (0..n)
+            .map(|i| {
+                let [disk, net] = lengths.get(i).copied().unwrap_or_default();
+                Usage {
+                    reqs: RequestLog {
+                        disk: Vec::with_capacity(disk),
+                        net: Vec::with_capacity(net),
+                    },
+                    ..Usage::ZERO
+                }
+            })
+            .collect()
+    }
+
+    /// Start a join: its ledger sets reserve the lengths remembered for
+    /// `spec`, if any (see [`Machine::ledgers`]).
+    pub(crate) fn begin_join(&mut self, spec: &JoinSpec) {
+        let known = match self.log_lengths.iter().position(|l| l.spec == *spec) {
+            Some(i) => self.log_lengths.remove(i),
+            None => LogLengths {
+                spec: spec.clone(),
+                lengths: Vec::new(),
+            },
+        };
+        self.running = Some((known, 0));
+    }
+
+    /// Remember how long each (phase, node) request log of the finished
+    /// join grew, for the next run of its spec; forget the least recently
+    /// run join beyond [`REMEMBERED_JOINS`].
+    pub(crate) fn end_join(&mut self, phases: &[PhaseRecord]) {
+        let Some((mut known, _)) = self.running.take() else {
+            return;
+        };
+        known.lengths.clear();
+        known.lengths.extend(
+            phases
+                .iter()
+                .flat_map(|p| &p.ledgers)
+                .map(|u| [u.reqs.disk.len(), u.reqs.net.len()]),
+        );
+        self.log_lengths.push(known);
+        if self.log_lengths.len() > REMEMBERED_JOINS {
+            self.log_lengths.remove(0);
+        }
     }
 
     /// Cold-start every buffer pool (between experiments).
@@ -455,7 +532,54 @@ mod tests {
 
     #[test]
     fn ledgers_match_node_count() {
-        let m = Machine::new(MachineConfig::remote_8_plus_8());
+        let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         assert_eq!(m.ledgers().len(), 16);
+    }
+
+    #[test]
+    fn remembers_log_lengths_of_the_last_joins_by_spec() {
+        use crate::query::Algorithm;
+        use gamma_des::SimTime;
+        let mut m = Machine::new(MachineConfig::local_8());
+        let spec = |memory| {
+            JoinSpec::new(
+                Algorithm::HybridHash,
+                0,
+                1,
+                Attr { offset: 0 },
+                Attr { offset: 0 },
+                memory,
+            )
+        };
+        // Join `j` logs `j + 1` disk requests at node 3 in its one phase.
+        for j in 0..=REMEMBERED_JOINS {
+            m.begin_join(&spec(j as u64));
+            let mut ledgers = m.ledgers();
+            for _ in 0..=j {
+                ledgers[3].disk(SimTime::from_us(1));
+            }
+            m.end_join(&[PhaseRecord::new("p", ledgers, SimTime::ZERO)]);
+        }
+        let reserved = |m: &mut Machine| {
+            m.ledgers()
+                .iter()
+                .map(|u| u.reqs.disk.capacity())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(reserved(&mut m), [0; 8], "outside a join");
+        m.begin_join(&spec(0));
+        assert_eq!(
+            reserved(&mut m),
+            [0; 8],
+            "the least recently run join is forgotten"
+        );
+        m.end_join(&[]);
+        m.begin_join(&spec(5));
+        assert_eq!(reserved(&mut m), [0, 0, 0, 6, 0, 0, 0, 0]);
+        assert_eq!(
+            reserved(&mut m),
+            [0; 8],
+            "a phase the last run did not reach"
+        );
     }
 }

@@ -78,7 +78,7 @@ pub enum OverflowPolicy {
 }
 
 /// A join request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinSpec {
     /// Algorithm to execute.
     pub algorithm: Algorithm,
@@ -453,6 +453,7 @@ fn run_join_inner(
     };
 
     machine.clear_pools();
+    machine.begin_join(spec);
     let out = match spec.algorithm {
         Algorithm::SortMerge => sort_merge::run(machine, &rz),
         Algorithm::SimpleHash => simple::run(machine, &rz),
@@ -469,13 +470,12 @@ fn run_join_inner(
     // ---- utilisation + totals ----
     let nodes = machine.nodes();
     let mut per_node_cpu = vec![SimTime::ZERO; nodes];
-    let mut total = Usage::ZERO;
     for ph in &out.phases {
         for (n, u) in ph.ledgers.iter().enumerate() {
             per_node_cpu[n] += u.cpu;
-            total += u.clone();
         }
     }
+    let total: Usage = out.phases.iter().flat_map(|ph| &ph.ledgers).sum();
     let util = |ns: &[usize]| -> f64 {
         if ns.is_empty() || response == SimTime::ZERO {
             return 0.0;
@@ -533,6 +533,7 @@ fn run_join_inner(
         total,
         demand,
     };
+    machine.end_join(&out.phases);
     (report, out.phases, materialized)
 }
 

@@ -68,9 +68,11 @@ impl PhaseRecord {
         }
     }
 
-    /// Aggregate usage over all nodes.
+    /// Aggregate usage over all nodes: the sum of their scalar fields. The
+    /// request logs stay with their nodes' ledgers, so the total's are
+    /// empty.
     pub fn total(&self) -> Usage {
-        self.ledgers.iter().cloned().fold(Usage::ZERO, |a, b| a + b)
+        self.ledgers.iter().sum()
     }
 
     /// Timing under the given model.
@@ -88,7 +90,8 @@ pub struct PhaseSummary {
     pub sched_overhead: SimTime,
     /// Parallel execution time of the phase.
     pub duration: SimTime,
-    /// Aggregate usage across nodes.
+    /// Aggregate usage across nodes, without request logs
+    /// ([`PhaseRecord::total`]).
     pub total: Usage,
     /// Index of the slowest node; `None` when no node did any work.
     pub critical_node: Option<usize>,
@@ -137,7 +140,8 @@ pub struct JoinReport {
     pub disk_node_cpu_utilization: f64,
     /// Mean CPU utilisation of the join (diskless, if any) nodes.
     pub join_node_cpu_utilization: f64,
-    /// Aggregate usage over all phases and nodes.
+    /// Aggregate usage over all phases and nodes: a scalar sum, without
+    /// request logs (each log stays with its phase's node ledger).
     pub total: Usage,
     /// Per-node service demands for multiuser extrapolation
     /// (see [`crate::throughput`]).

@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn from_phases_folds_ledgers() {
         use crate::machine::MachineConfig;
-        let machine = Machine::new(MachineConfig::local_8());
+        let mut machine = Machine::new(MachineConfig::local_8());
         let mut a = Usage::ZERO;
         a.cpu(SimTime::from_secs(2));
         let mut b = Usage::ZERO;

@@ -8,6 +8,7 @@
 //! output* (how many page I/Os, packets, probes, … happened), which is how
 //! the benchmark harness explains every curve it reproduces.
 
+use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 use crate::queue::{self, QueueStats, Request, RequestLog};
@@ -278,31 +279,23 @@ impl Usage {
     }
 }
 
-impl Add for Usage {
-    type Output = Usage;
-    fn add(mut self, r: Usage) -> Usage {
-        // Request logs from different (node, phase) ledgers target
-        // different servers; the concatenation keeps the totals right for
-        // demand aggregation but is not meaningful queue input.
-        self.reqs.disk.extend_from_slice(&r.reqs.disk);
-        self.reqs.net.extend_from_slice(&r.reqs.net);
-        Usage {
-            cpu: self.cpu + r.cpu,
-            disk: self.disk + r.disk,
-            net: self.net + r.net,
-            ring_bytes: self.ring_bytes + r.ring_bytes,
-            counts: self.counts + r.counts,
-            reqs: self.reqs,
-            disk_wait: self.disk_wait + r.disk_wait,
-            net_wait: self.net_wait + r.net_wait,
-        }
-    }
-}
-
-impl AddAssign for Usage {
-    fn add_assign(&mut self, r: Usage) {
-        let lhs = std::mem::take(self);
-        *self = lhs + r;
+/// A total: the field-wise sum of the scalar fields — demand, ring bytes,
+/// counts and waits — of every ledger summed. Each request log has one
+/// owner, the (node, phase) ledger that charged it, so a total's `reqs` is
+/// empty: logs from different ledgers target different servers, and their
+/// concatenation would be no queue input.
+impl<'a> Sum<&'a Usage> for Usage {
+    fn sum<I: Iterator<Item = &'a Usage>>(iter: I) -> Usage {
+        iter.fold(Usage::ZERO, |mut t, u| {
+            t.cpu += u.cpu;
+            t.disk += u.disk;
+            t.net += u.net;
+            t.ring_bytes += u.ring_bytes;
+            t.counts += u.counts;
+            t.disk_wait += u.disk_wait;
+            t.net_wait += u.net_wait;
+            t
+        })
     }
 }
 
@@ -322,22 +315,29 @@ mod tests {
     }
 
     #[test]
-    fn usage_addition_accumulates_everything() {
+    fn sum_accumulates_every_scalar_and_no_log() {
         let mut a = Usage::ZERO;
         a.cpu(SimTime::from_us(10));
+        a.disk(SimTime::from_us(4));
         a.counts.pages_read = 3;
+        a.disk_wait = SimTime::from_us(2);
         let mut b = Usage::ZERO;
         b.cpu(SimTime::from_us(5));
         b.net(SimTime::from_us(7), 64);
         b.counts.pages_read = 2;
         b.counts.packets_sent = 1;
-        let c = a + b;
+        b.net_wait = SimTime::from_us(1);
+        let c: Usage = [&a, &b].into_iter().sum();
         assert_eq!(c.cpu, SimTime::from_us(15));
+        assert_eq!(c.disk, SimTime::from_us(4));
         assert_eq!(c.net, SimTime::from_us(7));
         assert_eq!(c.ring_bytes, 64);
         assert_eq!(c.counts.pages_read, 5);
         assert_eq!(c.counts.packets_sent, 1);
-        assert_eq!(c.reqs.net.len(), 1);
+        assert_eq!(c.disk_wait, SimTime::from_us(2));
+        assert_eq!(c.net_wait, SimTime::from_us(1));
+        assert!(c.reqs.is_empty(), "a total owns no request log");
+        assert_eq!((a.reqs.disk.len(), b.reqs.net.len()), (1, 1));
     }
 
     #[test]
@@ -407,19 +407,18 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_matches_add() {
-        let mut a = Usage::ZERO;
-        a.cpu(SimTime::from_us(1));
-        let mut b = a.clone();
-        b += a.clone();
-        assert_eq!(b, a.clone() + a);
-    }
-
-    #[test]
-    fn zero_is_identity() {
+    fn sum_of_nothing_is_zero_and_a_lone_ledger_sums_to_its_scalars() {
+        assert_eq!(std::iter::empty::<&Usage>().sum::<Usage>(), Usage::ZERO);
         let mut u = Usage::ZERO;
         u.disk(SimTime::from_ms(2));
         u.counts.hash_probes = 9;
-        assert_eq!(u.clone() + Usage::ZERO, u);
+        let t: Usage = std::iter::once(&u).sum();
+        assert_eq!(
+            t,
+            Usage {
+                reqs: RequestLog::EMPTY,
+                ..u
+            }
+        );
     }
 }

@@ -73,11 +73,10 @@ pub struct ServeResult {
 
 impl ServeResult {
     /// Integer sum of all instances' resource totals — the left-hand side
-    /// of the serve-level ledger reconciliation.
+    /// of the serve-level ledger reconciliation. Like each report's total,
+    /// it carries no request log.
     pub fn total_usage(&self) -> gamma_des::Usage {
-        self.reports
-            .iter()
-            .fold(gamma_des::Usage::default(), |acc, r| acc + r.total.clone())
+        self.reports.iter().map(|r| &r.total).sum()
     }
 }
 

@@ -75,16 +75,34 @@ fn concurrent_ledgers_reconcile_exactly() {
     // Homogeneous stream: the serve total is exactly N times the solo
     // total, as integer ledger equality (physical work is identical and
     // independent of the timing interleave).
-    let mut expected = gamma_des::Usage::default();
-    for _ in 0..n {
-        expected += result.solo.total.clone();
-    }
+    let expected: gamma_des::Usage = std::iter::repeat_n(&result.solo.total, n as usize).sum();
     let got = result.total_usage();
     assert_eq!(got.cpu, expected.cpu);
     assert_eq!(got.disk, expected.disk);
     assert_eq!(got.net, expected.net);
     assert_eq!(got.ring_bytes, expected.ring_bytes);
     assert_eq!(got.counts, expected.counts);
+}
+
+#[test]
+fn total_usage_is_the_reports_scalar_sum() {
+    let (mut machine, spec) = workload();
+    let result = serve(&mut machine, &spec, &cfg(3, 1, 10_000));
+    let mut want = gamma_des::Usage::ZERO;
+    for r in &result.reports {
+        let t = &r.total;
+        want.cpu += t.cpu;
+        want.disk += t.disk;
+        want.net += t.net;
+        want.ring_bytes += t.ring_bytes;
+        want.counts += t.counts;
+        want.disk_wait += t.disk_wait;
+        want.net_wait += t.net_wait;
+    }
+    let got = result.total_usage();
+    assert!(got.reqs.is_empty(), "a serve total owns no request log");
+    assert_eq!(got, want);
+    assert!(got.counts.pages_read > 0 && got.disk_wait > gamma_des::SimTime::ZERO);
 }
 
 #[test]

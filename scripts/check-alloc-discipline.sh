@@ -122,6 +122,15 @@
 # `json_str(` call inside `export.rs` is an allocation per line or value
 # again (the `observed` workload made 219,000 of them a pass so).
 #
+# Each request log has one owner, the (phase, node) ledger that charged it
+# (DESIGN.md §10). A total — a phase's, a report's, a serve run's — sums
+# the ledgers' scalar fields by reference (`impl Sum<&Usage> for Usage`)
+# and carries no log: totalling clones of the ledgers (`.cloned().fold(`,
+# `+= u.clone()`, `acc + r.total.clone()`), extending one ledger's log
+# from another's (`extend_from_slice(&r.reqs`), or a by-value `Add` /
+# `AddAssign` for `Usage` in a non-test body of `crates/*/src` is every
+# log copied into a total nobody replays again.
+#
 # The gamma-prof sampling hot path (`crates/prof/src/sample.rs`) gets a
 # stricter check: the per-tick fill loops run once per series per tick
 # inside the recorder, so they must be allocation-free outright — callers
@@ -403,6 +412,18 @@ for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof
     fi
 done
 
+# Totals sum ledgers by reference; request logs are never copied into one.
+while IFS= read -r f; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
+        grep -nE '\.cloned\(\)\.fold\(|\+=?\s*[A-Za-z_][A-Za-z0-9_.]*\.clone\(\)|extend_from_slice\(&[A-Za-z_][A-Za-z0-9_.]*\.reqs|impl (Add|AddAssign)(<Usage>)? for Usage' |
+        grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f totals cloned ledgers or copies a request log; sum the ledgers by reference:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
+
 # Flight-recorder sampling must be allocation-free per tick.
 f=crates/prof/src/sample.rs
 hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
@@ -421,4 +442,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, exporters writing into one buffer, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, exporters writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
