@@ -134,7 +134,8 @@ pub struct Usage {
     /// Event counters, charged through [`Usage::record`].
     pub counts: Counts,
     /// Per-device request logs (issue offset + service time per charge),
-    /// the input to the queued timing model.
+    /// the input to the queued timing model. Empty on a total (see
+    /// `impl Sum<&Usage>`).
     pub reqs: RequestLog,
     /// Time disk requests spent queued before service. Filled in by
     /// [`Usage::annotate_queue_waits`] when a phase is sealed; zero until

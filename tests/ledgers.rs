@@ -10,7 +10,6 @@ use gamma_bench::Workload;
 use gamma_core::query::{Algorithm, JoinSite, JoinSpec, OverflowPolicy};
 use gamma_core::report::PhaseRecord;
 use gamma_core::run_join_with_phases;
-use gamma_core::Machine;
 use gamma_des::Usage;
 use gamma_wisconsin::join_abprime;
 
@@ -29,11 +28,15 @@ fn scalar_sum<'a>(ledgers: impl IntoIterator<Item = &'a Usage>) -> Usage {
     t
 }
 
-/// Every join shape the drivers take a distinct path through: the four
-/// algorithms, local and remote, on and off the partitioning attribute,
-/// with and without overflow, and the robust resolver.
-fn cases() -> Vec<(String, bool, JoinSpecFn)> {
-    let mut out: Vec<(String, bool, JoinSpecFn)> = Vec::new();
+/// Every join shape the drivers take a distinct path through, as
+/// `(label, remote, spec)`: the four algorithms, local and remote, on and
+/// off the partitioning attribute, with and without overflow, and the
+/// robust resolver. `Workload::machine` loads A and Bprime in the same
+/// order on either shape, so one spec fits a fresh machine of its shape.
+fn cases(w: &Workload) -> Vec<(String, bool, JoinSpec)> {
+    let (m, a, b) = w.machine(false, LoadStyle::HashedUnique1, "unique1", "unique1");
+    let inner = m.relation(b).data_bytes as f64;
+    let mut out = Vec::new();
     for alg in Algorithm::ALL {
         for remote in [false, true] {
             if remote && alg == Algorithm::SortMerge {
@@ -41,48 +44,36 @@ fn cases() -> Vec<(String, bool, JoinSpecFn)> {
             }
             for attr in ["unique1", "unique2"] {
                 for ratio in [1.0, 0.2, 0.05] {
+                    let memory = (inner * ratio).ceil() as u64;
+                    let mut spec = join_abprime(alg, b, a, attr, attr, memory);
+                    if remote {
+                        spec.site = JoinSite::Remote;
+                    }
                     let what = format!("{} remote={remote} {attr} r{ratio}", alg.name());
-                    out.push((
-                        what,
-                        remote,
-                        Box::new(move |m: &Machine, a, b| {
-                            let memory = (m.relation(b).data_bytes as f64 * ratio).ceil() as u64;
-                            let mut spec = join_abprime(alg, b, a, attr, attr, memory);
-                            if remote {
-                                spec.site = JoinSite::Remote;
-                            }
-                            spec
-                        }),
-                    ));
+                    out.push((what, remote, spec));
                 }
             }
         }
     }
     for alg in [Algorithm::SimpleHash, Algorithm::HybridHash] {
+        let mut spec = join_abprime(alg, b, a, "unique2", "unique2", inner as u64 / 2);
+        spec.overflow_policy = OverflowPolicy::Optimistic;
+        spec.skew_refinement = true;
+        spec.dynamic_spill = true;
         out.push((
             format!("{} robust optimistic r0.5", alg.name()),
             false,
-            Box::new(move |m: &Machine, a, b| {
-                let memory = m.relation(b).data_bytes / 2;
-                let mut spec = join_abprime(alg, b, a, "unique2", "unique2", memory);
-                spec.overflow_policy = OverflowPolicy::Optimistic;
-                spec.skew_refinement = true;
-                spec.dynamic_spill = true;
-                spec
-            }),
+            spec,
         ));
     }
     out
 }
 
-type JoinSpecFn = Box<dyn Fn(&Machine, usize, usize) -> JoinSpec>;
-
 #[test]
 fn totals_are_scalar_sums_of_the_node_ledgers() {
     let w = Workload::scaled(2_000, 200);
-    for (what, remote, spec) in cases() {
-        let (mut m, a, b) = w.machine(remote, LoadStyle::HashedUnique1, "unique1", "unique1");
-        let spec = spec(&m, a, b);
+    for (what, remote, spec) in cases(&w) {
+        let (mut m, _, _) = w.machine(remote, LoadStyle::HashedUnique1, "unique1", "unique1");
         let (report, phases) = run_join_with_phases(&mut m, &spec);
         assert_eq!(report.phases.len(), phases.len(), "{what}");
         for (summary, record) in report.phases.iter().zip(&phases) {
@@ -109,9 +100,8 @@ fn totals_are_scalar_sums_of_the_node_ledgers() {
 #[test]
 fn a_join_run_again_sizes_each_request_log_once() {
     let w = Workload::scaled(2_000, 200);
-    for (what, remote, spec) in cases() {
-        let (mut m, a, b) = w.machine(remote, LoadStyle::HashedUnique1, "unique1", "unique1");
-        let spec = spec(&m, a, b);
+    for (what, remote, spec) in cases(&w) {
+        let (mut m, _, _) = w.machine(remote, LoadStyle::HashedUnique1, "unique1", "unique1");
         let (first, first_phases) = run_join_with_phases(&mut m, &spec);
         let (again, phases) = run_join_with_phases(&mut m, &spec);
         assert_eq!(format!("{first:?}"), format!("{again:?}"), "{what}");
