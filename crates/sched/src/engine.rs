@@ -533,6 +533,44 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_events_fire_in_scheduling_order() {
+        // q0's first phase ends at 110, the instant q1 arrives. q1's
+        // arrival was scheduled up front, before q0's next phase, so it
+        // fires first and admits q1; q1's phase 0 is then scheduled
+        // behind q0's phase 1, which the dispatch server serves first.
+        let phase = |name: &str, cpu: u64| PhasePlan {
+            name: name.into(),
+            sched_overhead: SimTime::from_us(10),
+            ring: SimTime::ZERO,
+            nodes: vec![NodePlan {
+                node: 0,
+                cpu: SimTime::from_us(cpu),
+                disk: vec![],
+                net: vec![],
+            }],
+        };
+        let plan = QueryPlan {
+            phases: Arc::new([phase("a", 100), phase("b", 50)]),
+            peak_pages: Arc::new([1]),
+            solo_response: SimTime::from_us(170),
+        };
+        let out = run(
+            vec![plan.clone(), plan],
+            &[SimTime::ZERO, SimTime::from_us(110)],
+            &cfg(1, 8),
+        );
+        let us = SimTime::from_us;
+        assert_eq!(out.explains[0].phases[0].end, us(110));
+        assert_eq!(out.queries[1].admitted, Some(us(110)));
+        let (q0b, q1a) = (&out.explains[0].phases[1], &out.explains[1].phases[0]);
+        assert_eq!((q0b.launch, q0b.dispatch_wait), (us(110), SimTime::ZERO));
+        assert_eq!((q1a.launch, q1a.dispatch_wait), (us(110), us(10)));
+        assert_eq!(out.queries[0].finished, Some(us(170)));
+        assert_eq!(out.explains[1].phases[0].end, us(270));
+        assert_eq!(out.queries[1].finished, Some(us(330)));
+    }
+
+    #[test]
     #[should_panic(expected = "needs 5 pages")]
     fn oversized_query_is_rejected_up_front() {
         let plan = QueryPlan {
