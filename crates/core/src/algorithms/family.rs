@@ -889,7 +889,7 @@ impl<'a> HashJoin<'a> {
             format!("{lo}..{hi}")
         };
         let at = lo - spooled.first..=hi - spooled.first;
-        let disk_nodes = self.machine.disk_nodes();
+        let disk_nodes = self.machine.disk_ids();
         let table = joining(&self.rz.join_nodes);
         let (pairs, _) = self.pass(Pass {
             route: Some((&table, JOIN_SEED)),

@@ -64,7 +64,7 @@ fn tune_buckets(
 /// Execute a Grace hash-join.
 pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let buckets = rz.buckets;
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let part = PartitioningSplitTable::grace(&disk_nodes, buckets);
     // With the §4.2/§5 extension on, per-bucket filters built from R kill
     // non-joining S tuples before they are ever spooled.

@@ -28,7 +28,7 @@ const HYBRID_SALT: u64 = 0x4B;
 /// Execute a Hybrid hash-join.
 pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let buckets = rz.buckets;
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let part = PartitioningSplitTable::hybrid(&rz.join_nodes, &disk_nodes, buckets);
     // Per-bucket filters for the spooled buckets when the §4.2/§5
     // bucket-forming extension is on (bucket 1 is covered by the join

@@ -22,7 +22,7 @@ const SIMPLE_SALT: u64 = 0x51;
 
 /// Execute a Simple hash-join.
 pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let table = joining(&rz.join_nodes);
     let mut join = HashJoin::new(machine, rz);
     let (pairs, _) = join.pass(Pass {

@@ -100,7 +100,7 @@ fn redistribute(
     filters: &mut [Option<BitFilter>],
     inner: bool,
 ) -> Vec<FileId> {
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let table = PartitioningSplitTable::grace(&disk_nodes, 1);
     let p = Pass {
         route: Some((&table, JOIN_SEED)),
@@ -160,7 +160,7 @@ fn sort_phase(
         mem_bytes: mem_per_node.max(machine.cfg.cost.disk.page_bytes as u64 * 2),
         page_bytes: machine.cfg.cost.disk.page_bytes,
     };
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let mut ledgers = machine.ledgers();
     let key = move |rec: &[u8]| attr.get(rec);
     let mut states: Vec<FileId> = disk_nodes.iter().map(|&n| temp[n]).collect();
@@ -191,7 +191,7 @@ fn sort_phase(
         )
     };
     // Free the temp files: their pages live on in the sorted runs' orders.
-    for &node in &disk_nodes {
+    for &node in disk_nodes.iter() {
         exec::delete_file(machine, node, temp[node]);
     }
     let sched = dispatch_overhead(machine, &mut ledgers, &disk_nodes, 0);
@@ -266,7 +266,7 @@ fn merge_groups(
 
 /// Execute a parallel sort-merge join.
 pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
-    let disk_nodes = machine.disk_nodes();
+    let disk_nodes = machine.disk_ids();
     let d = disk_nodes.len();
     let mem_per_node = rz.capacity_per_site; // resolver set this to M / D
     let mut phases = Vec::new();

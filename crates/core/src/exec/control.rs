@@ -88,7 +88,7 @@ pub fn broadcast_filters(machine: &Machine, ledgers: &mut Ledgers, sites: &JoinS
         ledgers[node].record(node as u16, "filter", ev);
     }
     // ...and each disk node receives the aggregate packet.
-    broadcast(machine, ledgers, &machine.disk_nodes(), bytes);
+    broadcast(machine, ledgers, &machine.disk_ids(), bytes);
 }
 
 #[cfg(test)]

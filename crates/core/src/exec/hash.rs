@@ -511,7 +511,7 @@ impl Consumers {
     /// `first..=last`.
     pub fn open_buckets(&mut self, machine: &mut Machine, first: usize, last: usize) {
         let page = machine.cfg.cost.disk.page_bytes;
-        for n in machine.disk_nodes() {
+        for n in 0..machine.cfg.disk_nodes {
             for b in first..=last {
                 let w = HeapWriter::create(machine.nodes[n].vol_mut(), page);
                 let prev = self.nodes[n].buckets.insert(tag(TAG_BUCKET, b), w);
@@ -532,12 +532,12 @@ impl Consumers {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(machine.cfg.disk_nodes);
-        for n in machine.disk_nodes() {
+        for (n, ledger) in ledgers.iter_mut().enumerate().take(machine.cfg.disk_nodes) {
             let buckets = std::mem::take(&mut self.nodes[n].buckets);
             let mut files = Vec::with_capacity(buckets.len());
             for (_, w) in buckets {
                 let (vol, pool) = machine.nodes[n].vp();
-                files.push(w.finish(vol, pool, &mut ledgers[n]));
+                files.push(w.finish(vol, pool, ledger));
             }
             out.push(files);
         }

@@ -172,20 +172,17 @@ impl StepCtx<'_> {
     }
 }
 
-/// Split `slice` into disjoint `&mut` element references at the given
-/// strictly ascending indices.
-fn disjoint_muts<'a, T>(mut slice: &'a mut [T], idxs: &[usize]) -> Vec<&'a mut T> {
-    let mut out = Vec::with_capacity(idxs.len());
-    let mut consumed = 0usize;
-    for &i in idxs {
-        debug_assert!(i >= consumed, "indices must be strictly ascending");
-        let (_, rest) = slice.split_at_mut(i - consumed);
-        let (item, rest) = rest.split_first_mut().expect("index in bounds");
-        out.push(item);
-        slice = rest;
-        consumed = i + 1;
-    }
-    out
+/// Walk `slice` for disjoint `&mut` references to the elements at the
+/// given strictly ascending indices, in index order, collecting nothing.
+fn disjoint_muts<'a, T>(
+    slice: &'a mut [T],
+    idxs: &'a [usize],
+) -> impl Iterator<Item = &'a mut T> + 'a {
+    let mut want = idxs.iter().peekable();
+    slice
+        .iter_mut()
+        .enumerate()
+        .filter_map(move |(i, item)| want.next_if_eq(&&i).map(|_| item))
 }
 
 /// One worker's inputs for a step.
@@ -247,24 +244,27 @@ where
     let node_refs = disjoint_muts(nodes.as_mut_slice(), participants);
     let outbox_refs = disjoint_muts(exchange.outboxes_mut(), participants);
     let ledger_refs = disjoint_muts(ledgers.as_mut_slice(), participants);
-    let bundles: Vec<Bundle<'_, S>> = participants
-        .iter()
-        .zip(node_refs)
-        .zip(outbox_refs)
-        .zip(ledger_refs)
-        .zip(inboxes)
-        .zip(states.iter_mut())
-        .map(
-            |(((((&node, state), outbox), ledger), inbox), step_state)| Bundle {
-                node,
-                state,
-                ledger,
-                outbox,
-                inbox,
-                step_state,
-            },
-        )
-        .collect();
+    // The walks give no length hint, so the bundles are sized up front.
+    let mut bundles: Vec<Bundle<'_, S>> = Vec::with_capacity(participants.len());
+    bundles.extend(
+        participants
+            .iter()
+            .zip(node_refs)
+            .zip(outbox_refs)
+            .zip(ledger_refs)
+            .zip(inboxes)
+            .zip(states.iter_mut())
+            .map(
+                |(((((&node, state), outbox), ledger), inbox), step_state)| Bundle {
+                    node,
+                    state,
+                    ledger,
+                    outbox,
+                    inbox,
+                    step_state,
+                },
+            ),
+    );
     let outs = match pool {
         Some(pool) if bundles.len() > 1 => run_bundles_pooled(pool, cost, stage, bundles, &f),
         _ => bundles
@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn disjoint_muts_picks_the_right_elements() {
         let mut v = vec![10, 20, 30, 40, 50];
-        let picked = disjoint_muts(v.as_mut_slice(), &[0, 2, 4]);
+        let picked: Vec<&mut i32> = disjoint_muts(v.as_mut_slice(), &[0, 2, 4]).collect();
         assert_eq!(picked.iter().map(|r| **r).collect::<Vec<_>>(), [10, 30, 50]);
         for r in picked {
             *r += 1;

@@ -14,6 +14,8 @@
 //! written by the store operators of its consumer side
 //! ([`crate::exec::hash`]) and can be registered here like any relation.
 
+use std::sync::Arc;
+
 use gamma_des::{RequestLog, Usage};
 use gamma_net::Exchange;
 use gamma_wiss::{BufferPool, FileId, HeapWriter, Volume};
@@ -168,6 +170,11 @@ pub struct Machine {
     /// path, or a persistent worker pool reused across waves, phases and
     /// queries. Per-machine state — there is no process-global switch.
     pub exec: ExecConfig,
+    /// `0..cfg.disk_nodes`, shared with every driver step that runs on
+    /// the disk nodes.
+    disk_ids: Arc<[NodeId]>,
+    /// `cfg.disk_nodes..nodes()`, likewise for the diskless nodes.
+    diskless_ids: Arc<[NodeId]>,
     relations: Vec<Option<StoredRelation>>,
     /// Request-log lengths of the last [`REMEMBERED_JOINS`] distinct joins
     /// run here, least recently run first: what [`Machine::ledgers`]
@@ -207,6 +214,8 @@ impl Machine {
             .collect();
         let exchange = Exchange::new(cfg.cost.ring.clone(), total);
         Machine {
+            disk_ids: (0..cfg.disk_nodes).collect(),
+            diskless_ids: (cfg.disk_nodes..total).collect(),
             cfg,
             nodes,
             exchange,
@@ -230,14 +239,27 @@ impl Machine {
         self.cfg.disk_nodes + self.cfg.diskless_nodes
     }
 
-    /// Ids of the processors with disks.
-    pub fn disk_nodes(&self) -> Vec<NodeId> {
-        (0..self.cfg.disk_nodes).collect()
+    /// Ids of the processors with disks, ascending. A clone of one list
+    /// the machine keeps, so a driver can hold it across steps that borrow
+    /// the machine mutably without copying it.
+    pub fn disk_ids(&self) -> Arc<[NodeId]> {
+        Arc::clone(&self.disk_ids)
     }
 
-    /// Ids of the diskless processors.
+    /// Ids of the diskless processors, ascending; shared as
+    /// [`Machine::disk_ids`] is.
+    pub fn diskless_ids(&self) -> Arc<[NodeId]> {
+        Arc::clone(&self.diskless_ids)
+    }
+
+    /// Ids of the processors with disks, as an owned vector.
+    pub fn disk_nodes(&self) -> Vec<NodeId> {
+        self.disk_ids.to_vec()
+    }
+
+    /// Ids of the diskless processors, as an owned vector.
     pub fn diskless_nodes(&self) -> Vec<NodeId> {
-        (self.cfg.disk_nodes..self.nodes()).collect()
+        self.diskless_ids.to_vec()
     }
 
     /// Fresh zeroed ledgers, one per node. Inside a join, the k-th set
@@ -451,6 +473,8 @@ mod tests {
         assert_eq!(m.nodes(), 16);
         assert_eq!(m.disk_nodes(), (0..8).collect::<Vec<_>>());
         assert_eq!(m.diskless_nodes(), (8..16).collect::<Vec<_>>());
+        assert_eq!(*m.disk_ids(), *m.disk_nodes());
+        assert_eq!(*m.diskless_ids(), *m.diskless_nodes());
         assert!(m.nodes[0].volume.is_some());
         assert!(m.nodes[8].volume.is_none());
         assert_eq!(m.nodes[5].id, 5);

@@ -384,9 +384,7 @@ fn run_join_inner(
                 spec.algorithm != Algorithm::SortMerge,
                 "our sort-merge implementation cannot utilize diskless processors (paper §3.1)"
             );
-            let mut n = machine.disk_nodes();
-            n.extend(machine.diskless_nodes());
-            n
+            (0..machine.nodes()).collect()
         }
     };
 
@@ -483,11 +481,11 @@ fn run_join_inner(
         let sum: f64 = ns.iter().map(|&n| per_node_cpu[n].as_secs()).sum();
         sum / ns.len() as f64 / response.as_secs()
     };
-    let disk_util = util(&machine.disk_nodes());
+    let disk_util = util(&machine.disk_ids());
     let join_util = match spec.site {
         JoinSite::Local => disk_util,
         JoinSite::Remote | JoinSite::Mixed => {
-            let d = machine.diskless_nodes();
+            let d = machine.diskless_ids();
             if d.is_empty() {
                 disk_util
             } else {

@@ -5,8 +5,9 @@
 //! algorithms. It provides:
 //!
 //! * [`SimTime`] — a virtual clock in microseconds,
-//! * [`Sim`] — an event queue with deterministic FIFO tie-breaking and a
-//!   user-supplied state type,
+//! * [`Sim`] — an event queue over the caller's own event type (typically
+//!   an enum, popped in a `match` loop with the caller's state beside the
+//!   queue), stored by value, with deterministic FIFO tie-breaking,
 //! * [`Usage`] / [`Counts`] — per-(node, phase) resource ledgers that higher
 //!   layers charge CPU, disk and network demand to,
 //! * [`queue`] — single-server FIFO request queues for each node's disk arm

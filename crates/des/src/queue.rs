@@ -246,52 +246,46 @@ mod tests {
     /// arrive on the kernel's clock and park in a FIFO while the server is
     /// busy. Kept as the reference implementation the closed-form fold is
     /// checked against.
-    struct Server {
-        queued: VecDeque<Request>,
-        busy: bool,
-        stats: QueueStats,
-    }
-
-    fn arrive(sim: &mut Sim<Server>, req: Request) {
-        if sim.state.busy {
-            sim.state.queued.push_back(req);
-        } else {
-            begin_service(sim, req);
-        }
-    }
-
-    fn begin_service(sim: &mut Sim<Server>, req: Request) {
-        let wait = sim.now() - req.issue;
-        sim.state.busy = true;
-        sim.state.stats.wait += wait;
-        sim.state.stats.max_wait = sim.state.stats.max_wait.max(wait);
-        sim.schedule_in(req.service, complete);
-    }
-
-    fn complete(sim: &mut Sim<Server>) {
-        sim.state.stats.completion = sim.now();
-        match sim.state.queued.pop_front() {
-            Some(next) => begin_service(sim, next),
-            None => sim.state.busy = false,
-        }
+    enum Ev {
+        Arrive(Request),
+        Complete,
     }
 
     fn fifo_drain_kernel(requests: &[Request]) -> QueueStats {
-        let mut sim = Sim::new(Server {
-            queued: VecDeque::with_capacity(requests.len()),
-            busy: false,
-            stats: QueueStats {
-                requests: requests.len() as u64,
-                ..QueueStats::default()
-            },
-        });
+        let mut sim = Sim::with_capacity(requests.len());
+        let mut queued = VecDeque::with_capacity(requests.len());
+        let mut busy = false;
+        let mut stats = QueueStats {
+            requests: requests.len() as u64,
+            ..QueueStats::default()
+        };
         for &req in requests {
-            sim.state.stats.service += req.service;
-            sim.schedule_at(req.issue, move |s| arrive(s, req));
+            stats.service += req.service;
+            sim.schedule_at(req.issue, Ev::Arrive(req));
         }
-        sim.run_until_idle();
-        assert!(!sim.state.busy && sim.state.queued.is_empty());
-        sim.state.stats
+        while let Some(ev) = sim.pop() {
+            let begin = match ev {
+                Ev::Arrive(req) if busy => {
+                    queued.push_back(req);
+                    None
+                }
+                Ev::Arrive(req) => Some(req),
+                Ev::Complete => {
+                    stats.completion = sim.now();
+                    busy = false;
+                    queued.pop_front()
+                }
+            };
+            if let Some(req) = begin {
+                let wait = sim.now() - req.issue;
+                busy = true;
+                stats.wait += wait;
+                stats.max_wait = stats.max_wait.max(wait);
+                sim.schedule_in(req.service, Ev::Complete);
+            }
+        }
+        assert!(!busy && queued.is_empty());
+        stats
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The serve engine: interleave many query plans over one machine's
 //! shared device queues.
 //!
-//! The engine is a discrete-event simulation (on the stock
-//! [`gamma_des::Sim`] kernel) whose events are query arrivals, per-query
-//! phase launches, and completions. Contention is modelled with the
-//! cross-phase [`SharedServer`] queues PR 3's per-phase drains promised:
+//! The engine is a discrete-event simulation on the stock
+//! [`gamma_des::Sim`] kernel. Its events are one typed enum — a query's
+//! arrival, the launch of one of its phases, its completion — stored by
+//! value and popped in a `match` loop, with the engine state passed
+//! beside the queue: nothing is allocated per event. Contention is
+//! modelled with cross-phase [`SharedServer`] queues:
 //!
 //! * one **dispatch** server — the Gamma scheduler process serializes
 //!   phase launches, each costing that phase's `sched_overhead`;
@@ -19,18 +21,23 @@
 //!
 //! ## Event flow
 //!
-//! An `Arrival(q)` enqueues the query at admission control: a FIFO with
-//! head-of-line blocking that admits when, on every node, reserved pages
-//! plus the query's solo buffer-pool peak fit the per-node budget.
-//! Admission launches phase 0. A phase launch at time `t` computes the
-//! phase's end synchronously: `start = dispatch.submit(t, overhead)`;
+//! Every `Arrive(q)` is scheduled up front. It enqueues the query at
+//! admission control: a FIFO with head-of-line blocking that admits when,
+//! on every node, reserved pages plus the query's solo buffer-pool peak
+//! fit the per-node budget. Admission schedules `Phase(q, 0)` at the
+//! admission instant rather than running it, so an equal-time event
+//! scheduled earlier still fires first. A phase launch at time `t`
+//! computes the phase's end synchronously:
+//! `start = dispatch.submit(t, overhead)`;
 //! per participating node `cpu_start = max(start, cpu_free[node])`; each
 //! logged device request arrives at `cpu_start + issue` (in issue order,
 //! disk winning ties) at its node's shared server; the node finishes at
 //! `max(cpu_end, last device completion)`; the phase ends at the max over
 //! nodes, floored by `ring.submit(start, ring_occupancy)`. The next phase
-//! (or the completion, which releases the admission reservation and
-//! re-polls the queue) is scheduled at that end time.
+//! (or `Complete(q)`, which releases the admission reservation and
+//! re-polls the queue) is scheduled at that end time. A query has at most
+//! one pending event, so the queue, reserved once per run at the number
+//! of queries, never grows.
 //!
 //! ## Back-pressure
 //!
@@ -54,6 +61,7 @@
 //! convoy's `cpu_start`.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use gamma_des::{SharedServer, Sim, SimTime};
 use gamma_prof::{Device, FlightProfile, FlightRecorder};
@@ -74,6 +82,18 @@ pub struct EngineConfig {
     pub backlog_window: Option<SimTime>,
 }
 
+/// What happens next to which query. Each query has at most one pending
+/// event, so a run's queue never holds more events than it has queries.
+enum Event {
+    /// Query `q` arrives at admission control.
+    Arrive(usize),
+    /// Query `q` launches its phase `p` (the completion once `p` is past
+    /// the last phase).
+    Phase(usize, usize),
+    /// Query `q` completes and releases its admission reservation.
+    Complete(usize),
+}
+
 struct EngineState {
     plans: Vec<QueryPlan>,
     budget: usize,
@@ -89,15 +109,13 @@ struct EngineState {
     waiting: VecDeque<usize>,
     records: Vec<QueryTiming>,
     explains: Vec<QueryExplain>,
-    /// Flight recorder (present only under [`run_recorded`]); owned by the
-    /// state so event closures stay capture-light.
+    /// Flight recorder (present only under [`run_recorded`]).
     rec: Option<FlightRecorder>,
 }
 
-fn try_admit(sim: &mut Sim<EngineState>) {
+fn try_admit(st: &mut EngineState, sim: &mut Sim<Event>) {
     loop {
         let now = sim.now();
-        let st = &mut sim.state;
         let Some(&q) = st.waiting.front() else { return };
         let peaks = &st.plans[q].peak_pages;
         let fits = st
@@ -124,18 +142,19 @@ fn try_admit(sim: &mut Sim<EngineState>) {
                 }
             }
         }
-        sim.schedule_at(now, move |s| run_phase(s, q, 0));
+        // Scheduled, not run: an equal-time event scheduled earlier still
+        // fires before this launch.
+        sim.schedule_at(now, Event::Phase(q, 0));
     }
 }
 
-fn run_phase(sim: &mut Sim<EngineState>, q: usize, p: usize) {
+fn run_phase(st: &mut EngineState, sim: &mut Sim<Event>, q: usize, p: usize) {
     let now = sim.now();
-    if p >= sim.state.plans[q].phases.len() {
-        complete(sim, q);
+    if p >= st.plans[q].phases.len() {
+        complete(st, sim, q);
         return;
     }
-    let last = p + 1 == sim.state.plans[q].phases.len();
-    let st = &mut sim.state;
+    let last = p + 1 == st.plans[q].phases.len();
     // The phase plan's request logs are walked while the shared servers
     // are mutated: disjoint fields of the state, borrowed side by side.
     let ph = &st.plans[q].phases[p];
@@ -233,7 +252,7 @@ fn run_phase(sim: &mut Sim<EngineState>, q: usize, p: usize) {
         }
     }
     let breakdown = PhaseBreakdown {
-        name: ph.name.clone(),
+        name: Arc::clone(&ph.name),
         launch: now,
         end,
         dispatch_wait: dspan.wait(),
@@ -252,15 +271,14 @@ fn run_phase(sim: &mut Sim<EngineState>, q: usize, p: usize) {
     st.explains[q].phases.push(breakdown);
 
     if last {
-        sim.schedule_at(end, move |s| complete(s, q));
+        sim.schedule_at(end, Event::Complete(q));
     } else {
-        sim.schedule_at(end, move |s| run_phase(s, q, p + 1));
+        sim.schedule_at(end, Event::Phase(q, p + 1));
     }
 }
 
-fn complete(sim: &mut Sim<EngineState>, q: usize) {
+fn complete(st: &mut EngineState, sim: &mut Sim<Event>, q: usize) {
     let now = sim.now();
-    let st = &mut sim.state;
     st.records[q].finished = Some(now);
     debug_assert_eq!(
         st.records[q]
@@ -283,7 +301,7 @@ fn complete(sim: &mut Sim<EngineState>, q: usize) {
             }
         }
     }
-    try_admit(sim);
+    try_admit(st, sim);
 }
 
 /// Interleave `plans` (query `q` arrives at `arrivals[q]`) over one
@@ -330,8 +348,13 @@ pub fn run_recorded(
             finished: None,
         })
         .collect();
-    let explains = vec![QueryExplain::default(); arrivals.len()];
-    let state = EngineState {
+    let explains = plans
+        .iter()
+        .map(|plan| QueryExplain {
+            phases: Vec::with_capacity(plan.phases.len()),
+        })
+        .collect();
+    let mut st = EngineState {
         plans,
         budget: cfg.pool_budget_pages,
         backlog_window: cfg.backlog_window,
@@ -349,20 +372,27 @@ pub fn run_recorded(
         rec: tick_us.map(|t| FlightRecorder::new(cfg.nodes, t)),
     };
 
-    let mut sim = Sim::new(state);
+    // Every arrival goes in up front, ahead of any event it causes; with
+    // at most one pending event per query the queue never grows.
+    let mut sim = Sim::with_capacity(arrivals.len());
     for (q, &t) in arrivals.iter().enumerate() {
-        sim.schedule_at(t, move |s| {
-            let now = s.now();
-            s.state.waiting.push_back(q);
-            if let Some(rec) = s.state.rec.as_mut() {
-                rec.query_arrival(now);
-            }
-            try_admit(s);
-        });
+        sim.schedule_at(t, Event::Arrive(q));
     }
-    let makespan = sim.run_until_idle();
+    while let Some(event) = sim.pop() {
+        match event {
+            Event::Arrive(q) => {
+                st.waiting.push_back(q);
+                if let Some(rec) = st.rec.as_mut() {
+                    rec.query_arrival(sim.now());
+                }
+                try_admit(&mut st, &mut sim);
+            }
+            Event::Phase(q, p) => run_phase(&mut st, &mut sim, q, p),
+            Event::Complete(q) => complete(&mut st, &mut sim, q),
+        }
+    }
+    let makespan = sim.now();
 
-    let st = sim.state;
     let profile = st.rec.map(|rec| rec.profile(makespan));
     let outcome = ServeOutcome {
         queries: st.records,
@@ -381,7 +411,6 @@ pub fn run_recorded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use crate::plan::{NodePlan, PhasePlan, QueryPlan};
     use gamma_des::Request;
@@ -568,6 +597,27 @@ mod tests {
         assert_eq!(out.queries[0].finished, Some(us(170)));
         assert_eq!(out.explains[1].phases[0].end, us(270));
         assert_eq!(out.queries[1].finished, Some(us(330)));
+    }
+
+    #[test]
+    fn explain_rows_are_reserved_at_the_phase_count() {
+        // Each query's breakdowns fill a vector reserved once at its
+        // plan's phase count: no regrowth, no slack.
+        let two = QueryPlan {
+            phases: Arc::new([
+                one_phase_plan().phases[0].clone(),
+                one_phase_plan().phases[0].clone(),
+            ]),
+            ..one_phase_plan()
+        };
+        let plans = vec![one_phase_plan(), two.clone(), two, one_phase_plan()];
+        let arrivals = [0, 0, 30, 30].map(SimTime::from_us);
+        let out = run(plans, &arrivals, &cfg(1, 16));
+        assert_eq!(out.completed(), 4);
+        for (q, e) in out.explains.iter().enumerate() {
+            assert_eq!(e.phases.len(), [1, 2, 2, 1][q], "q{q}");
+            assert_eq!(e.phases.capacity(), e.phases.len(), "q{q}");
+        }
     }
 
     #[test]

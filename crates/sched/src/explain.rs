@@ -24,6 +24,7 @@
 
 use gamma_des::SimTime;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::report::ServeOutcome;
 
@@ -38,8 +39,10 @@ use crate::report::ServeOutcome;
 /// queue or ring queue).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseBreakdown {
-    /// Phase name (diagnostics only).
-    pub name: String,
+    /// Phase name (diagnostics only), shared with the phase's
+    /// [`PhasePlan`](crate::plan::PhasePlan): a clone is a reference-count
+    /// bump.
+    pub name: Arc<str>,
     /// When the engine launched the phase (previous phase's end, or the
     /// admission instant for phase 0).
     pub launch: SimTime,
@@ -93,9 +96,11 @@ impl QueryExplain {
     }
 }
 
-fn fmt_row(label: &str, b: &PhaseBreakdown) -> String {
-    format!(
-        "  {label:<12} span {:>9} = sched {:>6}+{:<6} cpu {:>9}  disk {:>9}  net {:>9}  wait {:>9}\n",
+fn write_row(out: &mut String, b: &PhaseBreakdown) {
+    let _ = writeln!(
+        out,
+        "  {:<12} span {:>9} = sched {:>6}+{:<6} cpu {:>9}  disk {:>9}  net {:>9}  wait {:>9}",
+        &*b.name,
         b.span().as_us(),
         b.dispatch_wait.as_us(),
         b.dispatch_service.as_us(),
@@ -103,7 +108,7 @@ fn fmt_row(label: &str, b: &PhaseBreakdown) -> String {
         b.disk_service.as_us(),
         b.net_service.as_us(),
         b.queue_wait.as_us(),
-    )
+    );
 }
 
 /// Render the per-query EXPLAIN report as deterministic text (integer
@@ -138,7 +143,7 @@ pub fn render(outcome: &ServeOutcome, solo_response: SimTime) -> String {
                     delta.as_us(),
                 );
                 for b in &explain.phases {
-                    out.push_str(&fmt_row(&b.name, b));
+                    write_row(&mut out, b);
                 }
                 let explained = admission + explain.explained_total();
                 debug_assert_eq!(explained, response);

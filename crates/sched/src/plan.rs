@@ -43,8 +43,9 @@ pub struct NodePlan {
 /// One phase of a query, as the engine schedules it.
 #[derive(Debug, Clone)]
 pub struct PhasePlan {
-    /// Phase name (for diagnostics).
-    pub name: String,
+    /// Phase name (for diagnostics), shared with every
+    /// [`PhaseBreakdown`](crate::explain::PhaseBreakdown) of the phase.
+    pub name: Arc<str>,
     /// Serialized scheduler dispatch time preceding the phase.
     pub sched_overhead: SimTime,
     /// Shared-ring occupancy for the whole phase (µs of exclusive ring
@@ -91,7 +92,7 @@ impl PhasePlan {
             })
             .collect();
         PhasePlan {
-            name: record.name.clone(),
+            name: record.name.as_str().into(),
             sched_overhead: record.sched_overhead,
             ring: ring_time(
                 record.ledgers.iter().map(|u| u.ring_bytes).sum(),

@@ -504,6 +504,43 @@ mod tests {
         assert!(stats.comparisons > 0);
     }
 
+    /// Pins the comparisons charged for one fixed input: 24 runs, five
+    /// merge passes, recorded with rustc 1.95.0. Run formation charges one
+    /// comparison per comparator call std's `sort_by` makes, which is
+    /// std's choice and can change with the toolchain; the merges add a
+    /// closed form. Every sort-merge artifact is charged so. If this test
+    /// goes red on a new toolchain, `sort_by`'s comparator calls changed
+    /// and the committed sort-merge artifacts move with them: see ROADMAP
+    /// item 5.
+    #[test]
+    fn comparisons_are_pinned_for_a_fixed_input() {
+        let (mut vol, mut pool, mut u) = setup();
+        // A fixed linear congruential sequence, with duplicates.
+        let mut x = 1989u32;
+        let vals: Vec<u32> = (0..6000)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                x >> 20
+            })
+            .collect();
+        let input = write_input(&mut vol, &mut pool, &mut u, &vals);
+        let cfg = SortConfig {
+            mem_bytes: 16 * 1024,
+            page_bytes: 8192,
+        };
+        let (_, stats) = external_sort(
+            &mut vol,
+            &mut pool,
+            input,
+            &key_u32,
+            cfg,
+            &SortCost::default(),
+            &mut u,
+        );
+        assert_eq!((stats.initial_runs, stats.merge_passes), (24, 5));
+        assert_eq!(stats.comparisons, 79_084);
+    }
+
     #[test]
     fn small_input_single_run_no_merge() {
         let (mut vol, mut pool, mut u) = setup();

@@ -115,12 +115,20 @@
 # (`BuildHasherDefault<DefaultHasher>` or an alias ending in `Hasher`).
 #
 # The observers' exporters (`crates/metrics/src/{json,prometheus}.rs`,
-# `crates/prof/src/export.rs`) write labels, escapes and values straight
+# `crates/prof/src/export.rs`) and the serve EXPLAIN report
+# (`crates/sched/src/explain.rs`) write labels, escapes and values straight
 # into their one output `String` with `write!` / `push_str`: a `format!`,
 # `.to_string()`, `.join(` or `.replace(` in a non-test body, a helper
 # returning a `String` other than the public renderers and `json_str`, or a
 # `json_str(` call inside `export.rs` is an allocation per line or value
-# again (the `observed` workload made 219,000 of them a pass so).
+# again (the `observed` workload made 219,000 of them a pass so, and the
+# EXPLAIN report one per row).
+#
+# The event kernel (`crates/des/src/sim.rs`) queues its caller's typed
+# events by value, and the serve engine (`crates/sched/src/engine.rs`)
+# schedules a three-variant enum: a `Box<dyn FnOnce` or an `EventFn` alias
+# in either file is a boxed closure per scheduled event again (four per
+# served query, 24,400 a `serve` pass).
 #
 # Each request log has one owner, the (phase, node) ledger that charged it
 # (DESIGN.md §10). A total — a phase's, a report's, a serve run's — sums
@@ -398,7 +406,8 @@ while IFS= read -r f; do
 done < <(find crates/{core,net,wiss,des}/src -name '*.rs' | sort)
 
 # Exporters write into one buffer.
-for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof/src/export.rs; do
+for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof/src/export.rs \
+         crates/sched/src/explain.rs; do
     src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -nvE '^\s*//' || true)
     hits=$({
         grep -E 'format!\(|\.to_string\(\)|\.join\(|\.replace\(' <<<"$src"
@@ -407,6 +416,16 @@ for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof
     } | sort -nu || true)
     if [ -n "$hits" ]; then
         echo "error: $f allocates per line or value; write into the one output buffer:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done
+
+# Typed events: nothing boxed per scheduled event.
+for f in crates/des/src/sim.rs crates/sched/src/engine.rs; do
+    hits=$(grep -nE 'Box<dyn FnOnce|\bEventFn\b' "$f" | grep -vE '^[0-9]+:\s*//' || true)
+    if [ -n "$hits" ]; then
+        echo "error: $f boxes a closure per event; schedule a typed event by value:" >&2
         echo "$hits" | sed "s|^|  $f:|" >&2
         fail=1
     fi
@@ -442,4 +461,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, no query ids, fixed-key hash tables in the engine crates, exporters writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
