@@ -170,8 +170,8 @@ pub struct Machine {
     /// path, or a persistent worker pool reused across waves, phases and
     /// queries. Per-machine state — there is no process-global switch.
     pub exec: ExecConfig,
-    /// `0..cfg.disk_nodes`, shared with every driver step that runs on
-    /// the disk nodes.
+    /// `0..cfg.disk_nodes`, shared with every join step that runs on the
+    /// disk nodes.
     disk_ids: Arc<[NodeId]>,
     /// `cfg.disk_nodes..nodes()`, likewise for the diskless nodes.
     diskless_ids: Arc<[NodeId]>,
@@ -240,8 +240,8 @@ impl Machine {
     }
 
     /// Ids of the processors with disks, ascending. A clone of one list
-    /// the machine keeps, so a driver can hold it across steps that borrow
-    /// the machine mutably without copying it.
+    /// the machine keeps, so a join algorithm can hold it across steps
+    /// that borrow the machine mutably without copying it.
     pub fn disk_ids(&self) -> Arc<[NodeId]> {
         Arc::clone(&self.disk_ids)
     }
