@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 
 use gamma_des::Event;
 use gamma_net::Msg;
-use gamma_wiss::{FileId, HeapWriter};
+use gamma_wiss::{FileId, HeapWriter, Volume};
 
 use crate::algorithms::common::Resolved;
 use crate::batch::Rec;
@@ -134,6 +134,9 @@ pub struct ResultInfo {
     pub checksum: u64,
 }
 
+/// How the engine opens its spool and bucket files.
+const TEMP: fn(&mut Volume, usize) -> HeapWriter = HeapWriter::create;
+
 /// An overflow spool under construction at one node.
 struct SpoolFile {
     writer: HeapWriter,
@@ -163,6 +166,8 @@ pub struct JoinNode {
     /// The bit filter the bucket writers set on the attribute as tuples
     /// arrive ([`Consumers::build_filters`]).
     built: Option<(BitFilter, Attr)>,
+    /// Opens this node's spool and bucket files.
+    temp: fn(&mut Volume, usize) -> HeapWriter,
     store: Option<HeapWriter>,
     stored: u64,
     check: u64,
@@ -268,7 +273,7 @@ impl JoinNode {
     fn on_spool(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
         let page = ctx.cost.disk.page_bytes;
         let sf = self.spools.entry(tag).or_insert_with(|| SpoolFile {
-            writer: HeapWriter::create(ctx.state.vol_mut(), page),
+            writer: (self.temp)(ctx.state.vol_mut(), page),
             count: 0,
         });
         ctx.charge(ctx.cost.store_tuple_us);
@@ -391,18 +396,26 @@ pub struct Consumers {
 }
 
 impl Consumers {
-    /// The join's consumer side: no sites and no spools or buckets yet,
-    /// and one result store operator opened per disk node. The stores keep
-    /// the result's pages when `keep_result` is set; otherwise they charge
-    /// and count every page alike and drop its bytes
+    /// The consumer side of the join `rz` plans: no sites and no spools or
+    /// buckets yet, and one result store operator opened per disk node.
+    /// The stores keep the result's pages when the plan keeps its result;
+    /// otherwise they charge and count every page alike and drop its bytes
     /// ([`HeapWriter::create_unkept`]).
-    pub fn new(machine: &mut Machine, keep_result: bool) -> Self {
+    pub fn new(machine: &mut Machine, rz: &Resolved) -> Self {
         let page = machine.cfg.cost.disk.page_bytes;
-        let open = if keep_result {
+        let open = if rz.keep_result {
             HeapWriter::create
         } else {
             HeapWriter::create_unkept
         };
+        #[cfg(test)]
+        let temp = if rz.kept_temp {
+            HeapWriter::create
+        } else {
+            TEMP
+        };
+        #[cfg(not(test))]
+        let temp = TEMP;
         let nodes = machine
             .nodes
             .iter_mut()
@@ -411,6 +424,7 @@ impl Consumers {
                 spools: BTreeMap::new(),
                 buckets: BTreeMap::new(),
                 built: None,
+                temp,
                 store: state.volume.as_mut().map(|v| open(v, page)),
                 stored: 0,
                 check: 0,
@@ -513,7 +527,7 @@ impl Consumers {
         let page = machine.cfg.cost.disk.page_bytes;
         for n in 0..machine.cfg.disk_nodes {
             for b in first..=last {
-                let w = HeapWriter::create(machine.nodes[n].vol_mut(), page);
+                let w = (self.nodes[n].temp)(machine.nodes[n].vol_mut(), page);
                 let prev = self.nodes[n].buckets.insert(tag(TAG_BUCKET, b), w);
                 assert!(prev.is_none(), "bucket {b} already forming at node {n}");
             }
@@ -728,6 +742,9 @@ impl Consumers {
 
 #[cfg(test)]
 mod tests {
+    use gamma_des::Usage;
+    use gamma_wiss::BufferPool;
+
     use super::*;
     use crate::hash::JOIN_SEED;
     use crate::machine::{multiset_checksum, MachineConfig};
@@ -750,7 +767,7 @@ mod tests {
         let mut rz = Resolved::for_test(m.disk_nodes(), 1 << 20, attr, 48);
         rz.filter_bits = Some(1973);
         let join_nodes = &rz.join_nodes;
-        let mut consumers = Consumers::new(&mut m, true);
+        let mut consumers = Consumers::new(&mut m, &rz);
         let sites = consumers.install_sites(&m, &rz, join_nodes, 0, 42);
         let mut ledgers = m.ledgers();
         let participants = [0usize];
@@ -821,7 +838,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.diskless_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m, true);
+        let mut consumers = Consumers::new(&mut m, &rz);
         let sites = consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         for i in 0..sites.len() {
             assert!(sites.home(i) < 8, "overflow must live on a disk node");
@@ -836,7 +853,7 @@ mod tests {
         let attr = schema().int_attr("k");
         let mut rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
         rz.filter_bits = Some(1973);
-        let mut consumers = Consumers::new(&mut m, true);
+        let mut consumers = Consumers::new(&mut m, &rz);
         assert!(!consumers.install_sites(&m, &rz, &[], 0, 0).filters_on());
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
@@ -847,7 +864,8 @@ mod tests {
     fn result_store_round_robins_and_checksums() {
         let mut m = Machine::new(MachineConfig::local_8());
         let mut ledgers = m.ledgers();
-        let mut consumers = Consumers::new(&mut m, true);
+        let rz = Resolved::for_test(Vec::new(), 0, schema().int_attr("k"), 48);
+        let mut consumers = Consumers::new(&mut m, &rz);
         run_step(
             &mut m,
             &mut ledgers,
@@ -885,6 +903,161 @@ mod tests {
         assert_ne!(a, multiset_checksum(0, b"x"));
     }
 
+    /// Every reader's view of one temp file at node `n`, and what reading
+    /// it charged: its pages' images and records, a `HeapScan`, a
+    /// `TupleBatch`, `external_sort`'s sorted file and `sort_order`'s run,
+    /// each followed by the node's ledger and its pool's hits, misses and
+    /// peak. Sorting takes the file's pages last.
+    fn read_every_way(m: &mut Machine, n: NodeId, file: FileId) -> Vec<String> {
+        use gamma_wiss::sort::sort_order;
+        use gamma_wiss::{external_sort, HeapScan, SortConfig, SortCost};
+
+        let key = |rec: &[u8]| schema().int_attr("k").get(rec);
+        let cfg = SortConfig {
+            mem_bytes: 6 * 1024,
+            page_bytes: m.cfg.cost.disk.page_bytes,
+        };
+        let mut u = Usage::ZERO;
+        let mut seen = Vec::new();
+        let (vol, pool) = m.nodes[n].vp();
+        let mut note = |what: &str, got: String, u: &Usage, pool: &BufferPool| {
+            let charged = format!("{u:?} {:?} {}", pool.stats(), pool.peak_pages());
+            seen.push(format!("{what}: {got}\n  charged {charged}"));
+        };
+        for p in 0..vol.file_pages(file) {
+            let page = vol.page(file, p);
+            let got: Vec<_> = (0..page.len()).map(|s| page.get(s)).collect();
+            assert!(page.records().eq(got.iter().map(|r| r.unwrap())));
+            let image = format!("{:?} {got:?}", page.as_bytes().to_vec());
+            note(&format!("page {p}"), image, &u, pool);
+        }
+        pool.clear();
+        let scanned = HeapScan::open(vol, file).collect_all(pool, &mut u);
+        note("HeapScan", format!("{scanned:?}"), &u, pool);
+        pool.clear();
+        let batch = crate::exec::read_file_batch(vol, pool, &mut u, file);
+        assert!(batch.recs().map(|r| r.bytes()).eq(batch.iter()));
+        note(
+            "TupleBatch",
+            format!("{:?}", batch.iter().collect::<Vec<_>>()),
+            &u,
+            pool,
+        );
+        drop(batch);
+        let cost = SortCost::default();
+        let (sorted, stats) = external_sort(vol, pool, file, &key, cfg, &cost, &mut u);
+        let recs = HeapScan::open(vol, sorted).collect_all(pool, &mut u);
+        note("external_sort", format!("{stats:?} {recs:?}"), &u, pool);
+        let (run, pages, stats) = sort_order(vol, pool, file, &key, cfg, &cost, &mut u);
+        let recs: Vec<&[u8]> = run
+            .records(&pages, 0)
+            .map(|(image, at)| &image[at])
+            .collect();
+        note("sort_order", format!("{stats:?} {recs:?}"), &u, pool);
+        seen
+    }
+
+    /// The spool and bucket files the consumers write — overflow spools
+    /// mixing hash-table evictions with tuples that arrived by reference,
+    /// outer tuples diverted to `S'`, bucket files, and spools written again
+    /// from spools read back — read back through every reader exactly as
+    /// kept files, which copy each record into their pages, read back; and
+    /// writing and reading them charges the same ledgers and pool pages.
+    #[test]
+    fn temp_files_read_as_kept_files_do() {
+        use crate::machine::Declustering;
+
+        let run = |kept: bool| {
+            let mut m = Machine::new(MachineConfig::local_8());
+            let s = schema();
+            let rows: Vec<Vec<u8>> = (0..3000u32)
+                .map(|i| {
+                    let mut t = mk(&s, i % 1100);
+                    t[4..8].copy_from_slice(&i.to_le_bytes());
+                    t
+                })
+                .collect();
+            let rel = m.load_relation("r", s.clone(), Declustering::RoundRobin, rows);
+            let frags = m.relation(rel).fragments.clone();
+            let attr = s.int_attr("k");
+            let mut rz = Resolved::for_test(m.disk_nodes(), 2_000, attr, 48);
+            rz.kept_temp = kept;
+            let nodes = rz.join_nodes.clone();
+            let mut consumers = Consumers::new(&mut m, &rz);
+            let sites = consumers.install_sites(&m, &rz, &nodes, 0, 0);
+            consumers.open_buckets(&mut m, 1, 2);
+            let mut ledgers = m.ledgers();
+            let mut states = frags.clone();
+            run_step(
+                &mut m,
+                &mut ledgers,
+                "route",
+                &nodes,
+                &mut states,
+                |ctx, f| {
+                    let batch = ctx.read_batch(*f);
+                    for rec in batch.recs() {
+                        let k = attr.get(&rec);
+                        let i = (hash_u32(JOIN_SEED, k) % 8) as usize;
+                        ctx.send_rec(nodes[i], tag(TAG_BUILD, i), rec);
+                        let bucket = 1 + k as usize % 2;
+                        ctx.send_rec(k as usize / 2 % 8, tag(TAG_BUCKET, bucket), rec);
+                        if k.is_multiple_of(3) {
+                            ctx.send_rec(sites.home(i), tag(TAG_SPOOL_S, i), rec);
+                        }
+                    }
+                },
+            );
+            consumers.settle(&mut m, &mut ledgers);
+            let evicted: u64 = ledgers.iter().map(|u| u.counts.overflow_evictions).sum();
+            let buckets = consumers.close_buckets(&mut m, &mut ledgers);
+            let pairs = take_overflows(&mut m, &mut ledgers, &mut consumers, &sites);
+            assert!(evicted > 500 && pairs.len() == 8, "every site overflowed");
+
+            // Each R' read back at its home and spooled again.
+            let again = consumers.install_sites(&m, &rz, &nodes, 1, 0);
+            let mut states: Vec<FileId> = pairs.iter().map(|p| p.r).collect();
+            run_step(
+                &mut m,
+                &mut ledgers,
+                "respool",
+                &nodes,
+                &mut states,
+                |ctx, f| {
+                    let batch = ctx.read_batch(*f);
+                    for rec in batch.recs() {
+                        ctx.send_rec(ctx.node, tag(TAG_SPOOL_R, ctx.node), rec);
+                    }
+                },
+            );
+            consumers.settle(&mut m, &mut ledgers);
+            let respooled = take_overflows(&mut m, &mut ledgers, &mut consumers, &again);
+
+            let mut files: Vec<(NodeId, FileId)> = Vec::new();
+            for (n, fs) in buckets.iter().enumerate() {
+                files.extend(fs.iter().map(|&f| (n, f)));
+            }
+            for p in pairs.iter().chain(&respooled) {
+                files.extend([(p.home, p.r), (p.home, p.s)]);
+            }
+            let mut seen = vec![format!("{ledgers:?}")];
+            for (n, f) in files {
+                let what = format!("node {n} file {f}");
+                seen.extend(
+                    read_every_way(&mut m, n, f)
+                        .into_iter()
+                        .map(|r| format!("{what} {r}")),
+                );
+            }
+            seen
+        };
+        let (kept, engine) = (run(true), run(false));
+        assert_eq!(kept.len(), engine.len());
+        for (want, got) in kept.iter().zip(&engine) {
+            assert_eq!(got, want);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "still holds an open spool or bucket writer")]
     fn a_pass_over_a_spool_left_open_panics() {
@@ -894,7 +1067,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m, true);
+        let mut consumers = Consumers::new(&mut m, &rz);
         consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         let mut ledgers = m.ledgers();
         run_step(&mut m, &mut ledgers, "build", &[0], &mut [()], |ctx, _| {
