@@ -28,12 +28,9 @@
 use gamma_wiss::Page;
 
 /// Set in a range's `start` when the record lies on a page: the remaining
-/// bits are the page's index, and the range's `len` is
-/// `offset within the page << PAGE_SHIFT | length`.
+/// bits are the page's index, and the range's `len` is the code the page
+/// gave the record ([`Page::places`]).
 const ON_PAGE: u32 = 1 << 31;
-/// A WiSS page is at most 64 KB, so an in-page offset and a record's
-/// length fit 16 bits each.
-const PAGE_SHIFT: u32 = 16;
 
 /// One record of a batch with its home: the bytes (it derefs to them) and,
 /// when they lie on a scanned page, that page's shared image — what lets
@@ -49,7 +46,7 @@ pub struct TupleBatch {
     /// Handles of the scanned pages the page-backed records lie on.
     pages: Vec<Page>,
     /// `(start, len)` of each record: an arena offset and a length, or an
-    /// [`ON_PAGE`] page index and the record's place on that page.
+    /// [`ON_PAGE`] page index and the code of the record's place there.
     ranges: Vec<(u32, u32)>,
 }
 
@@ -79,7 +76,9 @@ impl TupleBatch {
 
     /// Append every record of `page`, in slot order, by reference: the
     /// batch keeps a handle to the page (and so to its segment) and copies
-    /// nothing.
+    /// nothing. Each record resolves to its home — its place on a byte
+    /// page, or the image a reference page points it at — so a record sent
+    /// on travels by reference to that image, never to the page.
     ///
     /// # Panics
     /// Panics past 2^31 pages in one batch.
@@ -87,10 +86,7 @@ impl TupleBatch {
         let index = self.pages.len();
         assert!(index < ON_PAGE as usize, "tuple batch holds too many pages");
         let start = ON_PAGE | index as u32;
-        self.ranges.extend(
-            page.slots()
-                .map(|(off, len)| (start, (off as u32) << PAGE_SHIFT | len as u32)),
-        );
+        self.ranges.extend(page.places().map(|code| (start, code)));
         self.pages.push(page.clone());
     }
 
@@ -130,10 +126,8 @@ impl TupleBatch {
         if start & ON_PAGE == 0 {
             Rec::from(&self.data[start as usize..][..len as usize])
         } else {
-            let page = &self.pages[(start & !ON_PAGE) as usize];
-            let off = page.offset() + (len >> PAGE_SHIFT) as usize;
-            let len = (len & ((1 << PAGE_SHIFT) - 1)) as usize;
-            Rec::shared(page.image(), off..off + len)
+            let (image, at) = self.pages[(start & !ON_PAGE) as usize].place(len);
+            Rec::shared(image, at)
         }
     }
 

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 
 use gamma_des::Event;
-use gamma_net::Msg;
+use gamma_net::{Image, Msg};
 use gamma_wiss::{FileId, HeapWriter, Volume};
 
 use crate::algorithms::common::Resolved;
@@ -135,7 +135,7 @@ pub struct ResultInfo {
 }
 
 /// How the engine opens its spool and bucket files.
-const TEMP: fn(&mut Volume, usize) -> HeapWriter = HeapWriter::create;
+const TEMP: fn(&mut Volume, usize) -> HeapWriter = HeapWriter::create_by_reference;
 
 /// An overflow spool under construction at one node.
 struct SpoolFile {
@@ -192,10 +192,10 @@ impl JoinNode {
             "only result tuples travel in two parts"
         );
         match m.tag & TAG_KIND {
-            TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.payload),
+            TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.part()),
             TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.part()),
-            TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
-            TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
+            TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.part()),
+            TAG_BUCKET => self.on_bucket(ctx, m.tag, m.part()),
             RESULT_TAG => self.on_result(ctx, m.payload, m.tail),
             other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
         }
@@ -203,10 +203,12 @@ impl JoinNode {
 
     /// Build stage: insert one inner tuple, handling hash-table overflow —
     /// evictions and diversions are spooled to `R'_i` at the site's home.
-    fn on_build(&mut self, ctx: &mut StepCtx<'_>, i: usize, tuple: &[u8]) {
+    /// A diverted tuple travels on by reference to the page it arrived on;
+    /// an evicted one is copied out of the table.
+    fn on_build(&mut self, ctx: &mut StepCtx<'_>, i: usize, tuple: Rec<'_>) {
         let site = self.site.as_mut().expect("build tuple at a join site");
         debug_assert_eq!(site.index, i, "build tuple routed to the wrong site");
-        let val = site.r_attr.get(tuple);
+        let val = site.r_attr.get(&tuple);
         ctx.charge(ctx.cost.build_insert_us + ctx.cost.histogram_update_us);
         if let Some(f) = &mut site.filter {
             ctx.charge(ctx.cost.filter_set_us);
@@ -216,9 +218,9 @@ impl JoinNode {
             .record(ctx.node as u16, "build", Event::HashInsert);
         let home = site.overflow_home;
         let spool_tag = tag(TAG_SPOOL_R, i);
-        match site.table.offer(val, tuple, ctx.cost.overflow_clear_pct) {
+        match site.table.offer(val, &tuple, ctx.cost.overflow_clear_pct) {
             Offer::Stored => {}
-            Offer::Diverted => ctx.send(home, spool_tag, tuple),
+            Offer::Diverted => ctx.send_rec(home, spool_tag, tuple),
             Offer::Overflowed {
                 evicted,
                 diverted,
@@ -239,7 +241,7 @@ impl JoinNode {
                     ctx.send(home, spool_tag, site.table.slice(range));
                 }
                 if diverted {
-                    ctx.send(home, spool_tag, tuple);
+                    ctx.send_rec(home, spool_tag, tuple);
                 }
             }
         }
@@ -270,32 +272,30 @@ impl JoinNode {
 
     /// Overflow-spool store: append to this home's `R'`/`S'` file for the
     /// sending site (created on first arrival).
-    fn on_spool(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
+    fn on_spool(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: Rec<'_>) {
         let page = ctx.cost.disk.page_bytes;
         let sf = self.spools.entry(tag).or_insert_with(|| SpoolFile {
             writer: (self.temp)(ctx.state.vol_mut(), page),
             count: 0,
         });
         ctx.charge(ctx.cost.store_tuple_us);
-        let (vol, pool) = ctx.state.vp();
-        sf.writer.push(vol, pool, ctx.ledger, rec);
+        store(ctx, &mut sf.writer, rec);
         sf.count += 1;
     }
 
     /// Bucket-forming store: set the node's filter bit when it builds one,
     /// append to this node's writer for the bucket.
-    fn on_bucket(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
+    fn on_bucket(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: Rec<'_>) {
         let writer = self
             .buckets
             .get_mut(&tag)
             .expect("bucket writer open at this node");
         if let Some((f, attr)) = &mut self.built {
             ctx.charge(ctx.cost.filter_set_us);
-            f.set(attr.get(rec));
+            f.set(attr.get(&rec));
         }
         ctx.charge(ctx.cost.store_tuple_us);
-        let (vol, pool) = ctx.state.vp();
-        writer.push(vol, pool, ctx.ledger, rec);
+        store(ctx, writer, rec);
     }
 
     /// Result store operator: append one delivered result tuple `r ‖ s`
@@ -309,6 +309,19 @@ impl JoinNode {
         w.push_concat(vol, pool, ctx.ledger, r, s);
         self.check = self.check.wrapping_add(checksum_concat(0, r, s));
         self.stored += 1;
+    }
+}
+
+/// Append a delivered record to a spool or bucket file: by reference to
+/// the page image it arrived on, or copied when it has none (a hash-table
+/// eviction, copied into the exchange when it was sent).
+fn store(ctx: &mut StepCtx<'_>, writer: &mut HeapWriter, rec: Rec<'_>) {
+    let (vol, pool) = ctx.state.vp();
+    match rec.home() {
+        Some((Image::Page(image), at)) => {
+            writer.push_shared(vol, pool, ctx.ledger, image, at..at + rec.len());
+        }
+        _ => writer.push(vol, pool, ctx.ledger, &rec),
     }
 }
 
@@ -742,6 +755,8 @@ impl Consumers {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use gamma_des::Usage;
     use gamma_wiss::BufferPool;
 
@@ -1032,6 +1047,25 @@ mod tests {
             );
             consumers.settle(&mut m, &mut ledgers);
             let respooled = take_overflows(&mut m, &mut ledgers, &mut consumers, &again);
+            if !kept {
+                // The engine's files point at each record's home, and a
+                // record spooled again points at the same home.
+                for (p, q) in pairs.iter().zip(&respooled) {
+                    let vol = m.nodes[p.home].vol();
+                    let homes = |f: FileId| -> Vec<_> {
+                        (0..vol.file_pages(f))
+                            .flat_map(|i| {
+                                let page = vol.page(f, i);
+                                assert!(page.image().is_none(), "a reference page");
+                                (0..page.len()).map(move |s| page.home(s))
+                            })
+                            .map(|(image, at)| (Arc::as_ptr(image), at))
+                            .collect()
+                    };
+                    assert_eq!(p.home, q.home);
+                    assert_eq!(homes(p.r), homes(q.r), "node {}", p.home);
+                }
+            }
 
             let mut files: Vec<(NodeId, FileId)> = Vec::new();
             for (n, fs) in buckets.iter().enumerate() {
