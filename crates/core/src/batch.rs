@@ -74,6 +74,11 @@ impl TupleBatch {
         self.data.extend_from_slice(rec);
     }
 
+    /// Make room for `pages` more page handles.
+    pub fn reserve_pages(&mut self, pages: usize) {
+        self.pages.reserve(pages);
+    }
+
     /// Append every record of `page`, in slot order, by reference: the
     /// batch keeps a handle to the page (and so to its segment) and copies
     /// nothing. Each record resolves to its home — its place on a byte

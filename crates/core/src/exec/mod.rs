@@ -386,16 +386,19 @@ where
 }
 
 /// Scan a heap file into a page-backed [`TupleBatch`] — one handle per
-/// page and that page's slot ranges, no record copied — charging each
-/// page read as the scan enters the page ([`StepCtx::read_batch`]).
+/// page and where each of its records lies, no record copied — charging
+/// each page read as the scan enters the page ([`StepCtx::read_batch`]).
+/// The batch is sized for the file's records and pages up front.
 fn read_file_batch(
     vol: &gamma_wiss::Volume,
     pool: &mut gamma_wiss::BufferPool,
     usage: &mut Usage,
     file: FileId,
 ) -> TupleBatch {
+    let pages = vol.file_pages(file);
     let mut batch = TupleBatch::with_capacity(vol.file_records(file), 0);
-    for idx in 0..vol.file_pages(file) {
+    batch.reserve_pages(pages);
+    for idx in 0..pages {
         pool.charge_read(file, idx, usage);
         batch.push_page(vol.page(file, idx));
     }
