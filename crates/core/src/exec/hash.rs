@@ -221,11 +221,7 @@ impl JoinNode {
         match site.table.offer(val, &tuple, ctx.cost.overflow_clear_pct) {
             Offer::Stored => {}
             Offer::Diverted => ctx.send_rec(home, spool_tag, tuple),
-            Offer::Overflowed {
-                evicted,
-                diverted,
-                scanned,
-            } => {
+            Offer::Overflowed { diverted, scanned } => {
                 // The heuristic examines every resident tuple to find the
                 // ones above the new cutoff (§4.1).
                 ctx.charge(ctx.cost.clear_scan_us * scanned);
@@ -234,7 +230,7 @@ impl JoinNode {
                     ctx.ledger.total_demand().as_us(),
                     gamma_trace::EventKind::BucketSpill { bucket: i as u16 },
                 );
-                for (_, range) in evicted {
+                for &(_, range) in site.table.evicted() {
                     ctx.charge(ctx.cost.evict_tuple_us);
                     ctx.ledger
                         .record(ctx.node as u16, "build", Event::OverflowEviction);

@@ -96,14 +96,12 @@ pub enum Offer {
     /// Tuple's `h'` is above the current cutoff; the caller (who still
     /// holds the slice it offered) must spool it to the overflow file.
     Diverted,
-    /// The table overflowed: the clearing heuristic ran. `evicted` ranges
-    /// must be spooled; the incoming tuple was stored unless its `h'` lies
-    /// in the cleared range, in which case `diverted` is true and the
-    /// caller must spool its own slice.
+    /// The table overflowed: the clearing heuristic ran. The tuples it
+    /// cleared ([`JoinHashTable::evicted`]) must be spooled; the incoming
+    /// tuple was stored unless its `h'` lies in the cleared range, in
+    /// which case `diverted` is true and the caller must spool its own
+    /// slice.
     Overflowed {
-        /// Tuples cleared from the table, with their join-attribute values
-        /// and arena ranges.
-        evicted: Vec<(u32, TupleRange)>,
         /// Whether the incoming tuple, too, must be spooled.
         diverted: bool,
         /// Entries the clearing pass had to examine (the whole resident
@@ -201,6 +199,8 @@ pub struct JoinHashTable {
     free: u32,
     /// One chain's entry indices during a clearing, kept between clearings.
     sweep: Vec<u32>,
+    /// What the last clearing evicted, kept for the next one.
+    evicted: Vec<(u32, TupleRange)>,
     mask: u64,
     arena: Vec<u8>,
     /// The arena, once the table is frozen for probing.
@@ -228,6 +228,7 @@ impl JoinHashTable {
             entries: Vec::new(),
             free: NIL,
             sweep: Vec::new(),
+            evicted: Vec::new(),
             mask: nbuckets as u64 - 1,
             arena: Vec::new(),
             frozen: None,
@@ -373,40 +374,40 @@ impl JoinHashTable {
         // invariant that makes overflow processing correct is that the
         // resident set is exactly {h' < cutoff}: a tuple below the cutoff
         // is never diverted, so its matching outer tuples know to probe.
-        let mut evicted = Vec::new();
+        // The last clearing's evictions were spooled by now: reuse their
+        // vector.
+        let mut evicted = std::mem::take(&mut self.evicted);
+        evicted.clear();
         let mut scanned = 0u64;
         let target = (self.capacity_bytes as u128 * clear_pct.max(1) as u128 / 100) as u64;
-        loop {
+        let diverted = loop {
             scanned += self.len;
             let new_cutoff = self.pick_cutoff(target);
             self.clear_above(new_cutoff, &mut evicted);
             self.cutoff = Some(new_cutoff);
             if hprime >= new_cutoff {
-                return Offer::Overflowed {
-                    evicted,
-                    diverted: true,
-                    scanned,
-                };
+                break true;
             }
             if self.used_bytes + bytes <= self.capacity_bytes {
                 self.store(val, hprime, tuple);
-                return Offer::Overflowed {
-                    evicted,
-                    diverted: false,
-                    scanned,
-                };
+                break false;
             }
             if new_cutoff == 0 {
                 // The table is empty and the tuple still does not fit
                 // (capacity below one tuple). With cutoff 0 every value
                 // diverts, so the partition stays consistent.
-                return Offer::Overflowed {
-                    evicted,
-                    diverted: true,
-                    scanned,
-                };
+                break true;
             }
-        }
+        };
+        self.evicted = evicted;
+        Offer::Overflowed { diverted, scanned }
+    }
+
+    /// The tuples the last clearing evicted ([`Offer::Overflowed`]), with
+    /// their join-attribute values and arena ranges, in the order they
+    /// must be spooled. The next overflow replaces them.
+    pub fn evicted(&self) -> &[(u32, TupleRange)] {
+        &self.evicted
     }
 
     /// Choose the highest cutoff that frees at least `target` bytes,
@@ -615,6 +616,7 @@ mod tests {
             histogram: Vec<u64>,
             pub cutoff: Option<u64>,
             pub len: u64,
+            pub evicted: Vec<(u32, TupleRange)>,
         }
 
         impl Model {
@@ -632,6 +634,7 @@ mod tests {
                     histogram: vec![0; HIST_CELLS],
                     cutoff: None,
                     len: 0,
+                    evicted: Vec::new(),
                 }
             }
 
@@ -674,37 +677,28 @@ mod tests {
                     self.store(val, hprime, tuple);
                     return Offer::Stored;
                 }
-                let mut evicted = Vec::new();
+                self.evicted.clear();
+                let mut evicted = std::mem::take(&mut self.evicted);
                 let mut scanned = 0u64;
                 let target = (self.capacity_bytes * clear_pct.max(1)) / 100;
-                loop {
+                let diverted = loop {
                     scanned += self.len;
                     let new_cutoff = self.pick_cutoff(target);
                     self.clear_above(new_cutoff, &mut evicted);
                     self.cutoff = Some(new_cutoff);
                     if hprime >= new_cutoff {
-                        return Offer::Overflowed {
-                            evicted,
-                            diverted: true,
-                            scanned,
-                        };
+                        break true;
                     }
                     if self.used_bytes + bytes <= self.capacity_bytes {
                         self.store(val, hprime, tuple);
-                        return Offer::Overflowed {
-                            evicted,
-                            diverted: false,
-                            scanned,
-                        };
+                        break false;
                     }
                     if new_cutoff == 0 {
-                        return Offer::Overflowed {
-                            evicted,
-                            diverted: true,
-                            scanned,
-                        };
+                        break true;
                     }
-                }
+                };
+                self.evicted = evicted;
+                Offer::Overflowed { diverted, scanned }
             }
 
             fn pick_cutoff(&self, target: u64) -> u64 {
@@ -782,11 +776,10 @@ mod tests {
             match got {
                 Offer::Stored => {}
                 Offer::Diverted => self.spooled.push((val, tuple.to_vec())),
-                Offer::Overflowed {
-                    evicted, diverted, ..
-                } => {
+                Offer::Overflowed { diverted, .. } => {
                     self.clearings += 1;
-                    for (v, range) in evicted {
+                    assert_eq!(self.table.evicted(), self.model.evicted, "{}", self.ctx);
+                    for &(v, range) in self.table.evicted() {
                         let bytes = self.table.slice(range);
                         assert_eq!(bytes, self.model.slice(range), "{} evicted {v}", self.ctx);
                         self.spooled.push((v, bytes.to_vec()));
@@ -1021,9 +1014,9 @@ mod tests {
         let mut v = 0u32;
         loop {
             match t.offer(v, &tuple(v, 208), 10) {
-                Offer::Overflowed { evicted, .. } => {
-                    assert!(!evicted.is_empty());
-                    for (val, range) in evicted {
+                Offer::Overflowed { .. } => {
+                    assert!(!t.evicted().is_empty());
+                    for &(val, range) in t.evicted() {
                         assert_eq!(t.slice(range), tuple(val, 208).as_slice());
                     }
                     break;
@@ -1092,10 +1085,8 @@ mod tests {
             match t.offer(v, &tuple(v, 208), 10) {
                 Offer::Stored => {}
                 Offer::Diverted => {}
-                Offer::Overflowed {
-                    evicted, scanned, ..
-                } => {
-                    evicted_total += evicted.len();
+                Offer::Overflowed { scanned, .. } => {
+                    evicted_total += t.evicted().len();
                     assert_eq!(scanned, resident, "one clearing, one scan of the table");
                     break;
                 }
@@ -1165,10 +1156,8 @@ mod tests {
             match t.offer(v, &tuple(v, 208), 10) {
                 Offer::Stored => {}
                 Offer::Diverted => spooled.push(tuple(v, 208)),
-                Offer::Overflowed {
-                    evicted, diverted, ..
-                } => {
-                    spooled.extend(evicted.iter().map(|&(_, r)| t.slice(r).to_vec()));
+                Offer::Overflowed { diverted, .. } => {
+                    spooled.extend(t.evicted().iter().map(|&(_, r)| t.slice(r).to_vec()));
                     if diverted {
                         spooled.push(tuple(v, 208));
                     }
@@ -1213,10 +1202,8 @@ mod tests {
         let mut evicted_all = 0;
         for _ in 0..200 {
             match t.offer(7, &tuple(7, 208), 10) {
-                Offer::Overflowed {
-                    evicted, diverted, ..
-                } => {
-                    evicted_all += evicted.len() + usize::from(diverted);
+                Offer::Overflowed { diverted, .. } => {
+                    evicted_all += t.evicted().len() + usize::from(diverted);
                 }
                 Offer::Diverted => evicted_all += 1,
                 Offer::Stored => {}
@@ -1238,10 +1225,8 @@ mod tests {
             match t.offer(v, &tuple(v, 208), 10) {
                 Offer::Stored => {}
                 Offer::Diverted => spooled.push(tuple(v, 208)),
-                Offer::Overflowed {
-                    evicted, diverted, ..
-                } => {
-                    spooled.extend(evicted.iter().map(|&(_, r)| t.slice(r).to_vec()));
+                Offer::Overflowed { diverted, .. } => {
+                    spooled.extend(t.evicted().iter().map(|&(_, r)| t.slice(r).to_vec()));
                     if diverted {
                         spooled.push(tuple(v, 208));
                     }
