@@ -5,19 +5,22 @@
 //!
 //! * **on the page it was scanned from.** A scan pushes a handle to each
 //!   WiSS page ([`TupleBatch::push_page`]; cloning a [`Page`] shares the
-//!   segment it lies in) plus that page's slot ranges, and copies no
-//!   record. The handles keep the bytes alive and unchanged while the file
-//!   they came from is appended to or deleted. A scan sees the pages its
-//!   file holds: a writer's pages join the file a segment at a time, and
-//!   nothing scans a file while its writer is open;
+//!   segment it lies in) plus where each of its records lies, and copies
+//!   no record. A record of a temp file's page lies where that page points
+//!   it: on the image it was sent on, which the batch resolves it to. The
+//!   handles keep the bytes alive and unchanged while the file they came
+//!   from is appended to or deleted. A scan sees the pages its file holds:
+//!   a writer's pages join the file a segment at a time, and nothing scans
+//!   a file while its writer is open;
 //! * **in the batch's own arena**, for records that must outlive whatever
 //!   buffer they were read from ([`TupleBatch::push`]).
 //!
 //! Split routing, bit filters and hashing read a record where it lies, and
-//! a routed record leaves with its home page ([`TupleBatch::recs`] into
+//! a routed record leaves with its home image ([`TupleBatch::recs`] into
 //! `StepCtx::send_rec`): a page-backed one travels as a reference to that
-//! page, so its first copy is the consumer's — into a hash-table arena or
-//! a page under construction — or none at all. Selections
+//! image, so its first copy is the consumer's — into a hash-table arena or
+//! a result page under construction — or none at all: a spool or bucket
+//! file keeps the reference. Selections
 //! ([`TupleBatch::retain_indices`]) drop range table entries and move no
 //! bytes.
 //!

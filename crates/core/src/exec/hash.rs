@@ -176,9 +176,11 @@ pub struct JoinNode {
 impl JoinNode {
     /// Drain this node's inbox and apply every delivered message as it is
     /// read, in arrival order. Every payload is a borrowed slice — of the
-    /// page it was scanned from, for a tuple sent by reference — so
+    /// page image it was scanned from, for a tuple sent by reference — so
     /// consuming a message copies only where the tuple genuinely moves
-    /// somewhere (a table arena, a heap page, an outgoing stream's arena).
+    /// somewhere (a table arena, a result page). A spool or bucket file
+    /// keeps a reference to a tuple's image and copies only a tuple that
+    /// has none (a hash-table eviction).
     fn absorb_step(&mut self, ctx: &mut StepCtx<'_>) {
         let drained = ctx.drain();
         for m in drained.iter() {

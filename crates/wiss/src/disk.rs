@@ -6,12 +6,13 @@
 //! the buffer pool, using the [`DiskConfig`] service-time model.
 //!
 //! A heap writer's pages reach its file a segment at a time: a volume
-//! owns the staging runs its writers fill in place, and a writer appends
-//! a run's pages when the run is full and at `finish`. Until then a page
-//! the writer has sealed (and been charged for) is not in the file yet;
-//! nothing reads a file while its writer is open. A closed writer's run
-//! goes back to the volume, and the next writer opened takes the one
-//! given back last, so a warmed volume allocates no staging per writer.
+//! owns the runs its writers fill — staging runs of bytes for kept files,
+//! by-reference runs for temp files — and a writer appends a run's pages
+//! when the run is full and at `finish`. Until then a page the writer has
+//! sealed (and been charged for) is not in the file yet; nothing reads a
+//! file while its writer is open. A closed writer's run goes back to the
+//! volume, and the next writer opened takes the one of its kind given
+//! back last, so a warmed volume allocates no staging per writer.
 
 use std::collections::BTreeMap;
 

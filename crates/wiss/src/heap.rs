@@ -10,7 +10,12 @@
 //! will read: it lays its pages out by record length alone, and charges,
 //! seals and counts every page as a kept writer does, at the same records.
 //! It takes no staging run and copies no record bytes, so its file stays
-//! empty.
+//! empty. A writer opened with [`HeapWriter::create_by_reference`] is for a
+//! temp file: it charges, seals and counts every page as a kept writer
+//! does, at the same records, but a record pushed with
+//! [`HeapWriter::push_shared`] is kept as a reference to the image it lies
+//! on, and only a record pushed as bytes is copied, once. Its file reads
+//! back the same records through every reader.
 //! [`HeapScan`] reads a file back in sequence (charging reads through the
 //! pool). These are the WiSS services used for base relations, Grace/Hybrid
 //! bucket files, Simple-hash overflow files, sort runs and result

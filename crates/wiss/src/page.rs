@@ -32,6 +32,21 @@
 //! reads lays its pages out by record length alone (`Layout`): one rule
 //! decides where a page is full for both, so it seals and charges the
 //! same pages at the same records, and it holds and copies no bytes.
+//!
+//! A temp file — a spool or bucket file, written once and read back once —
+//! is written by reference (`RefStaging`): its records arrived as ranges
+//! of shared images (the segments they were scanned from), and its pages
+//! keep those ranges instead of the bytes. Records are placed by the same
+//! rule, so its pages seal, charge and count as a kept writer's do, and a
+//! run of them is published as one **reference segment**: one
+//! `Arc<[Cell]>` holding the images the run's records lie on, then each
+//! page's header and its records' `(image, range)` references. A record
+//! that arrived with no shared image is copied once, into the run's own
+//! bytes, which join the segment as one more image. Every reader resolves
+//! a record of a reference page to its home image ([`Page::home`]), so a
+//! record written by reference again points at that image, never at
+//! another reference page, and a reference page reads, record by record,
+//! as the byte page of the same records does.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -568,7 +583,7 @@ impl RefStaging {
         }
         self.cells.push(Cell::Rec {
             image: (self.images.len() - 1) as u32,
-            start: at.start as u32,
+            start: u32::try_from(at.start).expect("an image of at most 4 GiB"),
             len: at.len() as u32,
         });
         Some(slot)
