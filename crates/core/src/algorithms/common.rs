@@ -73,11 +73,6 @@ pub struct Resolved {
     /// (`run_join_materialized`). Otherwise nothing reads the result, and
     /// the store operators charge and count every page but drop its bytes.
     pub keep_result: bool,
-    /// Write spool and bucket files through kept writers that copy every
-    /// record, as the reference the engine's temp files are pinned
-    /// against.
-    #[cfg(test)]
-    pub(crate) kept_temp: bool,
 }
 
 #[cfg(test)]
@@ -108,7 +103,6 @@ impl Resolved {
             skew_refinement: false,
             dynamic_spill: false,
             keep_result: true,
-            kept_temp: false,
         }
     }
 }

@@ -33,7 +33,5 @@ pub mod grace;
 pub mod hybrid;
 pub mod simple;
 pub mod sort_merge;
-#[cfg(test)]
-mod temp_files;
 
 pub use common::Resolved;

@@ -270,7 +270,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let d = disk_nodes.len();
     let mem_per_node = rz.capacity_per_site; // resolver set this to M / D
     let mut phases = Vec::new();
-    let mut consumers = Consumers::new(machine, rz);
+    let mut consumers = Consumers::new(machine, rz.keep_result);
 
     let mut filters: Vec<Option<BitFilter>> = (0..d)
         .map(|i| {

@@ -5,22 +5,19 @@
 //!
 //! * **on the page it was scanned from.** A scan pushes a handle to each
 //!   WiSS page ([`TupleBatch::push_page`]; cloning a [`Page`] shares the
-//!   segment it lies in) plus where each of its records lies, and copies
-//!   no record. A record of a temp file's page lies where that page points
-//!   it: on the image it was sent on, which the batch resolves it to. The
-//!   handles keep the bytes alive and unchanged while the file they came
-//!   from is appended to or deleted. A scan sees the pages its file holds:
-//!   a writer's pages join the file a segment at a time, and nothing scans
-//!   a file while its writer is open;
+//!   segment it lies in) plus that page's slot ranges, and copies no
+//!   record. The handles keep the bytes alive and unchanged while the file
+//!   they came from is appended to or deleted. A scan sees the pages its
+//!   file holds: a writer's pages join the file a segment at a time, and
+//!   nothing scans a file while its writer is open;
 //! * **in the batch's own arena**, for records that must outlive whatever
 //!   buffer they were read from ([`TupleBatch::push`]).
 //!
 //! Split routing, bit filters and hashing read a record where it lies, and
-//! a routed record leaves with its home image ([`TupleBatch::recs`] into
+//! a routed record leaves with its home page ([`TupleBatch::recs`] into
 //! `StepCtx::send_rec`): a page-backed one travels as a reference to that
-//! image, so its first copy is the consumer's — into a hash-table arena or
-//! a result page under construction — or none at all: a spool or bucket
-//! file keeps the reference. Selections
+//! page, so its first copy is the consumer's — into a hash-table arena or
+//! a page under construction — or none at all. Selections
 //! ([`TupleBatch::retain_indices`]) drop range table entries and move no
 //! bytes.
 //!
@@ -31,9 +28,12 @@
 use gamma_wiss::Page;
 
 /// Set in a range's `start` when the record lies on a page: the remaining
-/// bits are the page's index, and the range's `len` is the code the page
-/// gave the record ([`Page::places`]).
+/// bits are the page's index, and the range's `len` is
+/// `offset within the page << PAGE_SHIFT | length`.
 const ON_PAGE: u32 = 1 << 31;
+/// A WiSS page is at most 64 KB, so an in-page offset and a record's
+/// length fit 16 bits each.
+const PAGE_SHIFT: u32 = 16;
 
 /// One record of a batch with its home: the bytes (it derefs to them) and,
 /// when they lie on a scanned page, that page's shared image — what lets
@@ -49,7 +49,7 @@ pub struct TupleBatch {
     /// Handles of the scanned pages the page-backed records lie on.
     pages: Vec<Page>,
     /// `(start, len)` of each record: an arena offset and a length, or an
-    /// [`ON_PAGE`] page index and the code of the record's place there.
+    /// [`ON_PAGE`] page index and the record's place on that page.
     ranges: Vec<(u32, u32)>,
 }
 
@@ -84,9 +84,7 @@ impl TupleBatch {
 
     /// Append every record of `page`, in slot order, by reference: the
     /// batch keeps a handle to the page (and so to its segment) and copies
-    /// nothing. Each record resolves to its home — its place on a byte
-    /// page, or the image a reference page points it at — so a record sent
-    /// on travels by reference to that image, never to the page.
+    /// nothing.
     ///
     /// # Panics
     /// Panics past 2^31 pages in one batch.
@@ -94,7 +92,10 @@ impl TupleBatch {
         let index = self.pages.len();
         assert!(index < ON_PAGE as usize, "tuple batch holds too many pages");
         let start = ON_PAGE | index as u32;
-        self.ranges.extend(page.places().map(|code| (start, code)));
+        self.ranges.extend(
+            page.slots()
+                .map(|(off, len)| (start, (off as u32) << PAGE_SHIFT | len as u32)),
+        );
         self.pages.push(page.clone());
     }
 
@@ -134,8 +135,10 @@ impl TupleBatch {
         if start & ON_PAGE == 0 {
             Rec::from(&self.data[start as usize..][..len as usize])
         } else {
-            let (image, at) = self.pages[(start & !ON_PAGE) as usize].place(len);
-            Rec::shared(image, at)
+            let page = &self.pages[(start & !ON_PAGE) as usize];
+            let off = page.offset() + (len >> PAGE_SHIFT) as usize;
+            let len = (len & ((1 << PAGE_SHIFT) - 1)) as usize;
+            Rec::shared(page.image(), off..off + len)
         }
     }
 

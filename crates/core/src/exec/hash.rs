@@ -37,8 +37,8 @@
 use std::collections::BTreeMap;
 
 use gamma_des::Event;
-use gamma_net::{Image, Msg};
-use gamma_wiss::{FileId, HeapWriter, Volume};
+use gamma_net::Msg;
+use gamma_wiss::{FileId, HeapWriter};
 
 use crate::algorithms::common::Resolved;
 use crate::batch::Rec;
@@ -134,9 +134,6 @@ pub struct ResultInfo {
     pub checksum: u64,
 }
 
-/// How the engine opens its spool and bucket files.
-const TEMP: fn(&mut Volume, usize) -> HeapWriter = HeapWriter::create_by_reference;
-
 /// An overflow spool under construction at one node.
 struct SpoolFile {
     writer: HeapWriter,
@@ -166,8 +163,6 @@ pub struct JoinNode {
     /// The bit filter the bucket writers set on the attribute as tuples
     /// arrive ([`Consumers::build_filters`]).
     built: Option<(BitFilter, Attr)>,
-    /// Opens this node's spool and bucket files.
-    temp: fn(&mut Volume, usize) -> HeapWriter,
     store: Option<HeapWriter>,
     stored: u64,
     check: u64,
@@ -176,11 +171,9 @@ pub struct JoinNode {
 impl JoinNode {
     /// Drain this node's inbox and apply every delivered message as it is
     /// read, in arrival order. Every payload is a borrowed slice — of the
-    /// page image it was scanned from, for a tuple sent by reference — so
+    /// page it was scanned from, for a tuple sent by reference — so
     /// consuming a message copies only where the tuple genuinely moves
-    /// somewhere (a table arena, a result page). A spool or bucket file
-    /// keeps a reference to a tuple's image and copies only a tuple that
-    /// has none (a hash-table eviction).
+    /// somewhere (a table arena, a heap page, an outgoing stream's arena).
     fn absorb_step(&mut self, ctx: &mut StepCtx<'_>) {
         let drained = ctx.drain();
         for m in drained.iter() {
@@ -196,8 +189,8 @@ impl JoinNode {
         match m.tag & TAG_KIND {
             TAG_BUILD => self.on_build(ctx, tag_arg(m.tag), m.part()),
             TAG_PROBE => self.on_probe(ctx, tag_arg(m.tag), m.part()),
-            TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.part()),
-            TAG_BUCKET => self.on_bucket(ctx, m.tag, m.part()),
+            TAG_SPOOL_R | TAG_SPOOL_S => self.on_spool(ctx, m.tag, m.payload),
+            TAG_BUCKET => self.on_bucket(ctx, m.tag, m.payload),
             RESULT_TAG => self.on_result(ctx, m.payload, m.tail),
             other => panic!("node {} got unknown stream tag {other:#x}", ctx.node),
         }
@@ -270,30 +263,32 @@ impl JoinNode {
 
     /// Overflow-spool store: append to this home's `R'`/`S'` file for the
     /// sending site (created on first arrival).
-    fn on_spool(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: Rec<'_>) {
+    fn on_spool(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
         let page = ctx.cost.disk.page_bytes;
         let sf = self.spools.entry(tag).or_insert_with(|| SpoolFile {
-            writer: (self.temp)(ctx.state.vol_mut(), page),
+            writer: HeapWriter::create(ctx.state.vol_mut(), page),
             count: 0,
         });
         ctx.charge(ctx.cost.store_tuple_us);
-        store(ctx, &mut sf.writer, rec);
+        let (vol, pool) = ctx.state.vp();
+        sf.writer.push(vol, pool, ctx.ledger, rec);
         sf.count += 1;
     }
 
     /// Bucket-forming store: set the node's filter bit when it builds one,
     /// append to this node's writer for the bucket.
-    fn on_bucket(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: Rec<'_>) {
+    fn on_bucket(&mut self, ctx: &mut StepCtx<'_>, tag: u32, rec: &[u8]) {
         let writer = self
             .buckets
             .get_mut(&tag)
             .expect("bucket writer open at this node");
         if let Some((f, attr)) = &mut self.built {
             ctx.charge(ctx.cost.filter_set_us);
-            f.set(attr.get(&rec));
+            f.set(attr.get(rec));
         }
         ctx.charge(ctx.cost.store_tuple_us);
-        store(ctx, writer, rec);
+        let (vol, pool) = ctx.state.vp();
+        writer.push(vol, pool, ctx.ledger, rec);
     }
 
     /// Result store operator: append one delivered result tuple `r ‖ s`
@@ -307,19 +302,6 @@ impl JoinNode {
         w.push_concat(vol, pool, ctx.ledger, r, s);
         self.check = self.check.wrapping_add(checksum_concat(0, r, s));
         self.stored += 1;
-    }
-}
-
-/// Append a delivered record to a spool or bucket file: by reference to
-/// the page image it arrived on, or copied when it has none (a hash-table
-/// eviction, copied into the exchange when it was sent).
-fn store(ctx: &mut StepCtx<'_>, writer: &mut HeapWriter, rec: Rec<'_>) {
-    let (vol, pool) = ctx.state.vp();
-    match rec.home() {
-        Some((Image::Page(image), at)) => {
-            writer.push_shared(vol, pool, ctx.ledger, image, at..at + rec.len());
-        }
-        _ => writer.push(vol, pool, ctx.ledger, &rec),
     }
 }
 
@@ -407,26 +389,18 @@ pub struct Consumers {
 }
 
 impl Consumers {
-    /// The consumer side of the join `rz` plans: no sites and no spools or
-    /// buckets yet, and one result store operator opened per disk node.
-    /// The stores keep the result's pages when the plan keeps its result;
-    /// otherwise they charge and count every page alike and drop its bytes
+    /// The join's consumer side: no sites and no spools or buckets yet,
+    /// and one result store operator opened per disk node. The stores keep
+    /// the result's pages when `keep_result` is set; otherwise they charge
+    /// and count every page alike and drop its bytes
     /// ([`HeapWriter::create_unkept`]).
-    pub fn new(machine: &mut Machine, rz: &Resolved) -> Self {
+    pub fn new(machine: &mut Machine, keep_result: bool) -> Self {
         let page = machine.cfg.cost.disk.page_bytes;
-        let open = if rz.keep_result {
+        let open = if keep_result {
             HeapWriter::create
         } else {
             HeapWriter::create_unkept
         };
-        #[cfg(test)]
-        let temp = if rz.kept_temp {
-            HeapWriter::create
-        } else {
-            TEMP
-        };
-        #[cfg(not(test))]
-        let temp = TEMP;
         let nodes = machine
             .nodes
             .iter_mut()
@@ -435,7 +409,6 @@ impl Consumers {
                 spools: BTreeMap::new(),
                 buckets: BTreeMap::new(),
                 built: None,
-                temp,
                 store: state.volume.as_mut().map(|v| open(v, page)),
                 stored: 0,
                 check: 0,
@@ -538,7 +511,7 @@ impl Consumers {
         let page = machine.cfg.cost.disk.page_bytes;
         for n in 0..machine.cfg.disk_nodes {
             for b in first..=last {
-                let w = (self.nodes[n].temp)(machine.nodes[n].vol_mut(), page);
+                let w = HeapWriter::create(machine.nodes[n].vol_mut(), page);
                 let prev = self.nodes[n].buckets.insert(tag(TAG_BUCKET, b), w);
                 assert!(prev.is_none(), "bucket {b} already forming at node {n}");
             }
@@ -753,11 +726,6 @@ impl Consumers {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use gamma_des::Usage;
-    use gamma_wiss::BufferPool;
-
     use super::*;
     use crate::hash::JOIN_SEED;
     use crate::machine::{multiset_checksum, MachineConfig};
@@ -780,7 +748,7 @@ mod tests {
         let mut rz = Resolved::for_test(m.disk_nodes(), 1 << 20, attr, 48);
         rz.filter_bits = Some(1973);
         let join_nodes = &rz.join_nodes;
-        let mut consumers = Consumers::new(&mut m, &rz);
+        let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, join_nodes, 0, 42);
         let mut ledgers = m.ledgers();
         let participants = [0usize];
@@ -851,7 +819,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.diskless_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m, &rz);
+        let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         for i in 0..sites.len() {
             assert!(sites.home(i) < 8, "overflow must live on a disk node");
@@ -866,7 +834,7 @@ mod tests {
         let attr = schema().int_attr("k");
         let mut rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
         rz.filter_bits = Some(1973);
-        let mut consumers = Consumers::new(&mut m, &rz);
+        let mut consumers = Consumers::new(&mut m, true);
         assert!(!consumers.install_sites(&m, &rz, &[], 0, 0).filters_on());
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
@@ -877,8 +845,7 @@ mod tests {
     fn result_store_round_robins_and_checksums() {
         let mut m = Machine::new(MachineConfig::local_8());
         let mut ledgers = m.ledgers();
-        let rz = Resolved::for_test(Vec::new(), 0, schema().int_attr("k"), 48);
-        let mut consumers = Consumers::new(&mut m, &rz);
+        let mut consumers = Consumers::new(&mut m, true);
         run_step(
             &mut m,
             &mut ledgers,
@@ -916,180 +883,6 @@ mod tests {
         assert_ne!(a, multiset_checksum(0, b"x"));
     }
 
-    /// Every reader's view of one temp file at node `n`, and what reading
-    /// it charged: its pages' images and records, a `HeapScan`, a
-    /// `TupleBatch`, `external_sort`'s sorted file and `sort_order`'s run,
-    /// each followed by the node's ledger and its pool's hits, misses and
-    /// peak. Sorting takes the file's pages last.
-    fn read_every_way(m: &mut Machine, n: NodeId, file: FileId) -> Vec<String> {
-        use gamma_wiss::sort::sort_order;
-        use gamma_wiss::{external_sort, HeapScan, SortConfig, SortCost};
-
-        let key = |rec: &[u8]| schema().int_attr("k").get(rec);
-        let cfg = SortConfig {
-            mem_bytes: 6 * 1024,
-            page_bytes: m.cfg.cost.disk.page_bytes,
-        };
-        let mut u = Usage::ZERO;
-        let mut seen = Vec::new();
-        let (vol, pool) = m.nodes[n].vp();
-        let mut note = |what: &str, got: String, u: &Usage, pool: &BufferPool| {
-            let charged = format!("{u:?} {:?} {}", pool.stats(), pool.peak_pages());
-            seen.push(format!("{what}: {got}\n  charged {charged}"));
-        };
-        for p in 0..vol.file_pages(file) {
-            let page = vol.page(file, p);
-            let got: Vec<_> = (0..page.len()).map(|s| page.get(s)).collect();
-            assert!(page.records().eq(got.iter().map(|r| r.unwrap())));
-            let image = format!("{:?} {got:?}", page.as_bytes().to_vec());
-            note(&format!("page {p}"), image, &u, pool);
-        }
-        pool.clear();
-        let scanned = HeapScan::open(vol, file).collect_all(pool, &mut u);
-        note("HeapScan", format!("{scanned:?}"), &u, pool);
-        pool.clear();
-        let batch = crate::exec::read_file_batch(vol, pool, &mut u, file);
-        assert!(batch.recs().map(|r| r.bytes()).eq(batch.iter()));
-        note(
-            "TupleBatch",
-            format!("{:?}", batch.iter().collect::<Vec<_>>()),
-            &u,
-            pool,
-        );
-        drop(batch);
-        let cost = SortCost::default();
-        let (sorted, stats) = external_sort(vol, pool, file, &key, cfg, &cost, &mut u);
-        let recs = HeapScan::open(vol, sorted).collect_all(pool, &mut u);
-        note("external_sort", format!("{stats:?} {recs:?}"), &u, pool);
-        let (run, pages, stats) = sort_order(vol, pool, file, &key, cfg, &cost, &mut u);
-        let recs: Vec<&[u8]> = run
-            .records(&pages, 0)
-            .map(|(image, at)| &image[at])
-            .collect();
-        note("sort_order", format!("{stats:?} {recs:?}"), &u, pool);
-        seen
-    }
-
-    /// The spool and bucket files the consumers write — overflow spools
-    /// mixing hash-table evictions with tuples that arrived by reference,
-    /// outer tuples diverted to `S'`, bucket files, and spools written again
-    /// from spools read back — read back through every reader exactly as
-    /// kept files, which copy each record into their pages, read back; and
-    /// writing and reading them charges the same ledgers and pool pages.
-    #[test]
-    fn temp_files_read_as_kept_files_do() {
-        use crate::machine::Declustering;
-
-        let run = |kept: bool| {
-            let mut m = Machine::new(MachineConfig::local_8());
-            let s = schema();
-            let rows: Vec<Vec<u8>> = (0..3000u32)
-                .map(|i| {
-                    let mut t = mk(&s, i % 1100);
-                    t[4..8].copy_from_slice(&i.to_le_bytes());
-                    t
-                })
-                .collect();
-            let rel = m.load_relation("r", s.clone(), Declustering::RoundRobin, rows);
-            let frags = m.relation(rel).fragments.clone();
-            let attr = s.int_attr("k");
-            let mut rz = Resolved::for_test(m.disk_nodes(), 2_000, attr, 48);
-            rz.kept_temp = kept;
-            let nodes = rz.join_nodes.clone();
-            let mut consumers = Consumers::new(&mut m, &rz);
-            let sites = consumers.install_sites(&m, &rz, &nodes, 0, 0);
-            consumers.open_buckets(&mut m, 1, 2);
-            let mut ledgers = m.ledgers();
-            let mut states = frags.clone();
-            run_step(
-                &mut m,
-                &mut ledgers,
-                "route",
-                &nodes,
-                &mut states,
-                |ctx, f| {
-                    let batch = ctx.read_batch(*f);
-                    for rec in batch.recs() {
-                        let k = attr.get(&rec);
-                        let i = (hash_u32(JOIN_SEED, k) % 8) as usize;
-                        ctx.send_rec(nodes[i], tag(TAG_BUILD, i), rec);
-                        let bucket = 1 + k as usize % 2;
-                        ctx.send_rec(k as usize / 2 % 8, tag(TAG_BUCKET, bucket), rec);
-                        if k.is_multiple_of(3) {
-                            ctx.send_rec(sites.home(i), tag(TAG_SPOOL_S, i), rec);
-                        }
-                    }
-                },
-            );
-            consumers.settle(&mut m, &mut ledgers);
-            let evicted: u64 = ledgers.iter().map(|u| u.counts.overflow_evictions).sum();
-            let buckets = consumers.close_buckets(&mut m, &mut ledgers);
-            let pairs = take_overflows(&mut m, &mut ledgers, &mut consumers, &sites);
-            assert!(evicted > 500 && pairs.len() == 8, "every site overflowed");
-
-            // Each R' read back at its home and spooled again.
-            let again = consumers.install_sites(&m, &rz, &nodes, 1, 0);
-            let mut states: Vec<FileId> = pairs.iter().map(|p| p.r).collect();
-            run_step(
-                &mut m,
-                &mut ledgers,
-                "respool",
-                &nodes,
-                &mut states,
-                |ctx, f| {
-                    let batch = ctx.read_batch(*f);
-                    for rec in batch.recs() {
-                        ctx.send_rec(ctx.node, tag(TAG_SPOOL_R, ctx.node), rec);
-                    }
-                },
-            );
-            consumers.settle(&mut m, &mut ledgers);
-            let respooled = take_overflows(&mut m, &mut ledgers, &mut consumers, &again);
-            if !kept {
-                // The engine's files point at each record's home, and a
-                // record spooled again points at the same home.
-                for (p, q) in pairs.iter().zip(&respooled) {
-                    let vol = m.nodes[p.home].vol();
-                    let homes = |f: FileId| -> Vec<_> {
-                        (0..vol.file_pages(f))
-                            .flat_map(|i| {
-                                let page = vol.page(f, i);
-                                assert!(page.image().is_none(), "a reference page");
-                                (0..page.len()).map(move |s| page.home(s))
-                            })
-                            .map(|(image, at)| (Arc::as_ptr(image), at))
-                            .collect()
-                    };
-                    assert_eq!(p.home, q.home);
-                    assert_eq!(homes(p.r), homes(q.r), "node {}", p.home);
-                }
-            }
-
-            let mut files: Vec<(NodeId, FileId)> = Vec::new();
-            for (n, fs) in buckets.iter().enumerate() {
-                files.extend(fs.iter().map(|&f| (n, f)));
-            }
-            for p in pairs.iter().chain(&respooled) {
-                files.extend([(p.home, p.r), (p.home, p.s)]);
-            }
-            let mut seen = vec![format!("{ledgers:?}")];
-            for (n, f) in files {
-                let what = format!("node {n} file {f}");
-                seen.extend(
-                    read_every_way(&mut m, n, f)
-                        .into_iter()
-                        .map(|r| format!("{what} {r}")),
-                );
-            }
-            seen
-        };
-        let (kept, engine) = (run(true), run(false));
-        assert_eq!(kept.len(), engine.len());
-        for (want, got) in kept.iter().zip(&engine) {
-            assert_eq!(got, want);
-        }
-    }
-
     #[test]
     #[should_panic(expected = "still holds an open spool or bucket writer")]
     fn a_pass_over_a_spool_left_open_panics() {
@@ -1099,7 +892,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
         let rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
-        let mut consumers = Consumers::new(&mut m, &rz);
+        let mut consumers = Consumers::new(&mut m, true);
         consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         let mut ledgers = m.ledgers();
         run_step(&mut m, &mut ledgers, "build", &[0], &mut [()], |ctx, _| {

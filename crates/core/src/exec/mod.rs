@@ -386,9 +386,9 @@ where
 }
 
 /// Scan a heap file into a page-backed [`TupleBatch`] — one handle per
-/// page and where each of its records lies, no record copied — charging
-/// each page read as the scan enters the page ([`StepCtx::read_batch`]).
-/// The batch is sized for the file's records and pages up front.
+/// page and that page's slot ranges, no record copied — charging each
+/// page read as the scan enters the page ([`StepCtx::read_batch`]). The
+/// batch is sized for the file's records and pages up front.
 fn read_file_batch(
     vol: &gamma_wiss::Volume,
     pool: &mut gamma_wiss::BufferPool,

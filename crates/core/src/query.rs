@@ -448,8 +448,6 @@ fn run_join_inner(
         skew_refinement: spec.skew_refinement,
         dynamic_spill: spec.dynamic_spill,
         keep_result: materialize_as.is_some(),
-        #[cfg(test)]
-        kept_temp: false,
     };
 
     machine.clear_pools();

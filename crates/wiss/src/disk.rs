@@ -6,17 +6,16 @@
 //! the buffer pool, using the [`DiskConfig`] service-time model.
 //!
 //! A heap writer's pages reach its file a segment at a time: a volume
-//! owns the runs its writers fill — staging runs of bytes for kept files,
-//! by-reference runs for temp files — and a writer appends a run's pages
-//! when the run is full and at `finish`. Until then a page the writer has
-//! sealed (and been charged for) is not in the file yet; nothing reads a
-//! file while its writer is open. A closed writer's run goes back to the
-//! volume, and the next writer opened takes the one of its kind given
-//! back last, so a warmed volume allocates no staging per writer.
+//! owns the staging runs its writers fill in place, and a writer appends
+//! a run's pages when the run is full and at `finish`. Until then a page
+//! the writer has sealed (and been charged for) is not in the file yet;
+//! nothing reads a file while its writer is open. A closed writer's run
+//! goes back to the volume, and the next writer opened takes the one
+//! given back last, so a warmed volume allocates no staging per writer.
 
 use std::collections::BTreeMap;
 
-use crate::page::{Page, RefStaging, Staging};
+use crate::page::{Page, Staging};
 
 /// Identifies a file within one volume.
 pub type FileId = u64;
@@ -87,8 +86,6 @@ pub struct Volume {
     next_id: FileId,
     /// Staging runs of closed writers, the one given back last on top.
     runs: Vec<Staging>,
-    /// By-reference runs of closed writers, likewise.
-    ref_runs: Vec<RefStaging>,
 }
 
 impl Volume {
@@ -164,36 +161,16 @@ impl Volume {
         }
     }
 
-    /// Runs of either kind waiting for the next writer.
+    /// Staging runs waiting for the next writer.
     #[cfg(test)]
     pub(crate) fn idle_runs(&self) -> usize {
-        self.runs.len() + self.ref_runs.len()
+        self.runs.len()
     }
 
     /// Give back a closed writer's run, empty, for the next writer.
     pub(crate) fn return_run(&mut self, run: Staging) {
         debug_assert!(run.sealed() == 0 && run.is_empty(), "run given back in use");
         self.runs.push(run);
-    }
-
-    /// A by-reference run of `page_bytes` pages for a writer being opened:
-    /// the one of that size given back last, or a new one.
-    pub(crate) fn take_ref_run(&mut self, page_bytes: usize) -> RefStaging {
-        match self
-            .ref_runs
-            .iter()
-            .rposition(|r| r.page_bytes() == page_bytes)
-        {
-            Some(i) => self.ref_runs.remove(i),
-            None => RefStaging::new(page_bytes),
-        }
-    }
-
-    /// Give back a closed by-reference writer's run, empty, for the next
-    /// writer.
-    pub(crate) fn return_ref_run(&mut self, run: RefStaging) {
-        debug_assert!(run.sealed() == 0 && run.is_empty(), "run given back in use");
-        self.ref_runs.push(run);
     }
 
     /// Take every page out of a file, leaving it in place and empty: the

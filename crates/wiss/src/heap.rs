@@ -10,24 +10,16 @@
 //! will read: it lays its pages out by record length alone, and charges,
 //! seals and counts every page as a kept writer does, at the same records.
 //! It takes no staging run and copies no record bytes, so its file stays
-//! empty. A writer opened with [`HeapWriter::create_by_reference`] is for a
-//! temp file: it charges, seals and counts every page as a kept writer
-//! does, at the same records, but a record pushed with
-//! [`HeapWriter::push_shared`] is kept as a reference to the image it lies
-//! on, and only a record pushed as bytes is copied, once. Its file reads
-//! back the same records through every reader.
+//! empty.
 //! [`HeapScan`] reads a file back in sequence (charging reads through the
 //! pool). These are the WiSS services used for base relations, Grace/Hybrid
 //! bucket files, Simple-hash overflow files, sort runs and result
 //! relations.
 
-use std::ops::Range;
-use std::sync::Arc;
-
 use gamma_des::Usage;
 
 use crate::disk::{FileId, Volume};
-use crate::page::{Layout, RefStaging, Staging};
+use crate::page::{Layout, Staging};
 use crate::pool::BufferPool;
 
 /// Buffered appender for one heap file.
@@ -47,45 +39,20 @@ enum Fill {
     Kept(Staging),
     /// By record length alone: the file nothing reads stays empty.
     Unkept(Layout),
-    /// In a by-reference run whose full runs are published into the file.
-    Refs(RefStaging),
-}
-
-/// Where the bytes of a record being appended lie.
-#[derive(Clone)]
-enum Src<'a> {
-    /// One slice.
-    Bytes(&'a [u8]),
-    /// The record `a ‖ b`.
-    Concat(&'a [u8], &'a [u8]),
-    /// A range of a shared image.
-    Shared(&'a Arc<[u8]>, Range<usize>),
-}
-
-impl Src<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Src::Bytes(rec) => rec.len(),
-            Src::Concat(a, b) => a.len() + b.len(),
-            Src::Shared(_, at) => at.len(),
-        }
-    }
 }
 
 impl Fill {
-    /// Place `src` on the page being filled — its bytes copied into a kept
-    /// run, laid out by length alone, or by reference in a by-reference
-    /// run, which copies only a record with no shared image: its slot, or
-    /// `None` if it does not fit.
-    fn insert(&mut self, src: &Src<'_>) -> Option<usize> {
-        match (self, src) {
-            (Fill::Kept(run), Src::Bytes(rec)) => run.insert(rec),
-            (Fill::Kept(run), Src::Concat(a, b)) => run.insert_concat(a, b),
-            (Fill::Kept(run), Src::Shared(image, at)) => run.insert(&image[at.clone()]),
-            (Fill::Unkept(page), src) => page.insert(src.len()),
-            (Fill::Refs(run), Src::Bytes(rec)) => run.copy(rec, &[]),
-            (Fill::Refs(run), Src::Concat(a, b)) => run.copy(a, b),
-            (Fill::Refs(run), Src::Shared(image, at)) => run.refer(image, at.clone()),
+    /// Place a `len`-byte record on the page being filled, writing its
+    /// bytes with `write` when they are kept: its slot, or `None` if it
+    /// does not fit.
+    fn insert(
+        &mut self,
+        len: usize,
+        write: impl FnOnce(&mut Staging) -> Option<usize>,
+    ) -> Option<usize> {
+        match self {
+            Fill::Kept(run) => write(run),
+            Fill::Unkept(page) => page.insert(len),
         }
     }
 
@@ -93,7 +60,6 @@ impl Fill {
         match self {
             Fill::Kept(run) => run.is_empty(),
             Fill::Unkept(page) => page.is_empty(),
-            Fill::Refs(run) => run.is_empty(),
         }
     }
 }
@@ -113,19 +79,6 @@ impl HeapWriter {
     /// file stays empty.
     pub fn create_unkept(vol: &mut Volume, page_bytes: usize) -> Self {
         Self::open(vol.create_file(), Fill::Unkept(Layout::new(page_bytes)))
-    }
-
-    /// Start writing a file whose pages point at the records they are sent
-    /// — a spool or bucket file, written once and read back once. A record
-    /// pushed with [`Self::push_shared`] is not copied: its page refers to
-    /// the image it lies on, which it keeps alive. One pushed as bytes is
-    /// copied once. Every page is charged, sealed and counted as
-    /// [`Self::create`]'s writer does it, at the same records, in a
-    /// by-reference run of `vol`'s, and every reader of the file reads the
-    /// same records from it.
-    pub fn create_by_reference(vol: &mut Volume, page_bytes: usize) -> Self {
-        let file = vol.create_file();
-        Self::open(file, Fill::Refs(vol.take_ref_run(page_bytes)))
     }
 
     fn open(file: FileId, fill: Fill) -> Self {
@@ -157,7 +110,7 @@ impl HeapWriter {
     /// # Panics
     /// Panics if the record cannot fit even in an empty page.
     pub fn push(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage, rec: &[u8]) {
-        self.append(vol, pool, usage, Src::Bytes(rec));
+        self.append(vol, pool, usage, rec.len(), |run| run.insert(rec));
     }
 
     /// Append the record `a ‖ b` — a composed join result, its two halves
@@ -173,46 +126,35 @@ impl HeapWriter {
         a: &[u8],
         b: &[u8],
     ) {
-        self.append(vol, pool, usage, Src::Concat(a, b));
+        let len = a.len() + b.len();
+        self.append(vol, pool, usage, len, |run| run.insert_concat(a, b));
     }
 
-    /// Append the record `image[at]`: by reference in a by-reference
-    /// writer's file, copied as [`Self::push`] copies it in a kept one.
-    ///
-    /// # Panics
-    /// Panics if the record cannot fit even in an empty page, or `at`
-    /// reaches outside `image`.
-    pub fn push_shared(
+    /// Place a `len`-byte record, sealing the page being filled first when
+    /// it does not fit there; `write` writes its bytes into a kept run.
+    fn append(
         &mut self,
         vol: &mut Volume,
         pool: &mut BufferPool,
         usage: &mut Usage,
-        image: &Arc<[u8]>,
-        at: Range<usize>,
+        len: usize,
+        write: impl Fn(&mut Staging) -> Option<usize>,
     ) {
-        assert!(at.end <= image.len(), "record outside its image");
-        self.append(vol, pool, usage, Src::Shared(image, at));
-    }
-
-    /// Place a record, sealing the page being filled first when it does
-    /// not fit there.
-    fn append(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage, src: Src<'_>) {
-        if self.fill.insert(&src).is_none() {
-            let len = src.len();
+        if self.fill.insert(len, &write).is_none() {
             assert!(
                 !self.fill.is_empty(),
                 "record of {len} bytes exceeds page capacity"
             );
             self.seal(vol, pool, usage);
             self.fill
-                .insert(&src)
+                .insert(len, &write)
                 .unwrap_or_else(|| panic!("record of {len} bytes exceeds page capacity"));
         }
         self.records += 1;
     }
 
     /// Charge the write of the page being filled and close it, publishing
-    /// a run when that filled it.
+    /// a kept run when that filled it.
     fn seal(&mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) {
         pool.charge_write(self.file, self.pages, usage);
         self.pages += 1;
@@ -223,34 +165,20 @@ impl HeapWriter {
                 }
             }
             Fill::Unkept(page) => page.seal(),
-            Fill::Refs(run) => {
-                if run.seal() {
-                    vol.append_pages(self.file, run.publish());
-                }
-            }
         }
     }
 
-    /// Write the final partial page, publish what a run holds and give the
-    /// run back to `vol`, and return the file id.
+    /// Write the final partial page, publish what a kept run holds and
+    /// give the run back to `vol`, and return the file id.
     pub fn finish(mut self, vol: &mut Volume, pool: &mut BufferPool, usage: &mut Usage) -> FileId {
         if !self.fill.is_empty() {
             self.seal(vol, pool, usage);
         }
-        match self.fill {
-            Fill::Kept(mut run) => {
-                if run.sealed() > 0 {
-                    vol.append_pages(self.file, run.publish());
-                }
-                vol.return_run(run);
+        if let Fill::Kept(mut run) = self.fill {
+            if run.sealed() > 0 {
+                vol.append_pages(self.file, run.publish());
             }
-            Fill::Unkept(_) => {}
-            Fill::Refs(mut run) => {
-                if run.sealed() > 0 {
-                    vol.append_pages(self.file, run.publish());
-                }
-                vol.return_ref_run(run);
-            }
+            vol.return_run(run);
         }
         self.file
     }
@@ -437,7 +365,7 @@ mod tests {
             assert_eq!((vol.file_pages(f), u.counts.pages_written), (n, n as u64));
             let mut images: Vec<&Arc<[u8]>> = Vec::new();
             for p in 0..n {
-                let image = vol.page(f, p).image().expect("a kept page");
+                let image = vol.page(f, p).image();
                 if !images.iter().any(|i| Arc::ptr_eq(i, image)) {
                     images.push(image);
                 }
@@ -453,7 +381,7 @@ mod tests {
         let mut b = HeapWriter::create(&mut vol, 8192);
         let run = |w: &HeapWriter| match &w.fill {
             Fill::Kept(run) => run.as_ptr(),
-            _ => panic!("a kept writer stages in a run"),
+            Fill::Unkept(_) => panic!("a kept writer stages in a run"),
         };
         let (run_a, run_b) = (run(&a), run(&b));
         assert_ne!(run_a, run_b, "open writers hold a run each");
@@ -513,66 +441,6 @@ mod tests {
         assert_eq!(k_peak, u_peak);
         assert_eq!((kept.file_pages(kf), kept.file_records(kf)), (11, 400));
         assert_eq!((unkept.file_pages(uf), unkept.total_pages()), (0, 0));
-    }
-
-    #[test]
-    fn a_by_reference_writer_charges_and_reads_what_a_kept_one_does() {
-        // 600 records of varying length over 512-byte pages — many runs —
-        // each a range of one of two shared images, one slice, or two
-        // parts: a by-reference writer charges the pages a kept one
-        // charges, on the same pool frames, and its file reads back the
-        // same records, page by page and through a scan, without a copy of
-        // the shared ones.
-        let images: Vec<Arc<[u8]>> = (0..2u8)
-            .map(|i| (0..3200u32).map(|b| (b * 7) as u8 ^ i).collect())
-            .collect();
-        let write = |create: fn(&mut Volume, usize) -> HeapWriter| {
-            let (mut vol, mut pool, mut u) = setup();
-            let mut w = create(&mut vol, 512);
-            for i in 0..600usize {
-                let len = 1 + i * 37 % 120;
-                let (image, at) = (&images[i % 2], i * 5..i * 5 + len);
-                match i % 5 {
-                    0 => w.push(&mut vol, &mut pool, &mut u, &image[at]),
-                    1 => {
-                        let (a, b) = image[at].split_at(len / 3);
-                        w.push_concat(&mut vol, &mut pool, &mut u, a, b);
-                    }
-                    _ => w.push_shared(&mut vol, &mut pool, &mut u, image, at),
-                }
-            }
-            let f = w.finish(&mut vol, &mut pool, &mut u);
-            assert_eq!(vol.idle_runs(), 1, "the run goes back to the volume");
-            let resident: Vec<bool> = (0..vol.file_pages(f))
-                .map(|p| pool.clone().charge_read(f, p, &mut Usage::default()))
-                .collect();
-            let peak = pool.peak_pages();
-            pool.clear();
-            let scanned = HeapScan::open(&vol, f).collect_all(&mut pool, &mut u);
-            (vol, f, u, resident, peak, scanned)
-        };
-        let (kept, kf, ku, k_frames, k_peak, k_scan) = write(HeapWriter::create);
-        let (refs, rf, ru, r_frames, r_peak, r_scan) = write(HeapWriter::create_by_reference);
-        assert_eq!(kf, rf, "same file id");
-        assert!(ku.counts.pages_written > 2 * SEGMENT_PAGES as u64);
-        assert_eq!(ku, ru, "same pages written and read, disk time and events");
-        assert_eq!((k_frames, k_peak), (r_frames, r_peak), "same pool frames");
-        assert_eq!(k_scan, r_scan);
-        assert_eq!(kept.file_pages(kf), refs.file_pages(rf));
-        assert_eq!(kept.file_records(kf), 600);
-        for p in 0..kept.file_pages(kf) {
-            let (k, r) = (kept.page(kf, p), refs.page(rf, p));
-            assert_eq!(k, r, "page {p}: the same image");
-            assert!(r.image().is_none() && k.records().eq(r.records()));
-        }
-        let shared = (0..refs.file_pages(rf))
-            .flat_map(|p| {
-                let page = refs.page(rf, p);
-                (0..page.len()).map(move |s| page.home(s).0.clone())
-            })
-            .filter(|image| images.iter().any(|i| Arc::ptr_eq(i, image)))
-            .count();
-        assert_eq!(shared, 600 * 3 / 5, "every shared record by reference");
     }
 
     #[test]

@@ -32,23 +32,7 @@
 //! reads lays its pages out by record length alone (`Layout`): one rule
 //! decides where a page is full for both, so it seals and charges the
 //! same pages at the same records, and it holds and copies no bytes.
-//!
-//! A temp file — a spool or bucket file, written once and read back once —
-//! is written by reference (`RefStaging`): its records arrived as ranges
-//! of shared images (the segments they were scanned from), and its pages
-//! keep those ranges instead of the bytes. Records are placed by the same
-//! rule, so its pages seal, charge and count as a kept writer's do, and a
-//! run of them is published as one **reference segment**: one
-//! `Arc<[Cell]>` holding the images the run's records lie on, then each
-//! page's header and its records' `(image, range)` references. A record
-//! that arrived with no shared image is copied once, into the run's own
-//! bytes, which join the segment as one more image. Every reader resolves
-//! a record of a reference page to its home image ([`Page::home`]), so a
-//! record written by reference again points at that image, never at
-//! another reference page, and a reference page reads, record by record,
-//! as the byte page of the same records does.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -75,6 +59,12 @@ fn free_end(buf: &[u8]) -> usize {
 /// the directory and the records.
 fn fits(slots: usize, bytes: usize, len: usize, page_bytes: usize) -> bool {
     HEADER + (slots + 1) * SLOT + bytes + len <= page_bytes
+}
+
+fn free_space(buf: &[u8]) -> usize {
+    let dir_end = HEADER + nslots(buf) * SLOT;
+    let free = free_end(buf).saturating_sub(dir_end);
+    free.saturating_sub(SLOT)
 }
 
 /// Make the zeroed image `buf` an empty page: no slots (the zeros say so),
@@ -144,39 +134,11 @@ fn reset(buf: &mut [u8]) {
     format(buf);
 }
 
-/// What a page's records lie in.
-#[derive(Debug, Clone)]
-enum Seg {
-    /// Slotted page images, each record inline on its page.
-    Bytes(Arc<[u8]>),
-    /// A reference segment ([`RefStaging`]): the images its records lie
-    /// on, then each page's header followed by its records' references.
-    Refs(Arc<[Cell]>),
-}
-
-/// One entry of a reference segment.
-#[derive(Debug, Clone)]
-enum Cell {
-    /// An image the segment's records lie on.
-    Image(Arc<[u8]>),
-    /// The head of a page: how many record cells follow it.
-    Page { len: u32 },
-    /// A record: the index of its image's cell and its range there.
-    Rec { image: u32, start: u32, len: u32 },
-}
-
 /// A slotted page of records: a view of one page of a shared segment.
-///
-/// A page of a byte segment holds its records inline. A page of a
-/// reference segment holds where each of its records lies — a range of
-/// an image the record was sent on — and reads each there; its slots,
-/// records and the image it renders ([`Self::as_bytes`]) are those of
-/// the byte page the same records, inserted one by one, fill.
 #[derive(Debug, Clone)]
 pub struct Page {
-    seg: Seg,
-    /// Where the page starts within a byte segment, or the index of its
-    /// header in a reference segment.
+    seg: Arc<[u8]>,
+    /// Where the page starts within `seg`.
     at: u32,
     /// The page's size in bytes.
     size: u32,
@@ -202,7 +164,7 @@ impl Page {
         let mut seg: Arc<[u8]> = std::iter::repeat_n(0u8, page_bytes).collect();
         format(Arc::get_mut(&mut seg).expect("a new image has one handle"));
         Page {
-            seg: Seg::Bytes(seg),
+            seg,
             at: 0,
             size: page_bytes as u32,
         }
@@ -211,20 +173,11 @@ impl Page {
     /// The page's bytes for writing: in place while this is its segment's
     /// only handle, otherwise in a private copy of the page first.
     fn image_mut(&mut self) -> &mut [u8] {
-        let owned = match &mut self.seg {
-            Seg::Bytes(seg) => Arc::get_mut(seg).is_some(),
-            Seg::Refs(_) => false,
-        };
-        if !owned {
-            *self = Page::from_bytes(&self.as_bytes());
+        if Arc::get_mut(&mut self.seg).is_none() {
+            *self = Page::from_bytes(self.as_bytes());
         }
         let (at, size) = (self.at as usize, self.size as usize);
-        match &mut self.seg {
-            Seg::Bytes(seg) => {
-                &mut Arc::get_mut(seg).expect("segment uniquely owned")[at..][..size]
-            }
-            Seg::Refs(_) => unreachable!("a private copy is a byte page"),
-        }
+        &mut Arc::get_mut(&mut self.seg).expect("segment uniquely owned")[at..at + size]
     }
 
     /// Total size of the page in bytes.
@@ -234,13 +187,7 @@ impl Page {
 
     /// Number of records stored.
     pub fn len(&self) -> usize {
-        match &self.seg {
-            Seg::Bytes(_) => nslots(self.bytes()),
-            Seg::Refs(cells) => match cells[self.at as usize] {
-                Cell::Page { len } => len as usize,
-                _ => unreachable!("a reference page starts at its header"),
-            },
-        }
+        nslots(self.as_bytes())
     }
 
     /// True when the page holds no records.
@@ -248,24 +195,15 @@ impl Page {
         self.len() == 0
     }
 
-    /// Records and record bytes stored.
-    fn used(&self) -> (usize, usize) {
-        match &self.seg {
-            Seg::Bytes(_) => (self.len(), self.size() - free_end(self.bytes())),
-            Seg::Refs(_) => (self.len(), self.records().map(<[u8]>::len).sum()),
-        }
-    }
-
     /// Free bytes remaining for one more record (accounting for its slot).
     pub fn free_space(&self) -> usize {
-        let (slots, bytes) = self.used();
-        (self.size() - bytes).saturating_sub(HEADER + (slots + 1) * SLOT)
+        free_space(self.as_bytes())
     }
 
     /// True if a record of `len` bytes fits.
     pub fn fits(&self, len: usize) -> bool {
-        let (slots, bytes) = self.used();
-        fits(slots, bytes, len, self.size())
+        let used = self.size() - free_end(self.as_bytes());
+        fits(self.len(), used, len, self.size())
     }
 
     /// Number of records of fixed size `rec` that fit in an empty page of
@@ -275,7 +213,7 @@ impl Page {
     }
 
     /// Insert a record, returning its slot number, or `None` if it does not
-    /// fit. A page of a reference segment becomes a byte page first.
+    /// fit.
     ///
     /// # Panics
     /// Panics on zero-length records.
@@ -288,68 +226,33 @@ impl Page {
         if slot >= self.len() {
             return None;
         }
-        let (image, at) = self.home(slot);
-        Some(&image[at])
+        let (off, len) = self.slot(slot);
+        Some(&self.as_bytes()[off..off + len])
     }
 
-    /// The image the record in `slot` lies on and its range there: the
-    /// page's own segment for a byte page, the image the record was sent
-    /// on for a reference page.
+    /// Where the record in `slot` lies within [`Self::image`].
     ///
     /// # Panics
     /// Panics if the slot is out of range.
-    pub fn home(&self, slot: usize) -> (&Arc<[u8]>, Range<usize>) {
+    pub fn range(&self, slot: usize) -> Range<usize> {
         assert!(slot < self.len(), "slot {slot} out of range");
-        match &self.seg {
-            Seg::Bytes(seg) => {
-                let (off, len) = self.slot(slot);
-                let start = self.at as usize + off;
-                (seg, start..start + len)
-            }
-            Seg::Refs(cells) => match cells[self.at as usize + 1 + slot] {
-                Cell::Rec { image, start, len } => match &cells[image as usize] {
-                    Cell::Image(image) => (image, start as usize..(start + len) as usize),
-                    _ => unreachable!("a record's image is an image cell"),
-                },
-                _ => unreachable!("a page's header is followed by its records"),
-            },
-        }
+        let (off, len) = self.slot(slot);
+        let start = self.offset() + off;
+        start..start + len
     }
 
-    /// One code per record, in slot order, that [`Self::place`] resolves
-    /// to the record's home: what a reader holding a clone of this page
-    /// keeps to find the records without copying them.
-    pub fn places(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
-        let refs = matches!(self.seg, Seg::Refs(_));
-        (0..self.len()).map(move |s| {
-            if refs {
-                return s as u32;
-            }
-            // A page is at most 64 KB, so an in-page offset and a length
-            // fit 16 bits each.
-            let (off, len) = self.slot(s);
-            (off as u32) << 16 | len as u32
-        })
-    }
-
-    /// The home ([`Self::home`]) of the record a code from
-    /// [`Self::places`] stands for.
-    #[inline]
-    pub fn place(&self, code: u32) -> (&Arc<[u8]>, Range<usize>) {
-        match &self.seg {
-            Seg::Bytes(seg) => {
-                let start = self.at as usize + (code >> 16) as usize;
-                (seg, start..start + (code & 0xFFFF) as usize)
-            }
-            Seg::Refs(_) => self.home(code as usize),
-        }
-    }
-
-    /// `(offset, length)` of the record in `slot` within a byte page.
+    /// `(offset, length)` of the record in `slot` within [`Self::as_bytes`].
     fn slot(&self, slot: usize) -> (usize, usize) {
         let dir = HEADER + slot * SLOT;
-        let mut d = &self.bytes()[dir..dir + 4];
+        let mut d = &self.as_bytes()[dir..dir + 4];
         (d.get_u16_le() as usize, d.get_u16_le() as usize)
+    }
+
+    /// `(offset, length)` of every record within [`Self::as_bytes`], in
+    /// slot order — what a reader holding a clone of this page needs to
+    /// find the records without copying them.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        (0..self.len()).map(move |s| self.slot(s))
     }
 
     /// Iterate over the records in slot order.
@@ -357,47 +260,28 @@ impl Page {
         (0..self.len()).map(move |s| self.get(s).expect("slot in range"))
     }
 
-    /// A byte page's image.
-    fn bytes(&self) -> &[u8] {
-        match &self.seg {
-            Seg::Bytes(seg) => &seg[self.at as usize..][..self.size as usize],
-            Seg::Refs(_) => unreachable!("a reference page has no image of its own"),
-        }
+    /// Serialize the page (it already is its on-disk image).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.seg[self.at as usize..][..self.size as usize]
     }
 
-    /// The page's on-disk image: borrowed from a byte page's segment, and
-    /// rendered for a reference page — the image its records, inserted in
-    /// slot order into an empty page, give.
-    pub fn as_bytes(&self) -> Cow<'_, [u8]> {
-        match &self.seg {
-            Seg::Bytes(_) => Cow::Borrowed(self.bytes()),
-            Seg::Refs(_) => {
-                let mut page = Page::new(self.size());
-                for rec in self.records() {
-                    page.insert(rec)
-                        .expect("a reference page's records fit its size");
-                }
-                Cow::Owned(page.bytes().to_vec())
-            }
-        }
+    /// The shared segment behind [`Self::as_bytes`], which starts at
+    /// [`Self::offset`] in it: a clone of it keeps these bytes readable,
+    /// unchanged, for as long as the clone lives — and the segment's other
+    /// pages with them.
+    pub fn image(&self) -> &Arc<[u8]> {
+        &self.seg
     }
 
-    /// The shared segment a byte page lies in — a clone of it keeps the
-    /// page's bytes readable, unchanged, for as long as the clone lives,
-    /// and the segment's other pages with them — or `None` for a page of
-    /// a reference segment, whose records lie on the images [`Self::home`]
-    /// names.
-    pub fn image(&self) -> Option<&Arc<[u8]>> {
-        match &self.seg {
-            Seg::Bytes(seg) => Some(seg),
-            Seg::Refs(_) => None,
-        }
+    /// Where the page starts within [`Self::image`].
+    pub fn offset(&self) -> usize {
+        self.at as usize
     }
 
     /// Rebuild a page from its on-disk image, alone in its segment.
     pub fn from_bytes(bytes: &[u8]) -> Self {
         Page {
-            seg: Seg::Bytes(Arc::from(bytes)),
+            seg: Arc::from(bytes),
             at: 0,
             size: bytes.len() as u32,
         }
@@ -490,173 +374,9 @@ impl Staging {
         let seg: Arc<[u8]> = Arc::from(&self.buf[..n * pb]);
         self.buf[..n * pb].chunks_exact_mut(pb).for_each(reset);
         (0..n).map(move |i| Page {
-            seg: Seg::Bytes(Arc::clone(&seg)),
+            seg: Arc::clone(&seg),
             at: (i * pb) as u32,
             size: pb as u32,
-        })
-    }
-}
-
-/// Marks a staged record copied into its run's own image.
-const COPIED: u32 = u32::MAX;
-
-/// A by-reference run: [`SEGMENT_PAGES`] pages one writer fills with
-/// references to the records it is sent, placed by the rule
-/// [`Staging::insert`] places records by ([`Layout`]), and publishes as
-/// one reference segment. A record sent on a shared image is not copied:
-/// its page points at the image and the range the record lies in. A
-/// record with no shared image (a hash-table eviction) is copied once,
-/// into the run's own bytes, which are published with the segment as one
-/// more image. Runs belong to a volume, which hands a closed writer's run
-/// to the next writer it opens.
-#[derive(Debug, Clone)]
-pub(crate) struct RefStaging {
-    /// The page being filled, laid out by length.
-    layout: Layout,
-    /// The images the run's records lie on, in order of first use.
-    images: Vec<Arc<[u8]>>,
-    /// Each page's header followed by its records' references; a copied
-    /// record's image is [`COPIED`].
-    cells: Vec<Cell>,
-    /// The copied records' bytes, back to back.
-    copies: Vec<u8>,
-    /// Where each page's header lies in `cells`: the sealed pages', then
-    /// that of the page being filled.
-    heads: [u32; SEGMENT_PAGES],
-    /// Pages sealed since the last publish; the page being filled follows.
-    sealed: usize,
-}
-
-impl RefStaging {
-    /// A run of empty pages of `page_bytes` total size each.
-    ///
-    /// # Panics
-    /// Panics if a page is too small to hold the header plus one slot.
-    pub fn new(page_bytes: usize) -> Self {
-        RefStaging {
-            layout: Layout::new(page_bytes),
-            images: Vec::new(),
-            cells: Vec::new(),
-            copies: Vec::new(),
-            heads: [0; SEGMENT_PAGES],
-            sealed: 0,
-        }
-    }
-
-    /// Size of each page of the run.
-    pub fn page_bytes(&self) -> usize {
-        self.layout.page_bytes
-    }
-
-    /// Pages sealed and not yet published.
-    pub fn sealed(&self) -> usize {
-        self.sealed
-    }
-
-    /// True when no record was placed on the page being filled.
-    pub fn is_empty(&self) -> bool {
-        self.layout.is_empty()
-    }
-
-    /// Place a `len`-byte record on the page being filled, heading the
-    /// page when it is the first: its slot, or `None` if it does not fit.
-    fn place(&mut self, len: usize) -> Option<usize> {
-        let slot = self.layout.insert(len)?;
-        if self.cells.capacity() == 0 {
-            // Room for a full run of records like the first one.
-            let per_page = Page::capacity_for(self.page_bytes(), len) + 1;
-            self.cells.reserve(SEGMENT_PAGES * per_page);
-        }
-        if slot == 0 {
-            self.heads[self.sealed] = self.cells.len() as u32;
-            self.cells.push(Cell::Page { len: 0 });
-        }
-        Some(slot)
-    }
-
-    /// Place the record `image[at]` by reference, as [`Staging::insert`]
-    /// places a record of its length.
-    pub fn refer(&mut self, image: &Arc<[u8]>, at: Range<usize>) -> Option<usize> {
-        let slot = self.place(at.len())?;
-        if !self.images.last().is_some_and(|i| Arc::ptr_eq(i, image)) {
-            self.images.push(Arc::clone(image));
-        }
-        self.cells.push(Cell::Rec {
-            image: (self.images.len() - 1) as u32,
-            start: u32::try_from(at.start).expect("an image of at most 4 GiB"),
-            len: at.len() as u32,
-        });
-        Some(slot)
-    }
-
-    /// Place the record `a ‖ b` as [`Staging::insert_concat`] does,
-    /// copying it into the run's own bytes.
-    pub fn copy(&mut self, a: &[u8], b: &[u8]) -> Option<usize> {
-        let slot = self.place(a.len() + b.len())?;
-        if self.copies.capacity() == 0 {
-            self.copies.reserve(SEGMENT_PAGES * self.page_bytes());
-        }
-        let start = self.copies.len() as u32;
-        self.copies.extend_from_slice(a);
-        self.copies.extend_from_slice(b);
-        let len = (a.len() + b.len()) as u32;
-        self.cells.push(Cell::Rec {
-            image: COPIED,
-            start,
-            len,
-        });
-        Some(slot)
-    }
-
-    /// Close the page being filled and move on to the next; true when that
-    /// filled the run, which must then be published.
-    pub fn seal(&mut self) -> bool {
-        debug_assert!(self.sealed < SEGMENT_PAGES, "a full run is published");
-        let len = self.layout.len() as u32;
-        self.cells[self.heads[self.sealed] as usize] = Cell::Page { len };
-        self.layout.seal();
-        self.sealed += 1;
-        self.sealed == SEGMENT_PAGES
-    }
-
-    /// Publish the sealed pages as one reference segment — the images the
-    /// records lie on, the copied records' image when there are any, and
-    /// every page's header and references — and start the run over empty,
-    /// keeping its vectors.
-    pub fn publish(&mut self) -> impl Iterator<Item = Page> {
-        let own = self.images.len() as u32;
-        let copies = (!self.copies.is_empty()).then(|| Arc::<[u8]>::from(&self.copies[..]));
-        self.copies.clear();
-        let first = own + u32::from(copies.is_some());
-        let refs = self.cells.drain(..).map(move |cell| match cell {
-            Cell::Rec {
-                image: COPIED,
-                start,
-                len,
-            } => Cell::Rec {
-                image: own,
-                start,
-                len,
-            },
-            cell => cell,
-        });
-        // Exact-size parts: the segment is one allocation.
-        let seg: Arc<[Cell]> = self
-            .images
-            .drain(..)
-            .chain(copies)
-            .map(Cell::Image)
-            .chain(refs)
-            .collect();
-        let (n, heads, size) = (
-            std::mem::take(&mut self.sealed),
-            self.heads,
-            self.page_bytes(),
-        );
-        (0..n).map(move |i| Page {
-            seg: Seg::Refs(Arc::clone(&seg)),
-            at: first + heads[i],
-            size: size as u32,
         })
     }
 }
@@ -690,11 +410,6 @@ impl Layout {
     /// True when no record was placed on the page.
     pub fn is_empty(&self) -> bool {
         self.slots == 0
-    }
-
-    /// Records placed on the page.
-    pub fn len(&self) -> usize {
-        self.slots
     }
 
     /// Place a `len`-byte record, returning its slot number, or `None` if
@@ -777,7 +492,7 @@ mod tests {
         let mut p = Page::new(4096);
         p.insert(b"abc").unwrap();
         p.insert(b"defgh").unwrap();
-        let q = Page::from_bytes(&p.as_bytes());
+        let q = Page::from_bytes(p.as_bytes());
         assert_eq!(p, q);
         assert_eq!(q.get(1), Some(&b"defgh"[..]));
     }
@@ -832,23 +547,18 @@ mod tests {
                     "file {file} page {i}: same image, stale bytes zeroed"
                 );
                 assert_eq!(got.size(), 512);
-                let (image, at) = got.home(0);
-                assert!(Arc::ptr_eq(image, got.image().unwrap()));
-                assert_eq!(at.start, i % SEGMENT_PAGES * 512 + 512 - at.len());
-                assert_eq!(
-                    Some(&image[at]),
-                    want.get(0),
-                    "ranges lie within the segment"
-                );
+                assert_eq!(got.offset(), i % SEGMENT_PAGES * 512);
+                let first = &got.image()[got.range(0)];
+                assert_eq!(Some(first), want.get(0), "ranges lie within the segment");
             }
             assert_eq!(got.len(), want.len());
             let segments = [(0, 8), (8, 8), (16, 4)];
             for (first, pages) in segments {
-                let seg = got[first].image().unwrap();
+                let seg = got[first].image();
                 assert_eq!(seg.len(), pages * 512, "file {file}: published pages only");
                 assert!(got[first..first + pages]
                     .iter()
-                    .all(|p| Arc::ptr_eq(p.image().unwrap(), seg)));
+                    .all(|p| Arc::ptr_eq(p.image(), seg)));
             }
         }
         assert!(run.is_empty());
@@ -922,102 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn a_reference_run_places_and_reads_what_a_staging_run_does() {
-        // Records of random lengths, on small and Gamma-sized pages, each
-        // either a range of one of three shared images or copied (one
-        // slice or two parts): the by-reference run takes the slot a
-        // staging run takes for every record and seals at the same
-        // records; once published, each of its pages renders the staged
-        // page's image, and each record reads from the image it was placed
-        // from, or from the run's own copy.
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move |n: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng % n
-        };
-        for (page_bytes, longest) in [(64, 56), (512, 200), (8192, 420)] {
-            let images: Vec<Arc<[u8]>> = (0..3u8)
-                .map(|i| (0..4 * page_bytes).map(|b| b as u8 ^ i).collect())
-                .collect();
-            let (mut run, mut refs) = (Staging::new(page_bytes), RefStaging::new(page_bytes));
-            let (mut want, mut got, mut homes) = (Vec::new(), Vec::new(), Vec::new());
-            let mut page = Vec::new();
-            for i in 0..1500u64 {
-                let len = 1 + next(longest) as usize;
-                let image = &images[next(3) as usize];
-                let at = next((image.len() - len) as u64) as usize..;
-                let at = at.start..at.start + len;
-                let copied = next(4) == 0;
-                let cut = next(len as u64 + 1) as usize;
-                let rec = &image[at.clone()];
-                let place = |refs: &mut RefStaging| match (copied, i % 2) {
-                    (false, _) => refs.refer(image, at.clone()),
-                    (true, 0) => refs.copy(rec, &[]),
-                    (true, _) => refs.copy(&rec[..cut], &rec[cut..]),
-                };
-                let slot = run.insert(rec);
-                assert_eq!(place(&mut refs), slot, "{page_bytes}: record {i}");
-                if slot.is_none() {
-                    assert!(!refs.is_empty());
-                    want.push(std::mem::take(&mut page));
-                    if run.seal() {
-                        got.extend(run.publish());
-                    }
-                    if refs.seal() {
-                        homes.extend(refs.publish());
-                    }
-                    assert_eq!(place(&mut refs), run.insert(rec));
-                }
-                page.push((rec.to_vec(), (!copied).then(|| (image.clone(), at))));
-            }
-            want.push(page);
-            run.seal();
-            refs.seal();
-            got.extend(run.publish());
-            homes.extend(refs.publish());
-            assert_eq!((run.sealed(), refs.sealed(), refs.is_empty()), (0, 0, true));
-            assert_eq!(homes.len(), want.len());
-            for ((staged, page), want) in got.iter().zip(&homes).zip(&want) {
-                assert_eq!(page, staged, "{page_bytes}: the staged page's image");
-                assert_eq!((page.len(), page.size()), (want.len(), page_bytes));
-                assert_eq!(page.image(), None);
-                assert!(page
-                    .records()
-                    .eq(want.iter().map(|(rec, _)| rec.as_slice())));
-                for (slot, (rec, from)) in want.iter().enumerate() {
-                    let (image, at) = page.home(slot);
-                    assert_eq!(&image[at.clone()], rec.as_slice());
-                    let code = page.places().nth(slot).unwrap();
-                    assert_eq!(page.place(code), (image, at.clone()));
-                    match from {
-                        Some((from, range)) => {
-                            assert!(Arc::ptr_eq(image, from) && at == *range, "by reference");
-                        }
-                        None => assert!(images.iter().all(|i| !Arc::ptr_eq(i, image))),
-                    }
-                }
-            }
-            for run in homes.chunks(SEGMENT_PAGES) {
-                let seg = |p: &Page| match &p.seg {
-                    Seg::Refs(cells) => Arc::as_ptr(cells),
-                    Seg::Bytes(_) => panic!("a reference page"),
-                };
-                assert!(
-                    run.iter().all(|p| std::ptr::addr_eq(seg(p), seg(&run[0]))),
-                    "one segment a run"
-                );
-            }
-            let mut copy = homes[0].clone();
-            let first = copy.get(0).unwrap().to_vec();
-            let _ = copy.insert(&[7; 3]);
-            assert_eq!(copy.get(0), Some(&first[..]), "written as a byte page");
-            assert!(copy.image().is_some() && homes[0].image().is_none());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "zero-length")]
     fn a_layout_rejects_zero_length_records() {
         Layout::new(1024).insert(0);
@@ -1034,11 +648,7 @@ mod tests {
         let mut p = pages[1].clone();
         p.insert(b"third").unwrap();
         assert_eq!(p.size(), 256);
-        assert_eq!(
-            p.image().unwrap().len(),
-            256,
-            "a private copy of the one page"
-        );
+        assert_eq!(p.offset(), 0, "a private copy of the one page");
         assert!(p.records().eq([&b"second"[..], b"third"]));
         assert!(
             pages[1].records().eq([&b"second"[..]]),

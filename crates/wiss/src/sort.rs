@@ -126,9 +126,10 @@ impl<K> Run<K> {
         input: &'r [Page],
         at: usize,
     ) -> impl Iterator<Item = (&'r Arc<[u8]>, Range<usize>)> + 'r {
-        self.order[at..]
-            .iter()
-            .map(move |&(_, (page, slot))| input[page as usize].home(slot as usize))
+        self.order[at..].iter().map(move |&(_, (page, slot))| {
+            let page = &input[page as usize];
+            (page.image(), page.range(slot as usize))
+        })
     }
 }
 

@@ -70,24 +70,11 @@
 # per up to `SEGMENT_PAGES` pages — by `Staging::publish`. An allocation
 # in `seal`, a second one in `publish`, a run made per writer in
 # `heap.rs`, or the per-page `PageBuilder` is one image per page written
-# again. A spool or bucket file is written by reference, in a
-# `RefStaging` run the volume hands out likewise (`take_ref_run` /
-# `return_ref_run`): `RefStaging::seal` allocates nothing, and
-# `RefStaging::publish` makes one allocation per run — the reference
-# segment, collected from exact-size parts — plus, only when the run
-# copied records that arrived with no shared image, that copy's image
-# (`Arc::from`). A second collect, a `to_vec`, or an `Arc::new` there is
-# a second image per run; a per-record allocation in `refer` or `copy`
-# is the record copied again.
-#
-# The consumers keep what arrived by reference by reference: the build
-# stage, the spools and the bucket files (`exec/hash.rs`) take each
-# message as a part (`m.part()`), never its bare `m.payload`; `on_spool`
-# and `on_bucket` append through `store`, which hands a record's image to
-# `HeapWriter::push_shared`, and never push or `ctx.send` a record
-# themselves; and the build stage forwards a diverted tuple with
-# `ctx.send_rec`, never the copying `ctx.send(`, whose one use there is
-# a hash-table eviction (its bytes have no shared image). A writer whose file nothing reads (`HeapWriter::create_unkept`)
+# again. The build stage keeps what arrived by reference by reference:
+# it takes each message as a part (`m.part()`), never its bare
+# `m.payload`, and forwards a diverted tuple to its `R'` spool with
+# `ctx.send_rec`; its one copying `ctx.send(` is a hash-table eviction,
+# whose bytes have no shared image. A writer whose file nothing reads (`HeapWriter::create_unkept`)
 # takes no staging run and copies no record bytes: it lays its pages out
 # by length in a `Layout`, which holds and writes no bytes. The sort
 # (`crates/wiss/src/sort.rs`) writes its runs as orders over the input's
@@ -273,69 +260,32 @@ fi
 
 # Closing a page allocates nothing; a run is published as one segment.
 f=crates/wiss/src/page.rs
-body() { # type, fn name -> the body of that type's method of that name
-    awk -v ty="^impl $1 " -v fn="fn $2(" '$0~ty{on=1} on&&index($0,fn){s=1} s{print} s&&/^    }$/{exit}' "$f"
+body() { # fn name -> the body of Staging's method of that name
+    awk -v fn="fn $1(" '/^impl Staging/{on=1} on&&index($0,fn){s=1} s{print} s&&/^    }$/{exit}' "$f"
 }
-for ty in Staging RefStaging; do
-    b=$(body $ty seal)
-    if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
-        grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|(^|[^:])\bPage( \{|::)|publish\('; then
-        echo "error: $f: $ty::seal must work in place, without allocating:" >&2
-        echo "$b" | sed "s|^|  |" >&2
-        fail=1
-    fi
-done
-if [ "$(body Staging publish | grep -cE 'Arc::from|Arc::new|collect|to_vec')" -ne 1 ]; then
+b=$(body seal)
+if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
+    grep -qE 'Arc::|Box::|Vec|vec!|collect|to_vec|to_owned|clone\(|Page( \{|::)|publish\('; then
+    echo "error: $f: Staging::seal must work in place, without allocating:" >&2
+    echo "$b" | sed "s|^|  |" >&2
+    fail=1
+fi
+if [ "$(body publish | grep -cE 'Arc::from|Arc::new|collect|to_vec')" -ne 1 ]; then
     echo "error: $f: Staging::publish must make exactly one image, the segment, per run:" >&2
-    body Staging publish | sed "s|^|  |" >&2
+    body publish | sed "s|^|  |" >&2
     fail=1
 fi
-b=$(body RefStaging publish | grep -vE '^\s*//')
-if [ "$(grep -cE 'collect|to_vec|Arc::new|Box::|Vec::|vec!' <<<"$b")" -ne 1 ] ||
-    ! grep -qE 'collect\(\)' <<<"$b" ||
-    [ "$(grep -cE 'Arc::' <<<"$b")" -ne 2 ] ||
-    ! grep -qE 'then\(\|\| Arc::<\[u8\]>::from\(' <<<"$b"; then
-    echo "error: $f: RefStaging::publish must make one allocation per run, the segment," >&2
-    echo "  plus the copied records' image only when there are any:" >&2
-    body RefStaging publish | sed "s|^|  |" >&2
-    fail=1
-fi
-for fn in refer copy; do
-    b=$(body RefStaging $fn)
-    if [ -z "$b" ] || grep -vE '^\s*//' <<<"$b" |
-        grep -qE 'to_vec|to_owned|Box::|Vec::|vec!|collect|Arc::from|Arc::new'; then
-        echo "error: $f: RefStaging::$fn allocates per record:" >&2
-        echo "$b" | sed "s|^|  |" >&2
-        fail=1
-    fi
-done
-
-# The consumers keep what arrived by reference by reference.
+# The build stage forwards a diverted tuple by reference.
 f=crates/core/src/exec/hash.rs
 src=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f")
-method() { # JoinNode method or free fn name -> its body
-    awk -v fn="fn $1(" 'index($0,fn){s=1} s{print} s&&/^(    )?}$/{exit}' <<<"$src"
-}
-hits=$(grep -nE 'TAG_(BUILD|SPOOL_R|SPOOL_S|BUCKET)\b.*m\.payload' <<<"$src" || true)
-for fn in on_spool on_bucket; do
-    b=$(method $fn)
-    if [ -z "$b" ] || ! grep -q 'store(' <<<"$b"; then
-        hits+=$'\n'"$fn appends without store: $(grep -c . <<<"$b") lines"
-    fi
-    hits+=$(grep -vE '^\s*//' <<<"$b" | grep -E '\.push(_concat)?\(|ctx\.send\(' |
-        sed "s|^|"$'\\\n'"$fn: |" || true)
-done
-b=$(method store)
-if [ -z "$b" ] || ! grep -q 'push_shared(' <<<"$b"; then
-    hits+=$'\n'"store does not push records by reference"
-fi
-b=$(method on_build)
-if [ "$(grep -vE '^\s*//' <<<"$b" | grep -cE 'ctx\.send\(')" -ne 1 ] ||
+b=$(awk 'index($0,"fn on_build("){s=1} s{print} s&&/^    }$/{exit}' <<<"$src")
+hits=$(grep -nE 'TAG_BUILD\b.*m\.payload' <<<"$src" || true)
+if [ -z "$b" ] || [ "$(grep -vE '^\s*//' <<<"$b" | grep -cE 'ctx\.send\(')" -ne 1 ] ||
     ! grep -qE 'ctx\.send\(home, spool_tag, site\.table\.slice\(range\)\)' <<<"$b"; then
-    hits+=$'\n'"on_build: only an eviction is sent by copy:"$'\n'"$(grep -nE 'ctx\.send(_rec)?\(' <<<"$b")"
+    hits+=$'\n'"$(grep -nE 'ctx\.send(_rec)?\(' <<<"$b")"
 fi
 if [ -n "${hits//[$'\n']/}" ]; then
-    echo "error: $f copies a record that arrived by reference into a spool, a bucket or the exchange:" >&2
+    echo "error: $f: the build stage copies a tuple that arrived by reference; only an eviction is sent by copy:" >&2
     echo "$hits" | grep . | sed "s|^|  |" >&2
     fail=1
 fi
@@ -529,4 +479,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, spool and bucket files kept by reference with one allocation per run, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, diverted build tuples forwarded by reference, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
