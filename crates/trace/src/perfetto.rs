@@ -42,38 +42,8 @@ pub struct CounterSeries {
     pub points: Vec<(u64, i64)>,
 }
 
-/// Where the exporter writes: a count of the document's bytes, or the
-/// document itself.
-enum Out {
-    Measure(usize),
-    Render(String),
-}
-
-impl Out {
-    fn push_str(&mut self, s: &str) {
-        match self {
-            Out::Measure(len) => *len += s.len(),
-            Out::Render(doc) => doc.push_str(s),
-        }
-    }
-
-    fn push(&mut self, c: char) {
-        match self {
-            Out::Measure(len) => *len += c.len_utf8(),
-            Out::Render(doc) => doc.push(c),
-        }
-    }
-}
-
-impl std::fmt::Write for Out {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.push_str(s);
-        Ok(())
-    }
-}
-
 /// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str, out: &mut Out) {
+fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -90,7 +60,7 @@ fn escape(s: &str, out: &mut Out) {
 }
 
 /// Writes what it is given, escaped as [`escape`] escapes it.
-struct Escaped<'a>(&'a mut Out);
+struct Escaped<'a>(&'a mut String);
 
 impl std::fmt::Write for Escaped<'_> {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -99,7 +69,7 @@ impl std::fmt::Write for Escaped<'_> {
     }
 }
 
-fn push_meta(out: &mut Out, pid: u32, name: std::fmt::Arguments<'_>) {
+fn push_meta(out: &mut String, pid: u32, name: std::fmt::Arguments<'_>) {
     out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
     let _ = write!(out, "{pid}");
     out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
@@ -108,7 +78,7 @@ fn push_meta(out: &mut Out, pid: u32, name: std::fmt::Arguments<'_>) {
 }
 
 /// Append the `args` object for a discrete event.
-fn push_args(out: &mut Out, kind: &EventKind) {
+fn push_args(out: &mut String, kind: &EventKind) {
     match kind {
         EventKind::DiskRead { file, page } | EventKind::DiskWrite { file, page } => {
             let _ = write!(out, "{{\"file\":{file},\"page\":{page}}}");
@@ -146,29 +116,11 @@ pub fn to_json(sink: &TraceSink) -> String {
 /// Like [`to_json`], but merges externally produced counter tracks (e.g.
 /// gamma-prof flight-recorder time series) into the same document. With
 /// an empty `extra` slice the output is byte-identical to [`to_json`].
-///
-/// The document is rendered twice: once to count its bytes, then into a
-/// buffer of exactly that size, which never regrows.
 pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> String {
-    let mut size = Out::Measure(0);
-    render(sink, extra, &mut size);
-    let Out::Measure(len) = size else {
-        unreachable!("measured")
-    };
-    let mut out = Out::Render(String::with_capacity(len));
-    render(sink, extra, &mut out);
-    let Out::Render(doc) = out else {
-        unreachable!("rendered")
-    };
-    debug_assert_eq!(doc.len(), len, "the measured size");
-    doc
-}
-
-/// Write the document `to_json_with_counters` returns into `out`.
-fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
+    let mut out = String::with_capacity(256 + sink.len() * 96);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
-    let mut sep = |out: &mut Out| {
+    let mut sep = |out: &mut String| {
         if !std::mem::take(&mut first) {
             out.push_str(",\n");
         }
@@ -182,12 +134,12 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
         .max()
         .unwrap_or(0);
     for n in 0..nodes {
-        sep(out);
-        push_meta(out, n as u32, format_args!("node {n}"));
+        sep(&mut out);
+        push_meta(&mut out, n as u32, format_args!("node {n}"));
     }
     if sink.totals.sim_steps > 0 || extra.iter().any(|c| c.pid == SCHEDULER_PID) {
-        sep(out);
-        push_meta(out, SCHEDULER_PID, format_args!("scheduler"));
+        sep(&mut out);
+        push_meta(&mut out, SCHEDULER_PID, format_args!("scheduler"));
     }
 
     // Phase spans: one "X" per (phase, node) with dur = node busy time.
@@ -200,9 +152,9 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
             if usage.demand_us() == 0 {
                 continue;
             }
-            sep(out);
+            sep(&mut out);
             out.push_str("{\"name\":\"");
-            escape(&ph.name, out);
+            escape(&ph.name, &mut out);
             let _ = write!(
                 out,
                 "\",\"ph\":\"X\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"dur\":{}",
@@ -238,7 +190,7 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
             if usage.demand_us() == 0 {
                 continue;
             }
-            sep(out);
+            sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"name\":\"utilisation %\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"args\":{{\"cpu\":{},\"disk\":{},\"net\":{}}}}}",
@@ -246,7 +198,7 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
                 usage.disk_us * 100 / dur,
                 usage.net_us * 100 / dur,
             );
-            sep(out);
+            sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"name\":\"queue depth (milli)\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"args\":{{\"disk\":{},\"net\":{}}}}}",
@@ -254,12 +206,12 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
                 usage.net_wait_us * 1000 / dur,
             );
             let end = start + dur;
-            sep(out);
+            sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"name\":\"utilisation %\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{end},\"args\":{{\"cpu\":0,\"disk\":0,\"net\":0}}}}"
             );
-            sep(out);
+            sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"name\":\"queue depth (milli)\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{end},\"args\":{{\"disk\":0,\"net\":0}}}}"
@@ -271,9 +223,9 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
     // integer timestamps and values only, no reordering.
     for series in extra {
         for &(ts, value) in series.points.iter() {
-            sep(out);
+            sep(&mut out);
             out.push_str("{\"name\":\"");
-            escape(&series.name, out);
+            escape(&series.name, &mut out);
             let _ = write!(
                 out,
                 "\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{ts},\"args\":{{\"value\":{value}}}}}",
@@ -292,7 +244,7 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
         } else {
             ev.node as u32
         };
-        sep(out);
+        sep(&mut out);
         match ev.kind {
             EventKind::SpanBegin { name } => {
                 let _ = write!(
@@ -313,13 +265,14 @@ fn render(sink: &TraceSink, extra: &[CounterSeries], out: &mut Out) {
                     out,
                     "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":"
                 );
-                push_args(out, &kind);
+                push_args(&mut out, &kind);
                 out.push('}');
             }
         }
     }
 
     out.push_str("\n]}\n");
+    out
 }
 
 /// Drop-in check that a document at least parses as the expected shape.
@@ -438,34 +391,8 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        let (mut len, mut s) = (Out::Measure(0), Out::Render(String::new()));
-        escape("a\"b\\c\nd\u{1}é", &mut len);
-        escape("a\"b\\c\nd\u{1}é", &mut s);
-        let (Out::Measure(len), Out::Render(s)) = (len, s) else {
-            unreachable!()
-        };
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001é");
-        assert_eq!(len, s.len(), "measured as written");
-    }
-
-    #[test]
-    fn the_export_is_written_into_a_buffer_of_its_size() {
-        let mut sink = TraceSink::unbounded();
-        for i in 0..500u32 {
-            let kind = EventKind::DiskWrite {
-                file: i,
-                page: i * 77,
-            };
-            sink.emit((i % 2) as u16, u64::from(i) * 10, kind);
-        }
-        let usage = NodeUsage {
-            cpu_us: 4_000,
-            ..Default::default()
-        };
-        sink.seal_phase("scan \"all\"", vec![usage; 2]);
-        sink.phase_replayed(0, 20, 5_000);
-        let doc = to_json(&sink);
-        assert!(looks_like_trace_json(&doc) && doc.len() > 500 * 60);
-        assert_eq!(doc.capacity(), doc.len(), "sized once, never regrown");
+        let mut s = String::new();
+        escape("a\"b\\c\nd", &mut s);
+        assert_eq!(s, "a\\\"b\\\\c\\nd");
     }
 }
