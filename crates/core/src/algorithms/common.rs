@@ -1,5 +1,7 @@
 //! Shared driver plumbing: the resolved execution plan.
 
+use std::sync::Arc;
+
 use gamma_wiss::FileId;
 
 use crate::machine::NodeId;
@@ -30,8 +32,9 @@ impl RangePred {
 /// `query::run_join`.
 #[derive(Debug, Clone)]
 pub struct Resolved {
-    /// Join processors (disk nodes for "local", diskless for "remote").
-    pub join_nodes: Vec<NodeId>,
+    /// Join processors (disk nodes for "local", diskless for "remote"),
+    /// shared with the machine's list and every pass's join sites.
+    pub join_nodes: Arc<[NodeId]>,
     /// Bucket count for Grace/Hybrid (1 for Simple/Sort-Merge).
     pub buckets: usize,
     /// Hash-table bytes per join site (sort/merge bytes per node for
@@ -81,7 +84,7 @@ impl Resolved {
     /// option off, no input fragments and the result kept — unit tests
     /// fill in what they exercise.
     pub(crate) fn for_test(
-        join_nodes: Vec<NodeId>,
+        join_nodes: Arc<[NodeId]>,
         capacity_per_site: u64,
         attr: Attr,
         tuple_bytes: u64,

@@ -31,6 +31,7 @@
 //! tuple loop dispatches on configuration.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 use gamma_des::{Event, SimTime};
 use gamma_wiss::FileId;
@@ -130,7 +131,7 @@ pub(super) struct Pass<'a> {
     /// spill-join rounds).
     pub route: Option<(&'a PartitioningSplitTable, u64)>,
     /// Join processes, in site order (none while Grace forms buckets).
-    pub sites: &'a [NodeId],
+    pub sites: Arc<[NodeId]>,
     /// Pass number seeding the sites' `h'` functions.
     pub hprime: u32,
     /// Salt of the sites' bit filters.
@@ -694,7 +695,7 @@ impl<'a> HashJoin<'a> {
         let first = if p.sites.is_empty() { 1 } else { 2 };
         let last = p.route.map_or(0, |(table, _)| table.buckets());
         let mut form = p.form.take();
-        let sites = consumers.install_sites(machine, rz, p.sites, p.hprime, p.filter_salt);
+        let sites = consumers.install_sites(machine, rz, &p.sites, p.hprime, p.filter_salt);
 
         // ---- build half: route the inner input into the sites' hash
         // tables and the spooled buckets' files. ----
@@ -732,7 +733,7 @@ impl<'a> HashJoin<'a> {
             if stored {
                 sched += dispatch_overhead(machine, &mut ledgers, p.inner.nodes, table_bytes);
             }
-            sched += dispatch_overhead(machine, &mut ledgers, p.sites, table_bytes);
+            sched += dispatch_overhead(machine, &mut ledgers, &p.sites, table_bytes);
             self.phases.push(PhaseRecord::new(name, ledgers, sched));
             ledgers = machine.ledgers();
         }
@@ -757,7 +758,7 @@ impl<'a> HashJoin<'a> {
         let s = consumers.close_buckets(machine, &mut ledgers);
         observe_buckets(machine, &s);
         let pairs = take_overflows(machine, &mut ledgers, consumers, &sites);
-        let starters = if stored { p.outer.nodes } else { p.sites };
+        let starters = if stored { p.outer.nodes } else { &p.sites };
         let sched = dispatch_overhead(machine, &mut ledgers, starters, table_bytes);
         if let Some(bucket) = p.bucket {
             let kind = gamma_trace::EventKind::BucketClose { bucket };
@@ -802,9 +803,9 @@ impl<'a> HashJoin<'a> {
                         pairs.push(p);
                     }
                 }
-                let homes: Vec<NodeId> = here.keys().copied().collect();
+                let homes: Arc<[NodeId]> = here.keys().copied().collect();
                 let (again, _) = self.pass(Pass {
-                    sites: &homes,
+                    sites: Arc::clone(&homes),
                     hprime: 0x4000 + round,
                     filter_salt: salt.wrapping_add(0x2000 + round as u64),
                     inner: Input::spools(
@@ -835,7 +836,7 @@ impl<'a> HashJoin<'a> {
             let (homes, r_files, s_files) = by_home(&pairs);
             let (next, _) = self.pass(Pass {
                 route: Some((&table, respread_seed(pass))),
-                sites: &rz.join_nodes,
+                sites: Arc::clone(&rz.join_nodes),
                 hprime: pass,
                 filter_salt: salt.wrapping_add(0x1000 + pass as u64),
                 inner: Input::spools(&homes, r_files.iter().map(Vec::as_slice).collect()),
@@ -893,7 +894,7 @@ impl<'a> HashJoin<'a> {
         let table = joining(&self.rz.join_nodes);
         let (pairs, _) = self.pass(Pass {
             route: Some((&table, JOIN_SEED)),
-            sites: &self.rz.join_nodes,
+            sites: Arc::clone(&self.rz.join_nodes),
             filter_salt: salt,
             inner: Input::buckets(&disk_nodes, &spooled.r, &at),
             outer: Input::buckets(&disk_nodes, &spooled.s, &at),
@@ -969,7 +970,7 @@ mod tests {
         let sout: Vec<Vec<u8>> = (0..n_s).map(|k| mk(&s, k % n_r.max(1))).collect();
         let rid = m.load_relation("r", s.clone(), Declustering::RoundRobin, r);
         let sid = m.load_relation("s", s.clone(), Declustering::RoundRobin, sout);
-        let mut rz = Resolved::for_test(m.disk_nodes(), capacity_per_site, s.int_attr("k"), 48);
+        let mut rz = Resolved::for_test(m.disk_ids(), capacity_per_site, s.int_attr("k"), 48);
         rz.r_fragments = m.relation(rid).fragments.clone();
         rz.s_fragments = m.relation(sid).fragments.clone();
         rz.dynamic_spill = robust;

@@ -14,6 +14,8 @@
 //! split table with both kinds of entry live, resolve for bucket 1, then
 //! one bucket join per spooled bucket.
 
+use std::sync::Arc;
+
 use crate::hash::JOIN_SEED;
 use crate::machine::Machine;
 use crate::report::DriverOutput;
@@ -42,7 +44,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     // tables, then partition S overlapped with probing them.
     let (pairs, spooled) = join.pass(Pass {
         route: Some((&part, JOIN_SEED)),
-        sites: &rz.join_nodes,
+        sites: Arc::clone(&rz.join_nodes),
         filter_salt: HYBRID_SALT,
         inner: Input::fragments(&disk_nodes, &rz.r_fragments, rz.r_pred),
         outer: Input::fragments(&disk_nodes, &rz.s_fragments, rz.s_pred),

@@ -10,6 +10,8 @@
 //! bucket — followed by resolve; the first pass uses the load-time hash
 //! function, so HPJA tuples short-circuit.
 
+use std::sync::Arc;
+
 use crate::hash::JOIN_SEED;
 use crate::machine::Machine;
 use crate::report::DriverOutput;
@@ -27,7 +29,7 @@ pub fn run(machine: &mut Machine, rz: &Resolved) -> DriverOutput {
     let mut join = HashJoin::new(machine, rz);
     let (pairs, _) = join.pass(Pass {
         route: Some((&table, JOIN_SEED)),
-        sites: &rz.join_nodes,
+        sites: Arc::clone(&rz.join_nodes),
         filter_salt: SIMPLE_SALT,
         inner: Input::fragments(&disk_nodes, &rz.r_fragments, rz.r_pred),
         outer: Input::fragments(&disk_nodes, &rz.s_fragments, rz.s_pred),

@@ -35,6 +35,7 @@
 //!   preserving the no-false-negative guarantee.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gamma_des::Event;
 use gamma_net::Msg;
@@ -311,7 +312,7 @@ impl JoinNode {
 /// default is no sites, as when a pass only spools.
 #[derive(Default)]
 pub struct JoinSites {
-    nodes: Vec<NodeId>,
+    nodes: Arc<[NodeId]>,
     homes: Vec<NodeId>,
     filters_on: bool,
 }
@@ -434,7 +435,7 @@ impl Consumers {
         &mut self,
         machine: &Machine,
         rz: &Resolved,
-        join_nodes: &[NodeId],
+        join_nodes: &Arc<[NodeId]>,
         pass: u32,
         filter_salt: u64,
     ) -> JoinSites {
@@ -467,7 +468,7 @@ impl Consumers {
             assert!(prev.is_none(), "node {node} already runs a join site");
         }
         JoinSites {
-            nodes: join_nodes.to_vec(),
+            nodes: Arc::clone(join_nodes),
             homes,
             filters_on: rz.filter_bits.is_some() && !join_nodes.is_empty(),
         }
@@ -480,7 +481,7 @@ impl Consumers {
         let mut cutoffs = Vec::with_capacity(sites.len());
         let mut seeds = Vec::with_capacity(sites.len());
         let mut filters = Vec::with_capacity(sites.len());
-        for &node in &sites.nodes {
+        for &node in sites.nodes() {
             let site = self.nodes[node].site.as_mut().expect("site installed");
             site.table.freeze();
             cutoffs.push(site.table.cutoff());
@@ -745,7 +746,7 @@ mod tests {
     fn filters_never_lose_results() {
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
-        let mut rz = Resolved::for_test(m.disk_nodes(), 1 << 20, attr, 48);
+        let mut rz = Resolved::for_test(m.disk_ids(), 1 << 20, attr, 48);
         rz.filter_bits = Some(1973);
         let join_nodes = &rz.join_nodes;
         let mut consumers = Consumers::new(&mut m, true);
@@ -818,7 +819,7 @@ mod tests {
     fn remote_sites_spool_overflow_to_disk_nodes() {
         let mut m = Machine::new(MachineConfig::remote_8_plus_8());
         let attr = schema().int_attr("k");
-        let rz = Resolved::for_test(m.diskless_nodes(), 1024, attr, 48);
+        let rz = Resolved::for_test(m.diskless_ids(), 1024, attr, 48);
         let mut consumers = Consumers::new(&mut m, true);
         let sites = consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         for i in 0..sites.len() {
@@ -832,10 +833,12 @@ mod tests {
         // sites; the filter broadcast must then charge nothing.
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
-        let mut rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
+        let mut rz = Resolved::for_test(m.disk_ids(), 1024, attr, 48);
         rz.filter_bits = Some(1973);
         let mut consumers = Consumers::new(&mut m, true);
-        assert!(!consumers.install_sites(&m, &rz, &[], 0, 0).filters_on());
+        assert!(!consumers
+            .install_sites(&m, &rz, &Arc::default(), 0, 0)
+            .filters_on());
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
             .filters_on());
@@ -891,7 +894,7 @@ mod tests {
         // install_sites must refuse to start on top of them.
         let mut m = Machine::new(MachineConfig::local_8());
         let attr = schema().int_attr("k");
-        let rz = Resolved::for_test(m.disk_nodes(), 1024, attr, 48);
+        let rz = Resolved::for_test(m.disk_ids(), 1024, attr, 48);
         let mut consumers = Consumers::new(&mut m, true);
         consumers.install_sites(&m, &rz, &rz.join_nodes, 0, 0);
         let mut ledgers = m.ledgers();
@@ -903,6 +906,6 @@ mod tests {
         });
         consumers.settle(&mut m, &mut ledgers);
         assert!(consumers.nodes.iter().any(|jn| !jn.spools.is_empty()));
-        consumers.install_sites(&m, &rz, &[], 1, 0);
+        consumers.install_sites(&m, &rz, &Arc::default(), 1, 0);
     }
 }

@@ -257,11 +257,6 @@ impl Machine {
         self.disk_ids.to_vec()
     }
 
-    /// Ids of the diskless processors, as an owned vector.
-    pub fn diskless_nodes(&self) -> Vec<NodeId> {
-        self.diskless_ids.to_vec()
-    }
-
     /// Fresh zeroed ledgers, one per node. Inside a join, the k-th set
     /// opened since its entry — its k-th phase — reserves each node's
     /// request logs at the lengths the k-th phase's logs reached when this
@@ -472,9 +467,8 @@ mod tests {
         let m = Machine::new(MachineConfig::remote_8_plus_8());
         assert_eq!(m.nodes(), 16);
         assert_eq!(m.disk_nodes(), (0..8).collect::<Vec<_>>());
-        assert_eq!(m.diskless_nodes(), (8..16).collect::<Vec<_>>());
+        assert_eq!(*m.diskless_ids(), (8..16).collect::<Vec<_>>());
         assert_eq!(*m.disk_ids(), *m.disk_nodes());
-        assert_eq!(*m.diskless_ids(), *m.diskless_nodes());
         assert!(m.nodes[0].volume.is_some());
         assert!(m.nodes[8].volume.is_none());
         assert_eq!(m.nodes[5].id, 5);

@@ -366,13 +366,13 @@ fn run_join_inner(
     Option<RelationId>,
 ) {
     let join_nodes = match spec.site {
-        JoinSite::Local => machine.disk_nodes(),
+        JoinSite::Local => machine.disk_ids(),
         JoinSite::Remote => {
             assert!(
                 spec.algorithm != Algorithm::SortMerge,
                 "our sort-merge implementation cannot utilize diskless processors (paper §3.1)"
             );
-            let n = machine.diskless_nodes();
+            let n = machine.diskless_ids();
             assert!(
                 !n.is_empty(),
                 "remote join on a machine without diskless nodes"

@@ -7,12 +7,12 @@
 //! one [`Cursor`] each.
 //!
 //! Run formation reads the input sequentially, fills the sort workspace
-//! (`mem_bytes`), sorts it with std's stable `sort_by` and writes a run.
-//! Merging proceeds in passes of fan-in `mem_bytes / page_bytes − 1` (one
-//! page per input run plus one output page, as on the real system). Every
-//! comparison actually performed is charged to the ledger — the paper's
-//! "upward steps" in the sort-merge curves are precisely these extra merge
-//! passes appearing as memory shrinks.
+//! (`mem_bytes`), sorts it and writes a run. Merging proceeds in passes of
+//! fan-in `mem_bytes / page_bytes − 1` (one page per input run plus one
+//! output page, as on the real system). A k-way merge of n records is
+//! charged `n⌈log₂ k⌉` comparisons and a sort of n records is an n-way
+//! merge, whatever std's sort does — the paper's "upward steps" in the
+//! sort-merge curves are the extra merge passes appearing as memory shrinks.
 //!
 //! On the host a run is an *order*, not a file of copied records: the
 //! sorted `(key, (page, slot))` entries over the input's pages, which stay
@@ -94,10 +94,15 @@ pub struct SortStats {
     pub comparisons: u64,
 }
 
-/// Sort workspace entry: a record's key and its `(page, slot)` in the
-/// detached input. Its size decides how many comparator calls `sort_by`
-/// makes, and so what the sort is charged.
+/// Sort workspace entry: a record's key and its unique `(page, slot)` in
+/// the detached input, pushed in input order — so an unstable sort of
+/// whole entries is a stable sort by key.
 type Indexed<K> = (K, (u32, u32));
+
+/// Comparisons charged for merging `records` records from `ways` runs.
+fn merge_compares(records: u64, ways: usize) -> u64 {
+    records * u64::from(ways.next_power_of_two().trailing_zeros())
+}
 
 /// A sorted run as an order over the input's pages. Its file was charged
 /// as written, page by page, and holds no bytes.
@@ -246,12 +251,8 @@ impl<K: Ord + Clone> Sorter<'_, K> {
 
     /// Sort one workspace of records and write it as a run.
     fn write_run(&mut self, input: &[Page], mut order: Vec<Indexed<K>>) -> Run<K> {
-        let mut compares = 0u64;
-        order.sort_by(|a, b| {
-            compares += 1;
-            a.0.cmp(&b.0)
-        });
-        self.charge_compares(compares);
+        order.sort_unstable();
+        self.charge_compares(merge_compares(order.len() as u64, order.len()));
         self.stats.initial_runs += 1;
         self.write(input, order)
     }
@@ -316,9 +317,7 @@ impl<K: Ord + Clone> Sorter<'_, K> {
             c.next(self.pool, self.usage);
             heap.extend(c.peek().map(|key| Reverse((key, i))));
         }
-        // A heap pop and refill costs ~log2(k) comparisons.
-        let log2_k = u64::from(usize::BITS - (group.len() - 1).leading_zeros());
-        self.charge_compares(order.len() as u64 * log2_k.max(1));
+        self.charge_compares(merge_compares(order.len() as u64, group.len()));
         let out = self.write(input, order);
         for r in group {
             self.pool.evict_file(r.file);
@@ -505,13 +504,10 @@ mod tests {
     }
 
     /// Pins the comparisons charged for one fixed input: 24 runs, five
-    /// merge passes, recorded with rustc 1.95.0. Run formation charges one
-    /// comparison per comparator call std's `sort_by` makes, which is
-    /// std's choice and can change with the toolchain; the merges add a
-    /// closed form. Every sort-merge artifact is charged so. If this test
-    /// goes red on a new toolchain, `sort_by`'s comparator calls changed
-    /// and the committed sort-merge artifacts move with them: see ROADMAP
-    /// item 5.
+    /// merge passes. The count is a closed form of the run lengths — each
+    /// run of n records charges `n × ⌈log₂ n⌉`, each k-way merge
+    /// `⌈log₂ k⌉` per record — so it does not depend on the toolchain or on
+    /// how std sorts. Every sort-merge artifact is charged so.
     #[test]
     fn comparisons_are_pinned_for_a_fixed_input() {
         let (mut vol, mut pool, mut u) = setup();
@@ -538,7 +534,10 @@ mod tests {
             &mut u,
         );
         assert_eq!((stats.initial_runs, stats.merge_passes), (24, 5));
-        assert_eq!(stats.comparisons, 79_084);
+        // Runs: 23 of 256 records and one of 112, 23·256·8 + 112·7 =
+        // 47,888. Two-way merges, one comparison a record: three passes over
+        // all 6,000, one over 4,096 (the third run waits) and the last, 6,000.
+        assert_eq!(stats.comparisons, 75_984);
     }
 
     #[test]
@@ -751,12 +750,10 @@ mod tests {
             let mut workspace: Vec<Indexed<u32>> = Vec::new();
             let mut ws_bytes = 0;
             let mut form = |this: &mut Self, workspace: &mut Vec<Indexed<u32>>| {
-                let mut compares = 0;
-                workspace.sort_by(|a, b| {
-                    compares += 1;
-                    a.0.cmp(&b.0)
-                });
-                this.compares(compares);
+                workspace.sort_by_key(|&(k, _)| k);
+                // A workspace of n records is an n-way merge: ⌈log₂ n⌉ each.
+                let n = workspace.len() as u64;
+                this.compares(n * u64::from(64 - (n - 1).leading_zeros()));
                 let run = workspace
                     .drain(..)
                     .map(|(_, (p, s))| recs[p as usize][s as usize].clone())

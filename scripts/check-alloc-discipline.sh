@@ -19,8 +19,6 @@
 #   * everything under the trailing `#[cfg(test)]` module (tests stage
 #     fixtures however they like);
 #   * comment lines (they describe the discipline, they don't break it);
-#   * `join_nodes.to_vec()` — a copy of a small NodeId slice per join
-#     setup, not per tuple;
 #   * `&mut Vec<u8>` out-parameters (the reuse-a-buffer idiom the batch
 #     plane is built on);
 #   * `arena: Vec<u8>` — the hash table's arena IS the batch backing
@@ -81,7 +79,11 @@
 # pages through unkept writers and opens no kept `HeapWriter::create(`,
 # and it has one record-copy site, in `external_sort`, which copies the
 # sorted result into its file once: a kept writer or a second copy site
-# is a sort run copied record by record again.
+# is a sort run copied record by record again. The sort charges its
+# comparisons by one closed form of the run lengths (`merge_compares`), so
+# a std sort whose comparator or key closure counts its own calls
+# (`sort_by(|a, b| { n += 1; … })`) in a non-test body of `crates/*/src`
+# is a charge that moves with the toolchain again.
 #
 # One packet path: the exchange (`crates/net/src/exchange.rs`) batches and
 # charges every inter-node tuple, and scheduler control messages are
@@ -157,7 +159,7 @@ for f in crates/core/src/exec/mod.rs crates/core/src/exec/scan.rs \
     # Non-test body: everything above the trailing #[cfg(test)] module.
     hits=$(awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" |
         grep -nE '\.to_vec\(\)|Vec<Vec<u8>>|[^&]Vec<u8>' |
-        grep -vE '^[0-9]+:\s*//|join_nodes\.to_vec|&mut Vec<u8>|arena: Vec<u8>|Arc<Vec<u8>>' || true)
+        grep -vE '^[0-9]+:\s*//|&mut Vec<u8>|arena: Vec<u8>|Arc<Vec<u8>>' || true)
     if [ -n "$hits" ]; then
         echo "error: $f re-introduces per-tuple heap traffic on the data plane:" >&2
         echo "$hits" | sed "s|^|  $f:|" >&2
@@ -332,6 +334,22 @@ if [ "$(grep -c . <<<"$hits")" -ne 1 ] || [ "$ext" -ne 1 ]; then
     echo "$hits" | sed "s|^|  $f:|" >&2
     fail=1
 fi
+# No charge counts a std sort's comparator calls.
+while IFS= read -r f; do
+    hits=$(awk '/^#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\// {next}
+        !on && /\.sort(_unstable)?_by(_key|_cached_key)?\(/ {on=1; depth=0}
+        on {
+            if ($0 ~ /\+=|-=|fetch_add|\.set\(/) print NR ": " $0
+            line = $0; depth += gsub(/\(/, "", line) - gsub(/\)/, "", line)
+            if (depth <= 0) on=0
+        }' "$f")
+    if [ -n "$hits" ]; then
+        echo "error: $f counts a std sort's comparator calls; charge by merge_compares' closed form:" >&2
+        echo "$hits" | sed "s|^|  $f:|" >&2
+        fail=1
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
 hits=$(grep -rn 'PageBuilder' crates/wiss/src || true)
 if [ -n "$hits" ]; then
     echo "error: PageBuilder is back; pages are staged in a volume's runs:" >&2
@@ -479,4 +497,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, diverted build tuples forwarded by reference, unkept writers and sort runs copying no record bytes, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, diverted build tuples forwarded by reference, unkept writers and sort runs copying no record bytes, no charge counting a std sort's comparator calls, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"

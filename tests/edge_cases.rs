@@ -513,6 +513,6 @@ type PhaseDigests = [(&'static str, u64); 5];
 /// The cases above, in order: `(response µs, result tuples, phases)`.
 #[rustfmt::skip]
 const PINNED_SORT_MERGE: [(u64, u64, PhaseDigests); 2] = [
-    (37323310, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0x861e_e576_2ff1_3b14), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0xe605_c3e7_c8e7_10b2), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
-    (52522010, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0x047a_d3b9_762b_4de1), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0x2240_e15c_cd28_96d5), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
+    (38059610, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0x2aac_c516_878e_3c6f), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0x9813_93a4_8e6b_fb4d), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
+    (55224110, 6400, [("partition R", 0xf5c2_f65e_08c8_a347), ("sort R", 0xe4fd_98c0_71be_a345), ("partition S", 0x4d0f_2621_cf46_54d1), ("sort S", 0x8718_799d_c1e9_1f88), ("merge join", 0xfa38_a78d_6cb6_ae0b)]),
 ];

@@ -172,9 +172,9 @@ fn results_outlive_their_site_and_their_outer_file() {
             inner.schema.int_attr("normal"),
             outer.schema.int_attr("normal"),
         );
-        let nodes = m.disk_nodes();
+        let nodes = m.disk_ids();
         let rz = Resolved {
-            join_nodes: nodes.clone(),
+            join_nodes: Arc::clone(&nodes),
             buckets: 1,
             capacity_per_site: inner.data_bytes,
             r_fragments: inner.fragments.clone(),
