@@ -389,6 +389,131 @@ mod tests {
         assert_eq!(doc, to_json_with_counters(&sample_sink(), &extra));
     }
 
+    /// A sink holding every event kind, spans, scheduler steps and the
+    /// integer extremes: 0, `u32::MAX`, a `u64::MAX` timestamp, and an
+    /// offset × busy product past `u64`.
+    fn every_kind_sink() -> TraceSink {
+        let mut sink = TraceSink::new(64);
+        let kinds = [
+            EventKind::DiskRead { file: 0, page: 0 },
+            EventKind::DiskWrite {
+                file: u32::MAX,
+                page: 7,
+            },
+            EventKind::PacketSend {
+                dst: u16::MAX,
+                bytes: u32::MAX,
+            },
+            EventKind::PacketRecv { src: 1, bytes: 0 },
+            EventKind::ShortCircuit { bytes: 2048 },
+            EventKind::Control { dst: 0, bytes: 80 },
+            EventKind::HashInsert,
+            EventKind::HashProbe { matched: true },
+            EventKind::HashProbe { matched: false },
+            EventKind::BucketOpen { bucket: 0 },
+            EventKind::BucketClose { bucket: u16::MAX },
+            EventKind::BucketSpill { bucket: 3 },
+        ];
+        sink.emit(0, 0, EventKind::SpanBegin { name: "scan" });
+        for (i, kind) in kinds.into_iter().enumerate() {
+            sink.emit((i % 2) as u16, 10 * i as u64, kind);
+        }
+        sink.emit(0, 200, EventKind::SpanEnd { name: "scan" });
+        sink.emit_sim_step(0);
+        sink.seal_phase(
+            "build \"q\"\u{1}",
+            vec![
+                NodeUsage {
+                    cpu_us: 60,
+                    disk_us: 90,
+                    net_us: 30,
+                    disk_wait_us: 7,
+                    net_wait_us: 0,
+                    disk_done_us: 120,
+                    net_done_us: 0,
+                },
+                NodeUsage {
+                    cpu_us: 1 << 40,
+                    disk_us: 1 << 40,
+                    net_us: 0,
+                    ..Default::default()
+                },
+                NodeUsage::default(),
+            ],
+        );
+        sink.phase_replayed(0, 1_000, 150);
+        // An offset past node 1's busy time and a product past u64.
+        sink.emit(1, 1 << 40, EventKind::HashInsert);
+        sink.seal_phase(
+            "probe",
+            vec![
+                NodeUsage::default(),
+                NodeUsage {
+                    cpu_us: 1 << 40,
+                    disk_us: 1 << 40,
+                    ..Default::default()
+                },
+            ],
+        );
+        sink.phase_replayed(1, 2_000, 0);
+        // Never replayed: its event is skipped.
+        sink.emit(0, 5, EventKind::HashInsert);
+        sink.seal_phase("unreplayed", vec![NodeUsage::default()]);
+        sink.emit_sim_step(u64::MAX);
+        sink
+    }
+
+    #[test]
+    fn every_kind_renders_exactly() {
+        let extra = [CounterSeries {
+            name: "ring\tqueue".into(),
+            pid: SCHEDULER_PID,
+            points: vec![(0, 0), (u64::MAX, i64::MIN), (5, i64::MAX), (6, -1)],
+        }];
+        let doc = to_json_with_counters(&every_kind_sink(), &extra);
+        assert_eq!(doc, EVERY_KIND_JSON);
+    }
+
+    const EVERY_KIND_JSON: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"node 0"}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"node 1"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"node 2"}},
+{"name":"process_name","ph":"M","pid":1000000,"tid":0,"args":{"name":"scheduler"}},
+{"name":"build \"q\"\u0001","ph":"X","pid":0,"tid":0,"ts":1000,"dur":120,"args":{"phase_index":0,"cpu_us":60,"disk_us":90,"net_us":30,"disk_wait_us":7,"net_wait_us":0,"dominant":"disk","critical":false}},
+{"name":"build \"q\"\u0001","ph":"X","pid":1,"tid":0,"ts":1000,"dur":150,"args":{"phase_index":0,"cpu_us":1099511627776,"disk_us":1099511627776,"net_us":0,"disk_wait_us":0,"net_wait_us":0,"dominant":"cpu","critical":true}},
+{"name":"probe","ph":"X","pid":1,"tid":0,"ts":2000,"dur":0,"args":{"phase_index":1,"cpu_us":1099511627776,"disk_us":1099511627776,"net_us":0,"disk_wait_us":0,"net_wait_us":0,"dominant":"cpu","critical":true}},
+{"name":"utilisation %","ph":"C","pid":0,"tid":0,"ts":1000,"args":{"cpu":40,"disk":60,"net":20}},
+{"name":"queue depth (milli)","ph":"C","pid":0,"tid":0,"ts":1000,"args":{"disk":46,"net":0}},
+{"name":"utilisation %","ph":"C","pid":0,"tid":0,"ts":1150,"args":{"cpu":0,"disk":0,"net":0}},
+{"name":"queue depth (milli)","ph":"C","pid":0,"tid":0,"ts":1150,"args":{"disk":0,"net":0}},
+{"name":"utilisation %","ph":"C","pid":1,"tid":0,"ts":1000,"args":{"cpu":733007751850,"disk":733007751850,"net":0}},
+{"name":"queue depth (milli)","ph":"C","pid":1,"tid":0,"ts":1000,"args":{"disk":0,"net":0}},
+{"name":"utilisation %","ph":"C","pid":1,"tid":0,"ts":1150,"args":{"cpu":0,"disk":0,"net":0}},
+{"name":"queue depth (milli)","ph":"C","pid":1,"tid":0,"ts":1150,"args":{"disk":0,"net":0}},
+{"name":"ring\tqueue","ph":"C","pid":1000000,"tid":0,"ts":0,"args":{"value":0}},
+{"name":"ring\tqueue","ph":"C","pid":1000000,"tid":0,"ts":18446744073709551615,"args":{"value":-9223372036854775808}},
+{"name":"ring\tqueue","ph":"C","pid":1000000,"tid":0,"ts":5,"args":{"value":9223372036854775807}},
+{"name":"ring\tqueue","ph":"C","pid":1000000,"tid":0,"ts":6,"args":{"value":-1}},
+{"name":"scan","ph":"B","pid":0,"tid":0,"ts":1000},
+{"name":"disk_read","ph":"i","s":"t","pid":0,"tid":0,"ts":1000,"args":{"file":0,"page":0}},
+{"name":"disk_write","ph":"i","s":"t","pid":1,"tid":0,"ts":1005,"args":{"file":4294967295,"page":7}},
+{"name":"packet_send","ph":"i","s":"t","pid":0,"tid":0,"ts":1013,"args":{"dst":65535,"bytes":4294967295}},
+{"name":"packet_recv","ph":"i","s":"t","pid":1,"tid":0,"ts":1015,"args":{"src":1,"bytes":0}},
+{"name":"short_circuit","ph":"i","s":"t","pid":0,"tid":0,"ts":1026,"args":{"bytes":2048}},
+{"name":"control","ph":"i","s":"t","pid":1,"tid":0,"ts":1025,"args":{"dst":0,"bytes":80}},
+{"name":"hash_insert","ph":"i","s":"t","pid":0,"tid":0,"ts":1040,"args":{}},
+{"name":"hash_probe","ph":"i","s":"t","pid":1,"tid":0,"ts":1035,"args":{"matched":true}},
+{"name":"hash_probe","ph":"i","s":"t","pid":0,"tid":0,"ts":1053,"args":{"matched":false}},
+{"name":"bucket_open","ph":"i","s":"t","pid":1,"tid":0,"ts":1045,"args":{"bucket":0}},
+{"name":"bucket_close","ph":"i","s":"t","pid":0,"tid":0,"ts":1066,"args":{"bucket":65535}},
+{"name":"bucket_spill","ph":"i","s":"t","pid":1,"tid":0,"ts":1055,"args":{"bucket":3}},
+{"name":"scan","ph":"E","pid":0,"tid":0,"ts":1120},
+{"name":"sim_step","ph":"i","s":"t","pid":1000000,"tid":0,"ts":0,"args":{}},
+{"name":"hash_insert","ph":"i","s":"t","pid":1,"tid":0,"ts":549755815888,"args":{}},
+{"name":"sim_step","ph":"i","s":"t","pid":1000000,"tid":0,"ts":18446744073709551615,"args":{}}
+]}
+"#;
+
     #[test]
     fn escape_handles_specials() {
         let mut s = String::new();

@@ -36,6 +36,63 @@ fn perfetto_export_is_byte_identical_across_runs() {
     }
 }
 
+/// FNV-1a over a document's bytes: a fixed, dependency-free digest.
+fn fnv1a(doc: &str) -> u64 {
+    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The Perfetto export's bytes are pinned: per algorithm × filters off/on ×
+/// ratio, the length and FNV-1a digest of the document a fresh machine
+/// exports. A change to how the export writes must leave every one of
+/// these as it is.
+#[test]
+fn perfetto_export_bytes_are_pinned() {
+    /// `(algorithm, filtered, ratio, length, digest)`.
+    const PINS: &[(&str, bool, f64, usize, u64)] = &[
+        ("sort-merge", false, 1.0, 106091, 0xd82333521530dde1),
+        ("sort-merge", false, 0.5, 106091, 0xd82333521530dde1),
+        ("sort-merge", false, 0.2, 106091, 0xd82333521530dde1),
+        ("sort-merge", true, 1.0, 66593, 0xd265df6e38b98bfa),
+        ("sort-merge", true, 0.5, 66593, 0xd265df6e38b98bfa),
+        ("sort-merge", true, 0.2, 66593, 0xd265df6e38b98bfa),
+        ("simple", false, 1.0, 260811, 0xaec663af10fa93aa),
+        ("simple", false, 0.5, 327509, 0xe6dd748ca2dbe135),
+        ("simple", false, 0.2, 497704, 0xa69be063a848270a),
+        ("simple", true, 1.0, 78875, 0x8c6f9e06bc003d8b),
+        ("simple", true, 0.5, 133052, 0x1f2ef6fcc1580ca9),
+        ("simple", true, 0.2, 270445, 0xc4490b75e17a69cb),
+        ("grace", false, 1.0, 307732, 0x3b99b2463753df2d),
+        ("grace", false, 0.5, 356008, 0x1e5c3bb0ca5994c8),
+        ("grace", false, 0.2, 478136, 0xec16a1d9f1cd927b),
+        ("grace", true, 1.0, 124609, 0xaad8d34b82a3331d),
+        ("grace", true, 0.5, 173900, 0xf833d9dba96a1884),
+        ("grace", true, 0.2, 304333, 0xfb5f2e153a49f5ba),
+        ("hybrid", false, 1.0, 261327, 0x25a60b29b92555cf),
+        ("hybrid", false, 0.5, 323716, 0xecd6381f019d9c00),
+        ("hybrid", false, 0.2, 455538, 0x784a63c5c79425aa),
+        ("hybrid", true, 1.0, 79764, 0x911a85814632d81f),
+        ("hybrid", true, 0.5, 142640, 0x41cdebf38e466716),
+        ("hybrid", true, 0.2, 282335, 0x05d6f4a5236e1e48),
+    ];
+    let w = Workload::scaled(2_000, 200);
+    let mut got = Vec::new();
+    for alg in ALGORITHMS {
+        for filtered in [false, true] {
+            for ratio in [1.0, 0.5, 0.2] {
+                let doc = trace_join(&w, alg, ratio, filtered).perfetto_json();
+                got.push((alg.name(), filtered, ratio, doc.len(), fnv1a(&doc)));
+            }
+        }
+    }
+    let listing: String = got
+        .iter()
+        .map(|(a, f, r, n, d)| format!("    ({a:?}, {f}, {r:?}, {n}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(got, PINS, "exports moved; now:\n{listing}");
+}
+
 /// Every trace event class that mirrors a `Counts` counter must agree with
 /// the ledger exactly: the hooks sit at the same statements that increment
 /// the counters, and ring eviction never loses totals.
