@@ -3,9 +3,36 @@
 //! sink, so the three cannot disagree. Series and trace events that mirror
 //! no ledger count (pool hits, spans, bucket lifecycle) stay direct calls.
 
+use gamma_metrics::Column;
 use gamma_trace::EventKind as Kind;
 
 use crate::ledger::Usage;
+
+/// The series `record` adds, each a column of the registry's row for the
+/// event's (phase, node, op).
+mod series {
+    use super::Column as C;
+
+    pub const PAGES_READ: C = C::new("pages_read", 0);
+    pub const PAGES_WRITTEN: C = C::new("pages_written", 1);
+    pub const PACKETS_SENT: C = C::new("packets_sent", 2);
+    pub const PACKETS_RECV: C = C::new("packets_recv", 3);
+    pub const MSGS_SHORTCIRCUIT: C = C::new("msgs_shortcircuit", 4);
+    pub const CONTROL_MSGS: C = C::new("control_msgs", 5);
+    pub const HASH_INSERTS: C = C::new("hash_inserts", 6);
+    pub const HASH_PROBES: C = C::new("hash_probes", 7);
+    pub const OP_TUPLES_OUT: C = C::new("op_tuples_out", 8);
+    pub const OP_TUPLES_IN: C = C::new("op_tuples_in", 9);
+    pub const FILTER_DROPS: C = C::new("filter_drops", 10);
+    pub const OVERFLOW_EVICTIONS: C = C::new("overflow_evictions", 11);
+    pub const COMPARISONS: C = C::new("comparisons", 12);
+    pub const PAGES_RESTORED: C = C::new("pages_restored", 13);
+    pub const PAGES_SPILLED: C = C::new("pages_spilled", 14);
+    pub const WIRE_BYTES: C = C::new("wire_bytes", 15);
+    pub const PACKET_BYTES: C = C::new("packet_bytes", 16);
+    pub const SHORTCIRCUIT_BYTES: C = C::new("shortcircuit_bytes", 17);
+    pub const PROBE_CHAIN_COMPARES: C = C::new("probe_chain_compares", 18);
+}
 
 /// One counted fact, as the operator that caused it charges it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,25 +78,26 @@ impl Usage {
     /// demand when a sink is installed. Call it after the event's time
     /// charges, so the trace offset includes them.
     pub fn record(&mut self, node: u16, op: &'static str, ev: Event) {
+        use series as S;
         use Event as E;
         let c = &mut self.counts;
         // Every event bumps one count, mirrored by one counter series.
-        let (count, series, n) = match ev {
-            E::PageRead { .. } => (&mut c.pages_read, "pages_read", 1),
-            E::PageWritten { .. } => (&mut c.pages_written, "pages_written", 1),
-            E::PacketSent { .. } => (&mut c.packets_sent, "packets_sent", 1),
-            E::PacketRecv { .. } => (&mut c.packets_recv, "packets_recv", 1),
-            E::ShortCircuit { .. } => (&mut c.msgs_shortcircuit, "msgs_shortcircuit", 1),
-            E::ControlMsg { .. } => (&mut c.control_msgs, "control_msgs", 1),
-            E::HashInsert => (&mut c.hash_inserts, "hash_inserts", 1),
-            E::HashProbe { .. } => (&mut c.hash_probes, "hash_probes", 1),
-            E::TupleOut => (&mut c.tuples_out, "op_tuples_out", 1),
-            E::TuplesIn(n) => (&mut c.tuples_in, "op_tuples_in", n),
-            E::FilterDrop => (&mut c.filter_drops, "filter_drops", 1),
-            E::OverflowEviction => (&mut c.overflow_evictions, "overflow_evictions", 1),
-            E::Comparisons(n) => (&mut c.comparisons, "comparisons", n),
-            E::PagesRestored(n) => (&mut c.pages_restored, "pages_restored", n),
-            E::PagesSpilled(n) => (&mut c.pages_spilled, "pages_spilled", n),
+        let (count, column, n) = match ev {
+            E::PageRead { .. } => (&mut c.pages_read, S::PAGES_READ, 1),
+            E::PageWritten { .. } => (&mut c.pages_written, S::PAGES_WRITTEN, 1),
+            E::PacketSent { .. } => (&mut c.packets_sent, S::PACKETS_SENT, 1),
+            E::PacketRecv { .. } => (&mut c.packets_recv, S::PACKETS_RECV, 1),
+            E::ShortCircuit { .. } => (&mut c.msgs_shortcircuit, S::MSGS_SHORTCIRCUIT, 1),
+            E::ControlMsg { .. } => (&mut c.control_msgs, S::CONTROL_MSGS, 1),
+            E::HashInsert => (&mut c.hash_inserts, S::HASH_INSERTS, 1),
+            E::HashProbe { .. } => (&mut c.hash_probes, S::HASH_PROBES, 1),
+            E::TupleOut => (&mut c.tuples_out, S::OP_TUPLES_OUT, 1),
+            E::TuplesIn(n) => (&mut c.tuples_in, S::OP_TUPLES_IN, n),
+            E::FilterDrop => (&mut c.filter_drops, S::FILTER_DROPS, 1),
+            E::OverflowEviction => (&mut c.overflow_evictions, S::OVERFLOW_EVICTIONS, 1),
+            E::Comparisons(n) => (&mut c.comparisons, S::COMPARISONS, n),
+            E::PagesRestored(n) => (&mut c.pages_restored, S::PAGES_RESTORED, n),
+            E::PagesSpilled(n) => (&mut c.pages_spilled, S::PAGES_SPILLED, n),
         };
         *count += n;
         // A hash operation also consumes its input tuple, and a probe
@@ -81,18 +109,20 @@ impl Usage {
             c.comparisons += compares;
         }
         gamma_metrics::with(|r| {
-            r.counter_add(series, node, op, n);
+            // One (phase, node, op) row holds every series this event adds.
+            let mut row = r.row(node, op);
+            row.counter_add(column, n);
             match ev {
                 E::PacketSent { bytes, wire, .. } | E::PacketRecv { bytes, wire, .. } if wire => {
-                    r.counter_add("wire_bytes", node, op, bytes);
-                    r.observe("packet_bytes", node, op, bytes);
+                    row.counter_add(S::WIRE_BYTES, bytes);
+                    row.observe(S::PACKET_BYTES, bytes);
                 }
-                E::ShortCircuit { bytes } => r.counter_add("shortcircuit_bytes", node, op, bytes),
-                E::HashInsert => r.counter_add("op_tuples_in", node, op, 1),
+                E::ShortCircuit { bytes } => row.counter_add(S::SHORTCIRCUIT_BYTES, bytes),
+                E::HashInsert => row.counter_add(S::OP_TUPLES_IN, 1),
                 E::HashProbe { compares, .. } => {
-                    r.counter_add("op_tuples_in", node, op, 1);
-                    r.counter_add("comparisons", node, op, compares);
-                    r.observe("probe_chain_compares", node, op, compares);
+                    row.counter_add(S::OP_TUPLES_IN, 1);
+                    row.counter_add(S::COMPARISONS, compares);
+                    row.observe(S::PROBE_CHAIN_COMPARES, compares);
                 }
                 _ => {}
             }

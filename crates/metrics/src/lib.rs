@@ -169,6 +169,96 @@ impl Value {
 const CHUNK: usize = 32;
 const _: () = assert!(CHUNK * std::mem::size_of::<(Key, Value)>() <= 2 << 10);
 
+/// Columns in a row: room for the closed set of series one counted event
+/// adds (`gamma_des::Usage::record` uses 19).
+pub const COLUMNS: usize = 20;
+
+/// A series name with a fixed column in a registry row. Every emission
+/// through a column after the first under one (phase, node, op) reads the
+/// series' position from the row instead of probing the index.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    name: &'static str,
+    index: usize,
+}
+
+impl Column {
+    /// Column `index` (below [`COLUMNS`]) for the series named `name`. A
+    /// caller gives each name its own index.
+    pub const fn new(name: &'static str, index: usize) -> Column {
+        assert!(index < COLUMNS, "column index past COLUMNS");
+        Column { name, index }
+    }
+}
+
+/// Rows the registry keeps, direct-mapped by (phase, node, op): a power
+/// of two above the (node, op) pairs one phase of the joins emits under.
+const ROWS: usize = 128;
+
+/// The positions of the column series of one (phase, node, op): position
+/// + 1, or 0 while the column has no series under it yet.
+#[derive(Clone, Copy)]
+struct Row {
+    phase: u32,
+    node: u16,
+    op: &'static str,
+    at: [u32; COLUMNS],
+}
+
+/// The row table, kept inline so a registry allocates nothing for it. A
+/// row whose slot a later (phase, node, op) takes is dropped: a row only
+/// remembers positions the index also holds.
+#[derive(Clone)]
+struct Rows {
+    rows: [Row; ROWS],
+    /// The row served last.
+    last: usize,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        let empty = Row {
+            phase: 0,
+            node: 0,
+            op: "",
+            at: [0; COLUMNS],
+        };
+        Rows {
+            rows: [empty; ROWS],
+            last: 0,
+        }
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Rows { .. }")
+    }
+}
+
+impl Rows {
+    /// The row of (phase, node, op), emptied and retagged first when its
+    /// slot holds another.
+    fn get(&mut self, phase: u32, node: u16, op: &'static str) -> usize {
+        let tagged = |r: &Row| r.phase == phase && r.node == node && same_str(r.op, op);
+        if tagged(&self.rows[self.last]) {
+            return self.last;
+        }
+        let at = row_home(phase, node, op);
+        let row = &mut self.rows[at];
+        if !tagged(row) {
+            *row = Row {
+                phase,
+                node,
+                op,
+                at: [0; COLUMNS],
+            };
+        }
+        self.last = at;
+        at
+    }
+}
+
 /// The deterministic metrics registry.
 ///
 /// Series are stored in first-emission order and found through a hash of
@@ -190,6 +280,65 @@ pub struct Registry {
     /// position + 1, or 0 when empty. Empty, or a power of two at least
     /// twice the number of series long.
     slots: Vec<u32>,
+    /// Column positions per (phase, node, op), for [`Registry::row`].
+    rows: Rows,
+}
+
+/// One (phase, node, op) of a registry, resolved once: [`Registry::row`].
+pub struct RowMut<'a> {
+    registry: &'a mut Registry,
+    row: usize,
+}
+
+impl RowMut<'_> {
+    /// Add `delta` to the counter in `col`.
+    pub fn counter_add(&mut self, col: Column, delta: u64) {
+        match self.value(col, || Value::Counter(0)) {
+            Value::Counter(v) => *v += delta,
+            other => panic!("metric {} is a {}, not a counter", col.name, other.kind()),
+        }
+    }
+
+    /// Record an observation in the histogram in `col`.
+    pub fn observe(&mut self, col: Column, value: u64) {
+        match self.value(col, || Value::Histogram(Box::default())) {
+            Value::Histogram(h) => h.observe(value),
+            other => panic!("metric {} is a {}, not a histogram", col.name, other.kind()),
+        }
+    }
+
+    /// The value of `col`'s series in this row, found through the index
+    /// (and inserted as `init()` when absent) the first time only.
+    fn value(&mut self, col: Column, init: impl FnOnce() -> Value) -> &mut Value {
+        let reg = &mut *self.registry;
+        let row = &reg.rows.rows[self.row];
+        let at = match row.at[col.index] {
+            0 => {
+                let key = Key {
+                    name: col.name,
+                    phase: row.phase,
+                    node: row.node,
+                    op: row.op,
+                };
+                let at = match reg.find(&key) {
+                    Ok(at) => at,
+                    Err(slot) => reg.insert(slot, key, init()),
+                };
+                reg.rows.rows[self.row].at[col.index] = at as u32 + 1;
+                at
+            }
+            at => at as usize - 1,
+        };
+        let (key, value) = &mut reg.series[at / CHUNK][at % CHUNK];
+        assert!(
+            same_str(key.name, col.name),
+            "column {} names both {} and {}",
+            col.index,
+            key.name,
+            col.name
+        );
+        value
+    }
 }
 
 impl Registry {
@@ -307,6 +456,18 @@ impl Registry {
         match self.entry(key, || Value::Histogram(Box::default())) {
             Value::Histogram(h) => h.observe(value),
             other => panic!("metric {name} is a {}, not a histogram", other.kind()),
+        }
+    }
+
+    /// The row of (current phase, `node`, `op`): the series one counted
+    /// event adds under one label set, each found through the index the
+    /// first time only. A run of rows on one (node, op) costs one
+    /// comparison to find.
+    pub fn row(&mut self, node: u16, op: &'static str) -> RowMut<'_> {
+        let row = self.rows.get(self.current, node, op);
+        RowMut {
+            registry: self,
+            row,
         }
     }
 
@@ -464,39 +625,17 @@ impl Registry {
 /// Key equality that tries the labels' addresses before their bytes: an
 /// emission site passes the same `&'static str`s every time.
 fn same(a: &Key, b: &Key) -> bool {
-    let eq = |x: &str, y: &str| std::ptr::eq(x, y) || x == y;
-    a.phase == b.phase && a.node == b.node && eq(a.name, b.name) && eq(a.op, b.op)
+    a.phase == b.phase && a.node == b.node && same_str(a.name, b.name) && same_str(a.op, b.op)
+}
+
+fn same_str(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
 }
 
 /// The index slot a key's probe starts at: an FxHash-style hash of the
 /// key's content, fixed, so where a key lands repeats run to run. Equal
 /// strings at different addresses hash alike.
 fn home(key: &Key, mask: usize) -> usize {
-    fn mix(h: u64, word: u64) -> u64 {
-        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-    }
-    /// A label's first and last eight bytes (four, or three single bytes,
-    /// when it is shorter), read without a loop. Labels that agree on
-    /// these and on their length collide, and [`same`] tells them apart.
-    fn ends(s: &str) -> (u64, u64) {
-        let b = s.as_bytes();
-        let n = b.len();
-        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
-        let half = |at: usize| {
-            u64::from(u32::from_le_bytes(
-                b[at..at + 4].try_into().expect("four bytes"),
-            ))
-        };
-        match n {
-            8.. => (word(0), word(n - 8)),
-            4..=7 => (half(0), half(n - 4)),
-            1..=3 => (
-                u64::from(b[0]) | u64::from(b[n / 2]) << 8,
-                u64::from(b[n - 1]),
-            ),
-            0 => (0, 0),
-        }
-    }
     let (name, op) = (ends(key.name), ends(key.op));
     let labels = (key.name.len() as u64) << 48 | (key.op.len() as u64) << 32;
     let mut h = mix(0, labels | u64::from(key.phase) << 16 | u64::from(key.node));
@@ -505,6 +644,43 @@ fn home(key: &Key, mask: usize) -> usize {
     }
     // The multiply carries entropy upward: index by the high half.
     (h >> 32) as usize & mask
+}
+
+/// The row slot of (phase, node, op), hashed as [`home`] hashes a key.
+fn row_home(phase: u32, node: u16, op: &str) -> usize {
+    let (a, b) = ends(op);
+    let h = mix(
+        0,
+        (op.len() as u64) << 48 | u64::from(phase) << 16 | u64::from(node),
+    );
+    (mix(mix(h, a), b) >> 32) as usize & (ROWS - 1)
+}
+
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// A label's first and last eight bytes (four, or three single bytes,
+/// when it is shorter), read without a loop. Labels that agree on these
+/// and on their length collide, and [`same`] tells them apart.
+fn ends(s: &str) -> (u64, u64) {
+    let b = s.as_bytes();
+    let n = b.len();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            b[at..at + 4].try_into().expect("four bytes"),
+        ))
+    };
+    match n {
+        8.. => (word(0), word(n - 8)),
+        4..=7 => (half(0), half(n - 4)),
+        1..=3 => (
+            u64::from(b[0]) | u64::from(b[n / 2]) << 8,
+            u64::from(b[n - 1]),
+        ),
+        0 => (0, 0),
+    }
 }
 
 thread_local! {
@@ -932,5 +1108,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The series the row tests emit through columns, with their kinds.
+    const ROW_SERIES: [(Column, char); 4] = [
+        (Column::new("pages_read", 0), 'c'),
+        (Column::new("packet_bytes", 1), 'h'),
+        (Column::new("packets_sent", 2), 'c'),
+        (Column::new("p", 5), 'h'),
+    ];
+    /// Operator labels for the row tests: with 48 nodes, 240 (node, op)
+    /// pairs a phase, so rows share slots and are dropped and refilled.
+    const ROW_OPS: [&str; 5] = ["", "scan", "scan2", "build", "probe"];
+
+    /// `(phase, node, op, series, value)`; series 4 is a gauge emitted by
+    /// name, the others [`ROW_SERIES`]' columns.
+    type RowEmission = (u32, u16, &'static str, usize, u64);
+
+    fn emit_row(r: &mut Registry, (_, node, op, series, value): RowEmission) {
+        match ROW_SERIES.get(series) {
+            Some(&(col, 'c')) => r.row(node, op).counter_add(col, value),
+            Some(&(col, _)) => r.row(node, op).observe(col, value),
+            None => r.gauge_max("pool_peak_pages", node, op, value),
+        }
+    }
+
+    #[test]
+    fn rows_change_no_export() {
+        let mut rng = Rng(46);
+        let mut stream: Vec<RowEmission> = (0..4_000)
+            .map(|_| {
+                let phase = rng.below(3) as u32;
+                let node = rng.below(48) as u16;
+                let op = ROW_OPS[rng.below(ROW_OPS.len())];
+                let series = rng.below(ROW_SERIES.len() + 1);
+                (
+                    phase,
+                    node,
+                    op,
+                    series,
+                    rng.next() >> (40 + rng.next() % 24),
+                )
+            })
+            .collect();
+        // One registry, phase by phase, each phase's emissions interleaved.
+        stream.sort_by_key(|e| e.0);
+        let mut whole = Registry::new();
+        for phase in 0..3 {
+            for e in stream.iter().filter(|e| e.0 == phase) {
+                emit_row(&mut whole, *e);
+            }
+            if phase < 2 {
+                whole.seal_phase(["a", "b"][phase as usize]);
+            }
+        }
+        // The same emissions in reverse, split across two worker registries
+        // a phase, merged in reverse.
+        let mut workers: Vec<Registry> = Vec::new();
+        for phase in (0..3).rev() {
+            let mine: Vec<_> = stream.iter().rev().filter(|e| e.0 == phase).collect();
+            let (late, early) = mine.split_at(mine.len() / 2);
+            for half in [late, early] {
+                let mut w = Registry::at_phase(phase);
+                for e in half {
+                    emit_row(&mut w, **e);
+                }
+                workers.push(w);
+            }
+        }
+        let mut merged = Registry::new();
+        merged.seal_phase("a");
+        merged.seal_phase("b");
+        for w in workers.into_iter().rev() {
+            merged.merge(w);
+        }
+        // The index alone, by name at an explicit phase.
+        let mut by_name = Registry::new();
+        by_name.seal_phase("a");
+        by_name.seal_phase("b");
+        for &(phase, node, op, series, value) in &stream {
+            match ROW_SERIES.get(series) {
+                Some(&(col, 'c')) => by_name.counter_add_at(col.name, phase, node, op, value),
+                Some(&(col, _)) => by_name.observe_at(col.name, phase, node, op, value),
+                None => by_name.gauge_max_at("pool_peak_pages", phase, node, op, value),
+            }
+        }
+        assert!(whole.len() > 2 * ROWS, "too few series to share row slots");
+        for r in [&merged, &by_name] {
+            assert_eq!(json::render(r), json::render(&whole));
+            assert_eq!(prometheus::render(r), prometheus::render(&whole));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a histogram")]
+    fn kind_mismatch_is_detected_through_a_row() {
+        let mut r = Registry::new();
+        let col = Column::new("m", 0);
+        r.counter_add("m", 0, "op", 1);
+        // The first emission fills the row; the second reads it.
+        r.row(0, "op").counter_add(col, 1);
+        r.row(0, "op").observe(col, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 3 names both a and b")]
+    fn two_names_in_one_column_are_detected() {
+        let mut r = Registry::new();
+        r.row(0, "op").counter_add(Column::new("a", 3), 1);
+        r.row(0, "op").counter_add(Column::new("b", 3), 1);
     }
 }

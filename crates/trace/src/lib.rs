@@ -26,7 +26,8 @@
 //!    event's demand offset into absolute µs by scaling with the node's
 //!    busy/demand ratio (resources overlap, so busy ≤ demand).
 //!
-//! All arithmetic is integer (u64/u128); no floats touch timestamps.
+//! All arithmetic is integer (u64, u128 past its range); no floats touch
+//! timestamps.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -358,8 +359,12 @@ impl TraceSink {
         if demand == 0 {
             return Some(start);
         }
-        let busy = usage.busy_us();
-        let scaled = (ev.offset_us.min(demand) as u128 * busy as u128 / demand as u128) as u64;
+        let (offset, busy) = (ev.offset_us.min(demand), usage.busy_us());
+        // The product fits a u64 in every real trace; u128 only past it.
+        let scaled = match offset.checked_mul(busy) {
+            Some(product) => product / demand,
+            None => (u128::from(offset) * u128::from(busy) / u128::from(demand)) as u64,
+        };
         Some(start + scaled)
     }
 

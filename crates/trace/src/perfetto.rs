@@ -16,8 +16,10 @@
 //!   wait depth across phases (stepped: set at phase start, zeroed at
 //!   phase end).
 //!
-//! Output is built with deterministic string formatting only — no
-//! floats, no hashing — so identical runs serialize byte-identically.
+//! Output is written with `push_str` of constant fragments and one
+//! decimal integer writer — no `core::fmt` past a control character's
+//! escape, no floats, no hashing — so identical runs serialize
+//! byte-identically.
 
 use crate::{EventKind, TraceSink, SCHEDULER_PHASE};
 use std::fmt::Write as _;
@@ -59,49 +61,84 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-/// Writes what it is given, escaped as [`escape`] escapes it.
-struct Escaped<'a>(&'a mut String);
-
-impl std::fmt::Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        escape(s, self.0);
-        Ok(())
+/// Append `v` in decimal: the one way the export writes a number.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
-fn push_meta(out: &mut String, pid: u32, name: std::fmt::Arguments<'_>) {
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
-    let _ = write!(out, "{pid}");
+/// Append `key` (a constant JSON fragment ending in `:`) and then `v`.
+fn field(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    push_u64(out, v);
+}
+
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// What follows a record's name: `","ph":"<ph>","pid":<pid>,"tid":0,"ts":<ts>`.
+/// `ph` carries any fields that sit between the phase and the pid.
+fn push_place(out: &mut String, ph: &str, pid: u32, ts: u64) {
+    out.push_str("\",\"ph\":\"");
+    out.push_str(ph);
+    field(out, "\",\"pid\":", pid.into());
+    field(out, ",\"tid\":0,\"ts\":", ts);
+}
+
+/// The phase of an instant event, with its thread scope.
+const INSTANT: &str = "i\",\"s\":\"t";
+
+/// A process-name record: `name`, followed by `number` when given.
+fn push_meta(out: &mut String, pid: u32, name: &str, number: Option<u64>) {
+    field(
+        out,
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+        pid.into(),
+    );
     out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
-    let _ = Escaped(out).write_fmt(name);
+    escape(name, out);
+    if let Some(n) = number {
+        push_u64(out, n);
+    }
     out.push_str("\"}}");
 }
 
 /// Append the `args` object for a discrete event.
 fn push_args(out: &mut String, kind: &EventKind) {
-    match kind {
+    match *kind {
         EventKind::DiskRead { file, page } | EventKind::DiskWrite { file, page } => {
-            let _ = write!(out, "{{\"file\":{file},\"page\":{page}}}");
+            field(out, "{\"file\":", file.into());
+            field(out, ",\"page\":", page.into());
         }
         EventKind::PacketSend { dst, bytes } | EventKind::Control { dst, bytes } => {
-            let _ = write!(out, "{{\"dst\":{dst},\"bytes\":{bytes}}}");
+            field(out, "{\"dst\":", dst.into());
+            field(out, ",\"bytes\":", bytes.into());
         }
         EventKind::PacketRecv { src, bytes } => {
-            let _ = write!(out, "{{\"src\":{src},\"bytes\":{bytes}}}");
+            field(out, "{\"src\":", src.into());
+            field(out, ",\"bytes\":", bytes.into());
         }
-        EventKind::ShortCircuit { bytes } => {
-            let _ = write!(out, "{{\"bytes\":{bytes}}}");
-        }
+        EventKind::ShortCircuit { bytes } => field(out, "{\"bytes\":", bytes.into()),
         EventKind::HashProbe { matched } => {
-            let _ = write!(out, "{{\"matched\":{matched}}}");
+            out.push_str("{\"matched\":");
+            push_bool(out, matched);
         }
         EventKind::BucketOpen { bucket }
         | EventKind::BucketClose { bucket }
-        | EventKind::BucketSpill { bucket } => {
-            let _ = write!(out, "{{\"bucket\":{bucket}}}");
-        }
-        _ => out.push_str("{}"),
+        | EventKind::BucketSpill { bucket } => field(out, "{\"bucket\":", bucket.into()),
+        _ => out.push('{'),
     }
+    out.push('}');
 }
 
 /// Render the sink as a Chrome trace-event JSON document.
@@ -135,11 +172,11 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
         .unwrap_or(0);
     for n in 0..nodes {
         sep(&mut out);
-        push_meta(&mut out, n as u32, format_args!("node {n}"));
+        push_meta(&mut out, n as u32, "node ", Some(n as u64));
     }
     if sink.totals.sim_steps > 0 || extra.iter().any(|c| c.pid == SCHEDULER_PID) {
         sep(&mut out);
-        push_meta(&mut out, SCHEDULER_PID, format_args!("scheduler"));
+        push_meta(&mut out, SCHEDULER_PID, "scheduler", None);
     }
 
     // Phase spans: one "X" per (phase, node) with dur = node busy time.
@@ -155,22 +192,19 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             sep(&mut out);
             out.push_str("{\"name\":\"");
             escape(&ph.name, &mut out);
-            let _ = write!(
-                out,
-                "\",\"ph\":\"X\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"dur\":{}",
-                usage.busy_us().min(dur)
-            );
-            let _ = write!(
-                out,
-                ",\"args\":{{\"phase_index\":{idx},\"cpu_us\":{},\"disk_us\":{},\"net_us\":{},\"disk_wait_us\":{},\"net_wait_us\":{},\"dominant\":\"{}\",\"critical\":{}}}}}",
-                usage.cpu_us,
-                usage.disk_us,
-                usage.net_us,
-                usage.disk_wait_us,
-                usage.net_wait_us,
-                usage.dominant(),
-                critical == Some(n),
-            );
+            push_place(&mut out, "X", n as u32, start);
+            field(&mut out, ",\"dur\":", usage.busy_us().min(dur));
+            field(&mut out, ",\"args\":{\"phase_index\":", idx as u64);
+            field(&mut out, ",\"cpu_us\":", usage.cpu_us);
+            field(&mut out, ",\"disk_us\":", usage.disk_us);
+            field(&mut out, ",\"net_us\":", usage.net_us);
+            field(&mut out, ",\"disk_wait_us\":", usage.disk_wait_us);
+            field(&mut out, ",\"net_wait_us\":", usage.net_wait_us);
+            out.push_str(",\"dominant\":\"");
+            out.push_str(usage.dominant());
+            out.push_str("\",\"critical\":");
+            push_bool(&mut out, critical == Some(n));
+            out.push_str("}}");
         }
     }
 
@@ -190,32 +224,32 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             if usage.demand_us() == 0 {
                 continue;
             }
+            let (pid, end) = (n as u32, start + dur);
             sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"utilisation %\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"args\":{{\"cpu\":{},\"disk\":{},\"net\":{}}}}}",
-                usage.cpu_us * 100 / dur,
-                usage.disk_us * 100 / dur,
-                usage.net_us * 100 / dur,
-            );
+            out.push_str("{\"name\":\"utilisation %");
+            push_place(&mut out, "C", pid, start);
+            field(&mut out, ",\"args\":{\"cpu\":", usage.cpu_us * 100 / dur);
+            field(&mut out, ",\"disk\":", usage.disk_us * 100 / dur);
+            field(&mut out, ",\"net\":", usage.net_us * 100 / dur);
+            out.push_str("}}");
             sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"queue depth (milli)\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{start},\"args\":{{\"disk\":{},\"net\":{}}}}}",
+            out.push_str("{\"name\":\"queue depth (milli)");
+            push_place(&mut out, "C", pid, start);
+            field(
+                &mut out,
+                ",\"args\":{\"disk\":",
                 usage.disk_wait_us * 1000 / dur,
-                usage.net_wait_us * 1000 / dur,
             );
-            let end = start + dur;
+            field(&mut out, ",\"net\":", usage.net_wait_us * 1000 / dur);
+            out.push_str("}}");
             sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"utilisation %\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{end},\"args\":{{\"cpu\":0,\"disk\":0,\"net\":0}}}}"
-            );
+            out.push_str("{\"name\":\"utilisation %");
+            push_place(&mut out, "C", pid, end);
+            out.push_str(",\"args\":{\"cpu\":0,\"disk\":0,\"net\":0}}");
             sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"queue depth (milli)\",\"ph\":\"C\",\"pid\":{n},\"tid\":0,\"ts\":{end},\"args\":{{\"disk\":0,\"net\":0}}}}"
-            );
+            out.push_str("{\"name\":\"queue depth (milli)");
+            push_place(&mut out, "C", pid, end);
+            out.push_str(",\"args\":{\"disk\":0,\"net\":0}}");
         }
     }
 
@@ -226,11 +260,13 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             sep(&mut out);
             out.push_str("{\"name\":\"");
             escape(&series.name, &mut out);
-            let _ = write!(
-                out,
-                "\",\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{ts},\"args\":{{\"value\":{value}}}}}",
-                series.pid
-            );
+            push_place(&mut out, "C", series.pid, ts);
+            out.push_str(",\"args\":{\"value\":");
+            if value < 0 {
+                out.push('-');
+            }
+            push_u64(&mut out, value.unsigned_abs());
+            out.push_str("}}");
         }
     }
 
@@ -245,30 +281,24 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             ev.node as u32
         };
         sep(&mut out);
+        out.push_str("{\"name\":\"");
         match ev.kind {
             EventKind::SpanBegin { name } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"pid\":{pid},\"tid\":0,\"ts\":{ts}}}"
-                );
+                out.push_str(name);
+                push_place(&mut out, "B", pid, ts);
             }
             EventKind::SpanEnd { name } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"pid\":{pid},\"tid\":0,\"ts\":{ts}}}"
-                );
+                out.push_str(name);
+                push_place(&mut out, "E", pid, ts);
             }
             kind => {
-                out.push_str("{\"name\":\"");
                 out.push_str(kind.label());
-                let _ = write!(
-                    out,
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":0,\"ts\":{ts},\"args\":"
-                );
+                push_place(&mut out, INSTANT, pid, ts);
+                out.push_str(",\"args\":");
                 push_args(&mut out, &kind);
-                out.push('}');
             }
         }
+        out.push('}');
     }
 
     out.push_str("\n]}\n");

@@ -130,6 +130,13 @@
 # again (the `observed` workload made 219,000 of them a pass so, and the
 # EXPLAIN report one per row).
 #
+# The Perfetto export (`crates/trace/src/perfetto.rs`) writes every number
+# through its one decimal writer and every constant fragment with
+# `push_str`: a `write!`, `format!` or `format_args!` in its non-test body
+# outside `escape`'s control-character branch and `push_meta` is `core::fmt`
+# back on the per-event path (a quarter of an `observed` pass was the
+# formatter so).
+#
 # The event kernel (`crates/des/src/sim.rs`) queues its caller's typed
 # events by value, and the serve engine (`crates/sched/src/engine.rs`)
 # schedules a three-variant enum: a `Box<dyn FnOnce` or an `EventFn` alias
@@ -457,6 +464,20 @@ for f in crates/metrics/src/json.rs crates/metrics/src/prometheus.rs crates/prof
     fi
 done
 
+# The Perfetto export keeps core::fmt off its per-event path.
+f=crates/trace/src/perfetto.rs
+hits=$(awk '/^#\[cfg\(test\)\]/{exit}
+    /^[[:space:]]*\/\// {next}
+    /^(pub )?fn / {fn=$0; sub(/^(pub )?fn /, "", fn); sub(/[(<].*/, "", fn)}
+    /(write|format|format_args)!/ && fn != "push_meta" && !(fn == "escape" && index($0, "u{:04x}")) {
+        print NR ": " $0
+    }' "$f")
+if [ -n "$hits" ]; then
+    echo "error: $f formats with core::fmt; write numbers with push_u64 and fragments with push_str:" >&2
+    echo "$hits" | sed "s|^|  $f:|" >&2
+    fail=1
+fi
+
 # Typed events: nothing boxed per scheduled event.
 for f in crates/des/src/sim.rs crates/sched/src/engine.rs; do
     hits=$(grep -nE 'Box<dyn FnOnce|\bEventFn\b' "$f" | grep -vE '^[0-9]+:\s*//' || true)
@@ -497,4 +518,4 @@ if [ "$fail" -ne 0 ]; then
     echo "extend the allowlist in $0 with a comment saying why." >&2
     exit 1
 fi
-echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, diverted build tuples forwarded by reference, unkept writers and sort runs copying no record bytes, no charge counting a std sort's comparator calls, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, totals summed by reference with one owner per request log, no allocs in prof sampling"
+echo "alloc discipline OK: no per-tuple owned moves in exec::{mod,scan,hash}/algorithms::{family,sort_merge}/hash_table, chains threaded through one entry vector, page-backed scan loop, producers send by reference, every join's results sent as two references and composed where they are stored, no intra-node chunking, pages closed without allocating and published a segment at a time from reused runs, diverted build tuples forwarded by reference, unkept writers and sort runs copying no record bytes, no charge counting a std sort's comparator calls, no global or per-packet buffer in net::exchange, one packet path (no Fabric, no send_tuple, no machine.fabric), one exchange client (run_step), one consumer side per join (no ResultSink), no traced mode or cancellation in the event kernel, typed events with no boxed closure in the kernel or the serve engine, no query ids, fixed-key hash tables in the engine crates, exporters and EXPLAIN writing into one buffer, a Perfetto export without core::fmt, totals summed by reference with one owner per request log, no allocs in prof sampling"
