@@ -73,7 +73,7 @@ fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Append `key` (a constant JSON fragment ending in `:`) and then `v`.
