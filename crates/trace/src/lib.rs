@@ -231,6 +231,9 @@ pub struct TraceSink {
     pub phases: Vec<Phase>,
     /// Next phase index awaiting `phase_replayed_next`.
     replay_cursor: usize,
+    /// Events pushed since the last seal, the ring's newest: only these
+    /// can still be pending.
+    unsealed: usize,
 }
 
 impl Default for TraceSink {
@@ -249,6 +252,7 @@ impl TraceSink {
             totals: EventTotals::default(),
             phases: Vec::new(),
             replay_cursor: 0,
+            unsealed: 0,
         }
     }
 
@@ -262,12 +266,7 @@ impl TraceSink {
 
     /// Record one event at the node's current demand offset.
     pub fn emit(&mut self, node: u16, offset_us: u64, kind: EventKind) {
-        self.totals.record(&kind);
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(Event {
+        self.push(Event {
             node,
             phase: PENDING_PHASE,
             offset_us,
@@ -278,12 +277,7 @@ impl TraceSink {
     /// Record a simulation step (a replayed phase's end) at an absolute
     /// simulated time.
     pub fn emit_sim_step(&mut self, at_us: u64) {
-        self.totals.record(&EventKind::SimStep);
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(Event {
+        self.push(Event {
             node: 0,
             phase: SCHEDULER_PHASE,
             offset_us: at_us,
@@ -291,10 +285,21 @@ impl TraceSink {
         });
     }
 
+    fn push(&mut self, ev: Event) {
+        self.totals.record(&ev.kind);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
+        }
+        self.ring.push_back(ev);
+        self.unsealed = (self.unsealed + 1).min(self.ring.len());
+    }
+
     /// Seal all pending events into a new named phase and return its index.
     pub fn seal_phase(&mut self, name: &str, per_node: Vec<NodeUsage>) -> u32 {
         let idx = self.phases.len() as u32;
-        for ev in self.ring.iter_mut() {
+        let sealed = self.ring.len() - std::mem::take(&mut self.unsealed);
+        for ev in self.ring.range_mut(sealed..) {
             if ev.phase == PENDING_PHASE {
                 ev.phase = idx;
             }
@@ -449,6 +454,24 @@ mod tests {
         let phases: Vec<u32> = sink.events().map(|e| e.phase).collect();
         assert_eq!(phases, vec![p0, p1]);
         assert_eq!(sink.phases.len(), 2);
+    }
+
+    #[test]
+    fn seal_reaches_every_pending_event_after_eviction() {
+        let mut sink = TraceSink::new(3);
+        sink.emit(0, 1, EventKind::HashInsert);
+        sink.seal_phase("a", vec![usage(1, 0, 0)]);
+        sink.emit(0, 2, EventKind::HashInsert);
+        sink.emit_sim_step(5);
+        for offset in 3..6 {
+            sink.emit(0, offset, EventKind::HashInsert);
+        }
+        sink.seal_phase("b", vec![usage(1, 0, 0)]);
+        sink.emit(0, 9, EventKind::HashInsert);
+        sink.seal_phase("c", vec![usage(1, 0, 0)]);
+        let phases: Vec<u32> = sink.events().map(|e| e.phase).collect();
+        assert_eq!(phases, vec![1, 1, 2]);
+        assert_eq!(sink.dropped, 4);
     }
 
     #[test]
