@@ -16,13 +16,14 @@
 //!   wait depth across phases (stepped: set at phase start, zeroed at
 //!   phase end).
 //!
-//! Output is written with `push_str` of constant fragments and one
-//! decimal integer writer — no `core::fmt` past a control character's
-//! escape, no floats, no hashing — so identical runs serialize
-//! byte-identically.
+//! Output is appended as bytes: constant fragments copied whole and every
+//! number through one decimal writer — no `core::fmt` past a control
+//! character's escape, no floats, no hashing — so identical runs
+//! serialize byte-identically. The document is checked as UTF-8 once, at
+//! the end.
 
 use crate::{EventKind, TraceSink, SCHEDULER_PHASE};
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Synthetic pid for the DES scheduler track. Public so external counter
 /// series (e.g. gamma-prof flight-recorder tracks) can pin machine-wide
@@ -45,24 +46,24 @@ pub struct CounterSeries {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+fn escape(s: &str, out: &mut Vec<u8>) {
+    for b in s.bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", b);
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
 }
 
 /// Append `v` in decimal: the one way the export writes a number.
-fn push_u64(out: &mut String, mut v: u64) {
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -73,24 +74,24 @@ fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Append `key` (a constant JSON fragment ending in `:`) and then `v`.
-fn field(out: &mut String, key: &str, v: u64) {
-    out.push_str(key);
+fn field(out: &mut Vec<u8>, key: &str, v: u64) {
+    out.extend_from_slice(key.as_bytes());
     push_u64(out, v);
 }
 
-fn push_bool(out: &mut String, b: bool) {
-    out.push_str(if b { "true" } else { "false" });
+fn push_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { "true" } else { "false" }.as_bytes());
 }
 
 /// What follows a record's name: `","ph":"<ph>","pid":<pid>,"tid":0,"ts":<ts>`.
 /// `ph` carries any fields that sit between the phase and the pid.
-fn push_place(out: &mut String, ph: &str, pid: u32, ts: u64) {
-    out.push_str("\",\"ph\":\"");
-    out.push_str(ph);
+fn push_place(out: &mut Vec<u8>, ph: &str, pid: u32, ts: u64) {
+    out.extend_from_slice(b"\",\"ph\":\"");
+    out.extend_from_slice(ph.as_bytes());
     field(out, "\",\"pid\":", pid.into());
     field(out, ",\"tid\":0,\"ts\":", ts);
 }
@@ -99,22 +100,22 @@ fn push_place(out: &mut String, ph: &str, pid: u32, ts: u64) {
 const INSTANT: &str = "i\",\"s\":\"t";
 
 /// A process-name record: `name`, followed by `number` when given.
-fn push_meta(out: &mut String, pid: u32, name: &str, number: Option<u64>) {
+fn push_meta(out: &mut Vec<u8>, pid: u32, name: &str, number: Option<u64>) {
     field(
         out,
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
         pid.into(),
     );
-    out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
+    out.extend_from_slice(b",\"tid\":0,\"args\":{\"name\":\"");
     escape(name, out);
     if let Some(n) = number {
         push_u64(out, n);
     }
-    out.push_str("\"}}");
+    out.extend_from_slice(b"\"}}");
 }
 
 /// Append the `args` object for a discrete event.
-fn push_args(out: &mut String, kind: &EventKind) {
+fn push_args(out: &mut Vec<u8>, kind: &EventKind) {
     match *kind {
         EventKind::DiskRead { file, page } | EventKind::DiskWrite { file, page } => {
             field(out, "{\"file\":", file.into());
@@ -130,15 +131,15 @@ fn push_args(out: &mut String, kind: &EventKind) {
         }
         EventKind::ShortCircuit { bytes } => field(out, "{\"bytes\":", bytes.into()),
         EventKind::HashProbe { matched } => {
-            out.push_str("{\"matched\":");
+            out.extend_from_slice(b"{\"matched\":");
             push_bool(out, matched);
         }
         EventKind::BucketOpen { bucket }
         | EventKind::BucketClose { bucket }
         | EventKind::BucketSpill { bucket } => field(out, "{\"bucket\":", bucket.into()),
-        _ => out.push('{'),
+        _ => out.push(b'{'),
     }
-    out.push('}');
+    out.push(b'}');
 }
 
 /// Render the sink as a Chrome trace-event JSON document.
@@ -154,12 +155,12 @@ pub fn to_json(sink: &TraceSink) -> String {
 /// gamma-prof flight-recorder time series) into the same document. With
 /// an empty `extra` slice the output is byte-identical to [`to_json`].
 pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> String {
-    let mut out = String::with_capacity(256 + sink.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    let mut out = Vec::with_capacity(256 + sink.len() * 96);
+    out.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
-    let mut sep = |out: &mut String| {
+    let mut sep = |out: &mut Vec<u8>| {
         if !std::mem::take(&mut first) {
-            out.push_str(",\n");
+            out.extend_from_slice(b",\n");
         }
     };
 
@@ -190,7 +191,7 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
                 continue;
             }
             sep(&mut out);
-            out.push_str("{\"name\":\"");
+            out.extend_from_slice(b"{\"name\":\"");
             escape(&ph.name, &mut out);
             push_place(&mut out, "X", n as u32, start);
             field(&mut out, ",\"dur\":", usage.busy_us().min(dur));
@@ -200,11 +201,11 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             field(&mut out, ",\"net_us\":", usage.net_us);
             field(&mut out, ",\"disk_wait_us\":", usage.disk_wait_us);
             field(&mut out, ",\"net_wait_us\":", usage.net_wait_us);
-            out.push_str(",\"dominant\":\"");
-            out.push_str(usage.dominant());
-            out.push_str("\",\"critical\":");
+            out.extend_from_slice(b",\"dominant\":\"");
+            out.extend_from_slice(usage.dominant().as_bytes());
+            out.extend_from_slice(b"\",\"critical\":");
             push_bool(&mut out, critical == Some(n));
-            out.push_str("}}");
+            out.extend_from_slice(b"}}");
         }
     }
 
@@ -226,14 +227,14 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             }
             let (pid, end) = (n as u32, start + dur);
             sep(&mut out);
-            out.push_str("{\"name\":\"utilisation %");
+            out.extend_from_slice(b"{\"name\":\"utilisation %");
             push_place(&mut out, "C", pid, start);
             field(&mut out, ",\"args\":{\"cpu\":", usage.cpu_us * 100 / dur);
             field(&mut out, ",\"disk\":", usage.disk_us * 100 / dur);
             field(&mut out, ",\"net\":", usage.net_us * 100 / dur);
-            out.push_str("}}");
+            out.extend_from_slice(b"}}");
             sep(&mut out);
-            out.push_str("{\"name\":\"queue depth (milli)");
+            out.extend_from_slice(b"{\"name\":\"queue depth (milli)");
             push_place(&mut out, "C", pid, start);
             field(
                 &mut out,
@@ -241,15 +242,15 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
                 usage.disk_wait_us * 1000 / dur,
             );
             field(&mut out, ",\"net\":", usage.net_wait_us * 1000 / dur);
-            out.push_str("}}");
+            out.extend_from_slice(b"}}");
             sep(&mut out);
-            out.push_str("{\"name\":\"utilisation %");
+            out.extend_from_slice(b"{\"name\":\"utilisation %");
             push_place(&mut out, "C", pid, end);
-            out.push_str(",\"args\":{\"cpu\":0,\"disk\":0,\"net\":0}}");
+            out.extend_from_slice(b",\"args\":{\"cpu\":0,\"disk\":0,\"net\":0}}");
             sep(&mut out);
-            out.push_str("{\"name\":\"queue depth (milli)");
+            out.extend_from_slice(b"{\"name\":\"queue depth (milli)");
             push_place(&mut out, "C", pid, end);
-            out.push_str(",\"args\":{\"disk\":0,\"net\":0}}");
+            out.extend_from_slice(b",\"args\":{\"disk\":0,\"net\":0}}");
         }
     }
 
@@ -258,15 +259,15 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
     for series in extra {
         for &(ts, value) in series.points.iter() {
             sep(&mut out);
-            out.push_str("{\"name\":\"");
+            out.extend_from_slice(b"{\"name\":\"");
             escape(&series.name, &mut out);
             push_place(&mut out, "C", series.pid, ts);
-            out.push_str(",\"args\":{\"value\":");
+            out.extend_from_slice(b",\"args\":{\"value\":");
             if value < 0 {
-                out.push('-');
+                out.push(b'-');
             }
             push_u64(&mut out, value.unsigned_abs());
-            out.push_str("}}");
+            out.extend_from_slice(b"}}");
         }
     }
 
@@ -281,28 +282,28 @@ pub fn to_json_with_counters(sink: &TraceSink, extra: &[CounterSeries]) -> Strin
             ev.node as u32
         };
         sep(&mut out);
-        out.push_str("{\"name\":\"");
+        out.extend_from_slice(b"{\"name\":\"");
         match ev.kind {
             EventKind::SpanBegin { name } => {
-                out.push_str(name);
+                out.extend_from_slice(name.as_bytes());
                 push_place(&mut out, "B", pid, ts);
             }
             EventKind::SpanEnd { name } => {
-                out.push_str(name);
+                out.extend_from_slice(name.as_bytes());
                 push_place(&mut out, "E", pid, ts);
             }
             kind => {
-                out.push_str(kind.label());
+                out.extend_from_slice(kind.label().as_bytes());
                 push_place(&mut out, INSTANT, pid, ts);
-                out.push_str(",\"args\":");
+                out.extend_from_slice(b",\"args\":");
                 push_args(&mut out, &kind);
             }
         }
-        out.push('}');
+        out.push(b'}');
     }
 
-    out.push_str("\n]}\n");
-    out
+    out.extend_from_slice(b"\n]}\n");
+    String::from_utf8(out).expect("the export writes UTF-8")
 }
 
 /// Drop-in check that a document at least parses as the expected shape.
@@ -546,8 +547,8 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        let mut s = String::new();
-        escape("a\"b\\c\nd", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd");
+        let mut s = Vec::new();
+        escape("a\"b\\c\nd\u{1}é", &mut s);
+        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001é".as_bytes());
     }
 }

@@ -131,8 +131,8 @@
 # EXPLAIN report one per row).
 #
 # The Perfetto export (`crates/trace/src/perfetto.rs`) writes every number
-# through its one decimal writer and every constant fragment with
-# `push_str`: a `write!`, `format!` or `format_args!` in its non-test body
+# through its one decimal writer and copies every constant fragment as
+# bytes: a `write!`, `format!` or `format_args!` in its non-test body
 # outside `escape`'s control-character branch and `push_meta` is `core::fmt`
 # back on the per-event path (a quarter of an `observed` pass was the
 # formatter so).
@@ -473,7 +473,7 @@ hits=$(awk '/^#\[cfg\(test\)\]/{exit}
         print NR ": " $0
     }' "$f")
 if [ -n "$hits" ]; then
-    echo "error: $f formats with core::fmt; write numbers with push_u64 and fragments with push_str:" >&2
+    echo "error: $f formats with core::fmt; write numbers with push_u64 and constant fragments as bytes:" >&2
     echo "$hits" | sed "s|^|  $f:|" >&2
     fail=1
 fi
