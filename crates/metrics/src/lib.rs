@@ -171,7 +171,7 @@ const _: () = assert!(CHUNK * std::mem::size_of::<(Key, Value)>() <= 2 << 10);
 
 /// Columns in a row: room for the closed set of series one counted event
 /// adds (`gamma_des::Usage::record` uses 19).
-pub const COLUMNS: usize = 20;
+const COLUMNS: usize = 20;
 
 /// A series name with a fixed column in a registry row. Every emission
 /// through a column after the first under one (phase, node, op) reads the
@@ -183,8 +183,8 @@ pub struct Column {
 }
 
 impl Column {
-    /// Column `index` (below [`COLUMNS`]) for the series named `name`. A
-    /// caller gives each name its own index.
+    /// Column `index` (below 20, a row's width) for the series named
+    /// `name`. A caller gives each name its own index.
     pub const fn new(name: &'static str, index: usize) -> Column {
         assert!(index < COLUMNS, "column index past COLUMNS");
         Column { name, index }
@@ -461,8 +461,8 @@ impl Registry {
 
     /// The row of (current phase, `node`, `op`): the series one counted
     /// event adds under one label set, each found through the index the
-    /// first time only. A run of rows on one (node, op) costs one
-    /// comparison to find.
+    /// first time only. The row served last is compared first, so a run
+    /// of events on one (node, op) finds its row in one comparison.
     pub fn row(&mut self, node: u16, op: &'static str) -> RowMut<'_> {
         let row = self.rows.get(self.current, node, op);
         RowMut {
