@@ -116,10 +116,14 @@ impl ResultRoute {
         }
     }
 
-    /// Next store node in rotation.
+    /// Next store node in rotation: an increment and a wrap, no division
+    /// per result tuple.
     pub fn advance(&mut self) -> NodeId {
         let dst = self.next;
-        self.next = (self.next + 1) % self.disk_nodes;
+        self.next += 1;
+        if self.next == self.disk_nodes {
+            self.next = 0;
+        }
         dst
     }
 }
@@ -842,6 +846,22 @@ mod tests {
         assert!(consumers
             .install_sites(&m, &rz, &rz.join_nodes, 0, 0)
             .filters_on());
+    }
+
+    #[test]
+    fn result_route_deals_round_robin_from_its_offset() {
+        for disk_nodes in 1..=9 {
+            for src in 0..20 {
+                let mut route = ResultRoute::new(src, disk_nodes);
+                for i in 0..30 {
+                    assert_eq!(
+                        route.advance(),
+                        (src + i) % disk_nodes,
+                        "{src}/{disk_nodes}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod time;
 pub use ledger::{Counts, NodeQueueTiming, Usage};
 pub use phase::{compose, ring_time, PhaseTiming, TimingModel};
 pub use queue::{
-    fifo_drain, fold_waits, with_requests, QueueStats, Request, RequestLog, ServiceSpan,
+    fifo_drain, fold_waits, with_requests, DeviceLog, QueueStats, Request, RequestLog, ServiceSpan,
     SharedServer,
 };
 pub use record::Event;

@@ -24,6 +24,30 @@
 //! holds: [`SharedServer`] is the cross-phase, cross-query variant that
 //! lives on the absolute virtual clock and carries its backlog between
 //! phases — the gamma-sched engine owns one per device (DESIGN.md §12).
+//!
+//! ## A whole log in closed form
+//!
+//! When a fixed log reaches a [`SharedServer`] at `at + issue`, Lindley's
+//! recurrence unrolls into a function of one number, the backlog the
+//! server carries in, `x = free_at − at`. With `P_k = Σ_{i<k} s_i` and
+//! `G_k = max_{j≤k}(issue_j − P_j)` (never decreasing), request `k`
+//! starts at `at + P_k + max(x, G_k)`, so
+//!
+//! ```text
+//! completion = at + S + max(x, G_last)                      S = Σ s
+//! Σ wait     = Σ_k (G_k + P_k − issue_k) + Σ_{G_k < x} (x − G_k)
+//! max wait   = max(max_k (G_k + P_k − issue_k), x + max_k (P_k − issue_k))
+//! ```
+//!
+//! [`DeviceLog`] keeps `G_k` and `Σ_{j<k} G_j` beside each request, so
+//! [`SharedServer::submit_log`] finds the requests with `G_k < x` by a
+//! binary search and serves the whole log in O(log n), with the same
+//! `free_at` and [`QueueStats`] as one [`SharedServer::submit_span`] per
+//! request. The per-request path stays for callers that move a later
+//! arrival by an earlier wait (the engine's backlog window) or observe
+//! every request (the flight recorder).
+
+use std::ops::Index;
 
 use crate::time::SimTime;
 
@@ -138,7 +162,7 @@ pub fn fifo_drain(requests: &[Request]) -> QueueStats {
 /// this per device — see DESIGN.md §12). A fresh server with one phase's
 /// log submitted at its issue offsets reproduces [`fifo_drain`] exactly
 /// (see the `shared_server_matches_fifo_drain` test).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedServer {
     free_at: SimTime,
     last_arrival: SimTime,
@@ -192,6 +216,167 @@ impl SharedServer {
             start,
             completion: self.free_at,
         }
+    }
+
+    /// Serve every request of `log`, request `k` arriving at
+    /// `at + issue_k`, exactly as one [`SharedServer::submit_span`] per
+    /// request in log order would: the same `free_at` and the same
+    /// [`QueueStats`], in O(log n) (module docs, "A whole log in closed
+    /// form"). Returns the span of the first request that completes at the
+    /// log's completion — the request a per-request caller keeping the
+    /// strictly latest completion would name — or `None` for an empty log.
+    pub fn submit_log(&mut self, at: SimTime, log: &DeviceLog) -> Option<ServiceSpan> {
+        let (first, last) = (log.entries.first()?, log.entries.last()?);
+        debug_assert!(
+            at + first.request.issue >= self.last_arrival,
+            "FIFO server requires non-decreasing arrivals ({} after {})",
+            at + first.request.issue,
+            self.last_arrival
+        );
+        let at_us = i128::from(at.as_us());
+        // The backlog carried in, relative to the log's time base.
+        let x = i128::from(self.free_at.as_us()) - at_us;
+        // Requests 0..m start behind the carried backlog: G_k < x.
+        let m = log.entries.partition_point(|e| e.g < x);
+        let g_before_m = log.entries.get(m).map_or(log.g_total, |e| e.g_before);
+        let wait = log.self_wait + m as i128 * x - g_before_m;
+        let max_wait = log.self_max_wait.max(x + log.max_lead);
+
+        let owner = if x >= last.g {
+            log.last_served
+        } else {
+            log.first_at_last_g
+        };
+        let completion = time(at_us + i128::from(log.service.as_us()) + x.max(last.g));
+        let owned = log.entries[owner].request;
+        self.stats.wait += time(wait);
+        self.stats.max_wait = self.stats.max_wait.max(time(max_wait));
+        self.stats.service += log.service;
+        self.stats.requests += log.entries.len() as u64;
+        self.stats.completion = completion;
+        self.free_at = completion;
+        self.last_arrival = at + last.request.issue;
+        Some(ServiceSpan {
+            arrival: at + owned.issue,
+            start: completion - owned.service,
+            completion,
+        })
+    }
+}
+
+/// A closed-form quantity back on the clock; every one is a time or a sum
+/// of waits, so never negative.
+fn time(us: i128) -> SimTime {
+    SimTime::from_us(u64::try_from(us).expect("queue time within u64 µs"))
+}
+
+/// One request of a [`DeviceLog`], with the prefix summaries of the log up
+/// to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Logged {
+    request: Request,
+    /// `G_k = max_{j≤k}(issue_j − P_j)`, `P_j` the service before request
+    /// `j`: the least backlog carried in that delays request `k`.
+    g: i128,
+    /// `Σ_{j<k} G_j`.
+    g_before: i128,
+}
+
+/// One device's request log in issue order, with the prefix summaries that
+/// let [`SharedServer::submit_log`] serve it in closed form. The summaries
+/// sit beside the requests in the log's one allocation, built once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeviceLog {
+    entries: Vec<Logged>,
+    /// `S = Σ s`.
+    service: SimTime,
+    /// `Σ G_k` over the whole log.
+    g_total: i128,
+    /// `Σ_k (G_k + P_k − issue_k)`: the log's waits on a server free by its
+    /// first arrival.
+    self_wait: i128,
+    /// `max_k (G_k + P_k − issue_k)`.
+    self_max_wait: i128,
+    /// `max_k (P_k − issue_k)`.
+    max_lead: i128,
+    /// The last request with positive service (0 when none has any): the
+    /// first to complete at the log's completion when the carried backlog
+    /// sets it.
+    last_served: usize,
+    /// The first request at or after `last_served` whose `G_k` is the
+    /// log's last: the first to complete at the log's completion when the
+    /// log's own burst sets it.
+    first_at_last_g: usize,
+}
+
+impl DeviceLog {
+    /// Summarise `requests`, which must be in non-decreasing issue order.
+    pub fn new(requests: &[Request]) -> Self {
+        debug_assert!(
+            requests.windows(2).all(|w| w[0].issue <= w[1].issue),
+            "a device log is in issue order"
+        );
+        let mut log = DeviceLog {
+            entries: Vec::with_capacity(requests.len()),
+            service: SimTime::ZERO,
+            g_total: 0,
+            self_wait: 0,
+            self_max_wait: 0,
+            max_lead: i128::MIN,
+            last_served: 0,
+            first_at_last_g: 0,
+        };
+        let (mut p, mut g, mut first_g) = (0i128, i128::MIN, 0);
+        for (k, r) in requests.iter().enumerate() {
+            let lead = p - i128::from(r.issue.as_us());
+            if -lead > g {
+                (g, first_g) = (-lead, k);
+            }
+            log.entries.push(Logged {
+                request: *r,
+                g,
+                g_before: log.g_total,
+            });
+            log.g_total += g;
+            log.self_wait += g + lead;
+            log.self_max_wait = log.self_max_wait.max(g + lead);
+            log.max_lead = log.max_lead.max(lead);
+            if r.service > SimTime::ZERO {
+                log.last_served = k;
+            }
+            log.service += r.service;
+            p += i128::from(r.service.as_us());
+        }
+        log.first_at_last_g = log.last_served.max(first_g);
+        log
+    }
+
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the log holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Request `k`, if there is one.
+    pub fn get(&self, k: usize) -> Option<&Request> {
+        self.entries.get(k).map(|e| &e.request)
+    }
+
+    /// The requests in issue order.
+    pub fn requests(&self) -> impl Iterator<Item = &Request> {
+        self.entries.iter().map(|e| &e.request)
+    }
+}
+
+impl Index<usize> for DeviceLog {
+    type Output = Request;
+
+    fn index(&self, k: usize) -> &Request {
+        &self.entries[k].request
     }
 }
 
@@ -459,6 +644,93 @@ mod tests {
         let done = server.submit(SimTime::from_us(100), SimTime::from_us(10));
         assert_eq!(done, SimTime::from_us(110));
         assert_eq!(server.stats().wait, SimTime::ZERO);
+    }
+
+    /// splitmix64: the seeded stream the closed-form checks draw from.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// An issue-ordered log with equal issues, zero-service requests,
+    /// bursts and idle gaps.
+    fn random_log(rng: &mut Mix) -> Vec<Request> {
+        let mut issue = rng.below(50);
+        (0..rng.below(40))
+            .map(|_| {
+                issue += match rng.below(4) {
+                    0 => 0,
+                    1 => rng.below(5),
+                    _ => rng.below(60),
+                };
+                let service = if rng.below(5) == 0 { 0 } else { rng.below(40) };
+                req(issue, service)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn submit_log_equals_one_submit_span_per_request() {
+        let mut rng = Mix(1989);
+        for case in 0..3_000 {
+            let mut per_request = SharedServer::new();
+            per_request.submit(SimTime::ZERO, SimTime::from_us(2_000 + rng.below(500)));
+            let mut whole = per_request.clone();
+            let mut last_arrival = SimTime::ZERO;
+            // Three logs in a row on one server, each meeting it idle, just
+            // free or backlogged.
+            for _ in 0..3 {
+                let log = random_log(&mut rng);
+                let first = log.first().map_or(0, |r| r.issue.as_us());
+                let free = per_request.free_at().as_us();
+                let at = match rng.below(5) {
+                    0 => free + rng.below(300),                 // idle
+                    1 => free,                                  // just free at the base
+                    2 => free.saturating_sub(first),            // just free at the first arrival
+                    _ => free.saturating_sub(rng.below(1_500)), // backlogged
+                };
+                let at = SimTime::from_us(at).max(last_arrival - SimTime::from_us(first));
+                let mut owner: Option<ServiceSpan> = None;
+                for r in &log {
+                    let span = per_request.submit_span(at + r.issue, r.service);
+                    if owner.is_none_or(|o| span.completion > o.completion) {
+                        owner = Some(span);
+                    }
+                    last_arrival = span.arrival;
+                }
+                let got = whole.submit_log(at, &DeviceLog::new(&log));
+                assert_eq!(got, owner, "case {case} owner, at {at}: {log:?}");
+                assert_eq!(whole, per_request, "case {case} server, at {at}: {log:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn device_log_keeps_its_requests() {
+        let requests = [req(0, 7), req(3, 0), req(3, 9), req(20, 1)];
+        let log = DeviceLog::new(&requests);
+        assert_eq!(log.len(), 4);
+        assert!(!log.is_empty() && DeviceLog::new(&[]).is_empty());
+        assert_eq!(log[2], requests[2]);
+        assert_eq!(log.get(3), Some(&requests[3]));
+        assert_eq!(log.get(4), None);
+        assert!(log.requests().eq(requests.iter()));
+        // An empty log serves nothing and leaves the server as it was.
+        let mut server = SharedServer::new();
+        server.submit(SimTime::ZERO, SimTime::from_us(5));
+        let before = server.clone();
+        assert_eq!(
+            server.submit_log(SimTime::from_us(1), &DeviceLog::new(&[])),
+            None
+        );
+        assert_eq!(server, before);
     }
 
     #[test]

@@ -175,50 +175,80 @@ fn run_phase(st: &mut EngineState, sim: &mut Sim<Event>, q: usize, p: usize) {
     let mut crit_disk = SimTime::ZERO;
     let mut crit_net = SimTime::ZERO;
     let mut crit_wait = SimTime::ZERO;
+    // Without a window no wait moves a later arrival, and without a
+    // recorder no request's span is observed: each device log is then a
+    // fixed sequence, served whole in closed form.
+    let whole_logs = st.backlog_window.is_none() && st.rec.is_none();
     for np in &ph.nodes {
         let cpu_start = start.max(st.cpu_free[np.node]);
         let cpu_head_wait = cpu_start - start;
         let mut stall = SimTime::ZERO;
-        let (mut di, mut ni) = (0, 0);
-        while di < np.disk.len() || ni < np.net.len() {
-            let take_disk = match (np.disk.get(di), np.net.get(ni)) {
-                (Some(d), Some(n)) => d.issue <= n.issue,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let r = if take_disk { np.disk[di] } else { np.net[ni] };
-            let stall_before = stall;
-            let arrival = cpu_start + r.issue + stall_before;
-            let server = if take_disk {
-                &mut st.disk[np.node]
-            } else {
-                &mut st.net[np.node]
-            };
-            let span = server.submit_span(arrival, r.service);
-            let done = span.completion;
-            let wait = span.wait();
-            if let Some(rec) = st.rec.as_mut() {
-                let dev = if take_disk { Device::Disk } else { Device::Net };
-                rec.device(np.node, dev, span.arrival, span.start, span.completion);
-            }
-            if let Some(w) = st.backlog_window {
-                if wait > w {
-                    stall += wait - w;
+        if whole_logs {
+            let disk = st.disk[np.node].submit_log(cpu_start, &np.disk);
+            let net = st.net[np.node].submit_log(cpu_start, &np.net);
+            // The request the issue-order merge below would visit first
+            // among those completing last: disk wins an equal issue.
+            let last = match (disk, net) {
+                (Some(d), Some(n)) if (n.completion, d.arrival) > (d.completion, n.arrival) => {
+                    Some((n, false))
                 }
+                (Some(d), _) => Some((d, true)),
+                (None, n) => n.map(|n| (n, false)),
+            };
+            if let Some((span, on_disk)) = last.filter(|(span, _)| span.completion > end) {
+                // completion − start = cpu_head_wait + issue + wait + service.
+                let (service, none) = (span.service(), SimTime::ZERO);
+                end = span.completion;
+                crit_cpu = span.arrival - cpu_start;
+                (crit_disk, crit_net) = if on_disk {
+                    (service, none)
+                } else {
+                    (none, service)
+                };
+                crit_wait = cpu_head_wait + span.wait();
             }
-            if done > end {
-                end = done;
-                // done − start = cpu_head_wait + issue + stall_before
-                //              + wait + service.
-                crit_cpu = r.issue;
-                crit_disk = if take_disk { r.service } else { SimTime::ZERO };
-                crit_net = if take_disk { SimTime::ZERO } else { r.service };
-                crit_wait = cpu_head_wait + stall_before + wait;
-            }
-            if take_disk {
-                di += 1;
-            } else {
-                ni += 1;
+        } else {
+            let (mut di, mut ni) = (0, 0);
+            while di < np.disk.len() || ni < np.net.len() {
+                let take_disk = match (np.disk.get(di), np.net.get(ni)) {
+                    (Some(d), Some(n)) => d.issue <= n.issue,
+                    (Some(_), None) => true,
+                    _ => false,
+                };
+                let r = if take_disk { np.disk[di] } else { np.net[ni] };
+                let stall_before = stall;
+                let arrival = cpu_start + r.issue + stall_before;
+                let server = if take_disk {
+                    &mut st.disk[np.node]
+                } else {
+                    &mut st.net[np.node]
+                };
+                let span = server.submit_span(arrival, r.service);
+                let done = span.completion;
+                let wait = span.wait();
+                if let Some(rec) = st.rec.as_mut() {
+                    let dev = if take_disk { Device::Disk } else { Device::Net };
+                    rec.device(np.node, dev, span.arrival, span.start, span.completion);
+                }
+                if let Some(w) = st.backlog_window {
+                    if wait > w {
+                        stall += wait - w;
+                    }
+                }
+                if done > end {
+                    end = done;
+                    // done − start = cpu_head_wait + issue + stall_before
+                    //              + wait + service.
+                    crit_cpu = r.issue;
+                    crit_disk = if take_disk { r.service } else { SimTime::ZERO };
+                    crit_net = if take_disk { SimTime::ZERO } else { r.service };
+                    crit_wait = cpu_head_wait + stall_before + wait;
+                }
+                if take_disk {
+                    di += 1;
+                } else {
+                    ni += 1;
+                }
             }
         }
         let cpu_end = cpu_start + np.cpu + stall;
@@ -413,7 +443,7 @@ mod tests {
     use super::*;
 
     use crate::plan::{NodePlan, PhasePlan, QueryPlan};
-    use gamma_des::Request;
+    use gamma_des::{DeviceLog, Request};
 
     fn req(issue: u64, service: u64) -> Request {
         Request {
@@ -431,8 +461,8 @@ mod tests {
                 nodes: vec![NodePlan {
                     node: 0,
                     cpu: SimTime::from_us(100),
-                    disk: vec![req(0, 30), req(50, 30)],
-                    net: vec![req(20, 5)],
+                    disk: DeviceLog::new(&[req(0, 30), req(50, 30)]),
+                    net: DeviceLog::new(&[req(20, 5)]),
                 }],
             }]),
             peak_pages: Arc::new([4]),
@@ -503,8 +533,8 @@ mod tests {
                 nodes: vec![NodePlan {
                     node: 0,
                     cpu: SimTime::from_us(10),
-                    disk: vec![req(0, 20), req(5, 20)],
-                    net: vec![],
+                    disk: DeviceLog::new(&[req(0, 20), req(5, 20)]),
+                    net: DeviceLog::new(&[]),
                 }],
             }]),
             peak_pages: Arc::new([1]),
@@ -574,8 +604,8 @@ mod tests {
             nodes: vec![NodePlan {
                 node: 0,
                 cpu: SimTime::from_us(cpu),
-                disk: vec![],
-                net: vec![],
+                disk: DeviceLog::new(&[]),
+                net: DeviceLog::new(&[]),
             }],
         };
         let plan = QueryPlan {

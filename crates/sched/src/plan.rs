@@ -12,7 +12,8 @@
 //!   request logs, through the same `gamma_des::with_requests` rule the
 //!   single-query replay drains (an empty log with a nonzero service total
 //!   is one request at issue 0), so the engine and the replay agree
-//!   exactly;
+//!   exactly. Each is a [`DeviceLog`], summarised once here so the engine
+//!   can serve it in closed form;
 //! * the phase's shared-ring occupancy, from the same
 //!   `gamma_des::ring_time` that `gamma_des::compose` bounds a phase by.
 //!
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 use gamma_core::machine::Machine;
 use gamma_core::{run_join_with_phases, JoinReport, JoinSpec, PhaseRecord};
-use gamma_des::{ring_time, with_requests, Request, SimTime};
+use gamma_des::{ring_time, with_requests, DeviceLog, SimTime};
 
 /// One node's work within one phase.
 #[derive(Debug, Clone)]
@@ -35,9 +36,9 @@ pub struct NodePlan {
     /// CPU demand for the phase (one non-preemptive convoy).
     pub cpu: SimTime,
     /// Disk-arm requests in issue order (synthetic fallback materialized).
-    pub disk: Vec<Request>,
+    pub disk: DeviceLog,
     /// NI requests in issue order (synthetic fallback materialized).
-    pub net: Vec<Request>,
+    pub net: DeviceLog,
 }
 
 /// One phase of a query, as the engine schedules it.
@@ -78,8 +79,8 @@ impl PhasePlan {
             .iter()
             .enumerate()
             .filter_map(|(node, u)| {
-                let disk = with_requests(&u.reqs.disk, u.disk, <[Request]>::to_vec);
-                let net = with_requests(&u.reqs.net, u.net, <[Request]>::to_vec);
+                let disk = with_requests(&u.reqs.disk, u.disk, DeviceLog::new);
+                let net = with_requests(&u.reqs.net, u.net, DeviceLog::new);
                 if u.cpu == SimTime::ZERO && disk.is_empty() && net.is_empty() {
                     return None;
                 }

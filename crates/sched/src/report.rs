@@ -35,7 +35,7 @@ impl QueryTiming {
 }
 
 /// Everything the engine measured over one serve run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeOutcome {
     /// Per-query lifecycle timestamps, in arrival order.
     pub queries: Vec<QueryTiming>,

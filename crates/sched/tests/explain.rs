@@ -100,11 +100,20 @@ fn recorder_is_a_pure_observer_and_profile_reconciles() {
     let profile = profile.expect("recorder was attached");
 
     // The engine is what serve ran, and attaching the recorder must not
-    // perturb the timeline.
-    assert_eq!(plain.queries, served.outcome.queries);
+    // perturb the timeline. The plain run serves each device log in closed
+    // form and the recorded run one request at a time, so every field is
+    // compared: queue stats with their waits, CPU busy and stall too.
+    assert_eq!(plain, served.outcome);
     assert_eq!(plain.queries, recorded.queries);
     assert_eq!(plain.makespan, recorded.makespan);
     assert_eq!(plain.explains, recorded.explains);
+    assert_eq!(plain.dispatch, recorded.dispatch);
+    assert_eq!(plain.ring, recorded.ring);
+    assert_eq!(plain.disk, recorded.disk);
+    assert_eq!(plain.net, recorded.net);
+    assert_eq!(plain.cpu_busy, recorded.cpu_busy);
+    assert_eq!(plain.cpu_stall, recorded.cpu_stall);
+    assert_eq!(plain, recorded);
 
     // Busy series integrate to the engine's exact totals (no stall was
     // configured, so CPU busy spans are pure demand).
