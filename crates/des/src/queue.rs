@@ -240,7 +240,7 @@ impl SharedServer {
         let m = log.entries.partition_point(|e| e.g < x);
         let g_before_m = log.entries.get(m).map_or(log.g_total, |e| e.g_before);
         let wait = log.self_wait + m as i128 * x - g_before_m;
-        let max_wait = log.self_max_wait.max(x + log.max_lead);
+        let max_wait = log.self_max_wait.max(x - log.min_slack);
 
         let owner = if x >= last.g {
             log.last_served
@@ -276,7 +276,8 @@ fn time(us: i128) -> SimTime {
 struct Logged {
     request: Request,
     /// `G_k = max_{j≤k}(issue_j − P_j)`, `P_j` the service before request
-    /// `j`: the least backlog carried in that delays request `k`.
+    /// `j`. Request `k` starts at `P_k + max(x, G_k)` after the log's time
+    /// base, so a carried backlog `x` delays it only past `G_k`.
     g: i128,
     /// `Σ_{j<k} G_j`.
     g_before: i128,
@@ -297,8 +298,9 @@ pub struct DeviceLog {
     self_wait: i128,
     /// `max_k (G_k + P_k − issue_k)`.
     self_max_wait: i128,
-    /// `max_k (P_k − issue_k)`.
-    max_lead: i128,
+    /// `min_k (issue_k − P_k)`, so `x − min_slack` is the longest wait the
+    /// carried backlog sets.
+    min_slack: i128,
     /// The last request with positive service (0 when none has any): the
     /// first to complete at the log's completion when the carried backlog
     /// sets it.
@@ -322,15 +324,15 @@ impl DeviceLog {
             g_total: 0,
             self_wait: 0,
             self_max_wait: 0,
-            max_lead: i128::MIN,
+            min_slack: i128::MAX,
             last_served: 0,
             first_at_last_g: 0,
         };
         let (mut p, mut g, mut first_g) = (0i128, i128::MIN, 0);
         for (k, r) in requests.iter().enumerate() {
-            let lead = p - i128::from(r.issue.as_us());
-            if -lead > g {
-                (g, first_g) = (-lead, k);
+            let slack = i128::from(r.issue.as_us()) - p;
+            if slack > g {
+                (g, first_g) = (slack, k);
             }
             log.entries.push(Logged {
                 request: *r,
@@ -338,9 +340,9 @@ impl DeviceLog {
                 g_before: log.g_total,
             });
             log.g_total += g;
-            log.self_wait += g + lead;
-            log.self_max_wait = log.self_max_wait.max(g + lead);
-            log.max_lead = log.max_lead.max(lead);
+            log.self_wait += g - slack;
+            log.self_max_wait = log.self_max_wait.max(g - slack);
+            log.min_slack = log.min_slack.min(slack);
             if r.service > SimTime::ZERO {
                 log.last_served = k;
             }
@@ -364,11 +366,6 @@ impl DeviceLog {
     /// Request `k`, if there is one.
     pub fn get(&self, k: usize) -> Option<&Request> {
         self.entries.get(k).map(|e| &e.request)
-    }
-
-    /// The requests in issue order.
-    pub fn requests(&self) -> impl Iterator<Item = &Request> {
-        self.entries.iter().map(|e| &e.request)
     }
 }
 
@@ -718,10 +715,9 @@ mod tests {
         let log = DeviceLog::new(&requests);
         assert_eq!(log.len(), 4);
         assert!(!log.is_empty() && DeviceLog::new(&[]).is_empty());
-        assert_eq!(log[2], requests[2]);
         assert_eq!(log.get(3), Some(&requests[3]));
         assert_eq!(log.get(4), None);
-        assert!(log.requests().eq(requests.iter()));
+        assert!((0..4).all(|k| log[k] == requests[k]));
         // An empty log serves nothing and leaves the server as it was.
         let mut server = SharedServer::new();
         server.submit(SimTime::ZERO, SimTime::from_us(5));

@@ -33,7 +33,21 @@
 //! logged device request arrives at `cpu_start + issue` (in issue order,
 //! disk winning ties) at its node's shared server; the node finishes at
 //! `max(cpu_end, last device completion)`; the phase ends at the max over
-//! nodes, floored by `ring.submit(start, ring_occupancy)`. The next phase
+//! nodes, floored by `ring.submit(start, ring_occupancy)`.
+//!
+//! Without a backlog window nothing moves an arrival, so each device log
+//! reaches its server as a fixed sequence offset by `cpu_start`. Its whole
+//! effect is then Lindley's recurrence unrolled — a closed form in the
+//! backlog the server carries in, `free_at − cpu_start` (`gamma_des::queue`,
+//! "A whole log in closed form") — and [`SharedServer::submit_log`] serves
+//! it in O(log n) from the prefix summaries the plan built once per log.
+//! It returns the span of the log's first request to complete last, so
+//! EXPLAIN names the request the issue-order merge would have named: the
+//! disk's when both devices end together and its request issued no later.
+//! With a window (a stall shifts every later arrival) or a flight recorder
+//! (it samples every request's span) the engine walks the merged logs one
+//! request at a time instead; the two paths give equal outcomes
+//! (`tests/closed_form.rs`). The next phase
 //! (or `Complete(q)`, which releases the admission reservation and
 //! re-polls the queue) is scheduled at that end time. A query has at most
 //! one pending event, so the queue, reserved once per run at the number
@@ -58,7 +72,12 @@
 //! moves forward), and a node's device servers are fed
 //! `cpu_start + issue + stall` where `issue ≤ cpu demand` — so every
 //! arrival of one convoy is ≤ the node's `cpu_free`, which is ≤ the next
-//! convoy's `cpu_start`.
+//! convoy's `cpu_start`. A log served whole meets the same rule: its
+//! arrivals are the loop's with zero stall, and
+//! [`SharedServer::submit_log`] checks its first arrival against the last
+//! one the server saw. The closed form is integer arithmetic too (`i128`,
+//! since `issue − Σ service` can be negative), so it equals the loop to
+//! the microsecond, not within a tolerance.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
