@@ -113,7 +113,6 @@ fn recorder_is_a_pure_observer_and_profile_reconciles() {
     assert_eq!(plain.net, recorded.net);
     assert_eq!(plain.cpu_busy, recorded.cpu_busy);
     assert_eq!(plain.cpu_stall, recorded.cpu_stall);
-    assert_eq!(plain, recorded);
 
     // Busy series integrate to the engine's exact totals (no stall was
     // configured, so CPU busy spans are pure demand).
