@@ -293,6 +293,7 @@ pub fn replay_phases(
             name: ph.name.clone(),
             sched_overhead: ph.sched_overhead,
             duration: timing.duration,
+            flat: timing.flat,
             total: ph.total(),
             critical_node: timing.critical_node,
             disk_wait: timing.disk_wait,

@@ -90,6 +90,9 @@ pub struct PhaseSummary {
     pub sched_overhead: SimTime,
     /// Parallel execution time of the phase.
     pub duration: SimTime,
+    /// The phase's flat `max(cpu, Σ disk, Σ net)` bound over nodes and the
+    /// ring ([`PhaseTiming::flat`]), never above `duration`.
+    pub flat: SimTime,
     /// Aggregate usage across nodes, without request logs
     /// ([`PhaseRecord::total`]).
     pub total: Usage,
@@ -162,6 +165,15 @@ impl JoinReport {
     /// Total short-circuited messages.
     pub fn shortcircuits(&self) -> u64 {
         self.total.counts.msgs_shortcircuit
+    }
+
+    /// The response under the flat bound: Σ over phases of the dispatch
+    /// overhead plus [`PhaseSummary::flat`]. Never above `response`; the
+    /// gap is what the FIFO device queues add to the flat bound: waits
+    /// behind a burst, and the service a device still owes once its
+    /// node's CPU is done.
+    pub fn flat_response(&self) -> SimTime {
+        self.phases.iter().map(|p| p.sched_overhead + p.flat).sum()
     }
 
     /// Response time in (fractional) seconds — the unit the paper plots.

@@ -41,6 +41,10 @@ pub struct PhaseTiming {
     pub duration: SimTime,
     /// The per-node maximum busy time (before the ring bound was applied).
     pub max_node_busy: SimTime,
+    /// The flat bound: the slowest node's `max(cpu, Σ disk, Σ net)`
+    /// ([`Usage::busy_time`]), bounded below by the ring. Never above
+    /// `duration` under the queued model.
+    pub flat: SimTime,
     /// The shared-ring lower bound for this phase.
     pub ring_bound: SimTime,
     /// Index of the critical (slowest) node; `None` when no node did any
@@ -84,11 +88,13 @@ pub fn compose(
     model: TimingModel,
 ) -> PhaseTiming {
     let mut max_node_busy = SimTime::ZERO;
+    let mut max_flat = SimTime::ZERO;
     let mut critical_node = None;
     let mut ring_bytes: u64 = 0;
     let mut disk_wait = SimTime::ZERO;
     let mut net_wait = SimTime::ZERO;
     for (i, u) in per_node.iter().enumerate() {
+        max_flat = max_flat.max(u.busy_time());
         let busy = match model {
             TimingModel::Legacy => u.busy_time(),
             TimingModel::Queued => {
@@ -110,6 +116,7 @@ pub fn compose(
     PhaseTiming {
         duration: max_node_busy.max(ring_bound),
         max_node_busy,
+        flat: max_flat.max(ring_bound),
         ring_bound,
         critical_node,
         disk_wait,

@@ -120,6 +120,56 @@ fn queued_model_agrees_with_legacy_at_low_utilisation() {
     }
 }
 
+// ---- the flat bound every report carries ----
+
+/// The 42-point grid: 4 algorithms × ratios {1.0, 0.5, 0.2} × local and
+/// remote (no remote sort-merge) × the disk at 1× and 8× its service time.
+fn flat_grid(w: &Workload) -> Vec<(String, SweepBuilder<'_>, Algorithm, f64)> {
+    let mut points = Vec::new();
+    for slow in [1, 8] {
+        for remote in [false, true] {
+            for alg in ALGORITHMS {
+                if remote && alg == Algorithm::SortMerge {
+                    continue;
+                }
+                for ratio in [1.0, 0.5, 0.2] {
+                    let mut b = SweepBuilder::new(w).slow_disk(slow);
+                    if remote {
+                        b = b.remote();
+                    }
+                    let site = if remote { "remote" } else { "local" };
+                    let name = format!("{} r{ratio} {site} disk {slow}x", alg.name());
+                    points.push((name, b, alg, ratio));
+                }
+            }
+        }
+    }
+    points
+}
+
+#[test]
+fn flat_response_is_the_legacy_response() {
+    // Timing never feeds back into execution, so the flat bound composed
+    // from a queued run's own phases is the response a legacy-timed
+    // machine reports for the same point.
+    let w = Workload::scaled(3_000, 300);
+    let points = flat_grid(&w);
+    assert_eq!(points.len(), 42);
+    for (name, b, alg, ratio) in points {
+        let queued = b.run_one(alg, ratio);
+        let legacy = b.timing(TimingModel::Legacy).run_one(alg, ratio);
+        assert_eq!(
+            queued.report.flat_response(),
+            legacy.report.response,
+            "{name}"
+        );
+        assert!(
+            queued.report.response >= queued.report.flat_response(),
+            "{name}"
+        );
+    }
+}
+
 // ---- convoy effect: the reason the model exists ----
 
 #[test]
