@@ -12,7 +12,6 @@ use std::fmt::Write;
 use gamma_core::cost::CostModel;
 use gamma_core::query::Algorithm;
 use gamma_core::{run_join, Machine, MachineConfig};
-use gamma_des::TimingModel;
 use gamma_wisconsin::{join_abprime, load_hashed, WisconsinGen, WisconsinRow};
 
 use crate::sweep::{pooled_map, SweepBuilder, Workload};
@@ -53,9 +52,9 @@ pub fn render(want: impl Fn(&str) -> bool) -> String {
     out
 }
 
-/// Convoy effects: the queued timing model vs the legacy flat `max()`
-/// bound as one knob — disk service time — drives the volumes toward
-/// saturation. At the paper's operating point the two models agree to a
+/// Convoy effects: the queued response against the flat `max()` bound the
+/// same run reports, as one knob — disk service time — drives the volumes
+/// toward saturation. At the paper's operating point the two agree to a
 /// few percent (the joins are CPU-bound); past ~80 % disk utilisation the
 /// flat bound keeps reporting `max(cpu, Σ service)` while the queues make
 /// every burst of requests pay its serialisation.
@@ -68,27 +67,25 @@ fn convoy(out: &mut String) {
     );
     let w = Workload::full();
     let rows = pooled_map("convoy point", vec![1u64, 2, 4, 6, 8], |slow| {
-        let run = |model| {
-            SweepBuilder::new(&w)
-                .timing(model)
-                .slow_disk(slow)
-                .run_one(Algorithm::GraceHash, 0.5)
-        };
-        (slow, run(TimingModel::Legacy), run(TimingModel::Queued))
+        let p = SweepBuilder::new(&w)
+            .slow_disk(slow)
+            .run_one(Algorithm::GraceHash, 0.5);
+        (slow, p)
     });
-    for (slow, legacy, queued) in rows {
+    for (slow, p) in rows {
+        let flat = p.report.flat_response().as_secs();
         // Nominal load: aggregate disk service over the flat-bound
         // response across the 8 volumes.
-        let util = legacy.report.total.disk.as_secs() / (legacy.seconds * 8.0);
+        let util = p.report.total.disk.as_secs() / (flat * 8.0);
         let _ = writeln!(
             out,
             "{:<10} {:>9.0}% {:>12.2} {:>12.2} {:>10.1}% {:>12.2}",
             format!("{slow}x"),
             util * 100.0,
-            legacy.seconds,
-            queued.seconds,
-            (queued.seconds / legacy.seconds - 1.0) * 100.0,
-            queued.report.total.disk_wait.as_secs(),
+            flat,
+            p.seconds,
+            (p.seconds / flat - 1.0) * 100.0,
+            p.report.total.disk_wait.as_secs(),
         );
     }
     out.push_str(concat!(

@@ -4,7 +4,6 @@ use gamma_core::query::{Algorithm, JoinSite, JoinSpec, OverflowPolicy};
 use gamma_core::{
     run_join, ExecConfig, JoinReport, Machine, MachineConfig, RelationId, WorkerPool,
 };
-use gamma_des::TimingModel;
 use gamma_wisconsin::{
     join_abprime, load_hashed, load_range, oracle_join, OracleExpect, WisconsinGen, WisconsinRow,
 };
@@ -198,7 +197,6 @@ pub struct SweepBuilder<'a> {
     policy: OverflowPolicy,
     style: LoadStyle,
     extra_buckets: usize,
-    timing: TimingModel,
     slow_disk: u64,
     exec: ExecConfig,
     robust: bool,
@@ -218,7 +216,6 @@ impl<'a> SweepBuilder<'a> {
             policy: OverflowPolicy::Pessimistic,
             style: LoadStyle::HashedUnique1,
             extra_buckets: 0,
-            timing: TimingModel::default(),
             slow_disk: 1,
             exec: ExecConfig::auto(),
             robust: false,
@@ -239,14 +236,6 @@ impl<'a> SweepBuilder<'a> {
     /// the sweep's independent points.
     pub fn exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Select the phase-timing model (default: queued device requests).
-    /// `TimingModel::Legacy` reproduces the historical flat-`max` numbers
-    /// for A/B validation.
-    pub fn timing(mut self, model: TimingModel) -> Self {
-        self.timing = model;
         self
     }
 
@@ -327,7 +316,6 @@ impl<'a> SweepBuilder<'a> {
         } else {
             MachineConfig::local_8()
         };
-        cfg.cost.timing = self.timing;
         let d = &mut cfg.cost.disk;
         d.seq_read_us *= self.slow_disk;
         d.rand_read_us *= self.slow_disk;

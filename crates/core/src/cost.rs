@@ -89,10 +89,12 @@ pub struct CostModel {
     /// overflow, as the paper states.
     pub table_headroom_pct: u64,
 
-    /// How per-node ledgers become phase times: `Queued` (default) drains
-    /// each node's disk/NI request log through FIFO device queues so loaded
-    /// devices show convoy effects; `Legacy` is the original flat
-    /// `max(cpu, disk, net)` bound, kept reachable for A/B validation.
+    /// How per-node ledgers become phase times. It has one value,
+    /// `Queued`: each node's disk/NI request log drains through FIFO device
+    /// queues so loaded devices show convoy effects, and every replay
+    /// reports the flat `max(cpu, disk, net)` bound beside it
+    /// (`PhaseSummary::flat`). The field stays only because the benchmark
+    /// harness passes it to `gamma_des::compose`; nothing else reads it.
     pub timing: TimingModel,
 }
 

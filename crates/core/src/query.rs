@@ -206,20 +206,20 @@ pub fn bucket_count(
 
 /// Replay a driver's phase sequence in virtual time: the scheduler's
 /// serialized dispatch overhead precedes each phase, the phase body runs
-/// in parallel under the machine's timing model, and the response time is
-/// the last phase's end. Each phase's end is one simulation step of the
+/// in parallel against its nodes' FIFO device queues, and the response
+/// time is the last phase's end. Each summary also carries the phase's
+/// flat bound ([`PhaseSummary::flat`]). Each phase's end is one simulation step of the
 /// trace, recorded in phase order once every phase is replayed.
 pub fn replay_phases(
     machine: &Machine,
     phases: &[crate::report::PhaseRecord],
 ) -> (SimTime, Vec<PhaseSummary>) {
     let bw = machine.cfg.cost.ring.bandwidth_bytes_per_sec;
-    let model = machine.cfg.cost.timing;
     let mut t = SimTime::ZERO;
     let mut summaries = Vec::with_capacity(phases.len());
     for (i, ph) in phases.iter().enumerate() {
         t += ph.sched_overhead;
-        let timing = ph.timing(bw, model);
+        let timing = ph.timing(bw);
         gamma_trace::with(|s| s.phase_replayed_next(t.as_us(), timing.duration.as_us()));
         // Mirror each node's now-final ledger into the registry as
         // per-phase `ledger_*` counters and device-request histograms

@@ -75,9 +75,9 @@ impl PhaseRecord {
         self.ledgers.iter().sum()
     }
 
-    /// Timing under the given model.
-    pub fn timing(&self, ring_bandwidth: u64, model: TimingModel) -> PhaseTiming {
-        compose(&self.ledgers, ring_bandwidth, model)
+    /// The phase's queued duration and flat bound ([`compose`]).
+    pub fn timing(&self, ring_bandwidth: u64) -> PhaseTiming {
+        compose(&self.ledgers, ring_bandwidth, TimingModel::Queued)
     }
 }
 
@@ -98,8 +98,7 @@ pub struct PhaseSummary {
     pub total: Usage,
     /// Index of the slowest node; `None` when no node did any work.
     pub critical_node: Option<usize>,
-    /// Total time disk requests spent queued, summed over nodes (zero under
-    /// the legacy timing model).
+    /// Total time disk requests spent queued, summed over nodes.
     pub disk_wait: SimTime,
     /// Total time NI requests spent queued, summed over nodes.
     pub net_wait: SimTime,
@@ -226,20 +225,19 @@ mod tests {
     }
 
     #[test]
-    fn phase_timing_uses_engine_model() {
+    fn phase_timing_reports_duration_and_flat_bound() {
         let mut a = Usage::ZERO;
         a.cpu(SimTime::from_us(10));
         let mut b = Usage::ZERO;
         b.disk(SimTime::from_us(99));
         let p = PhaseRecord::new("x", vec![a, b], SimTime::ZERO);
-        let t = p.timing(10_000_000, TimingModel::Legacy);
-        assert_eq!(t.duration, SimTime::from_us(99));
+        let t = p.timing(10_000_000);
+        assert_eq!(t.flat, SimTime::from_us(99));
         assert_eq!(t.critical_node, Some(1));
         // A lone request issued at cpu=0 queues for nothing, so the queued
-        // model agrees exactly here.
-        let q = p.timing(10_000_000, TimingModel::Queued);
-        assert_eq!(q.duration, SimTime::from_us(99));
-        assert_eq!(q.disk_wait, SimTime::ZERO);
+        // duration equals the flat bound here.
+        assert_eq!(t.duration, SimTime::from_us(99));
+        assert_eq!(t.disk_wait, SimTime::ZERO);
     }
 
     #[test]

@@ -114,11 +114,12 @@ impl AddAssign for Counts {
 /// The three time fields model the node's three (overlappable) resources:
 /// its CPU, its disk arm, and its network interface. Gamma overlapped disk
 /// I/O with computation via read-ahead and overlapped network DMA with
-/// computation, so a node's phase time is *not* the sum of the three. Under
-/// the legacy model it is their maximum ([`Usage::busy_time`]); under the
-/// queued model each disk/NI charge is also logged as a request (issued at
-/// the node's CPU progress) and the devices are real FIFO servers — see
-/// [`Usage::queue_timing`] and [`crate::queue`].
+/// computation, so a node's phase time is *not* the sum of the three. Each
+/// disk/NI charge is also logged as a request (issued at the node's CPU
+/// progress) and the devices are FIFO servers: the node's time is its CPU
+/// overlapped against each device's queued completion — see
+/// [`Usage::queue_timing`] and [`crate::queue`]. The maximum of the three
+/// totals ([`Usage::busy_time`]) is the flat bound beneath it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Usage {
     /// CPU demand.
@@ -134,12 +135,12 @@ pub struct Usage {
     /// Event counters, charged through [`Usage::record`].
     pub counts: Counts,
     /// Per-device request logs (issue offset + service time per charge),
-    /// the input to the queued timing model. Empty on a total (see
+    /// the input to the device queues. Empty on a total (see
     /// `impl Sum<&Usage>`).
     pub reqs: RequestLog,
     /// Time disk requests spent queued before service. Filled in by
     /// [`Usage::annotate_queue_waits`] when a phase is sealed; zero until
-    /// then (and always zero under the legacy model).
+    /// then.
     pub disk_wait: SimTime,
     /// Time NI requests spent queued before service (see [`Usage::disk_wait`]).
     pub net_wait: SimTime,
@@ -200,14 +201,16 @@ impl Usage {
         self.ring_bytes += bytes;
     }
 
-    /// The node's completion time for this phase under the legacy
-    /// overlapped-resources model: the slowest of its three resources.
-    /// A device at 95 % load costs exactly what one at 5 % does, so no
-    /// convoy effects — [`Usage::queued_busy_time`] fixes that.
+    /// The node's flat bound for this phase: the slowest of its three
+    /// resources, as if each device absorbed its whole demand with no
+    /// queueing. A device at 95 % load costs exactly what one at 5 % does,
+    /// so no convoy effects; the queued completion
+    /// ([`Usage::queue_timing`], composed by [`crate::compose`]) is never
+    /// below it.
     ///
     /// The paper observes local joins run the CPUs at 100% utilisation —
     /// i.e. `cpu` is the max — while remote configurations drop the disk
-    /// nodes to ~60%, which this model reproduces.
+    /// nodes to ~60%, which this bound reproduces.
     #[inline]
     pub fn busy_time(&self) -> SimTime {
         self.cpu.max(self.disk).max(self.net)
@@ -221,16 +224,6 @@ impl Usage {
             disk: queue::with_requests(&self.reqs.disk, self.disk, queue::fifo_drain),
             net: queue::with_requests(&self.reqs.net, self.net, queue::fifo_drain),
         }
-    }
-
-    /// The node's completion time under the queued model: CPU overlapped
-    /// against each device's *queued* completion instead of its bare
-    /// service total. Never below [`Usage::busy_time`].
-    pub fn queued_busy_time(&self) -> SimTime {
-        let q = self.queue_timing();
-        self.cpu
-            .max(q.disk.completion.max(self.disk))
-            .max(q.net.completion.max(self.net))
     }
 
     /// Record the per-device queue waits on the ledger (for the report and
@@ -358,18 +351,28 @@ mod tests {
         assert_eq!(u.reqs.net[0].issue, SimTime::from_us(150));
     }
 
+    fn timed(u: &Usage) -> crate::PhaseTiming {
+        crate::compose(
+            std::slice::from_ref(u),
+            10_000_000,
+            crate::TimingModel::Queued,
+        )
+    }
+
     #[test]
-    fn queued_busy_never_below_legacy() {
+    fn queued_duration_never_below_flat() {
         let mut u = Usage::ZERO;
         for _ in 0..10 {
             u.cpu(SimTime::from_us(10));
             u.disk(SimTime::from_us(9));
         }
-        assert!(u.queued_busy_time() >= u.busy_time());
+        let t = timed(&u);
+        assert_eq!(t.flat, SimTime::from_us(100));
+        assert!(t.duration >= t.flat);
     }
 
     #[test]
-    fn unlogged_totals_fall_back_to_legacy_bound() {
+    fn unlogged_totals_fall_back_to_flat_bound() {
         // A hand-assembled ledger with service totals but no request log
         // behaves like one request issued at time zero.
         let u = Usage {
@@ -380,7 +383,8 @@ mod tests {
         let q = u.queue_timing();
         assert_eq!(q.disk.completion, SimTime::from_us(70));
         assert_eq!(q.disk.wait, SimTime::ZERO);
-        assert_eq!(u.queued_busy_time(), u.busy_time());
+        let t = timed(&u);
+        assert_eq!((t.duration, t.flat), (SimTime::from_us(70), u.busy_time()));
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!   layers charge CPU, disk and network demand to,
 //! * [`queue`] — single-server FIFO request queues for each node's disk arm
 //!   and network interface, drained by a closed-form fold,
-//! * [`phase`] — helpers that turn per-node ledgers into phase completion
-//!   times under a selectable [`TimingModel`]: the legacy
-//!   *overlapped-resources, balanced-pipeline* bound (a node's phase time is
-//!   `max(cpu, disk, net)`) or the queued model (CPU overlapped against each
-//!   device's FIFO-queued completion, so loaded devices produce convoy
-//!   effects). Either way a phase completes at the max over nodes and is
-//!   bounded below by shared ring bandwidth,
+//! * [`phase`] — [`compose`], which turns per-node ledgers into a phase
+//!   completion time: each node's CPU overlapped against each device's
+//!   FIFO-queued completion, so loaded devices produce convoy effects; the
+//!   phase completes at the max over nodes, bounded below by shared ring
+//!   bandwidth. The same pass reports the flat
+//!   *overlapped-resources, balanced-pipeline* bound (a node's time is
+//!   `max(cpu, disk, net)`) beside it, [`PhaseTiming::flat`],
 //! * [`Usage::record`] — the one call that charges a counted [`Event`] to
 //!   the ledger, the metrics registry and the trace sink.
 //!

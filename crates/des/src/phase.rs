@@ -2,34 +2,35 @@
 //!
 //! A Gamma query executes as a sequence of *phases* (e.g. "partition R /
 //! build bucket 1", "join bucket i"). Within a phase each participating node
-//! accumulates a [`Usage`] ledger; this module turns those ledgers into a
-//! phase completion time under a selectable [`TimingModel`]:
+//! accumulates a [`Usage`] ledger; [`compose`] turns those ledgers into a
+//! phase completion time:
 //!
-//! * a node's resources (CPU, disk, NI) overlap → node time is either the
-//!   flat max of the three service totals ([`TimingModel::Legacy`]) or the
-//!   CPU overlapped against each device's FIFO-queued completion
-//!   ([`TimingModel::Queued`], see [`crate::queue`]);
+//! * a node's resources (CPU, disk, NI) overlap → node time is its CPU
+//!   overlapped against each device's FIFO-queued completion (see
+//!   [`crate::queue`]);
 //! * nodes run in parallel → phase time is the max over nodes;
 //! * the token ring is shared → phase time is additionally bounded below by
 //!   `total ring bytes / ring bandwidth`.
+//!
+//! The same pass reports the phase's flat bound, [`PhaseTiming::flat`]:
+//! the slowest node's `max(cpu, Σ disk, Σ net)` under the same ring bound,
+//! which treats each device as if it absorbed its whole demand with no
+//! queueing. It is a number beside the duration, never above it, so every
+//! replay carries both from one execution.
 
 use crate::ledger::Usage;
 use crate::time::SimTime;
 
-/// Which per-node overlap model turns a ledger into a node completion time.
+/// How per-node ledgers become phase times. There is one model, per-node
+/// FIFO request queues for the disk arm and the NI: node time is
+/// `max(cpu, queued disk completion, queued NI completion)`. The type and
+/// [`compose`]'s parameter stay only because the benchmark harness calls
+/// `compose(&ledgers, bw, cost.timing)`; [`compose`] destructures the one
+/// variant, so a second model cannot be added without touching it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimingModel {
-    /// The original closed-form bound `max(cpu, Σ disk, Σ net)`. It treats
-    /// each device as if it could absorb its whole service demand with no
-    /// queueing delay — an idealisation the queued model (and, for
-    /// concurrent queries, the scheduler's shared [`crate::SharedServer`]
-    /// queues) has since replaced. Kept only for A/B validation against
-    /// historical numbers.
-    Legacy,
-    /// Per-node FIFO request queues for the disk arm and the NI: node time
-    /// is `max(cpu, queued disk completion, queued NI completion)`. Never
-    /// below the legacy bound; rises above it when requests bunch up on a
-    /// loaded device (convoy effects).
+    /// FIFO-queued devices: never below the flat bound, above it when
+    /// requests bunch up on a loaded device (convoy effects).
     #[default]
     Queued,
 }
@@ -43,18 +44,16 @@ pub struct PhaseTiming {
     pub max_node_busy: SimTime,
     /// The flat bound: the slowest node's `max(cpu, Σ disk, Σ net)`
     /// ([`Usage::busy_time`]), bounded below by the ring. Never above
-    /// `duration` under the queued model.
+    /// `duration`.
     pub flat: SimTime,
     /// The shared-ring lower bound for this phase.
     pub ring_bound: SimTime,
     /// Index of the critical (slowest) node; `None` when no node did any
     /// work (an empty or all-zero phase has no critical node).
     pub critical_node: Option<usize>,
-    /// Total time disk requests spent queued, summed over nodes (zero under
-    /// [`TimingModel::Legacy`]).
+    /// Total time disk requests spent queued, summed over nodes.
     pub disk_wait: SimTime,
-    /// Total time NI requests spent queued, summed over nodes (zero under
-    /// [`TimingModel::Legacy`]).
+    /// Total time NI requests spent queued, summed over nodes.
     pub net_wait: SimTime,
 }
 
@@ -78,7 +77,8 @@ pub fn ring_time(ring_bytes: u64, bandwidth_bytes_per_sec: u64) -> SimTime {
     SimTime::from_us(u64::try_from(us).unwrap_or(u64::MAX).max(1))
 }
 
-/// Compose a phase from per-node ledgers under the given timing model.
+/// Compose a phase from per-node ledgers: its queued duration and, in the
+/// same pass, its flat bound.
 ///
 /// `ring_bandwidth_bytes_per_sec` is the capacity of the shared token ring
 /// (80 Mbit/s = 10,000,000 bytes/s in the paper's hardware).
@@ -93,19 +93,16 @@ pub fn compose(
     let mut ring_bytes: u64 = 0;
     let mut disk_wait = SimTime::ZERO;
     let mut net_wait = SimTime::ZERO;
+    let TimingModel::Queued = model;
     for (i, u) in per_node.iter().enumerate() {
         max_flat = max_flat.max(u.busy_time());
-        let busy = match model {
-            TimingModel::Legacy => u.busy_time(),
-            TimingModel::Queued => {
-                let q = u.queue_timing();
-                disk_wait += q.disk.wait;
-                net_wait += q.net.wait;
-                u.cpu
-                    .max(q.disk.completion.max(u.disk))
-                    .max(q.net.completion.max(u.net))
-            }
-        };
+        let q = u.queue_timing();
+        disk_wait += q.disk.wait;
+        net_wait += q.net.wait;
+        let busy = u
+            .cpu
+            .max(q.disk.completion.max(u.disk))
+            .max(q.net.completion.max(u.net));
         if busy > max_node_busy {
             max_node_busy = busy;
             critical_node = Some(i);
@@ -128,8 +125,8 @@ pub fn compose(
 mod tests {
     use super::*;
 
-    fn legacy(per_node: &[Usage], ring_bandwidth_bytes_per_sec: u64) -> PhaseTiming {
-        compose(per_node, ring_bandwidth_bytes_per_sec, TimingModel::Legacy)
+    fn timed(per_node: &[Usage], ring_bandwidth_bytes_per_sec: u64) -> PhaseTiming {
+        compose(per_node, ring_bandwidth_bytes_per_sec, TimingModel::Queued)
     }
 
     fn usage(cpu: u64, disk: u64, net: u64, ring: u64) -> Usage {
@@ -142,13 +139,15 @@ mod tests {
 
     #[test]
     fn phase_is_max_over_nodes() {
+        // Each node issues its device requests once its CPU work is done.
         let nodes = vec![
             usage(100, 50, 10, 0),
             usage(30, 200, 5, 0),
             usage(80, 90, 0, 0),
         ];
-        let t = legacy(&nodes, 10_000_000);
-        assert_eq!(t.duration, SimTime::from_us(200));
+        let t = timed(&nodes, 10_000_000);
+        assert_eq!(t.flat, SimTime::from_us(200));
+        assert_eq!(t.duration, SimTime::from_us(230));
         assert_eq!(t.critical_node, Some(1));
         assert_eq!(t.ring_bound, SimTime::ZERO);
     }
@@ -161,16 +160,17 @@ mod tests {
             usage(1000, 0, 10, 10_000_000),
             usage(1000, 0, 10, 10_000_000),
         ];
-        let t = legacy(&nodes, 10_000_000);
+        let t = timed(&nodes, 10_000_000);
         assert_eq!(t.ring_bound, SimTime::from_secs(2));
         assert_eq!(t.duration, SimTime::from_secs(2));
-        assert_eq!(t.max_node_busy, SimTime::from_us(1000));
+        assert_eq!(t.flat, SimTime::from_secs(2));
+        assert_eq!(t.max_node_busy, SimTime::from_us(1010));
     }
 
     #[test]
     fn ring_bound_rounds_up_nonzero_transfers() {
         let nodes = vec![usage(0, 0, 0, 1)];
-        let t = legacy(&nodes, 10_000_000);
+        let t = timed(&nodes, 10_000_000);
         assert_eq!(t.ring_bound, SimTime::from_us(1));
     }
 
@@ -180,30 +180,29 @@ mod tests {
         // `saturating_mul(1_000_000)` clamped the numerator to u64::MAX and
         // reported ~1.8e12 µs — a 5× underestimate.
         let nodes = vec![usage(0, 0, 0, 100_000_000_000_000)];
-        let t = legacy(&nodes, 10_000_000);
+        let t = timed(&nodes, 10_000_000);
         assert_eq!(t.ring_bound, SimTime::from_us(10_000_000_000_000));
     }
 
     #[test]
     fn empty_phase_is_zero_with_no_critical_node() {
-        let t = legacy(&[], 10_000_000);
-        assert_eq!(t.duration, SimTime::ZERO);
+        let t = timed(&[], 10_000_000);
+        assert_eq!((t.duration, t.flat), (SimTime::ZERO, SimTime::ZERO));
         assert_eq!(t.critical_node, None);
-        let t = legacy(&[Usage::ZERO, Usage::ZERO], 10_000_000);
-        assert_eq!(t.duration, SimTime::ZERO);
+        let t = timed(&[Usage::ZERO, Usage::ZERO], 10_000_000);
+        assert_eq!((t.duration, t.flat), (SimTime::ZERO, SimTime::ZERO));
         assert_eq!(t.critical_node, None);
     }
 
     #[test]
-    fn queued_model_never_below_legacy() {
+    fn duration_never_below_flat() {
         let nodes = vec![usage(100, 50, 10, 0), usage(30, 200, 5, 0)];
-        let legacy = compose(&nodes, 10_000_000, TimingModel::Legacy);
-        let queued = compose(&nodes, 10_000_000, TimingModel::Queued);
-        assert!(queued.duration >= legacy.duration);
+        let t = timed(&nodes, 10_000_000);
+        assert!(t.duration >= t.flat);
     }
 
     #[test]
-    fn queued_model_counts_convoy_waits() {
+    fn queued_duration_counts_convoy_waits() {
         // One node issues its whole disk demand as a burst after a CPU
         // lead-in: the flat bound hides the serialisation, the queue does
         // not.
@@ -212,18 +211,15 @@ mod tests {
         for _ in 0..30 {
             u.disk(SimTime::from_us(30)); // 900 µs of service, all issued at 700
         }
-        let nodes = vec![u];
-        let legacy = compose(&nodes, 10_000_000, TimingModel::Legacy);
-        let queued = compose(&nodes, 10_000_000, TimingModel::Queued);
-        assert_eq!(legacy.duration, SimTime::from_us(900));
-        assert_eq!(queued.duration, SimTime::from_us(1600)); // 700 + 900
-        assert!(queued.disk_wait > SimTime::ZERO);
-        assert_eq!(legacy.disk_wait, SimTime::ZERO);
+        let t = timed(&[u], 10_000_000);
+        assert_eq!(t.flat, SimTime::from_us(900));
+        assert_eq!(t.duration, SimTime::from_us(1600)); // 700 + 900
+        assert!(t.disk_wait > SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "ring bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
-        legacy(&[], 0);
+        timed(&[], 0);
     }
 }

@@ -1,21 +1,26 @@
 //! The queued timing model: FIFO device-queue invariants, agreement with
-//! the legacy flat-`max` bound at low utilisation, and the convoy effect
-//! the legacy bound cannot express.
+//! the flat `max()` bound at low utilisation, and the convoy effect the
+//! flat bound cannot express.
 //!
-//! The engine's default timing model drains each node's disk/NI request
-//! log through single-server FIFO queues (see `gamma_des::queue` and
-//! DESIGN.md §10). These tests pin the model's contract from the outside:
+//! The engine drains each node's disk/NI request log through
+//! single-server FIFO queues (see `gamma_des::queue` and DESIGN.md §10),
+//! and every replay reports the flat `max(cpu, disk, net)` bound beside
+//! the queued duration (`PhaseTiming::flat`, `JoinReport::flat_response`).
+//! The flat bound was once a second timing model, "legacy"; the tests
+//! that compared the two models keep their names.
+//! These tests pin the model's contract from the outside:
 //!
 //! * queue mechanics satisfy the single-server invariants,
-//! * at the benchmark's (CPU-bound) operating point the queued response
-//!   stays within a few percent of the legacy bound for all four
-//!   algorithms — the paper's shapes survive the model change,
+//! * the response is never below the flat bound, on 42 grid points,
+//! * at the benchmark's (CPU-bound) operating point the response stays
+//!   within a few percent of the flat bound for all four algorithms — the
+//!   paper's shapes survive the model,
 //! * a disk driven past 80 % utilisation by bursty arrivals overshoots
-//!   the legacy bound by a large, asserted margin.
+//!   the flat bound by a large, asserted margin.
 
 use gamma_bench::{SweepBuilder, Workload};
 use gamma_core::query::Algorithm;
-use gamma_des::{compose, fifo_drain, Request, SimTime, TimingModel, Usage};
+use gamma_des::{compose, fifo_drain, PhaseTiming, Request, SimTime, TimingModel, Usage};
 
 const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::SortMerge,
@@ -23,6 +28,10 @@ const ALGORITHMS: [Algorithm; 4] = [
     Algorithm::GraceHash,
     Algorithm::HybridHash,
 ];
+
+fn timed(nodes: &[Usage]) -> PhaseTiming {
+    compose(nodes, 10_000_000, TimingModel::Queued)
+}
 
 fn req(issue: u64, service: u64) -> Request {
     Request {
@@ -57,23 +66,17 @@ fn fifo_completion_nondecreasing_and_work_conserving() {
 #[test]
 fn empty_queue_equals_legacy_bound() {
     // When requests never contend (each issued after the previous
-    // completed), the queued node time collapses to the legacy max.
+    // completed), the queued node time collapses to the flat max.
     let mut u = Usage::ZERO;
     for _ in 0..20 {
         u.cpu(SimTime::from_us(100));
         u.disk(SimTime::from_us(40)); // finishes well before next issue
     }
-    let nodes = vec![u];
-    let legacy = compose(&nodes, 10_000_000, TimingModel::Legacy);
-    let queued = compose(&nodes, 10_000_000, TimingModel::Queued);
-    assert_eq!(queued.disk_wait, SimTime::ZERO);
+    let t = timed(&[u]);
+    assert_eq!(t.disk_wait, SimTime::ZERO);
     // The only difference is the tail: the last read is issued at cpu
     // total and still needs its service time.
-    assert_eq!(
-        queued.duration,
-        legacy.duration + SimTime::from_us(40),
-        "legacy={legacy:?} queued={queued:?}"
-    );
+    assert_eq!(t.duration, t.flat + SimTime::from_us(40), "{t:?}");
 }
 
 // ---- low-utilisation agreement, all four algorithms ----
@@ -82,40 +85,30 @@ fn empty_queue_equals_legacy_bound() {
 fn queued_model_agrees_with_legacy_at_low_utilisation() {
     let w = Workload::scaled(3_000, 300);
     for alg in ALGORITHMS {
-        let legacy = SweepBuilder::new(&w)
-            .timing(TimingModel::Legacy)
-            .run_one(alg, 0.5);
-        let queued = SweepBuilder::new(&w)
-            .timing(TimingModel::Queued)
-            .run_one(alg, 0.5);
-        assert_eq!(
-            legacy.report.result_checksum,
-            queued.report.result_checksum,
-            "{}: timing model must not change results",
-            alg.name()
-        );
+        let p = SweepBuilder::new(&w).run_one(alg, 0.5);
+        let flat = p.report.flat_response().as_secs();
         assert!(
-            queued.seconds >= legacy.seconds,
+            p.seconds >= flat,
             "{}: queued completion can never beat the flat bound",
             alg.name()
         );
         eprintln!(
-            "{}: legacy {:.4}s queued {:.4}s (+{:.2} %)",
+            "{}: flat {:.4}s queued {:.4}s (+{:.2} %)",
             alg.name(),
-            legacy.seconds,
-            queued.seconds,
-            (queued.seconds / legacy.seconds - 1.0) * 100.0
+            flat,
+            p.seconds,
+            (p.seconds / flat - 1.0) * 100.0
         );
         // Stated tolerance: at this CPU-bound operating point the queued
         // model adds per-phase device tails but no sustained queueing, so
         // it stays within 10 % of the flat bound (measured: ≤ ~6.5 %, the
         // worst case being Grace's many short spool phases).
         assert!(
-            queued.seconds <= legacy.seconds * 1.10,
-            "{}: queued {} vs legacy {} diverges past 10 %",
+            p.seconds <= flat * 1.10,
+            "{}: queued {} vs flat {} diverges past 10 %",
             alg.name(),
-            queued.seconds,
-            legacy.seconds
+            p.seconds,
+            flat
         );
     }
 }
@@ -148,25 +141,20 @@ fn flat_grid(w: &Workload) -> Vec<(String, SweepBuilder<'_>, Algorithm, f64)> {
 }
 
 #[test]
-fn flat_response_is_the_legacy_response() {
-    // Timing never feeds back into execution, so the flat bound composed
-    // from a queued run's own phases is the response a legacy-timed
-    // machine reports for the same point.
+fn response_never_below_flat_response() {
+    // Every phase's queued duration is at least its flat bound, so the
+    // sums are ordered too. (The flat response equals the response of a
+    // machine timed by the flat bound alone: timing never feeds back into
+    // execution. `results/ablations.txt`'s convoy table carries that.)
     let w = Workload::scaled(3_000, 300);
     let points = flat_grid(&w);
     assert_eq!(points.len(), 42);
     for (name, b, alg, ratio) in points {
-        let queued = b.run_one(alg, ratio);
-        let legacy = b.timing(TimingModel::Legacy).run_one(alg, ratio);
-        assert_eq!(
-            queued.report.flat_response(),
-            legacy.report.response,
-            "{name}"
-        );
-        assert!(
-            queued.report.response >= queued.report.flat_response(),
-            "{name}"
-        );
+        let p = b.run_one(alg, ratio);
+        assert!(p.report.response >= p.report.flat_response(), "{name}");
+        for ph in &p.report.phases {
+            assert!(ph.duration >= ph.flat, "{name}: {}", ph.name);
+        }
     }
 }
 
@@ -176,7 +164,7 @@ fn flat_response_is_the_legacy_response() {
 fn convoy_exceeds_legacy_bound_past_80_pct_disk_utilisation() {
     // One node computes for 1 s, issuing nothing, then flushes 850 ms of
     // writes in a burst near the end of the phase (the spool/flush
-    // pattern). Disk utilisation against the legacy phase time is 85 %,
+    // pattern). Disk utilisation against the flat phase time is 85 %,
     // yet the flat bound claims the phase costs max(cpu, disk) = 1 s.
     let mut u = Usage::ZERO;
     u.cpu(SimTime::from_ms(700));
@@ -184,11 +172,9 @@ fn convoy_exceeds_legacy_bound_past_80_pct_disk_utilisation() {
         u.cpu(SimTime::from_ms(3)); // 300 ms more CPU, interleaved…
         u.disk(SimTime::from_us(8_500)); // …with 850 ms of writes
     }
-    let nodes = vec![u];
-    let legacy = compose(&nodes, 10_000_000, TimingModel::Legacy);
-    let queued = compose(&nodes, 10_000_000, TimingModel::Queued);
-    assert_eq!(legacy.duration, SimTime::from_secs(1));
-    let disk_util = nodes[0].disk.as_secs() / legacy.duration.as_secs();
+    let t = timed(std::slice::from_ref(&u));
+    assert_eq!(t.flat, SimTime::from_secs(1));
+    let disk_util = u.disk.as_secs() / t.flat.as_secs();
     assert!(
         disk_util >= 0.80,
         "scenario must load the disk: {disk_util}"
@@ -197,36 +183,30 @@ fn convoy_exceeds_legacy_bound_past_80_pct_disk_utilisation() {
     // and finishes 850 ms of service at ~1.55 s — a >50 % convoy
     // overshoot the flat bound hides entirely.
     assert!(
-        queued.duration.as_secs() >= legacy.duration.as_secs() * 1.5,
-        "queued {} vs legacy {}: convoy margin lost",
-        queued.duration,
-        legacy.duration
+        t.duration.as_secs() >= t.flat.as_secs() * 1.5,
+        "queued {} vs flat {}: convoy margin lost",
+        t.duration,
+        t.flat
     );
-    assert!(queued.disk_wait > SimTime::ZERO);
-    assert_eq!(queued.critical_node, Some(0));
+    assert!(t.disk_wait > SimTime::ZERO);
+    assert_eq!(t.critical_node, Some(0));
 }
 
 #[test]
 fn convoy_margin_survives_end_to_end() {
     // The same effect through a real join: slow the disk 8× so scan and
     // spool phases push volumes past 80 % utilisation. The queued response
-    // must exceed legacy by an asserted margin — and both models must
-    // still produce the correct join result.
+    // must exceed the flat response by an asserted margin.
     let w = Workload::scaled(2_000, 200);
-    let slow = |model: TimingModel| {
-        let mut b = SweepBuilder::new(&w).timing(model);
-        b = b.slow_disk(8);
-        b.run_one(Algorithm::GraceHash, 0.5)
-    };
-    let legacy = slow(TimingModel::Legacy);
-    let queued = slow(TimingModel::Queued);
-    assert_eq!(legacy.report.result_checksum, queued.report.result_checksum);
+    let p = SweepBuilder::new(&w)
+        .slow_disk(8)
+        .run_one(Algorithm::GraceHash, 0.5);
+    let flat = p.report.flat_response().as_secs();
     assert!(
-        queued.seconds > legacy.seconds * 1.02,
-        "queued {} vs legacy {}: expected visible convoy delay on a \
+        p.seconds > flat * 1.02,
+        "queued {} vs flat {flat}: expected visible convoy delay on a \
          saturated disk",
-        queued.seconds,
-        legacy.seconds
+        p.seconds,
     );
 }
 
@@ -234,11 +214,9 @@ fn convoy_margin_survives_end_to_end() {
 
 #[test]
 fn empty_phase_has_no_critical_node() {
-    for model in [TimingModel::Legacy, TimingModel::Queued] {
-        let t = compose(&[], 10_000_000, model);
-        assert_eq!(t.critical_node, None);
-        let t = compose(&[Usage::ZERO, Usage::ZERO], 10_000_000, model);
-        assert_eq!(t.critical_node, None);
-        assert_eq!(t.duration, SimTime::ZERO);
-    }
+    let t = timed(&[]);
+    assert_eq!(t.critical_node, None);
+    let t = timed(&[Usage::ZERO, Usage::ZERO]);
+    assert_eq!(t.critical_node, None);
+    assert_eq!((t.duration, t.flat), (SimTime::ZERO, SimTime::ZERO));
 }
