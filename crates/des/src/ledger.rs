@@ -11,7 +11,7 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
-use crate::queue::{self, QueueStats, Request, RequestLog};
+use crate::queue::{self, QueueStats, Request, RequestLog, SharedServer};
 use crate::time::SimTime;
 
 /// Pure event counters. These do not contribute to time directly — the
@@ -243,19 +243,21 @@ impl Usage {
     }
 
     /// Emit per-request disk/NI wait and service histograms for this
-    /// ledger into `reg`, attributed to `(node, phase)`. Replays the same
-    /// FIFO discipline per request via [`queue::fold_waits`], over the same
-    /// requests as [`Usage::queue_timing`] ([`queue::with_requests`]), so
-    /// each device's `*_service_us` histogram sums exactly to the ledger's
-    /// service total and `*_wait_us` sums exactly to the annotated wait —
-    /// every charged microsecond stays attributable.
+    /// ledger into `reg`, attributed to `(node, phase)`. Serves the same
+    /// requests as [`Usage::queue_timing`] ([`queue::with_requests`]) on a
+    /// fresh [`SharedServer`] and records each span, so each device's
+    /// `*_service_us` histogram sums exactly to the ledger's service total
+    /// and `*_wait_us` sums exactly to the annotated wait — every charged
+    /// microsecond stays attributable.
     pub fn meter_device_requests(&self, reg: &mut gamma_metrics::Registry, node: u16, phase: u32) {
         let mut meter = |log: &[Request], total: SimTime, wait: &'static str, svc: &'static str| {
             queue::with_requests(log, total, |log| {
-                queue::fold_waits(log, |w, s| {
-                    reg.observe_at(wait, phase, node, "", w.as_us());
-                    reg.observe_at(svc, phase, node, "", s.as_us());
-                })
+                let mut server = SharedServer::new();
+                for r in log {
+                    let span = server.submit_span(r.issue, r.service);
+                    reg.observe_at(wait, phase, node, "", span.wait().as_us());
+                    reg.observe_at(svc, phase, node, "", r.service.as_us());
+                }
             });
         };
         meter(

@@ -11,7 +11,9 @@
 //! * [`Usage`] / [`Counts`] — per-(node, phase) resource ledgers that higher
 //!   layers charge CPU, disk and network demand to,
 //! * [`queue`] — single-server FIFO request queues for each node's disk arm
-//!   and network interface, drained by a closed-form fold,
+//!   and network interface: one per-request step
+//!   ([`SharedServer::submit_span`]) and its closed form over a whole log
+//!   ([`SharedServer::submit_log`]),
 //! * [`phase`] — [`compose`], which turns per-node ledgers into a phase
 //!   completion time: each node's CPU overlapped against each device's
 //!   FIFO-queued completion, so loaded devices produce convoy effects; the
@@ -37,7 +39,7 @@ pub mod time;
 pub use ledger::{Counts, NodeQueueTiming, Usage};
 pub use phase::{compose, ring_time, PhaseTiming, TimingModel};
 pub use queue::{
-    fifo_drain, fold_waits, with_requests, DeviceLog, QueueStats, Request, RequestLog, ServiceSpan,
+    fifo_drain, with_requests, DeviceLog, QueueStats, Request, RequestLog, ServiceSpan,
     SharedServer,
 };
 pub use record::Event;

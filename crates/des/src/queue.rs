@@ -3,27 +3,26 @@
 //!
 //! The ledgers in [`crate::ledger`] record *when* each disk/NI request was
 //! issued (the node's CPU progress at the charge site) and *how long* the
-//! device needs to service it. This module replays those request logs
-//! through a single-server FIFO queue, as a closed-form fold, to find out
-//! when the device actually finishes — including the queueing delay that
-//! appears when requests arrive faster than the device drains them (convoy
-//! effects).
+//! device needs to service it. This module serves those request logs
+//! through a single-server FIFO queue to find out when the device actually
+//! finishes — including the queueing delay that appears when requests
+//! arrive faster than the device drains them (convoy effects).
 //!
-//! The legacy timing model (`Usage::busy_time`) assumed a device at 95 %
-//! load behaves like one at 5 %: phase time was just
-//! `max(cpu, Σ disk service, Σ net service)`. The queued model keeps the
-//! full-overlap assumption (read-ahead, DMA) but makes the device a real
-//! server: a request issued at time `a` with service time `s` completes at
-//! `max(a, previous completion) + s`. The device's completion time for the
-//! phase is the finish time of its last request, which is never below the
-//! legacy bound (all the work still has to happen) and rises above it when
+//! The flat bound (`Usage::busy_time`) treats a device at 95 % load like
+//! one at 5 %: `max(cpu, Σ disk service, Σ net service)`. The queue keeps
+//! the full-overlap assumption (read-ahead, DMA) but makes the device a
+//! real server: a request arriving at `a` with service time `s` completes
+//! at `max(a, previous completion) + s` — Lindley's recurrence, the one
+//! per-request step, [`SharedServer::submit_span`]. The device's completion
+//! for a phase is the finish of its last request, which is never below the
+//! flat bound (all the work still has to happen) and rises above it when
 //! requests bunch up.
 //!
-//! [`fifo_drain`] replays one phase in isolation (the server starts idle at
-//! the phase boundary). For *concurrent* queries that restriction no longer
-//! holds: [`SharedServer`] is the cross-phase, cross-query variant that
-//! lives on the absolute virtual clock and carries its backlog between
-//! phases — the gamma-sched engine owns one per device (DESIGN.md §12).
+//! [`fifo_drain`] serves one phase's log on a fresh server (idle at the
+//! phase boundary, phase-relative clock). For *concurrent* queries that
+//! restriction no longer holds: a [`SharedServer`] lives on the absolute
+//! virtual clock and carries its backlog between phases — the gamma-sched
+//! engine owns one per device (DESIGN.md §12).
 //!
 //! ## A whole log in closed form
 //!
@@ -86,7 +85,7 @@ impl RequestLog {
 /// Run `f` over the requests a device served in one phase: its logged
 /// requests, or — when service was charged without a log (a ledger built
 /// by bulk addition or by hand) — one synthetic request for the whole
-/// `total` issued at time zero, which reproduces the legacy bound for that
+/// `total` issued at time zero, which reproduces the flat bound for that
 /// device. Every replay of a ledger goes through this one rule, and the
 /// synthetic request lives on the stack.
 pub fn with_requests<R>(log: &[Request], total: SimTime, f: impl FnOnce(&[Request]) -> R) -> R {
@@ -110,38 +109,26 @@ pub struct QueueStats {
     pub wait: SimTime,
     /// Longest single wait.
     pub max_wait: SimTime,
-    /// Total service demand (Σ service; equals the legacy ledger field).
+    /// Total service demand (Σ service; equals the ledger's service total).
     pub service: SimTime,
     /// Number of requests serviced.
     pub requests: u64,
 }
 
 /// Drain a request log through a single-server FIFO queue and report when
-/// the device finishes.
+/// the device finishes: one [`SharedServer::submit_span`] per request on a
+/// fresh server, its clock phase-relative.
 ///
-/// Requests are served in issue order (ties broken by log order). The log
-/// produced by a ledger is already issue-ordered because issue offsets are
-/// the node's monotone CPU progress, so the queue reduces to the closed-form
-/// recurrence `start = max(issue, previous completion)` — no event kernel,
-/// no allocation. The event-kernel formulation survives as a test-only
-/// cross-check (`fold_drain_matches_event_kernel`), and this is the same
-/// recurrence [`SharedServer`] and [`fold_waits`] use.
+/// `requests` must be in non-decreasing issue order (ties served in log
+/// order), as every ledger's log is: issue offsets are the node's monotone
+/// CPU progress. The event-kernel formulation survives as a test-only
+/// cross-check (`fifo_drain_matches_event_kernel`).
 pub fn fifo_drain(requests: &[Request]) -> QueueStats {
-    let mut stats = QueueStats {
-        requests: requests.len() as u64,
-        ..QueueStats::default()
-    };
-    let mut prev = SimTime::ZERO;
+    let mut server = SharedServer::new();
     for r in requests {
-        let start = prev.max(r.issue);
-        let wait = start - r.issue; // SimTime::sub saturates; starts are never early
-        stats.wait += wait;
-        stats.max_wait = stats.max_wait.max(wait);
-        stats.service += r.service;
-        prev = start + r.service;
+        server.submit_span(r.issue, r.service);
     }
-    stats.completion = prev; // ZERO for an empty log
-    stats
+    server.stats()
 }
 
 /// A clock-driven single-server FIFO queue that persists across phases and
@@ -159,9 +146,8 @@ pub fn fifo_drain(requests: &[Request]) -> QueueStats {
 ///
 /// Callers must submit requests in non-decreasing arrival order (FIFO is
 /// defined by arrival order; the scheduler's CPU-convoy dispatch guarantees
-/// this per device — see DESIGN.md §12). A fresh server with one phase's
-/// log submitted at its issue offsets reproduces [`fifo_drain`] exactly
-/// (see the `shared_server_matches_fifo_drain` test).
+/// this per device — see DESIGN.md §12). [`fifo_drain`] is a fresh server
+/// fed one phase's log at its issue offsets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedServer {
     free_at: SimTime,
@@ -194,8 +180,11 @@ impl SharedServer {
 
     /// Like [`SharedServer::submit`], but report the request's full
     /// lifecycle — when it queued, when service began, when it completed —
-    /// so observers (the gamma-prof flight recorder) can sample queue depth
-    /// and busy time without re-deriving the FIFO recurrence.
+    /// so observers (the gamma-prof flight recorder, the metrics layer's
+    /// per-request histograms) can sample queue depth, waits and busy time
+    /// without re-deriving the FIFO recurrence. This is the one
+    /// per-request FIFO step; [`SharedServer::submit_log`] is its closed
+    /// form over a whole log.
     pub fn submit_span(&mut self, arrival: SimTime, service: SimTime) -> ServiceSpan {
         debug_assert!(
             arrival >= self.last_arrival,
@@ -402,22 +391,6 @@ impl ServiceSpan {
     }
 }
 
-/// Walk a request log through the same FIFO discipline as [`fifo_drain`]
-/// without the event kernel, calling `f(wait, service)` for each request
-/// in order. A straight fold suffices because a single-server FIFO queue
-/// over an issue-ordered log is `start = max(issue, previous completion)`
-/// — the per-request decomposition the metrics layer uses to fill its
-/// wait/service histograms (their sums reconcile exactly with the
-/// [`QueueStats`] totals; see the `fold_matches_drain` test).
-pub fn fold_waits(requests: &[Request], mut f: impl FnMut(SimTime, SimTime)) {
-    let mut prev = SimTime::ZERO;
-    for r in requests {
-        let start = prev.max(r.issue);
-        f(start - r.issue, r.service);
-        prev = start + r.service;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,8 +399,8 @@ mod tests {
 
     /// The original event-driven formulation of [`fifo_drain`]: requests
     /// arrive on the kernel's clock and park in a FIFO while the server is
-    /// busy. Kept as the reference implementation the closed-form fold is
-    /// checked against.
+    /// busy. Kept as the reference implementation the per-request FIFO
+    /// step is checked against.
     enum Ev {
         Arrive(Request),
         Complete,
@@ -471,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_drain_matches_event_kernel() {
+    fn fifo_drain_matches_event_kernel() {
         let logs: Vec<Vec<Request>> = vec![
             vec![],
             vec![req(40, 10)],
@@ -545,58 +518,6 @@ mod tests {
         for log in logs {
             let s = fifo_drain(&log);
             assert!(s.completion >= s.service, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn fold_matches_drain() {
-        let logs: Vec<Vec<Request>> = vec![
-            vec![],
-            vec![req(40, 10)],
-            vec![req(0, 10), req(100, 10), req(200, 10)],
-            vec![req(0, 10), req(0, 10), req(0, 10)],
-            vec![req(100, 10), req(110, 10)],
-            vec![req(0, 7), req(3, 2), req(3, 9), req(20, 1), req(21, 30)],
-            vec![req(0, 1); 64],
-        ];
-        for log in logs {
-            let drained = fifo_drain(&log);
-            let mut wait = SimTime::ZERO;
-            let mut max_wait = SimTime::ZERO;
-            let mut service = SimTime::ZERO;
-            let mut n = 0;
-            fold_waits(&log, |w, s| {
-                wait += w;
-                max_wait = max_wait.max(w);
-                service += s;
-                n += 1;
-            });
-            assert_eq!(wait, drained.wait, "{log:?}");
-            assert_eq!(max_wait, drained.max_wait, "{log:?}");
-            assert_eq!(service, drained.service, "{log:?}");
-            assert_eq!(n, drained.requests, "{log:?}");
-        }
-    }
-
-    #[test]
-    fn shared_server_matches_fifo_drain() {
-        let logs: Vec<Vec<Request>> = vec![
-            vec![],
-            vec![req(40, 10)],
-            vec![req(0, 10), req(100, 10), req(200, 10)],
-            vec![req(0, 10), req(0, 10), req(0, 10)],
-            vec![req(100, 10), req(110, 10)],
-            vec![req(0, 7), req(3, 2), req(3, 9), req(20, 1), req(21, 30)],
-            vec![req(0, 1); 64],
-        ];
-        for log in logs {
-            let drained = fifo_drain(&log);
-            let mut server = SharedServer::new();
-            for r in &log {
-                server.submit(r.issue, r.service);
-            }
-            assert_eq!(server.stats(), drained, "{log:?}");
-            assert_eq!(server.free_at(), drained.completion, "{log:?}");
         }
     }
 
