@@ -5,8 +5,9 @@
 //! per-site memory), dispatches the algorithm driver — which executes the
 //! join for real and returns per-phase ledgers — and then *replays* the
 //! phase sequence in virtual time: the scheduler dispatches each phase's
-//! operator-start messages serially, the phase runs in parallel under the
-//! machine's timing model, and the response time is the last phase's end.
+//! operator-start messages serially, the phase runs in parallel against
+//! its nodes' FIFO device queues, and the response time is the last
+//! phase's end.
 
 use gamma_des::{SimTime, Usage};
 

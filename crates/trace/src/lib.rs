@@ -118,8 +118,7 @@ pub struct NodeUsage {
     pub cpu_us: u64,
     pub disk_us: u64,
     pub net_us: u64,
-    /// Time disk requests spent queued at this node's arm (zero when the
-    /// engine ran under the legacy flat-`max` model).
+    /// Time disk requests spent queued at this node's arm.
     pub disk_wait_us: u64,
     /// Time NI requests spent queued at this node's interface.
     pub net_wait_us: u64,

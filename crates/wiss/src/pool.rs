@@ -7,9 +7,9 @@
 //! write is always charged) and leave the page resident.
 //!
 //! WiSS's one-page readahead is *not* modelled as an explicit prefetch
-//! event: the engine's per-node timing model (`max(cpu, disk, net)`) already
-//! overlaps a scan's disk time with its CPU time, which is exactly what
-//! readahead bought on the real machine.
+//! event: the engine's per-node timing (each device a FIFO queue fed at the
+//! node's CPU progress) already overlaps a scan's disk time with its CPU
+//! time, which is exactly what readahead bought on the real machine.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
